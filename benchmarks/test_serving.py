@@ -29,12 +29,10 @@ def test_serving_policies(benchmark):
             assert math.isfinite(row[col["p99_ms"]]) and row[col["p99_ms"]] > 0
             assert row[col["mean_batch"]] > 1.0
 
-    # plan cache: >= 50% hit rate over structurally identical flushes.  The
-    # win is asserted on the deterministic hit/miss counters, not the
-    # measured memory_planning_ms buckets — sub-millisecond wall-clock
-    # deltas flake on busy CI hosts, while the counters are a pure function
-    # of the flush structure: identical rounds plan once and hit ever
-    # after, and the disabled cache never counts a hit
+    # plan cache: >= 50% hit rate over structurally identical flushes,
+    # asserted (and reported) on the deterministic hit/miss counters — a
+    # pure function of the flush structure: identical rounds plan once and
+    # hit ever after, and the disabled cache never counts a hit
     ccol = {name: i for i, name in enumerate(cache_headers)}
     cache = {row[ccol["config"]]: row for row in cache_rows}
     on, off = cache["plan_cache=on"], cache["plan_cache=off"]

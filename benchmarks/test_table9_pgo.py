@@ -12,5 +12,9 @@ def test_table9_pgo(benchmark):
     save_result("table9", text)
     print("\n" + text)
     # shape check: at the smallest budget PGO is at least as good as the
-    # uniform static allocation
-    assert rows[0][2] <= rows[0][1] * 1.05
+    # uniform static allocation.  Auto-scheduling only writes the device
+    # simulator's schedule table, so the claim lives in the simulated device
+    # time — deterministic, hence asserted exactly; the latency columns add
+    # measured host wall time and are reported, not asserted
+    col = {name: i for i, name in enumerate(headers)}
+    assert rows[0][col["device_pgo_ms"]] <= rows[0][col["device_no_pgo_ms"]]

@@ -65,7 +65,7 @@ def main() -> None:
 
     # the plan cache kicks in when structurally identical rounds repeat
     # (here: the same 8 requests flushed three times)
-    cache_session = model.session(max_batch=8)
+    cache_session = model.session(flush_policy="size", flush_args={"n": 8})
     for _ in range(3):
         for request in requests[:8]:
             cache_session.submit(request)

@@ -20,7 +20,7 @@ runtime construction, fibers, and statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ..analysis.duplication import specialize_functions
 from ..analysis.phases import infer_phases
 from ..analysis.structure import reachable_functions, uses_tensor_dependent_control_flow
 from ..analysis.taint import analyze_taint
-from ..engine.engine import ExecutionEngine, InstanceArgBinder, ProgramBinding
+from ..engine.engine import EngineModel, ExecutionEngine, ProgramBinding
 from ..ir.module import IRModule
 from ..kernels.batched import BlockKernel
 from ..runtime.device import DeviceSimulator, GPUSpec
@@ -68,7 +68,7 @@ class CompiledProgramBinding(ProgramBinding):
 
 
 @dataclass
-class CompiledModel:
+class CompiledModel(EngineModel):
     """An AOT-compiled model ready to run mini-batches."""
 
     module: IRModule
@@ -101,17 +101,6 @@ class CompiledModel:
         return names
 
     # -- execution ------------------------------------------------------------------
-    @property
-    def instance_binder(self) -> InstanceArgBinder:
-        """Argument assembly for one instance (engine-layer binder)."""
-        return InstanceArgBinder(
-            [p.name_hint for p in self.module.main.params], self.params
-        )
-
-    def _instance_args(self, instance: Any) -> List[Any]:
-        """Assemble the argument list of ``main`` for one instance."""
-        return self.instance_binder(instance)
-
     def _exec_options(self, policy: Optional[str] = None) -> ExecutionOptions:
         """Runtime-facing options derived from the compiler options."""
         opts = self.options
@@ -175,105 +164,6 @@ class CompiledModel:
         """Create a fresh runtime bound to this model's kernels and options
         (compatibility shim over :meth:`make_engine`)."""
         return self.make_engine(device).runtime
-
-    def session(
-        self,
-        max_batch: Optional[int] = None,
-        device: Optional[DeviceSimulator] = None,
-        scheduler: Optional[str] = None,
-        *,
-        flush_policy: Any = None,
-        flush_args: Optional[Dict[str, Any]] = None,
-        clock: Any = None,
-        devices: Any = None,
-        placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
-    ):
-        """Open a persistent :class:`~repro.serve.session.InferenceSession`
-        that batches across independently submitted requests.
-
-        ``scheduler`` selects the *scheduler* policy (registry name — named
-        ``scheduler`` here and in :meth:`serve` so it can never be confused
-        with the flush-policy registry); ``flush_policy``/``flush_args``
-        select the session's *flush* policy (see :mod:`repro.serve.policy`);
-        ``max_batch=n`` is deprecated sugar for ``flush_policy="size",
-        flush_args={"n": n}``.  ``devices``/``placement``/``placement_args``/
-        ``interconnect`` shard the session over a device group (see
-        :meth:`make_engine`).
-        """
-        return self.make_engine(
-            device,
-            scheduler,
-            devices=devices,
-            placement=placement,
-            placement_args=placement_args,
-            interconnect=interconnect,
-        ).session(
-            max_batch=max_batch, policy=flush_policy, policy_args=flush_args, clock=clock
-        )
-
-    def serve(
-        self,
-        policy: Any = "adaptive",
-        *,
-        clock: Any = None,
-        device: Optional[DeviceSimulator] = None,
-        scheduler: Optional[str] = None,
-        devices: Any = None,
-        placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
-        **policy_args: Any,
-    ):
-        """Open a policy-driven serving session over this model.
-
-        The serving facade: ``compile_model(...).serve("deadline", ms=5)``
-        returns an :class:`~repro.serve.session.InferenceSession` whose
-        flush policy (by registry name or instance, with ``policy_args``)
-        decides when the accumulated requests execute as one batched round.
-        ``scheduler`` optionally overrides the scheduler-policy name and
-        ``clock`` the session's time source; ``devices``/``placement``/
-        ``placement_args``/``interconnect`` shard the session over a device
-        group (see :meth:`make_engine`) — ``serve("adaptive", devices=4,
-        placement="round_robin")`` serves one model across four simulated
-        GPUs.
-        """
-        return self.make_engine(
-            device,
-            scheduler,
-            devices=devices,
-            placement=placement,
-            placement_args=placement_args,
-            interconnect=interconnect,
-        ).session(policy=policy, policy_args=policy_args or None, clock=clock)
-
-    def run(
-        self,
-        instances: Sequence[Any],
-        device: Optional[DeviceSimulator] = None,
-    ) -> Tuple[List[Any], RunStats]:
-        """Run one mini-batch.
-
-        Parameters
-        ----------
-        instances:
-            One entry per batch instance: a mapping from per-instance input
-            name to value, or the bare value when ``main`` has a single
-            per-instance input.
-        device:
-            Optional externally constructed device simulator (lets callers
-            share schedule tables across runs).
-
-        Returns
-        -------
-        (outputs, stats):
-            Per-instance outputs (fully materialized NumPy / ADT values) and
-            the host/device breakdown of the run.
-        """
-        outputs, stats = self.make_engine(device).run(instances)
-        self.last_stats = stats
-        return outputs, stats
 
 
 def compile_module(

@@ -76,7 +76,6 @@ def open_session(
     params: Mapping[str, np.ndarray],
     options: Optional[CompilerOptions] = None,
     gpu_spec: Optional[GPUSpec] = None,
-    max_batch: Optional[int] = None,
     *,
     policy: Any = None,
     policy_args: Optional[Mapping[str, Any]] = None,
@@ -89,13 +88,11 @@ def open_session(
     flush policy fires or on an explicit
     :meth:`~repro.serve.session.InferenceSession.flush`, batching across
     the independently submitted requests.  ``policy``/``policy_args`` name
-    a flush policy from :mod:`repro.serve.policy` (``max_batch=n`` is
-    deprecated sugar for ``policy="size", policy_args={"n": n}``); ``clock``
-    overrides the session's time source.
+    a flush policy from :mod:`repro.serve.policy` (e.g. ``policy="size",
+    policy_args={"n": 8}``); ``clock`` overrides the session's time source.
     """
     model = compile_model(module, params, options, gpu_spec)
     return model.session(
-        max_batch=max_batch,
         flush_policy=policy,
         flush_args=dict(policy_args) if policy_args else None,
         clock=clock,

@@ -54,6 +54,7 @@ import numpy as np
 
 from ..runtime.scheduler import ScheduledBatch
 from ..runtime.tensor import LazyTensor
+from ..utils import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernels.batched import BlockKernel
@@ -61,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 PlacementFactory = Callable[..., "PlacementPolicy"]
 
-_REGISTRY: Dict[str, PlacementFactory] = {}
+_PLACEMENTS = Registry("placement policy")
 
 
 class PlacementPolicy:
@@ -145,41 +146,22 @@ def register_placement(
 
     Registering an existing name raises unless ``overwrite=True``.
     """
-
-    def _register(fn: PlacementFactory) -> PlacementFactory:
-        if not overwrite and name in _REGISTRY:
-            raise ValueError(
-                f"placement policy {name!r} is already registered "
-                f"(pass overwrite=True to replace it)"
-            )
-        _REGISTRY[name] = fn
-        return fn
-
-    if factory is None:
-        return _register
-    return _register(factory)
+    return _PLACEMENTS.register(name, factory, overwrite=overwrite)
 
 
 def unregister_placement(name: str) -> None:
     """Remove a placement policy from the registry (no-op for unknown names)."""
-    _REGISTRY.pop(name, None)
+    _PLACEMENTS.unregister(name)
 
 
 def available_placements() -> Tuple[str, ...]:
     """Names of all registered placement policies, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return _PLACEMENTS.available()
 
 
 def make_placement(name: str, **policy_args: Any) -> PlacementPolicy:
     """Instantiate the placement policy registered under ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown placement policy {name!r}; available policies: "
-            f"{', '.join(available_placements())}"
-        ) from None
-    return factory(**policy_args)
+    return _PLACEMENTS.make(name, **policy_args)
 
 
 # -- shared learned cost model ------------------------------------------------

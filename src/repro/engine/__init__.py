@@ -8,12 +8,13 @@ interpreter, the DyNet baseline) and :mod:`repro.runtime`:
 * the scheduler-policy registry — string-keyed scheduling strategies
   (``inline_depth``, ``dynamic_depth``, ``agenda``, ``nobatch``,
   ``dynet``), extensible via :func:`register_scheduler`;
-* :class:`InferenceSession` — a persistent session batching across
-  independently submitted requests.  The session (and everything serving:
-  flush policies, request futures, clocks, multi-model servers) lives in
-  :mod:`repro.serve`; it is re-exported here for compatibility — lazily,
-  through the deprecated :mod:`repro.engine.session` shim, so only code
-  that still uses the old path sees its :class:`DeprecationWarning`.
+* :class:`~repro.engine.engine.EngineModel` — the ``session``/``serve``/
+  ``run`` entry points every model front-end shares, written once over
+  ``make_engine``;
+* :meth:`ExecutionEngine.session` — opens a persistent cross-request
+  batching session; the session itself (and everything serving: flush
+  policies, request futures, clocks, multi-model servers) lives in
+  :mod:`repro.serve`.
 """
 
 from .engine import ExecutionEngine, InstanceArgBinder, ProgramBinding
@@ -24,24 +25,10 @@ from .registry import (
     unregister_scheduler,
 )
 
-_SESSION_EXPORTS = ("InferenceRequest", "InferenceSession", "RequestHandle")
-
-
-def __getattr__(name):
-    if name in _SESSION_EXPORTS:
-        from . import session as _session
-
-        return getattr(_session, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ExecutionEngine",
     "InstanceArgBinder",
     "ProgramBinding",
-    "InferenceRequest",
-    "InferenceSession",
-    "RequestHandle",
     "available_policies",
     "make_scheduler",
     "register_scheduler",

@@ -268,7 +268,6 @@ class ExecutionEngine:
     # -- sessions --------------------------------------------------------------
     def session(
         self,
-        max_batch: Optional[int] = None,
         *,
         policy: Any = None,
         policy_args: Optional[Dict[str, Any]] = None,
@@ -278,13 +277,127 @@ class ExecutionEngine:
         that batches across independently submitted requests.
 
         ``policy`` selects a flush policy from the registry in
-        :mod:`repro.serve.policy` (with ``policy_args``); ``max_batch=n`` is
-        deprecated sugar for ``policy="size", policy_args={"n": n}``.
-        ``clock`` overrides the session's time source (e.g. a
-        :class:`~repro.serve.clock.SimulatedClock`).
+        :mod:`repro.serve.policy` (with ``policy_args``, e.g. ``policy="size",
+        policy_args={"n": 8}``).  ``clock`` overrides the session's time
+        source (e.g. a :class:`~repro.serve.clock.SimulatedClock`).
         """
         from ..serve.session import InferenceSession
 
         return InferenceSession(
-            self, max_batch=max_batch, policy=policy, policy_args=policy_args, clock=clock
+            self, policy=policy, policy_args=policy_args, clock=clock
         )
+
+
+class EngineModel:
+    """What every executable model front-end shares: instance-argument
+    binding plus the ``session``/``serve``/``run`` entry points, all
+    expressed over the subclass's ``make_engine``.  Subclasses
+    (:class:`~repro.compiler.driver.CompiledModel`,
+    :class:`~repro.vm.interpreter.VMModel`) provide ``module``, ``params``,
+    ``last_stats`` and ``make_engine``."""
+
+    @property
+    def instance_binder(self) -> InstanceArgBinder:
+        """Argument assembly for one instance (engine-layer binder)."""
+        return InstanceArgBinder(
+            [p.name_hint for p in self.module.main.params], self.params
+        )
+
+    def _instance_args(self, instance: Any) -> List[Any]:
+        """Assemble the argument list of ``main`` for one instance."""
+        return self.instance_binder(instance)
+
+    def session(
+        self,
+        device: Optional[DeviceSimulator] = None,
+        scheduler: Optional[str] = None,
+        *,
+        flush_policy: Any = None,
+        flush_args: Optional[Dict[str, Any]] = None,
+        clock: Any = None,
+        devices: Any = None,
+        placement: Any = None,
+        placement_args: Optional[Dict[str, Any]] = None,
+        interconnect: Any = None,
+    ):
+        """Open a persistent :class:`~repro.serve.session.InferenceSession`
+        that batches across independently submitted requests.
+
+        ``scheduler`` selects the *scheduler* policy (registry name — named
+        ``scheduler`` here and in :meth:`serve` so it can never be confused
+        with the flush-policy registry); ``flush_policy``/``flush_args``
+        select the session's *flush* policy (see :mod:`repro.serve.policy`),
+        e.g. ``flush_policy="size", flush_args={"n": 8}``.
+        ``devices``/``placement``/``placement_args``/``interconnect`` shard
+        the session over a device group (see :meth:`make_engine`).
+        """
+        return self.make_engine(
+            device,
+            scheduler,
+            devices=devices,
+            placement=placement,
+            placement_args=placement_args,
+            interconnect=interconnect,
+        ).session(policy=flush_policy, policy_args=flush_args, clock=clock)
+
+    def serve(
+        self,
+        policy: Any = "adaptive",
+        *,
+        clock: Any = None,
+        device: Optional[DeviceSimulator] = None,
+        scheduler: Optional[str] = None,
+        devices: Any = None,
+        placement: Any = None,
+        placement_args: Optional[Dict[str, Any]] = None,
+        interconnect: Any = None,
+        **policy_args: Any,
+    ):
+        """Open a policy-driven serving session over this model.
+
+        The serving facade: ``compile_model(...).serve("deadline", ms=5)``
+        returns an :class:`~repro.serve.session.InferenceSession` whose
+        flush policy (by registry name or instance, with ``policy_args``)
+        decides when the accumulated requests execute as one batched round.
+        ``scheduler`` optionally overrides the scheduler-policy name and
+        ``clock`` the session's time source; ``devices``/``placement``/
+        ``placement_args``/``interconnect`` shard the session over a device
+        group (see :meth:`make_engine`) — ``serve("adaptive", devices=4,
+        placement="round_robin")`` serves one model across four simulated
+        GPUs.
+        """
+        return self.make_engine(
+            device,
+            scheduler,
+            devices=devices,
+            placement=placement,
+            placement_args=placement_args,
+            interconnect=interconnect,
+        ).session(policy=policy, policy_args=policy_args or None, clock=clock)
+
+    def run(
+        self,
+        instances: Sequence[Any],
+        device: Optional[DeviceSimulator] = None,
+    ) -> Tuple[List[Any], RunStats]:
+        """Run one mini-batch.
+
+        Parameters
+        ----------
+        instances:
+            One entry per batch instance: a mapping from per-instance input
+            name to value, or the bare value when ``main`` has a single
+            per-instance input.
+        device:
+            Optional externally constructed device simulator (lets callers
+            share schedule tables across runs).
+
+        Returns
+        -------
+        (outputs, stats):
+            Per-instance outputs (fully materialized NumPy / ADT values) and
+            the host/device breakdown of the run.
+        """
+        outputs, stats = self.make_engine(device).run(instances)
+        self.last_stats = stats
+        return outputs, stats

@@ -52,10 +52,11 @@ from ..runtime.scheduler import (
     InlineDepthScheduler,
     NoBatchScheduler,
 )
+from ..utils import Registry
 
 SchedulerFactory = Callable[..., Any]
 
-_REGISTRY: Dict[str, SchedulerFactory] = {}
+_SCHEDULERS = Registry("scheduler policy")
 
 
 def register_scheduler(
@@ -70,29 +71,17 @@ def register_scheduler(
     decorator (``@register_scheduler("p")``).  Registering an existing name
     raises unless ``overwrite=True``.
     """
-
-    def _register(fn: SchedulerFactory) -> SchedulerFactory:
-        if not overwrite and name in _REGISTRY:
-            raise ValueError(
-                f"scheduler policy {name!r} is already registered "
-                f"(pass overwrite=True to replace it)"
-            )
-        _REGISTRY[name] = fn
-        return fn
-
-    if factory is None:
-        return _register
-    return _register(factory)
+    return _SCHEDULERS.register(name, factory, overwrite=overwrite)
 
 
 def unregister_scheduler(name: str) -> None:
     """Remove a policy from the registry (no-op for unknown names)."""
-    _REGISTRY.pop(name, None)
+    _SCHEDULERS.unregister(name)
 
 
 def available_policies() -> Tuple[str, ...]:
     """Names of all registered scheduler policies, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return _SCHEDULERS.available()
 
 
 def make_scheduler(
@@ -108,14 +97,7 @@ def make_scheduler(
     (policies that do not need them ignore them); extra keyword arguments are
     forwarded to the policy factory.
     """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler policy {name!r}; available policies: "
-            f"{', '.join(available_policies())}"
-        ) from None
-    return factory(kernels=kernels, options=options, **policy_args)
+    return _SCHEDULERS.make(name, kernels=kernels, options=options, **policy_args)
 
 
 # -- built-in policies --------------------------------------------------------

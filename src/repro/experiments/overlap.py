@@ -36,15 +36,13 @@ from __future__ import annotations
 import argparse
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..compiler.options import CompilerOptions
 from ..core.api import compile_model, reference_run
-from ..ir.adt import ADTValue
 from ..runtime.device import DeviceSimulator, GPUSpec
 from ..serve.clock import SimulatedClock
 from ..serve.traffic import TrafficReport, bursty_arrivals, replay_continuous
 from ..utils import values_allclose
+from .continuous import _bitwise_equal
 from .harness import (
     ExperimentScale,
     build_model,
@@ -119,27 +117,6 @@ BURST = 8
 #: than the continuous benchmark's model — this table measures the
 #: host-bound regime, where round construction rivals device execution
 HOST_MODEL = (3.0, 0.5)
-
-
-def _bitwise_equal(a, b) -> bool:
-    """Exact (bit-for-bit) equality over nested outputs (ADT values, tuples,
-    lists, arrays — the same structures :func:`values_allclose` walks)."""
-    if isinstance(a, ADTValue) or isinstance(b, ADTValue):
-        return (
-            isinstance(a, ADTValue)
-            and isinstance(b, ADTValue)
-            and a.constructor.name == b.constructor.name
-            and len(a.fields) == len(b.fields)
-            and all(_bitwise_equal(x, y) for x, y in zip(a.fields, b.fields))
-        )
-    if isinstance(a, (list, tuple)) or isinstance(b, (list, tuple)):
-        return (
-            isinstance(a, (list, tuple))
-            and isinstance(b, (list, tuple))
-            and len(a) == len(b)
-            and all(_bitwise_equal(x, y) for x, y in zip(a, b))
-        )
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
 
 
 def _replay(

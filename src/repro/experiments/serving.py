@@ -24,14 +24,13 @@ across runs and hosts).
 
 A second table isolates the memory planner's plan cache
 (:mod:`repro.memory.planner`): a session flushing structurally identical
-rounds replays cached plans, and the table compares the ``memory_planning``
-bucket and hit rate against the uncached path.
+rounds replays cached plans, and the table compares the deterministic
+hit/miss counters against the uncached path.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler.options import CompilerOptions
@@ -67,7 +66,6 @@ CACHE_HEADERS = (
     "hits",
     "misses",
     "hit_rate",
-    "memory_planning_ms",
 )
 
 #: flush-policy matrix: (row label, registry name, policy arguments)
@@ -92,10 +90,6 @@ NUM_REQUESTS = {"reduced": 32, "paper": 64}
 #: bit-for-bit on any host, so the launch-reduction and latency columns
 #: are pure functions of the trace + cost model (no perf-floor flake)
 HOST_MODEL = (0.5, 0.05)
-
-
-def _best_of() -> int:
-    return max(1, int(os.environ.get("REPRO_BEST_OF", "1")))
 
 
 def _replay_policy(
@@ -165,37 +159,18 @@ def run_plan_cache(
 
     rows: List[List] = []
     for label, cached in (("plan_cache=on", True), ("plan_cache=off", False)):
-        def measure() -> Tuple[float, int, int]:
-            compiled = compile_model(mod, params, CompilerOptions(plan_cache=cached))
-            session = compiled.session(max_batch=batch)
-            for _ in range(rounds):
-                handles = [session.submit(r) for r in requests]
-                assert all(
-                    values_allclose(a, h.result())
-                    for a, h in zip(reference, handles)
-                ), "plan-cached session diverged from the reference"
-            planning = sum(s.host_ms.get("memory_planning", 0.0) for s in session.history)
-            memory = session.last_stats.memory
-            return planning, memory["plan_cache_hits"], memory["plan_cache_misses"]
-
-        # sub-millisecond planning buckets on a noisy host need benchmark
-        # hygiene: one untimed warmup run per config (the first config in a
-        # cold process otherwise eats all code-path warmup), then best-of-N
-        # with a floor of 3
-        measure()
-        planning, hits, misses = min(
-            (measure() for _ in range(max(3, _best_of()))), key=lambda m: m[0]
-        )
-        rows.append(
-            [
-                label,
-                rounds,
-                hits,
-                misses,
-                hits / max(1, hits + misses),
-                planning,
-            ]
-        )
+        compiled = compile_model(mod, params, CompilerOptions(plan_cache=cached))
+        session = compiled.session(flush_policy="size", flush_args={"n": batch})
+        for _ in range(rounds):
+            handles = [session.submit(r) for r in requests]
+            assert all(
+                values_allclose(a, h.result()) for a, h in zip(reference, handles)
+            ), "plan-cached session diverged from the reference"
+        # hit/miss counters are a pure function of the flush structure (the
+        # wall-clock memory_planning bucket is not, and is not reported)
+        memory = session.last_stats.memory
+        hits, misses = memory["plan_cache_hits"], memory["plan_cache_misses"]
+        rows.append([label, rounds, hits, misses, hits / max(1, hits + misses)])
     return CACHE_HEADERS, rows
 
 

@@ -67,7 +67,7 @@ HEADERS = (
 
 
 def _best_of() -> int:
-    # sub-millisecond buckets: keep run_plan_cache's floor of 3
+    # sub-millisecond buckets: never fewer than 3 measurements
     return max(3, int(os.environ.get("REPRO_BEST_OF", "1")))
 
 
@@ -94,7 +94,7 @@ def _measure(
     compiled = compile_model(
         mod, params, CompilerOptions(kernel_specialization=specialize)
     )
-    session = compiled.session(max_batch=batch)
+    session = compiled.session(flush_policy="size", flush_args={"n": batch})
     total = dispatch = 0.0
     exact = True
     gc.collect()

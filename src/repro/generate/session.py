@@ -55,8 +55,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..serve.clock import SimulatedClock
-from ..serve.loop import DeviceTimeline, replay_state
+from ..serve.loop import DeviceTimeline
 from ..serve.request import RequestCancelled, RequestExpired, RequestHandle
+from ..serve.sim import replay_state
 from ..utils import flatten_arrays
 from .request import (
     GenerationCancelled,

@@ -18,6 +18,11 @@ setting, where independent requests arrive continuously and must be batched
   event loop: thread-safe bounded admission (backpressure), loop-driven
   deadline polling, and continuous batching over a
   :class:`~repro.serve.loop.DeviceTimeline`;
+* :mod:`repro.serve.sim` — :class:`~repro.serve.sim.TraceDriver`, the one
+  deterministic discrete-event driver under every simulated replay
+  (``ServeLoop.run_trace``, ``Server.run_trace``, the ``traffic.replay*``
+  functions are thin adapters; caller-driven replay is the same driver
+  without a device timeline/host lane);
 * :mod:`repro.serve.prepare` — :class:`RoundPreparer`, the wall-clock
   worker of the overlapped host pipeline: builds the predicted next round
   (schedule/placement/memory plan) while the loop sleeps, so a flush only
@@ -35,7 +40,7 @@ setting, where independent requests arrive continuously and must be batched
   topology registry (``single``/``per_device``/``per_endpoint``),
   SLO-aware admission (priority classes, per-tenant token-bucket quotas,
   slack-based shedding), cross-loop work-stealing, and
-  :func:`run_topology_trace`, the deterministic multi-loop trace driver
+  :func:`run_topology_trace`, the deterministic multi-loop trace replay
   behind ``Server.run_trace``.
 
 Entry points: ``compile_model(...).serve(policy="adaptive")`` opens a

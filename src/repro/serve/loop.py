@@ -30,23 +30,24 @@ Two operating modes, one per :class:`~repro.serve.clock.Clock` flavour:
   executes are timestamped at admission, so when the loop picks them up
   they are *backdated* — exactly the signal the adaptive policy's backlog
   detection batches for free.
-* **simulated** (:meth:`run_trace`): a deterministic event loop over a
-  :class:`~repro.serve.clock.SimulatedClock`.  Execution is modelled
-  asynchronously through a :class:`DeviceTimeline`: a flushed round only
-  charges its *host* share to the clock (intake is serial with host work)
-  and its *device* share queues on the timeline — rounds pipeline
-  back-to-back on the device while intake streams on.  With
-  ``deterministic=True`` the measured wall-clock host share is dropped, so
-  replaying the same trace is bit-for-bit identical across runs and hosts.
+* **simulated** (:meth:`run_trace`): a deterministic replay over a
+  :class:`~repro.serve.clock.SimulatedClock`, driven by the one simulated
+  event driver (:class:`repro.serve.sim.TraceDriver` — a single loop is its
+  k=1 case).  Execution is modelled asynchronously through a
+  :class:`DeviceTimeline`: a flushed round's *host* share occupies the
+  loop's host lane (intake is serial with host work) and its *device*
+  share queues on the timeline — rounds pipeline back-to-back on the
+  device while intake streams on.  With ``deterministic=True`` the
+  measured wall-clock host share is dropped, so replaying the same trace
+  is bit-for-bit identical across runs and hosts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from .clock import Clock, SimulatedClock
 from .policy import select_shed_victim
@@ -58,6 +59,19 @@ from .request import RequestCancelled, RequestExpired, RequestHandle
 #: one that can best afford a retry), which may be the incoming request
 #: itself (see :func:`repro.serve.policy.select_shed_victim`)
 BACKPRESSURE_POLICIES = ("block", "reject", "shed-oldest", "shed-slack")
+
+
+#: why a request was shed, per shedding policy (the RequestShed message)
+_SHED_REASONS = {
+    "shed-oldest": (
+        "request shed by backpressure: a newer arrival displaced it from the "
+        "full admission queue"
+    ),
+    "shed-slack": (
+        "request shed by SLO-aware backpressure: it had the lowest priority "
+        "and the most deadline slack when the admission queue overflowed"
+    ),
+}
 
 
 class BackpressureFull(RuntimeError):
@@ -196,58 +210,6 @@ class DeviceTimeline:
         )
 
 
-class HostLane:
-    """One serving loop's host busy horizon in a multi-loop simulated trace.
-
-    The single-loop :meth:`ServeLoop.run_trace` serializes a flush's host
-    share against intake by charging it to the shared clock.  With N loops
-    that would serialize host work *across* loops — exactly the scaling
-    ceiling the sharded front door removes — so the multi-loop driver
-    (:func:`repro.serve.topology.run_topology_trace`) gives each loop a
-    lane instead: a flush advances ``busy_until`` and the driver delays the
-    owning loop's next event (and the dispatch of its queued arrivals)
-    until the lane frees.  The device side is unchanged — rounds still
-    launch on the :class:`DeviceTimeline`.
-    """
-
-    __slots__ = ("busy_until",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.busy_until = float(start)
-
-    def free_at(self, now: float) -> float:
-        """Earliest instant at or after ``now`` the lane is free."""
-        return max(float(now), self.busy_until)
-
-    def __repr__(self) -> str:
-        return f"HostLane(busy_until={self.busy_until:.6f})"
-
-
-@contextlib.contextmanager
-def replay_state(
-    sessions: Iterable[Any],
-    *,
-    deterministic: bool,
-    host_model: Optional[Tuple[float, float]],
-    timeline: Optional[DeviceTimeline] = None,
-) -> Iterator[None]:
-    """Apply a replay's session configuration — device timeline (None for
-    caller-driven replays), host charging mode and deterministic host-cost
-    model — and restore each session's prior values on exit, so replays
-    never clobber a caller's own settings."""
-    sessions = list(sessions)
-    prior = [(s.timeline, s.charge_host, s.host_cost_model) for s in sessions]
-    for session in sessions:
-        session.timeline = timeline
-        session.charge_host = not deterministic
-        session.host_cost_model = host_model
-    try:
-        yield
-    finally:
-        for session, state in zip(sessions, prior):
-            session.timeline, session.charge_host, session.host_cost_model = state
-
-
 class _Admission:
     """One queued request: where it goes, what it is, when it arrived, and
     by when it must be dispatched (None = no deadline)."""
@@ -339,8 +301,6 @@ class ServeLoop:
         #: the wall-clock preparer worker (exists only while running with
         #: ``prepare`` on)
         self._preparer = None
-        # simulated-mode flag: run_trace sets it for the replay's duration
-        self._prepare_active = False
 
         self._cond = threading.Condition()
         # serializes mode transitions (start/shutdown) with inline
@@ -393,6 +353,13 @@ class ServeLoop:
         if self._static_sessions is not None:
             return self._static_sessions
         return {name: ep.session for name, ep in self._server._endpoints.items()}
+
+    def backlog(self) -> int:
+        """Requests this loop still owes a flush: queued admissions plus
+        its sessions' pending rounds (the router's load metric)."""
+        return len(self._queue) + sum(
+            s.pending_requests for s in self.sessions().values()
+        )
 
     def _session(self, name: str):
         if self._server is not None:
@@ -587,19 +554,12 @@ class ServeLoop:
                         )
                     if self.backpressure == "shed-oldest":
                         shed = self._queue.popleft()
-                        self.num_shed += 1
                         # a shed admission is resolved (exceptionally):
                         # count it dispatched+flushed so drain() never
                         # waits on it
                         self._dispatched_seq += 1
                         self._flushed_seq += 1
-                        shed.handle._fail(
-                            RequestShed(
-                                "request shed by backpressure: a newer arrival "
-                                f"displaced it from the full admission queue "
-                                f"(max_pending={self.max_pending})"
-                            )
-                        )
+                        self._shed(shed.handle)
                         break
                     if self.backpressure == "shed-slack":
                         # SLO-aware shed: the victim — possibly the incoming
@@ -617,29 +577,14 @@ class ServeLoop:
                         candidates = [adm.handle for adm in self._queue]
                         candidates.append(handle)
                         victim = select_shed_victim(candidates, self.clock.now())
-                        self.num_shed += 1
                         if victim == len(candidates) - 1:
-                            handle._fail(
-                                RequestShed(
-                                    "request shed by SLO-aware backpressure: it "
-                                    "had the lowest priority and the most "
-                                    "deadline slack of the full admission queue "
-                                    f"(max_pending={self.max_pending})"
-                                )
-                            )
+                            self._shed(handle)
                             return handle
                         adm = self._queue[victim]
                         del self._queue[victim]
                         self._dispatched_seq += 1
                         self._flushed_seq += 1
-                        adm.handle._fail(
-                            RequestShed(
-                                "request shed by SLO-aware backpressure: it had "
-                                "the lowest priority and the most deadline "
-                                "slack when the admission queue overflowed "
-                                f"(max_pending={self.max_pending})"
-                            )
-                        )
+                        self._shed(adm.handle)
                         break
                     # block: wait for the loop to make space
                     if self._stop or self._error is not None or not self.running:
@@ -666,6 +611,18 @@ class ServeLoop:
             self._admit_seq += 1
             self._cond.notify_all()
         return handle
+
+    def _shed(self, handle: RequestHandle) -> None:
+        """Resolve ``handle`` as the victim of this loop's shedding
+        backpressure policy (wall-clock admission and the simulated trace
+        driver share the counter and the wording)."""
+        self.num_shed += 1
+        handle._fail(
+            RequestShed(
+                f"{_SHED_REASONS[self.backpressure]} "
+                f"(max_pending={self.max_pending})"
+            )
+        )
 
     def _cancel_handle(self, handle: RequestHandle) -> bool:
         """Withdraw a still-queued admission (``RequestHandle.cancel()``
@@ -832,37 +789,40 @@ class ServeLoop:
                 preparer.stop()
                 self._preparer = None
 
+    def _dispatch_one(self, adm: _Admission) -> None:
+        """Dispatch one picked-up admission into its session — the body the
+        wall-clock loop and the simulated trace driver share."""
+        handle = adm.handle
+        if handle.done:
+            return  # resolved while queued (cancel/shed/steal race)
+        if adm.deadline is not None and self.clock.now() > adm.deadline:
+            # expired while queued: dropped before it joins any round, so
+            # round-mates never see it
+            self.num_expired += 1
+            handle._fail(
+                RequestExpired(
+                    f"deadline {adm.deadline!r} passed while the request "
+                    "was queued for admission"
+                )
+            )
+            return
+        # at= is the admission timestamp: if the loop was busy executing
+        # when the request arrived, the session sees it backdated — the
+        # continuous-batching backlog signal
+        try:
+            self._session(adm.name).submit(adm.instance, at=adm.at, handle=handle)
+        except BaseException as exc:
+            # one malformed request must not take down a multi-tenant loop:
+            # the session already aborted any poisoned round (failing its
+            # handles with RoundAborted), so fail this request's handle
+            # with the original error and keep serving
+            if not handle.done:
+                handle._fail(exc)
+
     def _dispatch_wall(self, admissions: List[_Admission]) -> None:
         """Dispatch picked-up admissions into their sessions (wall mode)."""
         for adm in admissions:
-            if adm.handle.done:
-                continue  # resolved while queued (cancel/shed race)
-            if adm.deadline is not None and self.clock.now() > adm.deadline:
-                # expired while queued: dropped before it joins any
-                # round, so round-mates never see it
-                self.num_expired += 1
-                adm.handle._fail(
-                    RequestExpired(
-                        f"deadline {adm.deadline!r} passed while the "
-                        "request was queued for admission"
-                    )
-                )
-                continue
-            # at= is the admission timestamp: if the loop was busy
-            # executing when the request arrived, the session sees
-            # it backdated — the continuous-batching backlog signal
-            try:
-                self._session(adm.name).submit(
-                    adm.instance, at=adm.at, handle=adm.handle
-                )
-            except BaseException as exc:
-                # one malformed request must not take down a
-                # multi-tenant loop: the session already aborted any
-                # poisoned round (failing its handles with
-                # RoundAborted), so fail this request's handle with
-                # the original error and keep serving
-                if not adm.handle.done:
-                    adm.handle._fail(exc)
+            self._dispatch_one(adm)
         if admissions:
             with self._cond:
                 self._dispatched_seq += len(admissions)
@@ -951,17 +911,19 @@ class ServeLoop:
         batching on the simulated clock.
 
         ``workload`` yields ``(arrival_time, session_name, request)`` sorted
-        by arrival time.  The loop advances the clock from event to event —
-        arrivals, flush deadlines, device-free completions — exactly as the
-        wall-clock thread would wake, and flushed rounds execute on a
+        by arrival time.  The trace runs through the one simulated event
+        driver (:class:`repro.serve.sim.TraceDriver`, this loop being its
+        k=1 case): the clock advances from event to event — arrivals, flush
+        deadlines, device-free completions — exactly as the wall-clock
+        thread would wake, and flushed rounds execute on a
         :class:`DeviceTimeline`, so intake streams on while the device
         works and rounds pipeline back-to-back.  With ``deterministic``
         (default) the measured host wall time is excluded from the
         simulated timeline: the same trace replays bit-for-bit.
         ``host_model`` optionally replaces it with a deterministic
         ``(per_round_ms, per_request_ms)`` linear model — the loop still
-        pays a host cost per flush (serial with intake), just a modelled
-        one.
+        pays a host cost per flush (serial with intake, on the loop's host
+        lane), just a modelled one.
 
         ``prepare`` overrides the loop's overlapped-host-pipeline knob for
         this replay (None keeps the constructor's setting).  With the
@@ -972,132 +934,12 @@ class ServeLoop:
 
         Returns the resolved handles per session name, in arrival order.
         """
-        if self.running:
-            raise RuntimeError("run_trace needs exclusive ownership; the loop thread is running")
-        if not isinstance(self.clock, SimulatedClock):
-            raise TypeError("run_trace needs a SimulatedClock")
-        clock = self.clock
-        sessions = self.sessions()
-        items = sorted(workload, key=lambda item: item[0])
-        # one lane per device of the widest session's group, so multi-device
-        # rounds overlap lane-wise (single-device traces keep one lane and
-        # replay exactly as before)
-        num_lanes = 1
-        for session in sessions.values():
-            num_lanes = max(num_lanes, getattr(session.engine, "num_devices", 1))
-        timeline = DeviceTimeline(start=clock.now(), num_devices=num_lanes)
-        handles: Dict[str, List[RequestHandle]] = {}
-        self._prepare_active = self.prepare if prepare is None else bool(prepare)
-        try:
-            with replay_state(
-                sessions.values(),
-                deterministic=deterministic,
-                host_model=host_model,
-                timeline=timeline,
-            ):
-                last = len(items) - 1
-                for i, (t, name, instance) in enumerate(items):
-                    self._advance_until(sessions, timeline, t)
-                    clock.advance_to(t)
-                    handles.setdefault(name, []).append(
-                        self._session(name).submit(instance, at=t)
-                    )
-                    self.num_admitted += 1
-                    if i == last or items[i + 1][0] > t:
-                        # intake at this timestamp has quiesced (a burst
-                        # submits many requests at one instant; speculating
-                        # between them would only churn abort/re-prepare)
-                        self._maybe_prepare(sessions)
-                self._drain_simulated(sessions, timeline)
-                # the trace ends when the device finishes its last round
-                clock.advance_to(timeline.busy_until)
-                timeline.pop_completions(clock.now())
-        finally:
-            self._prepare_active = False
-        return handles
+        from .sim import TraceDriver
 
-    def _maybe_prepare(self, sessions: Dict[str, Any]) -> None:
-        """Simulated-mode speculation point: let every session prepare its
-        predicted next round.  A preparer failure here is an infrastructure
-        failure exactly as in wall-clock mode: sessions abort (failing
-        implicated handles) and ``LoopStopped`` raises with the original
-        error as ``__cause__``."""
-        if not self._prepare_active:
-            return
-        now = self.clock.now()
-        try:
-            for session in sessions.values():
-                session.consider_prepare(now)
-        except BaseException as exc:
-            raise self._die(exc) from exc
-
-    def _next_event(
-        self, sessions: Dict[str, Any], timeline: DeviceTimeline
-    ) -> Optional[Tuple[float, int]]:
-        """Earliest pending wakeup: (timestamp, kind) with kind 0 =
-        device completion, 1 = flush deadline (completions win ties so the
-        device-idle launch happens before a same-instant deadline fires)."""
-        events: List[Tuple[float, int]] = []
-        completion = timeline.next_completion()
-        if completion is not None:
-            events.append((completion, 0))
-        deadline = self.next_deadline()
-        if deadline is not None:
-            events.append((deadline, 1))
-        return min(events) if events else None
-
-    def _fire_event(
-        self, sessions: Dict[str, Any], timeline: DeviceTimeline, event: Tuple[float, int]
-    ) -> None:
-        when, kind = event
-        self.clock.advance_to(when)
-        if kind == 0:
-            timeline.pop_completions(self.clock.now())
-            # the device went idle: give continuous-batching policies the
-            # chance to launch their backlog immediately.  Re-check before
-            # every session — the first session's idle-launch re-busies the
-            # shared device, and the remaining backlogs should then keep
-            # accumulating (waiting is free again) rather than force small
-            # partial rounds.
-            for session in sessions.values():
-                if timeline.in_flight(self.clock.now()) != 0:
-                    break
-                if session.pending_requests and session.policy.on_idle(
-                    session, self.clock.now()
-                ):
-                    session.flush(reason=session.policy.name)
-        else:
-            for session in sessions.values():
-                session.poll()
-        # post-event speculation point: a flush just launched (device share
-        # in flight) or a deadline passed without flushing — either way the
-        # remaining backlog's composition may now be predictable
-        self._maybe_prepare(sessions)
-
-    def _advance_until(
-        self, sessions: Dict[str, Any], timeline: DeviceTimeline, t: float
-    ) -> None:
-        """Fire every wakeup scheduled at or before ``t``, in time order."""
-        while True:
-            event = self._next_event(sessions, timeline)
-            if event is None or event[0] > t:
-                return
-            self._fire_event(sessions, timeline, event)
-
-    def _drain_simulated(
-        self, sessions: Dict[str, Any], timeline: DeviceTimeline
-    ) -> None:
-        """After the last arrival: fire remaining wakeups until every
-        backlog has flushed (forcing a flush only for policies that would
-        wait forever, e.g. ``manual``)."""
-        while any(s.pending_requests for s in sessions.values()):
-            event = self._next_event(sessions, timeline)
-            if event is None:
-                for session in sessions.values():
-                    if session.pending_requests:
-                        session.flush()
-            else:
-                self._fire_event(sessions, timeline, event)
+        admission = self._server.admission if self._server is not None else None
+        return TraceDriver(
+            [self], self.clock, admission=admission, prepare=prepare
+        ).run(workload, deterministic=deterministic, host_model=host_model)
 
     def __repr__(self) -> str:
         mode = "running" if self.running else "idle"

@@ -14,8 +14,7 @@ Built-in policies:
 ``manual``
     Never auto-flush; the caller drives ``flush()`` explicitly.
 ``size``
-    Flush once ``n`` requests are pending (the classic fixed-size batcher;
-    the old ``max_batch=n`` session argument is sugar for this).
+    Flush once ``n`` requests are pending (the classic fixed-size batcher).
 ``deadline``
     Flush when the oldest pending request has waited ``ms`` milliseconds,
     measured on the session's pluggable :class:`~repro.serve.clock.Clock`.
@@ -39,13 +38,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
+from ..utils import Registry
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .request import RequestHandle
     from .session import InferenceSession
 
 PolicyFactory = Callable[..., "FlushPolicy"]
 
-_REGISTRY: Dict[str, PolicyFactory] = {}
+_POLICIES = Registry("flush policy")
 
 
 # -- priority classes and SLO-aware shedding ----------------------------------
@@ -197,29 +198,17 @@ def register_flush_policy(
 
     Registering an existing name raises unless ``overwrite=True``.
     """
-
-    def _register(fn: PolicyFactory) -> PolicyFactory:
-        if not overwrite and name in _REGISTRY:
-            raise ValueError(
-                f"flush policy {name!r} is already registered "
-                f"(pass overwrite=True to replace it)"
-            )
-        _REGISTRY[name] = fn
-        return fn
-
-    if factory is None:
-        return _register
-    return _register(factory)
+    return _POLICIES.register(name, factory, overwrite=overwrite)
 
 
 def unregister_flush_policy(name: str) -> None:
     """Remove a flush policy from the registry (no-op for unknown names)."""
-    _REGISTRY.pop(name, None)
+    _POLICIES.unregister(name)
 
 
 def available_flush_policies() -> Tuple[str, ...]:
     """Names of all registered flush policies, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return _POLICIES.available()
 
 
 def make_flush_policy(name: str, **policy_args: Any) -> FlushPolicy:
@@ -228,14 +217,7 @@ def make_flush_policy(name: str, **policy_args: Any) -> FlushPolicy:
     Keyword arguments are forwarded to the policy factory (e.g.
     ``make_flush_policy("deadline", ms=5.0)``).
     """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown flush policy {name!r}; available policies: "
-            f"{', '.join(available_flush_policies())}"
-        ) from None
-    return factory(**policy_args)
+    return _POLICIES.make(name, **policy_args)
 
 
 # -- built-in policies --------------------------------------------------------

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 from ..runtime.executor import RunStats
 from ..runtime.tensor import materialize_value
 from .clock import Clock, WallClock
-from .policy import FlushPolicy, ManualPolicy, SizePolicy, make_flush_policy
+from .policy import FlushPolicy, ManualPolicy, make_flush_policy
 from .request import RequestCancelled, RequestHandle, RequestStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,9 +70,6 @@ class InferenceSession:
     ----------
     engine:
         The execution engine the session batches through.
-    max_batch:
-        Deprecated sugar for ``policy="size", policy_args={"n": max_batch}``
-        (kept for backward compatibility; prefer the ``policy`` argument).
     policy:
         Flush policy: a registry name (``"manual"``, ``"size"``,
         ``"deadline"``, ``"adaptive"``), or an already constructed
@@ -91,7 +88,6 @@ class InferenceSession:
     def __init__(
         self,
         engine: "ExecutionEngine",
-        max_batch: Optional[int] = None,
         *,
         policy: Any = None,
         policy_args: Optional[Dict[str, Any]] = None,
@@ -99,19 +95,8 @@ class InferenceSession:
     ) -> None:
         self.engine = engine
         self.clock = clock or WallClock()
-        if max_batch is not None:
-            if max_batch < 1:
-                raise ValueError("max_batch must be a positive integer")
-            if policy is not None:
-                raise ValueError(
-                    "max_batch is sugar for the 'size' flush policy and cannot "
-                    "be combined with an explicit policy; pass one or the other"
-                )
         if policy is None:
-            if max_batch is not None:
-                policy = SizePolicy(max_batch)
-            else:
-                policy = ManualPolicy()
+            policy = ManualPolicy()
         elif isinstance(policy, str):
             policy = make_flush_policy(policy, **(policy_args or {}))
         elif isinstance(policy, FlushPolicy):
@@ -186,12 +171,13 @@ class InferenceSession:
         #: rounds launch asynchronously — completion lands on the timeline
         #: instead of blocking the clock for the round's device time
         self.timeline = None
-        #: per-loop host lane (set by the multi-loop trace driver, see
-        #: :mod:`repro.serve.topology`): when present, a flush serializes
-        #: its host share against *this loop only* — the lane's
-        #: ``busy_until`` advances instead of the shared clock, so sibling
-        #: loops' host work proceeds in parallel (the whole point of the
-        #: sharded front door)
+        #: the owning loop's host lane (set by the simulated trace driver,
+        #: see :mod:`repro.serve.sim`): when present, a flush serializes its
+        #: host share against *this loop only* — the lane's ``busy_until``
+        #: advances instead of the shared clock, so sibling loops' host
+        #: work proceeds in parallel (the whole point of the sharded front
+        #: door) and the driver delays this loop's next event until the
+        #: lane frees
         self.host_lane = None
         #: charge measured host wall time to the clock at each flush (the
         #: default).  Deterministic replays switch this off so the simulated
@@ -228,11 +214,6 @@ class InferenceSession:
         self.total_device_ms = 0.0
 
     # -- introspection ---------------------------------------------------------
-    @property
-    def max_batch(self) -> Optional[int]:
-        """Size threshold when running a ``size`` policy (compatibility)."""
-        return self.policy.n if isinstance(self.policy, SizePolicy) else None
-
     @property
     def pending_requests(self) -> int:
         return len(self._pending)
@@ -700,13 +681,14 @@ class InferenceSession:
             # different members' rounds — and consecutive staged rounds —
             # overlap; the aggregate launch is the single-device path.
             if self.host_lane is not None:
-                # sharded loops: the host share occupies this loop's lane
-                # only — sibling loops' host work runs in parallel; the
-                # multi-loop driver delays this loop's next event until the
-                # lane frees instead of advancing the shared clock
+                # trace-driver replays: the host share occupies this loop's
+                # lane only; the driver delays the loop's next event until
+                # the lane frees instead of advancing the shared clock
                 launch_at = flush_start + host_ms / 1e3
                 self.host_lane.busy_until = launch_at
             else:
+                # the decode step driver (generate/) has no lanes: its host
+                # share serializes on the shared clock
                 self.clock.charge(host_ms / 1e3)
                 launch_at = self.clock.now()
             shares = self._device_shares(stats)

@@ -1,0 +1,493 @@
+"""The simulated trace driver: one deterministic event loop under every
+serve-side replay.
+
+Every way of replaying an open-loop trace on a
+:class:`~repro.serve.clock.SimulatedClock` — :meth:`ServeLoop.run_trace`,
+``Server.run_trace`` / :func:`~repro.serve.topology.run_topology_trace`,
+and the four :mod:`repro.serve.traffic` ``replay*`` functions — is a thin
+adapter over :class:`TraceDriver`.  The event-ordering rules therefore
+exist exactly once:
+
+* wakeups are ordered by ``(time, kind, loop)`` with kind 0 = device
+  completion, 1 = flush deadline, 2 = host-gated dispatch — completions
+  win ties, so the device-idle launch happens before a same-instant
+  deadline fires;
+* a loop's host work serializes on its own *host lane*: a flush's host
+  share pushes the lane's ``busy_until`` out, the loop's next event
+  (and the dispatch of arrivals queued behind it) waits until the lane
+  frees, and sibling loops' host work proceeds in parallel.  One loop is
+  simply the k=1 case.  This is the model the wall-clock loop thread
+  implements — pick up the whole queue once the host frees, dispatch,
+  poll, speculate once;
+* speculation (the overlapped host pipeline) and work-stealing run at
+  deterministic points: after intake at a timestamp quiesces and after
+  every fired event (speculation), at quiesce and drain points (stealing);
+* the drain phase fires remaining events until every backlog resolves,
+  force-flushing only policies that would wait forever (``manual``).
+
+**Caller-driven** replays (``traffic.replay`` / ``replay_server``) are the
+same driver with the :class:`~repro.serve.loop.DeviceTimeline` / host
+lane *assignment* skipped: sessions keep ``timeline=None``,
+so each flush blocks the shared clock for the round's full latency — the
+historical single-threaded choreography — while admission, deadline
+firing and drain run through the identical code.
+
+The decode step driver (``GenerationSession._run_simulated``) is the one
+simulated driver not folded in: its round boundary is a step barrier, not
+a timed event.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+from .clock import SimulatedClock
+from .loop import BackpressureFull, DeviceTimeline, ServeLoop, _Admission
+from .policy import resolve_priority, select_shed_victim
+from .request import QuotaExceeded, RequestExpired, RequestHandle
+
+
+@contextlib.contextmanager
+def replay_state(
+    sessions: Iterable[Any],
+    *,
+    deterministic: bool,
+    host_model: Optional[Tuple[float, float]],
+    timeline: Optional[DeviceTimeline] = None,
+) -> Iterator[None]:
+    """Apply a replay's session configuration — device timeline (None for
+    caller-driven replays), no host lane, host charging mode and
+    deterministic host-cost model — and restore each session's prior values
+    on exit, so replays never clobber a caller's own settings."""
+    sessions = list(sessions)
+    prior = [
+        (s.timeline, s.host_lane, s.charge_host, s.host_cost_model) for s in sessions
+    ]
+    for session in sessions:
+        session.timeline = timeline
+        session.host_lane = None
+        session.charge_host = not deterministic
+        session.host_cost_model = host_model
+    try:
+        yield
+    finally:
+        for session, state in zip(sessions, prior):
+            (
+                session.timeline,
+                session.host_lane,
+                session.charge_host,
+                session.host_cost_model,
+            ) = state
+
+
+class _LoopState:
+    """One loop's simulated-mode machinery: its sessions, device timeline
+    and host lane.  The state *is* the lane its sessions' flushes charge
+    (``session.host_lane.busy_until``): charging the shared clock instead
+    would serialize host work *across* loops — exactly the scaling ceiling
+    the sharded front door removes.  Admissions waiting for the lane to
+    free sit in the loop's own admission queue (``loop._queue``)."""
+
+    __slots__ = ("loop", "index", "sessions", "timeline", "busy_until", "prepare")
+
+    def __init__(self, loop: ServeLoop, index: int, start: float, prepare: bool) -> None:
+        self.loop = loop
+        self.index = index
+        self.sessions: Dict[str, Any] = loop.sessions()
+        # one lane per device of the widest session's group, so multi-device
+        # rounds overlap lane-wise (single-device traces keep one lane)
+        lanes = 1
+        for session in self.sessions.values():
+            lanes = max(lanes, getattr(session.engine, "num_devices", 1))
+        self.timeline = DeviceTimeline(start=start, num_devices=lanes)
+        #: the host lane: when this loop's host finishes its flush work
+        self.busy_until = float(start)
+        #: overlapped host pipeline on for this loop during the replay
+        self.prepare = prepare
+
+    def idle(self, now: float) -> bool:
+        """Fully quiescent: nothing queued, pending, in flight, and the
+        host lane free — the only state in which this loop may steal."""
+        return (
+            not self.loop._queue
+            and self.busy_until <= now
+            and self.timeline.in_flight(now) == 0
+            and all(not s.pending_requests for s in self.sessions.values())
+        )
+
+
+def _unpack(item: Tuple) -> Tuple[float, str, Any, Dict[str, Any]]:
+    t, name, instance, *meta = item
+    return float(t), name, instance, (meta[0] if meta and meta[0] else {})
+
+
+class TraceDriver:
+    """Deterministic discrete-event replay of a tagged open-loop trace over
+    one or more :class:`~repro.serve.loop.ServeLoop`\\ s sharing a
+    :class:`~repro.serve.clock.SimulatedClock`.
+
+    Internal: built by the public entry points (see the module docstring),
+    never by user code.  ``route`` maps an endpoint name to its home loop
+    (``LoopTopology.route``; None means the single loop).  ``admission``
+    is the server's :class:`~repro.serve.topology.AdmissionController`
+    (None: no quotas or tenant gauges).  ``continuous=False`` is the caller-driven mode: no
+    timeline or host lane is assigned to the sessions.  ``prepare``
+    overrides every loop's overlapped-host-pipeline knob (None keeps each
+    loop's own setting).
+    """
+
+    def __init__(
+        self,
+        loops: List[ServeLoop],
+        clock: Any,
+        *,
+        route: Optional[Callable[..., ServeLoop]] = None,
+        admission: Any = None,
+        continuous: bool = True,
+        prepare: Optional[bool] = None,
+    ) -> None:
+        if not isinstance(clock, SimulatedClock):
+            raise TypeError("a simulated trace replay needs a SimulatedClock")
+        if any(loop.running for loop in loops):
+            raise RuntimeError(
+                "a trace replay needs exclusive ownership; a loop thread is "
+                "running"
+            )
+        self.clock = clock
+        self.route = route
+        self.admission = admission
+        self.continuous = continuous
+        start = clock.now()
+        self.states = [
+            _LoopState(
+                loop, i, start, loop.prepare if prepare is None else bool(prepare)
+            )
+            for i, loop in enumerate(loops)
+        ]
+        self._by_loop = {st.loop: st for st in self.states}
+
+    # -- the drive -------------------------------------------------------------
+    def run(
+        self,
+        workload: Iterable[Tuple],
+        *,
+        deterministic: bool = True,
+        host_model: Optional[Tuple[float, float]] = None,
+    ) -> Dict[str, List[RequestHandle]]:
+        """Replay ``workload`` — ``(arrival_time, endpoint, request)`` or
+        ``(..., meta)`` items — and return every request's handle per
+        endpoint, in arrival order (failed admissions included)."""
+        clock = self.clock
+        states = self.states
+        items = sorted(workload, key=lambda item: item[0])
+        handles: Dict[str, List[RequestHandle]] = {}
+        with replay_state(
+            [s for st in states for s in st.sessions.values()],
+            deterministic=deterministic,
+            host_model=host_model,
+        ):
+            if self.continuous:
+                for st in states:
+                    for session in st.sessions.values():
+                        session.timeline = st.timeline
+                        session.host_lane = st
+            last = len(items) - 1
+            for i, item in enumerate(items):
+                t, name, instance, meta = _unpack(item)
+                self.advance_until(t)
+                clock.advance_to(t)
+                handles.setdefault(name, []).append(
+                    self.admit(t, name, instance, meta)
+                )
+                if i == last or items[i + 1][0] > t:
+                    # intake at this timestamp has quiesced (a burst submits
+                    # many requests at one instant; speculating between them
+                    # would only churn abort/re-prepare): deterministic steal
+                    # + speculation point
+                    self.steal_pass()
+                    for st in states:
+                        self.speculate(st)
+            self.drain()
+            # the trace ends when the last device round and host share finish
+            horizon = clock.now()
+            for st in states:
+                horizon = max(horizon, st.timeline.busy_until, st.busy_until)
+            clock.advance_to(horizon)
+            for st in states:
+                st.timeline.pop_completions(clock.now())
+        return handles
+
+    # -- admission -------------------------------------------------------------
+    def admit(
+        self, t: float, name: str, instance: Any, meta: Dict[str, Any]
+    ) -> RequestHandle:
+        """One arrival: quota gate → router → deadline check → per-loop
+        backpressure → the loop's host-gated dispatch queue."""
+        tenant = meta.get("tenant")
+        priority = meta.get("priority")
+        if priority is not None:
+            priority = resolve_priority(priority)
+        deadline = meta.get("deadline")
+        handle = RequestHandle(
+            -1, submitted_at=t, tenant=tenant, priority=priority, deadline=deadline
+        )
+        if self.admission is not None:
+            self.admission.track(handle)
+            if not self.admission.admit(tenant, t):
+                handle._fail(
+                    QuotaExceeded(
+                        f"tenant {tenant!r} over its admission quota at t={t:.6f}"
+                    )
+                )
+                return handle
+        pinned = meta.get("loop")
+        if pinned is not None:
+            state = self.states[pinned]
+        elif self.route is None:
+            state = self.states[0]
+        else:
+            state = self._by_loop[self.route(name)]
+        if name not in state.sessions:
+            raise KeyError(f"{state.loop.name} does not serve endpoint {name!r}")
+        if deadline is not None and t > deadline:
+            state.loop.num_expired += 1
+            handle._fail(
+                RequestExpired(f"deadline {deadline!r} already passed at submit")
+            )
+            return handle
+        if not self.shed_for_capacity(state, handle):
+            return handle
+        state.loop._queue.append(_Admission(name, instance, t, handle, deadline))
+        state.loop.num_admitted += 1
+        self.dispatch(state)
+        return handle
+
+    def shed_for_capacity(self, state: _LoopState, incoming: RequestHandle) -> bool:
+        """Enforce ``max_pending`` over the loop's whole backlog (queued +
+        pending round) with the loop's overflow policy (``block`` is inert
+        in a deterministic trace).  Returns False when the *incoming*
+        request was the victim (already resolved)."""
+        loop = state.loop
+        if loop.max_pending is None or loop.backpressure == "block":
+            return True
+        while loop.backlog() >= loop.max_pending:
+            if loop.backpressure == "reject":
+                loop.num_rejected += 1
+                incoming._fail(
+                    BackpressureFull(
+                        f"admission queue full ({loop.max_pending} pending)"
+                    )
+                )
+                return False
+            # enumerate the backlog oldest-first: pending round first (its
+            # arrivals predate anything still queued), then the queue
+            candidates: List[Tuple[RequestHandle, Optional[str]]] = [
+                (h, name)
+                for name, session in sorted(state.sessions.items())
+                for h in session.pending_handles
+            ]
+            candidates.extend((adm.handle, None) for adm in loop._queue)
+            if loop.backpressure == "shed-oldest":
+                victim = min(
+                    range(len(candidates)),
+                    key=lambda i: (candidates[i][0].submitted_at, i),
+                )
+            else:  # shed-slack: the incoming request competes too
+                pool = [h for h, _ in candidates]
+                pool.append(incoming)
+                victim = select_shed_victim(pool, self.clock.now())
+                if victim == len(candidates):
+                    loop._shed(incoming)
+                    return False
+            handle, name = candidates[victim]
+            if name is not None:
+                state.sessions[name].withdraw(handle)
+            else:
+                for adm in loop._queue:
+                    if adm.handle is handle:
+                        loop._queue.remove(adm)
+                        break
+            loop._shed(handle)
+        return True
+
+    def dispatch(self, state: _LoopState) -> None:
+        """Dispatch queued admissions while the loop's host lane is free (a
+        dispatched submit that flushes re-busies the lane and stops the
+        drain — later arrivals wait for the next dispatch event)."""
+        queue = state.loop._queue
+        while queue and state.busy_until <= self.clock.now():
+            state.loop._dispatch_one(queue.popleft())
+
+    # -- events ----------------------------------------------------------------
+    def next_event(self) -> Optional[Tuple[float, int, int]]:
+        """Earliest pending wakeup across all loops: ``(time, kind,
+        loop_index)`` with kind 0 = device completion, 1 = flush deadline,
+        2 = host-gated dispatch.  Times are *effective*: a busy host lane
+        delays its loop's events until it frees, which is exactly how the
+        sharded front door overlaps host work across loops.  Completions
+        win ties (device-idle launch before a same-instant deadline)."""
+        best: Optional[Tuple[float, int, int]] = None
+        for st in self.states:
+            free = st.busy_until
+            queue = st.loop._queue
+            candidates = (
+                st.timeline.next_completion(),
+                st.loop.next_deadline(),
+                queue[0].at if queue else None,
+            )
+            for kind, when in enumerate(candidates):
+                if when is not None:
+                    event = (max(when, free), kind, st.index)
+                    if best is None or event < best:
+                        best = event
+        return best
+
+    def fire(self, event: Tuple[float, int, int]) -> None:
+        when, kind, index = event
+        state = self.states[index]
+        clock = self.clock
+        clock.advance_to(when)
+        if kind == 0:
+            state.timeline.pop_completions(clock.now())
+            # the device went idle: give continuous-batching policies the
+            # chance to launch their backlog immediately.  Re-check before
+            # every session — the first session's idle-launch re-busies the
+            # shared device, and the remaining backlogs should then keep
+            # accumulating (waiting is free again) rather than force small
+            # partial rounds.
+            for session in state.sessions.values():
+                if state.timeline.in_flight(clock.now()) != 0:
+                    break
+                if session.pending_requests and session.policy.on_idle(
+                    session, clock.now()
+                ):
+                    session.flush(reason=session.policy.name)
+        elif kind == 1:
+            for session in state.sessions.values():
+                session.poll()
+        else:
+            self.dispatch(state)
+        # post-event speculation point: a flush just launched (device share
+        # in flight) or a deadline passed without flushing — either way the
+        # remaining backlog's composition may now be predictable
+        self.speculate(state)
+
+    def advance_until(self, t: float) -> None:
+        """Fire every wakeup scheduled at or before ``t``, in order."""
+        while True:
+            event = self.next_event()
+            if event is None or event[0] > t:
+                return
+            self.fire(event)
+
+    def speculate(self, state: _LoopState) -> None:
+        """Speculation point: let every session of the loop prepare its
+        predicted next round.  A preparer failure here is an infrastructure
+        failure exactly as in wall-clock mode: sessions abort (failing
+        implicated handles) and ``LoopStopped`` raises with the original
+        error as ``__cause__``."""
+        if not state.prepare:
+            return
+        now = self.clock.now()
+        try:
+            for session in state.sessions.values():
+                session.consider_prepare(now)
+        except BaseException as exc:
+            raise state.loop._die(exc) from exc
+
+    # -- work-stealing ---------------------------------------------------------
+    def steal_pass(self) -> int:
+        """Deterministic cross-loop work-stealing: every fully idle loop
+        (lowest index first) takes the newest half of the most backlogged
+        sibling's stealable backlog — dispatch-queue tail first, then the
+        victim's largest shared pending round's tail (via ``withdraw``).
+        Runs until no steal fires; returns the total stolen."""
+        total = 0
+        now = self.clock.now()
+        changed = True
+        while changed:
+            changed = False
+            for thief in self.states:
+                floor = thief.loop.steal_min
+                if floor is None or not thief.loop.peers or not thief.idle(now):
+                    continue
+                floor = max(1, int(floor))
+                shared = set(thief.sessions)
+                best: Optional[_LoopState] = None
+                best_count = floor - 1
+                for victim in self.states:
+                    if victim is thief:
+                        continue
+                    count = sum(
+                        1 for adm in victim.loop._queue if adm.name in shared
+                    ) + sum(
+                        victim.sessions[n].pending_requests
+                        for n in victim.sessions
+                        if n in shared
+                    )
+                    if count > best_count:
+                        best, best_count = victim, count
+                if best is None:
+                    continue
+                stolen = self._steal_from(best, thief, shared, best_count // 2 or 1)
+                if stolen:
+                    total += stolen
+                    changed = True
+        return total
+
+    def _steal_from(
+        self, victim: _LoopState, thief: _LoopState, shared: set, want: int
+    ) -> int:
+        """Move up to ``want`` of the victim's newest stealable requests to
+        the thief and dispatch them there."""
+        moved: List[_Admission] = []
+        # newest first: the dispatch queue's tail is the newest backlog
+        for adm in reversed(list(victim.loop._queue)):
+            if len(moved) >= want:
+                break
+            if adm.name in shared and not adm.handle.done:
+                victim.loop._queue.remove(adm)
+                moved.append(adm)
+        shared_names = [n for n in victim.sessions if n in shared]
+        if len(moved) < want and shared_names:
+            # then the tail of the most loaded shared pending round
+            name = max(
+                shared_names,
+                key=lambda n: (victim.sessions[n].pending_requests, n),
+            )
+            session = victim.sessions[name]
+            while len(moved) < want and session.pending_requests:
+                handle = session.pending_handles[-1]
+                out = session.withdraw(handle)
+                if out is None:
+                    break
+                instance, at = out
+                moved.append(_Admission(name, instance, at, handle, handle.deadline))
+        if not moved:
+            return 0
+        victim.loop.num_stolen_out += len(moved)
+        thief.loop.num_stolen_in += len(moved)
+        # resubmit oldest-first: the thief is idle, so its sessions accept
+        # the stolen arrivals' original (monotonic) timestamps
+        thief.loop._queue.extend(sorted(moved, key=lambda a: a.at))
+        self.dispatch(thief)
+        return len(moved)
+
+    # -- drain -----------------------------------------------------------------
+    def drain(self) -> None:
+        """After the last arrival: fire remaining wakeups until every
+        backlog resolves, force-flushing only when nothing schedules a
+        flush at all (``manual``-style policies leave a deadline-less
+        backlog with an empty dispatch queue)."""
+        states = self.states
+        while any(st.loop.backlog() for st in states):
+            self.steal_pass()
+            event = self.next_event()
+            if event is not None:
+                self.fire(event)
+                continue
+            for st in states:
+                for session in st.sessions.values():
+                    if session.pending_requests:
+                        session.flush()

@@ -32,40 +32,32 @@ newest half of the victim's queued admissions (and, in simulated mode,
 its pending round tail via :meth:`InferenceSession.withdraw`) — so a
 burst aimed at one loop spreads across the group.  Both modes survive:
 wall-clock stealing runs in :meth:`ServeLoop._try_steal_wall`; simulated
-stealing happens at deterministic event-loop points here.
+stealing happens at deterministic event-loop points in the trace driver.
 
-:func:`run_topology_trace` is the multi-loop analogue of
-:meth:`ServeLoop.run_trace`: one deterministic event loop interleaving
-*all* loops' events — arrivals, flush deadlines, device completions,
-host-gated dispatches — in global timestamp order on the shared
-:class:`~repro.serve.clock.SimulatedClock`.  Each loop gets its own
-:class:`~repro.serve.loop.HostLane`, so host shares serialize per loop
+:func:`run_topology_trace` replays a trace against *all* of a server's
+loops through the one simulated event driver
+(:class:`repro.serve.sim.TraceDriver`): every loop's events — arrivals,
+flush deadlines, device completions, host-gated dispatches — interleave
+in global timestamp order on the shared
+:class:`~repro.serve.clock.SimulatedClock`.  Each loop has its own
+host lane, so host shares serialize per loop
 instead of globally (the sharding win), and the same trace replays
-bit-for-bit.
+bit-for-bit.  ``ServeLoop.run_trace`` is the same driver over one loop.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .clock import SimulatedClock
-from .loop import (
-    BackpressureFull,
-    DeviceTimeline,
-    HostLane,
-    RequestShed,
-    ServeLoop,
-    _Admission,
-    replay_state,
-)
-from .policy import resolve_priority, select_shed_victim
+from ..utils import Registry
+from .loop import RequestShed, ServeLoop
 from .request import (
     QuotaExceeded,
     RequestCancelled,
     RequestExpired,
     RequestHandle,
 )
+from .sim import TraceDriver
 
 __all__ = [
     "TokenBucket",
@@ -238,7 +230,7 @@ class AdmissionController:
 
 # -- topology registry ---------------------------------------------------------
 
-TOPOLOGIES: Dict[str, Callable[..., "LoopTopology"]] = {}
+_TOPOLOGIES = Registry("loop topology", listing="available")
 
 
 def register_topology(name: str):
@@ -246,7 +238,7 @@ def register_topology(name: str):
     scheduler/flush-policy/placement registries."""
 
     def deco(cls):
-        TOPOLOGIES[name] = cls
+        _TOPOLOGIES.register(name, cls)
         cls.name = name
         return cls
 
@@ -254,18 +246,13 @@ def register_topology(name: str):
 
 
 def make_topology(name: str, **kwargs: Any) -> "LoopTopology":
-    try:
-        factory = TOPOLOGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown loop topology {name!r}; "
-            f"available: {', '.join(sorted(TOPOLOGIES))}"
-        ) from None
-    return factory(**kwargs)
+    """Instantiate the loop topology registered under ``name``."""
+    return _TOPOLOGIES.make(name, **kwargs)
 
 
-def available_topologies() -> List[str]:
-    return sorted(TOPOLOGIES)
+def available_topologies() -> Tuple[str, ...]:
+    """Names of all registered loop topologies, sorted."""
+    return _TOPOLOGIES.available()
 
 
 class LoopTopology:
@@ -303,31 +290,16 @@ class LoopTopology:
         """The loops serving endpoint ``name`` (topology order)."""
         return [lp for lp in self.loops if name in lp.sessions()]
 
-    def route(
-        self,
-        name: str,
-        backlog_of: Optional[Callable[[ServeLoop], int]] = None,
-    ) -> ServeLoop:
-        """Home loop for one request to endpoint ``name``: least backlog,
-        ties to the lowest loop index.  ``backlog_of`` overrides the
-        backlog metric (the trace driver counts its own dispatch queues)."""
+    def route(self, name: str) -> ServeLoop:
+        """Home loop for one request to endpoint ``name``: least backlog
+        (:meth:`ServeLoop.backlog`), ties to the lowest loop index."""
         candidates = self.loops_for(name)
         if not candidates:
             raise KeyError(f"no loop serves endpoint {name!r}")
-        if len(candidates) == 1:
-            return candidates[0]
-        if backlog_of is None:
-            backlog_of = _wall_backlog
-        return min(candidates, key=backlog_of)  # stable: ties keep order
+        return min(candidates, key=ServeLoop.backlog)  # stable: ties keep order
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(loops={len(self.loops)})"
-
-
-def _wall_backlog(loop: ServeLoop) -> int:
-    return len(loop._queue) + sum(
-        s.pending_requests for s in loop.sessions().values()
-    )
 
 
 @register_topology("single")
@@ -488,58 +460,7 @@ class TopologyRun:
         self._server.shutdown()
 
 
-# -- the deterministic multi-loop trace driver ---------------------------------
-
-
-class _LoopState:
-    """One loop's simulated-mode machinery: its sessions, device timeline,
-    host lane, and the host-gated dispatch queue."""
-
-    __slots__ = ("loop", "index", "sessions", "timeline", "host", "queue")
-
-    def __init__(self, loop: ServeLoop, index: int, start: float) -> None:
-        self.loop = loop
-        self.index = index
-        self.sessions: Dict[str, Any] = loop.sessions()
-        lanes = 1
-        for session in self.sessions.values():
-            lanes = max(lanes, getattr(session.engine, "num_devices", 1))
-        self.timeline = DeviceTimeline(start=start, num_devices=lanes)
-        self.host = HostLane(start)
-        #: admissions waiting for the host lane to free before dispatch
-        self.queue: Deque[_Admission] = deque()
-
-    def backlog(self) -> int:
-        return len(self.queue) + sum(
-            s.pending_requests for s in self.sessions.values()
-        )
-
-    def idle(self, now: float) -> bool:
-        """Fully quiescent: nothing queued, pending, in flight, and the
-        host lane free — the only state in which this loop may steal."""
-        return (
-            not self.queue
-            and self.host.busy_until <= now
-            and self.timeline.in_flight(now) == 0
-            and all(not s.pending_requests for s in self.sessions.values())
-        )
-
-
-def _unpack(item: Tuple) -> Tuple[float, str, Any, Dict[str, Any]]:
-    if len(item) == 3:
-        t, name, instance = item
-        return float(t), name, instance, {}
-    t, name, instance, meta = item
-    if meta is None:
-        meta = {}
-    elif not isinstance(meta, dict):
-        # dataclass-style tags (e.g. traffic.TaggedArrival leftovers)
-        meta = {
-            k: getattr(meta, k)
-            for k in ("tenant", "priority", "deadline", "loop")
-            if getattr(meta, k, None) is not None
-        }
-    return float(t), name, instance, meta
+# -- the deterministic multi-loop trace replay ---------------------------------
 
 
 def run_topology_trace(
@@ -551,7 +472,8 @@ def run_topology_trace(
     prepare: Optional[bool] = None,
 ) -> Dict[str, List[RequestHandle]]:
     """Deterministically replay a tagged open-loop trace against *all* of a
-    server's loops, interleaving their events in global timestamp order.
+    server's loops, interleaving their events in global timestamp order
+    (:class:`repro.serve.sim.TraceDriver` over the topology's loops).
 
     ``workload`` yields ``(arrival_time, endpoint, request)`` or
     ``(arrival_time, endpoint, request, meta)`` sorted by arrival time,
@@ -564,7 +486,7 @@ def run_topology_trace(
     ``shed-slack`` resolve the victim's handle; ``block`` is inert in a
     deterministic trace) → the loop's host-gated dispatch queue.  A
     dispatch submits into the loop's session (flushes charge the loop's
-    :class:`~repro.serve.loop.HostLane`, not the shared clock, so sibling
+    own host lane, not the shared clock, so sibling
     loops' host work overlaps); device shares land on each loop's own
     :class:`~repro.serve.loop.DeviceTimeline`.  Work-stealing runs at
     deterministic points: after intake at a timestamp quiesces and during
@@ -578,347 +500,25 @@ def run_topology_trace(
     bit-for-bit: the timeline is a pure function of the trace and the
     device cost model.
     """
-    clock = server.clock
-    if not isinstance(clock, SimulatedClock):
-        raise TypeError("run_topology_trace needs a SimulatedClock")
+    return trace_driver(server, prepare=prepare).run(
+        workload, deterministic=deterministic, host_model=host_model
+    )
+
+
+def trace_driver(
+    server: Any, *, continuous: bool = True, prepare: Optional[bool] = None
+) -> TraceDriver:
+    """The simulated trace driver over a server's materialized topology
+    (internal: shared by :func:`run_topology_trace` and the caller-driven
+    ``traffic.replay_server``)."""
     topology = server.topology
-    loops = topology.loops
-    if not loops:
+    if not topology.loops:
         raise RuntimeError("topology not materialized; call through Server.run_trace")
-    for loop in loops:
-        if loop.running:
-            raise RuntimeError(
-                "run_topology_trace needs exclusive ownership; a loop thread "
-                "is running"
-            )
-    admission: AdmissionController = server.admission
-    items = sorted(workload, key=lambda item: item[0])
-    start = clock.now()
-    states = [_LoopState(loop, i, start) for i, loop in enumerate(loops)]
-    by_loop = {st.loop: st for st in states}
-    all_sessions: List[Any] = []
-    for st in states:
-        all_sessions.extend(st.sessions.values())
-    prep_active = [
-        (st.loop.prepare if prepare is None else bool(prepare)) for st in states
-    ]
-    handles: Dict[str, List[RequestHandle]] = {}
-
-    # -- helpers (close over clock/states) ------------------------------------
-
-    def dispatch_queue(state: _LoopState) -> None:
-        """Dispatch queued admissions while the loop's host lane is free
-        (a dispatched submit that flushes re-busies the lane and stops the
-        drain — later arrivals wait for the next dispatch event)."""
-        now = clock.now()
-        while state.queue and state.host.busy_until <= now:
-            adm = state.queue.popleft()
-            handle = adm.handle
-            if handle.done:
-                continue  # resolved while queued (shed/steal race)
-            if adm.deadline is not None and now > adm.deadline:
-                state.loop.num_expired += 1
-                handle._fail(
-                    RequestExpired(
-                        f"deadline {adm.deadline!r} passed while the request "
-                        "was queued for admission"
-                    )
-                )
-                continue
-            session = state.sessions[adm.name]
-            handle._managed = False  # session-owned from here
-            try:
-                session.submit(adm.instance, at=adm.at, handle=handle)
-            except BaseException as exc:
-                if not handle.done:
-                    handle._fail(exc)
-
-    def shed_for_capacity(state: _LoopState, incoming: RequestHandle) -> bool:
-        """Enforce ``max_pending`` over the loop's whole backlog (queued +
-        pending round) with the loop's overflow policy.  Returns False when
-        the *incoming* request was the victim (already resolved)."""
-        loop = state.loop
-        if loop.max_pending is None or loop.backpressure == "block":
-            return True
-        now = clock.now()
-        while state.backlog() >= loop.max_pending:
-            if loop.backpressure == "reject":
-                loop.num_rejected += 1
-                incoming._fail(
-                    BackpressureFull(
-                        f"admission queue full ({loop.max_pending} pending)"
-                    )
-                )
-                return False
-            # enumerate the backlog oldest-first: pending round first (its
-            # arrivals predate anything still queued), then the queue
-            pending: List[Tuple[RequestHandle, Optional[str]]] = []
-            for name, session in sorted(state.sessions.items()):
-                for h in session.pending_handles:
-                    pending.append((h, name))
-            queued = [(adm.handle, None) for adm in state.queue]
-            candidates = pending + queued
-            if loop.backpressure == "shed-oldest":
-                victim = min(
-                    range(len(candidates)),
-                    key=lambda i: (candidates[i][0].submitted_at, i),
-                )
-                reason = (
-                    "request shed by backpressure: a newer arrival displaced "
-                    f"it from the full admission queue "
-                    f"(max_pending={loop.max_pending})"
-                )
-            else:  # shed-slack
-                pool = [h for h, _ in candidates]
-                pool.append(incoming)
-                victim = select_shed_victim(pool, now)
-                reason = (
-                    "request shed by SLO-aware backpressure: it had the "
-                    "lowest priority and the most deadline slack when the "
-                    f"admission queue overflowed (max_pending={loop.max_pending})"
-                )
-                if victim == len(pool) - 1:
-                    loop.num_shed += 1
-                    incoming._fail(RequestShed(reason))
-                    return False
-            handle, name = candidates[victim]
-            if name is not None:
-                state.sessions[name].withdraw(handle)
-            else:
-                for adm in state.queue:
-                    if adm.handle is handle:
-                        state.queue.remove(adm)
-                        break
-            loop.num_shed += 1
-            handle._fail(RequestShed(reason))
-        return True
-
-    def admit(t: float, name: str, instance: Any, meta: Dict[str, Any]) -> RequestHandle:
-        tenant = meta.get("tenant")
-        priority = meta.get("priority")
-        if priority is not None:
-            priority = resolve_priority(priority)
-        deadline = meta.get("deadline")
-        handle = RequestHandle(
-            -1, submitted_at=t, tenant=tenant, priority=priority, deadline=deadline
-        )
-        handle._managed = True
-        admission.track(handle)
-        if not admission.admit(tenant, t):
-            handle._fail(
-                QuotaExceeded(
-                    f"tenant {tenant!r} over its admission quota at t={t:.6f}"
-                )
-            )
-            return handle
-        pinned = meta.get("loop")
-        if pinned is not None:
-            state = states[pinned]
-            if name not in state.sessions:
-                raise KeyError(f"loop {pinned} does not serve endpoint {name!r}")
-        else:
-            state = by_loop[
-                topology.route(name, backlog_of=lambda lp: by_loop[lp].backlog())
-            ]
-        if deadline is not None and t > deadline:
-            state.loop.num_expired += 1
-            handle._fail(
-                RequestExpired(f"deadline {deadline!r} already passed at submit")
-            )
-            return handle
-        if not shed_for_capacity(state, handle):
-            return handle
-        state.queue.append(_Admission(name, instance, t, handle, deadline))
-        state.loop.num_admitted += 1
-        dispatch_queue(state)
-        return handle
-
-    def next_event() -> Optional[Tuple[float, int, int]]:
-        """Earliest pending wakeup across all loops: ``(time, kind,
-        loop_index)`` with kind 0 = device completion, 1 = flush deadline,
-        2 = host-gated dispatch.  Times are *effective*: a busy host lane
-        delays its loop's events until it frees, which is exactly how the
-        sharded front door overlaps host work across loops.  Completions
-        win ties (device-idle launch before a same-instant deadline),
-        matching the single-loop driver."""
-        best: Optional[Tuple[float, int, int]] = None
-        for st in states:
-            free = st.host.busy_until
-            completion = st.timeline.next_completion()
-            if completion is not None:
-                ev = (max(completion, free), 0, st.index)
-                if best is None or ev < best:
-                    best = ev
-            deadline = st.loop.next_deadline()
-            if deadline is not None:
-                ev = (max(deadline, free), 1, st.index)
-                if best is None or ev < best:
-                    best = ev
-            if st.queue:
-                ev = (max(st.queue[0].at, free), 2, st.index)
-                if best is None or ev < best:
-                    best = ev
-        return best
-
-    def maybe_prepare(state: _LoopState) -> None:
-        if not prep_active[state.index]:
-            return
-        now = clock.now()
-        try:
-            for session in state.sessions.values():
-                session.consider_prepare(now)
-        except BaseException as exc:
-            raise state.loop._die(exc) from exc
-
-    def fire_event(event: Tuple[float, int, int]) -> None:
-        when, kind, index = event
-        state = states[index]
-        clock.advance_to(when)
-        if kind == 0:
-            state.timeline.pop_completions(clock.now())
-            for session in state.sessions.values():
-                if state.timeline.in_flight(clock.now()) != 0:
-                    break
-                if session.pending_requests and session.policy.on_idle(
-                    session, clock.now()
-                ):
-                    session.flush(reason=session.policy.name)
-        elif kind == 1:
-            for session in state.sessions.values():
-                session.poll()
-        else:
-            dispatch_queue(state)
-        maybe_prepare(state)
-
-    def advance_until(t: float) -> None:
-        while True:
-            event = next_event()
-            if event is None or event[0] > t:
-                return
-            fire_event(event)
-
-    def steal_pass() -> int:
-        """Deterministic cross-loop work-stealing: every fully idle loop
-        (lowest index first) takes the newest half of the most backlogged
-        sibling's stealable backlog — dispatch-queue tail first, then the
-        victim's largest shared pending round's tail (via ``withdraw``).
-        Runs until no steal fires; returns the total stolen."""
-        total = 0
-        now = clock.now()
-        changed = True
-        while changed:
-            changed = False
-            for thief in states:
-                floor = thief.loop.steal_min
-                if floor is None or not thief.loop.peers or not thief.idle(now):
-                    continue
-                floor = max(1, int(floor))
-                shared = set(thief.sessions)
-                best: Optional[_LoopState] = None
-                best_count = floor - 1
-                for victim in states:
-                    if victim is thief:
-                        continue
-                    count = sum(
-                        1 for adm in victim.queue if adm.name in shared
-                    ) + sum(
-                        victim.sessions[n].pending_requests
-                        for n in victim.sessions
-                        if n in shared
-                    )
-                    if count > best_count:
-                        best, best_count = victim, count
-                if best is None:
-                    continue
-                stolen = _steal_from(best, thief, shared, best_count // 2 or 1)
-                if stolen:
-                    total += stolen
-                    changed = True
-        return total
-
-    def _steal_from(
-        victim: _LoopState, thief: _LoopState, shared: set, want: int
-    ) -> int:
-        """Move up to ``want`` of the victim's newest stealable requests to
-        the thief and dispatch them there."""
-        moved: List[_Admission] = []
-        # newest first: the dispatch queue's tail is the newest backlog
-        for adm in reversed(list(victim.queue)):
-            if len(moved) >= want:
-                break
-            if adm.name in shared and not adm.handle.done:
-                victim.queue.remove(adm)
-                moved.append(adm)
-        shared_names = [n for n in victim.sessions if n in shared]
-        if len(moved) < want and shared_names:
-            # then the tail of the most loaded shared pending round
-            name = max(
-                shared_names,
-                key=lambda n: (victim.sessions[n].pending_requests, n),
-            )
-            session = victim.sessions[name]
-            while len(moved) < want and session.pending_requests:
-                handle = session.pending_handles[-1]
-                out = session.withdraw(handle)
-                if out is None:
-                    break
-                instance, at = out
-                moved.append(_Admission(name, instance, at, handle, handle.deadline))
-        if not moved:
-            return 0
-        victim.loop.num_stolen_out += len(moved)
-        thief.loop.num_stolen_in += len(moved)
-        # resubmit oldest-first: the thief is idle, so its sessions accept
-        # the stolen arrivals' original (monotonic) timestamps
-        for adm in sorted(moved, key=lambda a: a.at):
-            adm.handle._managed = True
-            thief.queue.append(adm)
-        dispatch_queue(thief)
-        return len(moved)
-
-    # -- the drive -------------------------------------------------------------
-
-    saved_lanes = [(s, s.host_lane) for s in all_sessions]
-    try:
-        with replay_state(
-            all_sessions, deterministic=deterministic, host_model=host_model
-        ):
-            for st in states:
-                for session in st.sessions.values():
-                    session.timeline = st.timeline
-                    session.host_lane = st.host
-            last = len(items) - 1
-            for i, item in enumerate(items):
-                t, name, instance, meta = _unpack(item)
-                advance_until(t)
-                clock.advance_to(t)
-                handles.setdefault(name, []).append(admit(t, name, instance, meta))
-                if i == last or items[i + 1][0] > t:
-                    # intake at this timestamp quiesced: deterministic
-                    # steal + speculation point
-                    steal_pass()
-                    for st in states:
-                        maybe_prepare(st)
-            # drain: fire remaining events until every backlog resolves
-            while any(st.backlog() for st in states):
-                steal_pass()
-                event = next_event()
-                if event is None:
-                    # only manual-style policies leave a deadline-less
-                    # backlog with an empty dispatch queue: force-flush
-                    for st in states:
-                        for session in st.sessions.values():
-                            if session.pending_requests:
-                                session.flush()
-                else:
-                    fire_event(event)
-            horizon = clock.now()
-            for st in states:
-                horizon = max(horizon, st.timeline.busy_until, st.host.busy_until)
-            clock.advance_to(horizon)
-            for st in states:
-                st.timeline.pop_completions(clock.now())
-    finally:
-        for session, lane in saved_lanes:
-            session.host_lane = lane
-    return handles
+    return TraceDriver(
+        topology.loops,
+        server.clock,
+        route=topology.route,
+        admission=server.admission,
+        continuous=continuous,
+        prepare=prepare,
+    )

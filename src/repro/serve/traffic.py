@@ -19,12 +19,13 @@ Arrival processes:
   exponential gaps between bursts (flash-crowd traffic at the same average
   rate).
 
-Two replay styles: :func:`replay`/:func:`replay_server` drive the
-historical caller-driven choreography (each flush blocks intake for the
-round's full latency), while :func:`replay_continuous`/
-:func:`replay_server_continuous` run the trace through a
-:class:`~repro.serve.loop.ServeLoop` — continuous batching with
-asynchronous device rounds.  Pass ``deterministic=True`` to exclude
+Two replay styles, both thin adapters over the one simulated trace driver
+(:class:`repro.serve.sim.TraceDriver`): :func:`replay`/:func:`replay_server`
+drive the historical caller-driven choreography (each flush blocks intake
+for the round's full latency — the driver run without a device timeline),
+while :func:`replay_continuous`/:func:`replay_server_continuous` run the
+trace through a :class:`~repro.serve.loop.ServeLoop` — continuous batching
+with asynchronous device rounds.  Pass ``deterministic=True`` to exclude
 measured host wall time so the same trace replays bit-for-bit.
 
 Multi-tenant traffic: :func:`tenant_mix` merges per-tenant arrival
@@ -42,10 +43,11 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clock import SimulatedClock
-from .loop import ServeLoop, replay_state
+from .loop import ServeLoop
 from .request import RequestHandle
 from .server import Endpoint
+from .sim import TraceDriver
+from .topology import trace_driver
 
 
 # -- arrival processes ---------------------------------------------------------
@@ -227,27 +229,6 @@ class TrafficReport:
         }
 
 
-def _drain_due_deadlines(session, clock: SimulatedClock, until: float) -> None:
-    """Fire every policy deadline scheduled before ``until``."""
-    while session.pending_requests:
-        deadline = session.next_deadline()
-        if deadline is None or deadline > until:
-            return
-        clock.advance_to(deadline)
-        session.poll()
-
-
-def _drain_all(session, clock: SimulatedClock) -> None:
-    """Flush the tail of the backlog after the last arrival."""
-    while session.pending_requests:
-        deadline = session.next_deadline()
-        if deadline is not None:
-            clock.advance_to(deadline)
-            session.poll()
-        else:
-            session.flush()
-
-
 def _snapshot(session) -> Tuple[int, int, int]:
     """Running totals at replay start; the report uses the deltas, so it
     stays correct however long the session has already been serving."""
@@ -294,6 +275,37 @@ def _report(
     )
 
 
+def _replay_session(
+    session,
+    requests: Sequence[Any],
+    arrivals: Sequence[float],
+    *,
+    continuous: bool,
+    deterministic: bool,
+    host_model: Optional[Tuple[float, float]],
+    prepare: bool = False,
+) -> TrafficReport:
+    """Replay one session's trace through the simulated trace driver, as
+    the only session of a one-loop driver."""
+    if len(requests) != len(arrivals):
+        raise ValueError("need exactly one arrival time per request")
+    if any(b < a for a, b in zip(arrivals, arrivals[1:])):
+        raise ValueError("arrival trace must be sorted by time")
+    if isinstance(session, Endpoint):
+        session = session.session
+    clock = session.clock
+    loop = ServeLoop(sessions={"_": session}, clock=clock, prepare=prepare)
+    driver = TraceDriver([loop], clock, continuous=continuous)
+    start = _snapshot(session)
+    first_arrival = arrivals[0] if len(arrivals) else clock.now()
+    handles = driver.run(
+        [(t, "_", request) for t, request in zip(arrivals, requests)],
+        deterministic=deterministic,
+        host_model=host_model,
+    ).get("_", [])
+    return _report(session, handles, first_arrival, start)
+
+
 def replay(
     session,
     requests: Sequence[Any],
@@ -304,7 +316,8 @@ def replay(
 ) -> TrafficReport:
     """Replay an open-loop arrival trace against one session (or endpoint),
     caller-driven: the historical single-threaded choreography where each
-    flush blocks intake for the round's full latency.
+    flush blocks intake for the round's full latency (the trace driver run
+    without a device timeline or host lane).
 
     ``session`` must run on a :class:`~repro.serve.clock.SimulatedClock`.
     Each request is submitted at its scheduled arrival time; flush deadlines
@@ -322,27 +335,14 @@ def replay(
     host cost per flush (the phenomenon a caller-driven loop suffers from)
     without wall-clock noise.
     """
-    if len(requests) != len(arrivals):
-        raise ValueError("need exactly one arrival time per request")
-    if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-        raise ValueError("arrival trace must be sorted by time")
-    if isinstance(session, Endpoint):
-        session = session.session
-    clock = session.clock
-    if not isinstance(clock, SimulatedClock):
-        raise TypeError("replay needs a session driven by a SimulatedClock")
-    start = _snapshot(session)
-    handles: List[RequestHandle] = []
-    first_arrival = arrivals[0] if len(arrivals) else clock.now()
-    with replay_state(
-        [session], deterministic=deterministic, host_model=host_model
-    ):
-        for t, request in zip(arrivals, requests):
-            _drain_due_deadlines(session, clock, until=t)
-            clock.advance_to(t)
-            handles.append(session.submit(request, at=t))
-        _drain_all(session, clock)
-    return _report(session, handles, first_arrival, start)
+    return _replay_session(
+        session,
+        requests,
+        arrivals,
+        continuous=False,
+        deterministic=deterministic,
+        host_model=host_model,
+    )
 
 
 def replay_continuous(
@@ -355,10 +355,11 @@ def replay_continuous(
     prepare: bool = False,
 ) -> TrafficReport:
     """Replay an open-loop arrival trace with **continuous batching**: the
-    trace runs through a :class:`~repro.serve.loop.ServeLoop`, so flushed
-    rounds execute asynchronously on a device timeline while intake streams
-    on, partial rounds launch exactly when the flush policy fires, and the
-    device never idles while a backlog exists.
+    trace runs through a one-session :class:`~repro.serve.loop.ServeLoop`
+    on the simulated trace driver, so flushed rounds execute asynchronously
+    on a device timeline while intake streams on, partial rounds launch
+    exactly when the flush policy fires, and the device never idles while a
+    backlog exists.
 
     With ``deterministic`` (default) the simulated timeline depends only on
     the trace and the device cost model: replaying the same trace is
@@ -366,24 +367,36 @@ def replay_continuous(
     the overlapped host pipeline (speculative round preparation) for the
     replay — still bit-for-bit deterministic.
     """
-    if len(requests) != len(arrivals):
-        raise ValueError("need exactly one arrival time per request")
-    if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-        raise ValueError("arrival trace must be sorted by time")
-    if isinstance(session, Endpoint):
-        session = session.session
-    clock = session.clock
-    if not isinstance(clock, SimulatedClock):
-        raise TypeError("replay_continuous needs a session driven by a SimulatedClock")
-    start = _snapshot(session)
-    first_arrival = arrivals[0] if len(arrivals) else clock.now()
-    loop = ServeLoop(sessions={"_": session}, clock=clock, prepare=prepare)
-    handles = loop.run_trace(
-        [(t, "_", request) for t, request in zip(arrivals, requests)],
+    return _replay_session(
+        session,
+        requests,
+        arrivals,
+        continuous=True,
         deterministic=deterministic,
         host_model=host_model,
-    ).get("_", [])
-    return _report(session, handles, first_arrival, start)
+        prepare=prepare,
+    )
+
+
+def _replay_server(
+    server, workload: Iterable[Tuple], run, **run_args: Any
+) -> Dict[str, TrafficReport]:
+    """Run a tagged server trace through ``run(items, **run_args) ->
+    handles`` and report per endpoint that received traffic."""
+    items = sorted(workload, key=lambda item: item[0])
+    starts = {name: _snapshot(server.endpoint(name).session) for name in server.endpoints}
+    first_arrival: Dict[str, float] = {}
+    for t, name, *_ in items:
+        first_arrival.setdefault(name, t)
+    return {
+        name: _report(
+            server.endpoint(name).session,
+            eps_handles,
+            first_arrival[name],
+            starts[name],
+        )
+        for name, eps_handles in run(items, **run_args).items()
+    }
 
 
 def replay_server(
@@ -403,43 +416,14 @@ def replay_server(
     :func:`replay`, so caller-driven and continuous server replays compare
     at equal footing.
     """
-    clock = server.clock
-    if not isinstance(clock, SimulatedClock):
-        raise TypeError("replay_server needs a server driven by a SimulatedClock")
-    items = sorted(workload, key=lambda item: item[0])
-    starts = {name: _snapshot(server.endpoint(name).session) for name in server.endpoints}
-    handles: Dict[str, List[RequestHandle]] = {}
-    first_arrival: Dict[str, float] = {}
-    sessions = [server.endpoint(name).session for name in server.endpoints]
-    with replay_state(
-        sessions, deterministic=deterministic, host_model=host_model
-    ):
-        for t, name, request in items:
-            while True:
-                deadline = server.next_deadline()
-                if deadline is None or deadline > t:
-                    break
-                clock.advance_to(deadline)
-                server.poll()
-            clock.advance_to(t)
-            handles.setdefault(name, []).append(server.submit(name, request, at=t))
-            first_arrival.setdefault(name, t)
-        while any(server.endpoint(n).pending_requests for n in server.endpoints):
-            deadline = server.next_deadline()
-            if deadline is not None:
-                clock.advance_to(deadline)
-                server.poll()
-            else:
-                server.flush_all()
-    return {
-        name: _report(
-            server.endpoint(name).session,
-            eps_handles,
-            first_arrival[name],
-            starts[name],
-        )
-        for name, eps_handles in handles.items()
-    }
+    server._materialize_topology()
+    return _replay_server(
+        server,
+        workload,
+        trace_driver(server, continuous=False).run,
+        deterministic=deterministic,
+        host_model=host_model,
+    )
 
 
 def replay_server_continuous(
@@ -456,25 +440,11 @@ def replay_server_continuous(
     endpoints sharing one device timeline.  Returns one
     :class:`TrafficReport` per endpoint that received traffic.
     """
-    clock = server.clock
-    if not isinstance(clock, SimulatedClock):
-        raise TypeError(
-            "replay_server_continuous needs a server driven by a SimulatedClock"
-        )
-    items = sorted(workload, key=lambda item: item[0])
-    starts = {name: _snapshot(server.endpoint(name).session) for name in server.endpoints}
-    first_arrival: Dict[str, float] = {}
-    for t, name, _ in items:
-        first_arrival.setdefault(name, t)
-    handles = server.loop.run_trace(
-        items, deterministic=deterministic, host_model=host_model, prepare=prepare
+    return _replay_server(
+        server,
+        workload,
+        server.loop.run_trace,
+        deterministic=deterministic,
+        host_model=host_model,
+        prepare=prepare,
     )
-    return {
-        name: _report(
-            server.endpoint(name).session,
-            eps_handles,
-            first_arrival[name],
-            starts[name],
-        )
-        for name, eps_handles in handles.items()
-    }

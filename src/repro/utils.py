@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from typing import Any
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -67,3 +67,61 @@ def flatten_arrays(value: Any) -> list:
     elif value is not None:
         out.append(np.asarray(value))
     return out
+
+
+class Registry:
+    """String-keyed factory table: the one implementation behind the
+    scheduler, flush-policy, placement and loop-topology registries.
+
+    ``kind`` names what is registered in error messages (``"scheduler
+    policy"``); ``listing`` is the phrase introducing the registered names
+    in the unknown-name error (``"available policies"``).
+    """
+
+    def __init__(self, kind: str, listing: str = "available policies") -> None:
+        self.kind = kind
+        self.listing = listing
+        self._factories: Dict[str, Callable[..., Any]] = {}
+
+    def register(
+        self,
+        name: str,
+        factory: Optional[Callable[..., Any]] = None,
+        *,
+        overwrite: bool = False,
+    ) -> Any:
+        """Register ``factory`` under ``name`` — a plain call, or with
+        ``factory`` omitted a decorator.  Registering an existing name
+        raises unless ``overwrite=True``."""
+
+        def _register(fn: Callable[..., Any]) -> Callable[..., Any]:
+            if not overwrite and name in self._factories:
+                raise ValueError(
+                    f"{self.kind} {name!r} is already registered "
+                    f"(pass overwrite=True to replace it)"
+                )
+            self._factories[name] = fn
+            return fn
+
+        if factory is None:
+            return _register
+        return _register(factory)
+
+    def unregister(self, name: str) -> None:
+        """Remove ``name`` from the registry (no-op for unknown names)."""
+        self._factories.pop(name, None)
+
+    def available(self) -> Tuple[str, ...]:
+        """Registered names, sorted."""
+        return tuple(sorted(self._factories))
+
+    def make(self, name: str, **kwargs: Any) -> Any:
+        """Call the factory registered under ``name`` with ``kwargs``."""
+        try:
+            factory = self._factories[name]
+        except KeyError:
+            raise ValueError(
+                f"unknown {self.kind} {name!r}; {self.listing}: "
+                f"{', '.join(self.available())}"
+            ) from None
+        return factory(**kwargs)

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.engine import ExecutionEngine, InstanceArgBinder, ProgramBinding
+from ..engine.engine import EngineModel, ExecutionEngine, ProgramBinding
 from ..ir.adt import ADTValue, bind, matches
 from ..ir.expr import (
     Call,
@@ -213,7 +213,7 @@ class VMProgramBinding(ProgramBinding):
 
 
 @dataclass
-class VMModel:
+class VMModel(EngineModel):
     """Relay-VM-style execution of a model (Table 4 baseline).
 
     Mirrors the :class:`~repro.compiler.driver.CompiledModel` interface so the
@@ -229,15 +229,6 @@ class VMModel:
     #: no-auto-batching execution — the PyTorch baseline of Fig. 5)
     batching: bool = True
     last_stats: Optional[RunStats] = None
-
-    @property
-    def instance_binder(self) -> InstanceArgBinder:
-        return InstanceArgBinder(
-            [p.name_hint for p in self.module.main.params], self.params
-        )
-
-    def _instance_args(self, instance: Any) -> List[Any]:
-        return self.instance_binder(instance)
 
     def make_engine(
         self,
@@ -271,64 +262,6 @@ class VMModel:
             placement_args=placement_args,
             interconnect=interconnect,
         )
-
-    def session(
-        self,
-        max_batch: Optional[int] = None,
-        device: Optional[DeviceSimulator] = None,
-        scheduler: Optional[str] = None,
-        *,
-        flush_policy: Any = None,
-        flush_args: Optional[Dict[str, Any]] = None,
-        clock: Any = None,
-        devices: Any = None,
-        placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
-    ):
-        """Open a cross-request batching session over the interpreter
-        (same surface as :meth:`CompiledModel.session`)."""
-        return self.make_engine(
-            device,
-            scheduler,
-            devices=devices,
-            placement=placement,
-            placement_args=placement_args,
-            interconnect=interconnect,
-        ).session(
-            max_batch=max_batch, policy=flush_policy, policy_args=flush_args, clock=clock
-        )
-
-    def serve(
-        self,
-        policy: Any = "adaptive",
-        *,
-        clock: Any = None,
-        device: Optional[DeviceSimulator] = None,
-        scheduler: Optional[str] = None,
-        devices: Any = None,
-        placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
-        **policy_args: Any,
-    ):
-        """Open a policy-driven serving session over the interpreter (same
-        surface as :meth:`CompiledModel.serve`)."""
-        return self.make_engine(
-            device,
-            scheduler,
-            devices=devices,
-            placement=placement,
-            placement_args=placement_args,
-            interconnect=interconnect,
-        ).session(policy=policy, policy_args=policy_args or None, clock=clock)
-
-    def run(
-        self, instances: Sequence[Any], device: Optional[DeviceSimulator] = None
-    ) -> Tuple[List[Any], RunStats]:
-        outputs, stats = self.make_engine(device).run(instances)
-        self.last_stats = stats
-        return outputs, stats
 
 
 def run_reference(

@@ -2,10 +2,6 @@
 groups, placement policies, cross-device transfer pricing, and
 reference-identity of every placement across models and device counts."""
 
-import importlib
-import sys
-import warnings
-
 import numpy as np
 import pytest
 
@@ -696,7 +692,10 @@ class TestEngineWiring:
         cached replays keep placement identity (reference-identical)."""
         compiled, instances, reference = treelstm
         session = compiled.session(
-            max_batch=len(instances), devices=2, placement="round_robin"
+            flush_policy="size",
+            flush_args={"n": len(instances)},
+            devices=2,
+            placement="round_robin",
         )
         for _ in range(3):
             handles = [session.submit(i) for i in instances]
@@ -785,36 +784,3 @@ class TestCountersMerge:
         assert merged.peer_time_us == 4.0
         assert merged.launches_by_kernel == {"x": 3, "y": 5}
         assert merged.total_device_us == pytest.approx(8.0)
-
-
-# ---------------------------------------------------------------------------
-# Compat shim (engine/session.py) deprecation path
-# ---------------------------------------------------------------------------
-
-
-class TestEngineSessionShim:
-    def test_shim_warns_and_aliases(self):
-        sys.modules.pop("repro.engine.session", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.import_module("repro.engine.session")
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.serve" in str(w.message)
-            for w in caught
-        )
-        from repro.serve.request import RequestHandle
-        from repro.serve.session import InferenceSession
-
-        assert shim.InferenceRequest is RequestHandle
-        assert shim.RequestHandle is RequestHandle
-        assert shim.InferenceSession is InferenceSession
-
-    def test_engine_package_lazily_reexports(self):
-        import repro.engine as engine_pkg
-
-        from repro.serve.session import InferenceSession
-
-        assert engine_pkg.InferenceSession is InferenceSession
-        with pytest.raises(AttributeError):
-            engine_pkg.does_not_exist

@@ -186,7 +186,7 @@ class TestInferenceSession:
     def test_max_batch_autoflushes(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=2)
+        session = model.session(flush_policy="size", flush_args={"n": 2})
         h1 = session.submit(instances[0])
         assert session.pending_requests == 1 and not h1.done
         h2 = session.submit(instances[1])
@@ -225,7 +225,9 @@ class TestInferenceSession:
 
     def test_open_session_api(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
-        session = open_session(mod, params, max_batch=len(instances))
+        session = open_session(
+            mod, params, policy="size", policy_args={"n": len(instances)}
+        )
         assert isinstance(session, InferenceSession)
         handles = [session.submit(i) for i in instances]
         # max_batch reached: auto-flushed

@@ -302,7 +302,7 @@ class TestPlanCacheLRU:
         monkeypatch.setattr("repro.memory.planner._PLAN_CACHE_MAX", 2)
         _, mod, params, _ = treelstm_parts
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=3)
+        session = model.session(flush_policy="size", flush_args={"n": 3})
         for batch in self._distinct_batches(treelstm_parts, 4):
             for i in batch:
                 session.submit(i)
@@ -318,7 +318,7 @@ class TestPlanCacheLRU:
         _, mod, params, _ = treelstm_parts
         a, b, c = self._distinct_batches(treelstm_parts, 3)
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=3)
+        session = model.session(flush_policy="size", flush_args={"n": 3})
         for batch in (a, b, a, c, a):  # touch A before C evicts the LRU (B)
             for i in batch:
                 session.submit(i)
@@ -331,7 +331,7 @@ class TestPlanCacheLRU:
     def test_no_evictions_below_capacity(self, treelstm_parts):
         _, mod, params, _ = treelstm_parts
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=3)
+        session = model.session(flush_policy="size", flush_args={"n": 3})
         for batch in self._distinct_batches(treelstm_parts, 3):
             for i in batch:
                 session.submit(i)
@@ -351,14 +351,14 @@ class TestPlanCacheLRU:
         assert planner.expect_repeats() is False  # already armed, no-op
 
         batch = self._distinct_batches(treelstm_parts, 1)[0]
-        session = engine.session(max_batch=3)
+        session = engine.session(policy="size", policy_args={"n": 3})
         for i in batch:
             session.submit(i)
         session.flush()
         cached = len(planner._plan_cache)
         assert cached > 0
         # a second session on the same engine re-arms without clearing
-        session2 = engine.session(max_batch=3)
+        session2 = engine.session(policy="size", policy_args={"n": 3})
         assert len(planner._plan_cache) == cached
         for i in batch:
             session2.submit(i)

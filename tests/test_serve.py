@@ -147,11 +147,15 @@ class TestPolicyMatrix:
             model.make_engine().session(policy=SizePolicy(2), policy_args={"n": 3})
 
     def test_max_batch_is_size_sugar(self, treelstm_setup):
+        """The removed ``max_batch=n`` sugar is spelled as the ``size``
+        policy; the old keyword is rejected, not silently ignored."""
         mod, params, _, _ = treelstm_setup
-        session = compile_model(mod, params, CompilerOptions()).session(max_batch=3)
+        model = compile_model(mod, params, CompilerOptions())
+        session = model.session(flush_policy="size", flush_args={"n": 3})
         assert isinstance(session.policy, SizePolicy)
         assert session.policy.n == 3
-        assert session.max_batch == 3
+        with pytest.raises(TypeError):
+            model.session(max_batch=3)
 
 
 class TestDeadlineSemantics:
@@ -299,7 +303,7 @@ class TestRequestStats:
         mod, params, instances, _ = treelstm_setup
         clock = SimulatedClock(start=5.0)
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=len(instances), clock=clock)
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)}, clock=clock)
         for inst in instances:
             session.submit(inst)
         assert session.last_stats.flushed_at == pytest.approx(5.0)
@@ -460,7 +464,7 @@ class TestPlanCache:
     def test_hits_on_identical_rounds(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=len(instances))
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
         for round_no in range(4):
             handles = [session.submit(i) for i in instances]
             assert all(
@@ -495,7 +499,7 @@ class TestPlanCache:
     def test_disabled_cache_never_hits(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
         model = compile_model(mod, params, CompilerOptions(plan_cache=False))
-        session = model.session(max_batch=len(instances))
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
         for _ in range(3):
             for i in instances:
                 session.submit(i)
@@ -521,7 +525,7 @@ class TestPlanCache:
         counts = []
         for cached in (True, False):
             model = compile_model(mod, params, CompilerOptions(plan_cache=cached))
-            session = model.session(max_batch=len(instances))
+            session = model.session(flush_policy="size", flush_args={"n": len(instances)})
             for _ in range(2):
                 for i in instances:
                     session.submit(i)

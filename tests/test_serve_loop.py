@@ -21,6 +21,7 @@ from repro.serve import (
     poisson_arrivals,
     replay,
     replay_continuous,
+    replay_server,
     replay_server_continuous,
 )
 from repro.models import MODEL_MODULES
@@ -504,7 +505,8 @@ class TestContinuousReferenceIdentity:
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
         )
 
-    def test_server_trace_matches_reference(self, treelstm_setup, birnn_setup):
+    @pytest.mark.parametrize("entry", ["continuous", "run_trace", "caller"])
+    def test_server_trace_matches_reference(self, treelstm_setup, birnn_setup, entry):
         t_mod, t_params, t_instances, t_reference = treelstm_setup
         b_mod, b_params, b_instances, b_reference = birnn_setup
         server = Server(clock=SimulatedClock())
@@ -527,14 +529,21 @@ class TestContinuousReferenceIdentity:
                 poisson_arrivals(2000.0, len(b_instances), seed=2), b_instances
             )
         ]
-        reports = replay_server_continuous(server, workload)
+        if entry == "run_trace":
+            outputs = {
+                name: [h.result() for h in handles]
+                for name, handles in server.run_trace(workload).items()
+            }
+        else:
+            run = replay_server_continuous if entry == "continuous" else replay_server
+            outputs = {
+                name: report.outputs for name, report in run(server, workload).items()
+            }
         assert all(
-            values_allclose(a, b)
-            for a, b in zip(t_reference, reports["trees"].outputs)
+            values_allclose(a, b) for a, b in zip(t_reference, outputs["trees"])
         )
         assert all(
-            values_allclose(a, b)
-            for a, b in zip(b_reference, reports["seqs"].outputs)
+            values_allclose(a, b) for a, b in zip(b_reference, outputs["seqs"])
         )
 
 
@@ -566,6 +575,95 @@ class TestDeterministicReplay:
             latencies.append(report.latencies_ms)
         assert latencies[0] == latencies[1]
 
+    @pytest.mark.parametrize("devices", [1, 2])
+    @pytest.mark.parametrize("policy,policy_args", [
+        ("deadline", {"ms": 5.0}),
+        ("adaptive", {}),
+        ("size", {"n": 4}),
+    ])
+    def test_entry_points_share_one_timeline(
+        self, treelstm_setup, birnn_setup, policy, policy_args, devices
+    ):
+        """One tagged two-endpoint trace yields the same per-request
+        timeline through every entry point of a mode: the simulated trace
+        driver is one code path, not one per adapter."""
+        t_mod, t_params, t_instances, _ = treelstm_setup
+        b_mod, b_params, b_instances, _ = birnn_setup
+        models = {
+            "trees": compile_model(t_mod, t_params, CompilerOptions()),
+            "seqs": compile_model(b_mod, b_params, CompilerOptions()),
+        }
+        instances = {"trees": t_instances, "seqs": b_instances}
+        host_model = (2.0, 0.75)
+        workload = [
+            (t, name, instances[name][i % len(instances[name])])
+            for i, t in enumerate(bursty_arrivals(1500.0, 48, burst=4, seed=31))
+            for name in (("trees", "seqs")[i % 2],)
+        ]
+
+        def server():
+            kwargs = {"devices": 2, "placement": "pipeline"} if devices == 2 else {}
+            srv = Server(clock=SimulatedClock(), **kwargs)
+            for name, model in models.items():
+                srv.add_endpoint(name, model, policy=policy, **policy_args)
+            return srv
+
+        def timeline(handles_by_name):
+            return {
+                name: [
+                    (
+                        h.stats.flushed_at, h.stats.completed_at, h.stats.latency_ms,
+                        h.stats.batch_size, h.stats.flush_reason,
+                    )
+                    for h in handles
+                ]
+                for name, handles in handles_by_name.items()
+            }
+
+        def report_handles(reports):
+            return {name: report.handles for name, report in reports.items()}
+
+        def choreography(srv):
+            """The caller-driven choreography written out against the
+            public Server API — the reference replay_server must match."""
+            for name in srv.endpoints:
+                session = srv.endpoint(name).session
+                session.charge_host = False
+                session.host_cost_model = host_model
+            handles = {}
+            for t, name, instance in workload:
+                while True:
+                    deadline = srv.next_deadline()
+                    if deadline is None or deadline > t:
+                        break
+                    srv.clock.advance_to(deadline)
+                    srv.poll()
+                srv.clock.advance_to(t)
+                handles.setdefault(name, []).append(srv.submit(name, instance, at=t))
+            while any(srv.endpoint(n).pending_requests for n in srv.endpoints):
+                deadline = srv.next_deadline()
+                if deadline is not None:
+                    srv.clock.advance_to(deadline)
+                    srv.poll()
+                else:
+                    srv.flush_all()
+            return handles
+
+        continuous = timeline(report_handles(
+            replay_server_continuous(server(), workload, host_model=host_model)
+        ))
+        assert continuous == timeline(
+            server().run_trace(workload, host_model=host_model)
+        )
+        caller = timeline(report_handles(
+            replay_server(
+                server(), workload, deterministic=True, host_model=host_model
+            )
+        ))
+        assert caller == timeline(choreography(server()))
+        # the two modes are genuinely different timelines on this trace
+        assert caller != continuous
+
     def test_wall_time_restored_after_replay(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
@@ -573,6 +671,7 @@ class TestDeterministicReplay:
         replay_continuous(session, instances[:2], [0.0, 0.0])
         assert session.charge_host is True
         assert session.timeline is None
+        assert session.host_lane is None
         assert session.host_cost_model is None
 
 

@@ -166,7 +166,7 @@ class TestPromotionEndToEnd:
     def test_sessions_promote_and_hit(self):
         mod, params, instances, reference = build_setup("treelstm")
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=len(instances))
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
         for round_no in range(6):
             handles = [session.submit(i) for i in instances]
             session.flush()
@@ -186,7 +186,7 @@ class TestPromotionEndToEnd:
     def test_promotion_respects_threshold(self):
         mod, params, instances, _ = build_setup("treelstm")
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=len(instances))
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
         # rounds 1-3 count (the third launch builds, still generic) …
         for _ in range(3):
             for i in instances:
@@ -205,7 +205,7 @@ class TestPromotionEndToEnd:
         module = MODEL_MODULES["treelstm"]
         mod, params, size = module.build_for("test")
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=4)
+        session = model.session(flush_policy="size", flush_args={"n": 4})
         for round_no in range(6):
             batch = module.make_batch(mod, size, 4, seed=100 + round_no)
             reference = reference_run(mod, params, batch)
@@ -222,7 +222,7 @@ class TestPromotionEndToEnd:
     def test_demotion_falls_back_to_identical_results(self, monkeypatch):
         mod, params, instances, reference = build_setup("treelstm")
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(max_batch=len(instances))
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
         for _ in range(4):
             for i in instances:
                 session.submit(i)
@@ -259,7 +259,7 @@ class TestPromotionEndToEnd:
     def test_knob_disables_tier(self):
         mod, params, instances, _ = build_setup("treelstm")
         model = compile_model(mod, params, CompilerOptions(kernel_specialization=False))
-        session = model.session(max_batch=len(instances))
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
         for _ in range(5):
             for i in instances:
                 session.submit(i)
@@ -296,7 +296,7 @@ class TestReferenceIdentity:
         kwargs = (
             {"devices": 4, "placement": "round_robin"} if devices == 4 else {}
         )
-        session = model.session(max_batch=len(instances), **kwargs)
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)}, **kwargs)
         session.engine.runtime.specializer.crosscheck = True
         for round_no in range(5):
             handles = [session.submit(i) for i in instances]
