@@ -14,7 +14,6 @@ from .block import (
 )
 from .fusion import KernelGroup, fuse_block, fused_kernel_name
 from .registry import OpDef, all_ops, get_op, has_op, register
-from .specialized import CompiledBlockProgram
 
 __all__ = [
     "OpDef",
@@ -37,5 +36,4 @@ __all__ = [
     "BatchedOperand",
     "BatchedOutput",
     "LaunchRecord",
-    "CompiledBlockProgram",
 ]

@@ -25,10 +25,24 @@ per-instance arrays); raw arrays / lists are still accepted for direct use
 in tests and are normalized on entry.  Numerical results always come from
 NumPy, so batched execution is checked against the unbatched reference in
 the test-suite.
+
+Block programs
+--------------
+Whatever is a function of the block structure is computed once, when the
+kernel is built (:meth:`BlockKernel._compile_program`): a flat list of
+slot-indexed steps with the NumPy callable chosen and the attributes already
+shifted for the batch dimension, plus each fusion group's external reads and
+escaping results.  What additionally depends on operand shapes — the FLOP
+and byte counts of the launch records — is evaluated once per operand-shape
+class and stored as ``fixed + per_instance * B``
+(:meth:`BlockKernel._derive_costs`).  A launch stacks its inputs, runs the
+steps, and reads the records back; the specialization tier runs the same
+program with accounting off (:meth:`BlockKernel.run_program`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +51,13 @@ import numpy as np
 from .block import StaticBlock
 from .fusion import KernelGroup, fuse_block, fused_kernel_name
 from .registry import get_op
+
+#: operators whose result may be a NumPy *view* of an argument (escape
+#: analysis for the reusable gather buffers)
+_VIEW_OPS = frozenset({"reshape", "transpose", "take_row"})
+
+#: operand-shape classes one kernel memoizes costs for before starting over
+_MAX_COST_CLASSES = 64
 
 
 @dataclass
@@ -126,16 +147,17 @@ class BatchedOutput:
         return (self[b] for b in range(self.batch_size))
 
 
-def _nbytes(arr: np.ndarray) -> float:
-    return float(np.asarray(arr).nbytes)
-
-
 @dataclass
-class _Value:
-    """A value flowing through batched block execution."""
+class _GroupSpec:
+    """The static cost structure of one fusion group of a block program."""
 
-    array: np.ndarray
-    batched: bool  # leading dim is the batch dimension
+    kernel_name: str
+    #: per op of the group: (estimate_flops, attrs, source slots, batched?)
+    flop_rules: List[Tuple[Any, Dict[str, Any], Tuple[int, ...], bool]]
+    #: slots the group reads from outside itself, in first-read order
+    reads: Tuple[int, ...]
+    #: slots of ops whose result leaves the group
+    writes: Tuple[int, ...]
 
 
 def _adjust_attrs(op_name: str, attrs: Dict[str, Any], batched: bool) -> Dict[str, Any]:
@@ -152,6 +174,15 @@ def _adjust_attrs(op_name: str, attrs: Dict[str, Any], batched: bool) -> Dict[st
     return out
 
 
+def _batched_take_row(index: int):
+    """The batched ``take_row`` fast path (row ``index`` of every instance)."""
+
+    def take(x: np.ndarray) -> np.ndarray:
+        return x[:, index]
+
+    return take
+
+
 class BlockKernel:
     """Executable batched form of one static block."""
 
@@ -165,15 +196,101 @@ class BlockKernel:
         self.groups: List[KernelGroup] = fuse_block(
             block, enable_standard=enable_fusion, enable_horizontal=enable_horizontal_fusion
         )
-        self._group_of_op: Dict[int, int] = {}
-        for g in self.groups:
-            for j in g.op_indices:
-                self._group_of_op[j] = g.group_id
         self.group_names = [fused_kernel_name(block, g) for g in self.groups]
-        #: flattened specialized programs memoized per batch size (the
-        #: specialization tier's dispatch closures live behind the kernel,
-        #: so the generic path above stays the correctness oracle)
-        self._specialized_programs: Dict[int, Any] = {}
+        self._compile_program()
+        #: operand-shape class -> per-group cost coefficients (see
+        #: :meth:`_derive_costs`); keyed without the batch size
+        self._cost_table: Dict[tuple, List[tuple]] = {}
+
+    def _compile_program(self) -> None:
+        """Flatten the block into its launch program: everything derived here
+        is a function of the block structure alone, so no launch repeats it.
+
+        Values live in a slot list — inputs first, then one slot per op, then
+        the constants (prefilled in :attr:`_slots`).  A value's batchedness
+        follows from ``BlockInput.shared`` alone.
+        """
+        block = self.block
+        n_inputs = len(block.inputs)
+        group_of_op = {j: g.group_id for g in self.groups for j in g.op_indices}
+        consumers = block.consumers()
+        output_ops = {ref for kind, ref in block.outputs if kind == "op"}
+
+        slots: List[Any] = [None] * (n_inputs + len(block.ops))
+        batched = [not inp.shared for inp in block.inputs] + [False] * len(block.ops)
+        # inputs a value may be a NumPy view of (escape analysis, below)
+        may_view = [frozenset((i,)) for i in range(n_inputs)] + [frozenset()] * len(block.ops)
+        steps: List[tuple] = []
+        group_specs: List[_GroupSpec] = []
+        for group in self.groups:
+            reads: List[int] = []
+            flop_rules = []
+            for j in group.op_indices:
+                bop = block.ops[j]
+                opdef = get_op(bop.op_name)
+                srcs: List[int] = []
+                for kind, ref in bop.args:
+                    if kind == "const":
+                        srcs.append(len(slots))
+                        slots.append(np.asarray(ref))
+                        batched.append(False)
+                        may_view.append(frozenset())
+                        continue
+                    slot = ref if kind == "input" else n_inputs + ref
+                    srcs.append(slot)
+                    external = kind == "input" or group_of_op[ref] != group.group_id
+                    if external and slot not in reads:
+                        reads.append(slot)
+                src_batched = [batched[s] for s in srcs]
+                any_batched = any(src_batched)
+                attrs = _adjust_attrs(bop.op_name, bop.attrs, any_batched)
+                broadcast: Optional[Tuple[bool, ...]] = None
+                reshape_tail: Optional[List[int]] = None
+                fn = opdef.batched if (any_batched and opdef.batched is not None) else opdef.compute
+                if any_batched and bop.op_name == "concat":
+                    # concatenation requires every operand to carry the batch
+                    # dimension; shared operands broadcast across the batch
+                    broadcast = tuple(not b for b in src_batched)
+                elif any_batched and bop.op_name == "reshape":
+                    # the launch prepends its batch size to the new shape
+                    reshape_tail = list(attrs["newshape"])
+                elif any_batched and bop.op_name == "take_row":
+                    fn, attrs = _batched_take_row(int(attrs["index"])), {}
+                out = n_inputs + j
+                batched[out] = any_batched
+                if bop.op_name in _VIEW_OPS:
+                    may_view[out] = frozenset().union(*(may_view[s] for s in srcs))
+                steps.append((out, fn, tuple(srcs), attrs, broadcast, reshape_tail))
+                flop_rules.append((opdef.estimate_flops, bop.attrs, tuple(srcs), any_batched))
+            writes = tuple(
+                n_inputs + j
+                for j in group.op_indices
+                if j in output_ops
+                or any(group_of_op[c] != group.group_id for c in consumers[j])
+            )
+            group_specs.append(
+                _GroupSpec(self.group_names[group.group_id], flop_rules, tuple(reads), writes)
+            )
+
+        self._slots = slots
+        self._batched = tuple(batched)
+        self._varying = self._batched[:n_inputs]
+        self._steps = tuple(steps)
+        self._group_specs = group_specs
+        output_slots = [ref if kind == "input" else n_inputs + ref for kind, ref in block.outputs]
+        self._output_specs = tuple((slot, batched[slot]) for slot in output_slots)
+        #: varying inputs whose gather buffer is safe to reuse across
+        #: launches: no block output can be a NumPy view of them (a value
+        #: "may view" the inputs reachable through unbroken chains of
+        #: ``reshape``/``transpose``/``take_row``; every other op allocates).
+        #: An output aliasing a reused buffer would be corrupted by the next
+        #: launch.
+        escaped = frozenset().union(*(may_view[slot] for slot in output_slots))
+        self.reusable_inputs = frozenset(
+            inp.index
+            for inp in block.inputs
+            if not inp.shared and inp.index not in escaped
+        )
 
     # -- introspection -------------------------------------------------------
     @property
@@ -187,19 +304,6 @@ class BlockKernel:
 
     def kernel_names(self) -> List[str]:
         return list(self.group_names)
-
-    def specialized_program(self, batch_size: int):
-        """The flattened dispatch program for this block at one batch size
-        (:class:`~repro.kernels.specialized.CompiledBlockProgram`), compiled
-        on first request and shared by every specialization entry with this
-        ``(block, batch_size)`` shape."""
-        program = self._specialized_programs.get(batch_size)
-        if program is None:
-            from .specialized import CompiledBlockProgram
-
-            program = CompiledBlockProgram(self, batch_size)
-            self._specialized_programs[batch_size] = program
-        return program
 
     # -- operand normalization -------------------------------------------------
     def _normalize_operand(self, inp, arg: Any, batch_size: int) -> BatchedOperand:
@@ -242,26 +346,42 @@ class BlockKernel:
             output ``k`` of instance ``b``); ``launches`` are the
             per-fusion-group cost records.
         """
-        block = self.block
         operands = [
             self._normalize_operand(inp, args[inp.index], batch_size)
-            for inp in block.inputs
+            for inp in self.block.inputs
         ]
+        return self.run_program(operands, batch_size)
 
-        values: Dict[Tuple[str, int], _Value] = {}
-        scattered_inputs = [False] * len(block.inputs)
+    def run_program(
+        self,
+        operands: Sequence[BatchedOperand],
+        batch_size: int,
+        stack_buffers: Optional[Dict[int, np.ndarray]] = None,
+        account: bool = True,
+    ) -> Tuple[List[BatchedOutput], Optional[List[LaunchRecord]]]:
+        """Stack the inputs, run the block program, emit the launch records.
 
-        for inp in block.inputs:
-            op = operands[inp.index]
-            if inp.shared:
-                values[("input", inp.index)] = _Value(np.asarray(op.array), batched=False)
+        ``stack_buffers`` optionally maps input index -> preallocated
+        ``[B, ...]`` buffer for the fused-gather stack (only ever passed for
+        inputs in :attr:`reusable_inputs`).  With ``account`` off no records
+        are produced (``launches`` is None): a specialization entry replays
+        the records frozen from the launch that promoted it.
+        """
+        vals = self._slots.copy()
+        scattered: List[int] = []
+        for i, varying in enumerate(self._varying):
+            op = operands[i]
+            arr = op.array
+            if not varying:
+                vals[i] = np.asarray(arr)
                 continue
-            if op.array is not None:
-                stacked = np.asarray(op.array)
-                if stacked.shape[0] != batch_size:
+            if arr is not None:
+                arr = np.asarray(arr)
+                if arr.shape[0] != batch_size:
                     raise ValueError(
-                        f"block {block.name}: varying input {inp.name} got batch "
-                        f"dimension {stacked.shape[0]} for batch size {batch_size}"
+                        f"block {self.block.name}: varying input "
+                        f"{self.block.inputs[i].name} got batch dimension "
+                        f"{arr.shape[0]} for batch size {batch_size}"
                     )
             else:
                 # the kernel performs the gather: realize the per-instance
@@ -270,93 +390,106 @@ class BlockKernel:
                 # scattered bytes accounted on this kernel's launch records)
                 if len(op.parts) != batch_size:
                     raise ValueError(
-                        f"block {block.name}: varying input {inp.name} got "
-                        f"{len(op.parts)} values for batch size {batch_size}"
+                        f"block {self.block.name}: varying input "
+                        f"{self.block.inputs[i].name} got {len(op.parts)} "
+                        f"values for batch size {batch_size}"
                     )
-                stacked = np.stack(
+                arr = np.stack(
                     [p if isinstance(p, np.ndarray) else p.array for p in op.parts],
                     axis=0,
+                    out=stack_buffers.get(i) if stack_buffers else None,
                 )
-            scattered_inputs[inp.index] = op.scattered
-            values[("input", inp.index)] = _Value(stacked, batched=True)
+            if op.scattered:
+                scattered.append(i)
+            vals[i] = arr
 
-        launches: List[LaunchRecord] = []
-
-        for group in self.groups:
-            flops = 0.0
-            bytes_read = 0.0
-            bytes_written = 0.0
-            scattered_bytes = 0.0
-            external_reads: set = set()
-
-            for j in group.op_indices:
-                bop = block.ops[j]
-                opdef = get_op(bop.op_name)
-                arg_vals: List[_Value] = []
-                for kind, ref in bop.args:
-                    if kind == "const":
-                        arg_vals.append(_Value(np.asarray(ref), batched=False))
-                    else:
-                        arg_vals.append(values[(kind, ref)])
-                        # account external reads (values produced outside this group)
-                        if kind == "input" or self._group_of_op.get(ref) != group.group_id:
-                            if (kind, ref) not in external_reads:
-                                external_reads.add((kind, ref))
-                                nb = _nbytes(arg_vals[-1].array)
-                                bytes_read += nb
-                                if kind == "input" and scattered_inputs[ref]:
-                                    scattered_bytes += nb
-
-                any_batched = any(v.batched for v in arg_vals)
-                attrs = _adjust_attrs(bop.op_name, bop.attrs, any_batched)
-                arrays = [v.array for v in arg_vals]
-                if any_batched and bop.op_name == "concat":
-                    # concatenation requires every operand to carry the batch
-                    # dimension; broadcast shared operands across the batch
-                    arrays = [
-                        a if v.batched else np.broadcast_to(a, (batch_size,) + a.shape)
-                        for a, v in zip(arrays, arg_vals)
-                    ]
-                if bop.op_name == "reshape" and any_batched:
-                    attrs = dict(attrs)
-                    attrs["newshape"] = [batch_size] + list(attrs["newshape"])
-                if bop.op_name == "take_row" and any_batched:
-                    result = arrays[0][:, int(attrs["index"])]
-                else:
-                    fn = opdef.batched if (any_batched and opdef.batched is not None) else opdef.compute
-                    result = fn(*arrays, **attrs)
-                result = np.asarray(result)
-                out_batched = any_batched
-                values[("op", j)] = _Value(result, batched=out_batched)
-
-                per_instance_shapes = [
-                    (v.array.shape[1:] if v.batched else v.array.shape) for v in arg_vals
+        for out, fn, srcs, attrs, broadcast, reshape_tail in self._steps:
+            args = [vals[s] for s in srcs]
+            if broadcast is not None:
+                args = [
+                    np.broadcast_to(a, (batch_size,) + a.shape) if bcast else a
+                    for a, bcast in zip(args, broadcast)
                 ]
-                per_flops = opdef.estimate_flops(per_instance_shapes, bop.attrs)
-                flops += per_flops * (batch_size if any_batched else 1)
+            elif reshape_tail is not None:
+                attrs = dict(attrs, newshape=[batch_size] + reshape_tail)
+            vals[out] = np.asarray(fn(*args, **attrs))
 
-            for j in group.op_indices:
-                if block.op_is_output(j) or any(
-                    self._group_of_op.get(c) != group.group_id for c in block.consumers()[j]
-                ):
-                    bytes_written += _nbytes(values[("op", j)].array)
+        outputs = [
+            BatchedOutput(vals[slot], batched, batch_size)
+            for slot, batched in self._output_specs
+        ]
+        if not account:
+            return outputs, None
 
+        shape_class = tuple(
+            [
+                (a.shape[1:] if varying else a.shape, a.dtype)
+                for a, varying in zip(vals, self._varying)
+            ]
+        )
+        costs = self._cost_table.get(shape_class)
+        if costs is None:
+            if len(self._cost_table) >= _MAX_COST_CLASSES:
+                self._cost_table.clear()
+            costs = self._cost_table[shape_class] = self._derive_costs(vals)
+        launches = []
+        for name, flops, bytes_read, bytes_written, gathered in costs:
+            scattered_bytes = 0.0
+            if scattered:
+                for i, nbytes in gathered:
+                    if i in scattered:
+                        scattered_bytes += nbytes * batch_size
             launches.append(
                 LaunchRecord(
-                    kernel_name=self.group_names[group.group_id],
+                    kernel_name=name,
                     batch_size=batch_size,
-                    flops=flops,
-                    bytes_read=bytes_read,
-                    bytes_written=bytes_written,
+                    flops=flops[0] + flops[1] * batch_size,
+                    bytes_read=bytes_read[0] + bytes_read[1] * batch_size,
+                    bytes_written=bytes_written[0] + bytes_written[1] * batch_size,
                     scattered_bytes=scattered_bytes,
                 )
             )
-
-        outputs: List[BatchedOutput] = []
-        for kind, ref in block.outputs:
-            val = values[(kind, ref)]
-            outputs.append(BatchedOutput(val.array, batched=val.batched, batch_size=batch_size))
         return outputs, launches
+
+    def _derive_costs(self, vals: List[Any]) -> List[tuple]:
+        """Evaluate the accounting rules for one operand-shape class.
+
+        FLOPs come from the per-instance argument shapes, bytes from the
+        values a group reads from outside itself and the results that leave
+        it — all functions of the block inputs' per-instance shapes and
+        dtypes.  Each record field is stored as ``(fixed, per_instance)``:
+        batched values scale with the batch size, shared ones do not.  The
+        last element lists the varying inputs a group reads, whose bytes
+        count as ``scattered_bytes`` on a launch that receives them
+        scattered.
+        """
+        batched = self._batched
+        n_inputs = len(self._varying)
+
+        def shape_of(slot: int) -> Tuple[int, ...]:
+            shape = vals[slot].shape
+            return shape[1:] if batched[slot] else shape
+
+        def nbytes_of(slot: int) -> float:
+            return float(math.prod(shape_of(slot)) * vals[slot].dtype.itemsize)
+
+        costs = []
+        for spec in self._group_specs:
+            # [fixed, per instance], indexed by the value's batchedness
+            flops, bytes_read, bytes_written = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+            gathered = []
+            for estimate_flops, attrs, srcs, any_batched in spec.flop_rules:
+                flops[any_batched] += estimate_flops([shape_of(s) for s in srcs], attrs)
+            for slot in spec.reads:
+                bytes_read[batched[slot]] += nbytes_of(slot)
+                if slot < n_inputs and batched[slot]:
+                    gathered.append((slot, nbytes_of(slot)))
+            for slot in spec.writes:
+                bytes_written[batched[slot]] += nbytes_of(slot)
+            costs.append(
+                (spec.kernel_name, tuple(flops), tuple(bytes_read), tuple(bytes_written), gathered)
+            )
+        return costs
 
     def execute_single(self, args: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Unbatched reference execution of the block for one instance."""

@@ -24,8 +24,8 @@ path re-derives per round is frozen at build time:
   block output, sized from the fingerprint, so commit skips the generic
   layout inspection;
 * optional **stack buffers**: preallocated ``[B, ...]`` arrays the fused
-  gather stacks into, only for inputs the compiled program proved can never
-  escape the block as a view (:attr:`CompiledBlockProgram.reusable_inputs`).
+  gather stacks into, only for inputs the block program proved can never
+  escape the block as a view (:attr:`BlockKernel.reusable_inputs`).
 
 Soundness contract
 ------------------
@@ -58,12 +58,12 @@ for not-yet-frozen host args — may run during verification; they are
 idempotent and the generic fallback would charge the identical
 first-upload, so accounting stays exact.)
 
-The numerical path is :class:`~repro.kernels.specialized.CompiledBlockProgram`,
-which executes the same registry functions in the same order as the generic
-kernel — specialized launches are reference-identical by construction, and
-:meth:`crosscheck` (opt-in, ``ExecutionOptions.specialize_crosscheck``)
-re-runs the oracle on the same operands and compares outputs and launch
-records to enforce it.
+The numerical path is the kernel's own block program
+(:meth:`BlockKernel.run_program`, the one step loop the generic path runs)
+with accounting off and the entry's stack buffers — same validation, same
+NumPy calls in the same order — and :meth:`crosscheck` (opt-in,
+``ExecutionOptions.specialize_crosscheck``) re-runs it accounted and
+unbuffered on the same operands and compares outputs and launch records.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class SpecializedEntry:
     """One promoted fingerprint's frozen dispatch + execution state."""
 
     __slots__ = (
-        "program",
+        "kernel",
         "batch_size",
         "device_index",
         "steps",
@@ -108,7 +108,7 @@ class SpecializedEntry:
 
     def __init__(
         self,
-        program: Any,
+        kernel: Any,
         batch_size: int,
         device_index: int,
         steps: List[Tuple],
@@ -118,7 +118,7 @@ class SpecializedEntry:
         output_specs: Tuple[Tuple[bool, Tuple[int, ...]], ...],
         stack_buffers: Optional[Dict[int, np.ndarray]],
     ) -> None:
-        self.program = program
+        self.kernel = kernel
         self.batch_size = batch_size
         self.device_index = device_index
         self.steps = steps
@@ -166,7 +166,6 @@ class SpecializedEntry:
         steps: List[Tuple] = []
         charges: List[Tuple] = []
         operands: List[BatchedOperand] = []
-        program = kernel.specialized_program(batch_size)
         stack_buffers: Dict[int, np.ndarray] = {}
 
         for pos, op in enumerate(plan.operands):
@@ -285,14 +284,14 @@ class SpecializedEntry:
                     charges.append((_PEER_CHARGE, src, remote[src]))
                 if explicit:
                     charges.append((_GATHER_CHARGE, 0, gather_bytes))
-                if i in program.reusable_inputs and item_shape is not None:
+                if i in kernel.reusable_inputs and item_shape is not None:
                     stack_buffers[i] = np.empty(
                         (batch_size,) + item_shape, dtype=item_dtype
                     )
 
         output_specs = tuple((out.batched, out.array.shape) for out in outputs)
         return cls(
-            program=program,
+            kernel=kernel,
             batch_size=batch_size,
             device_index=dev,
             steps=steps,
@@ -430,8 +429,12 @@ class SpecializedEntry:
 
     # -- execution / commit ----------------------------------------------------
     def execute(self, operands: List[BatchedOperand]) -> List[BatchedOutput]:
-        """Run the flattened block program over resolved operands."""
-        return self.program.execute(operands, self.stack_buffers)
+        """Run the block program over resolved operands: no accounting
+        (:attr:`launches` are replayed), gathers stacked into the buffers."""
+        outputs, _ = self.kernel.run_program(
+            operands, self.batch_size, self.stack_buffers, account=False
+        )
+        return outputs
 
     def crosscheck(
         self,

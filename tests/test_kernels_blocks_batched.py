@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import CompilerOptions, compile_model
 from repro.kernels import (
     BatchedOperand,
     BlockInput,
@@ -18,6 +19,9 @@ from repro.kernels import (
     op_ref,
     single_op_block,
 )
+from repro.kernels.batched import LaunchRecord
+from repro.kernels.registry import get_op
+from repro.models import MODEL_MODULES
 
 
 def rnn_cell_block(shared_weights=True):
@@ -256,3 +260,287 @@ class TestBatchedProperty:
         outs, _ = kernel.execute_batched([xs], batch)
         for i in range(batch):
             np.testing.assert_allclose(outs[0][i], kernel.execute_single([xs[i]])[0], atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# block programs against an independent accounting oracle
+# ---------------------------------------------------------------------------
+
+
+def naive_launch_records(kernel, operands, batch_size):
+    """The per-launch accounting loop ``execute_batched`` ran before blocks
+    were compiled into programs, kept as a deliberately naive reference: it
+    re-derives every static fact per op per launch and measures every byte
+    from the arrays it just computed."""
+    block = kernel.block
+    group_of_op = {j: g.group_id for g in kernel.groups for j in g.op_indices}
+    values, scattered = {}, {}
+    for inp in block.inputs:
+        op = operands[inp.index]
+        if inp.shared:
+            values[("input", inp.index)] = (np.asarray(op.array), False)
+            continue
+        stacked = op.array if op.array is not None else np.stack(op.parts, axis=0)
+        scattered[inp.index] = op.scattered
+        values[("input", inp.index)] = (np.asarray(stacked), True)
+
+    launches = []
+    for group in kernel.groups:
+        flops = bytes_read = bytes_written = scattered_bytes = 0.0
+        external_reads = set()
+        for j in group.op_indices:
+            bop = block.ops[j]
+            opdef = get_op(bop.op_name)
+            arg_vals = []
+            for kind, ref in bop.args:
+                if kind == "const":
+                    arg_vals.append((np.asarray(ref), False))
+                    continue
+                arg_vals.append(values[(kind, ref)])
+                external = kind == "input" or group_of_op[ref] != group.group_id
+                if external and (kind, ref) not in external_reads:
+                    external_reads.add((kind, ref))
+                    nbytes = float(arg_vals[-1][0].nbytes)
+                    bytes_read += nbytes
+                    if kind == "input" and scattered.get(ref):
+                        scattered_bytes += nbytes
+            any_batched = any(b for _, b in arg_vals)
+            attrs = dict(bop.attrs)
+            arrays = [a for a, _ in arg_vals]
+            if any_batched:
+                if bop.op_name in ("concat", "softmax", "argmax", "sum", "mean"):
+                    axis = attrs.get("axis", -1)
+                    if isinstance(axis, int) and axis >= 0:
+                        attrs["axis"] = axis + 1
+                elif bop.op_name == "transpose":
+                    attrs["axes"] = [0] + [a + 1 for a in attrs["axes"]]
+                if bop.op_name == "concat":
+                    arrays = [
+                        a if b else np.broadcast_to(a, (batch_size,) + a.shape)
+                        for a, b in arg_vals
+                    ]
+                if bop.op_name == "reshape":
+                    attrs["newshape"] = [batch_size] + list(attrs["newshape"])
+            if bop.op_name == "take_row" and any_batched:
+                result = arrays[0][:, int(attrs["index"])]
+            else:
+                batched_fn = any_batched and opdef.batched is not None
+                result = (opdef.batched if batched_fn else opdef.compute)(*arrays, **attrs)
+            values[("op", j)] = (np.asarray(result), any_batched)
+            shapes = [a.shape[1:] if b else a.shape for a, b in arg_vals]
+            flops += opdef.estimate_flops(shapes, bop.attrs) * (batch_size if any_batched else 1)
+        for j in group.op_indices:
+            if block.op_is_output(j) or any(
+                group_of_op[c] != group.group_id for c in block.consumers()[j]
+            ):
+                bytes_written += float(values[("op", j)][0].nbytes)
+        launches.append(
+            LaunchRecord(
+                kernel_name=kernel.group_names[group.group_id],
+                batch_size=batch_size,
+                flops=flops,
+                bytes_read=bytes_read,
+                bytes_written=bytes_written,
+                scattered_bytes=scattered_bytes,
+            )
+        )
+    return launches
+
+
+#: how a varying operand reaches the kernel: a contiguous array, the parts of
+#: an explicit gather, the scattered parts of a gather fused into the kernel
+DELIVERIES = {
+    "contiguous": lambda parts: BatchedOperand.batched(np.stack(parts, axis=0)),
+    "gather": lambda parts: BatchedOperand(shared=False, parts=list(parts)),
+    "fused": BatchedOperand.scattered_parts,
+}
+
+
+def check_against_oracle(kernel, per_instance, batch_size, delivery):
+    """``per_instance[i]`` is the shared array of input ``i`` or its list of
+    ``batch_size`` per-instance arrays.  Records must equal the naive loop's
+    field for field (``==`` on floats), outputs the per-instance reference
+    bit for bit."""
+    operands = [
+        BatchedOperand.shared_value(per_instance[inp.index])
+        if inp.shared
+        else DELIVERIES[delivery](per_instance[inp.index])
+        for inp in kernel.block.inputs
+    ]
+    outputs, launches = kernel.execute_batched(operands, batch_size)
+    assert launches == naive_launch_records(kernel, operands, batch_size)
+    for rec in launches:
+        costs = (rec.flops, rec.bytes_read, rec.bytes_written, rec.scattered_bytes)
+        assert all(type(v) is float for v in costs)
+    for b in range(batch_size):
+        single = kernel.execute_single(
+            [
+                per_instance[inp.index] if inp.shared else per_instance[inp.index][b]
+                for inp in kernel.block.inputs
+            ]
+        )
+        for out, ref in zip(outputs, single):
+            assert out[b].dtype == ref.dtype and np.array_equal(out[b], ref)
+
+
+def _random_like(rng, shape, dtype):
+    if np.issubdtype(dtype, np.floating):
+        return rng.standard_normal(shape).astype(dtype)
+    return rng.integers(0, 3, shape).astype(dtype)
+
+
+@pytest.fixture(scope="module")
+def model_block_operands():
+    """Every static block of every registered model with the per-instance
+    operand shapes a real run feeds it: ``(kernel, shared arrays, varying
+    (shape, dtype))`` per input."""
+    seen = {}
+    real = BlockKernel.execute_batched
+
+    def recording(self, args, batch_size):
+        if self not in seen:
+            example = []
+            for inp in self.block.inputs:
+                op = args[inp.index]
+                if inp.shared:
+                    example.append(np.asarray(op.array))
+                    continue
+                first = op.array[0] if op.array is not None else op.parts[0]
+                first = first if isinstance(first, np.ndarray) else first.array
+                example.append((first.shape, first.dtype))
+            seen[self] = example
+        return real(self, args, batch_size)
+
+    cases = []
+    BlockKernel.execute_batched = recording
+    try:
+        for name, module in MODEL_MODULES.items():
+            mod, params, size = module.build_for("test")
+            compiled = compile_model(mod, params, CompilerOptions())
+            compiled.run(module.make_batch(mod, size, 8, seed=1))
+            for kernel in compiled.kernels.values():
+                example = seen.get(kernel)
+                if example is None:
+                    # a block the batch never reached (stackrnn's empty-parse
+                    # case) reads model parameters only
+                    assert all(inp.shared for inp in kernel.block.inputs), kernel.name
+                    example = [np.asarray(params[inp.name]) for inp in kernel.block.inputs]
+                cases.append((f"{name}/{kernel.name}", kernel, example))
+    finally:
+        BlockKernel.execute_batched = real
+    return cases
+
+
+class TestBlockProgram:
+    @pytest.mark.parametrize("delivery", list(DELIVERIES))
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
+    def test_every_model_block_matches_the_oracle(
+        self, model_block_operands, batch_size, delivery
+    ):
+        rng = np.random.default_rng(batch_size)
+        assert len(model_block_operands) >= 20
+        for _label, kernel, example in model_block_operands:
+            per_instance = [
+                e
+                if isinstance(e, np.ndarray)
+                else [_random_like(rng, *e) for _ in range(batch_size)]
+                for e in example
+            ]
+            check_against_oracle(kernel, per_instance, batch_size, delivery)
+
+    def test_cost_table_is_keyed_by_shape_class_not_batch_size(self):
+        kernel = BlockKernel(rnn_cell_block())
+        rng = np.random.default_rng(0)
+
+        def launch(batch, hidden):
+            w = rng.standard_normal((hidden, hidden)).astype(np.float32)
+            b = rng.standard_normal((1, hidden)).astype(np.float32)
+            x = BatchedOperand.batched(np.zeros((batch, 1, hidden), np.float32))
+            return kernel.execute_batched([x, x, w, w, b], batch)
+
+        for batch in range(1, 1001):
+            launch(batch, 4)
+        assert len(kernel._cost_table) == 1
+        launch(3, 5)
+        assert len(kernel._cost_table) == 2
+        # a long-lived server seeing ever-new operand shapes stays bounded too
+        for hidden in range(6, 200):
+            launch(2, hidden)
+        assert len(kernel._cost_table) <= 64
+
+
+# random blocks: mixed shared/varying inputs of per-instance shape (2, 3),
+# shape-preserving ops anywhere, then optionally one shape-changing tail op
+_UNARY = ["relu", "tanh", "neg", "sigmoid"]
+_BINARY = ["add", "mul", "sub", "maximum"]
+_TAILS = [
+    None,
+    ("softmax", {"axis": 1}),
+    ("softmax", {"axis": -2}),
+    ("sum", {"axis": 0}),
+    ("sum", {"axis": -1, "keepdims": True}),
+    ("mean", {"axis": 1}),
+    ("argmax", {"axis": 0}),
+    ("argmax", {"axis": -1}),
+    ("transpose", {"axes": [1, 0]}),
+    ("reshape", {"newshape": [3, 2]}),
+    ("reshape", {"newshape": [6]}),
+    ("take_row", {"index": 1}),
+    ("concat", {"axis": 0}),
+    ("concat", {"axis": -1}),
+]
+
+
+@st.composite
+def random_blocks(draw):
+    n_inputs = draw(st.integers(min_value=1, max_value=4))
+    inputs = [
+        BlockInput(i, f"in{i}", shared=draw(st.booleans())) for i in range(n_inputs)
+    ]
+
+    def value_ref(n_ops):
+        k = draw(st.integers(min_value=0, max_value=n_inputs + n_ops - 1))
+        return input_ref(k) if k < n_inputs else op_ref(k - n_inputs)
+
+    ops = []
+    for j in range(draw(st.integers(min_value=1, max_value=5))):
+        if draw(st.booleans()):
+            ops.append(BlockOp(j, draw(st.sampled_from(_UNARY)), [value_ref(j)]))
+        else:
+            ops.append(
+                BlockOp(j, draw(st.sampled_from(_BINARY)), [value_ref(j), value_ref(j)])
+            )
+    outputs = [op_ref(len(ops) - 1)]
+    tail = draw(st.sampled_from(_TAILS))
+    if tail is not None:
+        name, attrs = tail
+        n_args = 2 if name == "concat" else 1
+        args = [value_ref(len(ops)) for _ in range(n_args)]
+        ops.append(BlockOp(len(ops), name, args, dict(attrs)))
+        outputs.append(op_ref(len(ops) - 1))
+    if draw(st.booleans()):
+        outputs.append(input_ref(draw(st.integers(min_value=0, max_value=n_inputs - 1))))
+    block = StaticBlock(0, "rand", inputs, ops, outputs)
+    block.validate()
+    return block
+
+
+class TestBlockProgramProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=random_blocks(),
+        fusion=st.booleans(),
+        batch_size=st.sampled_from([1, 2, 5]),
+        delivery=st.sampled_from(list(DELIVERIES)),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_random_blocks_match_the_oracle(self, block, fusion, batch_size, delivery, seed):
+        rng = np.random.default_rng(seed)
+        kernel = BlockKernel(block, enable_fusion=fusion, enable_horizontal_fusion=fusion)
+        per_instance = [
+            _random_like(rng, (2, 3), np.float32)
+            if inp.shared
+            else [_random_like(rng, (2, 3), np.float32) for _ in range(batch_size)]
+            for inp in block.inputs
+        ]
+        check_against_oracle(kernel, per_instance, batch_size, delivery)

@@ -256,6 +256,54 @@ class TestPromotionEndToEnd:
         assert spec["hits"] == hits_before
         assert spec["misses"] > 0
 
+    def test_missized_operand_raises_the_generic_error_on_a_promoted_entry(
+        self, monkeypatch
+    ):
+        """Both tiers run one block program, so a promoted fingerprint makes
+        the generic path's batch-dimension and part-count checks too."""
+        from repro.kernels import BatchedOperand
+        from repro.specialize.entry import SpecializedEntry
+
+        mod, params, instances, _ = build_setup("treelstm")
+        model = compile_model(mod, params, CompilerOptions())
+        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
+        dispatched = []
+        real = SpecializedEntry.execute
+        monkeypatch.setattr(
+            SpecializedEntry,
+            "execute",
+            lambda entry, operands: (
+                dispatched.append((entry, list(operands))),
+                real(entry, operands),
+            )[1],
+        )
+        for _ in range(4):
+            for i in instances:
+                session.submit(i)
+            session.flush()
+        monkeypatch.undo()
+        checked = 0
+        for entry, operands in dispatched:
+            kernel = entry.kernel
+            for inp in kernel.block.inputs:
+                op = operands[inp.index]
+                if inp.shared or entry.batch_size < 2:
+                    continue
+                short = (
+                    BatchedOperand.batched(op.array[:-1])
+                    if op.array is not None
+                    else BatchedOperand(shared=False, parts=op.parts[:-1], scattered=op.scattered)
+                )
+                bad = operands[: inp.index] + [short] + operands[inp.index + 1:]
+                expected = f"block {kernel.name}: varying input {inp.name} got"
+                with pytest.raises(ValueError, match=expected) as special:
+                    entry.execute(bad)
+                with pytest.raises(ValueError, match=expected) as generic:
+                    kernel.execute_batched(bad, entry.batch_size)
+                assert str(special.value) == str(generic.value)
+                checked += 1
+        assert checked > 0
+
     def test_knob_disables_tier(self):
         mod, params, instances, _ = build_setup("treelstm")
         model = compile_model(mod, params, CompilerOptions(kernel_specialization=False))
