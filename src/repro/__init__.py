@@ -56,16 +56,6 @@ def reference_run(*args, **kwargs):
     return _impl(*args, **kwargs)
 
 
-def open_session(*args, **kwargs):
-    """Compile a model and open a cross-request batching session.
-
-    Lazy re-export of :func:`repro.core.api.open_session`.
-    """
-    from .core.api import open_session as _impl
-
-    return _impl(*args, **kwargs)
-
-
 #: serving-layer names importable from the top level (lazy, so importing
 #: ``repro`` stays cheap): ``repro.Server``, ``repro.SimulatedClock``, ...
 _SERVE_EXPORTS = (
@@ -127,7 +117,6 @@ def __getattr__(name):
 __all__ = [
     "CompilerOptions",
     "compile_model",
-    "open_session",
     "reference_run",
     "GPUSpec",
     "__version__",

@@ -150,10 +150,11 @@ class DyNetModel(CompiledModel):
             scheduler=policy or "dynet",
             batch_memcpy=False,         # transfers are not coalesced
             validate=self.options.validate,
+            scheduler_args={
+                "improvements": self.improvements,
+                "kind": self.scheduler_kind,
+            },
         )
-
-    def _policy_args(self) -> Dict[str, Any]:
-        return {"improvements": self.improvements, "kind": self.scheduler_kind}
 
 
 def dynet_compiler_options(validate: bool = False) -> CompilerOptions:

@@ -111,13 +111,8 @@ class CompiledModel(EngineModel):
             or ("inline_depth" if opts.inline_depth else "dynamic_depth"),
             batch_memcpy=opts.batch_memcpy,
             plan_cache=opts.plan_cache,
-            specialize=opts.kernel_specialization,
             validate=opts.validate,
         )
-
-    def _policy_args(self) -> Dict[str, Any]:
-        """Extra arguments passed to the scheduler-policy factory."""
-        return {}
 
     def make_engine(
         self,
@@ -149,7 +144,6 @@ class CompiledModel(EngineModel):
             program=CompiledProgramBinding(self),
             kernels=self.kernels,
             options=self._exec_options(scheduler),
-            policy_args=self._policy_args(),
             device=device,
             gpu_spec=self.gpu_spec,
             schedule_table=self.schedule_table,
@@ -159,11 +153,6 @@ class CompiledModel(EngineModel):
             placement_args=placement_args,
             interconnect=interconnect,
         )
-
-    def make_runtime(self, device: Optional[DeviceSimulator] = None) -> AcrobatRuntime:
-        """Create a fresh runtime bound to this model's kernels and options
-        (compatibility shim over :meth:`make_engine`)."""
-        return self.make_engine(device).runtime
 
 
 def compile_module(

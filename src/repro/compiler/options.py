@@ -45,13 +45,6 @@ class CompilerOptions:
     #: cache memory plans across structurally identical execution rounds
     #: (cuts the ``memory_planning`` bucket on repeated session flushes)
     plan_cache: bool = True
-    #: shape-keyed kernel specialization below the plan cache: recurring
-    #: ``(block, batch_size, operand-layout, device)`` fingerprints promote
-    #: to frozen dispatch paths under steady-state serving (cuts the
-    #: ``dispatch`` bucket; see :mod:`repro.specialize`).  Distinct from
-    #: ``specialization``, which is the compiler's *function duplication*
-    #: pass (§B.1); this knob is a runtime JIT tier.
-    kernel_specialization: bool = True
     #: enable extra runtime consistency checks (tests)
     validate: bool = False
     #: scheduler-policy name from the engine registry

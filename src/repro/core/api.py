@@ -4,9 +4,8 @@
   executable model.  With ``options.aot=False`` the returned object executes
   through the Relay-VM-style interpreter instead of AOT-generated code
   (Table 4's baseline); the ``run`` interface is identical.
-* :func:`open_session` — compile a model and open a persistent
-  :class:`~repro.serve.session.InferenceSession` that batches across
-  independently submitted requests (the serving path).
+  The serving path starts from the returned model:
+  ``compile_model(...).serve(policy, **policy_args)``.
 * :func:`reference_run` — unbatched eager execution used as numerical ground
   truth.
 """
@@ -19,7 +18,6 @@ import numpy as np
 
 from ..compiler.driver import CompiledModel, compile_module
 from ..compiler.options import CompilerOptions
-from ..serve.session import InferenceSession
 from ..ir.module import IRModule
 from ..runtime.device import GPUSpec
 from ..vm.interpreter import VMModel, run_reference
@@ -69,34 +67,6 @@ def compile_model(
             gather_fusion=options.gather_fusion,
         )
     return compile_module(module, params, options, gpu_spec)
-
-
-def open_session(
-    module: IRModule,
-    params: Mapping[str, np.ndarray],
-    options: Optional[CompilerOptions] = None,
-    gpu_spec: Optional[GPUSpec] = None,
-    *,
-    policy: Any = None,
-    policy_args: Optional[Mapping[str, Any]] = None,
-    clock: Any = None,
-) -> InferenceSession:
-    """Compile ``module`` and open a cross-request batching session.
-
-    Requests enter via :meth:`~repro.serve.session.InferenceSession.submit`
-    and accumulate in the lazy DFG; execution happens when the session's
-    flush policy fires or on an explicit
-    :meth:`~repro.serve.session.InferenceSession.flush`, batching across
-    the independently submitted requests.  ``policy``/``policy_args`` name
-    a flush policy from :mod:`repro.serve.policy` (e.g. ``policy="size",
-    policy_args={"n": 8}``); ``clock`` overrides the session's time source.
-    """
-    model = compile_model(module, params, options, gpu_spec)
-    return model.session(
-        flush_policy=policy,
-        flush_args=dict(policy_args) if policy_args else None,
-        clock=clock,
-    )
 
 
 def reference_run(

@@ -96,7 +96,6 @@ class ExecutionEngine:
         options: Optional[ExecutionOptions] = None,
         *,
         policy: Optional[str] = None,
-        policy_args: Optional[Dict[str, Any]] = None,
         device: Optional[DeviceSimulator] = None,
         gpu_spec: Optional[GPUSpec] = None,
         schedule_table: Optional[Dict[str, float]] = None,
@@ -164,14 +163,11 @@ class ExecutionEngine:
             raise ValueError(
                 "placement_args only apply when placement is given by name"
             )
-        # policy arguments: options.scheduler_args is the base (so directly
-        # constructed runtimes and engines agree), explicit policy_args win
-        merged_args = {**options.scheduler_args, **(policy_args or {})}
         scheduler = make_scheduler(
             options.scheduler,
             kernels=kernels,
             options=options,
-            **merged_args,
+            **options.scheduler_args,
         )
         self.runtime = AcrobatRuntime(
             kernels,

@@ -17,7 +17,6 @@ from . import (
     pipeline,
     serving,
     sharding,
-    specialization,
     table4,
     table5,
     table6,
@@ -52,7 +51,6 @@ ALL_EXPERIMENTS = {
     "sharding": sharding,
     "pipeline": pipeline,
     "continuous": continuous,
-    "specialization": specialization,
     "overlap": overlap,
     "generation": generation,
     "multiloop": multiloop,
@@ -61,7 +59,7 @@ ALL_EXPERIMENTS = {
 __all__ = [
     "table4", "table5", "table6", "table7", "table8", "table9",
     "figure5", "figure6", "serving", "sharding", "pipeline", "continuous",
-    "specialization", "overlap", "generation", "multiloop",
+    "overlap", "generation", "multiloop",
     "ALL_EXPERIMENTS",
     "ExperimentScale", "REDUCED", "PAPER", "current_scale",
     "run_acrobat", "run_dynet", "run_eager", "run_vm", "run_cortex",

@@ -62,10 +62,9 @@ def profile_frequencies(compiled_model, instances: Sequence[Any]) -> Dict[str, f
     """Profile-guided frequency estimate: run one mini-batch and count how
     many times each generated kernel is launched."""
     device_counts: Dict[str, float] = {}
-    rt = compiled_model.make_runtime()
-    # reuse the normal run path but on a private device simulator
-    outputs, _ = compiled_model.run(instances, device=rt.device)
-    for name, count in rt.device.counters.launches_by_kernel.items():
+    engine = compiled_model.make_engine()  # a private device simulator
+    engine.run(instances)
+    for name, count in engine.device.counters.launches_by_kernel.items():
         device_counts[name] = float(count)
     return device_counts
 

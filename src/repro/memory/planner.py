@@ -62,7 +62,10 @@ every cached template carries one specialization slot per batch, handed to
 the instantiated plans on each hit — a ``(round signature, batch position)``
 fingerprint with zero per-launch fingerprinting cost.  The planner stays
 ignorant of the tier's internals (duck-typed ``make_slot`` /
-``release_slots``), so ``repro.memory`` does not import ``repro.specialize``.
+``release_slots``), so ``repro.memory`` does not import ``repro.specialize``
+— and the tier stays ignorant of the planner's: every launch, promoted or
+not, goes through :meth:`MemoryPlanner.resolve` and
+:meth:`MemoryPlanner.commit`.
 
 This module is the single authority on storage contiguity: nothing outside
 ``repro.memory`` compares arena placements.

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..kernels.batched import BlockKernel
 from ..memory.planner import BatchPlan, MemoryPlanner
-from ..specialize.cache import BUILD as _SPEC_BUILD
+from ..specialize.cache import BUILD as _SPEC_BUILD, SpecializationCache
 from .device import DeviceSimulator
 from .profiler import ActivityProfiler
 from .scheduler import ScheduledBatch
@@ -64,19 +64,6 @@ class ExecutionOptions:
     #: sessions flush similar request batches repeatedly; see
     #: :class:`~repro.memory.planner.MemoryPlanner`)
     plan_cache: bool = True
-    #: shape-keyed kernel specialization: JIT a frozen dispatch path for
-    #: recurring ``(block, batch_size, operand-layout, device)`` fingerprints
-    #: (see :mod:`repro.specialize`).  Mirrors ``plan_cache``: the tier
-    #: exists only when both knobs are on, and stays dormant until a
-    #: repeat-heavy caller arms it (sessions do, the way they arm
-    #: ``expect_repeats``).  Incompatible with ``validate`` (the generic
-    #: path's per-launch shared-equality checks are the point of validate).
-    specialize: bool = True
-    #: launches of one fingerprint before it promotes to a specialized entry
-    specialize_threshold: int = 3
-    #: re-run the NumPy oracle after every specialized launch and fail on
-    #: any divergence (debugging aid)
-    specialize_crosscheck: bool = False
     #: extra consistency checks (shared-argument equality, dependency order)
     validate: bool = False
 
@@ -93,8 +80,8 @@ class RunStats:
     #: ``plan_cache_evictions``, cumulative over the runtime's lifetime)
     memory: Dict[str, int] = field(default_factory=dict)
     #: kernel-specialization tier accounting (promotions / demotions / hits /
-    #: misses / unsupported / entries / frozen_bytes, cumulative); empty when
-    #: the tier is off
+    #: misses / entries / frozen_bytes, cumulative); empty when the tier is
+    #: off
     specialize: Dict[str, float] = field(default_factory=dict)
     #: per-device counter breakdown when the runtime drives a
     #: :class:`~repro.devices.group.DeviceGroup` (one dict per member, with
@@ -234,21 +221,12 @@ class AcrobatRuntime:
             plan_cache=self.options.plan_cache,
         )
         #: the kernel-specialization tier (see :mod:`repro.specialize`);
-        #: exists only when both `specialize` and `plan_cache` are on —
-        #: fingerprints *are* plan-cache slots — and never under `validate`,
-        #: whose per-launch checks live on the generic path by design
+        #: exists iff the plan cache does — fingerprints *are* plan-cache
+        #: slots — and never under `validate`, which wants every launch on
+        #: the fully accounted generic program
         self._specializer = None
-        if (
-            self.options.specialize
-            and self.options.plan_cache
-            and not self.options.validate
-        ):
-            from ..specialize.cache import SpecializationCache
-
-            self._specializer = SpecializationCache(
-                threshold=self.options.specialize_threshold,
-                crosscheck=self.options.specialize_crosscheck,
-            )
+        if self.options.plan_cache and not self.options.validate:
+            self._specializer = SpecializationCache()
             self.planner.attach_specializer(self._specializer)
         self._pending: List[DFGNode] = []
         if scheduler is None:
@@ -506,58 +484,39 @@ class AcrobatRuntime:
         kernel = self.kernels[batch.block_id]
         batch_size = len(batch.nodes)
 
-        # -- specialization tier: promoted fingerprints dispatch through a
-        # frozen entry; the promoting launch itself still runs the oracle
+        dispatch_start = time.perf_counter()
+        operands = self.planner.resolve(plan, kernel, self.device, self.options)
+        # specialization tier: a promoted fingerprint whose operands pass the
+        # entry's shape check replays its launch records; the promoting
+        # launch itself, and a launch that just demoted, run the oracle on
+        # the operands already in hand
         spec = self._specializer
-        entry = None
-        build = False
         slot = plan.spec_slot
+        verdict = None
         if spec is not None and slot is not None and spec.armed:
-            verdict = spec.poll(slot)
-            if verdict is _SPEC_BUILD:
-                build = True
-            elif verdict is not None:
-                entry = verdict
+            verdict = spec.poll(slot, operands)
+        self.profiler.add("dispatch", time.perf_counter() - dispatch_start)
+        entry = None if verdict is _SPEC_BUILD else verdict
 
-        if entry is not None:
-            dispatch_start = time.perf_counter()
-            operands = entry.try_resolve(plan, self.device, self.options)
-            self.profiler.add("dispatch", time.perf_counter() - dispatch_start)
-            if operands is None:
-                # an invariant broke: demote permanently and fall back to the
-                # generic path.  Checks run strictly before charging, so the
-                # device simulator is untouched and the fallback re-charges
-                # from zero.
-                spec.demote(slot)
-                entry = None
-
+        compute_start = time.perf_counter()
         if entry is None:
-            dispatch_start = time.perf_counter()
-            operands = self.planner.resolve(plan, kernel, self.device, self.options)
-            self.profiler.add("dispatch", time.perf_counter() - dispatch_start)
-
-            compute_start = time.perf_counter()
             outputs, launches = kernel.execute_batched(operands, batch_size)
-            self.profiler.add("numpy_compute", time.perf_counter() - compute_start)
-
-            if build:
-                # freeze the specialized entry from this very oracle launch:
-                # promotion never installs a path that has not just executed
-                build_start = time.perf_counter()
-                spec.build_and_install(
-                    slot, plan, kernel, operands, outputs, launches, self.options
-                )
-                self.profiler.add("specialize", time.perf_counter() - build_start)
         else:
-            compute_start = time.perf_counter()
-            outputs = entry.execute(operands)
-            launches = entry.launches
-            self.profiler.add("numpy_compute", time.perf_counter() - compute_start)
-            spec.note_hit()
-            if spec.crosscheck:
-                check_start = time.perf_counter()
-                entry.crosscheck(kernel, operands, outputs, launches)
-                self.profiler.add("specialize", time.perf_counter() - check_start)
+            outputs, launches = entry.execute(operands), entry.launches
+        self.profiler.add("numpy_compute", time.perf_counter() - compute_start)
+
+        if verdict is _SPEC_BUILD:
+            # freeze the entry from this very oracle launch: promotion never
+            # installs a path that has not just executed
+            build_start = time.perf_counter()
+            spec.build_and_install(
+                slot, kernel, batch_size, operands, outputs, launches
+            )
+            self.profiler.add("specialize", time.perf_counter() - build_start)
+        elif entry is not None and spec.crosscheck:
+            check_start = time.perf_counter()
+            entry.crosscheck(operands, outputs)
+            self.profiler.add("specialize", time.perf_counter() - check_start)
 
         # launches land on the member device the placement policy chose
         local = self.device.device_for(plan.device)
@@ -616,9 +575,8 @@ class AcrobatRuntime:
 
         store_start = time.perf_counter()
         if entry is not None:
-            entry.commit(plan, outputs, self.device)
-        else:
-            self.planner.commit(plan, outputs, self.device)
+            entry.commit(outputs)
+        self.planner.commit(plan, outputs, self.device)
         self.profiler.add("materialize", time.perf_counter() - store_start)
 
     # -- bookkeeping -------------------------------------------------------------

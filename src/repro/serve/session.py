@@ -118,7 +118,7 @@ class InferenceSession:
         engine.runtime.planner.expect_repeats()
         # the kernel-specialization tier piggybacks on the same repetition:
         # recurring (block, batch size, operand layout, device) fingerprints
-        # promote to frozen dispatch paths (see repro.specialize)
+        # promote to replaying their launch records (see repro.specialize)
         engine.runtime.arm_specialization()
         self._deferred = engine.program.uses_fibers
         self._pending: List[Tuple[RequestHandle, Any]] = []

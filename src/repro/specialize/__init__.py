@@ -1,14 +1,14 @@
-"""Shape-keyed kernel specialization: the JIT tier below the plan cache.
+"""Shape-keyed kernel specialization: a thin replay tier below the plan cache.
 
 Steady-state serving replays a small set of recurring rounds.  The plan
-cache (PR 3) already stops re-*planning* them; this tier stops re-*deriving*
-everything else per launch: operand resolution (gather layout, peer-transfer
-pricing), per-op batched dispatch (op lookup, attribute adjustment) and
-output layout inspection are frozen per ``(block, batch_size,
-operand-layout, device)`` fingerprint once it recurs past a promotion
-threshold.  The generic NumPy path remains the correctness oracle: every
-specialized launch is reference-identical by construction, guarded by cheap
-always-on invariant checks and an opt-in full cross-check.
+cache stops re-*planning* them; for a ``(block, batch_size, operand-layout,
+device)`` fingerprint that recurs past a promotion threshold this tier
+additionally replays the launch records instead of re-deriving them and
+stacks gathered operands into preallocated buffers.  Everything else — every
+operand resolved, every device charge, every output committed — goes through
+the memory planner exactly as on the generic path, which stays the
+correctness oracle.  Measured end to end the tier moves no benchmark metric
+(ROADMAP item 2); it is kept this small so it can go in one commit.
 
 See :mod:`repro.specialize.cache` for the promotion state machine and
 :mod:`repro.specialize.entry` for the frozen per-fingerprint state.
@@ -19,7 +19,6 @@ from .cache import (  # noqa: F401
     COLD,
     DEMOTED,
     PROMOTED,
-    UNSUPPORTED,
     SpecializationCache,
     SpecSlot,
 )
@@ -32,6 +31,5 @@ __all__ = [
     "BUILD",
     "COLD",
     "PROMOTED",
-    "UNSUPPORTED",
     "DEMOTED",
 ]

@@ -90,7 +90,7 @@ class TestDyNetBaseline:
         model = compile_dynet(mod, params, scheduler_kind="agenda")
         with pytest.raises(ValueError):
             model.scheduler_kind = "bogus"
-            model.make_runtime()
+            model.make_engine()
 
 
 class TestEagerAndCortex:

@@ -3,7 +3,7 @@ equivalence across backends, and cross-request batching sessions."""
 
 import pytest
 
-from repro import CompilerOptions, compile_model, open_session, reference_run
+from repro import CompilerOptions, compile_model, reference_run
 from repro.engine import (
     available_policies,
     make_scheduler,
@@ -223,11 +223,9 @@ class TestInferenceSession:
         assert session.num_requests == len(instances)
         assert session.num_flushes == 2
 
-    def test_open_session_api(self, treelstm_setup):
+    def test_serve_api(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
-        session = open_session(
-            mod, params, policy="size", policy_args={"n": len(instances)}
-        )
+        session = compile_model(mod, params).serve("size", n=len(instances))
         assert isinstance(session, InferenceSession)
         handles = [session.submit(i) for i in instances]
         # max_batch reached: auto-flushed

@@ -193,9 +193,7 @@ class TestMisSpeculationIsFree:
         )
 
         def drive(speculate):
-            model = compile_model(
-                mod, params, CompilerOptions(kernel_specialization=True)
-            )
+            model = compile_model(mod, params, CompilerOptions())
             clock = SimulatedClock()
             session = model.serve("deadline", ms=5.0, clock=clock, **kwargs)
             # warm round: populates the plan cache and the gap history

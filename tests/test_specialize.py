@@ -1,19 +1,27 @@
 """Tests for the shape-keyed kernel-specialization tier: the promotion
 state machine, end-to-end reference identity of specialized serving across
-scheduler policies / models / device counts, and the tier's accounting."""
+scheduler policies / models / device counts, the tier's accounting, and the
+one-resolve / one-commit contract (a promoted launch gets its operands from
+``MemoryPlanner.resolve`` and stores its outputs through
+``MemoryPlanner.commit`` like every other launch)."""
 
 import numpy as np
 import pytest
 
 from repro import CompilerOptions, compile_model, reference_run
+from repro.generate import GenerationRequest, GenerationSession, reference_generate
+from repro.memory.planner import MemoryPlanner
 from repro.models import MODEL_MODULES
+from repro.runtime.device import DeviceSimulator
+from repro.runtime.executor import AcrobatRuntime
+from repro.serve import SimulatedClock
 from repro.specialize import (
     BUILD,
     COLD,
     DEMOTED,
     PROMOTED,
-    UNSUPPORTED,
     SpecializationCache,
+    SpecializedEntry,
 )
 from repro.utils import flatten_arrays, values_allclose
 
@@ -39,16 +47,35 @@ def build_setup(model_name, batch=4, seed=3):
 
 class _FakeEntry:
     frozen_nbytes = 64.0
+    accepts = True
 
-    @classmethod
-    def build(cls, *args, **kwargs):
-        return cls()
+    def __init__(self, *args):
+        pass
+
+    def try_resolve(self, operands):
+        return self.accepts
 
 
-class _UnsupportedEntry:
-    @classmethod
-    def build(cls, *args, **kwargs):
-        return None
+def _cache():
+    """A cache whose fingerprints promote on their first launch."""
+    cache = SpecializationCache()
+    cache.threshold = 1
+    return cache
+
+
+def _promote(cache, slot):
+    assert cache.poll(slot, None) is BUILD
+    return cache.build_and_install(slot, None, 1, None, None, None)
+
+
+def _never_arm(monkeypatch):
+    """The control for accounting comparisons: same stack, tier dormant."""
+    monkeypatch.setattr(AcrobatRuntime, "arm_specialization", lambda self: None)
+
+
+def _device_ledger(session):
+    """Every round's aggregate and per-device counters, in flush order."""
+    return [(stats.device, stats.per_device) for stats in session.history]
 
 
 class TestStateMachine:
@@ -63,91 +90,96 @@ class TestStateMachine:
         assert cache.armed
 
     def test_cold_counts_to_threshold_then_builds(self):
-        cache = SpecializationCache(threshold=3)
+        cache = SpecializationCache()
+        assert cache.threshold == 3
         slot = cache.make_slot()
         assert slot.state == COLD
-        assert cache.poll(slot) is None
-        assert cache.poll(slot) is None
-        assert cache.poll(slot) is BUILD  # third launch crosses threshold
+        assert cache.poll(slot, None) is None
+        assert cache.poll(slot, None) is None
+        assert cache.poll(slot, None) is BUILD  # third launch crosses threshold
         assert cache.misses == 3
-
-    def test_threshold_of_one_builds_immediately(self):
-        cache = SpecializationCache(threshold=1)
-        slot = cache.make_slot()
-        assert cache.poll(slot) is BUILD
 
     def test_build_promotes_and_counts(self, monkeypatch):
         monkeypatch.setattr("repro.specialize.cache.SpecializedEntry", _FakeEntry)
-        cache = SpecializationCache(threshold=1)
+        cache = _cache()
         slot = cache.make_slot()
-        assert cache.poll(slot) is BUILD
-        entry = cache.build_and_install(slot, None, None, None, None, None, None)
-        assert entry is not None
+        entry = _promote(cache, slot)
         assert slot.state == PROMOTED
         assert cache.promotions == 1 and cache.entries == 1
         assert cache.frozen_bytes == 64.0
-        # promoted slots now dispatch through the entry, without misses
+        # promoted slots now replay the entry: hits, not misses
         misses_before = cache.misses
-        assert cache.poll(slot) is entry
-        assert cache.misses == misses_before
+        assert cache.poll(slot, None) is entry
+        assert cache.misses == misses_before and cache.hits == 1
 
-    def test_unfreezable_layout_is_terminally_unsupported(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.specialize.cache.SpecializedEntry", _UnsupportedEntry
-        )
-        cache = SpecializationCache(threshold=1)
+    def test_failed_shape_check_demotes_and_counts_a_miss(self, monkeypatch):
+        monkeypatch.setattr("repro.specialize.cache.SpecializedEntry", _FakeEntry)
+        cache = _cache()
         slot = cache.make_slot()
-        assert cache.poll(slot) is BUILD
-        assert cache.build_and_install(slot, None, None, None, None, None, None) is None
-        assert slot.state == UNSUPPORTED
-        assert cache.unsupported == 1 and cache.entries == 0
-        # unsupported is terminal: never BUILD again
-        for _ in range(5):
-            assert cache.poll(slot) is None
-        assert slot.state == UNSUPPORTED
+        _promote(cache, slot).accepts = False
+        assert cache.poll(slot, None) is None  # this launch runs generic
+        assert slot.state == DEMOTED and slot.entry is None
+        assert (cache.demotions, cache.hits, cache.misses) == (1, 0, 2)
 
     def test_demotion_is_terminal_and_releases_state(self, monkeypatch):
         monkeypatch.setattr("repro.specialize.cache.SpecializedEntry", _FakeEntry)
-        cache = SpecializationCache(threshold=1)
+        cache = _cache()
         slot = cache.make_slot()
-        cache.poll(slot)
-        cache.build_and_install(slot, None, None, None, None, None, None)
+        _promote(cache, slot)
         cache.demote(slot)
         assert slot.state == DEMOTED and slot.entry is None
         assert cache.demotions == 1
         assert cache.entries == 0 and cache.frozen_bytes == 0.0
         for _ in range(5):
-            assert cache.poll(slot) is None  # never promotes again
+            assert cache.poll(slot, None) is None  # never promotes again
         assert slot.state == DEMOTED
 
     def test_max_entries_caps_new_promotions(self, monkeypatch):
         monkeypatch.setattr("repro.specialize.cache.SpecializedEntry", _FakeEntry)
-        cache = SpecializationCache(threshold=1, max_entries=2)
+        cache = _cache()
+        cache.max_entries = 2
         promoted = []
         for _ in range(2):
             slot = cache.make_slot()
-            assert cache.poll(slot) is BUILD
-            cache.build_and_install(slot, None, None, None, None, None, None)
+            _promote(cache, slot)
             promoted.append(slot)
         capped = cache.make_slot()
-        assert cache.poll(capped) is None  # at capacity: no new BUILDs
+        assert cache.poll(capped, None) is None  # at capacity: no new BUILDs
         assert capped.state == COLD
         # existing entries keep hitting
-        assert cache.poll(promoted[0]) is promoted[0].entry
+        assert cache.poll(promoted[0], None) is promoted[0].entry
 
     def test_release_slots_returns_capacity(self, monkeypatch):
         monkeypatch.setattr("repro.specialize.cache.SpecializedEntry", _FakeEntry)
-        cache = SpecializationCache(threshold=1, max_entries=1)
+        cache = _cache()
+        cache.max_entries = 1
         slot = cache.make_slot()
-        cache.poll(slot)
-        cache.build_and_install(slot, None, None, None, None, None, None)
+        _promote(cache, slot)
         assert cache.entries == 1
         cache.release_slots([slot])
         assert cache.entries == 0 and cache.frozen_bytes == 0.0
         # capacity freed: a fresh fingerprint can promote again
         fresh = cache.make_slot()
-        assert cache.poll(fresh) is BUILD
+        assert cache.poll(fresh, None) is BUILD
         cache.release_slots(None)  # tolerated
+
+    def test_released_slots_keep_counting_launches(self, monkeypatch):
+        """A plan staged before its template's LRU eviction still carries
+        the template's slots: each later launch must count as a miss (not
+        vanish into a PROMOTED slot with no entry), and an orphaned slot
+        must never promote again — nobody is left to release it."""
+        monkeypatch.setattr("repro.specialize.cache.SpecializedEntry", _FakeEntry)
+        cache = _cache()
+        promoted, cold = cache.make_slot(), cache.make_slot()
+        _promote(cache, promoted)
+        cache.release_slots([promoted, cold])
+        hits, misses = cache.hits, cache.misses
+        for slot in (promoted, cold, promoted, cold):
+            assert cache.poll(slot, None) is None
+        assert (cache.hits, cache.misses) == (hits, misses + 4)
+        assert promoted.state == cold.state == DEMOTED
+        assert cache.entries == 0 and cache.frozen_bytes == 0.0
+        assert cache.demotions == 0  # an eviction is not a failed check
 
     def test_stats_dict_shape(self):
         stats = SpecializationCache().stats_dict()
@@ -156,7 +188,6 @@ class TestStateMachine:
             "demotions",
             "hits",
             "misses",
-            "unsupported",
             "entries",
             "frozen_bytes",
         }
@@ -220,41 +251,66 @@ class TestPromotionEndToEnd:
         assert spec["hits"] == 0
 
     def test_demotion_falls_back_to_identical_results(self, monkeypatch):
+        """One promoted fingerprint fails its shape check mid-session: the
+        launch finishes on the operands already resolved (no second resolve,
+        no double charge), bitwise equal to the reference, and that
+        fingerprint alone stays off the tier."""
         mod, params, instances, reference = build_setup("treelstm")
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
-        for _ in range(4):
-            for i in instances:
-                session.submit(i)
-            session.flush()
-        spec = session.last_stats.specialize
-        assert spec["hits"] > 0 and spec["entries"] > 0
-        # break every entry's invariant check: each promoted fingerprint
-        # must demote once and the round must still be reference-identical
-        from repro.specialize.entry import SpecializedEntry
+        rounds = 6
 
+        def serve(demote_in_round=None):
+            model = compile_model(mod, params, CompilerOptions())
+            session = model.session(
+                flush_policy="size",
+                flush_args={"n": len(instances)},
+                devices=4,
+                placement="round_robin",
+            )
+            for round_no in range(rounds):
+                if round_no == demote_in_round:
+                    victim = []
+
+                    def failing(entry, operands, real=SpecializedEntry.try_resolve):
+                        victim.append(entry)
+                        return entry is not victim[0] and real(entry, operands)
+
+                    monkeypatch.setattr(SpecializedEntry, "try_resolve", failing)
+                handles = [session.submit(i) for i in instances]
+                session.flush()
+                assert all(
+                    exact_equal(r, h.result()) for r, h in zip(reference, handles)
+                ), f"round {round_no} diverged"
+                if round_no == demote_in_round:
+                    monkeypatch.setattr(SpecializedEntry, "try_resolve", real_check)
+            return session
+
+        real_check = SpecializedEntry.try_resolve
+        resolved = []  # holds the plans, so ids stay unique
+        real_resolve = MemoryPlanner.resolve
         monkeypatch.setattr(
-            SpecializedEntry, "try_resolve", lambda self, *a, **k: None
+            MemoryPlanner,
+            "resolve",
+            lambda planner, plan, *args: (
+                resolved.append(plan),
+                real_resolve(planner, plan, *args),
+            )[1],
         )
-        handles = [session.submit(i) for i in instances]
-        session.flush()
-        assert all(
-            exact_equal(r, h.result()) for r, h in zip(reference, handles)
-        )
-        spec = session.last_stats.specialize
-        assert spec["demotions"] > 0
-        assert spec["entries"] == 0
-        monkeypatch.undo()
-        # demotion is permanent: later rounds run generic, hits stop growing
-        hits_before = spec["hits"]
-        handles = [session.submit(i) for i in instances]
-        session.flush()
-        assert all(
-            exact_equal(r, h.result()) for r, h in zip(reference, handles)
-        )
-        spec = session.last_stats.specialize
-        assert spec["hits"] == hits_before
-        assert spec["misses"] > 0
+        demoted = serve(demote_in_round=4)
+        assert len({id(plan) for plan in resolved}) == len(resolved)
+        spec = demoted.last_stats.specialize
+        assert spec["demotions"] == 1
+        assert spec["entries"] == spec["promotions"] - 1
+        # permanent: the demoted fingerprint missed in rounds 4 and 5, every
+        # other promoted one hit in both
+        per_round = spec["promotions"]
+        assert spec["hits"] == 3 * per_round - 2
+        assert spec["hits"] + spec["misses"] == rounds * per_round
+
+        with monkeypatch.context() as patch:
+            _never_arm(patch)
+            control = serve()
+        assert control.last_stats.specialize["misses"] == 0
+        assert _device_ledger(demoted) == _device_ledger(control)
 
     def test_missized_operand_raises_the_generic_error_on_a_promoted_entry(
         self, monkeypatch
@@ -262,7 +318,6 @@ class TestPromotionEndToEnd:
         """Both tiers run one block program, so a promoted fingerprint makes
         the generic path's batch-dimension and part-count checks too."""
         from repro.kernels import BatchedOperand
-        from repro.specialize.entry import SpecializedEntry
 
         mod, params, instances, _ = build_setup("treelstm")
         model = compile_model(mod, params, CompilerOptions())
@@ -304,9 +359,10 @@ class TestPromotionEndToEnd:
                 checked += 1
         assert checked > 0
 
-    def test_knob_disables_tier(self):
+    @pytest.mark.parametrize("off", [{"plan_cache": False}, {"validate": True}])
+    def test_tier_exists_iff_plan_cache_and_not_validate(self, off):
         mod, params, instances, _ = build_setup("treelstm")
-        model = compile_model(mod, params, CompilerOptions(kernel_specialization=False))
+        model = compile_model(mod, params, CompilerOptions(**off))
         session = model.session(flush_policy="size", flush_args={"n": len(instances)})
         for _ in range(5):
             for i in instances:
@@ -327,6 +383,84 @@ class TestPromotionEndToEnd:
         assert stats.specialize.get("misses", 0) == 0
 
 
+class TestOneResolveOneCommit:
+    """The tier owns no planner work: while a decode stream promotes and
+    then hits, every launch — promoted or not — goes through
+    ``MemoryPlanner.resolve`` and ``MemoryPlanner.commit`` exactly once, and
+    everything charged to the devices equals the never-armed run's."""
+
+    def test_declm_generation_promotes_through_the_planner(self, monkeypatch):
+        module = MODEL_MODULES["declm"]
+        mod, params, size = module.build_for("test")
+        rng = np.random.default_rng(2)
+        requests = [
+            GenerationRequest(
+                [int(t) for t in rng.integers(0, size.classes, 2)],
+                max_new_tokens=8,
+                arrival=0.0,
+            )
+            for _ in range(4)
+        ]
+        reference = [
+            reference_generate(mod, params, module, size, r.prompt, r.max_new_tokens)
+            for r in requests
+        ]
+
+        calls = {"resolve": 0, "commit": 0, "launches": 0}
+        record_sums = np.zeros(4)
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(MemoryPlanner, "resolve")
+        counting(MemoryPlanner, "commit")
+        real_execute = AcrobatRuntime._execute_batch
+
+        def one_launch(runtime, plan):
+            before = calls["resolve"], calls["commit"]
+            real_execute(runtime, plan)
+            calls["launches"] += 1
+            assert (calls["resolve"], calls["commit"]) == (before[0] + 1, before[1] + 1)
+
+        monkeypatch.setattr(AcrobatRuntime, "_execute_batch", one_launch)
+        real_launch = DeviceSimulator.launch
+
+        def summing(device, record, **kwargs):
+            record_sums[:] += (
+                record.flops, record.bytes_read, record.bytes_written, record.scattered_bytes,
+            )
+            return real_launch(device, record, **kwargs)
+
+        monkeypatch.setattr(DeviceSimulator, "launch", summing)
+
+        def generate():
+            calls.update(resolve=0, commit=0, launches=0)
+            record_sums[:] = 0
+            session = compile_model(mod, params).serve("adaptive", clock=SimulatedClock())
+            handles = GenerationSession(session, module, size).generate(requests)
+            assert [h.result() for h in handles] == reference
+            return session, dict(calls), record_sums.copy()
+
+        session, armed_calls, armed_sums = generate()
+        spec = session.last_stats.specialize
+        assert spec["promotions"] > 0 and spec["hits"] > 0 and spec["demotions"] == 0
+        assert armed_calls["launches"] >= spec["hits"] + spec["misses"] > 0
+        assert armed_calls["resolve"] == armed_calls["commit"] == armed_calls["launches"]
+
+        _never_arm(monkeypatch)
+        control, control_calls, control_sums = generate()
+        assert control.last_stats.specialize["hits"] == 0
+        assert control_calls == armed_calls
+        assert np.array_equal(armed_sums, control_sums)
+        assert _device_ledger(session) == _device_ledger(control)
+
+
 class TestReferenceIdentity:
     """Specialized serving must be bitwise-identical to the NumPy oracle
     across every scheduler policy, model, and device count — enforced both
@@ -339,7 +473,7 @@ class TestReferenceIdentity:
     def test_specialized_matches_oracle(self, model_name, policy, devices):
         mod, params, instances, reference = build_setup(model_name)
         model = compile_model(
-            mod, params, CompilerOptions(kernel_specialization=True, scheduler=policy)
+            mod, params, CompilerOptions(scheduler=policy)
         )
         kwargs = (
             {"devices": 4, "placement": "round_robin"} if devices == 4 else {}
