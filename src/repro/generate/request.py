@@ -25,8 +25,9 @@ Cancellation and expiry fail the handle with :class:`GenerationCancelled` /
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Deque, Iterator, List, Optional
 
 import numpy as np
 
@@ -208,9 +209,16 @@ class GenerationHandle:
         return f"GenerationHandle(tokens={len(self.tokens)}, {state})"
 
 
+#: samples each aggregate percentile looks back over: a session that decodes
+#: for days keeps a fixed window per metric instead of one float per token
+_WINDOW = 4096
+
+
 class GenerationMetrics:
     """Aggregate per-step SLO metrics across finished sequences.
 
+    Counters cover the session's whole life; the percentiles cover the most
+    recent :data:`_WINDOW` sequences (TTFS) and token gaps (inter-step).
     Attached to the driving session as ``session.generation_metrics`` so
     :meth:`Endpoint.summary` / :meth:`Server.summary` surface the decode
     SLO view next to the serving counters."""
@@ -221,8 +229,8 @@ class GenerationMetrics:
         self.steps = 0
         self.cancelled = 0
         self.expired = 0
-        self._ttfs_ms: List[float] = []
-        self._inter_step_ms: List[float] = []
+        self._ttfs_ms: Deque[float] = deque(maxlen=_WINDOW)
+        self._inter_step_ms: Deque[float] = deque(maxlen=_WINDOW)
 
     def record(self, stats: GenerationStats) -> None:
         self.requests += 1
@@ -238,7 +246,7 @@ class GenerationMetrics:
         self._inter_step_ms.extend(stats.inter_step_ms)
 
     @staticmethod
-    def _pct(values: List[float], q: float) -> float:
+    def _pct(values: Deque[float], q: float) -> float:
         return float(np.percentile(values, q)) if values else 0.0
 
     @property

@@ -23,8 +23,13 @@ Given ``B`` DFG nodes for the same block at the same (phase, depth):
 Kernels consume :class:`BatchedOperand` descriptors (views, not lists of
 per-instance arrays); raw arrays / lists are still accepted for direct use
 in tests and are normalized on entry.  Numerical results always come from
-NumPy, so batched execution is checked against the unbatched reference in
-the test-suite.
+NumPy, and batched execution is bitwise equal to the unbatched reference:
+elementwise bodies are row-independent by construction, and ``dense`` is
+:func:`~repro.kernels.registry.dense_rows` on both sides — a fixed row tile
+per weight shape, so a step's ``B`` rows cost ``ceil(B / T)`` small GEMMs
+instead of ``B`` GEMVs.  (The tile is read off the weight operand when the
+step runs — block inputs carry no static shapes for the program to resolve
+it from — and is a function of that shape alone.)
 
 Block programs
 --------------

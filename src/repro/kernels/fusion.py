@@ -141,6 +141,8 @@ def fuse_block(
             if opdef.is_elementwise or opdef.is_injective or opdef.kind != "tensor":
                 continue
             for arg in bop.args:
+                if arg[0] == "const":
+                    continue  # an embedded array: not hashable, never shared
                 key = (bop.op_name, arg)
                 by_signature.setdefault(key, []).append(j)
         for (_, _), indices in by_signature.items():

@@ -174,9 +174,96 @@ register(
 # ---------------------------------------------------------------------------
 
 
-def _dense(x, w, **attrs):
-    """``x @ w`` with ``w`` stored as ``(in_features, out_features)``."""
-    return x @ w
+def dense_tile(k: int, n: int) -> int:
+    """Row tile ``T`` of :func:`dense_rows` for a ``(k, n)`` weight.
+
+    A function of the weight shape alone — never of the row count, a timing
+    or a setting — because a row's bits depend on the ``(T, k, n)`` GEMM it
+    went through: any other input would make batched and unbatched
+    execution of the same instance disagree.
+
+    Measured on the benchmark host (OpenBLAS 0.3.31 SkylakeX kernels, one
+    thread, float32, ms per call; GEMV is ``[M, 1, k] @ [k, n]``, what
+    ``dense`` used to be, GEMM the single ``[M, k] @ [k, n]`` call that is
+    fastest but not row-stable)::
+
+        (k, n)       M    GEMV   T=2    T=4    T=8    T=16   T=32   GEMM
+        (256, 256)   235  0.755  0.424  0.261  0.263  0.389  0.346  0.210
+        (256, 256)   1    0.004  0.008  0.010  0.015  0.032  0.046
+        (512, 256)   235  1.355  0.688  0.523  1.303  0.664  0.601  0.554
+        (512, 512)   235  2.707  2.056  3.680  2.635  1.826  1.627  0.830
+        (512, 512)   1    0.013  0.022  0.061  0.075  0.100  0.159
+        (256, 1024)  235  2.694  2.083  3.497  2.442  1.602  1.499  0.856
+        (1024, 512)  235  12.51  20.02  10.22  7.245  3.867  3.051  1.804
+        (1024, 512)  1    0.043  0.254  0.254  0.299  0.373  0.538
+        (128, 256)   235  0.240  0.199  0.120  0.121  0.121  0.150  0.099
+        (128, 128)   235  0.130  0.067  0.050  0.050  0.050  0.052  0.051
+        (96, 192)    235  0.183  0.107  0.070  0.065  0.062  0.064  0.058
+        (512, 32)    235  0.237  0.117  0.119  0.100  0.101  0.095  0.090
+        (256, 16)    235  0.057  0.049  0.047  0.030  0.030  0.027  0.018
+        (256, 2)     235  0.026  0.040  0.025  0.017  0.014  0.012  0.005
+
+    The cliff between ``T*k*n = 2**19`` and ``2**20`` is OpenBLAS leaving its
+    small-matrix kernels (``M*N*K <= 100**3``) for the packed path, which
+    re-packs the whole weight on every call.  So the tile stays under
+    ``2**19 / (k*n)``; within that, 4 rows already reach the weight-streaming
+    floor for the big weights, and smaller weights take 8 or 16 to amortize
+    the fixed cost per call.  Above ``2**18`` elements only GEMV is left:
+    ``T = 1`` is exactly the old kernel (tiles of 16–32 rows are 4x faster
+    at ``M = 235`` there but cost an unbatched call 9–12x).  Every tile up
+    to 32 was row-stable on every shape tried (float32 and float64, one and
+    two BLAS threads); 64 was not — ``tests/test_dense_rows.py``.
+    """
+    size = k * n
+    if size <= 2 ** 11:
+        return 16
+    if size < 2 ** 15:
+        return 8
+    if size <= 2 ** 17:
+        return 4
+    if size <= 2 ** 18:
+        return 2
+    return 1
+
+
+def dense_rows(x, w, **attrs):
+    """``x @ w`` with ``w`` stored as ``(in_features, out_features)``,
+    evaluated in fixed row tiles so that a row's result does not depend on
+    the rows computed with it.
+
+    The leading dimensions of ``x`` are flattened to ``M`` rows and evaluated
+    as ``[M // T, T, k] @ [k, n]`` with ``T = dense_tile(k, n)``; the ragged
+    tail is staged into one zero-padded tile.  Every BLAS call therefore has
+    the same ``(T, k, n)`` shape on contiguous same-dtype operands, whether
+    ``x`` is one instance or a stacked batch — which is what makes batched
+    execution bitwise equal to the unbatched reference: both are this
+    function (it is the ``compute`` *and* the ``batched`` of ``dense``).
+    """
+    x, w = np.asarray(x), np.asarray(w)
+    if w.ndim > 2:
+        # per-instance weights: each instance through the same 2-D kernel
+        lead = np.broadcast_shapes(x.shape[:-2], w.shape[:-2])
+        xs = np.broadcast_to(x, lead + x.shape[-2:])
+        ws = np.broadcast_to(w, lead + w.shape[-2:])
+        out = np.empty(lead + (x.shape[-2], w.shape[-1]), np.result_type(x, w))
+        for idx in np.ndindex(*lead):
+            out[idx] = dense_rows(xs[idx], ws[idx])
+        return out
+    k, n = w.shape
+    m = _prod(x.shape[:-1])
+    dtype = np.result_type(x, w)
+    rows = np.ascontiguousarray(x, dtype=dtype).reshape(m, k)
+    w = np.asarray(w, dtype=dtype)
+    tile = dense_tile(k, n)
+    full = m - m % tile
+    out = np.empty((m, n), dtype=dtype)
+    if full:
+        np.matmul(rows[:full].reshape(-1, tile, k), w, out=out[:full].reshape(-1, tile, n))
+    if full < m:
+        stage = np.zeros((tile, k), dtype=dtype)
+        stage[: m - full] = rows[full:]
+        out[full:] = (stage @ w)[: m - full]
+    return out.reshape(x.shape[:-1] + (n,))
 
 
 def _dense_shape(shapes: List[Shape], attrs: Dict[str, Any]) -> Shape:
@@ -192,8 +279,8 @@ def _dense_flops(shapes: List[Shape], attrs: Dict[str, Any]) -> float:
 register(
     OpDef(
         name="dense",
-        compute=_dense,
-        batched=_dense,
+        compute=dense_rows,
+        batched=dense_rows,
         infer_shape=_dense_shape,
         flops=_dense_flops,
         arity=2,

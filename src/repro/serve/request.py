@@ -28,7 +28,6 @@ whose round failed) resolves exceptionally: ``result()``/``await`` raise,
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -174,6 +173,11 @@ class RequestHandle:
 
     def __await__(self):
         """Awaitable inside any running asyncio loop: ``await handle``."""
+        # imported here: asyncio costs ~7 MB of RSS and its import time in
+        # every process that serves, and only a caller already running an
+        # event loop reaches this line
+        import asyncio
+
         return asyncio.wrap_future(self._future).__await__()
 
     def add_done_callback(self, fn) -> None:

@@ -156,6 +156,10 @@ class Interpreter:
             else:
                 value = np.asarray(args[0])
             return opdef.compute(value, **attrs)
+        # a Python float is a float32 scalar (``Constant``'s typing, and what
+        # compiled blocks embed): as a 0-d float64 array it would promote the
+        # whole op — and everything downstream — to float64
+        args = [np.float32(a) if isinstance(a, float) else a for a in args]
         if self.mode == "eager":
             concrete = [np.asarray(a) for a in args]
             return np.asarray(opdef.compute(*concrete, **attrs))

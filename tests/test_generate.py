@@ -5,6 +5,8 @@ expiry at round-boundary granularity (round-mates untouched), recurrent
 state residency, per-step SLO metrics, deterministic replay, and the
 wall-clock pump behind a running Server."""
 
+import sys
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -206,6 +208,49 @@ class TestStreamingAndStats:
         assert m["ttfs_p50_ms"] > 0
         assert m["ttfs_p99_ms"] >= m["ttfs_p50_ms"]
         assert m["inter_step_p99_ms"] > 0
+
+    def test_metrics_stay_bounded_in_a_long_lived_session(self):
+        """10^4 decode steps through one session: the aggregate metrics keep
+        a fixed footprint (percentiles look back over a window), while the
+        counters still cover the whole life."""
+        module, _, _, size, compiled = _setup("declm")
+        session = compiled.serve("adaptive", clock=SimulatedClock())
+        gen = GenerationSession(session, module, size)
+
+        def footprint(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            inner = ()
+            if isinstance(obj, (list, tuple, set, frozenset, deque)):
+                inner = obj
+            elif isinstance(obj, dict):
+                inner = list(obj) + list(obj.values())
+            elif hasattr(obj, "__dict__"):
+                inner = vars(obj).values()
+            return sys.getsizeof(obj) + sum(footprint(v) for v in inner)
+
+        sizes, steps = [], 0
+        for call in range(6):
+            rng = np.random.default_rng(call)
+            start = session.clock.now()
+            handles = gen.generate(
+                [
+                    GenerationRequest(
+                        [int(rng.integers(0, size.classes))],
+                        max_new_tokens=3,
+                        arrival=start + 0.0001 * i,
+                    )
+                    for i in range(1050)
+                ]
+            )
+            steps += sum(h.stats.steps for h in handles)
+            sizes.append(footprint(gen.metrics))
+        assert steps >= 10_000
+        # flat once both windows have filled (4,096 sequences)
+        assert sizes[0] < sizes[-2] == sizes[-1] <= 512 * 1024
+        m = gen.metrics.summary()
+        assert m["gen_requests"] == 6300 and m["gen_tokens"] == 6300 * 3
+        assert m["ttfs_p99_ms"] >= m["ttfs_p50_ms"] > 0 and m["inter_step_p99_ms"] > 0
 
     def test_request_validation(self):
         with pytest.raises(ValueError, match="non-empty prompt"):

@@ -13,12 +13,14 @@ from repro.kernels import (
     BlockKernel,
     BlockOp,
     StaticBlock,
+    const_ref,
     fuse_block,
     fused_kernel_name,
     input_ref,
     op_ref,
     single_op_block,
 )
+from repro.kernels import registry
 from repro.kernels.batched import LaunchRecord
 from repro.kernels.registry import get_op
 from repro.models import MODEL_MODULES
@@ -431,12 +433,24 @@ def model_block_operands():
     return cases
 
 
+#: the weight of the ``dense`` steps below (a block constant); its tile is 16
+#: rows, so 2-row instances fall short of a tile (B <= 5), across one with a
+#: ragged tail (9), and exactly on a boundary (16)
+_DENSE_WEIGHT = np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(3, 4)
+
+
 class TestBlockProgram:
+    @pytest.mark.parametrize("tile", [None, 2, 4, 16])
     @pytest.mark.parametrize("delivery", list(DELIVERIES))
     @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
     def test_every_model_block_matches_the_oracle(
-        self, model_block_operands, batch_size, delivery
+        self, model_block_operands, batch_size, delivery, tile, monkeypatch
     ):
+        """``tile`` overrides the row tile of ``dense`` (None: the table's
+        choice): batched == unbatched has to hold for any tile, with the
+        launch records — shape-derived, pad rows uncharged — unmoved."""
+        if tile is not None:
+            monkeypatch.setattr(registry, "dense_tile", lambda k, n: tile)
         rng = np.random.default_rng(batch_size)
         assert len(model_block_operands) >= 20
         for _label, kernel, example in model_block_operands:
@@ -447,6 +461,27 @@ class TestBlockProgram:
                 for e in example
             ]
             check_against_oracle(kernel, per_instance, batch_size, delivery)
+
+    @pytest.mark.parametrize("delivery", list(DELIVERIES))
+    @pytest.mark.parametrize("batch_size", [1, 5, 9, 16, 21])
+    def test_dense_pad_rows_are_not_charged(self, batch_size, delivery):
+        """``dense`` evaluates 2-row instances in 16-row tiles here: short of
+        a tile, across tiles with a ragged tail, exactly on a boundary.  The
+        zero rows that fill the last tile appear in no record and no output."""
+        block = StaticBlock(
+            0,
+            "tiled",
+            [BlockInput(0, "x")],
+            [
+                BlockOp(0, "tanh", [input_ref(0)]),
+                BlockOp(1, "dense", [op_ref(0), const_ref(_DENSE_WEIGHT)]),
+            ],
+            [op_ref(1)],
+        )
+        assert registry.dense_tile(*_DENSE_WEIGHT.shape) == 16
+        rng = np.random.default_rng(batch_size)
+        xs = [_random_like(rng, (2, 3), np.float32) for _ in range(batch_size)]
+        check_against_oracle(BlockKernel(block), [xs], batch_size, delivery)
 
     def test_cost_table_is_keyed_by_shape_class_not_batch_size(self):
         kernel = BlockKernel(rnn_cell_block())
@@ -488,6 +523,7 @@ _TAILS = [
     ("take_row", {"index": 1}),
     ("concat", {"axis": 0}),
     ("concat", {"axis": -1}),
+    ("dense", {}),
 ]
 
 
@@ -516,6 +552,8 @@ def random_blocks(draw):
         name, attrs = tail
         n_args = 2 if name == "concat" else 1
         args = [value_ref(len(ops)) for _ in range(n_args)]
+        if name == "dense":
+            args.append(const_ref(_DENSE_WEIGHT))
         ops.append(BlockOp(len(ops), name, args, dict(attrs)))
         outputs.append(op_ref(len(ops) - 1))
     if draw(st.booleans()):
@@ -526,11 +564,11 @@ def random_blocks(draw):
 
 
 class TestBlockProgramProperty:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         block=random_blocks(),
         fusion=st.booleans(),
-        batch_size=st.sampled_from([1, 2, 5]),
+        batch_size=st.sampled_from([1, 2, 5, 9, 16]),
         delivery=st.sampled_from(list(DELIVERIES)),
         seed=st.integers(min_value=0, max_value=1000),
     )

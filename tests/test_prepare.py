@@ -299,9 +299,10 @@ class TestPreparerCrash:
 
         endpoint.session.consider_prepare = bad_consider
         server.run()
-        handle = server.submit("trees", instances[0])
+        # the preparer's first pass runs as soon as the loop sleeps, which
+        # can be before this thread submits: then submit itself is refused
         with pytest.raises(Exception) as excinfo:
-            handle.result(timeout=5.0)
+            server.submit("trees", instances[0]).result(timeout=5.0)
         # the crash surfaced as a loop death: the handle failed with the
         # original error (round abort) or LoopStopped chaining it
         exc = excinfo.value
