@@ -300,10 +300,10 @@ class LearnedWorkPlacement(PlacementPolicy):
         for inp in kernel.block.inputs:
             arg = node.args[inp.index]
             if isinstance(arg, LazyTensor):
-                storage = arg.storage
-                if storage is None:
+                arena = arg.arena
+                if arena is None:
                     continue
-                nbytes = float(storage.nbytes)
+                nbytes = arena.instance_nbytes
             else:
                 nbytes = float(np.asarray(arg).nbytes)
             known = True

@@ -14,17 +14,38 @@ Given ``B`` DFG nodes for the same block at the same (phase, depth):
   The memory planner (:mod:`repro.memory`) decides how that batched form is
   obtained: a zero-copy arena view when the operands are already contiguous
   in device memory, an explicit gather launch, or a gather fused into the
-  kernel (§5.2) — in which case the kernel itself stacks the scattered parts
-  and reports them as ``scattered_bytes``;
+  kernel (§5.2) — in which case the kernel itself gathers the scattered
+  instances and reports them as ``scattered_bytes``;
 * each fusion group becomes one (simulated) kernel launch and reports a
   :class:`LaunchRecord` so the device simulator can charge launch overhead,
   memory traffic and FLOPs.
 
-Kernels consume :class:`BatchedOperand` descriptors (views, not lists of
-per-instance arrays); raw arrays / lists are still accepted for direct use
-in tests and are normalized on entry.  Numerical results always come from
-NumPy, and batched execution is bitwise equal to the unbatched reference:
-elementwise bodies are row-independent by construction, and ``dense`` is
+Operand forms
+-------------
+Kernels consume :class:`BatchedOperand` descriptors; a varying operand
+arrives in one of three forms, and a column of ``B`` instances is looked at
+once per launch, never once per instance per layer:
+
+``array`` — contiguous slice
+    The ``[B, ...]`` value itself (a zero-copy arena view).  Nobody walks
+    the column at launch time: the planner proved adjacency ahead of
+    execution and resolution slices the arena.
+``segments`` — index gather
+    The instances live scattered over storage arenas.  The planner's
+    resolve walks the column once into one ``(arena, positions, offsets)``
+    segment per source arena, and :func:`index_gather` moves the rows with
+    one ``take`` and one indexed assignment per segment — no per-instance
+    views, no ``np.stack`` (§5.2's gather through an index array built per
+    launch).  A gather's cost is its segment count, not its row count.
+``parts`` — host parts
+    Per-instance host arrays (model inputs never seen by the device),
+    stacked by the kernel; also the fallback for the rare column mixing
+    host arrays and arena tensors.
+
+Raw arrays / lists are still accepted for direct use in tests and are
+normalized on entry.  Numerical results always come from NumPy, and batched
+execution is bitwise equal to the unbatched reference: elementwise bodies
+are row-independent by construction, and ``dense`` is
 :func:`~repro.kernels.registry.dense_rows` on both sides — a fixed row tile
 per weight shape, so a step's ``B`` rows cost ``ceil(B / T)`` small GEMMs
 instead of ``B`` GEMVs.  (The tile is read off the weight operand when the
@@ -40,7 +61,7 @@ shifted for the batch dimension, plus each fusion group's external reads and
 escaping results.  What additionally depends on operand shapes — the FLOP
 and byte counts of the launch records — is evaluated once per operand-shape
 class and stored as ``fixed + per_instance * B``
-(:meth:`BlockKernel._derive_costs`).  A launch stacks its inputs, runs the
+(:meth:`BlockKernel._derive_costs`).  A launch gathers its inputs, runs the
 steps, and reads the records back; the specialization tier runs the same
 program with accounting off (:meth:`BlockKernel.run_program`).
 """
@@ -81,23 +102,35 @@ class LaunchRecord:
     is_gather: bool = False
 
 
+#: one source arena of an index gather: rows ``positions`` of the batched
+#: operand are instances ``offsets`` of ``arena`` (``positions`` is None when
+#: the arena supplies every row, in order).  Arenas are duck-typed
+#: (``data`` / ``broadcast`` / ``instance_shape``) — see
+#: :class:`~repro.memory.arena.StorageArena`.
+Segment = Tuple[Any, Optional[np.ndarray], np.ndarray]
+
+
 class BatchedOperand:
     """One block input in the form the batched kernel consumes it.
 
-    Exactly one of ``array`` / ``parts`` is set:
+    Exactly one of ``array`` / ``segments`` / ``parts`` is set (see the
+    module docstring's *Operand forms*):
 
     * ``array`` — the ready batched value: for shared inputs the single
       parameter array, for varying inputs a ``[B, ...]`` array (a zero-copy
       arena view for contiguous operands);
-    * ``parts`` — per-instance tensors the kernel stacks itself: the output
-      of an explicit gather launch (``scattered=False`` — already charged by
-      the planner), or a gather fused into the kernel (``scattered=True`` —
-      the read is accounted as scattered bytes on the launch records).
-      Entries are ``ndarray``\\ s (host values) or arena storage refs with an
-      ``.array`` view (:class:`~repro.memory.arena.TensorStorage`).
+    * ``segments`` — an index gather over the source arenas of a scattered
+      column, performed by the kernel (:func:`index_gather`);
+    * ``parts`` — per-instance host arrays the kernel stacks itself.
+
+    For the two gathered forms ``scattered`` says who pays for the read: an
+    explicit gather launch already charged by the planner
+    (``scattered=False``), or a gather fused into the kernel
+    (``scattered=True`` — accounted as scattered bytes on the launch
+    records).
     """
 
-    __slots__ = ("shared", "array", "parts", "scattered")
+    __slots__ = ("shared", "array", "segments", "parts", "scattered")
 
     def __init__(
         self,
@@ -105,9 +138,11 @@ class BatchedOperand:
         array: Optional[np.ndarray] = None,
         parts: Optional[List[np.ndarray]] = None,
         scattered: bool = False,
+        segments: Optional[List[Segment]] = None,
     ) -> None:
         self.shared = shared
         self.array = array
+        self.segments = segments
         self.parts = parts
         self.scattered = scattered
 
@@ -122,8 +157,51 @@ class BatchedOperand:
 
     @classmethod
     def scattered_parts(cls, parts: Sequence[np.ndarray]) -> "BatchedOperand":
-        """A varying operand whose gather is fused into the kernel."""
+        """A varying operand of host parts whose gather is fused into the
+        kernel."""
         return cls(shared=False, parts=[np.asarray(p) for p in parts], scattered=True)
+
+    def num_instances(self) -> int:
+        """Instances a gathered (``segments`` / ``parts``) operand names."""
+        if self.segments is not None:
+            return sum(len(offsets) for _, _, offsets in self.segments)
+        return len(self.parts)
+
+
+def index_gather(segments: Sequence[Segment], out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gather a scattered column from its source arenas: the ``[B, ...]``
+    array ``np.stack`` of the per-instance arena views would build, moved by
+    one ``take`` + one indexed assignment per *segment*.
+
+    Keeps the stack's failure modes: instance shapes that differ between
+    arenas raise ``ValueError`` (never a silent broadcast), and differing
+    dtypes promote (never a silent cast) — which is also why ``out`` is used
+    only when it has exactly the gathered shape and dtype, and a fresh array
+    is returned otherwise.
+    """
+    first = segments[0][0]
+    shape = first.instance_shape
+    dtype = first.data.dtype
+    for arena, _, _ in segments[1:]:
+        if arena.instance_shape != shape:
+            raise ValueError("all input arrays must have the same shape")
+        if arena.data.dtype != dtype:
+            dtype = np.result_type(dtype, arena.data.dtype)
+    rows = sum(len(offsets) for _, _, offsets in segments)
+    full_shape = (rows,) + shape
+    if out is None or out.shape != full_shape or out.dtype != dtype:
+        arena, positions, offsets = segments[0]
+        if positions is None and not arena.broadcast:
+            return arena.data.take(offsets, axis=0)  # one arena, one take
+        out = np.empty(full_shape, dtype)
+    for arena, positions, offsets in segments:
+        # a broadcast arena is one array standing for every instance
+        rows_of = arena.data if arena.broadcast else arena.data.take(offsets, axis=0)
+        if positions is None:
+            out[...] = rows_of
+        else:
+            out[positions] = rows_of
+    return out
 
 
 class BatchedOutput:
@@ -364,10 +442,10 @@ class BlockKernel:
         stack_buffers: Optional[Dict[int, np.ndarray]] = None,
         account: bool = True,
     ) -> Tuple[List[BatchedOutput], Optional[List[LaunchRecord]]]:
-        """Stack the inputs, run the block program, emit the launch records.
+        """Gather the inputs, run the block program, emit the launch records.
 
         ``stack_buffers`` optionally maps input index -> preallocated
-        ``[B, ...]`` buffer for the fused-gather stack (only ever passed for
+        ``[B, ...]`` buffer for the kernel-side gather (only ever passed for
         inputs in :attr:`reusable_inputs`).  With ``account`` off no records
         are produced (``launches`` is None): a specialization entry replays
         the records frozen from the launch that promoted it.
@@ -389,21 +467,21 @@ class BlockKernel:
                         f"{arr.shape[0]} for batch size {batch_size}"
                     )
             else:
-                # the kernel performs the gather: realize the per-instance
-                # storage refs and stack them (this read is device work — an
-                # explicit gather launch already charged by the planner, or
-                # scattered bytes accounted on this kernel's launch records)
-                if len(op.parts) != batch_size:
+                # the kernel performs the gather (this read is device work —
+                # an explicit gather launch already charged by the planner,
+                # or scattered bytes accounted on this kernel's launch
+                # records)
+                if op.num_instances() != batch_size:
                     raise ValueError(
                         f"block {self.block.name}: varying input "
-                        f"{self.block.inputs[i].name} got {len(op.parts)} "
+                        f"{self.block.inputs[i].name} got {op.num_instances()} "
                         f"values for batch size {batch_size}"
                     )
-                arr = np.stack(
-                    [p if isinstance(p, np.ndarray) else p.array for p in op.parts],
-                    axis=0,
-                    out=stack_buffers.get(i) if stack_buffers else None,
-                )
+                buffer = stack_buffers.get(i) if stack_buffers else None
+                if op.segments is not None:
+                    arr = index_gather(op.segments, buffer)
+                else:
+                    arr = np.stack(op.parts, axis=0, out=buffer)
             if op.scattered:
                 scattered.append(i)
             vals[i] = arr

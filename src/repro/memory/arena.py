@@ -2,11 +2,14 @@
 
 Every batched kernel launch writes each of its outputs into one contiguous
 device buffer — a :class:`StorageArena` — with instance ``b`` of the batch at
-offset ``b``.  Tensors produced by the launch are *views* into that arena
-(:class:`TensorStorage`), never copies: a later batch whose operands sit at
+offset ``b``.  Tensors produced by the launch are *views* into that arena,
+never copies — a :class:`~repro.runtime.tensor.LazyTensor` carries its
+``(arena, offset)`` reference itself: a later batch whose operands sit at
 consecutive offsets of a single arena can hand the arena slice straight to
 the next kernel, which is what makes ACROBAT's gather elision (§5.2) real
-rather than an accounting fiction.
+rather than an accounting fiction, and operands scattered over arenas are
+read by one index gather per source arena
+(:func:`~repro.kernels.batched.index_gather`).
 
 Two arena layouts exist:
 
@@ -118,15 +121,25 @@ class StorageArena:
             return np.broadcast_to(self.data, (length,) + self.data.shape)
         return self.data[start : start + length]
 
-    def slot(self, offset: int) -> "TensorStorage":
-        """The (arena, offset) handle a :class:`LazyTensor` stores."""
-        return TensorStorage(self, offset)
-
     # -- introspection --------------------------------------------------------
     @property
     def nbytes(self) -> float:
         """Bytes of unique device storage backing this arena."""
         return float(self.data.nbytes)
+
+    @property
+    def instance_shape(self) -> Tuple[int, ...]:
+        """Shape of one instance's tensor."""
+        return self.data.shape if self.broadcast else self.data.shape[1:]
+
+    @property
+    def instance_nbytes(self) -> float:
+        """Bytes of one instance's tensor (computed without realizing a
+        view; every instance of a broadcast arena is the whole array)."""
+        data = self.data
+        if self.broadcast or not data.shape[0]:
+            return float(data.nbytes)
+        return float(data.nbytes // data.shape[0])
 
     def __repr__(self) -> str:
         kind = "broadcast" if self.broadcast else "batched"
@@ -134,42 +147,3 @@ class StorageArena:
             f"StorageArena(#{self.arena_id}, {kind}, batch={self.batch_size}, "
             f"shape={self.data.shape})"
         )
-
-
-class TensorStorage:
-    """Where one tensor lives: an offset into a storage arena.
-
-    The per-instance view is created lazily and cached: a tensor that is only
-    ever consumed through a contiguous arena slice never materializes its own
-    view object (the arena-backed replacement for the seed runtime's eager
-    per-instance output split).
-    """
-
-    __slots__ = ("arena", "offset", "_view")
-
-    def __init__(self, arena: StorageArena, offset: int) -> None:
-        self.arena = arena
-        self.offset = offset
-        self._view = None
-
-    @property
-    def array(self) -> np.ndarray:
-        """The tensor's concrete value (a zero-copy view into the arena)."""
-        view = self._view
-        if view is None:
-            view = self._view = self.arena.view(self.offset)
-        return view
-
-    @property
-    def placement(self) -> Tuple[int, int]:
-        """The ``(arena_id, offset)`` pair the memory planner reasons about."""
-        return (self.arena.arena_id, self.offset)
-
-    @property
-    def nbytes(self) -> float:
-        """Bytes of this instance's tensor (computed without realizing the
-        view)."""
-        data = self.arena.data
-        if self.arena.broadcast or not data.shape[0]:
-            return float(data.nbytes)
-        return float(data.nbytes // data.shape[0])

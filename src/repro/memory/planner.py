@@ -28,12 +28,44 @@ batch, how its batched form will be obtained:
 
 Planning ahead of execution is possible because the planner *places*
 outputs symbolically as it walks: each batch's outputs are assigned a fresh
-arena id with instance ``b`` at offset ``b``, so a later batch's contiguity
-is decided from planned placements before any value exists.  Execution then
-resolves each :class:`OperandPlan` into a :class:`~repro.kernels.batched.BatchedOperand`
-(:meth:`MemoryPlanner.resolve`, charging gathers/uploads against the device
-simulator) and commits outputs into real arenas under the planned ids
-(:meth:`MemoryPlanner.commit`).
+arena id with instance ``b`` at offset ``b`` (one ``node -> (arena ids, b)``
+entry per node; nothing is written to a node or tensor at plan time), so a
+later batch's contiguity is decided from planned placements before any value
+exists.  Execution then resolves each :class:`OperandPlan` into a
+:class:`~repro.kernels.batched.BatchedOperand` (:meth:`MemoryPlanner.resolve`,
+charging gathers/uploads against the device simulator) and commits outputs
+into real arenas under the planned ids (:meth:`MemoryPlanner.commit`).
+
+Who walks a column, and when
+----------------------------
+A varying operand of a batch of ``B`` nodes is a *column* of ``B``
+arguments, and the launch path looks at each column once — its cost is per
+launch, not per instance per layer:
+
+* **planning** walks a column only until its fate is known: to the end if
+  every instance follows its predecessor in one arena (*contiguous* /
+  *peer*), otherwise to the first host array or non-adjacent pair, where it
+  settles on a gather and stops (most scattered columns diverge within two
+  instances);
+* **resolve** hands the kernel one of three operand forms.  A *contiguous
+  slice* is cut from the arena without looking at the column again.  A
+  scattered column of arena tensors is walked once into an *index gather* —
+  one ``(arena, positions, offsets)`` segment per source arena, broadcast
+  arenas included — and charged per segment (peer transfers per source
+  device, the explicit gather by its byte sum); this walk is also where an
+  unplanned, unmaterialized operand past planning's stopping point is
+  caught.  A column of *host parts* (model inputs) goes through one
+  ``ensure_resident_many`` call and is handed over as it is.  Only a column
+  mixing host arrays and arena tensors — no zoo model produces one — falls
+  back to a per-part walk;
+* **the kernel** (:func:`~repro.kernels.batched.index_gather`) moves an
+  index gather's rows with one ``take`` per segment, so what a gather costs
+  is its segment count (``gather_segments`` in ``RunStats.memory``), not its
+  row count;
+* **commit** stores ``arena`` and ``offset`` on each output tensor — the
+  tensor is its own storage reference — and clears the executed nodes'
+  ``outputs``, the graph's only back edge, so a finished round is freed by
+  reference counting.
 
 Planning is pure classification over the round's *structure* (which blocks,
 batched how, with operands placed where), so structurally identical rounds —
@@ -80,9 +112,9 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..kernels.batched import BatchedOperand, BatchedOutput
+from ..kernels.batched import BatchedOperand, BatchedOutput, Segment
 from ..runtime.tensor import LazyTensor
-from .arena import StorageArena, TensorStorage, next_arena_id
+from .arena import StorageArena, next_arena_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernels.batched import BlockKernel
@@ -110,6 +142,19 @@ _CONTIGUOUS = OperandKind.CONTIGUOUS
 _GATHER = OperandKind.GATHER
 _FUSED_GATHER = OperandKind.FUSED_GATHER
 _PEER = OperandKind.PEER
+
+#: ``set(map(type, column))`` of the two homogeneous scattered columns
+_ARENA_COLUMN = {LazyTensor}
+_HOST_COLUMN = {np.ndarray}
+
+
+def _out_of_order(tensor: LazyTensor) -> RuntimeError:
+    return RuntimeError(
+        f"memory planner: operand tensor {tensor.tid} (node "
+        f"{tensor.node.node_id}) is neither materialized nor planned "
+        f"earlier in this round — the scheduler emitted batches "
+        f"out of dependency order"
+    )
 
 
 class OperandPlan:
@@ -259,6 +304,10 @@ class MemoryPlanner:
         #: members' column/row partials (the executor counts them when it
         #: charges the gathers; :meth:`commit` marks the arenas themselves)
         self.partial_arenas = 0
+        #: source arenas summed over the gathered columns resolved since the
+        #: last reset: an index gather costs one take per segment, so this —
+        #: not the row count — is what a gather-free layout would save
+        self.gather_segments = 0
         self.plan_cache_enabled = plan_cache
         self._plan_cache: "OrderedDict[Tuple, _PlanTemplate]" = OrderedDict()
         #: cumulative cache accounting over the planner's lifetime (NOT
@@ -314,6 +363,7 @@ class MemoryPlanner:
         self.last_plans = []
         self.operand_counts = {k.value: 0 for k in OperandKind}
         self.partial_arenas = 0
+        self.gather_segments = 0
         self._round_ordinal = 0
 
     # -- planning --------------------------------------------------------------
@@ -439,9 +489,11 @@ class MemoryPlanner:
         kernels: Dict[int, "BlockKernel"],
         counts: Optional[Dict[str, int]] = None,
     ) -> List[BatchPlan]:
-        #: symbolic placements of tensors this round will produce: tid ->
-        #: (arena_id, offset); tensors from earlier rounds carry real storage
-        placements: Dict[int, Tuple[int, int]] = {}
+        #: symbolic placements of the nodes this round will execute: node_id
+        #: -> (output arena ids, offset) — one entry per node, not per output
+        #: tensor; tensors from earlier rounds carry their real arena.
+        #: Nothing is written to a node or tensor at plan time.
+        placements: Dict[int, Tuple[List[int], int]] = {}
         #: device owning each arena planned this round (earlier rounds'
         #: arenas carry their device on the concrete StorageArena)
         arena_devices: Dict[int, int] = {}
@@ -471,8 +523,7 @@ class MemoryPlanner:
             for arena_id in output_ids:
                 arena_devices[arena_id] = device
             for b, node in enumerate(nodes):
-                for out, arena_id in zip(node.outputs, output_ids):
-                    placements[out.tid] = (arena_id, b)
+                placements[node.node_id] = (output_ids, b)
             for op in operands:
                 counts[op.kind.value] += 1
             plans.append(
@@ -547,12 +598,12 @@ class MemoryPlanner:
                     if type(arg) is lazy:
                         producer = arg.node
                         if producer.executed:
-                            storage = arg.storage
+                            arena = arg.arena
                             # "?": executed but storage-less cannot occur
                             # through the runtime; keeps the round uncacheable
                             cadd(
-                                ("x",) + storage.placement
-                                if storage is not None
+                                ("x", arena.arena_id, arg.offset)
+                                if arena is not None
                                 else ("?", id(arg))
                             )
                             cacheable = False
@@ -647,54 +698,52 @@ class MemoryPlanner:
         self,
         inp,
         nodes,
-        placements: Dict[int, Tuple[int, int]],
+        placements: Dict[int, Tuple[List[int], int]],
         arena_devices: Dict[int, int],
         batch_device: int,
     ) -> OperandPlan:
+        """Classify one operand column, stopping at the first break.
+
+        A column is contiguous only if every instance follows its
+        predecessor in one arena, so the walk settles on a gather at the
+        first host array or non-adjacent pair (most scattered columns
+        diverge within two instances) and leaves the rest of the column to
+        :meth:`resolve`'s own walk."""
         if inp.shared:
             return OperandPlan(inp.index, _SHARED)
 
         index = inp.index
-        contiguous = True
-        prev: Optional[Tuple[int, int]] = None
-        first: Optional[Tuple[int, int]] = None
-        first_device: Optional[int] = None
+        lazy = LazyTensor
+        arena_id = start = -1
+        expected = 0
+        first_device = 0
         for node in nodes:
             arg = node.args[index]
-            if not isinstance(arg, LazyTensor):
-                # host-resident constant/input: never already on-device-contiguous
-                contiguous = False
-                continue
-            placement = placements.get(arg.tid)
-            storage_device: Optional[int] = None
-            if placement is None:
-                storage = arg.storage
-                if storage is None:
-                    raise RuntimeError(
-                        f"memory planner: operand tensor {arg.tid} (node "
-                        f"{arg.node.node_id}) is neither materialized nor planned "
-                        f"earlier in this round — the scheduler emitted batches "
-                        f"out of dependency order"
-                    )
-                placement = storage.placement
-                storage_device = storage.arena.device_index
-            if prev is None:
-                first = placement
-                first_device = (
-                    storage_device
-                    if storage_device is not None
-                    else arena_devices.get(placement[0], 0)
-                )
-            elif placement[0] != prev[0] or placement[1] != prev[1] + 1:
-                contiguous = False
-            prev = placement
-
-        if contiguous and first is not None:
+            if type(arg) is not lazy:
+                break  # a host array is never already on-device-contiguous
+            placement = placements.get(arg.node.node_id)
+            if placement is not None:
+                this_arena = placement[0][arg.output_index]
+                offset = placement[1]
+                device = arena_devices.get(this_arena, 0)
+            else:
+                arena = arg.arena
+                if arena is None:
+                    raise _out_of_order(arg)
+                this_arena = arena.arena_id
+                offset = arg.offset
+                device = arena.device_index
+            if start < 0:
+                arena_id, start, first_device = this_arena, offset, device
+            elif this_arena != arena_id or offset != expected:
+                break
+            expected = offset + 1
+        else:
             # one arena holds the whole slice (an arena lives wholly on one
             # device); if that device is not the batch's, the slice ships over
             # the interconnect as one priced peer transfer
             kind = _CONTIGUOUS if first_device == batch_device else _PEER
-            return OperandPlan(index, kind, arena_id=first[0], start=first[1])
+            return OperandPlan(index, kind, arena_id=arena_id, start=start)
         return OperandPlan(index, _FUSED_GATHER if self.gather_fusion else _GATHER)
 
     # -- execution-time resolution ---------------------------------------------
@@ -754,50 +803,116 @@ class MemoryPlanner:
                 )
                 continue
 
-            # scattered: hand the kernel per-instance storage refs; the views
-            # are only realized inside the kernel's own gather (the read is
-            # device work — charged as a gather launch or as scattered bytes —
-            # not host dispatch time).  Parts living on other devices of the
+            # scattered: the column is looked at once, here.  The rows are
+            # only moved inside the kernel's own gather (the read is device
+            # work — charged as a gather launch or as scattered bytes — not
+            # host dispatch time).  Instances living on other devices of the
             # group ship over the interconnect first, coalesced per source.
-            parts: List[Any] = []
-            remote_bytes: Dict[int, float] = {}
-            seen_broadcast: set = set()
-            for node in nodes:
-                arg = node.args[index]
-                if isinstance(arg, LazyTensor):
-                    storage = arg.storage
-                    arena = storage.arena
-                    src = arena.device_index
-                    if src != batch_device:
-                        if arena.broadcast:
-                            # every broadcast part is the same underlying
-                            # array: the arena ships once per consumer device
-                            if arena.arena_id not in seen_broadcast:
-                                seen_broadcast.add(arena.arena_id)
-                                remote_bytes[src] = (
-                                    remote_bytes.get(src, 0.0) + arena.nbytes
-                                )
-                        else:
-                            remote_bytes[src] = remote_bytes.get(src, 0.0) + float(
-                                storage.nbytes
-                            )
-                    parts.append(storage)
-                else:
-                    arr = np.asarray(arg)
-                    ensure_resident(arr, batch_memcpy)
-                    parts.append(arr)
-            for src, nbytes in remote_bytes.items():
-                device.peer_transfer(src, batch_device, nbytes)
+            args = [node.args[index] for node in nodes]
+            kinds = set(map(type, args))
+            segments = parts = None
+            if kinds == _ARENA_COLUMN:
+                segments, gathered = self._arena_segments(args, device, batch_device)
+            elif kinds == _HOST_COLUMN:
+                local.ensure_resident_many(args, batch_memcpy)
+                parts = args
+            else:
+                parts = self._mixed_parts(args, device, batch_device, options)
             if kind is _GATHER:
                 # one explicit gather launch copies the scattered operand into
                 # a contiguous buffer; downstream the operand is dense, so the
-                # kernel performs the stack without scattered-read accounting
-                local.gather(float(sum(p.nbytes for p in parts)))
-                resolved.append(BatchedOperand(shared=False, parts=parts))
-            else:  # FUSED_GATHER: the kernel reads the scattered parts itself
-                resolved.append(BatchedOperand(shared=False, parts=parts, scattered=True))
+                # kernel performs the gather without scattered-read accounting
+                if parts is not None:
+                    gathered = float(sum(p.nbytes for p in parts))
+                local.gather(gathered)
+            # FUSED_GATHER: the kernel reads the scattered instances itself
+            resolved.append(
+                BatchedOperand(
+                    shared=False,
+                    parts=parts,
+                    segments=segments,
+                    scattered=kind is _FUSED_GATHER,
+                )
+            )
 
         return resolved
+
+    def _arena_segments(
+        self, args: List[LazyTensor], device, batch_device: int
+    ) -> Tuple[List[Segment], float]:
+        """Resolve a column of arena tensors into one index-gather segment
+        per source arena (first-appearance order), charging the peer
+        transfers of segments living on other devices.  Returns the segments
+        and the gathered byte count."""
+        groups: Dict[Any, Tuple[List[int], List[int]]] = {}
+        for position, tensor in enumerate(args):
+            arena = tensor.arena
+            group = groups.get(arena)
+            if group is None:
+                groups[arena] = group = ([], [])
+            group[0].append(position)
+            group[1].append(tensor.offset)
+        if None in groups:
+            # planning stops at a column's first break, so this walk is the
+            # one that sees the rest of the column
+            raise _out_of_order(args[groups[None][0][0]])
+        self.gather_segments += len(groups)
+        whole = len(groups) == 1
+        segments: List[Segment] = []
+        remote_bytes: Dict[int, float] = {}
+        gathered = 0.0
+        for arena, (positions, offsets) in groups.items():
+            nbytes = arena.instance_nbytes * len(offsets)
+            gathered += nbytes
+            src = arena.device_index
+            if src != batch_device:
+                # every instance of a broadcast arena is the same underlying
+                # array: the arena ships once per consumer device
+                remote_bytes[src] = remote_bytes.get(src, 0.0) + (
+                    arena.nbytes if arena.broadcast else nbytes
+                )
+            segments.append(
+                (
+                    arena,
+                    None if whole else np.array(positions, dtype=np.intp),
+                    np.array(offsets, dtype=np.intp),
+                )
+            )
+        for src, nbytes in remote_bytes.items():
+            device.peer_transfer(src, batch_device, nbytes)
+        return segments, gathered
+
+    def _mixed_parts(
+        self, args: List[Any], device, batch_device: int, options
+    ) -> List[np.ndarray]:
+        """The per-part fallback for a column mixing host arrays and arena
+        tensors (no zoo model produces one): host arrays upload one by one,
+        arena instances are realized as views, remote ones peer-charged
+        exactly as :meth:`_arena_segments` charges them."""
+        ensure_resident = device.device_for(batch_device).ensure_resident
+        parts: List[np.ndarray] = []
+        remote_bytes: Dict[int, float] = {}
+        sources: set = set()
+        for arg in args:
+            if isinstance(arg, LazyTensor):
+                arena = arg.arena
+                if arena is None:
+                    raise _out_of_order(arg)
+                src = arena.device_index
+                if src != batch_device and not (arena.broadcast and arena in sources):
+                    remote_bytes[src] = remote_bytes.get(src, 0.0) + (
+                        arena.nbytes if arena.broadcast else arena.instance_nbytes
+                    )
+                sources.add(arena)
+                parts.append(arena.view(arg.offset))
+            else:
+                arr = np.asarray(arg)
+                ensure_resident(arr, options.batch_memcpy)
+                parts.append(arr)
+        self.gather_segments += len(sources)
+        for src, nbytes in remote_bytes.items():
+            device.peer_transfer(src, batch_device, nbytes)
+        return parts
 
     def _resolve_contiguous(
         self, op: OperandPlan, nodes, batch_size: int, device, batch_device: int, options
@@ -806,28 +921,31 @@ class MemoryPlanner:
         if batch_size == 1:
             arg = nodes[0].args[op.index]
             if isinstance(arg, LazyTensor):
-                storage = arg.storage
-                src = storage.arena.device_index
+                arena = arg.arena
+                if arena is None:
+                    raise _out_of_order(arg)
+                src = arena.device_index
                 if src != batch_device:
                     # singleton batches classify without looking at operands
                     # (the planning fast path), so the remote read is both
                     # charged and re-classified here — the peer operand count
                     # must agree with the device's transfer counters
-                    device.peer_transfer(src, batch_device, float(storage.nbytes))
+                    device.peer_transfer(src, batch_device, arena.instance_nbytes)
                     counts = self.operand_counts
                     counts[_PEER.value] += 1
                     counts[_CONTIGUOUS.value] -= 1
-                arr = arg.value
+                arr = arena.view(arg.offset)
             else:
                 arr = np.asarray(arg)
                 local.ensure_resident(arr, options.batch_memcpy)
             return BatchedOperand(shared=False, array=arr[None])  # zero-copy leading axis
-        storage = nodes[0].args[op.index].storage
-        if storage is None or storage.placement != (op.arena_id, op.start):
+        first = nodes[0].args[op.index]
+        arena = first.arena
+        if arena is None or (arena.arena_id, first.offset) != (op.arena_id, op.start):
+            found = None if arena is None else (arena.arena_id, first.offset)
             raise RuntimeError(
                 f"memory plan violated: operand {op.index} expected at arena "
-                f"{op.arena_id}+{op.start}, found "
-                f"{None if storage is None else storage.placement} — batches "
+                f"{op.arena_id}+{op.start}, found {found} — batches "
                 f"executed out of plan order"
             )
         if op.kind is _PEER:
@@ -835,12 +953,11 @@ class MemoryPlanner:
             # priced transfer, arriving dense on the batch's device; a
             # broadcast arena's slice is one underlying array however large
             # the batch, so it ships once, not batch_size times
-            arena = storage.arena
             nbytes = (
-                arena.nbytes if arena.broadcast else float(storage.nbytes) * batch_size
+                arena.nbytes if arena.broadcast else arena.instance_nbytes * batch_size
             )
             device.peer_transfer(arena.device_index, batch_device, nbytes)
-        return BatchedOperand(shared=False, array=storage.arena.slice(op.start, batch_size))
+        return BatchedOperand(shared=False, array=arena.slice(op.start, batch_size))
 
     # -- execution-time commit ---------------------------------------------------
     def commit(
@@ -850,11 +967,14 @@ class MemoryPlanner:
         device: "DeviceSimulator",
     ) -> List[StorageArena]:
         """Store a batch's outputs into arenas under the planned ids and
-        materialize every node output as a zero-copy arena view.
+        point every node output at its arena instance (two attribute stores
+        per tensor — the tensor is its own storage reference).
 
         Arenas are born on the device the batch executed on (and enter that
         member's residency cache), so later rounds price reads from them by
-        where they actually live."""
+        where they actually live.  An executed node drops its ``outputs``
+        list: nothing reads it after commit, and it is the graph's only back
+        edge, so the finished round is freed by reference counting."""
         nodes = plan.batch.nodes
         tp_devices = plan.batch.tp_devices
         local = device.device_for(plan.device)
@@ -874,10 +994,13 @@ class MemoryPlanner:
             arena.partial_shards = tp_devices
             local.note_arena(arena)
             for b, node in enumerate(nodes):
-                node.outputs[k].storage = TensorStorage(arena, b)
+                tensor = node.outputs[k]
+                tensor.arena = arena
+                tensor.offset = b
             arenas.append(arena)
         for node in nodes:
             node.executed = True
+            node.outputs = ()
         # release the node graph: retained plans keep only the classification
         plan.batch = None
         return arenas

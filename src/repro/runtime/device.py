@@ -31,10 +31,14 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kernels.batched import LaunchRecord
 from ..memory.arena import StorageArena
+
+
+#: smallest host-residency table size that triggers a sweep of dead entries
+_HOST_SWEEP_MIN = 1024
 
 
 @dataclass
@@ -226,13 +230,21 @@ class DeviceSimulator:
         self.schedule_table: Dict[str, float] = dict(schedule_table or {})
         self.default_schedule_quality = default_schedule_quality
         self.counters = DeviceCounters()
-        #: residency cache: host arrays are keyed by ``id()``, arena-backed
-        #: storage by ``("arena", arena_id)`` — arena buffers are written by
-        #: batched launches, so they are born on-device and never re-uploaded.
-        #: Values are held weakly and verified by identity, so a freed host
-        #: array cannot leave a stale entry behind (CPython recycles ids) and
-        #: long-lived sessions do not grow the cache without bound.
+        #: arena residency, keyed by ``arena_id`` and held weakly — arena
+        #: buffers are written by batched launches, so they are born
+        #: on-device and never re-uploaded
         self._resident: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+        #: host-array residency: ``id(array) -> weakref.ref(array)``.  A hit
+        #: is *the same live object* (CPython recycles ids, so a dead or
+        #: different referent is a miss and is charged again); arrays are
+        #: held weakly, and dead entries are swept whenever the table has
+        #: doubled since the last sweep, so a long-lived session stays
+        #: bounded by twice its live working set.  A plain table instead of
+        #: a ``WeakValueDictionary``: thousands of leaf inputs pass through
+        #: per batch, and a ``KeyedRef`` plus a death callback each cost
+        #: several times the lookup they protect.
+        self._host_resident: Dict[int, "weakref.ref"] = {}
+        self._host_sweep_at = _HOST_SWEEP_MIN
 
     # -- device-protocol surface ----------------------------------------------
     # A standalone simulator is the degenerate one-member device group; these
@@ -295,6 +307,8 @@ class DeviceSimulator:
     def reset_residency(self) -> None:
         """Forget which host arrays have been uploaded."""
         self._resident = weakref.WeakValueDictionary()
+        self._host_resident = {}
+        self._host_sweep_at = _HOST_SWEEP_MIN
 
     # -- cost model -----------------------------------------------------------
     def _quality(self, kernel_name: str) -> float:
@@ -349,12 +363,20 @@ class DeviceSimulator:
         self.counters.bytes_copied += nbytes
         return t
 
-    @staticmethod
-    def _residency_key(obj) -> object:
-        """Residency-cache key: arenas by id, host arrays by object identity."""
-        if isinstance(obj, StorageArena):
-            return ("arena", obj.arena_id)
-        return id(obj)
+    def _note_host(self, array) -> None:
+        """Enter one host array into the residency table."""
+        self._host_resident[id(array)] = weakref.ref(array)
+        self._sweep_host_table()
+
+    def _sweep_host_table(self) -> None:
+        """Drop dead entries once the table has doubled since the last
+        sweep."""
+        table = self._host_resident
+        if len(table) >= self._host_sweep_at:
+            self._host_resident = table = {
+                key: ref for key, ref in table.items() if ref() is not None
+            }
+            self._host_sweep_at = max(_HOST_SWEEP_MIN, 2 * len(table))
 
     def ensure_resident(self, array, batch_transfers: bool = True) -> float:
         """Upload a host array (or arena) to the device once; subsequent
@@ -362,17 +384,50 @@ class DeviceSimulator:
 
         Returns the charged transfer time (0 when already resident).
         """
-        key = self._residency_key(array)
-        if self._resident.get(key) is array:
+        if self.is_resident(array):
             return 0.0
-        self._resident[key] = array
+        if isinstance(array, StorageArena):
+            self._resident[array.arena_id] = array
+        else:
+            self._note_host(array)
         nbytes = float(getattr(array, "nbytes", 0))
         return self.memcpy(nbytes, batched_with=1 if batch_transfers else 0)
+
+    def ensure_resident_many(self, arrays: Sequence, batch_transfers: bool = True) -> None:
+        """:meth:`ensure_resident` for a whole column of host arrays in one
+        call: every miss is charged exactly as :meth:`memcpy` would charge
+        it, in column order (each counter accumulates the same terms in the
+        same order, so the totals are bit-identical to per-array calls)."""
+        table = self._host_resident
+        spec = self.spec
+        counters = self.counters
+        overhead = 0.0 if batch_transfers else spec.memcpy_overhead_us
+        pcie = spec.pcie_bandwidth_gbps * 1e3
+        memcpy_time = counters.memcpy_time_us
+        api_time = counters.api_time_us
+        bytes_copied = counters.bytes_copied
+        charged = 0
+        for array in arrays:
+            ref = table.get(id(array))
+            if ref is not None and ref() is array:
+                continue
+            table[id(array)] = weakref.ref(array)
+            nbytes = float(array.nbytes)
+            memcpy_time += overhead + nbytes / pcie
+            api_time += spec.api_overhead_us
+            bytes_copied += nbytes
+            charged += 1
+        if charged:
+            counters.memcpy_time_us = memcpy_time
+            counters.api_time_us = api_time
+            counters.bytes_copied = bytes_copied
+            counters.num_memcpy += charged
+            self._sweep_host_table()
 
     def note_arena(self, arena) -> None:
         """Mark a storage arena as device-resident without charging a copy
         (batched launches write their outputs directly on the device)."""
-        self._resident[("arena", arena.arena_id)] = arena
+        self._resident[arena.arena_id] = arena
 
     def note_resident(self, array) -> None:
         """Mark a host array as device-resident without charging a transfer.
@@ -382,9 +437,12 @@ class DeviceSimulator:
         array back as a later input (the recurrent-state path in
         ``repro.generate``) the bytes are already on the device and only the
         identity bookkeeping is needed.  The caller must keep the array
-        alive — the cache holds it weakly."""
-        self._resident[self._residency_key(array)] = array
+        alive — the table holds it weakly."""
+        self._note_host(array)
 
     def is_resident(self, obj) -> bool:
         """Whether a host array or arena is currently device-resident."""
-        return self._resident.get(self._residency_key(obj)) is obj
+        if isinstance(obj, StorageArena):
+            return self._resident.get(obj.arena_id) is obj
+        ref = self._host_resident.get(id(obj))
+        return ref is not None and ref() is obj

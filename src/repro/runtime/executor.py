@@ -25,12 +25,16 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..kernels.batched import BlockKernel
-from ..memory.planner import BatchPlan, MemoryPlanner
+from ..memory.planner import BatchPlan, MemoryPlanner, OperandKind
 from ..specialize.cache import BUILD as _SPEC_BUILD, SpecializationCache
 from .device import DeviceSimulator
 from .profiler import ActivityProfiler
 from .scheduler import ScheduledBatch
 from .tensor import DFGNode, LazyTensor
+
+
+#: the ``RunStats.memory`` keys that count operands (one per classification)
+_OPERAND_KINDS = frozenset(kind.value for kind in OperandKind)
 
 
 @dataclass
@@ -75,9 +79,11 @@ class RunStats:
     host_ms: Dict[str, float] = field(default_factory=dict)
     device: Dict[str, float] = field(default_factory=dict)
     #: memory-planner operand classification counts (contiguous / gather /
-    #: fused_gather / peer / shared) plus plan-cache accounting
-    #: (``plan_cache_hits`` / ``plan_cache_misses`` /
-    #: ``plan_cache_evictions``, cumulative over the runtime's lifetime)
+    #: fused_gather / peer / shared), ``gather_segments`` (source arenas
+    #: summed over the gathered columns — an index gather costs one take per
+    #: segment) plus plan-cache accounting (``plan_cache_hits`` /
+    #: ``plan_cache_misses`` / ``plan_cache_evictions``, cumulative over the
+    #: runtime's lifetime)
     memory: Dict[str, int] = field(default_factory=dict)
     #: kernel-specialization tier accounting (promotions / demotions / hits /
     #: misses / entries / frozen_bytes, cumulative); empty when the tier is
@@ -153,11 +159,7 @@ class RunStats:
         out.update({f"host_{k}_ms": v for k, v in self.host_ms.items()})
         out.update(
             {
-                (
-                    f"mem_{k}"
-                    if k.startswith(("plan_cache", "partial"))
-                    else f"mem_{k}_operands"
-                ): v
+                (f"mem_{k}_operands" if k in _OPERAND_KINDS else f"mem_{k}"): v
                 for k, v in self.memory.items()
             }
         )
@@ -607,6 +609,7 @@ class AcrobatRuntime:
             # placement, the bucket exists only when the tier is active
             host_ms["specialize"] = self.profiler.ms("specialize")
         memory = dict(self.planner.operand_counts)
+        memory["gather_segments"] = self.planner.gather_segments
         memory["plan_cache_hits"] = self.planner.cache_hits
         memory["plan_cache_misses"] = self.planner.cache_misses
         memory["plan_cache_evictions"] = self.planner.cache_evictions

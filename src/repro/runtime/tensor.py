@@ -8,9 +8,17 @@ filled in when the runtime triggers batched execution.
 A materialized tensor does not own its array: it is a zero-copy *view* into
 a :class:`~repro.memory.arena.StorageArena` — the contiguous device buffer
 holding all outputs of its batched launch, with instance ``b`` at offset
-``b``.  The memory planner (:mod:`repro.memory.planner`) reasons about those
+``b``.  The tensor *is* its storage reference: ``arena`` and ``offset`` are
+two slots on the :class:`LazyTensor` itself, stored by the planner's commit.
+The memory planner (:mod:`repro.memory.planner`) reasons about those
 (arena, offset) placements to decide when a later batch's operands are
 already contiguous in device memory (gather elision, §5.2).
+
+An executed node drops its ``outputs`` list (commit clears it; nothing reads
+it afterwards), which removes the only back edge of the graph —
+``DFGNode.outputs -> LazyTensor.node`` — so a finished round is freed by
+reference counting alone, never by the cyclic collector.  ``LazyTensor.node``
+stays: scheduler signatures key on it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..memory.arena import TensorStorage
+    from ..memory.arena import StorageArena
 
 _tensor_ids = itertools.count()
 _node_ids = itertools.count()
@@ -34,7 +42,8 @@ class LazyTensor:
         "tid",
         "node",
         "output_index",
-        "storage",
+        "arena",
+        "offset",
         "inferred_shape",
     )
 
@@ -42,26 +51,29 @@ class LazyTensor:
         self.tid = next(_tensor_ids)
         self.node = node
         self.output_index = output_index
-        #: where the value lives once executed: a view into a storage arena
-        self.storage: Optional["TensorStorage"] = None
+        #: where the value lives once executed: instance ``offset`` of a
+        #: storage arena (``arena`` is None until the node has executed)
+        self.arena: Optional["StorageArena"] = None
+        self.offset = 0
         #: statically inferred shape (filled by the VM's lazy interpreter so
         #: that batching signatures can include operand shapes)
         self.inferred_shape: Optional[tuple] = None
 
     @property
     def is_materialized(self) -> bool:
-        return self.storage is not None
+        return self.arena is not None
 
     @property
     def value(self) -> np.ndarray:
         """The concrete array (a zero-copy view into the backing arena);
         raises if the node has not executed yet."""
-        if self.storage is None:
+        arena = self.arena
+        if arena is None:
             raise RuntimeError(
                 f"LazyTensor {self.tid} (node {self.node.node_id}, block "
                 f"{self.node.block_id}) read before execution was triggered"
             )
-        return self.storage.array
+        return arena.view(self.offset)
 
     def __repr__(self) -> str:
         state = "ready" if self.is_materialized else "pending"
@@ -100,7 +112,9 @@ class DFGNode:
         self.depth = depth
         self.phase = phase
         self.instance_id = instance_id
-        self.outputs: List[LazyTensor] = [LazyTensor(self, k) for k in range(num_outputs)]
+        #: the node's lazy outputs until it executes; cleared by the
+        #: planner's commit (see the module docstring)
+        self.outputs: Sequence[LazyTensor] = [LazyTensor(self, k) for k in range(num_outputs)]
         self.executed = False
         #: position within the node's synchronization round (assigned by the
         #: runtime at invoke time); the memory planner's plan cache uses it

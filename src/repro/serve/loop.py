@@ -29,7 +29,11 @@ Two operating modes, one per :class:`~repro.serve.clock.Clock` flavour:
   earliest pending flush deadline.  Arrivals admitted while a round
   executes are timestamped at admission, so when the loop picks them up
   they are *backdated* — exactly the signal the adaptive policy's backlog
-  detection batches for free.
+  detection batches for free.  A round closed by its deadline holds every
+  request admitted by then: dispatching a picked-up batch takes real time
+  (one DFG build per request), so when the deadline comes due meanwhile
+  the thread empties the queue once more before it polls, and the round's
+  size does not depend on how far through the queue the thread had got.
 * **simulated** (:meth:`run_trace`): a deterministic replay over a
   :class:`~repro.serve.clock.SimulatedClock`, driven by the one simulated
   event driver (:class:`repro.serve.sim.TraceDriver` — a single loop is its
@@ -738,13 +742,25 @@ class ServeLoop:
                             self._cond.wait(timeout)
                             if preparer is not None:
                                 preparer.pause()
-                    admissions = list(self._queue)
-                    self._queue.clear()
+                    admissions = self._take_queue()
                     drain_requested = self._drain_requested
                     stopping = self._stop
-                    self._cond.notify_all()  # wake producers blocked on space
 
                 self._dispatch_wall(admissions)
+                due = self.next_deadline()
+                if due is not None and self.clock.now() >= due:
+                    # a flush deadline came due while this thread was busy
+                    # (executing the previous round, or building the DFGs
+                    # of the batch above).  The round it closes takes every
+                    # request admitted so far, as it does on the simulated
+                    # clock, where dispatch costs no time — otherwise the
+                    # round's size is a race between the producers and this
+                    # thread's progress through the queue, and a closed
+                    # loop of N clients flips between rounds of N and
+                    # alternating k / N-k splits from one run to the next
+                    with self._cond:
+                        late = self._take_queue()
+                    self._dispatch_wall(late)
                 for session in self.sessions().values():
                     try:
                         session.poll()
@@ -788,6 +804,14 @@ class ServeLoop:
             if preparer is not None:
                 preparer.stop()
                 self._preparer = None
+
+    def _take_queue(self) -> List[_Admission]:
+        """Empty the admission queue (the caller holds the condition lock)
+        and wake producers blocked on space."""
+        admissions = list(self._queue)
+        self._queue.clear()
+        self._cond.notify_all()
+        return admissions
 
     def _dispatch_one(self, adm: _Admission) -> None:
         """Dispatch one picked-up admission into its session — the body the

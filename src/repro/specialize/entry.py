@@ -10,8 +10,8 @@ residency and arena bookkeeping exist once.  The entry keeps only:
 * the **launch records** the oracle produced, replayed instead of being
   re-derived (they are a function of the block, the batch size, each
   operand's per-instance shape/dtype and which operands arrive scattered);
-* **stack buffers**: preallocated ``[B, ...]`` arrays the kernel stacks
-  gathered parts into, only for inputs the block program proved can never
+* **stack buffers**: preallocated ``[B, ...]`` arrays the kernel gathers
+  scattered columns into, only for inputs the block program proved can never
   escape the block as a view (:attr:`BlockKernel.reusable_inputs`);
 * the **operand and output shapes** of the promoting launch.  Every launch
   compares the operands in hand against them before the records or buffers
@@ -28,20 +28,28 @@ the same operands and compares outputs and launch records.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..kernels.batched import BatchedOperand, BatchedOutput, LaunchRecord
 
 #: frozen form of one operand: (scattered — None for a ready array, else the
-#: parts' ``scattered`` flag; shape of the array or of every part; dtype)
+#: gathered operand's ``scattered`` flag; shape of the array or of every
+#: gathered instance; dtype)
 OperandSpec = Tuple[Optional[bool], Tuple[int, ...], Any]
 
 
-def _part_array(part: Any) -> np.ndarray:
-    """A gathered part is a host array or an arena storage ref."""
-    return part if isinstance(part, np.ndarray) else part.array
+def _instance_specs(op: BatchedOperand) -> Iterator[Tuple[Tuple[int, ...], Any]]:
+    """``(shape, dtype)`` of a gathered operand's instances: one per source
+    arena of an index gather (an arena's instances share both), one per host
+    part."""
+    if op.segments is not None:
+        for arena, _, _ in op.segments:
+            yield arena.instance_shape, arena.data.dtype
+    else:
+        for part in op.parts:
+            yield part.shape, part.dtype
 
 
 class SpecializedEntry:
@@ -77,10 +85,10 @@ class SpecializedEntry:
             if op.array is not None:
                 specs.append((None, op.array.shape, op.array.dtype))
                 continue
-            first = _part_array(op.parts[0])
-            specs.append((op.scattered, first.shape, first.dtype))
+            shape, dtype = next(_instance_specs(op))
+            specs.append((op.scattered, shape, dtype))
             if i in kernel.reusable_inputs:
-                buffers[i] = np.empty((batch_size,) + first.shape, dtype=first.dtype)
+                buffers[i] = np.empty((batch_size,) + shape, dtype=dtype)
         self.operand_specs = specs
         self.stack_buffers = buffers or None
         # reported footprint: the real buffers plus a flat per-record
@@ -94,9 +102,11 @@ class SpecializedEntry:
         (so the frozen records and buffers are exactly what the generic path
         would derive for them); on False the cache demotes the fingerprint.
 
-        Every gathered part is compared, not just the first: stacking into a
-        preallocated buffer would otherwise cast a stray dtype silently
-        where the generic stack promotes.
+        Every segment of an index gather and every host part is compared,
+        not just the first: stacking host parts into a preallocated buffer
+        would otherwise cast a stray dtype silently where the generic stack
+        promotes, and an index gather would skip the buffer for a promoted
+        operand the frozen records do not describe.
         """
         for op, (scattered, shape, dtype) in zip(operands, self.operand_specs):
             arr = op.array
@@ -105,16 +115,13 @@ class SpecializedEntry:
                     return False
             elif op.scattered is not scattered:
                 return False
-            else:
-                for part in op.parts:
-                    arr = _part_array(part)
-                    if arr.shape != shape or arr.dtype != dtype:
-                        return False
+            elif any(spec != (shape, dtype) for spec in _instance_specs(op)):
+                return False
         return True
 
     def execute(self, operands: List[BatchedOperand]) -> List[BatchedOutput]:
         """Run the block program over checked operands: no accounting
-        (:attr:`launches` are replayed), gathers stacked into the buffers."""
+        (:attr:`launches` are replayed), gathers written into the buffers."""
         outputs, _ = self.kernel.run_program(
             operands, self.batch_size, self.stack_buffers, account=False
         )

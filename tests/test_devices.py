@@ -258,6 +258,13 @@ class TestDeviceGroup:
         assert group[0].ensure_resident(host) > 0.0
         assert group[0].ensure_resident(host) == 0.0  # cached on device 0
         assert group[1].ensure_resident(host) > 0.0  # but not on device 1
+        # a whole column at once lands on the member it is asked of, too
+        other = np.zeros(16, np.float32)
+        group[1].ensure_resident_many([host, other])
+        assert group[1].counters.num_memcpy == 2  # host was resident there
+        assert group[1].is_resident(other) and not group[0].is_resident(other)
+        group.reset_residency()
+        assert not group[0].is_resident(host) and not group[1].is_resident(host)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +568,7 @@ class TestMultiDeviceEquivalence:
         arena = StorageArena.from_broadcast(shared_out, batch_size=4, device_index=1)
         nodes = _make_nodes((), [0, 1, 2, 3])
         for node in nodes:
-            node.outputs[0].storage = arena.slot(0)
+            node.outputs[0].arena = arena
             node.executed = True
         consumers = _make_nodes(tuple(), [0, 1, 2, 3], block_id=1)
         for consumer, producer in zip(consumers, nodes):
@@ -588,6 +595,88 @@ class TestMultiDeviceEquivalence:
         MemoryPlanner().resolve(plan, _Kernel, group, ExecutionOptions())
         assert group.counters.num_peer_transfers == 1
         assert group.counters.bytes_peer == arena.nbytes  # once, not x4
+
+    def test_gathered_segments_peer_charge_like_the_per_part_walk(self):
+        """A scattered column whose source arenas live on two remote members
+        (plus one local, one of the remote ones broadcast) charges the same
+        peer_transfer bytes per source as walking the column instance by
+        instance did: per-instance bytes summed per source device, a
+        broadcast arena shipped once, transfers issued in the order the
+        sources first appear — and the gathered operand equals a stack of
+        the per-instance views."""
+        from repro.kernels.batched import index_gather
+        from repro.memory import MemoryPlanner, StorageArena
+        from repro.memory.planner import BatchPlan, OperandKind, OperandPlan
+        from repro.runtime.executor import ExecutionOptions
+
+        rng = np.random.default_rng(5)
+        arenas = [
+            StorageArena.from_batched(rng.standard_normal((6, 8)).astype(np.float32), device_index=2),
+            StorageArena.from_batched(rng.standard_normal((5, 8)).astype(np.float32), device_index=0),
+            StorageArena.from_broadcast(rng.standard_normal(8).astype(np.float32), 4, device_index=1),
+            StorageArena.from_batched(rng.standard_normal((7, 8)).astype(np.float32), device_index=1),
+        ]
+        # (arena, offset) per consumer instance: interleaved, repeated offsets
+        column = [(0, 3), (2, 0), (1, 4), (3, 6), (0, 3), (2, 2), (3, 0), (0, 1), (1, 0)]
+        producers = _make_nodes((), range(len(column)))
+        for node, (a, offset) in zip(producers, column):
+            node.outputs[0].arena = arenas[a]
+            node.outputs[0].offset = offset
+            node.executed = True
+        consumers = _make_nodes((), range(len(column)), block_id=1)
+        for consumer, producer in zip(consumers, producers):
+            consumer.args = (producer.outputs[0],)
+
+        # the per-part walk, written out: what resolve charged before columns
+        # were resolved into segments
+        expected, shipped = {}, set()
+        for a, _ in column:
+            arena = arenas[a]
+            src = arena.device_index
+            if src == 0:
+                continue
+            if arena.broadcast:
+                if a not in shipped:
+                    shipped.add(a)
+                    expected[src] = expected.get(src, 0.0) + arena.nbytes
+            else:
+                expected[src] = expected.get(src, 0.0) + float(arena.view(0).nbytes)
+
+        class _Kernel:
+            class block:
+                name = "b"
+                inputs = ()
+
+        for kind in (OperandKind.FUSED_GATHER, OperandKind.GATHER):
+            group = DeviceGroup(3)
+            calls = []
+            real = group.peer_transfer
+            group.peer_transfer = lambda src, dst, nbytes: (
+                calls.append((src, dst, nbytes)),
+                real(src, dst, nbytes),
+            )[1]
+            plan = BatchPlan(
+                batch=ScheduledBatch(block_id=1, nodes=consumers, device=0),
+                batch_size=len(column),
+                operands=[OperandPlan(0, kind)],
+                output_arena_ids=[],
+                device=0,
+            )
+            planner = MemoryPlanner()
+            (operand,) = planner.resolve(plan, _Kernel, group, ExecutionOptions())
+            assert calls == [(src, 0, nbytes) for src, nbytes in expected.items()]
+            assert list(expected) == [2, 1]  # first-appearance order of the sources
+            assert group[0].counters.bytes_peer == sum(expected.values())
+            assert planner.gather_segments == len(arenas)
+            assert operand.scattered is (kind is OperandKind.FUSED_GATHER)
+            views = [arenas[a].view(offset) for a, offset in column]
+            gathered = index_gather(operand.segments)
+            assert gathered.dtype == np.float32
+            assert np.array_equal(gathered, np.stack(views))
+            # an explicit gather is charged the bytes of every instance read
+            assert group[0].counters.bytes_gathered == (
+                sum(float(v.nbytes) for v in views) if kind is OperandKind.GATHER else 0.0
+            )
 
     def test_fiber_program_multi_device(self):
         """Tensor-dependent control flow (fiber scheduling) composes with

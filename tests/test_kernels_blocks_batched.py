@@ -21,7 +21,8 @@ from repro.kernels import (
     single_op_block,
 )
 from repro.kernels import registry
-from repro.kernels.batched import LaunchRecord
+from repro.kernels.batched import LaunchRecord, index_gather
+from repro.memory import StorageArena
 from repro.kernels.registry import get_op
 from repro.models import MODEL_MODULES
 
@@ -269,6 +270,19 @@ class TestBatchedProperty:
 # ---------------------------------------------------------------------------
 
 
+def instance_arrays(op):
+    """The per-instance arrays of a gathered operand, realized one arena view
+    at a time — what the kernel-side gather must be equal to a stack of."""
+    if op.parts is not None:
+        return list(op.parts)
+    rows = [None] * op.num_instances()
+    for arena, positions, offsets in op.segments:
+        where = range(len(offsets)) if positions is None else positions
+        for position, offset in zip(where, offsets):
+            rows[int(position)] = arena.view(int(offset))
+    return rows
+
+
 def naive_launch_records(kernel, operands, batch_size):
     """The per-launch accounting loop ``execute_batched`` ran before blocks
     were compiled into programs, kept as a deliberately naive reference: it
@@ -282,7 +296,7 @@ def naive_launch_records(kernel, operands, batch_size):
         if inp.shared:
             values[("input", inp.index)] = (np.asarray(op.array), False)
             continue
-        stacked = op.array if op.array is not None else np.stack(op.parts, axis=0)
+        stacked = op.array if op.array is not None else np.stack(instance_arrays(op), axis=0)
         scattered[inp.index] = op.scattered
         values[("input", inp.index)] = (np.asarray(stacked), True)
 
@@ -349,12 +363,28 @@ def naive_launch_records(kernel, operands, batch_size):
     return launches
 
 
-#: how a varying operand reaches the kernel: a contiguous array, the parts of
-#: an explicit gather, the scattered parts of a gather fused into the kernel
+def _indexed(parts):
+    """The instances laid out in two storage arenas — the even ones in
+    reverse order, then the odd ones — and delivered as the segments of an
+    index gather fused into the kernel."""
+    n = len(parts)
+    segments = []
+    for members in (list(range(0, n, 2))[::-1], list(range(1, n, 2))):
+        if members:
+            arena = StorageArena.from_batched(np.stack([parts[i] for i in members], axis=0))
+            positions = None if n == 1 else np.array(members, dtype=np.intp)
+            segments.append((arena, positions, np.arange(len(members), dtype=np.intp)))
+    return BatchedOperand(shared=False, segments=segments, scattered=True)
+
+
+#: how a varying operand reaches the kernel: a contiguous array, the host
+#: parts of an explicit gather, the scattered host parts of a gather fused
+#: into the kernel, a fused index gather over storage arenas
 DELIVERIES = {
     "contiguous": lambda parts: BatchedOperand.batched(np.stack(parts, axis=0)),
     "gather": lambda parts: BatchedOperand(shared=False, parts=list(parts)),
     "fused": BatchedOperand.scattered_parts,
+    "indexed": _indexed,
 }
 
 
@@ -407,8 +437,7 @@ def model_block_operands():
                 if inp.shared:
                     example.append(np.asarray(op.array))
                     continue
-                first = op.array[0] if op.array is not None else op.parts[0]
-                first = first if isinstance(first, np.ndarray) else first.array
+                first = op.array[0] if op.array is not None else instance_arrays(op)[0]
                 example.append((first.shape, first.dtype))
             seen[self] = example
         return real(self, args, batch_size)
@@ -582,3 +611,122 @@ class TestBlockProgramProperty:
             for inp in block.inputs
         ]
         check_against_oracle(kernel, per_instance, batch_size, delivery)
+
+
+# ---------------------------------------------------------------------------
+# the index gather against np.stack of the per-instance views
+# ---------------------------------------------------------------------------
+
+
+def column_segments(arenas, column):
+    """Segments of ``column`` (one ``(arena index, offset)`` per instance),
+    one per source arena in first-appearance order — built the slow way."""
+    by_arena = {}
+    for position, (a, offset) in enumerate(column):
+        by_arena.setdefault(a, []).append((position, offset))
+    whole = len(by_arena) == 1
+    return [
+        (
+            arenas[a],
+            None if whole else np.array([p for p, _ in rows], dtype=np.intp),
+            np.array([o for _, o in rows], dtype=np.intp),
+        )
+        for a, rows in by_arena.items()
+    ]
+
+
+class TestIndexGather:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=st.sampled_from([1, 2, 7, 240]),
+        n_arenas=st.integers(min_value=1, max_value=8),
+        shape=st.sampled_from([(), (3,), (1, 5), (2, 0), (2, 3, 2)]),
+        dtype=st.sampled_from([np.float32, np.float64, np.int64]),
+        buffered=st.booleans(),
+        shuffle=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_equals_the_stack_of_instance_views(
+        self, batch, n_arenas, shape, dtype, buffered, shuffle, seed
+    ):
+        """Random arena layouts — batched and broadcast arenas, 1-8 sources,
+        interleaved (optionally shuffled) positions, repeated offsets, with
+        and without a preallocated buffer: bitwise what ``np.stack`` of the
+        per-instance views builds, never aliasing an arena."""
+        rng = np.random.default_rng(seed)
+        arenas = []
+        for _ in range(n_arenas):
+            if rng.random() < 0.3:
+                arenas.append(StorageArena.from_broadcast(_random_like(rng, shape, dtype), batch))
+            else:
+                rows = int(rng.integers(1, 12))
+                arenas.append(StorageArena.from_batched(_random_like(rng, (rows,) + shape, dtype)))
+        column = []
+        for a in rng.integers(0, n_arenas, batch):
+            arena = arenas[a]
+            rows = batch if arena.broadcast else arena.data.shape[0]
+            column.append((int(a), int(rng.integers(0, rows))))
+        segments = column_segments(arenas, column)
+        if shuffle:
+            # a segment's rows are unordered: any permutation of its
+            # (position, offset) pairs names the same gather
+            shuffled = []
+            for arena, positions, offsets in segments:
+                if positions is not None:
+                    perm = rng.permutation(len(offsets))
+                    positions, offsets = positions[perm], offsets[perm]
+                shuffled.append((arena, positions, offsets))
+            segments = shuffled
+        expected = np.stack([arenas[a].view(offset) for a, offset in column], axis=0)
+        out = np.empty_like(expected) if buffered else None
+        got = index_gather(segments, out)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        if buffered:
+            assert got is out
+        assert not any(np.shares_memory(got, arena.data) for arena in arenas)
+
+    def test_mismatched_instance_shapes_raise(self):
+        """``np.stack`` refuses instances of different shapes; so does the
+        gather — a (1, 4) arena must never broadcast into (2, 4) rows."""
+        wide = StorageArena.from_batched(np.zeros((3, 2, 4), np.float32))
+        narrow = StorageArena.from_batched(np.ones((3, 1, 4), np.float32))
+        shared = StorageArena.from_broadcast(np.ones((1, 4), np.float32), 3)
+        for other in (narrow, shared):
+            column = [(0, 0), (1, 1), (0, 2)]
+            views = [(wide, other)[a].view(offset) for a, offset in column]
+            with pytest.raises(ValueError, match="same shape"):
+                np.stack(views, axis=0)
+            with pytest.raises(ValueError, match="same shape"):
+                index_gather(column_segments((wide, other), column))
+
+    @pytest.mark.parametrize("stray", [np.float64, np.int32, np.float16])
+    def test_stray_dtype_promotes_as_the_stack_did(self, stray):
+        """One arena of another dtype promotes the whole operand exactly as
+        ``np.stack`` promoted — and a preallocated float32 buffer is left
+        alone rather than cast into, unless float32 *is* the promoted
+        dtype."""
+        rng = np.random.default_rng(3)
+        arenas = [
+            StorageArena.from_batched(_random_like(rng, (4, 3), np.float32)),
+            StorageArena.from_batched(_random_like(rng, (2, 3), stray)),
+            StorageArena.from_broadcast(_random_like(rng, (3,), np.float32), 6),
+        ]
+        column = [(0, 1), (1, 0), (2, 4), (0, 3), (1, 1), (0, 1)]
+        expected = np.stack([arenas[a].view(offset) for a, offset in column], axis=0)
+        buffer = np.full((len(column), 3), 7, np.float32)
+        for out in (None, buffer):
+            got = index_gather(column_segments(arenas, column), out)
+            assert got.dtype == expected.dtype == np.result_type(np.float32, stray)
+            assert got.tobytes() == expected.tobytes()
+            fits = out is buffer and expected.dtype == np.float32
+            assert (got is buffer) == fits
+        assert expected.dtype == np.float32 or (buffer == 7).all()
+
+    def test_missized_buffer_is_not_written(self):
+        arena = StorageArena.from_batched(np.arange(12, dtype=np.float32).reshape(4, 3))
+        segments = column_segments([arena], [(0, 2), (0, 0)])
+        buffer = np.zeros((3, 3), np.float32)
+        got = index_gather(segments, buffer)
+        assert got is not buffer and not buffer.any()
+        assert np.array_equal(got, arena.data[[2, 0]])

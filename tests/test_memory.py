@@ -50,11 +50,14 @@ class TestStorageArena:
         assert np.shares_memory(sl, shared)  # broadcast view, no copy
         assert arena.nbytes == float(shared.nbytes)
 
-    def test_slot_placement(self):
-        arena = StorageArena.from_batched(np.zeros((2, 3)))
-        slot = arena.slot(1)
-        assert slot.placement == (arena.arena_id, 1)
-        assert np.shares_memory(slot.array, arena.data)
+    def test_instance_introspection(self):
+        """What the planner reads off an arena instead of realizing a view:
+        the per-instance shape and byte count, for both layouts."""
+        batched = StorageArena.from_batched(np.zeros((2, 3), np.float32))
+        assert batched.instance_shape == (3,) and batched.instance_nbytes == 12.0
+        assert np.shares_memory(batched.view(1), batched.data)
+        shared = StorageArena.from_broadcast(np.zeros((2, 3), np.float32), batch_size=4)
+        assert shared.instance_shape == (2, 3) and shared.instance_nbytes == 24.0
 
     def test_arena_ids_are_unique(self):
         a = StorageArena.from_batched(np.zeros((1, 1)))
@@ -67,11 +70,11 @@ class TestLazyTensorViews:
         rt = make_runtime()
         outs = [rt.invoke(0, 0, 0, [np.full((1, 4), i, np.float32)]) for i in range(3)]
         rt.trigger()
-        arenas = {o.storage.arena.arena_id for o in outs}
+        arenas = {o.arena.arena_id for o in outs}
         assert len(arenas) == 1  # one launch output arena for the whole batch
         for b, o in enumerate(outs):
-            assert o.storage.offset == b
-            assert np.shares_memory(o.value, o.storage.arena.data)
+            assert o.offset == b
+            assert np.shares_memory(o.value, o.arena.data)
 
 
 class TestMemoryPlanner:
@@ -100,7 +103,7 @@ class TestMemoryPlanner:
         rt = make_runtime()
         producers = [rt.invoke(0, 0, 0, [np.full((1, 4), i, np.float32)]) for i in range(3)]
         rt.trigger()
-        arena = producers[0].storage.arena
+        arena = producers[0].arena
 
         nodes = [DFGNode(0, [p], 1, 0, i, 1) for i, p in enumerate(producers)]
         batch = ScheduledBatch(block_id=0, nodes=nodes)
@@ -198,6 +201,65 @@ class TestMemoryPlanner:
             planner.plan_round([ScheduledBatch(0, consumers)], rt.kernels)
 
 
+class TestGatherSegments:
+    """``RunStats.memory["gather_segments"]``: source arenas summed over the
+    gathered columns — what an index gather costs, and the baseline a
+    gather-free layout (producers landing where consumers read) starts from."""
+
+    @staticmethod
+    def run_counting_sources(monkeypatch, name, gather_fusion=True, size="test"):
+        """Run one fixed batch, counting — independently of the planner's own
+        walk, from the DFG before each launch resolves — the distinct arenas
+        behind every gathered column of arena tensors."""
+        from repro.runtime.tensor import LazyTensor
+
+        per_column = []
+        real = MemoryPlanner.resolve
+
+        def resolve(self, plan, kernel, device, options):
+            for op in plan.operands:
+                if op.kind in (OperandKind.GATHER, OperandKind.FUSED_GATHER):
+                    column = [node.args[op.index] for node in plan.batch.nodes]
+                    sources = {id(a.arena) for a in column if isinstance(a, LazyTensor)}
+                    if sources:
+                        per_column.append(len(sources))
+            return real(self, plan, kernel, device, options)
+
+        monkeypatch.setattr(MemoryPlanner, "resolve", resolve)
+        module = MODEL_MODULES[name]
+        mod, params, size = module.build_for(size)
+        model = compile_model(mod, params, CompilerOptions(gather_fusion=gather_fusion))
+        _, stats = model.run(module.make_batch(mod, size, 16, seed=3))
+        return per_column, stats
+
+    @pytest.mark.parametrize("gather_fusion", [True, False])
+    def test_treelstm_columns_span_several_arenas(self, monkeypatch, gather_fusion):
+        per_column, stats = self.run_counting_sources(monkeypatch, "treelstm", gather_fusion)
+        assert stats.memory["gather_segments"] == sum(per_column)
+        # children of one launch were produced by launches at several depths
+        assert max(per_column) > 1 and sum(per_column) > len(per_column)
+        kind = "fused_gather" if gather_fusion else "gather"
+        assert 0 < len(per_column) <= stats.memory[kind]
+
+    def test_stackrnn_columns_have_one_source_each(self, monkeypatch):
+        """At the benchmark's size every fiber advances in lockstep, so a
+        round's operands all come from the previous round's one launch."""
+        per_column, stats = self.run_counting_sources(monkeypatch, "stackrnn", size="small")
+        assert per_column and set(per_column) == {1}
+        assert stats.memory["gather_segments"] == len(per_column)
+
+    def test_summary_names_it_without_the_operand_suffix(self):
+        module = MODEL_MODULES["treelstm"]
+        mod, params, size = module.build_for("test")
+        _, stats = compile_model(mod, params, CompilerOptions()).run(
+            module.make_batch(mod, size, 4, seed=0)
+        )
+        summary = stats.summary()
+        assert summary["mem_gather_segments"] == stats.memory["gather_segments"]
+        assert "mem_gather_segments_operands" not in summary
+        assert summary["mem_fused_gather_operands"] == stats.memory["fused_gather"]
+
+
 class TestArenaResidency:
     def test_note_arena_marks_resident_without_copy(self):
         dev = DeviceSimulator()
@@ -211,7 +273,7 @@ class TestArenaResidency:
         rt = make_runtime()
         out = rt.invoke(0, 0, 0, [np.ones((1, 4), np.float32)])
         rt.trigger()
-        assert rt.device.is_resident(out.storage.arena)
+        assert rt.device.is_resident(out.arena)
 
     def test_session_reuses_resident_parameters_across_rounds(self):
         """Round two of a persistent session does not re-upload parameters:

@@ -1,5 +1,7 @@
 """Tests for the runtime: device simulator, schedulers, fibers, executor."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,88 @@ class TestDeviceSimulator:
         fresh = np.ones((8, 8), dtype=np.float32)
         assert dev.ensure_resident(fresh) > 0.0
         assert dev.counters.num_memcpy == 2
+
+    def test_recycled_id_is_a_charged_miss(self):
+        """Deterministic form of the above: find a fresh array that really
+        did land on a freed one's ``id()`` and check it is charged — through
+        ``ensure_resident`` and through ``ensure_resident_many``."""
+        for many in (False, True):
+            dev = DeviceSimulator()
+            for _ in range(1000):
+                arr = np.zeros(4, dtype=np.float32)
+                dev.ensure_resident(arr)
+                freed = id(arr)
+                del arr
+                fresh = np.ones(4, dtype=np.float32)
+                if id(fresh) == freed:
+                    break
+            else:
+                pytest.skip("the allocator never recycled an id")
+            before = dev.counters.num_memcpy
+            assert not dev.is_resident(fresh)
+            if many:
+                dev.ensure_resident_many([fresh])
+            else:
+                assert dev.ensure_resident(fresh) > 0.0
+            assert dev.counters.num_memcpy == before + 1
+            assert dev.is_resident(fresh)
+
+    def test_ensure_resident_many_charges_like_per_array_calls(self):
+        """One call per column: the same misses, charged the same terms in
+        the same order — every counter bit-identical to per-array calls,
+        with repeats and already-resident arrays inside the column."""
+        rng = np.random.default_rng(0)
+        arrays = [np.zeros(int(n), np.float32) for n in rng.integers(1, 4000, 300)]
+        column = arrays + arrays[:50] + [arrays[7]] * 3
+        for batch_transfers in (True, False):
+            one, many = DeviceSimulator(), DeviceSimulator()
+            for dev in (one, many):
+                dev.launch(record())  # api_time_us starts from a non-zero float
+                dev.ensure_resident(arrays[3], batch_transfers)
+            for arr in column:
+                one.ensure_resident(arr, batch_transfers)
+            many.ensure_resident_many(column, batch_transfers)
+            assert many.counters == one.counters  # dataclass ==: floats exact
+            assert many.counters.num_memcpy == len(arrays)
+            assert all(many.is_resident(arr) for arr in arrays)
+
+    @pytest.mark.parametrize("many", [False, True])
+    def test_host_table_stays_bounded_in_a_long_lived_session(self, many):
+        """10^5 short-lived distinct host arrays with residency retained: the
+        table holds them weakly and sweeps dead entries whenever it doubles,
+        so it never outgrows a small multiple of the live working set."""
+        dev = DeviceSimulator()
+        pinned = [np.zeros(2, np.float32) for _ in range(10)]  # long-lived
+        for arr in pinned:
+            dev.ensure_resident(arr)
+        largest = 0
+        for _ in range(1000):
+            column = [np.empty(1, np.float32) for _ in range(100)]  # short-lived
+            if many:
+                dev.ensure_resident_many(column)
+            else:
+                for arr in column:
+                    dev.ensure_resident(arr)
+            largest = max(largest, len(dev._host_resident))
+        assert dev.counters.num_memcpy == len(pinned) + 100_000
+        assert largest <= 2048 + 100
+        assert all(dev.is_resident(arr) for arr in pinned)  # sweeps keep the living
+
+    def test_note_resident_marks_without_charging(self):
+        dev = DeviceSimulator()
+        arr = np.zeros(8, np.float32)
+        assert not dev.is_resident(arr)
+        dev.note_resident(arr)
+        assert dev.is_resident(arr)
+        assert dev.ensure_resident(arr) == 0.0
+        dev.ensure_resident_many([arr])
+        assert dev.counters.num_memcpy == 0
+        dev.reset_residency()
+        assert not dev.is_resident(arr)
+        dev.note_resident(arr)
+        alive = weakref.ref(arr)
+        del arr
+        assert alive() is None  # the table holds its arrays weakly
 
 
 class TestProfiler:

@@ -6,6 +6,7 @@ replay."""
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -335,6 +336,49 @@ class TestServerLifecycle:
             handle.result()
         with pytest.raises(TimeoutError):
             handle.result(timeout=0.01)
+
+
+class TestDeadlineRoundComposition:
+    def test_deadline_round_takes_every_admitted_request(
+        self, treelstm_setup, monkeypatch
+    ):
+        """A deadline that comes due while the loop thread is still
+        dispatching closes a round of everything admitted so far — the
+        round's size is not a race between the producer and the loop
+        thread's progress through the admission queue."""
+        mod, params, instances, reference = treelstm_setup
+        server = Server()
+        server.add_endpoint(
+            "m", compile_model(mod, params, CompilerOptions()),
+            policy="adaptive", max_wait_ms=20.0,
+        )
+        loop = server.loop
+        dispatching = threading.Event()
+        all_admitted = threading.Event()
+        dispatch_one = loop._dispatch_one
+
+        def overrun_the_deadline(adm):
+            if not dispatching.is_set():
+                # the loop thread picked up the first request alone and
+                # stays busy with it until the rest are admitted and the
+                # round's deadline (anchored at this arrival) has passed
+                dispatching.set()
+                assert all_admitted.wait(30.0)
+                while loop.clock.now() < adm.at + 0.03:
+                    time.sleep(0.002)
+            dispatch_one(adm)
+
+        monkeypatch.setattr(loop, "_dispatch_one", overrun_the_deadline)
+        with server.run():
+            handles = [server.submit("m", instances[0])]
+            assert dispatching.wait(30.0)
+            handles += [server.submit("m", inst) for inst in instances[1:]]
+            all_admitted.set()
+            outputs = [h.result(timeout=30.0) for h in handles]
+        assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
+        history = server.endpoint("m").session.history
+        assert [r.batch_size for r in history] == [len(instances)]
+        server.shutdown()
 
 
 class TestAwaitableHandles:

@@ -338,17 +338,35 @@ class TestPromotionEndToEnd:
             session.flush()
         monkeypatch.undo()
         checked = 0
+        forms = set()
         for entry, operands in dispatched:
             kernel = entry.kernel
             for inp in kernel.block.inputs:
                 op = operands[inp.index]
                 if inp.shared or entry.batch_size < 2:
                     continue
-                short = (
-                    BatchedOperand.batched(op.array[:-1])
-                    if op.array is not None
-                    else BatchedOperand(shared=False, parts=op.parts[:-1], scattered=op.scattered)
-                )
+                if op.array is not None:
+                    short = BatchedOperand.batched(op.array[:-1])
+                    forms.add("array")
+                elif op.parts is not None:
+                    short = BatchedOperand(
+                        shared=False, parts=op.parts[:-1], scattered=op.scattered
+                    )
+                    forms.add("parts")
+                else:
+                    # the index form names its instances per source arena:
+                    # drop the batch's last row from whichever segment has it
+                    last = entry.batch_size - 1
+                    segments = [
+                        (arena, None, offsets[:-1])
+                        if positions is None
+                        else (arena, positions[positions != last], offsets[positions != last])
+                        for arena, positions, offsets in op.segments
+                    ]
+                    short = BatchedOperand(
+                        shared=False, segments=segments, scattered=op.scattered
+                    )
+                    forms.add("segments")
                 bad = operands[: inp.index] + [short] + operands[inp.index + 1:]
                 expected = f"block {kernel.name}: varying input {inp.name} got"
                 with pytest.raises(ValueError, match=expected) as special:
@@ -358,6 +376,8 @@ class TestPromotionEndToEnd:
                 assert str(special.value) == str(generic.value)
                 checked += 1
         assert checked > 0
+        # the count check guards the index form as it guarded the parts form
+        assert {"segments", "parts"} <= forms
 
     @pytest.mark.parametrize("off", [{"plan_cache": False}, {"validate": True}])
     def test_tier_exists_iff_plan_cache_and_not_validate(self, off):
