@@ -9,6 +9,7 @@ def test_table5_dynet_vs_acrobat(benchmark):
     text = format_table(headers, rows, title="Table 5: DyNet vs ACROBAT (ms)")
     gm = table5.geometric_mean_speedup(rows)
     text += f"\n\nGeometric-mean speedup over DyNet: {gm:.2f}x"
+    text += "\n\n" + table5.NOTE
     save_result("table5", text)
     print("\n" + text)
     # shape check: ACROBAT wins overall (paper: 2.3x geomean)

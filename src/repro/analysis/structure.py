@@ -161,6 +161,14 @@ def hoistable_bindings(name: str, func: Function, module: IRModule) -> Set[int]:
     rec_calls = _self_recursive_calls(name, func)
     if not rec_calls:
         return set()
+    # the marking below follows arguments through *self* calls only; a
+    # function that also recurses through another one (f -> g -> f) can get a
+    # computed value back in any position, so nothing of it hoists
+    if any(
+        name in reachable_functions(module, callee)
+        for callee in called_globals(func) - {name}
+    ):
+        return set()
 
     params = list(func.params)
     recurrent: Set[int] = set()

@@ -47,6 +47,7 @@ from ..ir.expr import (
     Var,
 )
 from ..ir.module import IRModule
+from ..ir.visitor import free_vars
 from ..kernels.registry import get_op, has_op
 
 TAINTED = True
@@ -147,9 +148,9 @@ class TaintAnalysis:
         if isinstance(expr, (OpRef, ConstructorRef, GlobalVar)):
             return INVARIANT
         if isinstance(expr, Function):
-            # a closure's taint is the taint of its captured environment;
-            # approximated by analyzing at call sites (see Call below)
-            return INVARIANT
+            # a closure's taint is the taint of its captured environment (its
+            # body is analyzed at call sites, see Call below)
+            return any(env.get(id(v), TAINTED) for v in free_vars(expr))
         if isinstance(expr, Let):
             value_taint = self._eval(expr.value, env)
             env = dict(env)

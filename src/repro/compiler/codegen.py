@@ -16,11 +16,41 @@ thereby lazily building the DFG.  The generator also inserts:
   as fibers and joined (§4.2);
 * **synchronization points** (``yield``) before every host read of a tensor
   value, which is what makes batching possible in the presence of
-  tensor-dependent control flow.
+  tensor-dependent control flow;
+* **self tail calls as loops** — see below.
 
 For programs without tensor-dependent control flow plain functions are
 generated; otherwise every generated function is a generator coroutine
 driven by :class:`repro.runtime.fibers.FiberScheduler`.
+
+Tail calls
+----------
+A call is in *tail position* when its value is the function's result: the end
+of the body's let-chain, through the arms of ``If`` and ``Match`` and through
+nested let-chains (a ``Let`` value, a condition, a scrutinee or a tuple field
+is not).  A function with a call to *itself* in tail position, with its own
+arity, is emitted as ``while True:``; each such call becomes one simultaneous
+assignment of the parameters whose argument is not the parameter itself
+(``buffer, stack = buf_rest, ADTValue(...)`` — ``f(b, a)`` must swap, and a
+weight passed through unchanged is never touched) followed by ``continue``,
+in generator and plain mode alike.  A sequence model's step therefore runs in
+one frame however long the sequence is: a ``yield from`` chain instead grows
+by a frame per step, and every fiber resume walks all of it.  The depth
+counter lives in the shared ``__depth`` cell either way, so every node gets
+the ``(phase, depth)`` it had as a call.
+
+Every other call keeps the call form: non-tail recursion (TreeLSTM's child
+calls), calls to other functions, ``map`` / ``foldl``, spawned concurrent
+calls.  The loop form is refused, and a self tail call stays a call, when
+
+* the function is ``main`` (its phase updates assume one pass over the body);
+* the body contains a nested ``Function``: a closure created in one iteration
+  would see the next iteration's rebinding of the variables it captured.
+
+The jump is sound only because nothing runs after it.  What could is a ghost
+alignment after the enclosing conditional — never emitted there, because a
+jump, like a call, makes the branch's depth delta unknown;
+``_emit_alignment`` asserts it.
 """
 
 from __future__ import annotations
@@ -51,7 +81,7 @@ from ..ir.expr import (
     Var,
 )
 from ..ir.module import IRModule, PRELUDE_FUNCTIONS
-from ..ir.visitor import free_vars
+from ..ir.visitor import collect, free_vars
 from ..kernels.block import StaticBlock
 from ..kernels.registry import get_op, has_op
 from .blocks import BlockBuilder
@@ -202,7 +232,7 @@ class _FunctionEmitter:
         self.fname = fname
         self.func = func
         self.scope = _Scope()
-        self.lines: List[str] = []
+        self.lines: List[Optional[str]] = []
         self.level = 1
         # ghost-op bookkeeping: dynamic-depth invocations emitted so far and
         # whether an unknown-depth construct (call/recursion) was emitted
@@ -210,6 +240,15 @@ class _FunctionEmitter:
         self.unknown_delta = False
         self.cur_phase = 0
         self.is_main = fname == "main"
+        #: ``continue`` statements emitted so far (see ``_emit_alignment``)
+        self.tail_jumps = 0
+        #: emit the body as a loop and self tail calls as jumps (module
+        #: docstring, "Tail calls", has the two refusals and why)
+        self.loop = (
+            not self.is_main
+            and self._ends_in_self_call(func.body)
+            and not collect(func.body, lambda e: isinstance(e, Function))
+        )
 
     # -- emission helpers -------------------------------------------------------
     def emit(self, line: str) -> None:
@@ -218,15 +257,78 @@ class _FunctionEmitter:
     def fresh(self, hint: str) -> str:
         return self.scope.fresh(hint)
 
+    def _reserve_depth_capture(self) -> Optional[Tuple[int, int]]:
+        """Hold a line, ahead of a conditional, for the entry-depth capture
+        its ghost alignment may turn out to need."""
+        if not self.cg.options.ghost_ops:
+            return None
+        self.lines.append(None)
+        return len(self.lines) - 1, self.tail_jumps
+
+    def _emit_alignment(self, capture: Tuple[int, int], delta: int) -> None:
+        """Ghost operators: align the depth counter so post-branch operators
+        batch across instances that took different branches (Fig. 3)."""
+        slot, jumps_before = capture
+        # a path that ended in ``continue`` never reaches this line; skipping
+        # it is sound only because a jump, like a call, makes the branch's
+        # depth delta unknown, and an unknown delta is never aligned
+        assert self.tail_jumps == jumps_before, "ghost alignment after a tail jump"
+        entry_depth = self.fresh("gd")
+        self.lines[slot] = "    " * self.level + f"{entry_depth} = __depth[0]"
+        self.emit(f"__depth[0] = {entry_depth} + {delta}")
+
     # -- top level ----------------------------------------------------------------
     def generate(self) -> str:
         params = [self.scope.bind(p) for p in self.func.params]
         header = f"def {py_func_name(self.fname)}({', '.join(params + ['__depth', '__phase'])}):"
         if self.cg.tdc:
             self.emit("if False: yield  # ensure generator")
-        result = self.compile_chain(self.func.body, top_level=self.is_main)
-        self.emit(f"return {result}")
-        return header + "\n" + "\n".join(self.lines)
+        if self.loop:
+            self.emit("while True:")
+            self.level += 1
+        result = self.compile_chain(self.func.body, top_level=self.is_main, tail=self.loop)
+        if result is not None:
+            self.emit(f"return {result}")
+        body = [line for line in self.lines if line is not None]
+        return header + "\n" + "\n".join(body)
+
+    # -- self tail calls ------------------------------------------------------------
+    def _is_self_call(self, expr: Expr) -> bool:
+        return (
+            isinstance(expr, Call)
+            and isinstance(expr.op, GlobalVar)
+            and expr.op.name == self.fname
+            and len(expr.args) == len(self.func.params)
+            and expr.attrs.get("concurrent_group") is None
+        )
+
+    def _ends_in_self_call(self, expr: Expr) -> bool:
+        """Whether some path through ``expr``, taken in tail position, ends
+        in a call to the function being emitted."""
+        while isinstance(expr, Let):
+            expr = expr.body
+        if isinstance(expr, If):
+            arms = [expr.then_branch, expr.else_branch]
+        elif isinstance(expr, Match):
+            arms = [c.body for c in expr.clauses]
+        else:
+            return self._is_self_call(expr)
+        return any(self._ends_in_self_call(arm) for arm in arms)
+
+    def _emit_tail_jump(self, call: Call) -> None:
+        """The next iteration of a loop-form function: one simultaneous
+        assignment of the parameters whose argument is not the parameter
+        itself, then ``continue``."""
+        params = [self.scope.lookup(p) for p in self.func.params]
+        args = [self.compile_expr(a) for a in call.args]
+        changed = [(p, a) for p, a in zip(params, args) if p != a]
+        if changed:
+            targets, values = zip(*changed)
+            self.emit(f"{', '.join(targets)} = {', '.join(values)}")
+        self.emit("continue")
+        self.tail_jumps += 1
+        # what a call does to the bookkeeping: the depth after it is unknown
+        self.unknown_delta = True
 
     # -- let chains / static block runs ---------------------------------------------
     def _classify(self, value: Expr) -> str:
@@ -238,7 +340,12 @@ class _FunctionEmitter:
     def _binding_phase(self, value: Expr) -> int:
         return self.cg.phases.phase_of(value, self.cur_phase)
 
-    def compile_chain(self, expr: Expr, top_level: bool = False) -> str:
+    def compile_chain(
+        self, expr: Expr, top_level: bool = False, tail: bool = False
+    ) -> Optional[str]:
+        """Emit a let-chain and return the expression naming its value.
+        ``tail`` marks the tail position of a loop-form function; there the
+        value is ``None`` when every path ended in the loop's ``continue``."""
         run: List[Tuple[Optional[Var], Call]] = []
         run_hoisted = False
         options = self.cg.options
@@ -301,7 +408,7 @@ class _FunctionEmitter:
                 self.emit(f"__phase = {phase}")
                 self.cur_phase = phase
         flush(cur)
-        return self.compile_expr(cur)
+        return self.compile_expr(cur, tail)
 
     def _emit_block(
         self,
@@ -319,9 +426,10 @@ class _FunctionEmitter:
         else:
             out_names = [self.fresh("blk")]
         lhs = ", ".join(out_names)
+        arg_tuple = ", ".join(arg_strs) + ("," if len(arg_strs) == 1 else "")
         self.emit(
             f"{lhs} = __rt.invoke({result.block.block_id}, {depth_expr}, __phase, "
-            f"[{', '.join(arg_strs)}])"
+            f"({arg_tuple}))"
         )
         if not hoisted:
             self.emit("__depth[0] += 1")
@@ -389,7 +497,7 @@ class _FunctionEmitter:
         return f"{py_func_name(call.op.name)}({', '.join(args + [depth_name, '__phase'])})"
 
     # -- expressions ---------------------------------------------------------------
-    def compile_expr(self, expr: Expr) -> str:
+    def compile_expr(self, expr: Expr, tail: bool = False) -> Optional[str]:
         if isinstance(expr, Var):
             return self.scope.lookup(expr)
         if isinstance(expr, Constant):
@@ -414,12 +522,14 @@ class _FunctionEmitter:
         if isinstance(expr, Function):
             return self._compile_closure(expr)
         if isinstance(expr, If):
-            return self._compile_if(expr)
+            return self._compile_if(expr, tail)
         if isinstance(expr, Match):
-            return self._compile_match(expr)
+            return self._compile_match(expr, tail)
         if isinstance(expr, Let):
-            return self.compile_chain(expr)
+            return self.compile_chain(expr, tail=tail)
         if isinstance(expr, Call):
+            if tail and self._is_self_call(expr):
+                return self._emit_tail_jump(expr)
             return self._compile_call(expr)
         raise TypeError(f"codegen: cannot compile {type(expr).__name__}")
 
@@ -496,62 +606,51 @@ class _FunctionEmitter:
         return name
 
     # -- conditionals --------------------------------------------------------------------
-    def _compile_if(self, expr: If) -> str:
+    def _compile_if(self, expr: If, tail: bool = False) -> Optional[str]:
         cond = self.compile_expr(expr.cond)
         out = self.fresh("ifval")
-        entry_depth = None
-        if self.cg.options.ghost_ops:
-            entry_depth = self.fresh("gd")
-            self.emit(f"{entry_depth} = __depth[0]")
+        capture = self._reserve_depth_capture()
 
         saved_invokes, saved_unknown = self.dyn_invokes, self.unknown_delta
 
         self.emit(f"if {cond}:")
         self.level += 1
         self.dyn_invokes, self.unknown_delta = 0, False
-        then_ret = self.compile_chain(expr.then_branch)
-        self.emit(f"{out} = {then_ret}")
+        then_ret = self.compile_chain(expr.then_branch, tail=tail)
+        if then_ret is not None:
+            self.emit(f"{out} = {then_ret}")
         then_delta, then_unknown = self.dyn_invokes, self.unknown_delta
         self.level -= 1
 
         self.emit("else:")
         self.level += 1
         self.dyn_invokes, self.unknown_delta = 0, False
-        else_ret = self.compile_chain(expr.else_branch)
-        self.emit(f"{out} = {else_ret}")
+        else_ret = self.compile_chain(expr.else_branch, tail=tail)
+        if else_ret is not None:
+            self.emit(f"{out} = {else_ret}")
         else_delta, else_unknown = self.dyn_invokes, self.unknown_delta
         self.level -= 1
 
         branch_unknown = then_unknown or else_unknown
-        if (
-            self.cg.options.ghost_ops
-            and entry_depth is not None
-            and not branch_unknown
-            and (then_delta != else_delta)
-        ):
-            # ghost operators: align the depth counter so post-branch operators
-            # batch across instances that took different branches (Fig. 3)
-            self.emit(f"__depth[0] = {entry_depth} + {max(then_delta, else_delta)}")
+        if capture is not None and not branch_unknown and then_delta != else_delta:
+            self._emit_alignment(capture, max(then_delta, else_delta))
 
         self.dyn_invokes = saved_invokes + max(then_delta, else_delta)
         self.unknown_delta = saved_unknown or branch_unknown
-        return out
+        return None if then_ret is None and else_ret is None else out
 
     # -- pattern matching -----------------------------------------------------------------
-    def _compile_match(self, expr: Match) -> str:
+    def _compile_match(self, expr: Match, tail: bool = False) -> Optional[str]:
         data = self.compile_expr(expr.data)
         scrut = self.fresh("scrut")
         self.emit(f"{scrut} = {data}")
         out = self.fresh("mval")
-
-        entry_depth = None
-        if self.cg.options.ghost_ops:
-            entry_depth = self.fresh("gd")
-            self.emit(f"{entry_depth} = __depth[0]")
+        capture = self._reserve_depth_capture()
 
         saved_invokes, saved_unknown = self.dyn_invokes, self.unknown_delta
         deltas: List[int] = []
         unknowns: List[bool] = []
+        falls_through = False  # some clause reaches the end of the match
 
         for i, clause in enumerate(expr.clauses):
             pattern = clause.pattern
@@ -566,8 +665,10 @@ class _FunctionEmitter:
             self.level += 1
             self._bind_pattern(pattern, scrut)
             self.dyn_invokes, self.unknown_delta = 0, False
-            ret = self.compile_chain(clause.body)
-            self.emit(f"{out} = {ret}")
+            ret = self.compile_chain(clause.body, tail=tail)
+            if ret is not None:
+                self.emit(f"{out} = {ret}")
+                falls_through = True
             deltas.append(self.dyn_invokes)
             unknowns.append(self.unknown_delta)
             self.level -= 1
@@ -578,17 +679,12 @@ class _FunctionEmitter:
         self.level -= 1
 
         branch_unknown = any(unknowns)
-        if (
-            self.cg.options.ghost_ops
-            and entry_depth is not None
-            and not branch_unknown
-            and len(set(deltas)) > 1
-        ):
-            self.emit(f"__depth[0] = {entry_depth} + {max(deltas)}")
+        if capture is not None and not branch_unknown and len(set(deltas)) > 1:
+            self._emit_alignment(capture, max(deltas))
 
         self.dyn_invokes = saved_invokes + (max(deltas) if deltas else 0)
         self.unknown_delta = saved_unknown or branch_unknown
-        return out
+        return out if falls_through else None
 
     def _bind_pattern(self, pattern, scrut: str) -> None:
         if isinstance(pattern, PatternWildcard):

@@ -15,7 +15,16 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..compiler.options import CompilerOptions
-from .harness import ExperimentScale, current_scale, format_table, resolve_size_name, run_acrobat
+from ..core.api import compile_model
+from .harness import (
+    ExperimentScale,
+    best_stats_round_robin,
+    build_model,
+    current_scale,
+    format_table,
+    make_instances,
+    resolve_size_name,
+)
 
 MODELS = ("treelstm", "mvrnn", "birnn", "nestedrnn", "drnn", "berxit", "stackrnn")
 
@@ -34,12 +43,12 @@ def run(
     rows: List[List] = []
     for model in models:
         for size_name in scale.size_names:
-            build_size = resolve_size_name(scale, size_name)
-            latencies = []
-            for _, options in levels:
-                stats = run_acrobat(model, build_size, batch, options=options, seed=scale.seed)
-                latencies.append(stats.latency_ms)
-            rows.append([model, size_name, batch] + latencies)
+            mod, params, size = build_model(model, resolve_size_name(scale, size_name), scale.seed)
+            instances = make_instances(model, mod, size, batch, scale.seed)
+            compiled = [compile_model(mod, params, options) for _, options in levels]
+            # the levels of one row are compared with each other
+            stats = best_stats_round_robin([lambda c=c: c.run(instances)[1] for c in compiled])
+            rows.append([model, size_name, batch] + [s.latency_ms for s in stats])
     return headers, rows
 
 

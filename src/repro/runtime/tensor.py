@@ -103,25 +103,27 @@ class DFGNode:
         phase: int,
         instance_id: int,
         num_outputs: int,
+        round_seq: Optional[int] = None,
     ) -> None:
         self.node_id = next(_node_ids)
         self.block_id = block_id
         #: one entry per block input: an ``ndarray`` (parameter/constant/host
-        #: input) or a :class:`LazyTensor` produced by an earlier node
-        self.args: Tuple[Any, ...] = tuple(args)
+        #: input) or a :class:`LazyTensor` produced by an earlier node.  The
+        #: generated program passes a tuple, which is kept as is
+        self.args: Tuple[Any, ...] = args if type(args) is tuple else tuple(args)
         self.depth = depth
         self.phase = phase
         self.instance_id = instance_id
         #: the node's lazy outputs until it executes; cleared by the
         #: planner's commit (see the module docstring)
-        self.outputs: Sequence[LazyTensor] = [LazyTensor(self, k) for k in range(num_outputs)]
+        self.outputs: Tuple[LazyTensor, ...] = tuple([LazyTensor(self, k) for k in range(num_outputs)])
         self.executed = False
-        #: position within the node's synchronization round (assigned by the
+        #: position within the node's synchronization round (passed by the
         #: runtime at invoke time); the memory planner's plan cache uses it
         #: as the canonical in-round producer reference.  Defaults to the
         #: globally unique node id so directly constructed nodes can never
         #: alias in a cache signature.
-        self.round_seq = self.node_id
+        self.round_seq = self.node_id if round_seq is None else round_seq
 
     def producer_nodes(self) -> List["DFGNode"]:
         """DFG nodes whose outputs this node consumes."""

@@ -29,8 +29,17 @@ whose round failed) resolves exceptionally: ``result()``/``await`` raise,
 from __future__ import annotations
 
 import concurrent.futures
+import logging
+import threading
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, List, Optional
+
+_log = logging.getLogger(__name__)
+
+#: guards every handle's ``done`` flip and callback list: registration (any
+#: thread) races resolution (the loop thread).  One lock for all handles — it
+#: is held for an append or a swap, never while a callback runs
+_callbacks_lock = threading.Lock()
 
 #: sentinel distinguishing ``result()`` (historical: raise when not done)
 #: from ``result(timeout=None)`` (block forever)
@@ -90,7 +99,7 @@ class RequestHandle:
 
     __slots__ = (
         "index", "submitted_at", "done", "stats", "_future", "_managed",
-        "_origin", "tenant", "priority", "deadline",
+        "_origin", "tenant", "priority", "deadline", "_callbacks",
     )
 
     def __init__(
@@ -119,6 +128,10 @@ class RequestHandle:
         #: per-request statistics (None until the round flushes)
         self.stats: Optional[RequestStats] = None
         self._future: concurrent.futures.Future = concurrent.futures.Future()
+        # done-callbacks live here, not on the future: a closure over the
+        # handle registered on the handle's own future is a reference cycle
+        # per request
+        self._callbacks: Optional[List[Callable[["RequestHandle"], Any]]] = None
         # loop-managed handles may legitimately be pending when result() is
         # called from another thread, so a bare result() blocks instead of
         # raising
@@ -182,8 +195,22 @@ class RequestHandle:
 
     def add_done_callback(self, fn) -> None:
         """Run ``fn(handle)`` when the handle resolves (from whichever thread
-        resolves it — keep the callback cheap and non-reentrant)."""
-        self._future.add_done_callback(lambda _f: fn(self))
+        resolves it — keep the callback cheap and non-reentrant).  Callbacks
+        run in registration order; one added after resolution runs at once;
+        an exception in one is logged and does not stop the rest."""
+        with _callbacks_lock:
+            if not self.done:
+                if self._callbacks is None:
+                    self._callbacks = []
+                self._callbacks.append(fn)
+                return
+        self._run_callback(fn)
+
+    def _run_callback(self, fn) -> None:
+        try:
+            fn(self)
+        except Exception:
+            _log.exception("exception calling callback for %r", self)
 
     def slack(self, now: float) -> float:
         """Seconds of headroom before this request misses its deadline
@@ -216,11 +243,18 @@ class RequestHandle:
     def _complete(self, value: Any, stats: RequestStats) -> None:
         self.stats = stats
         self._future.set_result(value)
-        self.done = True
+        self._resolved()
 
     def _fail(self, exc: BaseException) -> None:
         self._future.set_exception(exc)
-        self.done = True
+        self._resolved()
+
+    def _resolved(self) -> None:
+        with _callbacks_lock:
+            self.done = True
+            callbacks, self._callbacks = self._callbacks, None
+        for fn in callbacks or ():
+            self._run_callback(fn)
 
     def __repr__(self) -> str:
         state = "failed" if self.failed else ("done" if self.done else "pending")

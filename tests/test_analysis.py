@@ -1,8 +1,10 @@
 """Tests for the static analyses: taint/parameter reuse, hoisting, recursion,
 tensor-dependent control flow, program phases and code duplication."""
 
+import numpy as np
 import pytest
 
+from repro import CompilerOptions, compile_model, reference_run
 from repro.analysis import (
     analyze_taint,
     concurrent_groups,
@@ -13,7 +15,20 @@ from repro.analysis import (
     specialize_functions,
     uses_tensor_dependent_control_flow,
 )
-from repro.ir import Call, GlobalVar, iter_let_chain
+from repro.ir import (
+    Call,
+    GlobalVar,
+    ScopeBuilder,
+    call,
+    function,
+    if_else,
+    iter_let_chain,
+    match,
+    op,
+    pat_ctor,
+    prelude_module,
+    var,
+)
 from repro.ir.visitor import collect
 from repro.models import berxit, birnn, drnn, mvrnn, nestedrnn, stackrnn, treelstm
 from tests.conftest import build_listing1_rnn
@@ -65,6 +80,44 @@ class TestTaint:
         assert flags["tree"]
         assert not flags["i_l_wt"] and not flags["leaf_wt"]
 
+    def test_closure_capturing_per_instance_value_is_tainted(self):
+        # let a = tanh(x); let k = fn(p) => p + a; k(w): the argument is a
+        # shared weight, but the result varies with the captured ``a``
+        mod = prelude_module()
+        w, x, p = var("w"), var("x"), var("p")
+        sb = ScopeBuilder()
+        a = sb.let("a", op.tanh(x))
+        k = sb.let("k", function([p], op.add(p, a)))
+        applied = call(k, w)
+        r = sb.let("r", applied)
+        sb.ret(op.relu(r))
+        mod.add_function("main", function([w, x], sb.get(), name="main"))
+
+        taint = analyze_taint(mod, ["x"])
+        assert taint.is_tainted(applied) and taint.is_tainted(r)
+
+        # end to end: instance 1 must not be handed instance 0's ``r``
+        rng = np.random.default_rng(0)
+        params = {"w": rng.standard_normal((1, 4)).astype(np.float32)}
+        batch = [{"x": rng.standard_normal((1, 4)).astype(np.float32)} for _ in range(2)]
+        outputs, _ = compile_model(mod, params, CompilerOptions()).run(batch)
+        reference = reference_run(mod, params, batch)
+        assert not np.array_equal(reference[0], reference[1])
+        for out, ref in zip(outputs, reference):
+            assert np.array_equal(out, ref)
+
+    def test_closure_over_shared_values_stays_invariant(self):
+        mod = prelude_module()
+        w, b, x, p = var("w"), var("b"), var("x"), var("p")
+        sb = ScopeBuilder()
+        k = sb.let("k", function([p], op.add(p, b)))
+        applied = call(k, w)
+        r = sb.let("r", applied)
+        sb.ret(op.add(r, x))
+        mod.add_function("main", function([w, b, x], sb.get(), name="main"))
+        taint = analyze_taint(mod, ["x"])
+        assert taint.is_invariant(applied)
+
 
 class TestStructure:
     def test_recursive_functions(self, rnn_setup):
@@ -99,6 +152,34 @@ class TestStructure:
         bindings, _ = iter_let_chain(node_clause)
         gate_ops = [value for v, value in bindings if v.name_hint == "i"]
         assert gate_ops and all(id(g) not in hoisted for g in gate_ops)
+
+    def test_recursion_through_another_function_hoists_nothing(self):
+        # f(xs, a): s = tanh(a) reads only ``a``, which every *self* call
+        # passes through unchanged -- but f -> g -> f hands back ``s``
+        mod = prelude_module()
+        nil, cons = mod.get_constructor("Nil"), mod.get_constructor("Cons")
+        f_gv, g_gv = mod.get_global_var("f"), mod.get_global_var("g")
+
+        def f_body(through_g):
+            xs, a, n, c, rest = var("xs"), var("a"), var("n"), var("c"), var("rest")
+            sb = ScopeBuilder()
+            s = sb.let("s", op.tanh(a))
+            other = call(g_gv, rest, s, n) if through_g else s
+            sb.ret(if_else(op.scalar_gt(n, 0), call(f_gv, rest, a, n), other))
+            body = match(xs, [(pat_ctor(nil), a), (pat_ctor(cons, c, rest), sb.get())])
+            return function([xs, a, n], body, name="f"), s
+
+        g_xs, g_a, g_n = var("xs"), var("a"), var("n")
+        mod.add_function("g", function([g_xs, g_a, g_n], call(f_gv, g_xs, g_a, g_n), name="g"))
+
+        self_only, s = f_body(through_g=False)
+        mod.add_function("f", self_only)
+        bindings = dict(iter_let_chain(self_only.body.clauses[1].body)[0])
+        assert hoistable_bindings("f", self_only, mod) == {id(bindings[s])}
+
+        mutual, _ = f_body(through_g=True)
+        mod.functions["f"] = mutual
+        assert hoistable_bindings("f", mutual, mod) == set()
 
     @pytest.mark.parametrize(
         "model,expected",

@@ -317,6 +317,72 @@ class TestRequestStats:
             handle.result()
 
 
+class TestDoneCallbacks:
+    """``RequestHandle.add_done_callback`` keeps ``Future``'s contract with
+    the callbacks held on the handle itself."""
+
+    def test_order_late_registration_and_a_raising_callback(self, caplog):
+        from repro.serve.request import RequestHandle, RequestStats
+
+        handle = RequestHandle(0)
+        seen = []
+
+        def boom(h):
+            seen.append("boom")
+            raise ValueError("callback failed")
+
+        handle.add_done_callback(lambda h: seen.append(("first", h.done, h.stats is not None)))
+        handle.add_done_callback(boom)
+        handle.add_done_callback(lambda h: seen.append("third"))
+        assert seen == []
+        handle._complete(41, RequestStats())
+        # registration order, the handle already resolved, and the raising
+        # one neither stopped the rest nor escaped
+        assert seen == [("first", True, True), "boom", "third"]
+        assert "callback failed" in caplog.text
+        assert handle._callbacks is None and handle.result() == 41
+
+        handle.add_done_callback(lambda h: seen.append("late"))
+        assert seen[-1] == "late"  # fired at once
+
+    def test_failure_runs_callbacks_too(self):
+        from repro.serve.request import RequestCancelled, RequestHandle
+
+        handle = RequestHandle(0)
+        seen = []
+        handle.add_done_callback(lambda h: seen.append(h.failed))
+        handle._fail(RequestCancelled())
+        assert seen == [True]
+
+    def test_registration_races_resolution(self):
+        """Every callback fires exactly once whichever side of the
+        resolution its registration lands on."""
+        import sys
+        import threading
+
+        from repro.serve.request import RequestHandle, RequestStats
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                handle = RequestHandle(0)
+                fired = []
+                registering = [
+                    threading.Thread(target=handle.add_done_callback, args=(fired.append,))
+                    for _ in range(4)
+                ]
+                resolving = threading.Thread(target=handle._complete, args=(1, RequestStats()))
+                for thread in registering[:2] + [resolving] + registering[2:]:
+                    thread.start()
+                for thread in registering + [resolving]:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert fired == [handle] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestServer:
     def test_multi_endpoint_isolation(self, treelstm_setup, birnn_setup):
         """Two models behind one server (shared device) return each their
