@@ -7,6 +7,7 @@ from repro.experiments.harness import format_table, save_result
 def test_figure6_ablation(benchmark):
     headers, rows = benchmark.pedantic(figure6.run, rounds=1, iterations=1)
     text = format_table(headers, rows, title="Figure 6: cumulative optimization levels (ms)")
+    text += "\n\n" + figure6.NOTE
     save_result("figure6", text)
     print("\n" + text)
     # shape check: the fully optimized configuration beats the unoptimized

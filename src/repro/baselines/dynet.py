@@ -38,12 +38,13 @@ from ..kernels.batched import BlockKernel
 from ..runtime.device import GPUSpec
 from ..runtime.executor import ExecutionOptions
 from ..runtime.scheduler import (
+    NumberedRows,
     ScheduledBatch,
+    Span,
     agenda_schedule,
-    dfg_deps,
     dynamic_depth_schedule,
 )
-from ..runtime.tensor import DFGNode, LazyTensor
+from ..runtime.tensor import Column, LazyTensor
 
 
 @dataclass(frozen=True)
@@ -106,12 +107,12 @@ class DyNetScheduler:
         self.kind = kind
 
     # -- DyNet batching signature ------------------------------------------------
-    def _signature(self, node: DFGNode) -> Hashable:
-        kernel = self.kernels[node.block_id]
+    def _signature(self, col: Column, row: int) -> Hashable:
+        kernel = self.kernels[col.block_id]
         ops = kernel.block.ops
         op_name = ops[0].op_name if len(ops) == 1 else None
         imp = self.improvements
-        sig: Tuple = (node.block_id,)
+        sig: Tuple = (col.block_id,)
         if op_name is None:
             return sig
         if op_name in _UNBATCHABLE_STOCK:
@@ -121,20 +122,31 @@ class DyNetScheduler:
                 return sig
             if op_name in ("full", "zeros") and imp.reuse_constants:
                 return sig
-            return sig + ("node", node.node_id)  # never batches
+            return sig + ("node", col.seqs[row])  # never batches
         if op_name in _FIRST_ARG_OPS and not imp.improved_matmul:
-            first = node.args[0] if node.args else None
-            key = id(first.node) if isinstance(first, LazyTensor) else id(first)
+            args = col.args[row]
+            first = args[0] if args else None
+            # the producing row is the tensor's identity: the outputs of one
+            # invocation count as the same argument, as DyNet's node does
+            key = (
+                (id(first.column), first.row)
+                if isinstance(first, LazyTensor)
+                else id(first)
+            )
             return sig + ("first_arg", key)
         return sig
 
     # -- scheduling ------------------------------------------------------------------
-    def schedule(self, nodes: Sequence[DFGNode]) -> List[ScheduledBatch]:
-        if self.kind == "agenda":
-            raw_batches = agenda_schedule(nodes, dfg_deps, self._signature)
-        else:
-            raw_batches = dynamic_depth_schedule(nodes, dfg_deps, self._signature)
-        return [ScheduledBatch(block_id=b[0].block_id, nodes=b) for b in raw_batches]
+    def schedule(self, spans: Sequence[Span]) -> List[ScheduledBatch]:
+        rows = NumberedRows(spans)
+        # a row's signature never changes: computed once, not once per
+        # agenda step the row waits through
+        signatures = [
+            None if col is None else self._signature(col, row)
+            for col, row in zip(rows.cols, rows.rows)
+        ]
+        algorithm = agenda_schedule if self.kind == "agenda" else dynamic_depth_schedule
+        return rows.batches(algorithm(rows.numbers, rows.dfg_deps, signatures.__getitem__))
 
 
 @dataclass

@@ -51,6 +51,29 @@ The jump is sound only because nothing runs after it.  What could is a ghost
 alignment after the enclosing conditional — never emitted there, because a
 jump, like a call, makes the branch's depth delta unknown;
 ``_emit_alignment`` asserts it.
+
+Depth at a sync
+---------------
+In generator mode every sync ``yield`` is followed by ``__depth[0] = 0``.
+A fiber resumes from a sync only after the runtime executed everything
+pending, so the depth counter may restart there for the reason §A.3 gives
+for program phases: depth only has to order a producer before its consumers
+among *pending* nodes.  Without the rebase an instance's counter never
+realigns with its neighbours' once their histories differ (a parser that
+shifted where another reduced), and same-block nodes of one sync round land
+at different depths and launch separately.  It stays sound at the three
+places a depth is carried across code that may contain a sync:
+
+* a spawned child rebases its own private cell; the parent's
+  ``max(d0, children)`` after the join still dominates every depth the
+  children reached since their last sync;
+* ``map`` resets each item to the ``d0`` captured before the first item
+  ran — stale once an item synced, but larger than any post-sync depth, so
+  still an upper bound;
+* a ghost alignment after a branch that contains a sync sets the counter to
+  the pre-sync capture ``gd`` plus the branch's delta, which is at least
+  every post-sync depth in that branch: still sound, and still aligned
+  across the instances that took either branch.
 """
 
 from __future__ import annotations
@@ -546,6 +569,9 @@ class _FunctionEmitter:
                 index = int(call.attrs.get("index", 0))
                 if self.cg.tdc:
                     self.emit("yield")
+                    # everything pending executed at the sync: rebase the
+                    # depth counter (module docstring, "Depth at a sync")
+                    self.emit("__depth[0] = 0")
                 else:
                     self.emit("__rt.trigger()")
                 reader = "item_int" if op.name == "item_int" else "item"
@@ -582,10 +608,10 @@ class _FunctionEmitter:
         if name == "foldl":
             inner = f"__foldl({args[0]}, {args[1]}, {args[2]}, __depth)"
             return f"(yield from {inner})" if self.cg.tdc else inner
-        if name in ("reverse", "rev_append"):
-            if name == "reverse":
-                return f"__reverse({args[0]})"
-            return f"__reverse({args[0]})"  # rev_append is only used via reverse
+        if name == "reverse":
+            return f"__reverse({args[0]})"
+        if name == "rev_append":
+            return f"__rev_append({args[0]}, {args[1]})"
         call_str = f"{py_func_name(name)}({', '.join(args + ['__depth', '__phase'])})"
         return f"(yield from {call_str})" if self.cg.tdc else call_str
 

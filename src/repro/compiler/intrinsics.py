@@ -1,8 +1,9 @@
 """Runtime intrinsics injected into the generated program's namespace.
 
-The prelude's higher-order functions (``map``, ``foldl``, ``reverse``) are
-special-cased by the code generator (§4.1: every application of the mapped
-closure gets the *same* depth, making the whole ``map`` batchable).  Rather
+The prelude's list functions (``map``, ``foldl``, ``reverse``,
+``rev_append``) are special-cased by the code generator (§4.1: every
+application of the mapped closure gets the *same* depth, making the whole
+``map`` batchable).  Rather
 than compiling their IR definitions, the generated code calls these
 hand-written helpers, in a plain variant (straight-line programs) and a
 generator variant (programs with tensor-dependent control flow, where the
@@ -45,8 +46,14 @@ def make_intrinsics(nil: Constructor, cons: Constructor, tdc: bool) -> Dict[str,
         are generator coroutines.
     """
 
+    def rev_append(xs: ADTValue, acc: ADTValue) -> ADTValue:
+        """``xs`` reversed, in front of ``acc``."""
+        for item in _to_list(cons.name, xs):
+            acc = ADTValue(cons, [item, acc])
+        return acc
+
     def reverse_list(xs: ADTValue) -> ADTValue:
-        return _from_list(nil, cons, list(reversed(_to_list(cons.name, xs))))
+        return rev_append(xs, ADTValue(nil, []))
 
     if not tdc:
 
@@ -73,6 +80,7 @@ def make_intrinsics(nil: Constructor, cons: Constructor, tdc: bool) -> Dict[str,
             "__map_parallel": map_parallel,
             "__foldl": foldl,
             "__reverse": reverse_list,
+            "__rev_append": rev_append,
         }
 
     def map_parallel_gen(f: Callable, xs: ADTValue, depth: List[int]):
@@ -97,4 +105,5 @@ def make_intrinsics(nil: Constructor, cons: Constructor, tdc: bool) -> Dict[str,
         "__map_parallel": map_parallel_gen,
         "__foldl": foldl_gen,
         "__reverse": reverse_list,
+        "__rev_append": rev_append,
     }

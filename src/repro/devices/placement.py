@@ -271,7 +271,7 @@ class LearnedWorkPlacement(PlacementPolicy):
         units are wrong but relative magnitudes still balance stages.
         """
         spec = group.spec
-        size = len(batch.nodes)
+        size = batch.size
         observed = self._work_us.get(batch.block_id)
         if observed is not None:
             return observed * size + spec.launch_overhead_us
@@ -287,18 +287,18 @@ class LearnedWorkPlacement(PlacementPolicy):
     ) -> Tuple[float, float, bool]:
         """(shared bytes per launch, varying bytes per instance, any known).
 
-        Reads sizes off the first node's operands; pending lazy tensors have
+        Reads sizes off the first row's operands; pending lazy tensors have
         no value yet and contribute nothing (an underestimate — the split
         decision errs toward keeping batches whole, which is the safe side).
         """
         kernel = kernels.get(batch.block_id)
         if kernel is None:
             return 0.0, 0.0, False
-        node = batch.nodes[0]
+        args = batch.first_args()
         shared = var = 0.0
         known = False
         for inp in kernel.block.inputs:
-            arg = node.args[inp.index]
+            arg = args[inp.index]
             if isinstance(arg, LazyTensor):
                 arena = arg.arena
                 if arena is None:
@@ -350,20 +350,15 @@ class RoundRobinPlacement(PlacementPolicy):
         placed: List[ScheduledBatch] = []
         for batch in batches:
             shards: Dict[int, List] = {}
-            for node in batch.nodes:
-                shards.setdefault(node.instance_id % n, []).append(node)
+            for ref, instance in zip(batch.refs(), batch.instances()):
+                shards.setdefault(instance % n, []).append(ref)
             if len(shards) == 1:
-                device, nodes = next(iter(shards.items()))
-                batch.device = device
+                batch.device = next(iter(shards))
                 placed.append(batch)
                 continue
             for device in sorted(shards):
                 placed.append(
-                    ScheduledBatch(
-                        block_id=batch.block_id,
-                        nodes=shards[device],
-                        device=device,
-                    )
+                    ScheduledBatch.of_rows(batch.block_id, shards[device], device)
                 )
         return placed
 
@@ -459,16 +454,14 @@ class DataParallelPlacement(LearnedWorkPlacement):
                 self._unsplit_rr = (self._unsplit_rr + 1) % n
                 placed.append(batch)
                 continue
-            nodes = batch.nodes
-            per_shard = math.ceil(len(nodes) / k)
+            refs = batch.refs()
+            per_shard = math.ceil(len(refs) / k)
             for shard_index in range(k):
-                shard = nodes[shard_index * per_shard : (shard_index + 1) * per_shard]
+                shard = refs[shard_index * per_shard : (shard_index + 1) * per_shard]
                 if shard:
                     placed.append(
-                        ScheduledBatch(
-                            block_id=batch.block_id,
-                            nodes=shard,
-                            device=(base + shard_index) % n,
+                        ScheduledBatch.of_rows(
+                            batch.block_id, shard, (base + shard_index) % n
                         )
                     )
         if batches:
@@ -498,7 +491,7 @@ class DataParallelPlacement(LearnedWorkPlacement):
         group: "Device",
         kernels: Dict[int, "BlockKernel"],
     ) -> int:
-        size = len(batch.nodes)
+        size = batch.size
         k_max = min(group.num_devices, size // self.min_shard)
         if k_max <= 1:
             return 1
@@ -698,7 +691,7 @@ class TensorParallelPlacement(LearnedWorkPlacement):
         per_instance = self._work_us.get(batch.block_id)
         if per_instance is None:
             return 1
-        size = len(batch.nodes)
+        size = batch.size
         work_us = per_instance * size
         out_bytes = self._out_bytes.get(batch.block_id, 0.0) * size
         spec = group.spec

@@ -30,7 +30,14 @@ NOTE = (
     "scheduler + the cheaper invoke lowered both stackrnn columns by about the\n"
     "same host milliseconds (interleaved runs, small: B=4 30.94 -> 30.00 and\n"
     "19.93 -> 18.78 ms, B=16 68.05 -> 62.51 and 36.72 -> 31.96 ms); the speedup\n"
-    "column stayed within its run-to-run noise."
+    "column stayed within its run-to-run noise.\n"
+    "\n"
+    "Since the depth counter restarts at every sync point (compiler/codegen.py,\n"
+    "\"Depth at a sync\"), inline depth batches StackRNN's parser steps across\n"
+    "instances whose shift/reduce histories differ, which moved only ACROBAT's\n"
+    "stackrnn column (the DyNet baseline schedules by runtime analysis):\n"
+    "interleaved runs against the code before it, small B=16, ACROBAT 28.52 ->\n"
+    "17.33 ms and speedup 1.88x -> 3.18x (DyNet 53.61 -> 55.19 ms)."
 )
 
 MODELS = ("treelstm", "mvrnn", "birnn", "nestedrnn", "drnn", "berxit", "stackrnn")

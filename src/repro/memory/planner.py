@@ -1,6 +1,6 @@
 """The ahead-of-execution memory planner.
 
-After the scheduler has grouped the round's DFG nodes into batches and
+After the scheduler has grouped the round's pending rows into batches and
 *before* anything executes, :meth:`MemoryPlanner.plan_round` walks the
 batches in execution order and decides, for every varying operand of every
 batch, how its batched form will be obtained:
@@ -28,19 +28,24 @@ batch, how its batched form will be obtained:
 
 Planning ahead of execution is possible because the planner *places*
 outputs symbolically as it walks: each batch's outputs are assigned a fresh
-arena id with instance ``b`` at offset ``b`` (one ``node -> (arena ids, b)``
-entry per node; nothing is written to a node or tensor at plan time), so a
-later batch's contiguity is decided from planned placements before any value
-exists.  Execution then resolves each :class:`OperandPlan` into a
+arena id with instance ``b`` at offset ``b``, recorded per run of a *column*
+of the pending graph (:mod:`repro.runtime.tensor`) — an inline-depth batch
+is one whole column, so one ``column -> (arena ids, row shift)`` entry
+places all of its rows; nothing is written to a column or tensor at plan
+time — and a later batch's contiguity is decided from planned placements
+before any value exists.  Execution then resolves each
+:class:`OperandPlan` into a
 :class:`~repro.kernels.batched.BatchedOperand` (:meth:`MemoryPlanner.resolve`,
 charging gathers/uploads against the device simulator) and commits outputs
 into real arenas under the planned ids (:meth:`MemoryPlanner.commit`).
 
 Who walks a column, and when
 ----------------------------
-A varying operand of a batch of ``B`` nodes is a *column* of ``B``
-arguments, and the launch path looks at each column once — its cost is per
-launch, not per instance per layer:
+A varying operand of a batch of ``B`` rows is an *operand column* of ``B``
+arguments — the batch's argument tuples transposed once per input, in C
+(:meth:`~repro.runtime.scheduler.ScheduledBatch.operand`) — and the
+launch path looks at each operand column once: its cost is per launch, not
+per instance per layer:
 
 * **planning** walks a column only until its fate is known: to the end if
   every instance follows its predecessor in one arena (*contiguous* /
@@ -63,9 +68,9 @@ launch, not per instance per layer:
   is its segment count (``gather_segments`` in ``RunStats.memory``), not its
   row count;
 * **commit** stores ``arena`` and ``offset`` on each output tensor — the
-  tensor is its own storage reference — and clears the executed nodes'
-  ``outputs``, the graph's only back edge, so a finished round is freed by
-  reference counting.
+  tensor is its own storage reference.  (Once the round has run, the
+  runtime drops each column's ``outs``, the graph's only back edge, so a
+  finished round is freed by reference counting.)
 
 Planning is pure classification over the round's *structure* (which blocks,
 batched how, with operands placed where), so structurally identical rounds —
@@ -108,7 +113,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,8 +155,8 @@ _HOST_COLUMN = {np.ndarray}
 
 def _out_of_order(tensor: LazyTensor) -> RuntimeError:
     return RuntimeError(
-        f"memory planner: operand tensor {tensor.tid} (node "
-        f"{tensor.node.node_id}) is neither materialized nor planned "
+        f"memory planner: operand {tensor!r} (block "
+        f"{tensor.column.block_id}) is neither materialized nor planned "
         f"earlier in this round — the scheduler emitted batches "
         f"out of dependency order"
     )
@@ -187,7 +192,7 @@ class BatchPlan:
 
     ``batch`` is released (set to ``None``) by :meth:`MemoryPlanner.commit`
     once the batch has executed, so retained plans (``last_plans``) keep only
-    the lightweight classification — not the round's node graph and arenas.
+    the lightweight classification — not the round's graph and arenas.
     """
 
     batch: Optional["ScheduledBatch"]
@@ -489,11 +494,13 @@ class MemoryPlanner:
         kernels: Dict[int, "BlockKernel"],
         counts: Optional[Dict[str, int]] = None,
     ) -> List[BatchPlan]:
-        #: symbolic placements of the nodes this round will execute: node_id
-        #: -> (output arena ids, offset) — one entry per node, not per output
-        #: tensor; tensors from earlier rounds carry their real arena.
-        #: Nothing is written to a node or tensor at plan time.
-        placements: Dict[int, Tuple[List[int], int]] = {}
+        #: symbolic placements of the rows this round will execute:
+        #: ``column -> (output arena ids, shift, rows)`` for the first run of
+        #: each column, ``seq -> (output arena ids, offset)`` for any other
+        #: row; tensors from earlier rounds carry their real arena.  Nothing
+        #: is written to a column or tensor at plan time.
+        runs: Dict[Any, Tuple] = {}
+        rows_by_seq: Dict[int, Tuple[List[int], int]] = {}
         #: device owning each arena planned this round (earlier rounds'
         #: arenas carry their device on the concrete StorageArena)
         arena_devices: Dict[int, int] = {}
@@ -503,9 +510,9 @@ class MemoryPlanner:
 
         for batch in batches:
             block = kernels[batch.block_id].block
-            nodes = batch.nodes
+            size = batch.size
             device = batch.device
-            if len(nodes) == 1:
+            if size == 1:
                 # batch of one never gathers: every varying operand only gains
                 # a leading batch axis (a zero-copy reshape); a remote operand
                 # is still shipped over — resolution charges the transfer from
@@ -516,20 +523,40 @@ class MemoryPlanner:
                 ]
             else:
                 operands = [
-                    self._plan_operand(inp, nodes, placements, arena_devices, device)
+                    OperandPlan(inp.index, _SHARED)
+                    if inp.shared
+                    else self._plan_operand(
+                        inp.index,
+                        batch.operand(inp.index),
+                        runs,
+                        rows_by_seq,
+                        arena_devices,
+                        device,
+                    )
                     for inp in block.inputs
                 ]
             output_ids = [next_arena_id() for _ in range(block.num_outputs)]
             for arena_id in output_ids:
                 arena_devices[arena_id] = device
-            for b, node in enumerate(nodes):
-                placements[node.node_id] = (output_ids, b)
+            # row b of the launch lands at offset b: the first run of a
+            # column placed is one entry (offset = row - shift), any other
+            # row one entry under its round sequence number (unique among
+            # pending rows)
+            base = 0
+            for col, rows in batch.segments:
+                if type(rows) is range and col not in runs:
+                    runs[col] = (output_ids, rows.start - base, rows)
+                else:
+                    seqs = col.seqs
+                    for b, row in enumerate(rows, base):
+                        rows_by_seq[seqs[row]] = (output_ids, b)
+                base += len(rows)
             for op in operands:
                 counts[op.kind.value] += 1
             plans.append(
                 BatchPlan(
                     batch=batch,
-                    batch_size=len(nodes),
+                    batch_size=size,
                     operands=operands,
                     output_arena_ids=output_ids,
                     device=device,
@@ -547,10 +574,10 @@ class MemoryPlanner:
         placements — arena ids are never reused, so such a round cannot
         recur).
 
-        Per batch: the block, the batch's *membership* — each member node's
-        per-round sequence number
-        (:attr:`~repro.runtime.tensor.DFGNode.round_seq`, assigned in
-        creation order by the runtime, so it is canonical across rounds) —
+        Per batch: the block, the batch's *membership* — each member row's
+        round sequence number (:attr:`~repro.runtime.tensor.Column.seqs`,
+        assigned in invoke order by the runtime, so it is canonical across
+        rounds) —
         and, for every varying (non-shared) block input, the operand column:
         in-round producers named by their sequence number, producers
         materialized in *earlier* rounds pinned by their concrete
@@ -570,19 +597,14 @@ class MemoryPlanner:
         sig: List[Tuple] = []
         add = sig.append
         for batch in batches:
-            nodes = batch.nodes
             # placement identity: equal signatures must imply identical
             # device assignment, or a cache hit could replay a plan whose
             # peer-transfer classification no longer matches the round.
             # The tensor-parallel shard set is part of that identity (a
             # split and an unsplit launch of the same round charge
             # different members), so fingerprints carry the shard axis too.
-            members = (
-                batch.device,
-                batch.tp_devices,
-                *(node.round_seq for node in nodes),
-            )
-            if len(nodes) == 1:
+            members = (batch.device, batch.tp_devices, *batch.seqs())
+            if batch.size == 1:
                 # batch of one classifies from the block alone
                 add((batch.block_id, members))
                 continue
@@ -590,25 +612,16 @@ class MemoryPlanner:
             for inp in kernels[batch.block_id].block.inputs:
                 if inp.shared:
                     continue  # classified SHARED without looking at operands
-                index = inp.index
                 col: List[Any] = []
                 cadd = col.append
-                for node in nodes:
-                    arg = node.args[index]
+                for arg in batch.operand(inp.index):
                     if type(arg) is lazy:
-                        producer = arg.node
-                        if producer.executed:
-                            arena = arg.arena
-                            # "?": executed but storage-less cannot occur
-                            # through the runtime; keeps the round uncacheable
-                            cadd(
-                                ("x", arena.arena_id, arg.offset)
-                                if arena is not None
-                                else ("?", id(arg))
-                            )
+                        arena = arg.arena
+                        if arena is not None:
+                            cadd(("x", arena.arena_id, arg.offset))
                             cacheable = False
                         else:
-                            cadd((producer.round_seq, arg.output_index))
+                            cadd((arg.column.seqs[arg.row], arg.output_index))
                     else:
                         cadd("h")
                 columns.append(tuple(col))
@@ -661,7 +674,7 @@ class MemoryPlanner:
         """
         entries = template.entries
         if len(entries) != len(batches) or any(
-            entry[0] != len(batch.nodes) for entry, batch in zip(entries, batches)
+            entry[0] != batch.size for entry, batch in zip(entries, batches)
         ):
             return None
         plans: List[BatchPlan] = []
@@ -683,7 +696,7 @@ class MemoryPlanner:
             plans.append(
                 BatchPlan(
                     batch=batch,
-                    batch_size=len(batch.nodes),
+                    batch_size=batch.size,
                     operands=operands,
                     output_arena_ids=output_ids,
                     device=batch.device,
@@ -696,9 +709,10 @@ class MemoryPlanner:
 
     def _plan_operand(
         self,
-        inp,
-        nodes,
-        placements: Dict[int, Tuple[List[int], int]],
+        index: int,
+        column,
+        runs: Dict[Any, Tuple],
+        rows_by_seq: Dict[int, Tuple[List[int], int]],
         arena_devices: Dict[int, int],
         batch_device: int,
     ) -> OperandPlan:
@@ -709,27 +723,28 @@ class MemoryPlanner:
         first host array or non-adjacent pair (most scattered columns
         diverge within two instances) and leaves the rest of the column to
         :meth:`resolve`'s own walk."""
-        if inp.shared:
-            return OperandPlan(inp.index, _SHARED)
-
-        index = inp.index
         lazy = LazyTensor
         arena_id = start = -1
         expected = 0
         first_device = 0
-        for node in nodes:
-            arg = node.args[index]
+        for arg in column:
             if type(arg) is not lazy:
                 break  # a host array is never already on-device-contiguous
-            placement = placements.get(arg.node.node_id)
-            if placement is not None:
-                this_arena = placement[0][arg.output_index]
-                offset = placement[1]
+            arena = arg.arena
+            if arena is None:
+                # pending, so planned earlier in this round (or out of order)
+                row = arg.row
+                run = runs.get(arg.column)
+                if run is not None and run[2].start <= row < run[2].stop:
+                    ids, offset = run[0], row - run[1]
+                else:
+                    placed = rows_by_seq.get(arg.column.seqs[row])
+                    if placed is None:
+                        raise _out_of_order(arg)
+                    ids, offset = placed
+                this_arena = ids[arg.output_index]
                 device = arena_devices.get(this_arena, 0)
             else:
-                arena = arg.arena
-                if arena is None:
-                    raise _out_of_order(arg)
                 this_arena = arena.arena_id
                 offset = arg.offset
                 device = arena.device_index
@@ -765,30 +780,31 @@ class MemoryPlanner:
         Contiguous local operands stay zero-copy arena views.
         """
         block = kernel.block
-        nodes = plan.batch.nodes
-        batch_size = len(nodes)
+        batch = plan.batch
+        batch_size = plan.batch_size
         batch_device = plan.device
         local = device.device_for(batch_device)
         resolved: List[BatchedOperand] = []
         validate = options.validate
         batch_memcpy = options.batch_memcpy
         ensure_resident = local.ensure_resident
+        # a shared or contiguous operand is resolved from its first instance
+        first_row = batch.first_args()
 
         for op in plan.operands:
             kind = op.kind
             index = op.index
             if kind is _SHARED:
-                first = nodes[0].args[index]
+                first = first_row[index]
                 value = first.value if isinstance(first, LazyTensor) else np.asarray(first)
                 if validate:
-                    for other in nodes[1:]:
-                        oarg = other.args[index]
+                    for oarg in batch.operand(index)[1:]:
                         ov = oarg.value if isinstance(oarg, LazyTensor) else np.asarray(oarg)
                         if not np.array_equal(np.asarray(ov), np.asarray(value)):
                             raise RuntimeError(
                                 f"block {block.name}: input "
                                 f"{block.inputs[index].name} marked shared but "
-                                f"differs across batched nodes"
+                                f"differs across batched rows"
                             )
                 if not isinstance(first, LazyTensor):
                     ensure_resident(value, batch_memcpy)
@@ -798,7 +814,7 @@ class MemoryPlanner:
             if kind is _CONTIGUOUS or kind is _PEER:
                 resolved.append(
                     self._resolve_contiguous(
-                        op, nodes, batch_size, device, batch_device, options
+                        op, first_row[index], batch_size, device, batch_device, options
                     )
                 )
                 continue
@@ -808,7 +824,7 @@ class MemoryPlanner:
             # work — charged as a gather launch or as scattered bytes — not
             # host dispatch time).  Instances living on other devices of the
             # group ship over the interconnect first, coalesced per source.
-            args = [node.args[index] for node in nodes]
+            args = batch.operand(index)
             kinds = set(map(type, args))
             segments = parts = None
             if kinds == _ARENA_COLUMN:
@@ -838,7 +854,7 @@ class MemoryPlanner:
         return resolved
 
     def _arena_segments(
-        self, args: List[LazyTensor], device, batch_device: int
+        self, args: Sequence[LazyTensor], device, batch_device: int
     ) -> Tuple[List[Segment], float]:
         """Resolve a column of arena tensors into one index-gather segment
         per source arena (first-appearance order), charging the peer
@@ -883,7 +899,7 @@ class MemoryPlanner:
         return segments, gathered
 
     def _mixed_parts(
-        self, args: List[Any], device, batch_device: int, options
+        self, args: Sequence[Any], device, batch_device: int, options
     ) -> List[np.ndarray]:
         """The per-part fallback for a column mixing host arrays and arena
         tensors (no zoo model produces one): host arrays upload one by one,
@@ -915,11 +931,13 @@ class MemoryPlanner:
         return parts
 
     def _resolve_contiguous(
-        self, op: OperandPlan, nodes, batch_size: int, device, batch_device: int, options
+        self, op: OperandPlan, first, batch_size: int, device, batch_device: int, options
     ) -> BatchedOperand:
+        """A contiguous operand is its first instance's arena slice (planning
+        has checked the rest of the column)."""
         local = device.device_for(batch_device)
         if batch_size == 1:
-            arg = nodes[0].args[op.index]
+            arg = first
             if isinstance(arg, LazyTensor):
                 arena = arg.arena
                 if arena is None:
@@ -939,7 +957,6 @@ class MemoryPlanner:
                 arr = np.asarray(arg)
                 local.ensure_resident(arr, options.batch_memcpy)
             return BatchedOperand(shared=False, array=arr[None])  # zero-copy leading axis
-        first = nodes[0].args[op.index]
         arena = first.arena
         if arena is None or (arena.arena_id, first.offset) != (op.arena_id, op.start):
             found = None if arena is None else (arena.arena_id, first.offset)
@@ -967,16 +984,16 @@ class MemoryPlanner:
         device: "DeviceSimulator",
     ) -> List[StorageArena]:
         """Store a batch's outputs into arenas under the planned ids and
-        point every node output at its arena instance (two attribute stores
+        point every row's output at its arena instance (two attribute stores
         per tensor — the tensor is its own storage reference).
 
         Arenas are born on the device the batch executed on (and enter that
         member's residency cache), so later rounds price reads from them by
-        where they actually live.  An executed node drops its ``outputs``
-        list: nothing reads it after commit, and it is the graph's only back
-        edge, so the finished round is freed by reference counting."""
-        nodes = plan.batch.nodes
-        tp_devices = plan.batch.tp_devices
+        where they actually live."""
+        batch = plan.batch
+        size = plan.batch_size
+        segments = batch.segments
+        tp_devices = batch.tp_devices
         local = device.device_for(plan.device)
         arenas: List[StorageArena] = []
         for k, (out, arena_id) in enumerate(zip(outputs, plan.output_arena_ids)):
@@ -986,21 +1003,24 @@ class MemoryPlanner:
                 )
             else:
                 arena = StorageArena.from_broadcast(
-                    out.array, len(nodes), arena_id=arena_id, device_index=plan.device
+                    out.array, size, arena_id=arena_id, device_index=plan.device
                 )
             # a tensor-parallel launch's outputs are *partial-output* arenas:
             # assembled on the home device from the members' column/row
             # partials (the gathers were charged at launch time)
             arena.partial_shards = tp_devices
             local.note_arena(arena)
-            for b, node in enumerate(nodes):
-                tensor = node.outputs[k]
-                tensor.arena = arena
-                tensor.offset = b
+            b = 0
+            for col, rows in segments:
+                outs = col.outs
+                n = col.num_outputs
+                for row in rows:
+                    tensor = outs[row * n + k]
+                    tensor.arena = arena
+                    tensor.offset = b
+                    b += 1
             arenas.append(arena)
-        for node in nodes:
-            node.executed = True
-            node.outputs = ()
-        # release the node graph: retained plans keep only the classification
+        # release the round's graph: retained plans keep only the
+        # classification
         plan.batch = None
         return arenas

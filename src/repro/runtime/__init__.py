@@ -14,7 +14,7 @@ from .scheduler import (
     agenda_schedule,
     dynamic_depth_schedule,
 )
-from .tensor import DFGNode, LazyTensor, materialize_value
+from .tensor import Column, LazyTensor, materialize_value
 
 __all__ = [
     "AcrobatRuntime",
@@ -35,7 +35,7 @@ __all__ = [
     "ScheduledBatch",
     "agenda_schedule",
     "dynamic_depth_schedule",
-    "DFGNode",
+    "Column",
     "LazyTensor",
     "materialize_value",
 ]

@@ -1,14 +1,40 @@
 """The ACROBAT runtime: lazy DFG construction and batched execution.
 
 The AOT-compiled program (or the VM) calls :meth:`AcrobatRuntime.invoke` for
-every static-block invocation; the runtime records a DFG node and hands back
-lazy tensors.  :meth:`AcrobatRuntime.trigger` schedules the pending nodes,
-hands the scheduled batches to the memory planner
+every static-block invocation; the runtime records one row into the pending
+graph's column store and hands back lazy tensors.
+:meth:`AcrobatRuntime.trigger` schedules the pending rows, hands the
+scheduled batches to the memory planner
 (:class:`~repro.memory.planner.MemoryPlanner`) — which classifies every
 operand as contiguous-reuse / explicit-gather / fused-gather and places every
 output in a storage arena ahead of execution — then resolves each plan
 against the device simulator, runs the batched NumPy kernels and commits the
 outputs into arenas.
+
+The column store
+----------------
+The pending graph is a dict from ``(phase, depth, block_id)`` to a
+:class:`~repro.runtime.tensor.Column`.  ``invoke`` does one lookup on that
+key (creating the column on a miss) and appends the row: its argument
+tuple, instance id and round sequence number — the row's position in the
+round's invoke order.  No per-invocation object is built besides the lazy
+outputs.  The ordering contract: **columns in first-appearance order, rows
+in invoke order**.  Every scheduler sees the round as ``(column, stop)``
+spans in that order (:mod:`repro.runtime.scheduler`); the inline-depth
+schedule is those columns sorted by ``(phase, depth, first sequence
+number)``, which is exactly the bucket order of a per-node schedule.
+
+Serving cuts the store by sequence number.  A request's rows are one
+contiguous sequence range (requests are recorded one after another), so a
+cancelled request is withdrawn by range
+(:meth:`AcrobatRuntime.drop_pending_slice`) and a capped flush executes the rows below a sequence number
+(``trigger(limit=)``): a column the cut falls inside keeps its executed
+prefix, and its remaining rows move to a fresh column that stays pending.
+A prepared round (:meth:`AcrobatRuntime.prepare_pending`) is stamped with
+its cut and the store's generation, which every trigger, withdrawal and
+reset advances; it still describes the next flush iff that flush cuts at the
+same number in the same generation (appends land behind every cut, so
+arrivals never invalidate it).
 
 Host-side work (graph construction, scheduling, memory planning, operand
 dispatch, output materialization) is measured as real wall-clock time;
@@ -19,8 +45,9 @@ device-side work is charged to the
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +56,8 @@ from ..memory.planner import BatchPlan, MemoryPlanner, OperandKind
 from ..specialize.cache import BUILD as _SPEC_BUILD, SpecializationCache
 from .device import DeviceSimulator
 from .profiler import ActivityProfiler
-from .scheduler import ScheduledBatch
-from .tensor import DFGNode, LazyTensor
+from .scheduler import ScheduledBatch, Span
+from .tensor import Column, LazyTensor
 
 
 #: the ``RunStats.memory`` keys that count operands (one per classification)
@@ -176,21 +203,31 @@ class PreparedRound:
     """A ready-to-launch round built ahead of its flush.
 
     Holds everything :meth:`AcrobatRuntime.trigger` would otherwise derive
-    at flush time — the snapshot of pending nodes it was built from, their
-    scheduled/placed batches, and fully instantiated ``BatchPlan``s — plus
-    the *deferred* side effects (the planner's
-    :class:`~repro.memory.planner.StagedRound` and the placement policy's
-    pre-speculation state snapshot) that make abandoning it free.  A
-    prepared round adopts only when its node snapshot still equals the
-    runtime's pending list *by identity*; any admission divergence makes it
-    worthless and it is abandoned, restoring placement state and dropping
-    the staged planner mutations on the floor.
+    at flush time — the scheduled/placed batches of the rows it was built
+    from, and fully instantiated ``BatchPlan``s — plus the *deferred* side
+    effects (the planner's :class:`~repro.memory.planner.StagedRound` and
+    the placement policy's pre-speculation state snapshot) that make
+    abandoning it free.  It is stamped with what identifies those rows: the
+    store's generation (advanced by every trigger, withdrawal and reset) and
+    the sequence number it cut at.  A prepared round adopts only when the
+    flush cuts at the same number in the same generation; any other
+    admission divergence makes it worthless and it is abandoned, restoring
+    placement state and dropping the staged planner mutations on the floor.
     """
 
-    __slots__ = ("nodes", "batches", "plans", "staged", "placement_state", "prepare_s")
+    __slots__ = (
+        "generation",
+        "cut",
+        "batches",
+        "plans",
+        "staged",
+        "placement_state",
+        "prepare_s",
+    )
 
-    def __init__(self, nodes, batches, plans, staged, placement_state, prepare_s):
-        self.nodes: List[DFGNode] = nodes
+    def __init__(self, generation, cut, batches, plans, staged, placement_state, prepare_s):
+        self.generation: int = generation
+        self.cut: int = cut
         self.batches: List[ScheduledBatch] = batches
         self.plans: List[BatchPlan] = plans
         self.staged = staged
@@ -230,9 +267,12 @@ class AcrobatRuntime:
         if self.options.plan_cache and not self.options.validate:
             self._specializer = SpecializationCache()
             self.planner.attach_specializer(self._specializer)
-        self._pending: List[DFGNode] = []
-        #: ``block_id -> num_outputs`` of the blocks invoked so far
-        self._num_outputs: Dict[int, int] = {}
+        #: the pending graph: ``(phase, depth, block_id) -> Column`` (see the
+        #: module docstring)
+        self._columns: Dict[Tuple[int, int, int], Column] = {}
+        #: advanced by every trigger, withdrawal and reset: a prepared round
+        #: is only ever adopted within the generation it was built in
+        self._generation = 0
         if scheduler is None:
             # resolved through the engine-layer policy registry so that even
             # directly constructed runtimes select schedulers by name;
@@ -276,22 +316,36 @@ class AcrobatRuntime:
 
     # -- API called by generated code / VM ------------------------------------
     def invoke(self, block_id: int, depth: int, phase: int, args: Sequence[Any]) -> Any:
-        """Record one block invocation; returns its lazy output(s)."""
-        try:
-            num_outputs = self._num_outputs[block_id]
-        except KeyError:
-            # filled on first use: the VM and DyNet front-ends add kernels
-            # after the runtime is built
-            block = self.kernels[block_id].block
-            num_outputs = self._num_outputs[block_id] = block.num_outputs
-        node = DFGNode(
-            block_id, args, depth, phase, self.current_instance, num_outputs, self._round_seq
-        )
+        """Record one block invocation; returns its lazy output(s).
+
+        ``args`` is kept as given (the generated program passes a tuple)."""
+        key = (phase, depth, block_id)
+        col = self._columns.get(key)
+        if col is None:
+            # the VM and DyNet front-ends add kernels after the runtime is
+            # built, so the output count is read when the column opens
+            num_outputs = self.kernels[block_id].block.num_outputs
+            col = self._columns[key] = Column(block_id, phase, depth, num_outputs)
+        row = len(col.seqs)
+        col.args.append(args)
+        col.instances.append(self.current_instance)
+        col.seqs.append(self._round_seq)
         self._round_seq += 1
-        self._pending.append(node)
         self.num_nodes_total += 1
-        outs = node.outputs
-        return outs[0] if num_outputs == 1 else outs
+        n = col.num_outputs
+        if n == 1:
+            out = LazyTensor(col, row, 0)
+            col.outs.append(out)
+            return out
+        if n == 2:
+            # spelled out: a comprehension's frame costs as much again as
+            # the two tensors (TreeLSTM's cell and the parser step return
+            # two outputs)
+            outs = (LazyTensor(col, row, 0), LazyTensor(col, row, 1))
+        else:
+            outs = tuple([LazyTensor(col, row, k) for k in range(n)])
+        col.outs.extend(outs)
+        return outs
 
     @staticmethod
     def read(value: Any) -> np.ndarray:
@@ -309,7 +363,59 @@ class AcrobatRuntime:
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        """Rows recorded and not yet executed."""
+        return sum(len(col.seqs) for col in self._columns.values())
+
+    @property
+    def next_seq(self) -> int:
+        """The round sequence number the next ``invoke`` records: a caller
+        reading it before and after recording a request has the request's
+        sequence range."""
+        return self._round_seq
+
+    # -- the store's cuts --------------------------------------------------------
+    def _cut(self, limit: Optional[int]) -> int:
+        """The sequence number a trigger with ``limit`` cuts at."""
+        if limit is not None and 0 < limit < self._round_seq:
+            return limit
+        return self._round_seq
+
+    def _spans(self, cut: int) -> List[Span]:
+        """The pending rows below ``cut``, as ``(column, stop)`` spans in
+        column first-appearance order (a column's rows are in sequence
+        order, so the rows below a cut are a prefix)."""
+        spans: List[Span] = []
+        for col in self._columns.values():
+            seqs = col.seqs
+            if seqs[-1] < cut:
+                spans.append((col, len(seqs)))
+            elif seqs[0] < cut:
+                spans.append((col, bisect_left(seqs, cut)))
+        return spans
+
+    def _take(self, spans: List[Span], cut: int) -> None:
+        """Remove the round ``spans`` from the store: a column the cut falls
+        inside keeps its first ``stop`` rows (they execute now), and the
+        rest move to a fresh column under the same key."""
+        self._generation += 1
+        if cut >= self._round_seq:
+            self._columns = {}
+            self._round_seq = 0
+            return
+        # leftover rows keep their sequence numbers; new invokes keep
+        # appending after them
+        stops = dict(spans)
+        rest: Dict[Tuple[int, int, int], Column] = {}
+        for key, col in self._columns.items():
+            stop = stops.get(col)
+            if stop is None:
+                rest[key] = col
+            elif stop < len(col.seqs):
+                rest[key] = _split_column(col, stop)
+        self._columns = rest
+
+    def _matches(self, prepared: "PreparedRound", cut: int) -> bool:
+        return prepared.generation == self._generation and prepared.cut == cut
 
     # -- execution -------------------------------------------------------------
     def trigger(
@@ -317,44 +423,38 @@ class AcrobatRuntime:
         prepared: Optional[PreparedRound] = None,
         limit: Optional[int] = None,
     ) -> bool:
-        """Schedule, memory-plan and execute pending DFG nodes.
+        """Schedule, memory-plan and execute pending rows.
 
         Every non-empty trigger is one synchronization round (a DFG flush);
         the count is reported in :attr:`RunStats.sync_rounds`, so callers no
         longer thread fiber-round counts through :meth:`collect_stats`.
 
-        ``limit`` executes only the *oldest* ``limit`` pending nodes (the
-        caller picks a request boundary — see the flush policies' round
-        cap); the remaining nodes stay pending as the next round's prefix,
-        their lazy outputs untouched.
+        ``limit`` executes only the rows whose sequence number is below it
+        (the caller cuts at a request boundary — see the flush policies'
+        round cap); the rows at or above it stay pending as the next
+        round's prefix, their lazy outputs untouched.
 
         When a :class:`PreparedRound` (built earlier by
-        :meth:`prepare_pending`, possibly speculatively) is passed and its
-        node snapshot still matches the nodes this trigger executes, the
-        round *adopts* it: schedule/placement/planning are skipped, the
-        staged planner mutations commit, and the already-timed prepare work
-        lands in the ``prepare`` profiler bucket instead.  A stale prepared
-        round is abandoned (placement state restored, staged mutations
-        dropped) and the trigger falls back to the normal path —
-        mis-speculation costs only the wasted host work, never correctness.
-        Returns True when the prepared round was adopted.
+        :meth:`prepare_pending`, possibly speculatively) is passed and still
+        describes the rows this trigger executes, the round *adopts* it:
+        schedule/placement/planning are skipped, the staged planner
+        mutations commit, and the already-timed prepare work lands in the
+        ``prepare`` profiler bucket instead.  A stale prepared round is
+        abandoned (placement state restored, staged mutations dropped) and
+        the trigger falls back to the normal path — mis-speculation costs
+        only the wasted host work, never correctness.  Returns True when the
+        prepared round was adopted.
         """
-        if not self._pending:
+        cut = self._cut(limit)
+        spans = self._spans(cut)
+        if not spans:
             if prepared is not None:
                 self.abandon_prepared(prepared)
             return False
-        if limit is not None and 0 < limit < len(self._pending):
-            nodes = self._pending[:limit]
-            self._pending = self._pending[limit:]
-            # leftover nodes keep their round_seq ordering; new invokes
-            # keep appending monotonically after them
-        else:
-            nodes = self._pending
-            self._pending = []
-            self._round_seq = 0
-        if prepared is not None and prepared.nodes != nodes:
+        if prepared is not None and not self._matches(prepared, cut):
             self.abandon_prepared(prepared)
             prepared = None
+        self._take(spans, cut)
         self.sync_rounds += 1
 
         if prepared is not None:
@@ -366,7 +466,7 @@ class AcrobatRuntime:
             batches, plans = prepared.batches, prepared.plans
         else:
             sched_start = time.perf_counter()
-            batches = self._scheduler.schedule(nodes)
+            batches = self._scheduler.schedule(spans)
             self.profiler.add("scheduling", time.perf_counter() - sched_start)
 
             if self._placement is not None:
@@ -382,26 +482,48 @@ class AcrobatRuntime:
 
         for plan in plans:
             self._execute_batch(plan)
+        # every row of the round's columns has executed (a column the cut
+        # fell inside kept only its executed prefix): drop the graph's one
+        # back edge, so the round is freed by reference counting, and the
+        # rows' arguments, so a live tensor keeps only its own column, not
+        # the history of every row its column shared
+        for col, _stop in spans:
+            col.outs = col.args = None
         self.num_batches_total += len(batches)
         self.profiler.bump("num_batches", len(batches))
         return prepared is not None
 
     def drop_pending_slice(self, start: int, end: int) -> None:
-        """Withdraw a contiguous slice of pending (unexecuted) DFG nodes —
-        the removal path for a cancelled request whose nodes were recorded
-        but whose round has not flushed.  Callers must pass whole-request
-        boundaries (the session's node offsets); the ``round_seq`` gap the
-        removal leaves behind only perturbs plan-cache signatures for this
-        one round, never correctness."""
-        del self._pending[start:end]
-        self.num_nodes_total = len(self._pending)
+        """Withdraw the pending rows with sequence numbers in ``[start,
+        end)`` — the removal path for a cancelled request whose rows were
+        recorded but whose round has not flushed.  Callers pass whole
+        requests' ranges; the gap the removal leaves in the sequence only
+        perturbs plan-cache signatures for this one round, never
+        correctness.  Later rows of a column move up, their lazy outputs
+        renumbered."""
+        self._generation += 1
+        for key, col in list(self._columns.items()):
+            seqs = col.seqs
+            a = bisect_left(seqs, start)
+            b = bisect_left(seqs, end)
+            if a == b:
+                continue
+            for rows in (col.args, col.instances, seqs):
+                del rows[a:b]
+            n = col.num_outputs
+            del col.outs[a * n:b * n]
+            if seqs:
+                _renumber(col, a)
+            else:
+                del self._columns[key]
+        self.num_nodes_total = self.pending_count
 
     def finish_partial_round(self) -> None:
-        """Round boundary after a capped trigger left nodes pending: reset
+        """Round boundary after a capped trigger left rows pending: reset
         the per-round collectors exactly as the next round's
         :meth:`reset` would, but keep the live lazy graph — the leftover
-        nodes are the next round's oldest requests."""
-        self.num_nodes_total = len(self._pending)
+        rows are the next round's oldest requests."""
+        self.num_nodes_total = self.pending_count
         self.num_batches_total = 0
         self.sync_rounds = 0
         self.profiler.reset()
@@ -411,16 +533,15 @@ class AcrobatRuntime:
 
     # -- prepare pipeline ------------------------------------------------------
     def prepare_pending(self, limit: Optional[int] = None) -> Optional[PreparedRound]:
-        """Build a :class:`PreparedRound` from the current pending nodes
+        """Build a :class:`PreparedRound` from the current pending rows
         without committing anything.
 
         Runs the full host pipeline — schedule, placement, memory planning —
-        against a snapshot of the pending list, but defers every state
-        mutation: the planner stages (``plan_round_staged``), and the
-        placement policy's rotation state is snapshotted for rollback.  The
-        DFG nodes themselves are shared with the runtime (building them was
-        already paid for at ``invoke`` time), which is also what makes the
-        adoption check exact: identity of the node lists.
+        over the rows the next flush would execute, but defers every state
+        mutation: the planner stages (``plan_round_staged``), the placement
+        policy's rotation state is snapshotted for rollback, and the store
+        is only read (the batches name its columns, which a later trigger
+        at the same cut executes as they are).
 
         Safe to call from a second host thread while the previous round's
         *device* share is in flight — by construction nothing here touches
@@ -429,39 +550,34 @@ class AcrobatRuntime:
         ``trigger`` on the same runtime (serving loops serialize via their
         own synchronization).
 
-        ``limit`` prepares only the oldest ``limit`` pending nodes — the
+        ``limit`` prepares only the rows below that sequence number — the
         composition a round-capped flush would execute (see
         :meth:`trigger`).
         """
-        if not self._pending:
+        cut = self._cut(limit)
+        spans = self._spans(cut)
+        if not spans:
             return None
-        if limit is not None and 0 < limit < len(self._pending):
-            nodes = self._pending[:limit]
-        else:
-            nodes = list(self._pending)
         start = time.perf_counter()
-        batches = self._scheduler.schedule(nodes)
+        batches = self._scheduler.schedule(spans)
         placement_state = None
         if self._placement is not None:
             placement_state = self._placement.snapshot_state()
             batches = self._placement.place_round(batches, self.device, self.kernels)
         plans, staged = self.planner.plan_round_staged(batches, self.kernels)
         prepare_s = time.perf_counter() - start
-        return PreparedRound(nodes, batches, plans, staged, placement_state, prepare_s)
+        return PreparedRound(
+            self._generation, cut, batches, plans, staged, placement_state, prepare_s
+        )
 
     def prepared_matches(
         self, prepared: PreparedRound, limit: Optional[int] = None
     ) -> bool:
-        """True when the prepared round still describes exactly the nodes
-        the next flush would execute (list identity: same objects, same
-        order).  With a round cap (``limit``) that is the oldest-``limit``
-        prefix — later admissions append *behind* it, so a prepared prefix
-        survives arrival churn."""
-        if limit is not None and 0 < limit < len(self._pending):
-            pending = self._pending[:limit]
-        else:
-            pending = self._pending
-        return prepared.nodes == pending
+        """True when the prepared round still describes exactly the rows the
+        next flush would execute.  With a round cap (``limit``) those are
+        the rows below the cut — later admissions append *behind* it, so a
+        prepared prefix survives arrival churn."""
+        return self._matches(prepared, self._cut(limit))
 
     def abandon_prepared(self, prepared: PreparedRound) -> None:
         """Discard a prepared round: restore the placement policy's state
@@ -486,7 +602,7 @@ class AcrobatRuntime:
     def _execute_batch(self, plan: BatchPlan) -> None:
         batch: ScheduledBatch = plan.batch
         kernel = self.kernels[batch.block_id]
-        batch_size = len(batch.nodes)
+        batch_size = batch.size
 
         dispatch_start = time.perf_counter()
         operands = self.planner.resolve(plan, kernel, self.device, self.options)
@@ -658,8 +774,9 @@ class AcrobatRuntime:
         parameters (and arenas) uploaded in earlier rounds stay resident, as
         they do for a persistent serving session.
         """
-        self._pending = []
+        self._columns = {}
         self._round_seq = 0
+        self._generation += 1
         self.current_instance = 0
         self.num_nodes_total = 0
         self.num_batches_total = 0
@@ -673,3 +790,32 @@ class AcrobatRuntime:
             self._placement.note_reset()
         if release_residency:
             self.device.reset_residency()
+
+
+def _renumber(col: Column, first: int) -> None:
+    """Point the lazy outputs of ``col``'s rows from ``first`` on at their
+    (moved) row."""
+    n = col.num_outputs
+    outs = col.outs
+    for i in range(first * n, len(outs)):
+        tensor = outs[i]
+        tensor.column = col
+        tensor.row = i // n
+
+
+def _split_column(col: Column, stop: int) -> Column:
+    """Move ``col``'s rows from ``stop`` on to a fresh column under the same
+    key, which the returned column is."""
+    n = col.num_outputs
+    rest = Column(col.block_id, col.phase, col.depth, n)
+    rest.args, rest.instances, rest.seqs, rest.outs = (
+        col.args[stop:],
+        col.instances[stop:],
+        col.seqs[stop:],
+        col.outs[stop * n:],
+    )
+    for rows in (col.args, col.instances, col.seqs):
+        del rows[stop:]
+    del col.outs[stop * n:]
+    _renumber(rest, 0)
+    return rest

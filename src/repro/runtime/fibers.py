@@ -18,8 +18,9 @@ generator.  The protocol between generated code and this scheduler:
 * ``return value``               — the fiber finished.
 
 **The step order is a contract.**  The order in which fibers are stepped is
-the order their ``invoke`` calls reach the runtime: a node's ``round_seq``,
-and with it bucket order and instance order inside every launch.  It is:
+the order their ``invoke`` calls reach the runtime: a row's round sequence
+number, and with it column order and instance order inside every launch.
+It is:
 
 * a *pass* steps the fibers runnable at its start, in creation order;
 * the next pass is the parents whose joins resolved during this one, sorted

@@ -1,9 +1,26 @@
-"""Lazy tensors and DFG nodes.
+"""Lazy tensors and the pending graph's column store.
 
 The AOT-compiled program does not compute tensor values eagerly: each block
-invocation appends a :class:`DFGNode` to the runtime's pending graph and
-returns :class:`LazyTensor` handles for its outputs (§2.2, §3).  Values are
-filled in when the runtime triggers batched execution.
+invocation appends one *row* to the runtime's pending graph and returns
+:class:`LazyTensor` handles for its outputs (§2.2, §3).  Values are filled in
+when the runtime triggers batched execution.
+
+The pending graph is a column store, not a list of node objects.  Every
+invocation carries the ``(phase, depth)`` pair the compiled program computed
+inline (§4.1), so the runtime files it straight into the :class:`Column` of
+its ``(phase, depth, block)`` key: the argument tuple, the instance id and the
+round sequence number (its position in the round's invoke order) each
+append to one list.  A column *is* a bucket of the inline-depth schedule,
+which therefore only sorts column keys.  The ordering contract every
+scheduler and the plan cache rely on: **columns in first-appearance order,
+rows in invoke order** — a column's rows are appended as they are invoked,
+so its ``seqs`` are increasing, and a column is created by its first row.
+
+A lazy tensor names its producer as ``(column, row, output_index)``: the
+column, the row within it, and which of the block's outputs it is (a capped
+flush or a withdrawal that moves pending rows points their outputs at the
+new place).  That is the graph's producer edge; schedulers that analyse
+dependencies at run time follow it through ``column.args[row]``.
 
 A materialized tensor does not own its array: it is a zero-copy *view* into
 a :class:`~repro.memory.arena.StorageArena` — the contiguous device buffer
@@ -14,45 +31,79 @@ The memory planner (:mod:`repro.memory.planner`) reasons about those
 (arena, offset) placements to decide when a later batch's operands are
 already contiguous in device memory (gather elision, §5.2).
 
-An executed node drops its ``outputs`` list (commit clears it; nothing reads
-it afterwards), which removes the only back edge of the graph —
-``DFGNode.outputs -> LazyTensor.node`` — so a finished round is freed by
-reference counting alone, never by the cyclic collector.  ``LazyTensor.node``
-stays: scheduler signatures key on it.
+``Column.outs`` — the rows' lazy outputs — is the graph's only back edge
+(``Column.outs -> LazyTensor.column``).  A trigger drops ``outs`` of every
+column it executed, so a finished round is freed by reference counting
+alone, never by the cyclic collector; it drops ``args`` too, so a tensor
+that outlives its round keeps its column alive but not, through the other
+rows' arguments, the rest of the graph.
+``LazyTensor.column`` stays: it is the tensor's identity as a producer.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..memory.arena import StorageArena
 
-_tensor_ids = itertools.count()
-_node_ids = itertools.count()
+
+class Column:
+    """The pending invocations of one ``(phase, depth, block)`` key.
+
+    One row per invocation, in invoke order; the row lists are parallel
+    (``outs`` holds ``num_outputs`` entries per row).  ``args`` and ``outs``
+    are dropped once the column has executed (see the module docstring)."""
+
+    __slots__ = (
+        "block_id",
+        "phase",
+        "depth",
+        "num_outputs",
+        "args",
+        "instances",
+        "seqs",
+        "outs",
+    )
+
+    def __init__(self, block_id: int, phase: int, depth: int, num_outputs: int) -> None:
+        self.block_id = block_id
+        self.phase = phase
+        self.depth = depth
+        self.num_outputs = num_outputs
+        #: one argument sequence per row, as the caller passed it: an
+        #: ``ndarray`` (parameter / constant / host input) or a
+        #: :class:`LazyTensor` per block input
+        self.args: Optional[List[Sequence[Any]]] = []
+        #: the mini-batch instance each row belongs to
+        self.instances: List[int] = []
+        #: each row's round sequence number, increasing
+        self.seqs: List[int] = []
+        #: the rows' lazy outputs, flat: output ``k`` of row ``r`` at
+        #: ``r * num_outputs + k`` (the tuple ``invoke`` returns for a
+        #: multi-output block is not kept, so it dies when unpacked)
+        self.outs: Optional[List["LazyTensor"]] = []
+
+    def __repr__(self) -> str:
+        return (
+            f"Column(block={self.block_id}, phase={self.phase}, "
+            f"depth={self.depth}, rows={len(self.seqs)})"
+        )
 
 
 class LazyTensor:
-    """Handle to a tensor that will be produced by a pending DFG node."""
+    """Handle to a tensor produced by row ``row`` of a pending column."""
 
-    __slots__ = (
-        "tid",
-        "node",
-        "output_index",
-        "arena",
-        "offset",
-        "inferred_shape",
-    )
+    __slots__ = ("column", "row", "output_index", "arena", "offset", "inferred_shape")
 
-    def __init__(self, node: "DFGNode", output_index: int) -> None:
-        self.tid = next(_tensor_ids)
-        self.node = node
+    def __init__(self, column: Column, row: int, output_index: int) -> None:
+        self.column = column
+        self.row = row
         self.output_index = output_index
         #: where the value lives once executed: instance ``offset`` of a
-        #: storage arena (``arena`` is None until the node has executed)
+        #: storage arena (``arena`` is None until the row has executed)
         self.arena: Optional["StorageArena"] = None
         self.offset = 0
         #: statically inferred shape (filled by the VM's lazy interpreter so
@@ -66,74 +117,18 @@ class LazyTensor:
     @property
     def value(self) -> np.ndarray:
         """The concrete array (a zero-copy view into the backing arena);
-        raises if the node has not executed yet."""
+        raises if the producing row has not executed yet."""
         arena = self.arena
         if arena is None:
             raise RuntimeError(
-                f"LazyTensor {self.tid} (node {self.node.node_id}, block "
-                f"{self.node.block_id}) read before execution was triggered"
+                f"{self!r} (block {self.column.block_id}) read before "
+                f"execution was triggered"
             )
         return arena.view(self.offset)
 
     def __repr__(self) -> str:
         state = "ready" if self.is_materialized else "pending"
-        return f"LazyTensor(#{self.tid}, {state})"
-
-
-class DFGNode:
-    """One pending block invocation in the dataflow graph."""
-
-    __slots__ = (
-        "node_id",
-        "block_id",
-        "args",
-        "depth",
-        "phase",
-        "instance_id",
-        "outputs",
-        "executed",
-        "round_seq",
-    )
-
-    def __init__(
-        self,
-        block_id: int,
-        args: Sequence[Any],
-        depth: int,
-        phase: int,
-        instance_id: int,
-        num_outputs: int,
-        round_seq: Optional[int] = None,
-    ) -> None:
-        self.node_id = next(_node_ids)
-        self.block_id = block_id
-        #: one entry per block input: an ``ndarray`` (parameter/constant/host
-        #: input) or a :class:`LazyTensor` produced by an earlier node.  The
-        #: generated program passes a tuple, which is kept as is
-        self.args: Tuple[Any, ...] = args if type(args) is tuple else tuple(args)
-        self.depth = depth
-        self.phase = phase
-        self.instance_id = instance_id
-        #: the node's lazy outputs until it executes; cleared by the
-        #: planner's commit (see the module docstring)
-        self.outputs: Tuple[LazyTensor, ...] = tuple([LazyTensor(self, k) for k in range(num_outputs)])
-        self.executed = False
-        #: position within the node's synchronization round (passed by the
-        #: runtime at invoke time); the memory planner's plan cache uses it
-        #: as the canonical in-round producer reference.  Defaults to the
-        #: globally unique node id so directly constructed nodes can never
-        #: alias in a cache signature.
-        self.round_seq = self.node_id if round_seq is None else round_seq
-
-    def producer_nodes(self) -> List["DFGNode"]:
-        """DFG nodes whose outputs this node consumes."""
-        return [a.node for a in self.args if isinstance(a, LazyTensor)]
-
-    def __repr__(self) -> str:
-        return (
-            f"DFGNode(#{self.node_id}, block={self.block_id}, depth={self.depth}, "
-            f"phase={self.phase}, inst={self.instance_id})"
-        )
+        return f"LazyTensor(row {self.row}, output {self.output_index}, {state})"
 
 
 def materialize_value(value: Any) -> Any:

@@ -128,13 +128,14 @@ class InferenceSession:
         #: the request can be rebuilt in a sibling session.  Deferred mode
         #: already keeps instances in ``_pending`` itself.
         self._pending_instances: List[Any] = []
-        #: cumulative node counts at request boundaries (DFG-accumulation
-        #: mode): ``_node_offsets[i]`` is the runtime's node count right
-        #: after pending request ``i`` recorded its DFG, so a capped flush
-        #: of the oldest ``k`` requests executes exactly the node prefix
-        #: ``[:_node_offsets[k-1]]`` — requests are independent, so the
-        #: request prefix is a node prefix
-        self._node_offsets: List[int] = []
+        #: request boundaries in the runtime's round sequence
+        #: (DFG-accumulation mode): ``_seq_ends[i]`` is the sequence number
+        #: right after pending request ``i`` recorded its DFG, so request
+        #: ``i`` owns the pending rows in ``[_seq_ends[i-1], _seq_ends[i])``
+        #: and a capped flush of the oldest ``k`` requests executes exactly
+        #: the rows below ``_seq_ends[k-1]`` — requests are recorded one
+        #: after another, so a request prefix is a sequence prefix
+        self._seq_ends: List[int] = []
         #: monotonically increasing instance id for node tagging: a capped
         #: flush leaves the overflow pending, so per-submit indices cannot
         #: restart at ``len(_pending)`` without colliding with leftover
@@ -379,7 +380,7 @@ class InferenceSession:
             self._build_s += time.perf_counter() - build_start
             self._pending.append((handle, raw))
             self._pending_instances.append(instance)
-            self._node_offsets.append(rt.pending_count)
+            self._seq_ends.append(rt.next_seq)
         self.num_requests += 1
         if self._round_started_at is None:
             self._round_started_at = now
@@ -413,7 +414,7 @@ class InferenceSession:
         # admissions append *behind* it, so a prepared prefix survives
         # arrival churn — the property that makes speculation pay under
         # sustained load
-        limit = self._flush_node_limit()
+        limit = self._flush_seq_cut()
         prepared = self._prepared
         if prepared is not None:
             if rt.prepared_matches(prepared, limit=limit):
@@ -429,15 +430,16 @@ class InferenceSession:
         self._prepared_at = now
         return True
 
-    def _flush_node_limit(self) -> Optional[int]:
-        """Node count of the next flush's capped prefix, or None when the
-        whole backlog flushes at once (no cap, or the cap doesn't bind)."""
+    def _flush_seq_cut(self) -> Optional[int]:
+        """Sequence number the next flush's capped prefix ends at, or None
+        when the whole backlog flushes at once (no cap, or the cap doesn't
+        bind)."""
         if self._deferred:
             return None
         cap = self.policy.round_cap(self)
         if cap is None or not 0 < cap < len(self._pending):
             return None
-        return self._node_offsets[cap - 1]
+        return self._seq_ends[cap - 1]
 
     def _discard_prepared(self) -> None:
         """Abandon the held prepared round (admission diverged)."""
@@ -483,7 +485,7 @@ class InferenceSession:
         with the right error.  Returns None when the handle is unknown to
         this session or its round already executed.
 
-        Exactly :meth:`cancel`'s node-slice surgery (round-mates flush as
+        Exactly :meth:`cancel`'s sequence-range surgery (round-mates flush as
         if the request had never been submitted; a speculatively prepared
         round is abandoned), minus the handle resolution.
         """
@@ -499,18 +501,14 @@ class InferenceSession:
             instance = self._pending[index][1]
             del self._pending[index]
         else:
-            rt = self.engine.runtime
             instance = self._pending_instances[index]
-            start = self._node_offsets[index - 1] if index else 0
-            end = self._node_offsets[index]
-            dropped = end - start
+            start = self._seq_ends[index - 1] if index else 0
+            end = self._seq_ends[index]
             del self._pending[index]
             del self._pending_instances[index]
-            del self._node_offsets[index]
-            if dropped:
-                rt.drop_pending_slice(start, end)
-                for j in range(index, len(self._node_offsets)):
-                    self._node_offsets[j] -= dropped
+            del self._seq_ends[index]
+            if start < end:
+                self.engine.runtime.drop_pending_slice(start, end)
         if self._pending:
             self._round_started_at = self._pending[0][0].submitted_at
         else:
@@ -558,23 +556,23 @@ class InferenceSession:
             return None
         # a capping policy flushes the *oldest-cap* prefix and leaves the
         # overflow pending as the next round's prefix — request boundaries
-        # are node boundaries, so the prefix is exactly the node slice the
+        # are sequence boundaries, so the prefix is exactly the cut the
         # prepare pipeline speculated on
         cap: Optional[int] = None
-        node_limit: Optional[int] = None
+        seq_cut: Optional[int] = None
         if not self._deferred:
             requested = self.policy.round_cap(self)
             if requested is not None and 0 < requested < len(self._pending):
                 cap = requested
-                node_limit = self._node_offsets[cap - 1]
-        saved_offsets = self._node_offsets
+                seq_cut = self._seq_ends[cap - 1]
+        saved_ends = self._seq_ends
         if cap is not None:
             pending = self._pending[:cap]
             self._pending = self._pending[cap:]
             if not self._deferred:
                 self._pending_instances = self._pending_instances[cap:]
-            # rebase leftover boundaries onto the post-flush node numbering
-            self._node_offsets = [o - node_limit for o in saved_offsets[cap:]]
+            # leftover rows keep their sequence numbers across the cut
+            self._seq_ends = saved_ends[cap:]
             # the leftover prefix anchors the next round's deadline at its
             # own oldest arrival; the monotonic-arrival tracker and the
             # instance-id sequence keep running (requests are still pending)
@@ -582,7 +580,7 @@ class InferenceSession:
         else:
             pending, self._pending = self._pending, []
             self._pending_instances = []
-            self._node_offsets = []
+            self._seq_ends = []
             self._round_started_at = None
             # a fresh trace may legally restart its timestamps next round
             self._last_arrival = None
@@ -607,13 +605,13 @@ class InferenceSession:
             else:
                 rt = self.engine.runtime
                 exec_start = time.perf_counter()
-                adopted = rt.trigger(prepared=prepared, limit=node_limit)
+                adopted = rt.trigger(prepared=prepared, limit=seq_cut)
                 outputs = [materialize_value(raw) for _, raw in pending]
                 wall_s = self._build_s + (time.perf_counter() - exec_start)
                 stats = self.engine.collect_stats(len(pending), wall_s)
                 self._build_s = 0.0
                 if self._pending:
-                    # the overflow's DFG nodes live on in the runtime as the
+                    # the overflow's DFG rows live on in the runtime as the
                     # next round's prefix: a full reset would wipe them, so
                     # take a light per-round boundary and keep the bound
                     # entry for further submits
@@ -624,7 +622,7 @@ class InferenceSession:
             # the popped handles would otherwise be lost (pending forever):
             # fail them, reset the round, and re-raise for the caller
             self._pending = pending + self._pending
-            self._node_offsets = saved_offsets
+            self._seq_ends = saved_ends
             self._abort_round(exc)
             raise
         if prepared is not None:
@@ -778,7 +776,7 @@ class InferenceSession:
         pending, self._pending = self._pending, []
         self._pending_instances = []
         self._discard_prepared()
-        self._node_offsets = []
+        self._seq_ends = []
         self._instance_seq = 0
         self._round_started_at = None
         self._last_arrival = None

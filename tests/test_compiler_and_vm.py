@@ -98,6 +98,54 @@ class TestCodegen:
         names = compiled.kernel_names()
         assert names and any("dense" in n for n in names)
 
+    @pytest.mark.parametrize("acc_len", [0, 1, 2])
+    def test_direct_rev_append_keeps_its_accumulator(self, acc_len):
+        """``rev_append(xs, acc)`` is ``reverse(xs)`` in front of ``acc``; a
+        direct call used to compile to ``reverse(xs)`` alone."""
+        from repro.ir import ScopeBuilder, call, function, match, op, pat_ctor, prelude_module, var
+
+        mod = prelude_module()
+        nil, cons = mod.get_constructor("Nil"), mod.get_constructor("Cons")
+        xs, acc, z = var("xs"), var("acc"), var("z")
+        first, rest, second, tail = var("first"), var("rest"), var("second"), var("tail")
+        sb = ScopeBuilder()
+        out = sb.let("out", call(mod.get_global_var("rev_append"), xs, acc))
+        # the second element of the result, or z when there is none
+        sb.ret(
+            match(
+                out,
+                [
+                    (pat_ctor(nil), z),
+                    (
+                        pat_ctor(cons, first, rest),
+                        match(
+                            rest,
+                            [
+                                (pat_ctor(nil), z),
+                                (pat_ctor(cons, second, tail), op.relu(second)),
+                            ],
+                        ),
+                    ),
+                ],
+            )
+        )
+        mod.add_function("main", function([z, xs, acc], sb.get(), name="main"))
+        params = {"z": np.zeros((1, 2), np.float32)}
+
+        def row(v):
+            return np.full((1, 2), v, np.float32)
+
+        batch = [
+            {"xs": mod.make_list([row(1.0)]), "acc": mod.make_list([row(2.0 + k) for k in range(acc_len)])},
+            {"xs": mod.make_list([row(3.0), row(4.0)]), "acc": mod.make_list([row(5.0)] * acc_len)},
+        ]
+        reference = reference_run(mod, params, batch)
+        assert np.array_equal(reference[0], row(2.0) if acc_len else params["z"])
+        for options in (CompilerOptions(), CompilerOptions(aot=False)):
+            outputs, _ = compile_model(mod, params, options).run(batch)
+            for out, ref in zip(outputs, reference):
+                assert out.dtype == ref.dtype and np.array_equal(out, ref)
+
 
 class TestCompiledModelDriver:
     def test_outputs_match_reference(self, rnn_compiled):

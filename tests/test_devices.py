@@ -272,21 +272,24 @@ class TestDeviceGroup:
 # ---------------------------------------------------------------------------
 
 
-def _make_nodes(runtime_like_args, instance_ids, block_id=0):
-    """Synthetic DFG nodes (no runtime needed for placement decisions)."""
-    from repro.runtime.tensor import DFGNode
+def _column(instance_ids, block_id=0, args=lambda row: ()):
+    """A synthetic pending column, one row per instance id (no runtime
+    needed for placement decisions); ``args(row)`` is the row's arguments."""
+    from repro.runtime.tensor import Column, LazyTensor
 
-    return [
-        DFGNode(
-            block_id=block_id,
-            args=runtime_like_args,
-            depth=0,
-            phase=0,
-            instance_id=i,
-            num_outputs=1,
-        )
-        for i in instance_ids
-    ]
+    col = Column(block_id, 0, 0, 1)
+    for row, i in enumerate(instance_ids):
+        col.args.append(args(row))
+        col.instances.append(i)
+        col.seqs.append(row)
+        col.outs.append(LazyTensor(col, row, 0))
+    return col
+
+
+def _batch(instance_ids, block_id=0, args=lambda row: (), device=0):
+    """A scheduled batch of one whole synthetic column."""
+    col = _column(instance_ids, block_id, args)
+    return ScheduledBatch(block_id, ((col, range(len(col.seqs))),), device=device)
 
 
 class TestPlacementRegistry:
@@ -324,25 +327,21 @@ class TestPlacementRegistry:
 class TestRoundRobinPlacement:
     def test_splits_by_instance(self):
         group = DeviceGroup(2)
-        nodes = _make_nodes((), [0, 1, 2, 3])
-        batches = [ScheduledBatch(block_id=0, nodes=nodes)]
+        batches = [_batch([0, 1, 2, 3])]
         placed = RoundRobinPlacement().place_round(batches, group, {})
         assert len(placed) == 2
         assert [b.device for b in placed] == [0, 1]
-        assert [n.instance_id for n in placed[0].nodes] == [0, 2]
-        assert [n.instance_id for n in placed[1].nodes] == [1, 3]
+        assert placed[0].instances() == [0, 2]
+        assert placed[1].instances() == [1, 3]
 
     def test_single_device_passthrough(self):
         group = DeviceGroup(1)
-        batches = [ScheduledBatch(block_id=0, nodes=_make_nodes((), [0, 1]))]
+        batches = [_batch([0, 1])]
         assert RoundRobinPlacement().place_round(batches, group, {}) is batches
 
     def test_same_instance_stays_on_one_device(self):
         group = DeviceGroup(4)
-        nodes = _make_nodes((), [5, 5, 5])
-        placed = RoundRobinPlacement().place_round(
-            [ScheduledBatch(block_id=0, nodes=nodes)], group, {}
-        )
+        placed = RoundRobinPlacement().place_round([_batch([5, 5, 5])], group, {})
         assert len(placed) == 1
         assert placed[0].device == 5 % 4
 
@@ -351,7 +350,7 @@ class TestDataParallelPlacement:
     def test_small_batches_stay_whole(self):
         group = DeviceGroup(4)
         policy = DataParallelPlacement(min_shard=2)
-        batches = [ScheduledBatch(block_id=0, nodes=_make_nodes((), [0, 1, 2]))]
+        batches = [_batch([0, 1, 2])]
         placed = policy.place_round(batches, group, {})
         assert len(placed) == 1 and placed[0].device == 0
 
@@ -362,7 +361,7 @@ class TestDataParallelPlacement:
         policy = DataParallelPlacement(min_shard=2)
         homes = []
         for _ in range(6):
-            batches = [ScheduledBatch(block_id=0, nodes=_make_nodes((), [0, 1, 2]))]
+            batches = [_batch([0, 1, 2])]
             placed = policy.place_round(batches, group, {})
             assert len(placed) == 1  # still whole
             homes.append(placed[0].device)
@@ -380,7 +379,7 @@ class TestDataParallelPlacement:
         policy.observe(0, 8, 8 * 1.6 + spec.launch_overhead_us, 1, spec)
         seen = []
         for _ in range(4):
-            batches = [ScheduledBatch(block_id=0, nodes=_make_nodes((), range(8)))]
+            batches = [_batch(range(8))]
             placed = policy.place_round(batches, group, {})
             seen.append([b.device for b in placed])
             policy.note_reset()  # the runtime calls this between runs
@@ -396,7 +395,7 @@ class TestDataParallelPlacement:
         policy.note_reset()  # an empty reset must not rotate either
         seen = []
         for _ in range(3):  # three sync rounds of one run
-            batches = [ScheduledBatch(block_id=0, nodes=_make_nodes((), range(8)))]
+            batches = [_batch(range(8))]
             placed = policy.place_round(batches, group, {})
             seen.append([b.device for b in placed])
         assert seen == [[0, 1], [0, 1], [0, 1]]
@@ -408,13 +407,13 @@ class TestDataParallelPlacement:
         group = DeviceGroup(4)
         policy = DataParallelPlacement(min_shard=2)
         batches = [
-            ScheduledBatch(block_id=0, nodes=_make_nodes((), [0, 1, 2])),
-            ScheduledBatch(block_id=1, nodes=_make_nodes((), [0, 1, 2])),
+            _batch([0, 1, 2]),
+            _batch([0, 1, 2], block_id=1),
         ]
         placed = policy.place_round(batches, group, {})
         assert [b.device for b in placed] == [0, 1]
         placed = policy.place_round(
-            [ScheduledBatch(block_id=0, nodes=_make_nodes((), [0, 1, 2]))],
+            [_batch([0, 1, 2])],
             group,
             {},
         )
@@ -426,13 +425,13 @@ class TestDataParallelPlacement:
         spec = group.spec
         # expensive per-instance work: splitting a batch of 8 clearly pays
         policy.observe(0, 8, 8 * 1000.0 + spec.launch_overhead_us, 1, spec)
-        batches = [ScheduledBatch(block_id=0, nodes=_make_nodes((), range(8)))]
+        batches = [_batch(range(8))]
         placed = policy.place_round(batches, group, {})
         assert len(placed) == 4
         assert [b.device for b in placed] == [0, 1, 2, 3]
-        assert [len(b.nodes) for b in placed] == [2, 2, 2, 2]
+        assert [b.size for b in placed] == [2, 2, 2, 2]
         # contiguous runs: order preserved
-        assert [n.instance_id for b in placed for n in b.nodes] == list(range(8))
+        assert [i for b in placed for i in b.instances()] == list(range(8))
 
     def test_intermediate_shard_count_chosen_when_max_does_not_pay(self):
         group = DeviceGroup(4)
@@ -442,10 +441,10 @@ class TestDataParallelPlacement:
         # 1.6*(8-2)=9.6us < 12us serial cost, but a 2-way split saves
         # 1.6*(8-4)=6.4us > 4us — the intermediate split must win
         policy.observe(0, 8, 8 * 1.6 + spec.launch_overhead_us, 1, spec)
-        batches = [ScheduledBatch(block_id=0, nodes=_make_nodes((), range(8)))]
+        batches = [_batch(range(8))]
         placed = policy.place_round(batches, group, {})
         assert [b.device for b in placed] == [0, 1]
-        assert [len(b.nodes) for b in placed] == [4, 4]
+        assert [b.size for b in placed] == [4, 4]
 
     def test_cheap_work_refuses_split(self):
         group = DeviceGroup(4)
@@ -453,7 +452,7 @@ class TestDataParallelPlacement:
         spec = group.spec
         # work so cheap the serial API overhead of extra launches dominates
         policy.observe(0, 8, spec.launch_overhead_us + 0.001, 1, spec)
-        batches = [ScheduledBatch(block_id=0, nodes=_make_nodes((), range(8)))]
+        batches = [_batch(range(8))]
         assert len(policy.place_round(batches, group, {})) == 1
 
     def test_min_shard_validation(self):
@@ -566,15 +565,11 @@ class TestMultiDeviceEquivalence:
 
         shared_out = np.arange(8.0, dtype=np.float32)
         arena = StorageArena.from_broadcast(shared_out, batch_size=4, device_index=1)
-        nodes = _make_nodes((), [0, 1, 2, 3])
-        for node in nodes:
-            node.outputs[0].arena = arena
-            node.executed = True
-        consumers = _make_nodes(tuple(), [0, 1, 2, 3], block_id=1)
-        for consumer, producer in zip(consumers, nodes):
-            consumer.args = (producer.outputs[0],)
+        producers = _column([0, 1, 2, 3])
+        for tensor in producers.outs:
+            tensor.arena = arena
         plan = BatchPlan(
-            batch=ScheduledBatch(block_id=1, nodes=consumers, device=0),
+            batch=_batch([0, 1, 2, 3], block_id=1, args=lambda row: (producers.outs[row],)),
             batch_size=4,
             operands=[
                 OperandPlan(
@@ -618,14 +613,10 @@ class TestMultiDeviceEquivalence:
         ]
         # (arena, offset) per consumer instance: interleaved, repeated offsets
         column = [(0, 3), (2, 0), (1, 4), (3, 6), (0, 3), (2, 2), (3, 0), (0, 1), (1, 0)]
-        producers = _make_nodes((), range(len(column)))
-        for node, (a, offset) in zip(producers, column):
-            node.outputs[0].arena = arenas[a]
-            node.outputs[0].offset = offset
-            node.executed = True
-        consumers = _make_nodes((), range(len(column)), block_id=1)
-        for consumer, producer in zip(consumers, producers):
-            consumer.args = (producer.outputs[0],)
+        producers = _column(range(len(column)))
+        for tensor, (a, offset) in zip(producers.outs, column):
+            tensor.arena = arenas[a]
+            tensor.offset = offset
 
         # the per-part walk, written out: what resolve charged before columns
         # were resolved into segments
@@ -656,7 +647,9 @@ class TestMultiDeviceEquivalence:
                 real(src, dst, nbytes),
             )[1]
             plan = BatchPlan(
-                batch=ScheduledBatch(block_id=1, nodes=consumers, device=0),
+                batch=_batch(
+                    range(len(column)), block_id=1, args=lambda row: (producers.outs[row],)
+                ),
                 batch_size=len(column),
                 operands=[OperandPlan(0, kind)],
                 output_arena_ids=[],

@@ -1,10 +1,11 @@
 """A finished dataflow graph is freed by reference counting, not by the
 cyclic collector.
 
-``DFGNode.outputs -> LazyTensor.node`` was the graph's only reference cycle;
-``MemoryPlanner.commit`` clears ``outputs`` on every executed node, so with
-the collector switched off nothing of a finished round may be left for it.
-Never-executed (cancelled / withdrawn) nodes keep their cycle and are exempt.
+``Column.outs -> LazyTensor.column`` is the pending graph's only reference
+cycle; ``AcrobatRuntime.trigger`` drops ``outs`` of every column it
+executed, so with the collector switched off nothing of a finished round may
+be left for it.  A withdrawn (cancelled) request's rows
+leave the column with their outputs, so they are freed the same way.
 """
 
 import gc
@@ -13,18 +14,18 @@ import pytest
 
 from repro import CompilerOptions, compile_model
 from repro.models import MODEL_MODULES
-from repro.runtime.tensor import DFGNode, LazyTensor
+from repro.runtime.tensor import Column, LazyTensor
 
 
 def live_graph_objects():
-    """(DFGNode, LazyTensor) instances the interpreter still tracks."""
-    nodes = tensors = 0
+    """(LazyTensor, Column) instances the interpreter still tracks."""
+    tensors = columns = 0
     for obj in gc.get_objects():
-        if type(obj) is DFGNode:
-            nodes += 1
-        elif type(obj) is LazyTensor:
+        if type(obj) is LazyTensor:
             tensors += 1
-    return nodes, tensors
+        elif type(obj) is Column:
+            columns += 1
+    return tensors, columns
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ def assert_collector_reclaims_no_graph():
     before = live_graph_objects()
     gc.collect()
     assert live_graph_objects() == before, (
-        "the cyclic collector had to free executed DFG nodes / lazy tensors"
+        "the cyclic collector had to free lazy tensors / executed columns"
     )
     return before
 
@@ -71,24 +72,25 @@ def test_a_finished_run_leaves_nothing_for_the_collector(name, collector_off):
     assert counts == [(0, 0)] * 10
 
 
-def test_executed_nodes_drop_their_outputs(monkeypatch):
+@pytest.mark.parametrize("name", ["treelstm", "stackrnn"])
+def test_executed_columns_drop_their_back_edges(monkeypatch, name):
     from repro.memory import MemoryPlanner
 
     committed = []
     real = MemoryPlanner.commit
 
     def commit(self, plan, outputs, device):
-        nodes = plan.batch.nodes
-        assert all(len(node.outputs) == len(outputs) for node in nodes)
+        columns = [col for col, _rows in plan.batch.segments]
+        assert all(len(col.outs) == len(col.seqs) * col.num_outputs for col in columns)
         arenas = real(self, plan, outputs, device)
-        committed.extend(nodes)
+        committed.extend(columns)
         return arenas
 
     monkeypatch.setattr(MemoryPlanner, "commit", commit)
-    model, batch = build("treelstm")
+    model, batch = build(name)
     model.run(batch)
     assert committed
-    assert all(node.executed and len(node.outputs) == 0 for node in committed)
+    assert all(col.outs is None and col.args is None for col in committed)
 
 
 def test_a_flushed_session_round_leaves_nothing_for_the_collector(collector_off):
@@ -132,15 +134,36 @@ def test_a_served_round_leaves_nothing_for_the_collector(collector_off):
             assert gc.collect() == 0
 
 
-def test_never_executed_nodes_are_exempt(collector_off):
-    """A withdrawn request's nodes never reach commit: they keep their
-    ``outputs`` (and their cycle), which is the collector's to free."""
+def test_withdrawn_rows_are_freed_by_reference_counting(collector_off):
+    """A withdrawn request's rows never reach commit: they leave their
+    columns with their outputs, so nothing of them is cyclic."""
     model, batch = build("treelstm")
     session = model.session(flush_policy="manual")
-    handle = session.submit(batch[0])
-    assert live_graph_objects() > (0, 0)
+    kept = session.submit(batch[0])
+    handle = session.submit(batch[1])
+    pending = live_graph_objects()
     assert handle.cancel()
     del handle
-    assert live_graph_objects() > (0, 0)  # cyclic: reference counting keeps them
-    gc.collect()
+    tensors, columns = live_graph_objects()
+    # the kept request's rows stay; columns only it had are gone
+    assert 0 < tensors < pending[0] and 0 < columns <= pending[1]
+    kept.cancel()
+    del kept
     assert live_graph_objects() == (0, 0)
+
+
+def test_a_capped_flush_leaves_nothing_for_the_collector(collector_off):
+    """A round cap that falls inside columns: the executed prefix keeps its
+    columns, the rest moves to fresh ones, and both are freed once run."""
+    model, batch = build("treelstm")
+    session = model.session(flush_policy="manual")
+    handles = [session.submit(instance) for instance in batch[:3]]
+    session.policy.round_cap = lambda _session: 2
+    session.flush()
+    assert [h.done for h in handles] == [True, True, False]
+    session.policy.round_cap = lambda _session: None
+    session.flush()
+    results = [h.result() for h in handles]
+    assert len(results) == 3
+    del handles, results
+    assert assert_collector_reclaims_no_graph() == (0, 0)

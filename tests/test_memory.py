@@ -11,7 +11,7 @@ from repro.memory import MemoryPlanner, OperandKind, StorageArena
 from repro.models import MODEL_MODULES
 from repro.runtime import AcrobatRuntime, DeviceSimulator, ExecutionOptions
 from repro.runtime.scheduler import ScheduledBatch
-from repro.runtime.tensor import DFGNode
+from repro.runtime.tensor import LazyTensor
 from repro.utils import values_allclose
 
 ALL_POLICIES = ("inline_depth", "dynamic_depth", "agenda", "nobatch")
@@ -105,8 +105,10 @@ class TestMemoryPlanner:
         rt.trigger()
         arena = producers[0].arena
 
-        nodes = [DFGNode(0, [p], 1, 0, i, 1) for i, p in enumerate(producers)]
-        batch = ScheduledBatch(block_id=0, nodes=nodes)
+        for p in producers:
+            rt.invoke(0, 1, 0, [p])
+        (col, stop), = rt._spans(rt.next_seq)
+        batch = ScheduledBatch(0, ((col, range(stop)),))
         plans = rt.planner.plan_round([batch], rt.kernels)
         operands = rt.planner.resolve(plans[0], rt.kernels[0], DeviceSimulator(), rt.options)
         assert operands[0].array is not None and not operands[0].scattered
@@ -195,10 +197,12 @@ class TestMemoryPlanner:
         in the round is a dependency-order violation."""
         rt = make_runtime()
         pending = [rt.invoke(0, 0, 0, [np.ones((1, 2), np.float32)]) for _ in range(2)]
-        consumers = [DFGNode(0, [p], 1, 0, i, 1) for i, p in enumerate(pending)]
+        for p in pending:
+            rt.invoke(0, 1, 0, [p])
+        (producers, _), (consumers, stop) = rt._spans(rt.next_seq)
         planner = MemoryPlanner()
         with pytest.raises(RuntimeError, match="dependency order"):
-            planner.plan_round([ScheduledBatch(0, consumers)], rt.kernels)
+            planner.plan_round([ScheduledBatch(0, ((consumers, range(stop)),))], rt.kernels)
 
 
 class TestGatherSegments:
@@ -211,15 +215,13 @@ class TestGatherSegments:
         """Run one fixed batch, counting — independently of the planner's own
         walk, from the DFG before each launch resolves — the distinct arenas
         behind every gathered column of arena tensors."""
-        from repro.runtime.tensor import LazyTensor
-
         per_column = []
         real = MemoryPlanner.resolve
 
         def resolve(self, plan, kernel, device, options):
             for op in plan.operands:
                 if op.kind in (OperandKind.GATHER, OperandKind.FUSED_GATHER):
-                    column = [node.args[op.index] for node in plan.batch.nodes]
+                    column = [args[op.index] for args in plan.batch.args()]
                     sources = {id(a.arena) for a in column if isinstance(a, LazyTensor)}
                     if sources:
                         per_column.append(len(sources))

@@ -31,28 +31,18 @@ def build(model_name, batch=8, seed=11, scheduler=None):
     return compiled, instances, reference
 
 
-def _make_nodes(instance_ids, block_id=0):
-    from repro.runtime.tensor import DFGNode
-
-    return [
-        DFGNode(
-            block_id=block_id,
-            args=(),
-            depth=0,
-            phase=0,
-            instance_id=i,
-            num_outputs=1,
-        )
-        for i in instance_ids
-    ]
-
-
 def _batch(block_id, size=4):
+    """A scheduled batch of one synthetic column of ``size`` argument-less
+    rows."""
     from repro.runtime.scheduler import ScheduledBatch
+    from repro.runtime.tensor import Column
 
-    return ScheduledBatch(
-        block_id=block_id, nodes=_make_nodes(range(size), block_id)
-    )
+    col = Column(block_id, 0, 0, 1)
+    for row in range(size):
+        col.args.append(())
+        col.instances.append(row)
+        col.seqs.append(row)
+    return ScheduledBatch(block_id, ((col, range(size)),))
 
 
 def _assert_counters_sum(stats):

@@ -1,6 +1,7 @@
 """Tests for the runtime: device simulator, schedulers, fibers, executor."""
 
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from repro.runtime import (
     dynamic_depth_schedule,
     materialize_value,
 )
-from repro.runtime.scheduler import NoBatchScheduler
-from repro.runtime.tensor import DFGNode
+from repro.runtime.scheduler import NoBatchScheduler, NumberedRows
 
 
 def record(flops=1e5, bytes_read=1e4, bytes_written=1e4, name="k", scattered=0.0):
@@ -244,36 +244,63 @@ class TestProfiler:
         assert prof.total_ms() == 0.0
 
 
-def _make_nodes(kernel_ids, depths, phases=None):
-    nodes = []
+def _recording_runtime(num_blocks=2):
+    """A runtime over stand-in kernels: enough to record rows and cut the
+    store into a round, nothing to execute."""
+    kernels = {
+        k: SimpleNamespace(block=SimpleNamespace(num_outputs=1)) for k in range(num_blocks)
+    }
+    return AcrobatRuntime(kernels, scheduler=NoBatchScheduler())
+
+
+def _record(kernel_ids, depths, phases=None):
+    """The pending round of one invoke per entry, as scheduler spans."""
+    rt = _recording_runtime(max(kernel_ids) + 1)
     for i, (k, d) in enumerate(zip(kernel_ids, depths)):
-        phase = phases[i] if phases else 0
-        nodes.append(DFGNode(k, [], d, phase, i, 1))
-    return nodes
+        rt.current_instance = i
+        rt.invoke(k, d, phases[i] if phases else 0, ())
+    return rt._spans(rt.next_seq)
 
 
 class TestSchedulers:
     def test_inline_depth_groups_by_phase_depth_block(self):
-        nodes = _make_nodes([0, 0, 1, 0], [0, 0, 0, 1])
-        batches = InlineDepthScheduler().schedule(nodes)
-        assert [(b.block_id, len(b.nodes)) for b in batches] == [(0, 2), (1, 1), (0, 1)]
+        spans = _record([0, 0, 1, 0], [0, 0, 0, 1])
+        batches = InlineDepthScheduler().schedule(spans)
+        assert [(b.block_id, b.size) for b in batches] == [(0, 2), (1, 1), (0, 1)]
 
     def test_inline_depth_orders_phases_before_depths(self):
-        nodes = _make_nodes([0, 0], [5, 0], phases=[0, 1])
-        batches = InlineDepthScheduler().schedule(nodes)
-        assert batches[0].nodes[0].depth == 5  # phase 0 first despite larger depth
+        spans = _record([0, 0], [5, 0], phases=[0, 1])
+        batches = InlineDepthScheduler().schedule(spans)
+        (col, _rows), = batches[0].segments
+        assert col.depth == 5  # phase 0 first despite larger depth
+
+    def test_inline_depth_orders_equal_depths_by_first_row(self):
+        """Within a (phase, depth), columns run in the order their first
+        pending rows were invoked."""
+        spans = _record([1, 0, 1, 0], [0, 0, 0, 0])
+        batches = InlineDepthScheduler().schedule(spans)
+        assert [(b.block_id, b.seqs()) for b in batches] == [(1, [0, 2]), (0, [1, 3])]
 
     def test_dynamic_depth_scheduler_respects_dependencies(self):
-        producer = DFGNode(0, [], 0, 0, 0, 1)
-        consumer = DFGNode(1, [producer.outputs[0]], 0, 0, 0, 1)
-        batches = DynamicDepthScheduler().schedule([consumer, producer])
+        rt = _recording_runtime()
+        produced = rt.invoke(0, 0, 0, ())
+        rt.invoke(1, 0, 0, (produced,))  # same inline depth: only the edge orders them
+        batches = DynamicDepthScheduler().schedule(rt._spans(rt.next_seq))
         order = [b.block_id for b in batches]
         assert order.index(0) < order.index(1)
 
     def test_no_batch_scheduler(self):
-        nodes = _make_nodes([0, 0, 0], [0, 0, 0])
-        batches = NoBatchScheduler().schedule(nodes)
+        spans = _record([0, 0, 0], [0, 0, 0])
+        batches = NoBatchScheduler().schedule(spans)
         assert len(batches) == 3 and all(b.size == 1 for b in batches)
+        assert [b.seqs() for b in batches] == [[0], [1], [2]]
+
+    def test_numbered_rows_merge_columns_in_invoke_order(self):
+        spans = _record([0, 1, 0, 1, 1], [0, 0, 1, 0, 1])
+        rows = NumberedRows(spans)
+        assert list(rows.numbers) == [0, 1, 2, 3, 4]
+        assert [rows.cols[i].seqs[rows.rows[i]] for i in rows.numbers] == [0, 1, 2, 3, 4]
+        assert [rows.cols[i].block_id for i in rows.numbers] == [0, 1, 0, 1, 1]
 
     def test_generic_depth_schedule(self):
         deps = {"b": ["a"], "c": ["a"], "d": ["b", "c"]}
