@@ -52,13 +52,3 @@ def test_continuous_beats_caller_driven(benchmark):
             caller = by_config[(model, policy, "caller")]
             loop = by_config[(model, policy, "continuous")]
             assert loop[col["launches"]] == caller[col["launches"]]
-
-    # the composition row: continuous intake + the depth-staged placement
-    # on a 2-device group beats single-device continuous on throughput
-    # while flushing the very same rounds (pipelining stages batches, it
-    # never splits them)
-    for model in continuous.MODELS:
-        pipe = by_config[(model, "adaptive", "cont+pipeline@2")]
-        loop = by_config[(model, "adaptive", "continuous")]
-        assert pipe[col["throughput_rps"]] > loop[col["throughput_rps"]]
-        assert pipe[col["launches"]] == loop[col["launches"]]

@@ -1,5 +1,5 @@
 """Benchmark regenerating the sharded-front-door table: loop topologies
-under multi-tenant bursty overload, fully deterministic."""
+under bursty overload, fully deterministic."""
 
 import math
 
@@ -23,30 +23,24 @@ def test_sharded_front_door(benchmark):
         assert row[col["matches_ref"]] == "yes"
         assert row[col["deterministic"]] == "yes"
         assert math.isfinite(row[col["p99_ms"]]) and row[col["p99_ms"]] > 0
-        # SLO attainment orders by priority class under overload:
-        # slack-based shedding protects the tight interactive SLO at the
-        # expense of loose batch work
-        assert row[col["slo_interactive"]] >= row[col["slo_batch"]]
 
     single = by_topology["single"]
     multi = by_topology["per_device"]
 
     # the tentpole win: four host lanes sustain >= 1.3x the single-loop
     # throughput at 4 devices on the 10x bursty trace (the committed
-    # table shows ~1.5x, and the numbers are deterministic)
+    # table shows ~1.9x, and the numbers are deterministic)
     assert multi[col["loops"]] == 4
     assert (
         multi[col["throughput_rps"]] >= 1.3 * single[col["throughput_rps"]]
     )
     assert multi[col["p99_ms"]] < single[col["p99_ms"]]
 
-    # the overloaded single loop sheds/expires low-priority work the
-    # sharded topology absorbs, and serves tenants less evenly
+    # the overloaded single loop sheds work the sharded topology absorbs
     assert single[col["shed"]] > 0
     assert multi[col["shed"]] == 0
-    assert multi[col["jain_fairness"]] >= single[col["jain_fairness"]]
 
-    # tenant-pinned routing skews backlog onto three loops; the stealing
+    # pinned routing skews backlog onto three loops; the stealing
     # pass rebalances it (and still beats the single loop)
     pinned = by_topology["per_device+pin"]
     assert pinned[col["stolen"]] > 0

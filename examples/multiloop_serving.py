@@ -1,31 +1,20 @@
-"""The sharded serving front door: multi-loop topologies + SLO admission.
+"""The sharded serving front door: multi-loop topologies.
 
-Builds a TreeLSTM, generates one multi-tenant bursty trace
-(interactive / standard / batch tenants with distinct priority classes,
-deadlines and a quota cap on the batch tenant), and replays it
-deterministically against the ``single`` and ``per_device`` loop
-topologies on the same 4-device group.  Prints the throughput/p99
-comparison plus each tenant's SLO attainment — sharding the host lane
-lifts throughput, and slack-based shedding protects the tight
-interactive SLO at the expense of loose batch work.
+Builds a TreeLSTM, generates one bursty open-loop trace at 2000 rps, and
+replays it deterministically against the ``single`` and ``per_device``
+loop topologies on the same 4-device group behind a bounded
+``shed-oldest`` admission queue.  Prints the throughput/p99 comparison
+plus each loop's admission counters — sharding the host lane lifts
+throughput, and the sharded loops absorb the burst the single loop sheds.
 """
 
 from repro import CompilerOptions, SimulatedClock, compile_model, reference_run
 from repro.models import MODEL_MODULES
-from repro.serve import Server, TenantSpec, tenant_mix
+from repro.serve import Server, bursty_arrivals
 from repro.utils import values_allclose
 
 NUM_REQUESTS = 96
 HOST_MODEL = (2.0, 0.75)  # ms/round + ms/request of host work per flush
-
-TENANTS = (
-    TenantSpec("interactive", rate_rps=1000.0, burst=2,
-               priority="interactive", deadline_ms=80.0),
-    TenantSpec("standard", rate_rps=600.0, burst=4,
-               priority="standard", deadline_ms=200.0),
-    TenantSpec("batch", rate_rps=400.0, burst=8,
-               priority="batch", deadline_ms=400.0),
-)
 
 
 def main() -> None:
@@ -35,20 +24,17 @@ def main() -> None:
     reference = reference_run(mod, params, requests)
     model = compile_model(mod, params, CompilerOptions())
 
-    trace = tenant_mix(TENANTS, NUM_REQUESTS, endpoints=["trees"], seed=4)
-    workload = [
-        (at, ep, req, meta) for (at, ep, meta), req in zip(trace, requests)
-    ]
+    arrivals = bursty_arrivals(2000.0, NUM_REQUESTS, burst=4, seed=4)
+    workload = [(at, "trees", req) for at, req in zip(arrivals, requests)]
 
-    print(f"{NUM_REQUESTS} TreeLSTM requests, 3 tenants, 2000 rps aggregate\n")
+    print(f"{NUM_REQUESTS} TreeLSTM requests, 2000 rps in bursts of 4\n")
     for topology in ("single", "per_device"):
         server = Server(
             clock=SimulatedClock(),
             devices=4,
             topology=topology,
-            tenants={"batch": (200.0, 12)},  # token-bucket quota
             max_pending=24,
-            backpressure="shed-slack",
+            backpressure="shed-oldest",
         )
         server.add_endpoint("trees", model, policy="adaptive")
         handles = server.run_trace(
@@ -65,19 +51,17 @@ def main() -> None:
         horizon = max(h.stats.completed_at for h in done) - workload[0][0]
         latencies = sorted(h.stats.latency_ms for h in done)
         p99 = latencies[int(0.99 * (len(latencies) - 1))]
-        summary = server.summary()
+        loops = server.summary()["loops"]
         print(
-            f"topology={topology:<11} loops={len(summary['loops'])} "
+            f"topology={topology:<11} loops={len(loops)} "
             f"completed={len(done):>2}/{NUM_REQUESTS} "
             f"throughput={len(done) / horizon:7.1f} rps  p99={p99:6.2f} ms"
         )
-        for name, gauges in sorted(summary["tenants"].items()):
+        for name, gauges in sorted(loops.items()):
             print(
-                f"  {name:<12} submitted={gauges['submitted']:>2} "
-                f"completed={gauges['completed']:>2} "
-                f"rejected={gauges['rejected']} shed={gauges['shed']} "
-                f"expired={gauges['expired']} "
-                f"slo_attainment={gauges['slo_attainment']:.2f}"
+                f"  {name:<6} admitted={gauges['admitted']:>2} "
+                f"shed={gauges['shed']} stolen_in={gauges['stolen_in']} "
+                f"stolen_out={gauges['stolen_out']}"
             )
         print()
 

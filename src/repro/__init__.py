@@ -73,17 +73,11 @@ _SERVE_EXPORTS = (
     "available_flush_policies",
     "make_flush_policy",
     "register_flush_policy",
-    "QuotaExceeded",
-    "TokenBucket",
-    "AdmissionController",
     "LoopTopology",
     "available_topologies",
     "make_topology",
     "register_topology",
     "run_topology_trace",
-    "tenant_mix",
-    "TenantSpec",
-    "PRIORITY_CLASSES",
 )
 
 #: multi-device names importable from the top level (lazy):

@@ -1,8 +1,8 @@
 """Multi-device execution: device groups, interconnects and placement.
 
-PR 1–3 built a single-accelerator system: one
-:class:`~repro.runtime.device.DeviceSimulator`, one arena space, one block
-of counters.  This package removes that assumption:
+A single-accelerator runtime has one
+:class:`~repro.runtime.device.DeviceSimulator`, one arena space and one
+block of counters.  This package lifts that to a group of devices:
 
 * :mod:`repro.devices.device` — the :class:`Device` protocol: the narrow
   surface the runtime, memory planner and serving layer require of an
@@ -15,9 +15,9 @@ of counters.  This package removes that assumption:
   per-device counters/residency, group aggregation, and elapsed-vs-total
   device-time accounting (members run concurrently);
 * :mod:`repro.devices.placement` — :class:`PlacementPolicy` and its
-  string-keyed registry (``single``, ``round_robin``, ``data_parallel``,
-  ``pipeline``, ``tensor_parallel``): *where* each scheduled batch
-  executes, mirroring the scheduler-policy and flush-policy registries.
+  string-keyed registry (``single``, ``round_robin``, ``data_parallel``):
+  *where* each scheduled batch executes, mirroring the scheduler-policy
+  and flush-policy registries.
 
 Entry points: ``compile_model(...).serve(policy, devices=4,
 placement="round_robin")`` opens a sharded serving session;
@@ -30,15 +30,11 @@ from .group import DeviceGroup
 from .interconnect import INTERCONNECT_PRESETS, Interconnect
 from .placement import (
     DataParallelPlacement,
-    LearnedWorkPlacement,
-    PipelinePlacement,
     PlacementPolicy,
     RoundRobinPlacement,
     SinglePlacement,
-    TensorParallelPlacement,
     available_placements,
     make_placement,
-    partition_stages,
     register_placement,
     unregister_placement,
 )
@@ -52,12 +48,8 @@ __all__ = [
     "SinglePlacement",
     "RoundRobinPlacement",
     "DataParallelPlacement",
-    "LearnedWorkPlacement",
-    "PipelinePlacement",
-    "TensorParallelPlacement",
     "available_placements",
     "make_placement",
-    "partition_stages",
     "register_placement",
     "unregister_placement",
 ]

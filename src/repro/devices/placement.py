@@ -27,18 +27,6 @@ Built-in policies:
     batches stay whole but route round-robin across the group, and splits
     anchor at a per-round rotating base device, so neither unsplittable
     work nor partial splits pile on device 0.
-``pipeline``
-    Depth-staged execution: contiguous runs of the round's scheduled
-    batches (the scheduler emits them in depth order) become pipeline
-    stages, stage ``s`` on device ``s``, balanced by the learned per-block
-    work model.  Stages of one round run sequentially, so the policy's win
-    is continuous serving: per-device timeline lanes let stage ``k`` of
-    round ``N+1`` start as soon as stage ``k`` of round ``N`` drains.
-``tensor_parallel``
-    Intra-batch splitting: blocks whose observed launch time amortizes it
-    are marked to execute as ``1/k`` cost shards on ``k`` members
-    concurrently, with peer-priced gathers assembling the partial outputs
-    on the home device.
 
 Whatever a policy does, results are reference-identical: placement moves
 *where* a batch executes (and what transfers are charged), never what it
@@ -48,7 +36,7 @@ computes.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,14 +59,6 @@ class PlacementPolicy:
     #: registry name
     name = "single"
 
-    #: how the serving timeline models this policy's rounds across the
-    #: group's per-device lanes: ``"concurrent"`` (members execute disjoint
-    #: shares of the round in parallel — every built-in sharding policy) or
-    #: ``"staged"`` (members execute the round's shares *in sequence*, each
-    #: lane freeing as its stage drains — the pipeline policy, whose
-    #: cross-round overlap lives exactly in that distinction)
-    timeline_mode = "concurrent"
-
     def place_round(
         self,
         batches: List[ScheduledBatch],
@@ -100,12 +80,11 @@ class PlacementPolicy:
         duration_us: float,
         num_launches: int,
         spec: Any,
-        bytes_written: float = 0.0,
     ) -> None:
         """Feedback hook: the executor reports every batch's simulated
-        launch time (and output bytes) after charging it, so adaptive
-        policies can learn per-block device cost (the static operand-byte
-        estimate cannot see compute-bound work)."""
+        launch time after charging it, so adaptive policies can learn
+        per-block device cost (the static operand-byte estimate cannot see
+        compute-bound work)."""
 
     def note_reset(self) -> None:
         """Run-boundary hook: the runtime calls this when it resets for a
@@ -164,156 +143,6 @@ def make_placement(name: str, **policy_args: Any) -> PlacementPolicy:
     return _PLACEMENTS.make(name, **policy_args)
 
 
-# -- shared learned cost model ------------------------------------------------
-
-
-def partition_stages(
-    costs: Sequence[float], num_stages: int
-) -> List[Tuple[int, int]]:
-    """Contiguous partition of ``costs`` into at most ``num_stages`` runs
-    minimizing the maximum run cost (the classic linear-partition DP).
-
-    Returns half-open ``(start, end)`` index pairs covering the whole list
-    in order, one per non-empty stage.  Deterministic: among equally good
-    partitions, the earliest cut points win.
-    """
-    n = len(costs)
-    if n == 0:
-        return []
-    k = max(1, min(int(num_stages), n))
-    if k == 1:
-        return [(0, n)]
-    prefix = [0.0]
-    for c in costs:
-        prefix.append(prefix[-1] + float(c))
-    # best[i]: minimal max-stage cost of costs[:i] under the current stage
-    # budget; cuts[j][i]: the last cut index achieving best[i] with budget j
-    best = list(prefix[1:])  # budget 1: the whole prefix is one run
-    cuts: List[List[int]] = [[0] * (n + 1)]
-    for _ in range(2, k + 1):
-        nxt = [0.0] * n
-        cut = [0] * (n + 1)
-        for i in range(1, n + 1):
-            best_cost, best_s = prefix[i], 0  # s = 0: keep costs[:i] whole
-            for s in range(1, i):
-                cost = max(best[s - 1], prefix[i] - prefix[s])
-                if cost < best_cost:
-                    best_cost, best_s = cost, s
-            nxt[i - 1] = best_cost
-            cut[i] = best_s
-        best = nxt
-        cuts.append(cut)
-    stages: List[Tuple[int, int]] = []
-    i = n
-    for cut in reversed(cuts):
-        s = cut[i]
-        stages.append((s, i))
-        i = s
-        if i == 0:
-            break
-    stages.reverse()
-    return stages
-
-
-class LearnedWorkPlacement(PlacementPolicy):
-    """Shared learned-cost machinery for adaptive placement policies.
-
-    Keeps a per-block EWMA of *observed* per-instance device work (fed back
-    by the executor through :meth:`observe`, launch overhead excluded) plus
-    an EWMA of per-instance output bytes, with a static operand-byte
-    estimate as the cold-start fallback — the model ``data_parallel`` has
-    always used, hoisted so the pipeline stage balancer and the
-    tensor-parallel splitter drive off the same observations.
-    """
-
-    def __init__(self, smoothing: float = 0.5) -> None:
-        self.smoothing = float(smoothing)
-        #: EWMA of per-instance device work (us, launch overhead excluded)
-        #: per block id, learned from observed launches
-        self._work_us: Dict[int, float] = {}
-        #: EWMA of per-instance output bytes per block id (prices the
-        #: partial-output gathers of a tensor-parallel split)
-        self._out_bytes: Dict[int, float] = {}
-
-    def observe(
-        self,
-        block_id: int,
-        batch_size: int,
-        duration_us: float,
-        num_launches: int,
-        spec: Any,
-        bytes_written: float = 0.0,
-    ) -> None:
-        work = max(0.0, duration_us - num_launches * spec.launch_overhead_us)
-        per_instance = work / max(1, batch_size)
-        s = self.smoothing
-        prev = self._work_us.get(block_id)
-        self._work_us[block_id] = (
-            per_instance if prev is None else s * per_instance + (1 - s) * prev
-        )
-        per_out = float(bytes_written) / max(1, batch_size)
-        prev_out = self._out_bytes.get(block_id)
-        self._out_bytes[block_id] = (
-            per_out if prev_out is None else s * per_out + (1 - s) * prev_out
-        )
-
-    def _batch_cost_us(
-        self,
-        batch: ScheduledBatch,
-        group: "Device",
-        kernels: Dict[int, "BlockKernel"],
-    ) -> float:
-        """Estimated device time of one batched launch of ``batch``.
-
-        Observed EWMA first; static operand-byte memory time as the
-        cold-start fallback; when nothing is known at all (the first round
-        of a fiber program) the batch *size* is the only signal — the
-        units are wrong but relative magnitudes still balance stages.
-        """
-        spec = group.spec
-        size = batch.size
-        observed = self._work_us.get(batch.block_id)
-        if observed is not None:
-            return observed * size + spec.launch_overhead_us
-        shared, var, known = self._estimate_bytes(batch, kernels)
-        if known:
-            bw = spec.mem_bandwidth_gbps * 1e3
-            return (shared + var * size) / bw + spec.launch_overhead_us
-        return float(size)
-
-    @staticmethod
-    def _estimate_bytes(
-        batch: ScheduledBatch, kernels: Dict[int, "BlockKernel"]
-    ) -> Tuple[float, float, bool]:
-        """(shared bytes per launch, varying bytes per instance, any known).
-
-        Reads sizes off the first row's operands; pending lazy tensors have
-        no value yet and contribute nothing (an underestimate — the split
-        decision errs toward keeping batches whole, which is the safe side).
-        """
-        kernel = kernels.get(batch.block_id)
-        if kernel is None:
-            return 0.0, 0.0, False
-        args = batch.first_args()
-        shared = var = 0.0
-        known = False
-        for inp in kernel.block.inputs:
-            arg = args[inp.index]
-            if isinstance(arg, LazyTensor):
-                arena = arg.arena
-                if arena is None:
-                    continue
-                nbytes = arena.instance_nbytes
-            else:
-                nbytes = float(np.asarray(arg).nbytes)
-            known = True
-            if inp.shared:
-                shared += nbytes
-            else:
-                var += nbytes
-        return shared, var, known
-
-
 # -- built-in policies --------------------------------------------------------
 
 
@@ -364,7 +193,7 @@ class RoundRobinPlacement(PlacementPolicy):
 
 
 @register_placement("data_parallel")
-class DataParallelPlacement(LearnedWorkPlacement):
+class DataParallelPlacement(PlacementPolicy):
     """Split big batches into contiguous per-device shards; keep small ones,
     rotating them round-robin over a per-round home device.
 
@@ -424,8 +253,11 @@ class DataParallelPlacement(LearnedWorkPlacement):
     def __init__(self, min_shard: int = 2, smoothing: float = 0.5) -> None:
         if min_shard < 1:
             raise ValueError("data_parallel placement needs min_shard >= 1")
-        super().__init__(smoothing=smoothing)
         self.min_shard = int(min_shard)
+        self.smoothing = float(smoothing)
+        #: EWMA of per-instance device work (us, launch overhead excluded)
+        #: per block id, learned from observed launches
+        self._work_us: Dict[int, float] = {}
         #: next device in the unsplit-batch round-robin rotation
         self._unsplit_rr = 0
         #: base device anchoring this run's splits (advances at the next
@@ -467,6 +299,22 @@ class DataParallelPlacement(LearnedWorkPlacement):
         if batches:
             self._placed_since_reset = True
         return placed
+
+    def observe(
+        self,
+        block_id: int,
+        batch_size: int,
+        duration_us: float,
+        num_launches: int,
+        spec: Any,
+    ) -> None:
+        work = max(0.0, duration_us - num_launches * spec.launch_overhead_us)
+        per_instance = work / max(1, batch_size)
+        prev = self._work_us.get(block_id)
+        s = self.smoothing
+        self._work_us[block_id] = (
+            per_instance if prev is None else s * per_instance + (1 - s) * prev
+        )
 
     def note_reset(self) -> None:
         # rotate the split anchor once per run (serving flush), never
@@ -518,189 +366,34 @@ class DataParallelPlacement(LearnedWorkPlacement):
                 best_k, best_net = k, net
         return best_k
 
+    @staticmethod
+    def _estimate_bytes(
+        batch: ScheduledBatch, kernels: Dict[int, "BlockKernel"]
+    ) -> Tuple[float, float, bool]:
+        """(shared bytes per launch, varying bytes per instance, any known).
 
-@register_placement("pipeline")
-class PipelinePlacement(LearnedWorkPlacement):
-    """Depth-staged execution: contiguous *depth levels* of a run become
-    pipeline stages, stage ``s`` on device ``s``.
-
-    Every scheduler emits a round's batches in dependency (depth) order,
-    and a run's sync rounds are themselves depth-ordered (a fiber
-    program's round ``r+1`` consumes round ``r``), so any contiguous
-    partition of the run's batch stream is execution-safe.  Batches stay
-    whole — pipeline moves depth levels, not instances — so the only
-    cross-device traffic is the stage boundaries' producer/consumer
-    operands, priced by the planner as peer transfers.
-
-    The balancer has two regimes, both costed with the learned per-block
-    work EWMA (static operand-byte fallback) that also drives
-    ``data_parallel``:
-
-    * **single-round runs** (DFG-accumulation models: the whole flush is
-      one sync round holding every depth) — :func:`partition_stages` picks
-      the contiguous partition minimizing the busiest stage;
-    * **multi-round runs** (fiber programs: one shallow round per depth
-      step, nothing to partition within a round) — stages span *rounds*:
-      each batch lands on stage ``floor(n * cost_so_far / est_run_cost)``,
-      where the run's total cost is an EWMA learned at run boundaries
-      (:meth:`note_reset`).  A first, unobserved run stays on stage 0.
-
-    Within one run the stages execute sequentially (stage ``s+1`` consumes
-    stage ``s``'s outputs), so a lone flush gains nothing; the win is
-    continuous serving, where per-device timeline lanes
-    (``timeline_mode = "staged"``,
-    :meth:`~repro.serve.loop.DeviceTimeline.launch_round`) let stage ``k``
-    of round ``N+1`` start as soon as stage ``k`` of round ``N`` drains —
-    while stage ``k+1`` of round ``N`` is still executing downstream.  In
-    steady state the flush rate is set by the busiest *stage*, not the
-    whole flush, which is exactly what request-level sharding cannot do
-    for a deep chain's launch-bound rounds.
-    """
-
-    name = "pipeline"
-    timeline_mode = "staged"
-
-    def __init__(self, smoothing: float = 0.5) -> None:
-        super().__init__(smoothing=smoothing)
-        #: estimated cost of the current run so far (us of _batch_cost_us)
-        self._run_cost_seen = 0.0
-        #: rounds placed in the current run
-        self._rounds_this_run = 0
-        #: EWMA over completed runs of the run's total cost / round count
-        self._est_run_cost: Optional[float] = None
-        self._est_rounds: Optional[float] = None
-
-    def place_round(
-        self,
-        batches: List[ScheduledBatch],
-        group: "Device",
-        kernels: Dict[int, "BlockKernel"],
-    ) -> List[ScheduledBatch]:
-        n = group.num_devices
-        if not batches:
-            return batches
-        costs = [self._batch_cost_us(batch, group, kernels) for batch in batches]
-        if n <= 1:
-            self._run_cost_seen += sum(costs)
-            self._rounds_this_run += 1
-            return batches
-        if self._est_rounds is not None and self._est_rounds > 1.5:
-            # multi-round (fiber) run: stage by cumulative cost fraction of
-            # the learned whole-run cost, so depth steps stream through the
-            # devices in order.  min() guards drifted estimates: a longer
-            # run than predicted tops out at the last stage, it never wraps
-            # (stages must be monotone for the staged timeline to overlap).
-            total = max(self._est_run_cost or 0.0, 1e-9)
-            for batch, cost in zip(batches, costs):
-                frac = self._run_cost_seen / total
-                batch.device = min(n - 1, int(frac * n))
-                self._run_cost_seen += cost
-        else:
-            # single-round run (or first, unobserved run): balanced
-            # contiguous partition of this round's batches
-            for stage, (start, end) in enumerate(partition_stages(costs, n)):
-                for batch in batches[start:end]:
-                    batch.device = stage
-            self._run_cost_seen += sum(costs)
-        self._rounds_this_run += 1
-        return batches
-
-    def note_reset(self) -> None:
-        # run boundary: fold the finished run's observed shape into the
-        # run-cost model that stages the next one
-        if self._rounds_this_run:
-            s = self.smoothing
-            cost, rounds = self._run_cost_seen, float(self._rounds_this_run)
-            self._est_run_cost = (
-                cost
-                if self._est_run_cost is None
-                else s * cost + (1 - s) * self._est_run_cost
-            )
-            self._est_rounds = (
-                rounds
-                if self._est_rounds is None
-                else s * rounds + (1 - s) * self._est_rounds
-            )
-        self._run_cost_seen = 0.0
-        self._rounds_this_run = 0
-
-    def snapshot_state(self) -> Any:
-        # the within-run progress place_round advances (the run-shape EWMAs
-        # move only at note_reset, which speculation never reaches)
-        return (self._run_cost_seen, self._rounds_this_run)
-
-    def restore_state(self, state: Any) -> None:
-        self._run_cost_seen, self._rounds_this_run = state
-
-
-@register_placement("tensor_parallel")
-class TensorParallelPlacement(LearnedWorkPlacement):
-    """Split individual heavy blocks column/row-wise across group members.
-
-    Every batch stays whole with its home on device 0; a block whose
-    *observed* launch time amortizes the split is marked
-    ``tp_devices = (0 .. k-1)``.  The executor then charges each member a
-    ``1/k``-scaled shard of every launch record (shards run concurrently,
-    so the batch's elapsed time is its slowest shard) plus ``k-1``
-    peer-priced gathers shipping the remote members' output partials to
-    the home device through the group's
-    :class:`~repro.devices.interconnect.Interconnect`; the memory planner
-    marks the output arenas with the shard set (the partial-output arena
-    kind) and plan/specializer fingerprints gain the shard axis.
-
-    The split decision is deliberately *not* optimistic: an unobserved
-    block never splits, because a wrong tensor-parallel split charges real
-    interconnect gathers where a wrong ``data_parallel`` split only wastes
-    launch overhead.  Splitting ``k`` ways pays when the work saved,
-    ``work * (1 - 1/k)``, beats the ``k-1`` extra launches plus the gather
-    of the ``(k-1)/k`` remote share of the block's output bytes (EWMA of
-    observed output sizes).
-
-    Numerics: the NumPy kernel still executes exactly once, unsharded — a
-    real ``k``-way matmul split changes the fp reduction order, and
-    placement must stay bitwise reference-identical.  Sharding is a
-    cost-model transform, exactly like the device simulator itself.
-    """
-
-    name = "tensor_parallel"
-
-    def __init__(self, smoothing: float = 0.5) -> None:
-        super().__init__(smoothing=smoothing)
-
-    def place_round(
-        self,
-        batches: List[ScheduledBatch],
-        group: "Device",
-        kernels: Dict[int, "BlockKernel"],
-    ) -> List[ScheduledBatch]:
-        n = group.num_devices
-        if n <= 1:
-            return batches
-        interconnect = getattr(group, "interconnect", None)
-        for batch in batches:
-            batch.device = 0
-            k = self._split_ways(batch, group, interconnect)
-            batch.tp_devices = tuple(range(k)) if k > 1 else None
-        return batches
-
-    def _split_ways(
-        self, batch: ScheduledBatch, group: "Device", interconnect: Any
-    ) -> int:
-        if interconnect is None:
-            return 1
-        per_instance = self._work_us.get(batch.block_id)
-        if per_instance is None:
-            return 1
-        size = batch.size
-        work_us = per_instance * size
-        out_bytes = self._out_bytes.get(batch.block_id, 0.0) * size
-        spec = group.spec
-        best_k, best_net = 1, 0.0
-        for k in range(2, group.num_devices + 1):
-            saved_us = work_us * (1.0 - 1.0 / k)
-            gather_us = (k - 1) * interconnect.transfer_time_us(out_bytes / k)
-            extra_us = (k - 1) * (spec.launch_overhead_us + spec.api_overhead_us)
-            net = saved_us - gather_us - extra_us
-            if net > best_net:
-                best_k, best_net = k, net
-        return best_k
+        Reads sizes off the first row's operands; pending lazy tensors have
+        no value yet and contribute nothing (an underestimate — the split
+        decision errs toward keeping batches whole, which is the safe side).
+        """
+        kernel = kernels.get(batch.block_id)
+        if kernel is None:
+            return 0.0, 0.0, False
+        args = batch.first_args()
+        shared = var = 0.0
+        known = False
+        for inp in kernel.block.inputs:
+            arg = args[inp.index]
+            if isinstance(arg, LazyTensor):
+                arena = arg.arena
+                if arena is None:
+                    continue
+                nbytes = arena.instance_nbytes
+            else:
+                nbytes = float(np.asarray(arg).nbytes)
+            known = True
+            if inp.shared:
+                shared += nbytes
+            else:
+                var += nbytes
+        return shared, var, known

@@ -14,7 +14,6 @@ from . import (
     generation,
     multiloop,
     overlap,
-    pipeline,
     serving,
     sharding,
     table4,
@@ -49,7 +48,6 @@ ALL_EXPERIMENTS = {
     "figure6": figure6,
     "serving": serving,
     "sharding": sharding,
-    "pipeline": pipeline,
     "continuous": continuous,
     "overlap": overlap,
     "generation": generation,
@@ -58,7 +56,7 @@ ALL_EXPERIMENTS = {
 
 __all__ = [
     "table4", "table5", "table6", "table7", "table8", "table9",
-    "figure5", "figure6", "serving", "sharding", "pipeline", "continuous",
+    "figure5", "figure6", "serving", "sharding", "continuous",
     "overlap", "generation", "multiloop",
     "ALL_EXPERIMENTS",
     "ExperimentScale", "REDUCED", "PAPER", "current_scale",

@@ -40,7 +40,6 @@ import numpy as np
 
 from ..compiler.options import CompilerOptions
 from ..core.api import compile_model, reference_run
-from ..devices.group import DeviceGroup
 from ..ir.adt import ADTValue
 from ..runtime.device import DeviceSimulator
 from ..serve.clock import SimulatedClock
@@ -124,27 +123,13 @@ def _replay_mode(
     mode: str,
     policy: str,
     policy_args: Dict,
-    devices: int = 1,
-    placement: str = "single",
 ) -> TrafficReport:
-    if devices > 1:
-        # multi-device rows (the pipeline+continuous composition) run on a
-        # DeviceGroup; single-device rows keep the original standalone
-        # simulator so the committed baselines stay bit-identical
-        session = compiled.serve(
-            policy,
-            clock=SimulatedClock(),
-            devices=DeviceGroup(devices, spec=EDGE_SPEC, interconnect="nvlink"),
-            placement=placement,
-            **policy_args,
-        )
-    else:
-        session = compiled.serve(
-            policy,
-            clock=SimulatedClock(),
-            device=DeviceSimulator(spec=EDGE_SPEC),
-            **policy_args,
-        )
+    session = compiled.serve(
+        policy,
+        clock=SimulatedClock(),
+        device=DeviceSimulator(spec=EDGE_SPEC),
+        **policy_args,
+    )
     fn = replay if mode == "caller" else replay_continuous
     return fn(
         session, requests, arrivals, deterministic=True, host_model=HOST_MODEL
@@ -166,25 +151,12 @@ def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[
         arrivals = bursty_arrivals(rate, n, burst=BURST, seed=scale.seed + 5)
 
         for label, policy, policy_args in POLICIES:
-            modes: Tuple[Tuple[str, Dict], ...] = (
-                ("caller", {}),
-                ("continuous", {}),
-            )
-            if policy == "adaptive":
-                # the composition row: continuous intake + the depth-staged
-                # placement on a 2-device group (full sweep in
-                # :mod:`repro.experiments.pipeline`)
-                modes += (
-                    ("cont+pipeline@2", {"devices": 2, "placement": "pipeline"}),
-                )
-            for mode, extra in modes:
+            for mode in ("caller", "continuous"):
                 report = _replay_mode(
-                    compiled, requests, arrivals, mode, policy, policy_args,
-                    **extra,
+                    compiled, requests, arrivals, mode, policy, policy_args
                 )
                 rerun = _replay_mode(
-                    compiled, requests, arrivals, mode, policy, policy_args,
-                    **extra,
+                    compiled, requests, arrivals, mode, policy, policy_args
                 )
                 deterministic = (
                     report.latencies_ms == rerun.latencies_ms

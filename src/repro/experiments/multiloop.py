@@ -1,14 +1,14 @@
-"""Sharded-front-door benchmark: multi-loop topologies under multi-tenant
-bursty overload.
+"""Sharded-front-door benchmark: multi-loop topologies under bursty
+overload.
 
 The continuous-batching benchmark (:mod:`repro.experiments.continuous`)
 showed the event loop beating caller-driven intake; the overlap benchmark
 hid host time behind device rounds.  Both still serialize every round's
 host work through **one** loop — at high request rates the host lane, not
 the device, is the ceiling.  This driver measures the sharded serving
-front door (:mod:`repro.serve.topology`): the same multi-tenant bursty
-trace — an order of magnitude above the continuous benchmark's arrival
-rate — is replayed against each loop topology on the same four-device
+front door (:mod:`repro.serve.topology`): the same bursty trace — an
+order of magnitude above the continuous benchmark's arrival rate — is
+replayed against each loop topology on the same four-device
 group:
 
 * ``single`` — one loop owns all four devices: every round's host cost
@@ -20,15 +20,10 @@ group:
 * ``per_endpoint`` — one loop per model endpoint over a device slice
   (two endpoints here, two devices each).
 
-Traffic is generated by :func:`repro.serve.traffic.tenant_mix`: three
-tenants with distinct priority classes, burstiness and SLO deadlines
-(interactive/tight, standard/medium, batch/loose), with the batch tenant
-additionally capped by a token-bucket quota.  Admission is SLO-aware:
-under backpressure the loop sheds the request with the most deadline
-slack from the lowest priority class (``shed-slack``), so overload lands
-on batch work first — the table reports per-priority SLO attainment and
-the Jain fairness index over per-tenant completion rates alongside
-throughput, p99, steal and shed counts.
+Traffic is one :func:`repro.serve.traffic.bursty_arrivals` trace behind
+a bounded admission queue: under overload the loop sheds the oldest
+queued request (``shed-oldest``), and the table reports throughput, p99,
+steal and shed counts.
 
 Every row runs **deterministically** on the simulated clock (measured
 host wall time replaced by the fixed linear ``HOST_MODEL``): completed
@@ -37,9 +32,9 @@ is replayed twice on a fresh server to verify bit-for-bit identity
 (``deterministic`` column).
 
 ``--quick`` runs the CI smoke: the single and per_device rows only, with
-hard assertions on reference identity, replay determinism, the sharding
-speedup (per_device >= 1.3x single-loop throughput at 4 devices) and the
-SLO-attainment ordering (interactive >= batch under overload).
+hard assertions on reference identity, replay determinism and the
+sharding speedup (per_device >= 1.3x single-loop throughput at 4
+devices).
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from ..compiler.options import CompilerOptions
 from ..core.api import compile_model, reference_run
 from ..serve.clock import SimulatedClock
 from ..serve.server import Server
-from ..serve.traffic import TenantSpec, tenant_mix
+from ..serve.traffic import bursty_arrivals
 from .continuous import _bitwise_equal
 from .harness import (
     ExperimentScale,
@@ -69,10 +64,6 @@ HEADERS = (
     "requests",
     "throughput_rps",
     "p99_ms",
-    "slo_interactive",
-    "slo_standard",
-    "slo_batch",
-    "jain_fairness",
     "stolen",
     "shed",
     "matches_ref",
@@ -83,60 +74,19 @@ MODEL = "treelstm"
 SIZE_NAME = "small"
 DEVICES = 4
 
-#: aggregate arrival rate: 10x the continuous benchmark's 200 rps — the
-#: regime where one host lane saturates and sharding pays
+#: arrival rate: 10x the continuous benchmark's 200 rps — the regime where
+#: one host lane saturates and sharding pays — in bursts of BURST
 ARRIVAL_RATE = 2000.0
+BURST = 4
 NUM_REQUESTS = {"reduced": 160, "paper": 480}
 
 #: host-cost model per flush (ms/round, ms/request), identical for every
 #: topology — the serial host work each loop's lane pays
 HOST_MODEL = (2.0, 0.75)
 
-#: intake bound + SLO-aware shedding: overload sheds the lowest priority
-#: class first, most deadline slack first
+#: intake bound: overload sheds the oldest queued request
 MAX_PENDING = 48
-BACKPRESSURE = "shed-slack"
-
-#: the batch tenant is additionally quota-capped at admission (tokens/s,
-#: burst), so some of its burst is rejected before it ever queues
-TENANT_QUOTAS = {"batch": (200.0, 24)}
-
-
-def _tenant_specs(rate: float) -> Tuple[TenantSpec, ...]:
-    return (
-        TenantSpec(
-            "interactive",
-            rate_rps=0.5 * rate,
-            burst=2,
-            priority="interactive",
-            deadline_ms=80.0,
-        ),
-        TenantSpec(
-            "standard",
-            rate_rps=0.3 * rate,
-            burst=4,
-            priority="standard",
-            deadline_ms=200.0,
-        ),
-        TenantSpec(
-            "batch",
-            rate_rps=0.2 * rate,
-            burst=8,
-            priority="batch",
-            deadline_ms=400.0,
-        ),
-    )
-
-
-def _jain(values: Sequence[float]) -> float:
-    """Jain fairness index over per-tenant completion rates (1.0 = all
-    tenants served equally relative to what they submitted)."""
-    vals = [v for v in values if v == v]  # drop NaNs
-    if not vals:
-        return 1.0
-    num = sum(vals) ** 2
-    den = len(vals) * sum(v * v for v in vals)
-    return num / den if den else 1.0
+BACKPRESSURE = "shed-oldest"
 
 
 def _replay_once(
@@ -153,7 +103,6 @@ def _replay_once(
         devices=DEVICES,
         topology=topology,
         topology_args=topology_args,
-        tenants=dict(TENANT_QUOTAS),
         max_pending=MAX_PENDING,
         backpressure=BACKPRESSURE,
     )
@@ -186,18 +135,7 @@ def _measure(server, handles, workload, reference) -> Dict[str, object]:
     latencies = sorted(h.stats.latency_ms for h in completed)
     p99 = latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))]
 
-    summary = server.summary()
-    tenants = summary["tenants"]
-    slo = {
-        name: tenants[name]["slo_attainment"] if name in tenants else float("nan")
-        for name in ("interactive", "standard", "batch")
-    }
-    rates = [
-        g["completed"] / g["submitted"]
-        for g in tenants.values()
-        if g["submitted"]
-    ]
-    loops = summary["loops"]
+    loops = server.summary()["loops"]
     stolen = sum(g["stolen_out"] for g in loops.values())
     shed = sum(g["shed"] + g["expired"] for g in loops.values())
     return {
@@ -205,8 +143,6 @@ def _measure(server, handles, workload, reference) -> Dict[str, object]:
         "completed": len(completed),
         "throughput": throughput,
         "p99": p99,
-        "slo": slo,
-        "jain": _jain(rates),
         "stolen": stolen,
         "shed": shed,
         "matches": matches,
@@ -243,10 +179,6 @@ def _run_row(
         len(workload),
         m["throughput"],
         m["p99"],
-        m["slo"]["interactive"],
-        m["slo"]["standard"],
-        m["slo"]["batch"],
-        m["jain"],
         m["stolen"],
         m["shed"],
         "yes" if m["matches"] else "NO",
@@ -268,29 +200,26 @@ def run(
     requests = make_instances(MODEL, mod, size, n, seed=scale.seed + 6)
     reference = reference_run(mod, params, requests)
     compiled = compile_model(mod, params, CompilerOptions())
-    specs = _tenant_specs(ARRIVAL_RATE)
+    arrivals = bursty_arrivals(ARRIVAL_RATE, n, burst=BURST, seed=scale.seed + 7)
 
     rows: List[List] = []
     results: Dict[str, Dict] = {}
 
     # single-endpoint trace shared by the single and per_device rows
-    trace = tenant_mix(specs, n, endpoints=["m"], seed=scale.seed + 7)
-    workload = [
-        (at, ep, inst, meta) for (at, ep, meta), inst in zip(trace, requests)
-    ]
+    workload = [(at, "m", inst) for at, inst in zip(arrivals, requests)]
     for topology in ("single", "per_device"):
         row, m = _run_row(compiled, ["m"], workload, reference, topology)
         rows.append(row)
         results[topology] = m
 
     if not quick:
-        # tenant-affinity routing: each tenant pinned to its own loop
-        # (loop 3 left idle) — backlog skew the cross-loop work-stealing
-        # pass rebalances, where least-backlog routing never would
-        pin = {"interactive": 0, "standard": 1, "batch": 2}
+        # affinity routing: requests pinned round-robin to three of the
+        # four loops (loop 3 left idle) — backlog skew the cross-loop
+        # work-stealing pass rebalances, where least-backlog routing never
+        # would
         pinned = [
-            (at, ep, inst, dict(meta, loop=pin[meta["tenant"]]))
-            for (at, ep, meta), inst in zip(trace, requests)
+            (at, "m", inst, {"loop": i % 3})
+            for i, (at, inst) in enumerate(zip(arrivals, requests))
         ]
         row, m = _run_row(
             compiled, ["m"], pinned, reference, "per_device",
@@ -299,12 +228,11 @@ def run(
         rows.append(row)
         results["per_device+pin"] = m
 
-        # per_endpoint needs >= 2 endpoints: split the same tenants over
-        # two replicas of the model, two devices per loop
-        trace2 = tenant_mix(specs, n, endpoints=["a", "b"], seed=scale.seed + 7)
+        # per_endpoint needs >= 2 endpoints: alternate the same trace
+        # over two replicas of the model, two devices per loop
         workload2 = [
-            (at, ep, inst, meta)
-            for (at, ep, meta), inst in zip(trace2, requests)
+            (at, "ab"[i % 2], inst)
+            for i, (at, inst) in enumerate(zip(arrivals, requests))
         ]
         row, m = _run_row(
             compiled, ["a", "b"], workload2, reference, "per_endpoint"
@@ -322,10 +250,6 @@ def run(
             f"per_device must sustain >= 1.3x single-loop throughput at "
             f"{DEVICES} devices (got {speedup:.2f}x)"
         )
-        for m in (single, multi):
-            assert m["slo"]["interactive"] >= m["slo"]["batch"], (
-                "SLO attainment must order by priority class under overload"
-            )
         col = HEADERS.index("deterministic")
         assert all(r[col] == "yes" for r in rows), (
             "multi-loop replay must be bit-for-bit deterministic"
@@ -338,9 +262,10 @@ def format_report(headers: Tuple[str, ...], rows: List[List]) -> str:
         headers,
         rows,
         title=(
-            "Sharded front door: multi-tenant bursty overload "
-            f"({ARRIVAL_RATE:.0f} rps aggregate, {MODEL}/{SIZE_NAME} on "
-            f"{DEVICES} devices; shed-slack admission, host model "
+            "Sharded front door: bursty overload "
+            f"({ARRIVAL_RATE:.0f} rps in bursts of {BURST}, {MODEL}/{SIZE_NAME} "
+            f"on {DEVICES} devices; {BACKPRESSURE} admission at "
+            f"max_pending={MAX_PENDING}, host model "
             f"{HOST_MODEL[0]}ms/round + {HOST_MODEL[1]}ms/request; "
             "deterministic simulated time)"
         ),
@@ -351,14 +276,14 @@ def main(argv: Optional[List[str]] = None) -> str:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.multiloop",
         description="Sharded serving front door: loop topologies under "
-        "multi-tenant bursty overload.",
+        "bursty overload.",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
         help="CI smoke: single + per_device rows only, with hard "
-        "assertions on reference identity, determinism, the >=1.3x "
-        "sharding speedup and SLO-attainment ordering",
+        "assertions on reference identity, determinism and the >=1.3x "
+        "sharding speedup",
     )
     args = parser.parse_args(list(argv) if argv is not None else [])
     headers, rows = run(quick=args.quick)

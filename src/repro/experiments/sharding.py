@@ -73,10 +73,6 @@ HEADERS = (
 )
 
 PLACEMENTS = ("single", "round_robin", "data_parallel")
-#: the full placement registry accepted by --placements; the default sweep
-#: keeps the original three, the depth-staged policies have their own sweep
-#: (:mod:`repro.experiments.pipeline`) but can be pulled in here ad hoc
-PLACEMENT_CHOICES = PLACEMENTS + ("pipeline", "tensor_parallel")
 DEVICE_COUNTS = (1, 2, 4)
 
 MODEL = "treelstm"
@@ -270,7 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
         "--placements",
         nargs="+",
         default=None,
-        choices=PLACEMENT_CHOICES,
+        choices=PLACEMENTS,
         help=f"placement policies to sweep (default: {' '.join(PLACEMENTS)})",
     )
     parser.add_argument(

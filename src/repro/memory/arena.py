@@ -51,7 +51,6 @@ class StorageArena:
         "batch_size",
         "broadcast",
         "device_index",
-        "partial_shards",
         "__weakref__",
     )
 
@@ -71,10 +70,6 @@ class StorageArena:
         #: classifies operands read from another device's arena as priced
         #: peer transfers
         self.device_index = device_index
-        #: partial-output arena kind: the tensor-parallel member set whose
-        #: column/row partials this buffer was assembled from (gathers
-        #: charged at launch time), or None for an ordinary whole output
-        self.partial_shards = None
 
     # -- construction ---------------------------------------------------------
     @classmethod

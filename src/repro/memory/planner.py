@@ -304,11 +304,6 @@ class MemoryPlanner:
         self.last_plans: List[BatchPlan] = []
         #: cumulative per-kind operand counts since the last reset
         self.operand_counts: Dict[str, int] = {k.value: 0 for k in OperandKind}
-        #: partial-output arenas born since the last reset: output arenas of
-        #: tensor-parallel launches, assembled on the home device from the
-        #: members' column/row partials (the executor counts them when it
-        #: charges the gathers; :meth:`commit` marks the arenas themselves)
-        self.partial_arenas = 0
         #: source arenas summed over the gathered columns resolved since the
         #: last reset: an index gather costs one take per segment, so this —
         #: not the row count — is what a gather-free layout would save
@@ -367,7 +362,6 @@ class MemoryPlanner:
         which is exactly when they pay off."""
         self.last_plans = []
         self.operand_counts = {k.value: 0 for k in OperandKind}
-        self.partial_arenas = 0
         self.gather_segments = 0
         self._round_ordinal = 0
 
@@ -600,10 +594,7 @@ class MemoryPlanner:
             # placement identity: equal signatures must imply identical
             # device assignment, or a cache hit could replay a plan whose
             # peer-transfer classification no longer matches the round.
-            # The tensor-parallel shard set is part of that identity (a
-            # split and an unsplit launch of the same round charge
-            # different members), so fingerprints carry the shard axis too.
-            members = (batch.device, batch.tp_devices, *batch.seqs())
+            members = (batch.device, *batch.seqs())
             if batch.size == 1:
                 # batch of one classifies from the block alone
                 add((batch.block_id, members))
@@ -993,7 +984,6 @@ class MemoryPlanner:
         batch = plan.batch
         size = plan.batch_size
         segments = batch.segments
-        tp_devices = batch.tp_devices
         local = device.device_for(plan.device)
         arenas: List[StorageArena] = []
         for k, (out, arena_id) in enumerate(zip(outputs, plan.output_arena_ids)):
@@ -1005,10 +995,6 @@ class MemoryPlanner:
                 arena = StorageArena.from_broadcast(
                     out.array, size, arena_id=arena_id, device_index=plan.device
                 )
-            # a tensor-parallel launch's outputs are *partial-output* arenas:
-            # assembled on the home device from the members' column/row
-            # partials (the gathers were charged at launch time)
-            arena.partial_shards = tp_devices
             local.note_arena(arena)
             b = 0
             for col, rows in segments:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -640,57 +640,14 @@ class AcrobatRuntime:
 
         # launches land on the member device the placement policy chose
         local = self.device.device_for(plan.device)
-        tp = getattr(batch, "tp_devices", None)
         launch_us = 0.0
-        if tp is not None and len(tp) > 1:
-            # tensor-parallel batch: every member runs a 1/k-scaled shard of
-            # each launch record concurrently (the batch's elapsed time is
-            # its slowest shard), then the remote members ship their output
-            # partials to the home device as peer-priced gathers.  The NumPy
-            # kernel already executed once, unsharded — sharding is purely a
-            # cost-model transform — so the observation fed back below is
-            # the *unsharded* cost and the split decision stays stable.
-            k = len(tp)
-            observe_us = 0.0
-            for record in launches:
-                shard = replace(
-                    record,
-                    flops=record.flops / k,
-                    bytes_read=record.bytes_read / k,
-                    bytes_written=record.bytes_written / k,
-                    scattered_bytes=record.scattered_bytes / k,
-                )
-                launch_us += max(
-                    self.device.device_for(member).launch(
-                        shard, gather_fused=self.options.gather_fusion
-                    )
-                    for member in tp
-                )
-                observe_us += local.kernel_time_us(
-                    record, self.options.gather_fusion
-                )
-            for out, _arena_id in zip(outputs, plan.output_arena_ids):
-                nbytes = float(np.asarray(out.array).nbytes)
-                for member in tp:
-                    if member != plan.device:
-                        self.device.peer_transfer(member, plan.device, nbytes / k)
-            self.planner.partial_arenas += len(plan.output_arena_ids)
-        else:
-            for record in launches:
-                launch_us += local.launch(
-                    record, gather_fused=self.options.gather_fusion
-                )
-            observe_us = launch_us
+        for record in launches:
+            launch_us += local.launch(record, gather_fused=self.options.gather_fusion)
         if self._placement is not None:
             # feed observed device cost back so adaptive placements learn
             # per-block work (static byte estimates miss compute-bound time)
             self._placement.observe(
-                batch.block_id,
-                batch_size,
-                observe_us,
-                len(launches),
-                local.spec,
-                bytes_written=sum(record.bytes_written for record in launches),
+                batch.block_id, batch_size, launch_us, len(launches), local.spec
             )
 
         store_start = time.perf_counter()
@@ -731,26 +688,8 @@ class AcrobatRuntime:
         memory["plan_cache_hits"] = self.planner.cache_hits
         memory["plan_cache_misses"] = self.planner.cache_misses
         memory["plan_cache_evictions"] = self.planner.cache_evictions
-        if self.planner.partial_arenas:
-            # partial-output arenas born from tensor-parallel launches (the
-            # key exists only when the policy actually split something, so
-            # non-TP breakdowns keep their historical shape)
-            memory["partial_arenas"] = self.planner.partial_arenas
         device = self.device.counters_dict()
         per_device = self.device.per_device_dicts()
-        if (
-            per_device
-            and "elapsed_device_us" in device
-            and getattr(self._placement, "timeline_mode", None) == "staged"
-        ):
-            # a depth-staged round runs its stages *sequentially* (stage s+1
-            # consumes stage s's outputs), so its elapsed device time is the
-            # members' busy sum, not the busiest member; the cross-round
-            # overlap a staged placement buys is the serving timeline's job
-            # (per-device lanes), never this counter's
-            device["elapsed_device_us"] = sum(
-                d.get("total_device_us", 0.0) for d in per_device
-            )
         return RunStats(
             host_ms=host_ms,
             device=device,

@@ -65,14 +65,13 @@ class ScheduledBatch:
     batch is exactly one whole column: read them, never mutate them.
     """
 
-    __slots__ = ("block_id", "segments", "size", "device", "tp_devices", "_operands")
+    __slots__ = ("block_id", "segments", "size", "device", "_operands")
 
     def __init__(
         self,
         block_id: int,
         segments: Sequence[Tuple[Column, Sequence[int]]],
         device: int = 0,
-        tp_devices: Optional[Tuple[int, ...]] = None,
     ) -> None:
         self.block_id = block_id
         self.segments = segments
@@ -85,11 +84,6 @@ class ScheduledBatch:
         #: device group (assigned by a placement policy; 0 = the primary
         #: device)
         self.device = device
-        #: tensor-parallel member set: when a placement policy splits this
-        #: batch's kernel column/row-wise, the group devices sharing the
-        #: launch (``device`` is the home member assembling the output
-        #: partials); None for an ordinary whole-batch launch
-        self.tp_devices = tp_devices
         self._operands: Optional[Dict[int, Tuple[Any, ...]]] = None
 
     @classmethod

@@ -32,14 +32,12 @@ setting, where independent requests arrive continuously and must be batched
   multiplexing multiple compiled models over one shared device simulator,
   with ``run()``/``drain()``/``shutdown()`` facading the loop;
 * :mod:`repro.serve.traffic` — open-loop arrival processes (Poisson,
-  bursty, multi-tenant ``tenant_mix``) and deterministic replay on the
-  simulated clock — caller-driven (``replay``) or continuous
+  bursty) and deterministic replay on the simulated clock — caller-driven (``replay``) or continuous
   (``replay_continuous``) — feeding the ``experiments.serving`` and
   ``experiments.continuous`` benchmarks;
 * :mod:`repro.serve.topology` — the sharded serving front door: the loop
   topology registry (``single``/``per_device``/``per_endpoint``),
-  SLO-aware admission (priority classes, per-tenant token-bucket quotas,
-  slack-based shedding), cross-loop work-stealing, and
+  cross-loop work-stealing, and
   :func:`run_topology_trace`, the deterministic multi-loop trace replay
   behind ``Server.run_trace``.
 
@@ -59,7 +57,6 @@ from .loop import (
     ServeLoop,
 )
 from .policy import (
-    PRIORITY_CLASSES,
     AdaptivePolicy,
     DeadlinePolicy,
     FlushPolicy,
@@ -67,15 +64,11 @@ from .policy import (
     SizePolicy,
     available_flush_policies,
     make_flush_policy,
-    priority_rank,
     register_flush_policy,
-    resolve_priority,
-    select_shed_victim,
     unregister_flush_policy,
 )
 from .prepare import RoundPreparer
 from .request import (
-    QuotaExceeded,
     RequestCancelled,
     RequestExpired,
     RequestHandle,
@@ -84,19 +77,16 @@ from .request import (
 from .server import Endpoint, Server
 from .session import InferenceSession, RoundAborted
 from .topology import (
-    AdmissionController,
     LoopTopology,
     PerDeviceTopology,
     PerEndpointTopology,
     SingleTopology,
-    TokenBucket,
     available_topologies,
     make_topology,
     register_topology,
     run_topology_trace,
 )
 from .traffic import (
-    TenantSpec,
     TrafficReport,
     bursty_arrivals,
     poisson_arrivals,
@@ -104,7 +94,6 @@ from .traffic import (
     replay_continuous,
     replay_server,
     replay_server_continuous,
-    tenant_mix,
 )
 
 __all__ = [
@@ -131,17 +120,10 @@ __all__ = [
     "RequestStats",
     "RequestCancelled",
     "RequestExpired",
-    "QuotaExceeded",
     "InferenceSession",
     "RoundAborted",
     "Endpoint",
     "Server",
-    "PRIORITY_CLASSES",
-    "resolve_priority",
-    "priority_rank",
-    "select_shed_victim",
-    "TokenBucket",
-    "AdmissionController",
     "LoopTopology",
     "SingleTopology",
     "PerDeviceTopology",
@@ -153,8 +135,6 @@ __all__ = [
     "TrafficReport",
     "poisson_arrivals",
     "bursty_arrivals",
-    "tenant_mix",
-    "TenantSpec",
     "replay",
     "replay_continuous",
     "replay_server",

@@ -54,28 +54,10 @@ from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from .clock import Clock, SimulatedClock
-from .policy import select_shed_victim
 from .request import RequestCancelled, RequestExpired, RequestHandle
 
-#: admission-queue overflow policies: ``shed-oldest`` is the classic
-#: age-based drop; ``shed-slack`` is SLO-aware — among the lowest priority
-#: class present it sheds the request with the *most* deadline slack (the
-#: one that can best afford a retry), which may be the incoming request
-#: itself (see :func:`repro.serve.policy.select_shed_victim`)
-BACKPRESSURE_POLICIES = ("block", "reject", "shed-oldest", "shed-slack")
-
-
-#: why a request was shed, per shedding policy (the RequestShed message)
-_SHED_REASONS = {
-    "shed-oldest": (
-        "request shed by backpressure: a newer arrival displaced it from the "
-        "full admission queue"
-    ),
-    "shed-slack": (
-        "request shed by SLO-aware backpressure: it had the lowest priority "
-        "and the most deadline slack when the admission queue overflowed"
-    ),
-}
+#: admission-queue overflow policies
+BACKPRESSURE_POLICIES = ("block", "reject", "shed-oldest")
 
 
 class BackpressureFull(RuntimeError):
@@ -85,9 +67,7 @@ class BackpressureFull(RuntimeError):
 
 class RequestShed(RuntimeError):
     """Resolves a queued request's handle under ``backpressure="shed-oldest"``
-    (a newer arrival pushed it out of the full admission queue) or
-    ``backpressure="shed-slack"`` (it had the lowest priority and the most
-    deadline slack when the queue overflowed)."""
+    (a newer arrival pushed it out of the full admission queue)."""
 
 
 class LoopStopped(RuntimeError):
@@ -111,12 +91,9 @@ class DeviceTimeline:
 
     With ``num_devices > 1`` the timeline keeps one busy horizon per group
     member (a *lane*), and :meth:`launch_round` occupies only the lanes a
-    round actually uses: different members' rounds overlap, and a
-    depth-staged round's lanes free one by one as its stages drain — stage
-    ``k`` of the next round starts on its device while stage ``k+1`` of
-    this one is still executing downstream.  :meth:`launch` (the aggregate
-    path) occupies every lane, so single-device traces behave exactly as
-    they always have.
+    round actually uses, so different members' rounds overlap.
+    :meth:`launch` (the aggregate path) occupies every lane, so
+    single-device traces behave exactly as they always have.
     """
 
     def __init__(self, start: float = 0.0, num_devices: int = 1) -> None:
@@ -148,44 +125,24 @@ class DeviceTimeline:
         heapq.heappush(self._completions, completion)
         return completion
 
-    def launch_round(
-        self,
-        now: float,
-        shares: List[Tuple[int, float]],
-        staged: bool = False,
-    ) -> float:
+    def launch_round(self, now: float, shares: List[Tuple[int, float]]) -> float:
         """Queue one round given its per-device shares — ``(device_index,
-        duration_s)`` pairs in execution order — occupying only the lanes
-        the round uses.  Returns the round's completion timestamp.
-
-        ``staged=False`` (sharding placements): the members execute their
-        shares concurrently, each behind its own lane's backlog; the round
-        completes when the slowest member finishes.  ``staged=True``
-        (pipeline placement): the shares execute *in sequence* — each stage
-        starts when its input is ready (the previous stage done) and its
-        device's lane is free — so consecutive rounds overlap stage-wise
-        and the steady-state round rate is set by the busiest stage.
-        """
+        duration_s)`` pairs — occupying only the lanes the round uses.  The
+        members execute their shares concurrently, each behind its own
+        lane's backlog; the round completes when the slowest member
+        finishes.  Returns the round's completion timestamp."""
         if not shares:
             return self.launch(now, 0.0)
         now = float(now)
         lanes = self._lanes
         n = len(lanes)
-        if staged:
-            t = now
-            for device, duration_s in shares:
-                lane = device % n
-                t = max(t, lanes[lane]) + max(0.0, float(duration_s))
-                lanes[lane] = t
-            completion = t
-        else:
-            completion = now
-            for device, duration_s in shares:
-                lane = device % n
-                end = max(now, lanes[lane]) + max(0.0, float(duration_s))
-                lanes[lane] = end
-                if end > completion:
-                    completion = end
+        completion = now
+        for device, duration_s in shares:
+            lane = device % n
+            end = max(now, lanes[lane]) + max(0.0, float(duration_s))
+            lanes[lane] = end
+            if end > completion:
+                completion = end
         self.rounds_launched += 1
         heapq.heappush(self._completions, completion)
         return completion
@@ -493,8 +450,6 @@ class ServeLoop:
         at: Optional[float] = None,
         *,
         deadline: Optional[float] = None,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
     ) -> RequestHandle:
         """Admit one request for session ``name``; returns its handle
         immediately.
@@ -512,13 +467,6 @@ class ServeLoop:
         when its deadline passes is dropped at dispatch time, its handle
         failing with :class:`~repro.serve.request.RequestExpired` — it never
         enters a round, so round-mates are unaffected.
-
-        ``tenant`` and ``priority`` tag the request for SLO-aware admission
-        (see :mod:`repro.serve.topology`): the ``shed-slack`` backpressure
-        policy sheds lowest-priority/most-slack first, and priority-classed
-        requests with a deadline additionally clamp their round's flush to
-        that deadline.  A request without a priority class keeps the exact
-        pre-SLO semantics.
         """
         session = self._session(name)  # fail fast on unknown names
         with self._mode_lock:
@@ -541,14 +489,10 @@ class ServeLoop:
                     )
                     return handle
                 self._check_inline_capacity()
-                handle = session.submit(
-                    instance, at=at, tenant=tenant, priority=priority,
-                    deadline=deadline,
-                )
+                handle = session.submit(instance, at=at, deadline=deadline)
                 self.num_admitted += 1  # only successful admissions count
                 return handle
         with self._cond:
-            handle: Optional[RequestHandle] = None
             if self.max_pending is not None:
                 while len(self._queue) >= self.max_pending:
                     if self.backpressure == "reject":
@@ -565,31 +509,6 @@ class ServeLoop:
                         self._flushed_seq += 1
                         self._shed(shed.handle)
                         break
-                    if self.backpressure == "shed-slack":
-                        # SLO-aware shed: the victim — possibly the incoming
-                        # request itself — is the lowest-priority queued
-                        # request with the most deadline slack.  Never
-                        # waits, so stamping here keeps queue order ==
-                        # timestamp order.
-                        stamp = self.clock.now() if at is None else at
-                        handle = RequestHandle(
-                            -1, submitted_at=stamp, tenant=tenant,
-                            priority=priority, deadline=deadline,
-                        )
-                        handle._managed = True
-                        handle._origin = self
-                        candidates = [adm.handle for adm in self._queue]
-                        candidates.append(handle)
-                        victim = select_shed_victim(candidates, self.clock.now())
-                        if victim == len(candidates) - 1:
-                            self._shed(handle)
-                            return handle
-                        adm = self._queue[victim]
-                        del self._queue[victim]
-                        self._dispatched_seq += 1
-                        self._flushed_seq += 1
-                        self._shed(adm.handle)
-                        break
                     # block: wait for the loop to make space
                     if self._stop or self._error is not None or not self.running:
                         break
@@ -597,17 +516,13 @@ class ServeLoop:
             if self._stop or self._error is not None or not self.running:
                 self._raise_if_dead()
                 raise LoopStopped("serve loop is shutting down")
-            if handle is None:
-                # stamp under the lock: queue order == timestamp order, so
-                # the monotonic-arrival invariant holds per session no
-                # matter how many producer threads race
-                stamp = self.clock.now() if at is None else at
-                handle = RequestHandle(
-                    -1, submitted_at=stamp, tenant=tenant, priority=priority,
-                    deadline=deadline,
-                )
-                handle._managed = True
-                handle._origin = self
+            # stamp under the lock: queue order == timestamp order, so the
+            # monotonic-arrival invariant holds per session no matter how
+            # many producer threads race
+            stamp = self.clock.now() if at is None else at
+            handle = RequestHandle(-1, submitted_at=stamp, deadline=deadline)
+            handle._managed = True
+            handle._origin = self
             self._queue.append(
                 _Admission(name, instance, handle.submitted_at, handle, deadline)
             )
@@ -617,14 +532,14 @@ class ServeLoop:
         return handle
 
     def _shed(self, handle: RequestHandle) -> None:
-        """Resolve ``handle`` as the victim of this loop's shedding
-        backpressure policy (wall-clock admission and the simulated trace
-        driver share the counter and the wording)."""
+        """Resolve ``handle`` as the victim of ``shed-oldest`` backpressure
+        (wall-clock admission and the simulated trace driver share the
+        counter and the wording)."""
         self.num_shed += 1
         handle._fail(
             RequestShed(
-                f"{_SHED_REASONS[self.backpressure]} "
-                f"(max_pending={self.max_pending})"
+                "request shed by backpressure: a newer arrival displaced it "
+                f"from the full admission queue (max_pending={self.max_pending})"
             )
         )
 
@@ -836,7 +751,7 @@ class ServeLoop:
         try:
             self._session(adm.name).submit(adm.instance, at=adm.at, handle=handle)
         except BaseException as exc:
-            # one malformed request must not take down a multi-tenant loop:
+            # one malformed request must not take down a multi-endpoint loop:
             # the session already aborted any poisoned round (failing its
             # handles with RoundAborted), so fail this request's handle
             # with the original error and keep serving
@@ -960,10 +875,9 @@ class ServeLoop:
         """
         from .sim import TraceDriver
 
-        admission = self._server.admission if self._server is not None else None
-        return TraceDriver(
-            [self], self.clock, admission=admission, prepare=prepare
-        ).run(workload, deterministic=deterministic, host_model=host_model)
+        return TraceDriver([self], self.clock, prepare=prepare).run(
+            workload, deterministic=deterministic, host_model=host_model
+        )
 
     def __repr__(self) -> str:
         mode = "running" if self.running else "idle"

@@ -36,12 +36,11 @@ policy *names* (plus arguments) around, not instances.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 from ..utils import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .request import RequestHandle
     from .session import InferenceSession
 
 PolicyFactory = Callable[..., "FlushPolicy"]
@@ -49,75 +48,11 @@ PolicyFactory = Callable[..., "FlushPolicy"]
 _POLICIES = Registry("flush policy")
 
 
-# -- priority classes and SLO-aware shedding ----------------------------------
-
-#: SLO priority classes, lowest to highest.  Requests default to
-#: ``standard``; ``interactive`` requests are shed last, ``batch`` first.
-PRIORITY_CLASSES: Dict[str, int] = {"batch": 0, "standard": 1, "interactive": 2}
-
-#: priority assumed for requests that never declared one (slack-based
-#: shedding still needs a total order over mixed traffic)
-DEFAULT_PRIORITY = "standard"
-
-
-def resolve_priority(priority: Any) -> str:
-    """Canonicalize a priority-class argument (name or rank) to its name."""
-    if priority is None:
-        return DEFAULT_PRIORITY
-    if isinstance(priority, str):
-        if priority not in PRIORITY_CLASSES:
-            raise ValueError(
-                f"unknown priority class {priority!r}; available classes: "
-                f"{', '.join(sorted(PRIORITY_CLASSES))}"
-            )
-        return priority
-    rank = int(priority)
-    for name, value in PRIORITY_CLASSES.items():
-        if value == rank:
-            return name
-    raise ValueError(f"no priority class has rank {rank}")
-
-
-def priority_rank(priority: Optional[str]) -> int:
-    """Numeric rank of a priority-class name (None → the default class)."""
-    return PRIORITY_CLASSES[priority if priority is not None else DEFAULT_PRIORITY]
-
-
-def select_shed_victim(
-    handles: Sequence["RequestHandle"], now: float
-) -> Optional[int]:
-    """Index of the request SLO-aware backpressure should shed, or None.
-
-    Replaces age-based shed ("drop the oldest") with slack-based shed:
-    among the lowest priority class present, drop the request with the
-    *most* deadline slack — the one that can best afford to be retried —
-    breaking remaining ties toward the newest arrival (oldest requests
-    have waited longest and are closest to completing their round).
-    Deterministic: a pure function of the candidates and ``now``.
-    """
-    if not handles:
-        return None
-    best = 0
-    best_key = (-priority_rank(handles[0].priority), handles[0].slack(now), 0)
-    for i in range(1, len(handles)):
-        h = handles[i]
-        key = (-priority_rank(h.priority), h.slack(now), i)
-        if key > best_key:
-            best, best_key = i, key
-    return best
-
-
 class FlushPolicy:
     """Decides when a session's pending requests execute as one round."""
 
     #: registry name (also reported as ``RunStats.flush_reason``)
     name = "manual"
-
-    #: when True, a session clamps :meth:`next_deadline` to the earliest
-    #: *request* deadline among pending priority-classed requests, so a
-    #: round never outwaits the SLO of a request riding in it.  Manual
-    #: policies opt out (the caller drives flushes explicitly).
-    slo_deadline_clamp = True
 
     def on_submit(self, session: "InferenceSession", now: float) -> bool:
         """Called after each submit (``now`` is the request's arrival time);
@@ -228,7 +163,6 @@ class ManualPolicy(FlushPolicy):
     """Never auto-flush: the caller drives ``flush()`` explicitly."""
 
     name = "manual"
-    slo_deadline_clamp = False
 
 
 @register_flush_policy("size")

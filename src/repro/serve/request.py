@@ -57,15 +57,6 @@ class RequestExpired(Exception):
     """The request's deadline passed before it could be dispatched/flushed."""
 
 
-class QuotaExceeded(Exception):
-    """The tenant's token-bucket quota rejected the request at admission.
-
-    Raised (or set on the handle) by the server's
-    :class:`~repro.serve.topology.AdmissionController` before the request
-    ever reaches a loop — quota rejections never consume loop or device
-    capacity."""
-
-
 @dataclass
 class RequestStats:
     """Per-request serving statistics, filled in when the request's round
@@ -99,7 +90,7 @@ class RequestHandle:
 
     __slots__ = (
         "index", "submitted_at", "done", "stats", "_future", "_managed",
-        "_origin", "tenant", "priority", "deadline", "_callbacks",
+        "_origin", "deadline", "_callbacks",
     )
 
     def __init__(
@@ -107,8 +98,6 @@ class RequestHandle:
         index: int,
         submitted_at: float = 0.0,
         *,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
         deadline: Optional[float] = None,
     ) -> None:
         #: position of the request within its batching round (-1 while the
@@ -116,13 +105,8 @@ class RequestHandle:
         self.index = index
         #: clock timestamp of submission
         self.submitted_at = submitted_at
-        #: tenant the request bills against (None: untracked/anonymous)
-        self.tenant = tenant
-        #: priority-class name (see ``repro.serve.policy.PRIORITY_CLASSES``);
-        #: None means the request opted out of SLO-aware treatment entirely
-        self.priority = priority
-        #: clock timestamp the SLO considers the request late after (None:
-        #: no deadline — infinite slack under slack-based shedding)
+        #: clock timestamp after which a still-queued request expires
+        #: (None: no deadline)
         self.deadline = deadline
         self.done = False
         #: per-request statistics (None until the round flushes)
@@ -211,14 +195,6 @@ class RequestHandle:
             fn(self)
         except Exception:
             _log.exception("exception calling callback for %r", self)
-
-    def slack(self, now: float) -> float:
-        """Seconds of headroom before this request misses its deadline
-        (``inf`` when it carries none) — the quantity SLO-aware shedding
-        maximizes over its victims."""
-        if self.deadline is None:
-            return float("inf")
-        return self.deadline - now
 
     # -- lifecycle -------------------------------------------------------------
     def cancel(self) -> bool:

@@ -33,11 +33,10 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..runtime.device import DeviceSimulator, GPUSpec
 from .clock import Clock, WallClock
 from .loop import ServeLoop
-from .policy import FlushPolicy, resolve_priority
-from .request import QuotaExceeded, RequestHandle
+from .policy import FlushPolicy
+from .request import RequestHandle
 from .session import InferenceSession
 from .topology import (
-    AdmissionController,
     LoopTopology,
     SingleTopology,
     TopologyRun,
@@ -46,7 +45,7 @@ from .topology import (
 )
 
 #: endpoint names Server.summary() uses for its own aggregate entries
-RESERVED_ENDPOINT_NAMES = ("devices", "tenants", "loops")
+RESERVED_ENDPOINT_NAMES = ("devices", "loops")
 
 
 class Endpoint:
@@ -256,21 +255,18 @@ class Server:
 
     ``max_pending`` bounds the admission queue of the server's
     :class:`~repro.serve.loop.ServeLoop` and ``backpressure`` picks the
-    overflow policy (``"block"``/``"reject"``/``"shed-oldest"``/
-    ``"shed-slack"``); both only bite once :meth:`run` starts the loop (or,
-    for the rejecting policies, on inline intake too).  ``prepare`` turns
-    on the loop's overlapped host pipeline (speculative round preparation;
-    see :class:`~repro.serve.loop.ServeLoop`).
+    overflow policy (``"block"``/``"reject"``/``"shed-oldest"``); both only
+    bite once :meth:`run` starts the loop (or, for the non-blocking
+    policies, on inline intake too).  ``prepare`` turns on the loop's
+    overlapped host pipeline (speculative round preparation; see
+    :class:`~repro.serve.loop.ServeLoop`).
 
     ``topology`` shards the front door (see :mod:`repro.serve.topology`):
     a registry name (``"single"``/``"per_device"``/``"per_endpoint"``, with
     ``topology_args``) or a ready :class:`LoopTopology` instance.  The
     topology materializes lazily at the first :meth:`run`/:meth:`run_trace`
     (or the first routed :meth:`submit`); endpoint registration must happen
-    before that.  ``tenants`` maps tenant name → ``(rate_rps, burst)``
-    token-bucket quotas for SLO-aware admission; requests from tenants over
-    quota resolve with :class:`~repro.serve.request.QuotaExceeded` without
-    ever reaching a loop.
+    before that.
     """
 
     def __init__(
@@ -287,7 +283,6 @@ class Server:
         prepare: bool = False,
         topology: Union[str, LoopTopology] = "single",
         topology_args: Optional[Dict[str, Any]] = None,
-        tenants: Optional[Dict[str, Any]] = None,
     ) -> None:
         if devices is not None:
             from ..devices.group import DeviceGroup
@@ -324,8 +319,6 @@ class Server:
             backpressure=backpressure,
             prepare=prepare,
         )
-        #: SLO-aware admission: per-tenant quotas + lifecycle gauges
-        self.admission = AdmissionController(tenants)
         if isinstance(topology, LoopTopology):
             self.topology = topology
         elif isinstance(topology, str):
@@ -448,8 +441,6 @@ class Server:
         at: Optional[float] = None,
         *,
         deadline: Optional[float] = None,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
     ) -> RequestHandle:
         """Route one request to endpoint ``name``.
 
@@ -459,43 +450,16 @@ class Server:
         or ``handle.result(timeout=...)``); before that it is the
         historical synchronous intake path.  ``deadline`` (absolute clock
         timestamp) expires the request if it is still queued when the
-        deadline passes — see :meth:`ServeLoop.submit`.
-
-        ``tenant``/``priority`` tag the request for SLO-aware admission: a
-        tenant over its token-bucket quota gets a handle resolved with
-        :class:`~repro.serve.request.QuotaExceeded` (never an exception
-        from ``submit`` itself), and priority classes steer the
-        ``shed-slack`` backpressure policy and the per-tenant gauges in
-        :meth:`summary`.  Under a multi-loop topology the request routes
-        to the least-backlogged loop serving the endpoint.
+        deadline passes — see :meth:`ServeLoop.submit`.  Under a
+        multi-loop topology the request routes to the least-backlogged loop
+        serving the endpoint.
         """
         self.endpoint(name)  # fail fast on unknown endpoints
-        if priority is not None:
-            priority = resolve_priority(priority)
         if not self._topology_built and not isinstance(self.topology, SingleTopology):
             self._materialize_topology()
-        now = self.clock.now() if at is None else at
-        if not self.admission.admit(tenant, now):
-            handle = RequestHandle(
-                -1,
-                submitted_at=now,
-                tenant=tenant,
-                priority=priority,
-                deadline=deadline,
-            )
-            self.admission.track(handle)
-            handle._fail(
-                QuotaExceeded(f"tenant {tenant!r} over its admission quota")
-            )
-            return handle
         loops = self._loops()
         loop = self.topology.route(name) if len(loops) > 1 else self.loop
-        handle = loop.submit(
-            name, instance, at=at, deadline=deadline, tenant=tenant,
-            priority=priority,
-        )
-        self.admission.track(handle)
-        return handle
+        return loop.submit(name, instance, at=at, deadline=deadline)
 
     def poll(self) -> int:
         """Fire every endpoint flush whose deadline has passed; returns the
@@ -571,10 +535,9 @@ class Server:
         server's (possibly multi-loop) topology on the simulated clock —
         see :func:`repro.serve.topology.run_topology_trace`.  Workload
         items are ``(arrival_time, endpoint, request)`` or ``(...,
-        meta)`` with ``meta`` carrying ``tenant``/``priority``/
-        ``deadline``.  Returns every request's handle per endpoint, in
-        arrival order (failed admissions included — filter with
-        ``handle.failed``)."""
+        meta)`` with ``meta`` carrying a ``deadline``.  Returns every
+        request's handle per endpoint, in arrival order (failed admissions
+        included — filter with ``handle.failed``)."""
         self._materialize_topology()
         return run_topology_trace(
             self,
@@ -612,17 +575,13 @@ class Server:
         return self.device.device_summary()
 
     def summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-endpoint aggregate serving statistics, plus three aggregate
-        entries: ``devices`` (the group's utilization/balance breakdown),
-        ``tenants`` (per-tenant SLO-aware admission gauges — submitted/
-        completed/rejected/shed/expired, per priority class, with SLO
-        attainment), and ``loops`` (per-loop admission and work-stealing
-        counters)."""
+        """Per-endpoint aggregate serving statistics, plus two aggregate
+        entries: ``devices`` (the group's utilization/balance breakdown)
+        and ``loops`` (per-loop admission and work-stealing counters)."""
         out: Dict[str, Dict[str, Any]] = {
             name: ep.summary() for name, ep in sorted(self._endpoints.items())
         }
         out["devices"] = self.device_summary()
-        out["tenants"] = self.admission.summary()
         out["loops"] = {
             loop.name: {
                 "admitted": loop.num_admitted,

@@ -260,33 +260,10 @@ class InferenceSession:
 
     def next_deadline(self) -> Optional[float]:
         """Clock timestamp by which the pending round must flush, or None
-        (no pending requests, or the policy imposes no deadline).
-
-        SLO-aware clamp: when pending requests carry a priority class *and*
-        a deadline, the round must flush by the earliest such deadline even
-        if the policy would wait longer — a batching round never outwaits
-        the SLO of a request riding in it.  Requests without a priority
-        class keep the pre-SLO semantics (their ``deadline=`` only expires
-        them while queued), and ``manual`` policies opt out entirely.
-        """
+        (no pending requests, or the policy imposes no deadline)."""
         if not self._pending:
             return None
-        deadline = self.policy.next_deadline(self)
-        if getattr(self.policy, "slo_deadline_clamp", True):
-            slo = self.earliest_request_deadline
-            if slo is not None:
-                deadline = slo if deadline is None else min(deadline, slo)
-        return deadline
-
-    @property
-    def earliest_request_deadline(self) -> Optional[float]:
-        """Earliest SLO deadline among pending priority-classed requests."""
-        slo: Optional[float] = None
-        for h, _ in self._pending:
-            if h.priority is not None and h.deadline is not None:
-                if slo is None or h.deadline < slo:
-                    slo = h.deadline
-        return slo
+        return self.policy.next_deadline(self)
 
     # -- request intake --------------------------------------------------------
     def submit(
@@ -295,8 +272,6 @@ class InferenceSession:
         at: Optional[float] = None,
         *,
         handle: Optional[RequestHandle] = None,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
         deadline: Optional[float] = None,
     ) -> RequestHandle:
         """Accept one request; returns a handle resolved at the next flush.
@@ -346,15 +321,11 @@ class InferenceSession:
         self._prev_arrival = now
         if handle is None:
             handle = RequestHandle(
-                self._instance_seq,
-                submitted_at=now,
-                tenant=tenant,
-                priority=priority,
-                deadline=deadline,
+                self._instance_seq, submitted_at=now, deadline=deadline
             )
         else:
-            # loop-admitted (or stolen) handles already carry their SLO
-            # metadata; only the round position and arrival stamp move
+            # loop-admitted (or stolen) handles already carry their
+            # deadline; only the round position and arrival stamp move
             handle.index = self._instance_seq
             handle.submitted_at = now
         handle._origin = self
@@ -481,9 +452,9 @@ class InferenceSession:
         """Remove a pending request from the round *without* resolving its
         handle, returning ``(instance, submitted_at)`` — the raw material a
         stealing loop needs to rebuild the request in a sibling session
-        (cross-loop work-stealing), or for slack-based shedding to fail it
-        with the right error.  Returns None when the handle is unknown to
-        this session or its round already executed.
+        (cross-loop work-stealing), or for ``shed-oldest`` backpressure to
+        fail it with the right error.  Returns None when the handle is
+        unknown to this session or its round already executed.
 
         Exactly :meth:`cancel`'s sequence-range surgery (round-mates flush as
         if the request had never been submitted; a speculatively prepared
@@ -517,8 +488,8 @@ class InferenceSession:
             self._last_arrival = None
         return instance, handle.submitted_at
 
-    #: handles pending in the session (oldest first) — what SLO-aware
-    #: shedding and work-stealing inspect
+    #: handles pending in the session (oldest first) — what ``shed-oldest``
+    #: backpressure and work-stealing inspect
     @property
     def pending_handles(self) -> List[RequestHandle]:
         return [h for h, _ in self._pending]
@@ -675,9 +646,8 @@ class InferenceSession:
             # then *launch* the round — it completes at the device's busy
             # horizon plus its own device time, while intake keeps running.
             # On a multi-lane timeline the round occupies only the lanes its
-            # per-device shares use (staged for pipeline placements), so
-            # different members' rounds — and consecutive staged rounds —
-            # overlap; the aggregate launch is the single-device path.
+            # per-device shares use, so different members' rounds overlap;
+            # the aggregate launch is the single-device path.
             if self.host_lane is not None:
                 # trace-driver replays: the host share occupies this loop's
                 # lane only; the driver delays the loop's next event until
@@ -693,12 +663,7 @@ class InferenceSession:
             if shares is None:
                 completed_at = self.timeline.launch(launch_at, device_ms / 1e3)
             else:
-                placement = getattr(self.engine, "placement", None)
-                completed_at = self.timeline.launch_round(
-                    launch_at,
-                    shares,
-                    staged=getattr(placement, "timeline_mode", None) == "staged",
-                )
+                completed_at = self.timeline.launch_round(launch_at, shares)
             execute_ms = (completed_at - flush_start) * 1e3
         else:
             # caller-driven: the round's execution latency blocks the clock

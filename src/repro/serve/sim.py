@@ -44,8 +44,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from .clock import SimulatedClock
 from .loop import BackpressureFull, DeviceTimeline, ServeLoop, _Admission
-from .policy import resolve_priority, select_shed_victim
-from .request import QuotaExceeded, RequestExpired, RequestHandle
+from .request import RequestExpired, RequestHandle
 
 
 @contextlib.contextmanager
@@ -129,12 +128,10 @@ class TraceDriver:
 
     Internal: built by the public entry points (see the module docstring),
     never by user code.  ``route`` maps an endpoint name to its home loop
-    (``LoopTopology.route``; None means the single loop).  ``admission``
-    is the server's :class:`~repro.serve.topology.AdmissionController`
-    (None: no quotas or tenant gauges).  ``continuous=False`` is the caller-driven mode: no
-    timeline or host lane is assigned to the sessions.  ``prepare``
-    overrides every loop's overlapped-host-pipeline knob (None keeps each
-    loop's own setting).
+    (``LoopTopology.route``; None means the single loop).
+    ``continuous=False`` is the caller-driven mode: no timeline or host
+    lane is assigned to the sessions.  ``prepare`` overrides every loop's
+    overlapped-host-pipeline knob (None keeps each loop's own setting).
     """
 
     def __init__(
@@ -143,7 +140,6 @@ class TraceDriver:
         clock: Any,
         *,
         route: Optional[Callable[..., ServeLoop]] = None,
-        admission: Any = None,
         continuous: bool = True,
         prepare: Optional[bool] = None,
     ) -> None:
@@ -156,7 +152,6 @@ class TraceDriver:
             )
         self.clock = clock
         self.route = route
-        self.admission = admission
         self.continuous = continuous
         start = clock.now()
         self.states = [
@@ -222,25 +217,10 @@ class TraceDriver:
     def admit(
         self, t: float, name: str, instance: Any, meta: Dict[str, Any]
     ) -> RequestHandle:
-        """One arrival: quota gate → router → deadline check → per-loop
-        backpressure → the loop's host-gated dispatch queue."""
-        tenant = meta.get("tenant")
-        priority = meta.get("priority")
-        if priority is not None:
-            priority = resolve_priority(priority)
+        """One arrival: router → deadline check → per-loop backpressure →
+        the loop's host-gated dispatch queue."""
         deadline = meta.get("deadline")
-        handle = RequestHandle(
-            -1, submitted_at=t, tenant=tenant, priority=priority, deadline=deadline
-        )
-        if self.admission is not None:
-            self.admission.track(handle)
-            if not self.admission.admit(tenant, t):
-                handle._fail(
-                    QuotaExceeded(
-                        f"tenant {tenant!r} over its admission quota at t={t:.6f}"
-                    )
-                )
-                return handle
+        handle = RequestHandle(-1, submitted_at=t, deadline=deadline)
         pinned = meta.get("loop")
         if pinned is not None:
             state = self.states[pinned]
@@ -267,7 +247,7 @@ class TraceDriver:
         """Enforce ``max_pending`` over the loop's whole backlog (queued +
         pending round) with the loop's overflow policy (``block`` is inert
         in a deterministic trace).  Returns False when the *incoming*
-        request was the victim (already resolved)."""
+        request was rejected (already resolved)."""
         loop = state.loop
         if loop.max_pending is None or loop.backpressure == "block":
             return True
@@ -280,26 +260,19 @@ class TraceDriver:
                     )
                 )
                 return False
-            # enumerate the backlog oldest-first: pending round first (its
-            # arrivals predate anything still queued), then the queue
+            # shed-oldest: enumerate the backlog oldest-first — pending
+            # round first (its arrivals predate anything still queued),
+            # then the queue
             candidates: List[Tuple[RequestHandle, Optional[str]]] = [
                 (h, name)
                 for name, session in sorted(state.sessions.items())
                 for h in session.pending_handles
             ]
             candidates.extend((adm.handle, None) for adm in loop._queue)
-            if loop.backpressure == "shed-oldest":
-                victim = min(
-                    range(len(candidates)),
-                    key=lambda i: (candidates[i][0].submitted_at, i),
-                )
-            else:  # shed-slack: the incoming request competes too
-                pool = [h for h, _ in candidates]
-                pool.append(incoming)
-                victim = select_shed_victim(pool, self.clock.now())
-                if victim == len(candidates):
-                    loop._shed(incoming)
-                    return False
+            victim = min(
+                range(len(candidates)),
+                key=lambda i: (candidates[i][0].submitted_at, i),
+            )
             handle, name = candidates[victim]
             if name is not None:
                 state.sessions[name].withdraw(handle)

@@ -1,5 +1,5 @@
-"""The sharded serving front door: loop topologies, SLO-aware admission,
-and cross-loop work-stealing.
+"""The sharded serving front door: loop topologies and cross-loop
+work-stealing.
 
 A single :class:`~repro.serve.loop.ServeLoop` is a scaling ceiling: every
 flush's host share — DFG building, scheduling, placement, launch API calls
@@ -16,16 +16,6 @@ slice of the device group each owns:
   N device lanes;
 * ``per_endpoint`` — one loop per endpoint, each on its own fresh device
   complement (loop threads never share a simulator).
-
-Request admission becomes **SLO-aware**: requests carry a tenant, a
-priority class (:data:`~repro.serve.policy.PRIORITY_CLASSES`) and a
-deadline; per-tenant :class:`TokenBucket` quotas gate admission before a
-request ever reaches a loop, and under backpressure the ``shed-slack``
-policy sheds the lowest-priority request with the *most* deadline slack
-(the one that can best afford a retry) instead of the oldest.  The
-:class:`AdmissionController` keeps per-tenant/per-priority gauges
-(admitted, shed, expired, SLO attainment) surfaced in
-``Server.summary()``.
 
 An idle loop **steals work** from its most-backlogged sibling — the
 newest half of the victim's queued admissions (and, in simulated mode,
@@ -50,18 +40,11 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..utils import Registry
-from .loop import RequestShed, ServeLoop
-from .request import (
-    QuotaExceeded,
-    RequestCancelled,
-    RequestExpired,
-    RequestHandle,
-)
+from .loop import ServeLoop
+from .request import RequestHandle
 from .sim import TraceDriver
 
 __all__ = [
-    "TokenBucket",
-    "AdmissionController",
     "LoopTopology",
     "SingleTopology",
     "PerDeviceTopology",
@@ -71,161 +54,6 @@ __all__ = [
     "available_topologies",
     "run_topology_trace",
 ]
-
-
-# -- per-tenant quotas ---------------------------------------------------------
-
-
-class TokenBucket:
-    """Deterministic token-bucket rate limiter on the serving clock.
-
-    Refills continuously at ``rate`` tokens/second up to ``burst``;
-    :meth:`try_take` is a pure function of the call timestamps, so quota
-    decisions replay bit-for-bit on a simulated clock."""
-
-    __slots__ = ("rate", "burst", "tokens", "_last")
-
-    def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0 or burst <= 0:
-            raise ValueError("token-bucket rate and burst must be positive")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self._last: Optional[float] = None
-
-    def try_take(self, now: float) -> bool:
-        """Consume one token if available at ``now``; False = over quota."""
-        if self._last is not None and now > self._last:
-            self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)
-        self._last = now if self._last is None else max(self._last, now)
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-    def __repr__(self) -> str:
-        return f"TokenBucket(rate={self.rate}, burst={self.burst}, tokens={self.tokens:.2f})"
-
-
-def _blank_gauges() -> Dict[str, Any]:
-    return {
-        "submitted": 0,
-        "completed": 0,
-        "rejected": 0,
-        "shed": 0,
-        "expired": 0,
-        "cancelled": 0,
-        "failed": 0,
-        "slo_met": 0,
-        "per_priority": {},
-    }
-
-
-class AdmissionController:
-    """SLO-aware admission: per-tenant quotas plus lifecycle gauges.
-
-    ``quotas`` maps tenant name → ``(rate_rps, burst)`` (or a dict with
-    ``rate``/``burst`` keys); tenants without a quota are never
-    rate-limited.  Every tracked handle is classified exactly once when it
-    resolves — completed, rejected (quota), shed (backpressure), expired
-    (deadline), cancelled, or failed — and counted per tenant and per
-    priority class, with SLO attainment (completed by the deadline) on
-    top.  Thread-safe: wall-clock loops resolve handles from their own
-    threads.
-    """
-
-    def __init__(self, quotas: Optional[Dict[str, Any]] = None) -> None:
-        import threading
-
-        self._lock = threading.Lock()
-        self._buckets: Dict[str, TokenBucket] = {}
-        for tenant, quota in (quotas or {}).items():
-            if isinstance(quota, dict):
-                rate, burst = quota["rate"], quota.get("burst", quota["rate"])
-            else:
-                rate, burst = quota
-            self._buckets[tenant] = TokenBucket(rate, burst)
-        self._tenants: Dict[str, Dict[str, Any]] = {}
-
-    def admit(self, tenant: Optional[str], now: float) -> bool:
-        """Token-bucket gate: False when the tenant's quota is exhausted at
-        ``now`` (tenants without a configured quota always pass)."""
-        if tenant is None:
-            return True
-        bucket = self._buckets.get(tenant)
-        if bucket is None:
-            return True
-        with self._lock:
-            return bucket.try_take(now)
-
-    def track(self, handle: RequestHandle) -> RequestHandle:
-        """Register one handle for lifecycle accounting; returns it."""
-        tenant = handle.tenant or "anonymous"
-        with self._lock:
-            gauges = self._tenants.setdefault(tenant, _blank_gauges())
-            gauges["submitted"] += 1
-            prio = handle.priority or "unclassified"
-            per = gauges["per_priority"].setdefault(
-                prio,
-                {"submitted": 0, "completed": 0, "shed": 0, "expired": 0, "slo_met": 0},
-            )
-            per["submitted"] += 1
-        handle.add_done_callback(self._on_done)
-        return handle
-
-    def _on_done(self, handle: RequestHandle) -> None:
-        tenant = handle.tenant or "anonymous"
-        exc = handle._future.exception(0)
-        with self._lock:
-            gauges = self._tenants.setdefault(tenant, _blank_gauges())
-            prio = handle.priority or "unclassified"
-            per = gauges["per_priority"].setdefault(
-                prio,
-                {"submitted": 0, "completed": 0, "shed": 0, "expired": 0, "slo_met": 0},
-            )
-            if exc is None:
-                gauges["completed"] += 1
-                per["completed"] += 1
-                met = handle.deadline is None or (
-                    handle.stats is not None
-                    and handle.stats.completed_at <= handle.deadline
-                )
-                if met:
-                    gauges["slo_met"] += 1
-                    per["slo_met"] += 1
-            elif isinstance(exc, QuotaExceeded):
-                gauges["rejected"] += 1
-            elif isinstance(exc, RequestShed):
-                gauges["shed"] += 1
-                per["shed"] += 1
-            elif isinstance(exc, RequestExpired):
-                gauges["expired"] += 1
-                per["expired"] += 1
-            elif isinstance(exc, RequestCancelled):
-                gauges["cancelled"] += 1
-            else:
-                gauges["failed"] += 1
-
-    def summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-tenant gauges; ``slo_attainment`` counts every non-cancelled
-        submission against the SLO, so quota rejections and sheds are
-        misses — the honest number under overload."""
-        out: Dict[str, Dict[str, Any]] = {}
-        with self._lock:
-            for tenant, gauges in sorted(self._tenants.items()):
-                entry = {
-                    k: (dict(v) if isinstance(v, dict) else v)
-                    for k, v in gauges.items()
-                }
-                entry["per_priority"] = {
-                    p: dict(c) for p, c in gauges["per_priority"].items()
-                }
-                finished = gauges["submitted"] - gauges["cancelled"]
-                entry["slo_attainment"] = (
-                    gauges["slo_met"] / finished if finished else 1.0
-                )
-                out[tenant] = entry
-        return out
 
 
 # -- topology registry ---------------------------------------------------------
@@ -477,14 +305,14 @@ def run_topology_trace(
 
     ``workload`` yields ``(arrival_time, endpoint, request)`` or
     ``(arrival_time, endpoint, request, meta)`` sorted by arrival time,
-    where ``meta`` optionally carries ``tenant``/``priority``/``deadline``
-    (absolute clock timestamp) and — for tests — ``loop`` (an explicit
-    home-loop index overriding the router).
+    where ``meta`` optionally carries a ``deadline`` (absolute clock
+    timestamp) and a ``loop`` (an explicit home-loop index overriding the
+    router).
 
-    Per arrival: quota gate (:class:`AdmissionController`) → router (least
-    backlog) → per-loop backpressure (``reject``/``shed-oldest``/
-    ``shed-slack`` resolve the victim's handle; ``block`` is inert in a
-    deterministic trace) → the loop's host-gated dispatch queue.  A
+    Per arrival: router (least backlog) → per-loop backpressure
+    (``reject``/``shed-oldest`` resolve the victim's handle; ``block`` is
+    inert in a deterministic trace) → the loop's host-gated dispatch
+    queue.  A
     dispatch submits into the loop's session (flushes charge the loop's
     own host lane, not the shared clock, so sibling
     loops' host work overlaps); device shares land on each loop's own
@@ -495,8 +323,8 @@ def run_topology_trace(
     pending round tail via :meth:`InferenceSession.withdraw`).
 
     Returns every admitted request's handle per endpoint, in arrival order
-    — including handles resolved exceptionally (quota-rejected, shed,
-    expired); filter with ``handle.failed``.  The same trace replays
+    — including handles resolved exceptionally (rejected, shed, expired);
+    filter with ``handle.failed``.  The same trace replays
     bit-for-bit: the timeline is a pure function of the trace and the
     device cost model.
     """
@@ -518,7 +346,6 @@ def trace_driver(
         topology.loops,
         server.clock,
         route=topology.route,
-        admission=server.admission,
         continuous=continuous,
         prepare=prepare,
     )

@@ -27,13 +27,6 @@ while :func:`replay_continuous`/:func:`replay_server_continuous` run the
 trace through a :class:`~repro.serve.loop.ServeLoop` — continuous batching
 with asynchronous device rounds.  Pass ``deterministic=True`` to exclude
 measured host wall time so the same trace replays bit-for-bit.
-
-Multi-tenant traffic: :func:`tenant_mix` merges per-tenant arrival
-processes (each a :class:`TenantSpec` with its own rate, burstiness,
-priority class and deadline distribution) into one tagged trace for the
-sharded front door (``Server.run_trace`` /
-:func:`repro.serve.topology.run_topology_trace`), deterministic on the
-seed alone.
 """
 
 from __future__ import annotations
@@ -89,104 +82,6 @@ def bursty_arrivals(
         t += rng.exponential(burst / rate_rps)
         times.extend([t] * min(burst, n - len(times)))
     return times
-
-
-# -- multi-tenant traffic ------------------------------------------------------
-
-
-@dataclass
-class TenantSpec:
-    """One tenant's traffic profile for :func:`tenant_mix`.
-
-    ``rate_rps``/``burst`` shape the tenant's arrival process (bursts of
-    near-simultaneous requests, exponential gaps between bursts — see
-    :func:`bursty_arrivals`; ``burst=1`` is Poisson).  ``priority`` is the
-    tenant's priority class (:data:`repro.serve.policy.PRIORITY_CLASSES`)
-    and ``deadline_ms`` its per-request SLO budget (None: no deadline).
-    ``endpoints`` restricts the tenant to a subset of the server's
-    endpoints (None: all endpoints passed to :func:`tenant_mix`,
-    round-robin)."""
-
-    name: str
-    rate_rps: float
-    burst: int = 1
-    priority: str = "standard"
-    deadline_ms: Optional[float] = None
-    endpoints: Optional[Sequence[str]] = None
-
-
-def tenant_mix(
-    tenants: Sequence[TenantSpec],
-    num_requests: int,
-    *,
-    endpoints: Sequence[str],
-    start: float = 0.0,
-    seed: int = 0,
-) -> List[Tuple[float, str, Dict[str, Any]]]:
-    """Merge per-tenant arrival processes into one tagged open-loop trace.
-
-    Returns ``num_requests`` items ``(arrival_time, endpoint, meta)``
-    sorted by arrival time, where ``meta`` carries the admission tags the
-    sharded front door consumes (``tenant``, ``priority``, and an
-    *absolute* ``deadline`` timestamp when the tenant has a
-    ``deadline_ms`` budget).  Zip instances in to build a
-    ``Server.run_trace`` workload::
-
-        trace = tenant_mix(tenants, n, endpoints=server.endpoints, seed=7)
-        workload = [
-            (t, ep, instances[ep][i % len(instances[ep])], meta)
-            for i, (t, ep, meta) in enumerate(trace)
-        ]
-
-    Requests are apportioned to tenants proportionally to their rates, each
-    tenant's arrivals follow its own bursty process, and endpoints are
-    assigned round-robin per tenant — everything a pure function of
-    ``seed``, so the same mix replays bit-for-bit on a
-    :class:`~repro.serve.clock.SimulatedClock`.
-    """
-    from .policy import resolve_priority
-
-    if not tenants:
-        raise ValueError("tenant_mix needs at least one TenantSpec")
-    if num_requests < 1:
-        raise ValueError("num_requests must be a positive integer")
-    endpoints = list(endpoints)
-    if not endpoints:
-        raise ValueError("tenant_mix needs at least one endpoint")
-    total_rate = sum(spec.rate_rps for spec in tenants)
-    if total_rate <= 0:
-        raise ValueError("tenant rates must sum to a positive rate")
-    # proportional apportionment; leftovers go to the highest-rate tenants
-    counts = [int(num_requests * spec.rate_rps / total_rate) for spec in tenants]
-    order = sorted(
-        range(len(tenants)), key=lambda i: (-tenants[i].rate_rps, i)
-    )
-    i = 0
-    while sum(counts) < num_requests:
-        counts[order[i % len(order)]] += 1
-        i += 1
-    items: List[Tuple[float, int, int, str, Dict[str, Any]]] = []
-    for index, (spec, count) in enumerate(zip(tenants, counts)):
-        if count == 0:
-            continue
-        priority = resolve_priority(spec.priority)
-        eps = list(spec.endpoints) if spec.endpoints else endpoints
-        arrivals = bursty_arrivals(
-            spec.rate_rps,
-            count,
-            burst=max(1, int(spec.burst)),
-            seed=seed * 1000003 + index,
-            start=start,
-        )
-        for k, at in enumerate(arrivals):
-            meta: Dict[str, Any] = {"tenant": spec.name, "priority": priority}
-            if spec.deadline_ms is not None:
-                meta["deadline"] = at + spec.deadline_ms / 1e3
-            items.append((at, index, k, eps[k % len(eps)], meta))
-    # (time, tenant index, per-tenant sequence) keys make ties — burst
-    # members, cross-tenant collisions — deterministic
-    items.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [(at, ep, meta) for at, _, _, ep, meta in items]
 
 
 # -- replay --------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Tests for request lifecycle at the serving layer: cancellation of
 pending round members (round-mates flush bit-identical, device counters
 stay consistent), prepared-round discard on cancel, cancellation of
-loop-queued admissions, deadline expiry on the inline and dispatch paths,
+loop-queued admissions, deadline expiry on the inline, dispatch and
+simulated-trace arrival paths,
 and the Endpoint.summary() queue-depth / oldest-pending-age gauges."""
 
 import pytest
@@ -187,6 +188,26 @@ class TestLoopLifecycle:
         h_live = server.submit("m", instances[1], deadline=11.0)
         server.flush_all()
         assert values_allclose(h_live.result(), reference[1])
+
+    def test_deadline_expires_on_trace_arrival(self, treelstm_setup):
+        """A simulated trace arrival already past its deadline is expired
+        at admission and counted; the rest of the trace is unaffected."""
+        mod, params, instances, reference = treelstm_setup
+        server = Server(clock=SimulatedClock())
+        server.add_endpoint(
+            "m", compile_model(mod, params, CompilerOptions()), policy="adaptive"
+        )
+        workload = [
+            (0.01 * i, "m", inst, {"deadline": 0.005})
+            for i, inst in enumerate(instances[:4])
+        ]
+        handles = server.run_trace(workload)["m"]
+        assert values_allclose(handles[0].result(), reference[0])
+        for h in handles[1:]:
+            with pytest.raises(RequestExpired, match="already passed at submit"):
+                h.result()
+        assert server.loop.num_expired == len(handles) - 1
+        assert server.summary()["loops"]["loop0"]["expired"] == len(handles) - 1
 
 
 class TestSummaryGauges:

@@ -79,6 +79,26 @@ class TestDeviceTimeline:
         assert tl.pop_completions(5.0) == 1
         assert tl.next_completion() is None
 
+    # per-device lanes, which round_robin / data_parallel replays occupy
+    def test_concurrent_shares_occupy_lanes_independently(self):
+        tl = DeviceTimeline(start=0.0, num_devices=2)
+        done = tl.launch_round(0.0, [(0, 1.0), (1, 2.0)])
+        assert done == pytest.approx(2.0)
+        assert tl._lanes[0] == pytest.approx(1.0)
+        assert tl._lanes[1] == pytest.approx(2.0)
+        assert tl.busy_until == pytest.approx(2.0)
+
+    def test_empty_shares_degenerate_to_aggregate_launch(self):
+        tl = DeviceTimeline(start=0.0, num_devices=2)
+        done = tl.launch_round(1.0, [])
+        assert done == pytest.approx(1.0)
+        assert tl.rounds_launched == 1
+
+    def test_aggregate_launch_occupies_every_lane(self):
+        tl = DeviceTimeline(start=0.0, num_devices=3)
+        tl.launch(0.0, 2.0)
+        assert all(lane == pytest.approx(2.0) for lane in tl._lanes)
+
 
 class TestMonotonicArrivals:
     """Satellite: submit(at=) must reject non-monotonic backdated
@@ -646,7 +666,7 @@ class TestDeterministicReplay:
         ]
 
         def server():
-            kwargs = {"devices": 2, "placement": "pipeline"} if devices == 2 else {}
+            kwargs = {"devices": 2, "placement": "data_parallel"} if devices == 2 else {}
             srv = Server(clock=SimulatedClock(), **kwargs)
             for name, model in models.items():
                 srv.add_endpoint(name, model, policy=policy, **policy_args)
@@ -707,6 +727,40 @@ class TestDeterministicReplay:
         assert caller == timeline(choreography(server()))
         # the two modes are genuinely different timelines on this trace
         assert caller != continuous
+
+    @pytest.mark.parametrize("placement", ["round_robin", "data_parallel"])
+    def test_bitwise_with_prepare_on_device_group(self, treelstm_setup, placement):
+        """A 2-device continuous replay with speculative placement
+        (snapshot/restore) on replays bit-for-bit and matches the
+        reference."""
+        from repro.devices import DeviceGroup
+        from repro.experiments.continuous import _bitwise_equal
+
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        arrivals = bursty_arrivals(500.0, len(instances), burst=4, seed=7)
+
+        def once():
+            session = model.serve(
+                "size",
+                n=4,
+                clock=SimulatedClock(),
+                devices=DeviceGroup(2, interconnect="nvlink"),
+                placement=placement,
+            )
+            return replay_continuous(
+                session,
+                instances,
+                arrivals,
+                deterministic=True,
+                host_model=(0.5, 0.05),
+                prepare=True,
+            )
+
+        first, second = once(), once()
+        assert all(values_allclose(a, b) for a, b in zip(reference, first.outputs))
+        assert first.latencies_ms == second.latencies_ms
+        assert _bitwise_equal(first.outputs, second.outputs)
 
     def test_wall_time_restored_after_replay(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup

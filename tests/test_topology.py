@@ -1,26 +1,12 @@
 """Tests for the sharded serving front door: the loop-topology registry
-(single / per_device / per_endpoint), SLO-aware admission (priority
-classes, token-bucket tenant quotas, deadline-slack shedding), cross-loop
-work-stealing, the deterministic multi-loop trace driver behind
-``Server.run_trace``, and the multi-tenant ``tenant_mix`` generator."""
+(single / per_device / per_endpoint), cross-loop work-stealing, and the
+deterministic multi-loop trace driver behind ``Server.run_trace``."""
 
 import pytest
 
 from tests.conftest import build_listing1_rnn, rnn_instances
 from repro import CompilerOptions, compile_model, reference_run
-from repro.serve import (
-    QuotaExceeded,
-    RequestShed,
-    Server,
-    SimulatedClock,
-    TenantSpec,
-    TokenBucket,
-    available_topologies,
-    make_topology,
-    priority_rank,
-    select_shed_victim,
-    tenant_mix,
-)
+from repro.serve import Server, SimulatedClock, available_topologies, make_topology
 from repro.utils import values_allclose
 
 HOST_MODEL = (2.0, 0.75)
@@ -74,64 +60,9 @@ class TestRegistry:
     def test_reserved_endpoint_names(self, rnn_setup):
         model, _, _ = rnn_setup
         srv = Server(clock=SimulatedClock(), devices=2)
-        for name in ("devices", "tenants", "loops"):
+        for name in ("devices", "loops"):
             with pytest.raises(ValueError, match="reserved"):
                 srv.add_endpoint(name, model)
-
-
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        b = TokenBucket(rate=10.0, burst=2)
-        assert b.try_take(0.0)
-        assert b.try_take(0.0)
-        assert not b.try_take(0.0)  # burst exhausted
-        assert not b.try_take(0.05)  # half a token refilled: still short
-        assert b.try_take(0.1)  # one full token back
-
-    def test_refill_caps_at_burst(self):
-        b = TokenBucket(rate=100.0, burst=3)
-        for _ in range(3):
-            assert b.try_take(0.0)
-        # a long idle period refills to the cap, not beyond
-        for _ in range(3):
-            assert b.try_take(10.0)
-        assert not b.try_take(10.0)
-
-
-class TestShedVictimSelection:
-    def test_priority_outranks_slack(self):
-        # (handle-like) tuples: select_shed_victim works on objects with
-        # priority + slack(now); use simple stand-ins
-        class R:
-            def __init__(self, priority, slack):
-                self.priority = priority
-                self._slack = slack
-
-            def slack(self, now):
-                return self._slack
-
-        pool = [R("interactive", 0.001), R("batch", 0.0005), R("standard", 2.0)]
-        # lowest priority class loses even with the least slack
-        assert select_shed_victim(pool, now=0.0) == 1
-
-    def test_most_slack_loses_within_class(self):
-        class R:
-            def __init__(self, slack):
-                self.priority = "standard"
-                self._slack = slack
-
-            def slack(self, now):
-                return self._slack
-
-        pool = [R(0.010), R(0.050), R(0.002)]
-        assert select_shed_victim(pool, now=0.0) == 1
-
-    def test_priority_rank_ordering(self):
-        assert (
-            priority_rank("batch")
-            < priority_rank("standard")
-            < priority_rank("interactive")
-        )
 
 
 class TestTraceTopologies:
@@ -256,109 +187,13 @@ class TestWorkStealing:
         assert horizon(h_steal) <= horizon(h_nosteal)
 
 
-class TestSLOAdmission:
-    def test_quota_enforced_at_admission(self, rnn_setup):
-        model, instances, _ = rnn_setup
-        srv, handles = _serve(
-            model,
-            instances[:8],
-            "single",
-            gap=0.0001,
-            meta=lambda i: {"tenant": "small"},
-            tenants={"small": (5.0, 2)},
-        )
-        rejected = [
-            h for h in handles if h.failed and isinstance(h.exception(), QuotaExceeded)
-        ]
-        # burst of 2, negligible refill over 0.8ms: exactly 2 admitted
-        assert len(rejected) == len(handles) - 2
-        gauges = srv.summary()["tenants"]["small"]
-        assert gauges["submitted"] == len(handles)
-        assert gauges["rejected"] == len(rejected)
-        assert gauges["completed"] == 2
-
-    def test_quota_is_per_tenant(self, rnn_setup):
-        model, instances, _ = rnn_setup
-        srv, handles = _serve(
-            model,
-            instances[:8],
-            "single",
-            gap=0.0001,
-            meta=lambda i: {"tenant": "capped" if i % 2 == 0 else "open"},
-            tenants={"capped": (1.0, 1)},
-        )
-        capped = [h for i, h in enumerate(handles) if i % 2 == 0]
-        open_ = [h for i, h in enumerate(handles) if i % 2 == 1]
-        assert sum(1 for h in capped if h.failed) == len(capped) - 1
-        assert all(not h.failed for h in open_)
-
-    def test_shed_slack_beats_age_based_shed(self, rnn_setup):
-        """shed-oldest evicts by age; shed-slack evicts the lowest
-        priority class first and, within it, the request with the most
-        deadline slack — the old policy's victims differ."""
-        model, instances, _ = rnn_setup
-
-        # two interactive requests arrive first (exactly the queue
-        # capacity), then a burst of batch-class work floods in
-        def meta(i):
-            return {
-                "priority": "interactive" if i < 2 else "batch",
-                "deadline": 10.0 + i,
-            }
-
-        def victims(backpressure):
-            _, handles = _serve(
-                model,
-                instances[:10],
-                "single",
-                gap=0.000001,
-                meta=meta,
-                max_pending=2,
-                backpressure=backpressure,
-            )
-            return [
-                i
-                for i, h in enumerate(handles)
-                if h.failed and isinstance(h.exception(), RequestShed)
-            ]
-
-        oldest = victims("shed-oldest")
-        slack = victims("shed-slack")
-        assert oldest and slack
-        # age-based shedding evicts the early (interactive) arrivals;
-        # slack-based shedding keeps them and evicts only batch-class work
-        assert any(i < 2 for i in oldest)
-        assert all(i >= 2 for i in slack)
-
-    def test_expired_on_arrival_counted(self, rnn_setup):
-        model, instances, _ = rnn_setup
-        srv, handles = _serve(
-            model,
-            instances[:4],
-            "single",
-            gap=0.01,
-            meta=lambda i: {"tenant": "t", "deadline": 0.005},
-        )
-        gauges = srv.summary()["tenants"]["t"]
-        assert gauges["expired"] >= 1
-        assert gauges["expired"] == sum(
-            1 for h in handles if h.failed
-        )
-
-
 class TestSummarySchema:
-    def test_tenant_and_loop_gauges(self, rnn_setup):
+    def test_loop_gauges(self, rnn_setup):
         model, instances, _ = rnn_setup
         srv, handles = _serve(
-            model,
-            instances,
-            "per_device",
-            meta=lambda i: {
-                "tenant": "t%d" % (i % 2),
-                "priority": "interactive" if i % 2 == 0 else "batch",
-                "deadline": 10.0,
-            },
+            model, instances, "per_device", meta=lambda i: {"deadline": 10.0}
         )
+        assert all(not h.failed for h in handles)
         summary = srv.summary()
         assert set(summary["loops"]) == {"loop0", "loop1", "loop2", "loop3"}
         for gauges in summary["loops"].values():
@@ -372,14 +207,9 @@ class TestSummarySchema:
                 "stolen_out",
                 "queued",
             } <= set(gauges)
-        tenants = summary["tenants"]
-        assert set(tenants) == {"t0", "t1"}
-        for name, priority in (("t0", "interactive"), ("t1", "batch")):
-            g = tenants[name]
-            assert g["submitted"] == len(instances) // 2
-            assert g["completed"] == g["submitted"]
-            assert g["slo_attainment"] == 1.0
-            assert g["per_priority"][priority]["completed"] == g["completed"]
+        assert sum(g["admitted"] for g in summary["loops"].values()) == len(
+            instances
+        )
 
     def test_endpoint_summary_not_regressed(self, rnn_setup):
         model, instances, _ = rnn_setup
@@ -389,59 +219,6 @@ class TestSummarySchema:
         # endpoint gauges aggregate over every per-loop replica
         assert summary["m"]["requests"] == len(instances)
         assert summary["m"]["pending"] == 0
-
-
-class TestTenantMix:
-    SPECS = (
-        TenantSpec("interactive", rate_rps=200.0, burst=1, priority="interactive", deadline_ms=30.0),
-        TenantSpec("standard", rate_rps=100.0, burst=2, priority="standard", deadline_ms=100.0),
-        TenantSpec("batch", rate_rps=50.0, burst=4, priority="batch"),
-    )
-
-    def test_deterministic_on_seed(self):
-        a = tenant_mix(self.SPECS, 60, endpoints=["m"], seed=7)
-        b = tenant_mix(self.SPECS, 60, endpoints=["m"], seed=7)
-        c = tenant_mix(self.SPECS, 60, endpoints=["m"], seed=8)
-        assert a == b
-        assert a != c
-
-    def test_counts_proportional_to_rates(self):
-        trace = tenant_mix(self.SPECS, 70, endpoints=["m"], seed=1)
-        assert len(trace) == 70
-        by_tenant = {}
-        for _, _, meta in trace:
-            by_tenant[meta["tenant"]] = by_tenant.get(meta["tenant"], 0) + 1
-        assert by_tenant["interactive"] == 40
-        assert by_tenant["standard"] == 20
-        assert by_tenant["batch"] == 10
-
-    def test_tags_and_deadlines(self):
-        trace = tenant_mix(self.SPECS, 35, endpoints=["m"], seed=3)
-        assert all(t0 <= t1 for (t0, _, _), (t1, _, _) in zip(trace, trace[1:]))
-        for at, ep, meta in trace:
-            assert ep == "m"
-            if meta["tenant"] == "interactive":
-                assert meta["priority"] == "interactive"
-                assert meta["deadline"] == pytest.approx(at + 0.030)
-            if meta["tenant"] == "batch":
-                assert "deadline" not in meta
-
-    def test_replays_through_server(self, rnn_setup):
-        model, instances, reference = rnn_setup
-        trace = tenant_mix(self.SPECS, len(instances), endpoints=["m"], seed=5)
-        srv = Server(clock=SimulatedClock(), devices=4, topology="per_device")
-        srv.add_endpoint("m", model, policy="adaptive")
-        workload = [
-            (at, ep, inst, meta)
-            for (at, ep, meta), inst in zip(trace, instances)
-        ]
-        handles = srv.run_trace(
-            workload, deterministic=True, host_model=HOST_MODEL
-        )["m"]
-        done = [h for h in handles if not h.failed]
-        assert done, "a loose-deadline mix must complete work"
-        tenants = srv.summary()["tenants"]
-        assert set(tenants) == {"interactive", "standard", "batch"}
 
 
 class TestWallClockTopology:
