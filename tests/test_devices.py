@@ -1,6 +1,7 @@
 """Tests for the multi-device subsystem: GPU presets, interconnects, device
 groups, placement policies, cross-device transfer pricing, and
-reference-identity of every placement across models and device counts."""
+reference-identity of every placement across models, scheduler policies and
+device counts."""
 
 import numpy as np
 import pytest
@@ -29,14 +30,28 @@ BATCH = 8
 
 ALL_PLACEMENTS = ("single", "round_robin", "data_parallel")
 
+#: the placements that actually spread a round over the group
+SHARDING_PLACEMENTS = ("round_robin", "data_parallel")
 
-def build(model_name, batch=BATCH, seed=11):
+SCHEDULERS = ("inline_depth", "dynamic_depth", "agenda", "nobatch", "dynet")
+
+
+def build(model_name, batch=BATCH, seed=11, scheduler=None):
     module = MODEL_MODULES[model_name]
     mod, params, size = module.build_for("test")
     instances = module.make_batch(mod, size, batch, seed=seed)
     reference = reference_run(mod, params, instances)
-    compiled = compile_model(mod, params, CompilerOptions())
+    compiled = compile_model(mod, params, CompilerOptions(scheduler=scheduler))
     return compiled, instances, reference
+
+
+def _assert_counters_sum(stats):
+    """Per-device counters sum to the group totals."""
+    assert stats.per_device
+    total = sum(d["total_device_us"] for d in stats.per_device)
+    assert total == pytest.approx(stats.device["total_device_us"])
+    launches = sum(d["num_kernel_launches"] for d in stats.per_device)
+    assert launches == stats.device["num_kernel_launches"]
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +338,15 @@ class TestPlacementRegistry:
             unregister_placement("custom_test_placement")
         assert "custom_test_placement" not in available_placements()
 
+    @pytest.mark.parametrize("name", ["single", "round_robin"])
+    def test_stateless_policies_snapshot_nothing(self, name):
+        # placement is a pure function of the round: a speculative placement
+        # has nothing to roll back
+        policy = make_placement(name)
+        policy.place_round([_batch([0, 1, 2, 3])], DeviceGroup(2), {})
+        assert policy.snapshot_state() is None
+        policy.restore_state(None)
+
 
 class TestRoundRobinPlacement:
     def test_splits_by_instance(self):
@@ -459,6 +483,43 @@ class TestDataParallelPlacement:
         with pytest.raises(ValueError):
             DataParallelPlacement(min_shard=0)
 
+    def test_snapshot_restore_rolls_back_rotation(self):
+        """An abandoned speculative placement leaves no trace: after restore
+        the unsplit rotation and the split base replay exactly what they
+        would have placed had the speculation never run."""
+        group = DeviceGroup(4)
+        policy = DataParallelPlacement(min_shard=2)
+        spec = group.spec
+        policy.observe(1, 8, 8 * 1.6 + spec.launch_overhead_us, 1, spec)
+
+        def place():
+            batches = [_batch([0, 1, 2]), _batch(range(8), block_id=1)]
+            return [b.device for b in policy.place_round(batches, group, {})]
+
+        place()
+        policy.note_reset()
+        state = policy.snapshot_state()
+        expected = place()
+        policy.note_reset()
+        place()
+        policy.note_reset()
+        policy.restore_state(state)
+        assert policy.snapshot_state() == state
+        assert place() == expected
+
+    def test_restore_keeps_learned_work(self):
+        """Observations made during an abandoned speculation survive the
+        rollback: they only tune future split decisions."""
+        group = DeviceGroup(4)
+        policy = DataParallelPlacement(min_shard=2)
+        spec = group.spec
+        policy.observe(0, 8, spec.launch_overhead_us + 0.001, 1, spec)
+        state = policy.snapshot_state()
+        policy.observe(0, 8, 8 * 1000.0 + spec.launch_overhead_us, 1, spec)
+        policy.restore_state(state)
+        placed = policy.place_round([_batch(range(8))], group, {})
+        assert len(placed) > 1
+
 
 # ---------------------------------------------------------------------------
 # End-to-end equivalence: placement x model x device count
@@ -474,12 +535,70 @@ class TestMultiDeviceEquivalence:
         engine = compiled.make_engine(devices=devices, placement=placement)
         outputs, stats = engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
-        # per-device counters must sum to the group totals
-        assert stats.per_device
-        total = sum(d["total_device_us"] for d in stats.per_device)
-        assert total == pytest.approx(stats.device["total_device_us"])
-        launches = sum(d["num_kernel_launches"] for d in stats.per_device)
-        assert launches == stats.device["num_kernel_launches"]
+        _assert_counters_sum(stats)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("placement", SHARDING_PLACEMENTS)
+    @pytest.mark.parametrize("devices", [2, 4])
+    def test_scheduler_matrix(self, scheduler, placement, devices):
+        """Every scheduler policy's batches shard over the whole group with
+        reference-identical results."""
+        compiled, instances, reference = build("treelstm", scheduler=scheduler)
+        engine = compiled.make_engine(devices=devices, placement=placement)
+        # two runs: the first seeds data_parallel's cost observer, the
+        # second splits on learned per-block costs
+        for _ in range(2):
+            outputs, stats = engine.run(instances)
+            assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
+            _assert_counters_sum(stats)
+            assert all(d["total_device_us"] > 0 for d in stats.per_device)
+            if placement == "round_robin":
+                assert stats.device["num_peer_transfers"] == 0
+
+    @pytest.mark.parametrize(
+        "model_name",
+        [m for m in MODEL_MODULES if m not in ("treelstm", "birnn")],
+    )
+    @pytest.mark.parametrize("placement", SHARDING_PLACEMENTS)
+    def test_model_zoo(self, model_name, placement):
+        """The rest of the zoo (fiber programs and generative decoders
+        included) runs reference-identical on a sharded group, twice."""
+        compiled, instances, reference = build(model_name, batch=4)
+        engine = compiled.make_engine(devices=2, placement=placement)
+        for _ in range(2):
+            outputs, stats = engine.run(instances)
+            assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
+            _assert_counters_sum(stats)
+
+    def test_observed_costs_split_on_compute_starved_spec(self):
+        """On a spec whose per-block work dwarfs the API overhead, the
+        second run splits blocks the first run's byte estimate kept whole:
+        more launches, every member busy, identical results."""
+        slow = GPUSpec(
+            name="slow-test",
+            launch_overhead_us=5.0,
+            api_overhead_us=4.0,
+            mem_bandwidth_gbps=1.0,
+            peak_gflops=0.5,
+            pcie_bandwidth_gbps=4.0,
+            memcpy_overhead_us=7.0,
+            saturation_flops=5.0e4,
+            min_utilization=0.05,
+        )
+        compiled, instances, reference = build("treelstm")
+        engine = compiled.make_engine(
+            devices=DeviceGroup(2, spec=slow, interconnect="nvlink"),
+            placement="data_parallel",
+        )
+        _, first = engine.run(instances)
+        outputs, second = engine.run(instances)
+        assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
+        _assert_counters_sum(second)
+        assert all(d["total_device_us"] > 0 for d in second.per_device)
+        assert (
+            second.device["num_kernel_launches"]
+            > first.device["num_kernel_launches"]
+        )
 
     def test_single_placement_matches_single_device_totals(self, treelstm):
         compiled, instances, reference = treelstm
@@ -787,6 +906,25 @@ class TestEngineWiring:
             )
         memory = session.last_stats.memory
         assert memory["plan_cache_hits"] > 0
+
+    def test_session_plan_cache_with_rotating_data_parallel(self, treelstm):
+        """data_parallel rotates its split base per flush, so identical
+        flushes warm one plan variant per base before they hit; cached
+        replays stay reference-identical."""
+        compiled, instances, reference = treelstm
+        session = compiled.session(
+            flush_policy="size",
+            flush_args={"n": len(instances)},
+            devices=2,
+            placement="data_parallel",
+        )
+        for _ in range(4):
+            handles = [session.submit(i) for i in instances]
+            assert all(
+                values_allclose(a, h.result())
+                for a, h in zip(reference, handles)
+            )
+        assert session.last_stats.memory["plan_cache_hits"] > 0
 
 
 class TestServerSharding:

@@ -537,6 +537,31 @@ class TestContinuousReferenceIdentity:
         )
         assert report.num_requests == len(instances)
 
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("placement", ["round_robin", "data_parallel"])
+    def test_scheduler_matrix_on_device_group(
+        self, treelstm_setup, scheduler, placement
+    ):
+        """Continuous batching with speculative round preparation on a
+        2-device group: every scheduler's rounds place, roll back and
+        re-place without changing a result."""
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        session = model.serve(
+            "deadline",
+            ms=2.0,
+            clock=SimulatedClock(),
+            scheduler=scheduler,
+            devices=2,
+            placement=placement,
+        )
+        arrivals = bursty_arrivals(3000.0, len(instances), burst=3, seed=9)
+        report = replay_continuous(session, instances, arrivals, prepare=True)
+        assert all(
+            values_allclose(a, b) for a, b in zip(reference, report.outputs)
+        )
+        assert report.num_requests == len(instances)
+
     @pytest.mark.parametrize("policy,policy_args", [
         ("manual", {}),
         ("size", {"n": 2}),
@@ -728,7 +753,7 @@ class TestDeterministicReplay:
         # the two modes are genuinely different timelines on this trace
         assert caller != continuous
 
-    @pytest.mark.parametrize("placement", ["round_robin", "data_parallel"])
+    @pytest.mark.parametrize("placement", ["single", "round_robin", "data_parallel"])
     def test_bitwise_with_prepare_on_device_group(self, treelstm_setup, placement):
         """A 2-device continuous replay with speculative placement
         (snapshot/restore) on replays bit-for-bit and matches the
