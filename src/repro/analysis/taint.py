@@ -19,7 +19,12 @@ itself is a straightforward monotone fixpoint over the module:
   tainted; ADT/tuple values are collapsed to a single taint bit;
 * functions are summarized per abstract argument vector and re-analyzed
   until the summaries stabilize (recursion converges in a couple of
-  iterations because the lattice has two points).
+  iterations because the lattice has two points);
+* a parameter that different calls may bind to different values is tainted
+  even when every such value is invariant (:func:`varying_params`): the rows
+  of one block batch across call sites and recursion levels, so ``b`` in
+  ``f(rest, tanh(b))`` differs between rows although no instance input
+  reaches it.
 
 The result maps every expression (by identity) in every reachable function
 to ``True`` (per-instance / tainted) or ``False`` (batch-invariant).
@@ -47,11 +52,73 @@ from ..ir.expr import (
     Var,
 )
 from ..ir.module import IRModule
-from ..ir.visitor import free_vars
+from ..ir.visitor import collect, free_vars
 from ..kernels.registry import get_op, has_op
 
 TAINTED = True
 INVARIANT = False
+
+
+def varying_params(module: IRModule) -> Dict[str, List[bool]]:
+    """Per function, which parameters different calls may bind to different
+    values.
+
+    A parameter forwarded as-is from a parameter of the caller receives
+    every value the caller's parameter does (``w`` in ``f(rest, a, b, w)``);
+    any other argument — a computed value, a constant, a pattern variable —
+    is a value of its own, and so is each parameter of ``main``.  A
+    parameter that receives more than one value varies: ``f(rest, tanh(b))``
+    hands ``b`` a new value at every level, and ``f -> g -> f`` with ``a``
+    and ``b`` swapped alternates the two between levels.  A function
+    referenced as a value (``map(cell, xs)``) is called from code this does
+    not see, so all its parameters vary.
+    """
+    functions = module.functions
+    values: Dict[Tuple[str, int], Set[object]] = {}
+    forwards: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
+    escaped: Set[str] = set()
+    for name, func in functions.items():
+        position = {id(p): i for i, p in enumerate(func.params)}
+        called: Set[int] = set()
+        for call in collect(func.body, lambda e: isinstance(e, Call)):
+            if not (isinstance(call.op, GlobalVar) and call.op.name in functions):
+                continue
+            called.add(id(call.op))
+            for i, arg in enumerate(call.args):
+                node = (call.op.name, i)
+                j = position.get(id(arg)) if isinstance(arg, Var) else None
+                if j is None:
+                    values.setdefault(node, set()).add((id(call), i))
+                else:
+                    forwards.setdefault((name, j), []).append(node)
+        for gv in collect(func.body, lambda e: isinstance(e, GlobalVar)):
+            if id(gv) not in called and gv.name in functions:
+                escaped.add(gv.name)
+    for i in range(len(module.main.params)):
+        values.setdefault(("main", i), set()).add(("main", i))
+
+    # push values along the forwarding edges; two values are enough to vary,
+    # so a set stops growing there and the worklist ends
+    work = list(values)
+    while work:
+        node = work.pop()
+        have = values[node]
+        for target in forwards.get(node, ()):
+            into = values.setdefault(target, set())
+            before = len(into)
+            for value in have:
+                if len(into) > 1:
+                    break
+                into.add(value)
+            if len(into) != before:
+                work.append(target)
+    return {
+        name: [
+            name in escaped or len(values.get((name, i), ())) > 1
+            for i in range(len(func.params))
+        ]
+        for name, func in functions.items()
+    }
 
 
 @dataclass
@@ -85,6 +152,7 @@ class TaintAnalysis:
         self._summaries: Dict[str, Dict[Tuple[bool, ...], bool]] = {}
         self._in_progress: Set[Tuple[str, Tuple[bool, ...]]] = set()
         self._changed = True
+        self._varying = varying_params(module)
 
     # -- public API -----------------------------------------------------------
     def run(self) -> TaintResult:
@@ -105,6 +173,10 @@ class TaintAnalysis:
 
     # -- function analysis ------------------------------------------------------
     def _analyze_function(self, name: str, func: Function, arg_taints: List[bool]) -> bool:
+        varying = self._varying.get(name, ())
+        arg_taints = [
+            t or (i < len(varying) and varying[i]) for i, t in enumerate(arg_taints)
+        ]
         key = tuple(arg_taints)
         summaries = self._summaries.setdefault(name, {})
         self.result.reachable.add(name)

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import CodeType
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -137,15 +138,26 @@ class GeneratedProgram:
     """Result of AOT code generation."""
 
     source: str
-    namespace: Dict[str, Any]
+    #: ``source`` compiled; executed once per runtime (:meth:`instantiate`)
+    code: CodeType
+    #: what the generated functions read besides each other: constructors,
+    #: intrinsics and interned constants
+    globals: Dict[str, Any]
     blocks: List[StaticBlock]
     tdc: bool
     entry: str = "main"
     num_functions: int = 0
 
-    @property
-    def entry_callable(self):
-        return self.namespace[py_func_name(self.entry)]
+    def instantiate(self, runtime: Any) -> Dict[str, Any]:
+        """A fresh namespace holding the generated functions, whose ``__rt``
+        global is ``runtime`` (and ``__fibers`` None until a run stores its
+        scheduler): one per runtime, so engines of one model on different
+        threads never see each other's runtime."""
+        namespace = dict(self.globals)
+        namespace["__rt"] = runtime
+        namespace["__fibers"] = None
+        exec(self.code, namespace)
+        return namespace
 
 
 class PythonCodegen:
@@ -188,20 +200,16 @@ class PythonCodegen:
 
         nil = self.module.get_constructor("Nil")
         cons = self.module.get_constructor("Cons")
-        namespace: Dict[str, Any] = {
-            "ADTValue": ADTValue,
-            "__rt": None,
-            "__fibers": None,
-        }
+        namespace: Dict[str, Any] = {"ADTValue": ADTValue}
         for adt in self.module.adts.values():
             for ctor in adt.constructors:
                 namespace[f"__ctor_{ctor.name}"] = ctor
         namespace.update(make_intrinsics(nil, cons, self.tdc))
         namespace.update(self.constants)
-        exec(compile(source, "<acrobat-aot>", "exec"), namespace)
         return GeneratedProgram(
             source=source,
-            namespace=namespace,
+            code=compile(source, "<acrobat-aot>", "exec"),
+            globals=namespace,
             blocks=self.block_builder.blocks,
             tdc=self.tdc,
             num_functions=len(self.function_order),

@@ -39,10 +39,20 @@ from .options import CompilerOptions
 
 
 class CompiledProgramBinding(ProgramBinding):
-    """Engine adapter for an AOT-generated program."""
+    """Engine adapter for an AOT-generated program.
+
+    The generated functions read ``__rt`` / ``__fibers`` as globals, so each
+    runtime gets a namespace of its own (:meth:`GeneratedProgram.instantiate`),
+    built on the first bind and kept for the engine's life: engines of one
+    model — other sessions, other threads — never route each other's
+    ``invoke`` calls.  A later bind only stores the run's fiber scheduler.
+    """
 
     def __init__(self, model: "CompiledModel") -> None:
         self.model = model
+        self._runtime: Optional[AcrobatRuntime] = None
+        self._namespace: Dict[str, Any] = {}
+        self._run_instance: Optional[Callable[[Any], Any]] = None
 
     @property
     def uses_fibers(self) -> bool:
@@ -51,20 +61,25 @@ class CompiledProgramBinding(ProgramBinding):
     def bind(
         self, runtime: AcrobatRuntime, fibers: Optional[FiberScheduler]
     ) -> Callable[[Any], Any]:
-        namespace = self.model.program.namespace
-        entry = namespace[py_func_name("main")]
-        binder = self.model.instance_binder
+        if self._runtime is not runtime:
+            namespace = self.model.program.instantiate(runtime)
+            entry = namespace[py_func_name("main")]
+            binder = self.model.instance_binder
 
-        def run_instance(instance: Any) -> Any:
-            # the generated code reads __rt/__fibers from the program's
-            # (shared, module-level) namespace; rebinding on every call keeps
-            # a persistent session's cached entry correct even when other
-            # engines of the same model execute between submits
-            namespace["__rt"] = runtime
-            namespace["__fibers"] = fibers
-            return entry(*binder(instance), [0], 0)
+            def run_instance(instance: Any) -> Any:
+                return entry(*binder(instance), [0], 0)
 
-        return run_instance
+            self._runtime, self._namespace = runtime, namespace
+            self._run_instance = run_instance
+        self._namespace["__fibers"] = fibers
+        return self._run_instance
+
+    def __del__(self) -> None:
+        # the generated functions and their namespace reference each other:
+        # emptying it lets refcounting free both, and the runtime (with its
+        # arenas) they hold, as soon as the engine goes, not at the next
+        # cyclic collection
+        self._namespace.clear()
 
 
 @dataclass

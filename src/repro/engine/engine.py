@@ -213,7 +213,7 @@ class ExecutionEngine:
         rt.reset(release_residency=release_residency)
 
         run_start = time.perf_counter()
-        fibers = FiberScheduler(rt.trigger) if self.program.uses_fibers else None
+        fibers = FiberScheduler(rt.trigger, rt) if self.program.uses_fibers else None
         entry = self.program.bind(rt, fibers)
 
         raw_results: List[Any] = []
@@ -222,11 +222,9 @@ class ExecutionEngine:
                 rt.current_instance = i
                 raw_results.append(entry(instance))
         else:
-            roots = []
-            for i, instance in enumerate(instances):
-                rt.current_instance = i
-                roots.append(entry(instance))
-            raw_results = fibers.run(roots)
+            # a root does no work until stepped: the scheduler sets each
+            # fiber's instance (its root's position) when it steps it
+            raw_results = fibers.run([entry(instance) for instance in instances])
         rt.trigger()
 
         outputs = [materialize_value(r) for r in raw_results]

@@ -54,23 +54,45 @@ it from — and is a function of that shape alone.)
 
 Block programs
 --------------
-Whatever is a function of the block structure is computed once, when the
-kernel is built (:meth:`BlockKernel._compile_program`): a flat list of
-slot-indexed steps with the NumPy callable chosen and the attributes already
-shifted for the batch dimension, plus each fusion group's external reads and
-escaping results.  What additionally depends on operand shapes — the FLOP
-and byte counts of the launch records — is evaluated once per operand-shape
-class and stored as ``fixed + per_instance * B``
-(:meth:`BlockKernel._derive_costs`).  A launch gathers its inputs, runs the
-steps, and reads the records back; the specialization tier runs the same
-program with accounting off (:meth:`BlockKernel.run_program`).
+Whatever is a function of the block structure is decided once, when the
+kernel is built (:meth:`BlockKernel._compile_program`), and written down as
+one straight-line Python function, ``kernel.launch(operands, batch_size,
+buffers=None) -> (outputs, launches)``, whose source is ``kernel.source``.
+It keeps one local per value and
+
+* reads each shared input off its operand, and inlines the three forms of a
+  varying one — a ready array (batch dimension checked), an
+  :func:`index_gather` of its segments, or its host parts as one
+  ``np.array`` (``np.stack`` into ``buffers[i]`` when a caller passes one;
+  only inputs in :attr:`BlockKernel.reusable_inputs` ever read it);
+* calls each op body bound at construction — ``opdef.batched`` when an
+  argument carries the batch dimension, else ``opdef.compute`` — with its
+  attributes as literals, already shifted for the batch dimension; a
+  batched ``concat`` broadcasts its shared operands, a batched ``reshape``
+  prepends the batch size and a batched ``take_row`` is an index;
+* takes its launch records from a per-kernel cache keyed by the batch
+  size, every input's shape and dtype, and which varying inputs arrive
+  scattered.  A miss evaluates the FLOP and byte rules of every fusion group
+  (:meth:`BlockKernel._derive_costs`, fixed + per-instance) and publishes
+  the complete tuple: kernels are shared by every engine of a compiled
+  model, across threads;
+* drops its values newest first (``del``), so glibc keeps reusing the heap
+  top rather than returning it to the system for the next launch to fault
+  back in.
+
+Op bodies are captured when the kernel is built, so a wrapper installed on
+``opdef.compute`` / ``opdef.batched`` afterwards is not seen by it.  The
+generic path (:meth:`BlockKernel.execute_batched`) and the specialization
+tier (which passes its buffers and replays frozen records instead) both run
+this one function.
 """
 
 from __future__ import annotations
 
+import keyword
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,8 +104,8 @@ from .registry import get_op
 #: analysis for the reusable gather buffers)
 _VIEW_OPS = frozenset({"reshape", "transpose", "take_row"})
 
-#: operand-shape classes one kernel memoizes costs for before starting over
-_MAX_COST_CLASSES = 64
+#: launch-record cache entries one kernel keeps before starting over
+_MAX_RECORD_CLASSES = 512
 
 
 @dataclass
@@ -257,13 +279,67 @@ def _adjust_attrs(op_name: str, attrs: Dict[str, Any], batched: bool) -> Dict[st
     return out
 
 
-def _batched_take_row(index: int):
-    """The batched ``take_row`` fast path (row ``index`` of every instance)."""
+def _literal(value: Any) -> Optional[str]:
+    """Source text that evaluates to an object equal to ``value`` and of its
+    type, or None when there is none (the value is then bound by name)."""
+    kind = type(value)
+    if value is None or kind in (bool, int, str):
+        return repr(value)
+    if kind is float:
+        return repr(value) if math.isfinite(value) else None
+    if kind in (list, tuple):
+        items = [_literal(item) for item in value]
+        if None in items:
+            return None
+        if kind is list:
+            return "[" + ", ".join(items) + "]"
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    return None
 
-    def take(x: np.ndarray) -> np.ndarray:
-        return x[:, index]
 
-    return take
+class _LaunchSource:
+    """The lines of one generated ``launch`` function and the names it reads
+    besides its arguments."""
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.namespace: Dict[str, Any] = {
+            "asarray": np.asarray,
+            "array": np.array,
+            "stack": np.stack,
+            "broadcast_to": np.broadcast_to,
+            "index_gather": index_gather,
+            "BatchedOutput": BatchedOutput,
+        }
+        #: id of a bound object -> its name (an op body used twice is bound once)
+        self._bound: Dict[int, str] = {}
+
+    def emit(self, line: str, indent: int = 1) -> None:
+        self.lines.append("    " * indent + line)
+
+    def bind(self, hint: str, value: Any) -> str:
+        """A name the function reads ``value`` under."""
+        name = self._bound.get(id(value))
+        if name is not None:
+            return name
+        base = "".join(c if c.isalnum() or c == "_" else "_" for c in hint)
+        name, n = base, 1
+        while name in self.namespace:
+            n += 1
+            name = f"{base}_{n}"
+        self.namespace[name] = value
+        self._bound[id(value)] = name
+        return name
+
+    def keywords(self, attrs: Dict[str, Any], hint: str) -> List[str]:
+        """``attrs`` as keyword arguments: literals where they exist."""
+        if not all(k.isidentifier() and not keyword.iskeyword(k) for k in attrs):
+            return ["**" + self.bind(hint, attrs)]
+        out = []
+        for key, value in attrs.items():
+            text = _literal(value)
+            out.append(f"{key}={text if text is not None else self.bind(f'{hint}_{key}', value)}")
+        return out
 
 
 class BlockKernel:
@@ -280,17 +356,18 @@ class BlockKernel:
             block, enable_standard=enable_fusion, enable_horizontal=enable_horizontal_fusion
         )
         self.group_names = [fused_kernel_name(block, g) for g in self.groups]
+        #: (batch size, per input: shape, dtype and — varying inputs — the
+        #: ``scattered`` flag) -> that launch's records (:meth:`_derive_records`)
+        self._records: Dict[tuple, Tuple[LaunchRecord, ...]] = {}
         self._compile_program()
-        #: operand-shape class -> per-group cost coefficients (see
-        #: :meth:`_derive_costs`); keyed without the batch size
-        self._cost_table: Dict[tuple, List[tuple]] = {}
 
     def _compile_program(self) -> None:
-        """Flatten the block into its launch program: everything derived here
-        is a function of the block structure alone, so no launch repeats it.
+        """Generate the block's launch function: everything decided here is a
+        function of the block structure alone, so no launch repeats it.
 
-        Values live in a slot list — inputs first, then one slot per op, then
-        the constants (prefilled in :attr:`_slots`).  A value's batchedness
+        Every value has a slot — inputs first, then one per op, then the
+        constants — and a name in the generated code: ``v<slot>`` for inputs
+        and op results, ``c<slot>`` for constants.  A value's batchedness
         follows from ``BlockInput.shared`` alone.
         """
         block = self.block
@@ -299,13 +376,20 @@ class BlockKernel:
         consumers = block.consumers()
         output_ops = {ref for kind, ref in block.outputs if kind == "op"}
 
-        slots: List[Any] = [None] * (n_inputs + len(block.ops))
+        src = _LaunchSource()
+        src.namespace["bad_operand"] = self._bad_operand
+        src.namespace["cached_records"] = self._records.get
+        src.namespace["derive_records"] = self._derive_records
+        names = [f"v{slot}" for slot in range(n_inputs + len(block.ops))]
         batched = [not inp.shared for inp in block.inputs] + [False] * len(block.ops)
         # inputs a value may be a NumPy view of (escape analysis, below)
         may_view = [frozenset((i,)) for i in range(n_inputs)] + [frozenset()] * len(block.ops)
-        steps: List[tuple] = []
+        body: List[str] = []
+        #: the locals holding values, in the order the launch assigns them
+        assigned = [names[inp.index] for inp in block.inputs]
         group_specs: List[_GroupSpec] = []
         for group in self.groups:
+            body.append(f"    # launch {group.group_id}: {self.group_names[group.group_id]}")
             reads: List[int] = []
             flop_rules = []
             for j in group.op_indices:
@@ -314,8 +398,8 @@ class BlockKernel:
                 srcs: List[int] = []
                 for kind, ref in bop.args:
                     if kind == "const":
-                        srcs.append(len(slots))
-                        slots.append(np.asarray(ref))
+                        srcs.append(len(names))
+                        names.append(src.bind(f"c{len(names)}", np.asarray(ref)))
                         batched.append(False)
                         may_view.append(frozenset())
                         continue
@@ -324,26 +408,16 @@ class BlockKernel:
                     external = kind == "input" or group_of_op[ref] != group.group_id
                     if external and slot not in reads:
                         reads.append(slot)
-                src_batched = [batched[s] for s in srcs]
-                any_batched = any(src_batched)
-                attrs = _adjust_attrs(bop.op_name, bop.attrs, any_batched)
-                broadcast: Optional[Tuple[bool, ...]] = None
-                reshape_tail: Optional[List[int]] = None
-                fn = opdef.batched if (any_batched and opdef.batched is not None) else opdef.compute
-                if any_batched and bop.op_name == "concat":
-                    # concatenation requires every operand to carry the batch
-                    # dimension; shared operands broadcast across the batch
-                    broadcast = tuple(not b for b in src_batched)
-                elif any_batched and bop.op_name == "reshape":
-                    # the launch prepends its batch size to the new shape
-                    reshape_tail = list(attrs["newshape"])
-                elif any_batched and bop.op_name == "take_row":
-                    fn, attrs = _batched_take_row(int(attrs["index"])), {}
+                any_batched = any(batched[s] for s in srcs)
                 out = n_inputs + j
                 batched[out] = any_batched
                 if bop.op_name in _VIEW_OPS:
                     may_view[out] = frozenset().union(*(may_view[s] for s in srcs))
-                steps.append((out, fn, tuple(srcs), attrs, broadcast, reshape_tail))
+                call = self._op_call(
+                    src, bop, opdef, [names[s] for s in srcs], [batched[s] for s in srcs]
+                )
+                body.append(f"    {names[out]} = {call}")
+                assigned.append(names[out])
                 flop_rules.append((opdef.estimate_flops, bop.attrs, tuple(srcs), any_batched))
             writes = tuple(
                 n_inputs + j
@@ -355,13 +429,10 @@ class BlockKernel:
                 _GroupSpec(self.group_names[group.group_id], flop_rules, tuple(reads), writes)
             )
 
-        self._slots = slots
         self._batched = tuple(batched)
         self._varying = self._batched[:n_inputs]
-        self._steps = tuple(steps)
         self._group_specs = group_specs
         output_slots = [ref if kind == "input" else n_inputs + ref for kind, ref in block.outputs]
-        self._output_specs = tuple((slot, batched[slot]) for slot in output_slots)
         #: varying inputs whose gather buffer is safe to reuse across
         #: launches: no block output can be a NumPy view of them (a value
         #: "may view" the inputs reachable through unbroken chains of
@@ -374,6 +445,107 @@ class BlockKernel:
             for inp in block.inputs
             if not inp.shared and inp.index not in escaped
         )
+
+        src.emit("def launch(operands, batch_size, buffers=None):", indent=0)
+        for inp in block.inputs:
+            self._emit_input(src, inp.index, names[inp.index], inp.name)
+        src.lines.extend(body)
+        src.emit("key = (")
+        src.emit("batch_size,", indent=2)
+        for inp in block.inputs:
+            v = names[inp.index]
+            flag = "" if inp.shared else f" o{inp.index}.scattered,"
+            src.emit(f"{v}.shape, {v}.dtype,{flag}", indent=2)
+        src.emit(")")
+        src.emit("launches = cached_records(key)")
+        src.emit("if launches is None:")
+        src.emit(f"launches = derive_records(key, batch_size, operands, [{', '.join(names)}])", 2)
+        outputs = ", ".join(
+            f"BatchedOutput({names[slot]}, {batched[slot]}, batch_size)" for slot in output_slots
+        )
+        src.emit(f"outputs = [{outputs}]")
+        # release the launch's values newest first, as a stack unwinds: freed
+        # oldest first they leave glibc a heap top it hands back to the
+        # system, and every later launch faults those pages in again
+        src.emit("del " + ", ".join(reversed(assigned)))
+        src.emit("return outputs, launches")
+        #: Python source of :attr:`launch`
+        self.source = "\n".join(src.lines) + "\n"
+        exec(compile(self.source, f"<kernel {block.name}>", "exec"), src.namespace)
+        #: ``launch(operands, batch_size, buffers=None) -> (outputs, launches)``
+        self.launch: Callable[..., Tuple[List[BatchedOutput], Tuple[LaunchRecord, ...]]] = (
+            src.namespace["launch"]
+        )
+
+    def _emit_input(self, src: _LaunchSource, i: int, v: str, name: str) -> None:
+        """Read block input ``i`` into the local ``v``."""
+        if not self._varying[i]:
+            src.emit(f"{v} = asarray(operands[{i}].array)  # {name}")
+            return
+        # only an input no output can alias may be gathered into a buffer
+        reusable = i in self.reusable_inputs
+        buffer = f"None if buffers is None else buffers.get({i})" if reusable else "None"
+        o = f"o{i}"
+        src.emit(f"{o} = operands[{i}]  # {name}")
+        src.emit(f"{v} = {o}.array")
+        src.emit(f"if {v} is not None:")
+        src.emit(f"{v} = asarray({v})", 2)
+        src.emit(f"if {v}.shape[0] != batch_size:", 2)
+        src.emit(f"bad_operand({i}, {o}, batch_size)", 3)
+        # a gathered form is read by the kernel: an explicit gather launch
+        # the planner already charged, or scattered bytes on the records
+        src.emit(f"elif {o}.segments is not None:")
+        src.emit(f"if {o}.num_instances() != batch_size:", 2)
+        src.emit(f"bad_operand({i}, {o}, batch_size)", 3)
+        src.emit(f"{v} = index_gather({o}.segments, {buffer})", 2)
+        src.emit(f"elif len({o}.parts) != batch_size:")
+        src.emit(f"bad_operand({i}, {o}, batch_size)", 2)
+        if not reusable:
+            src.emit("else:")
+            src.emit(f"{v} = array({o}.parts)", 2)
+            return
+        src.emit(f"elif buffers is None or buffers.get({i}) is None:")
+        src.emit(f"{v} = array({o}.parts)", 2)
+        src.emit("else:")
+        src.emit(f"{v} = stack({o}.parts, out=buffers[{i}])", 2)
+
+    @staticmethod
+    def _op_call(
+        src: _LaunchSource, bop, opdef, args: List[str], src_batched: List[bool]
+    ) -> str:
+        """The expression applying ``bop`` to the locals ``args``."""
+        any_batched = any(src_batched)
+        attrs = _adjust_attrs(bop.op_name, bop.attrs, any_batched)
+        hint = f"{bop.op_name}_{bop.index}"
+        if any_batched and bop.op_name == "take_row":
+            return f"{args[0]}[:, {int(attrs['index'])}]"
+        newshape = []
+        if any_batched and bop.op_name == "concat":
+            # concatenation requires every operand to carry the batch
+            # dimension; shared operands broadcast across the batch
+            args = [
+                a if b else f"broadcast_to({a}, (batch_size,) + {a}.shape)"
+                for a, b in zip(args, src_batched)
+            ]
+        elif any_batched and bop.op_name == "reshape":
+            # the launch prepends its batch size to the new shape
+            attrs = dict(attrs)
+            tail = list(attrs.pop("newshape"))
+            text = _literal(tail)
+            if text is None:
+                text = f"[batch_size] + {src.bind(hint + '_newshape', tail)}"
+            else:
+                text = "[" + ", ".join(["batch_size"] + ([text[1:-1]] if tail else [])) + "]"
+            newshape = [f"newshape={text}"]
+        keywords = src.keywords(attrs, hint) + newshape
+        body = opdef.compute
+        if any_batched and opdef.batched is not None:
+            body = opdef.batched
+        suffix = "" if body is opdef.compute else "_batched"
+        fn = src.bind(f"op_{bop.op_name}{suffix}", body)
+        call = f"{fn}({', '.join(args + keywords)})"
+        # a shared-only op may return a NumPy scalar; batched values are arrays
+        return call if any_batched else f"asarray({call})"
 
     # -- introspection -------------------------------------------------------
     @property
@@ -398,18 +570,30 @@ class BlockKernel:
             return BatchedOperand.shared_value(arg)
         arrs = [np.asarray(a) for a in arg]
         if len(arrs) != batch_size:
-            raise ValueError(
-                f"block {self.block.name}: varying input {inp.name} got "
-                f"{len(arrs)} values for batch size {batch_size}"
-            )
+            raise self._size_error(inp.index, f"{len(arrs)} values", batch_size)
         return BatchedOperand.batched(np.stack(arrs, axis=0))
+
+    def _size_error(self, index: int, got: str, batch_size: int) -> ValueError:
+        return ValueError(
+            f"block {self.block.name}: varying input {self.block.inputs[index].name} "
+            f"got {got} for batch size {batch_size}"
+        )
+
+    def _bad_operand(self, index: int, operand: BatchedOperand, batch_size: int) -> None:
+        """Raise for varying input ``index``, whose size is not ``batch_size``
+        (called by the generated launch)."""
+        if operand.array is not None:
+            got = f"batch dimension {np.asarray(operand.array).shape[0]}"
+        else:
+            got = f"{operand.num_instances()} values"
+        raise self._size_error(index, got, batch_size)
 
     # -- execution ------------------------------------------------------------
     def execute_batched(
         self,
         args: Sequence[Any],
         batch_size: int,
-    ) -> Tuple[List[BatchedOutput], List[LaunchRecord]]:
+    ) -> Tuple[List[BatchedOutput], Tuple[LaunchRecord, ...]]:
         """Run the block for a whole batch.
 
         Parameters
@@ -429,94 +613,31 @@ class BlockKernel:
             output ``k`` of instance ``b``); ``launches`` are the
             per-fusion-group cost records.
         """
-        operands = [
-            self._normalize_operand(inp, args[inp.index], batch_size)
-            for inp in self.block.inputs
-        ]
-        return self.run_program(operands, batch_size)
-
-    def run_program(
-        self,
-        operands: Sequence[BatchedOperand],
-        batch_size: int,
-        stack_buffers: Optional[Dict[int, np.ndarray]] = None,
-        account: bool = True,
-    ) -> Tuple[List[BatchedOutput], Optional[List[LaunchRecord]]]:
-        """Gather the inputs, run the block program, emit the launch records.
-
-        ``stack_buffers`` optionally maps input index -> preallocated
-        ``[B, ...]`` buffer for the kernel-side gather (only ever passed for
-        inputs in :attr:`reusable_inputs`).  With ``account`` off no records
-        are produced (``launches`` is None): a specialization entry replays
-        the records frozen from the launch that promoted it.
-        """
-        vals = self._slots.copy()
-        scattered: List[int] = []
-        for i, varying in enumerate(self._varying):
-            op = operands[i]
-            arr = op.array
-            if not varying:
-                vals[i] = np.asarray(arr)
-                continue
-            if arr is not None:
-                arr = np.asarray(arr)
-                if arr.shape[0] != batch_size:
-                    raise ValueError(
-                        f"block {self.block.name}: varying input "
-                        f"{self.block.inputs[i].name} got batch dimension "
-                        f"{arr.shape[0]} for batch size {batch_size}"
-                    )
-            else:
-                # the kernel performs the gather (this read is device work —
-                # an explicit gather launch already charged by the planner,
-                # or scattered bytes accounted on this kernel's launch
-                # records)
-                if op.num_instances() != batch_size:
-                    raise ValueError(
-                        f"block {self.block.name}: varying input "
-                        f"{self.block.inputs[i].name} got {op.num_instances()} "
-                        f"values for batch size {batch_size}"
-                    )
-                buffer = stack_buffers.get(i) if stack_buffers else None
-                if op.segments is not None:
-                    arr = index_gather(op.segments, buffer)
-                else:
-                    arr = np.stack(op.parts, axis=0, out=buffer)
-            if op.scattered:
-                scattered.append(i)
-            vals[i] = arr
-
-        for out, fn, srcs, attrs, broadcast, reshape_tail in self._steps:
-            args = [vals[s] for s in srcs]
-            if broadcast is not None:
+        for arg in args:
+            if not isinstance(arg, BatchedOperand):
                 args = [
-                    np.broadcast_to(a, (batch_size,) + a.shape) if bcast else a
-                    for a, bcast in zip(args, broadcast)
+                    self._normalize_operand(inp, args[inp.index], batch_size)
+                    for inp in self.block.inputs
                 ]
-            elif reshape_tail is not None:
-                attrs = dict(attrs, newshape=[batch_size] + reshape_tail)
-            vals[out] = np.asarray(fn(*args, **attrs))
+                break
+        return self.launch(args, batch_size)
 
-        outputs = [
-            BatchedOutput(vals[slot], batched, batch_size)
-            for slot, batched in self._output_specs
+    def _derive_records(
+        self,
+        key: tuple,
+        batch_size: int,
+        operands: Sequence[BatchedOperand],
+        vals: List[Any],
+    ) -> Tuple[LaunchRecord, ...]:
+        """The launch records of a record-cache miss (``vals``: every slot's
+        value), cached under ``key`` once complete.  Threads that miss on one
+        key together each derive and store equal records, so the cache needs
+        no lock: a reader sees no entry or a finished one."""
+        scattered = [
+            i for i, varying in enumerate(self._varying) if varying and operands[i].scattered
         ]
-        if not account:
-            return outputs, None
-
-        shape_class = tuple(
-            [
-                (a.shape[1:] if varying else a.shape, a.dtype)
-                for a, varying in zip(vals, self._varying)
-            ]
-        )
-        costs = self._cost_table.get(shape_class)
-        if costs is None:
-            if len(self._cost_table) >= _MAX_COST_CLASSES:
-                self._cost_table.clear()
-            costs = self._cost_table[shape_class] = self._derive_costs(vals)
         launches = []
-        for name, flops, bytes_read, bytes_written, gathered in costs:
+        for name, flops, bytes_read, bytes_written, gathered in self._derive_costs(vals):
             scattered_bytes = 0.0
             if scattered:
                 for i, nbytes in gathered:
@@ -532,7 +653,11 @@ class BlockKernel:
                     scattered_bytes=scattered_bytes,
                 )
             )
-        return outputs, launches
+        records = tuple(launches)
+        if len(self._records) >= _MAX_RECORD_CLASSES:
+            self._records.clear()
+        self._records[key] = records
+        return records
 
     def _derive_costs(self, vals: List[Any]) -> List[tuple]:
         """Evaluate the accounting rules for one operand-shape class.

@@ -28,6 +28,12 @@ It is:
 * when a pass leaves nothing runnable the DFG is triggered, and the fibers
   waiting at a sync point resume sorted by creation index.
 
+Every fiber belongs to one batch instance: a root to its position in
+:meth:`FiberScheduler.run`, a spawned child to its parent's.  Before a fiber
+is stepped the scheduler sets ``current_instance`` on its runtime, so every
+row the step invokes records the instance it belongs to (what
+``round_robin`` placement shards by).
+
 The scheduler does work per *event* (a step, a spawn, a child finishing, a
 trigger), never per live fiber per pass: the current pass's runnable list, a
 sync-wait list, and a countdown per blocked join that the joined handles
@@ -40,6 +46,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Callable, Generator, List, Optional, Sequence
 
 _fiber_ids = itertools.count()
@@ -68,11 +75,13 @@ class FiberHandle:
 
 
 class _Fiber:
-    __slots__ = ("index", "handle", "gen", "send_value", "joined", "unfinished")
+    __slots__ = ("index", "instance", "handle", "gen", "send_value", "joined", "unfinished")
 
-    def __init__(self, index: int, handle: FiberHandle, gen: Generator) -> None:
+    def __init__(self, index: int, instance: int, handle: FiberHandle, gen: Generator) -> None:
         #: creation index within the scheduler: the step order's sort key
         self.index = index
+        #: the batch instance the fiber computes part of
+        self.instance = instance
         self.handle = handle
         self.gen = gen
         #: value to send into the generator on next resume
@@ -89,9 +98,11 @@ _by_index = attrgetter("index")
 class FiberScheduler:
     """Cooperatively schedules instance fibers around DFG flush points."""
 
-    def __init__(self, trigger: Callable[[], None]) -> None:
+    def __init__(self, trigger: Callable[[], None], runtime: Any = None) -> None:
         #: callback that schedules + executes all pending DFG nodes
         self._trigger = trigger
+        #: whose ``current_instance`` names the instance of the fiber stepping
+        self._runtime = runtime if runtime is not None else SimpleNamespace(current_instance=0)
         #: fibers created and not yet stepped, in creation order
         self._spawned: List[_Fiber] = []
         self.num_sync_rounds = 0
@@ -101,8 +112,11 @@ class FiberScheduler:
     def spawn(self, gen: Generator) -> FiberHandle:
         """Register a new child fiber (a concurrent recursive call); it takes
         its first step in the pass after the one that spawned it."""
+        return self._spawn(gen, self._runtime.current_instance)
+
+    def _spawn(self, gen: Generator, instance: int) -> FiberHandle:
         handle = FiberHandle()
-        self._spawned.append(_Fiber(self.num_spawned, handle, gen))
+        self._spawned.append(_Fiber(self.num_spawned, instance, handle, gen))
         self.num_spawned += 1
         return handle
 
@@ -111,7 +125,7 @@ class FiberScheduler:
         """Run ``roots`` (one generator per batch instance) to completion,
         triggering DFG execution whenever every live fiber is blocked on a
         sync point.  Returns the root results in order."""
-        root_handles = [self.spawn(g) for g in roots]
+        root_handles = [self._spawn(g, i) for i, g in enumerate(roots)]
         try:
             self._run_passes()
         finally:
@@ -120,6 +134,7 @@ class FiberScheduler:
         return [h.result for h in root_handles]
 
     def _run_passes(self) -> None:
+        runtime = self._runtime
         runnable, self._spawned = self._spawned, []
         live = len(runnable)
         #: fibers at a sync point, in the order they reached it
@@ -138,6 +153,7 @@ class FiberScheduler:
             #: parents whose join resolved during this pass
             resumed: List[_Fiber] = []
             for fiber in runnable:
+                runtime.current_instance = fiber.instance
                 send, fiber.send_value = fiber.send_value, None
                 try:
                     yielded = fiber.gen.send(send)

@@ -19,11 +19,12 @@ residency and arena bookkeeping exist once.  The entry keeps only:
   nothing to undo — the operands are already the generic ones, so the
   launch simply finishes on ``execute_batched``.
 
-The numerical path is the kernel's own block program
-(:meth:`BlockKernel.run_program`, the one step loop the generic path runs)
-with accounting off, and :meth:`crosscheck` (opt-in,
-``SpecializationCache.crosscheck``) re-runs it accounted and unbuffered on
-the same operands and compares outputs and launch records.
+The numerical path is the kernel's own generated launch function
+(:attr:`BlockKernel.launch`, the one the generic path runs) with the buffers
+passed and its records ignored, and :meth:`crosscheck` (opt-in,
+``SpecializationCache.crosscheck``) re-runs it unbuffered through
+``execute_batched`` on the same operands and compares outputs and launch
+records.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class SpecializedEntry:
         outputs and the launch records it produced."""
         self.kernel = kernel
         self.batch_size = batch_size
-        self.launches = list(launches)
+        self.launches = tuple(launches)
         self.output_shapes = tuple(out.array.shape for out in outputs)
         specs: List[OperandSpec] = []
         buffers: Dict[int, np.ndarray] = {}
@@ -120,12 +121,10 @@ class SpecializedEntry:
         return True
 
     def execute(self, operands: List[BatchedOperand]) -> List[BatchedOutput]:
-        """Run the block program over checked operands: no accounting
-        (:attr:`launches` are replayed), gathers written into the buffers."""
-        outputs, _ = self.kernel.run_program(
-            operands, self.batch_size, self.stack_buffers, account=False
-        )
-        return outputs
+        """Run the block's launch over checked operands, gathers written into
+        the buffers; its records are dropped (:attr:`launches` are
+        replayed)."""
+        return self.kernel.launch(operands, self.batch_size, self.stack_buffers)[0]
 
     def crosscheck(
         self, operands: List[BatchedOperand], outputs: List[BatchedOutput]

@@ -31,6 +31,7 @@ from repro.ir import (
 )
 from repro.ir.visitor import collect
 from repro.models import berxit, birnn, drnn, mvrnn, nestedrnn, stackrnn, treelstm
+from repro.utils import values_allclose
 from tests.conftest import build_listing1_rnn
 
 
@@ -117,6 +118,39 @@ class TestTaint:
         mod.add_function("main", function([w, b, x], sb.get(), name="main"))
         taint = analyze_taint(mod, ["x"])
         assert taint.is_invariant(applied)
+
+    def test_parameter_rebound_by_recursion_is_tainted(self):
+        # f(xs, b, w) = match xs { Nil => b, Cons(c, rest) => f(rest, tanh(b + b), w) }:
+        # no instance input reaches b, but each level binds it anew, and rows
+        # of different levels batch together; w is forwarded unchanged
+        mod = prelude_module()
+        nil, cons = mod.get_constructor("Nil"), mod.get_constructor("Cons")
+        f_gv = mod.get_global_var("f")
+        xs, b, w, c, rest = var("xs"), var("b"), var("w"), var("c"), var("rest")
+        step = call(f_gv, rest, op.tanh(op.add(b, b)), w)
+        body = match(xs, [(pat_ctor(nil), b), (pat_ctor(cons, c, rest), step)])
+        mod.add_function("f", function([xs, b, w], body, name="f"))
+        m_xs, m_b, m_w = var("xs"), var("init_b"), var("w")
+        mod.add_function(
+            "main", function([m_xs, m_b, m_w], call(f_gv, m_xs, m_b, m_w), name="main")
+        )
+        taint = analyze_taint(mod, ["xs"])
+        assert taint.is_tainted(b) and taint.is_invariant(w)
+
+    def test_birnn_without_duplication_is_correct(self):
+        # one @rnn called with forward and with backward weights: without the
+        # per-binding copies its weights are not shared, not the first row's
+        mod, params, size = birnn.build_for("test")
+        batch = birnn.make_batch(mod, size, 3, 0)
+        compiled = compile_model(mod, params, CompilerOptions(specialization=False))
+        rnn_inputs = [
+            inp.shared for k in compiled.kernels.values() if k.block.name.startswith("rnn")
+            for inp in k.block.inputs
+        ]
+        assert rnn_inputs and not any(rnn_inputs)
+        outputs, _ = compiled.run(batch)
+        for out, ref in zip(outputs, reference_run(mod, params, batch)):
+            assert values_allclose(out, ref)
 
 
 class TestStructure:

@@ -4,6 +4,7 @@ built from two canned ``bench/run.py`` result lines per side."""
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -75,3 +76,46 @@ def test_a_single_pair_has_a_degenerate_spread(bench_pairs):
 def test_a_failed_run_is_not_recorded(bench_pairs, bad):
     with pytest.raises(RuntimeError, match="reference check"):
         bench_pairs.parse_result(result_line(900.0, 64.0, **bad))
+
+
+def traced_line(interp_ms, nodes_per_batch):
+    """What one ``bench/run.py --workload W --trace 1`` run prints last."""
+    metrics = {
+        "kernels.interp_ms": {"value": interp_ms, "unit": "ms"},
+        "runtime.nodes_per_batch": {"value": nodes_per_batch, "unit": "count"},
+    }
+    return json.dumps({"correct": True, "attempted": 64, "failed": 0, "metrics": metrics}) + "\n"
+
+
+PER_LAYER = [
+    {"name": "kernels.interp_ms", "unit": "ms", "better": "lower"},
+    {"name": "runtime.nodes_per_batch", "unit": "count", "better": "higher"},
+]
+
+
+def test_traced_pairs_record_the_per_layer_metrics(bench_pairs, monkeypatch):
+    """``--trace``: the runs are ``--trace 1`` and the record keeps the
+    per-layer metrics in the end-to-end record's shape."""
+    commands, lines = [], iter([traced_line(4.2, 21.0), traced_line(2.5, 21.0),
+                                traced_line(2.4, 21.0), traced_line(4.0, 22.0)])
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout=next(lines), stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent = [bench_pairs.run_once("parent", "tdc_batch", 7, 24, trace=1)]
+    change = [bench_pairs.run_once("change", "tdc_batch", 7, 24, trace=1)]
+    change.append(bench_pairs.run_once("change", "tdc_batch", 8, 24, trace=1))
+    parent.append(bench_pairs.run_once("parent", "tdc_batch", 8, 24, trace=1))
+    assert all(cmd[-2:] == ["--trace", "1"] for cmd in commands)
+    record = bench_pairs.make_record(
+        "abc1234", "24336a3", "tdc_batch", [7, 8], 24, parent, change, PER_LAYER, trace=1
+    )
+    assert record["trace"] == 1
+    assert list(record["metrics"]) == ["kernels.interp_ms", "runtime.nodes_per_batch"]
+    interp = record["metrics"]["kernels.interp_ms"]
+    assert interp["parent"]["median"] == 4.1 and interp["change"]["median"] == 2.45
+    assert (interp["wins"], interp["pairs"]) == (2, 2)
+    nodes = record["metrics"]["runtime.nodes_per_batch"]
+    assert (nodes["wins"], nodes["unit"]) == (0, "count")  # 21 == 21, 21 < 22

@@ -798,6 +798,29 @@ class TestMultiDeviceEquivalence:
         outputs, _ = engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
 
+    @pytest.mark.parametrize("name", ["nestedrnn", "stackrnn"])
+    def test_fiber_rows_record_their_own_instance(self, name):
+        """Fibers invoke only once the scheduler steps them, long after the
+        roots were built: each row must still name the instance its fiber
+        (or its root, for a spawned child) belongs to, so round_robin puts
+        instances 0 and 2 on device 0 and 1 and 3 on device 1."""
+        compiled, instances, reference = build(name, batch=4)
+        engine = compiled.make_engine(devices=2, placement="round_robin")
+        seen = []
+        rt = engine.runtime
+        real_invoke = rt.invoke
+
+        def invoke(*args, **kwargs):
+            seen.append(rt.current_instance)
+            return real_invoke(*args, **kwargs)
+
+        rt.invoke = invoke
+        outputs, stats = engine.run(instances)
+        assert all(values_allclose(a, b, atol=0, rtol=0) for a, b in zip(reference, outputs))
+        assert set(seen) == {0, 1, 2, 3}
+        assert all(d["num_kernel_launches"] > 0 for d in stats.per_device)
+        _assert_counters_sum(stats)
+
 
 # ---------------------------------------------------------------------------
 # Engine / session / server wiring

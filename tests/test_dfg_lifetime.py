@@ -14,6 +14,7 @@ import pytest
 
 from repro import CompilerOptions, compile_model
 from repro.models import MODEL_MODULES
+from repro.runtime.executor import AcrobatRuntime
 from repro.runtime.tensor import Column, LazyTensor
 
 
@@ -70,6 +71,19 @@ def test_a_finished_run_leaves_nothing_for_the_collector(name, collector_off):
     # a fiber program's scheduler holds no fiber (hence no root result) once
     # its run has finished, so both kinds of program leave nothing reachable
     assert counts == [(0, 0)] * 10
+
+
+@pytest.mark.parametrize("name", ["treelstm", "stackrnn"])
+def test_a_finished_run_frees_its_runtime_by_reference_counting(name, collector_off):
+    """Each engine runs its own instance of the generated program, whose
+    functions and namespace reference each other and the runtime: dropping
+    the engine must still free the runtime (planner, arenas) at once."""
+    model, batch = build(name)
+    model.run(batch)
+    gc.collect()
+    for _ in range(3):
+        model.run(batch)
+        assert sum(type(obj) is AcrobatRuntime for obj in gc.get_objects()) == 0
 
 
 @pytest.mark.parametrize("name", ["treelstm", "stackrnn"])

@@ -260,9 +260,9 @@ class TestInferenceSession:
 
     def test_session_survives_interleaved_runs(self, treelstm_setup):
         """A persistent session stays correct when other engines of the same
-        model execute between submits: the generated program's shared
-        namespace is rebound per call, so interleaved model.run() calls (or a
-        second session) cannot steal the session's DFG nodes."""
+        model execute between submits: every engine's runtime gets its own
+        instance of the generated program, so interleaved model.run() calls
+        (or a second session) cannot steal the session's DFG nodes."""
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
 

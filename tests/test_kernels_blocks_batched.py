@@ -400,7 +400,7 @@ def check_against_oracle(kernel, per_instance, batch_size, delivery):
         for inp in kernel.block.inputs
     ]
     outputs, launches = kernel.execute_batched(operands, batch_size)
-    assert launches == naive_launch_records(kernel, operands, batch_size)
+    assert list(launches) == naive_launch_records(kernel, operands, batch_size)
     for rec in launches:
         costs = (rec.flops, rec.bytes_read, rec.bytes_written, rec.scattered_bytes)
         assert all(type(v) is float for v in costs)
@@ -512,25 +512,35 @@ class TestBlockProgram:
         xs = [_random_like(rng, (2, 3), np.float32) for _ in range(batch_size)]
         check_against_oracle(BlockKernel(block), [xs], batch_size, delivery)
 
-    def test_cost_table_is_keyed_by_shape_class_not_batch_size(self):
+    def test_record_cache_is_keyed_by_shape_class_and_batch_size(self, monkeypatch):
+        """A launch derives its records once per (batch size, operand shapes
+        and dtypes, scattered inputs); every later launch of that class gets
+        the very same tuple back, and a long-lived server seeing ever-new
+        operand shapes keeps the cache bounded."""
         kernel = BlockKernel(rnn_cell_block())
         rng = np.random.default_rng(0)
+        derived = []
+        real = kernel._derive_costs
+        monkeypatch.setattr(kernel, "_derive_costs", lambda vals: derived.append(1) or real(vals))
 
-        def launch(batch, hidden):
+        def launch(batch, hidden, scattered=False):
             w = rng.standard_normal((hidden, hidden)).astype(np.float32)
             b = rng.standard_normal((1, hidden)).astype(np.float32)
-            x = BatchedOperand.batched(np.zeros((batch, 1, hidden), np.float32))
-            return kernel.execute_batched([x, x, w, w, b], batch)
+            xs = [np.zeros((1, hidden), np.float32)] * batch
+            x = BatchedOperand.scattered_parts(xs) if scattered else BatchedOperand.batched(np.stack(xs))
+            return kernel.execute_batched([x, x, w, w, b], batch)[1]
 
+        first = launch(3, 4)
+        assert launch(3, 4) is first and len(derived) == 1
+        assert launch(3, 4, scattered=True) is not first and len(derived) == 2
+        assert launch(4, 4) is not first and len(derived) == 3
+        assert len(kernel._records) == 3
         for batch in range(1, 1001):
             launch(batch, 4)
-        assert len(kernel._cost_table) == 1
-        launch(3, 5)
-        assert len(kernel._cost_table) == 2
-        # a long-lived server seeing ever-new operand shapes stays bounded too
-        for hidden in range(6, 200):
+        assert len(kernel._records) <= 512
+        for hidden in range(6, 700):
             launch(2, hidden)
-        assert len(kernel._cost_table) <= 64
+        assert len(kernel._records) <= 512
 
 
 # random blocks: mixed shared/varying inputs of per-instance shape (2, 3),
@@ -611,6 +621,75 @@ class TestBlockProgramProperty:
             for inp in block.inputs
         ]
         check_against_oracle(kernel, per_instance, batch_size, delivery)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=random_blocks(),
+        fusion=st.booleans(),
+        batch_size=st.sampled_from([1, 2, 5, 9, 16]),
+        delivery=st.sampled_from(["gather", "fused", "indexed"]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_buffered_launch_and_record_cache_hit(self, block, fusion, batch_size, delivery, seed):
+        """The specialization tier's path: gathered operands of reusable
+        inputs land in caller buffers, outputs stay bitwise those of the
+        unbuffered launch (and never alias a buffer), and the second launch
+        of a class is a record-cache hit equal to a fresh derivation."""
+        rng = np.random.default_rng(seed)
+        kernel = BlockKernel(block, enable_fusion=fusion, enable_horizontal_fusion=fusion)
+        per_instance = [
+            _random_like(rng, (2, 3), np.float32)
+            if inp.shared
+            else [_random_like(rng, (2, 3), np.float32) for _ in range(batch_size)]
+            for inp in block.inputs
+        ]
+        operands = [
+            BatchedOperand.shared_value(per_instance[inp.index])
+            if inp.shared
+            else DELIVERIES[delivery](per_instance[inp.index])
+            for inp in block.inputs
+        ]
+        outputs, launches = kernel.launch(operands, batch_size)
+        buffers = {
+            i: np.full((batch_size, 2, 3), np.nan, np.float32) for i in kernel.reusable_inputs
+        }
+        buffered, hit = kernel.launch(operands, batch_size, buffers)
+        assert hit is launches
+        for got, ref in zip(buffered, outputs):
+            assert got.batched == ref.batched and got.array.tobytes() == ref.array.tobytes()
+            assert not any(np.shares_memory(got.array, buf) for buf in buffers.values())
+        for i, buf in buffers.items():
+            assert np.array_equal(buf, np.stack(per_instance[i]))
+        kernel._records.clear()
+        _, fresh = kernel.launch(operands, batch_size)
+        assert fresh is not hit and fresh == hit
+        assert list(fresh) == naive_launch_records(kernel, operands, batch_size)
+
+    @pytest.mark.parametrize("scattered", [False, True])
+    @pytest.mark.parametrize(
+        "shapes", [[(2, 3), (3, 3)], [(1, 3), (3,)], [(2, 3), (2, 3), (3, 2)]]
+    )
+    def test_ragged_host_parts_raise_as_the_stack_did(self, shapes, scattered):
+        kernel = BlockKernel(single_op_block(0, "neg", 1))
+        parts = [np.zeros(shape, np.float32) for shape in shapes]
+        with pytest.raises(ValueError):
+            np.stack(parts)
+        operand = BatchedOperand(shared=False, parts=parts, scattered=scattered)
+        with pytest.raises(ValueError):
+            kernel.execute_batched([operand], len(parts))
+
+    @pytest.mark.parametrize("stray", [np.float64, np.int32, np.float16])
+    def test_mixed_dtype_parts_promote_as_the_stack_did(self, stray):
+        kernel = BlockKernel(single_op_block(0, "neg", 1))
+        rng = np.random.default_rng(5)
+        parts = [_random_like(rng, (2, 3), np.float32) for _ in range(4)]
+        parts[2] = _random_like(rng, (2, 3), stray)
+        operands = [BatchedOperand.scattered_parts(parts)]
+        outputs, launches = kernel.execute_batched(operands, len(parts))
+        expected = -np.stack(parts)
+        assert outputs[0].array.dtype == expected.dtype == np.result_type(np.float32, stray)
+        assert outputs[0].array.tobytes() == expected.tobytes()
+        assert list(launches) == naive_launch_records(kernel, operands, len(parts))
 
 
 # ---------------------------------------------------------------------------

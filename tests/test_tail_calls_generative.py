@@ -212,9 +212,15 @@ def f_source(model):
 
 @settings(max_examples=150, deadline=None)
 @given(step=steps, base_pick=st.integers(0, 1), coin_lists=instances)
-# found by this test at the parent commit, both in the analyses: an operator
-# hoisted to depth 0 although f -> g -> f hands it a computed value, and a
-# closure's captured per-instance value read as batch-invariant
+# found by this test, all in the analyses: an operator hoisted to depth 0
+# although f -> g -> f hands it a computed value, a closure's captured
+# per-instance value read as batch-invariant, and a parameter that f -> g -> f
+# rebinds to a computed value (or to a swapped one) marked shared
+@example(
+    step=("let", "tanh_add", 1, 1, ("if_sync", ("other", 1, 0), ("other", 2, 0))),
+    base_pick=1,
+    coin_lists=[[0.0, 0.0], [1.0, 0.0]],
+)
 @example(
     step=("match_rest", ("self", 0, 0, False), ("let", "tanh_add", 0, 0, ("other", 0, 2))),
     base_pick=0,

@@ -6,6 +6,8 @@ runs ``bench/run.py --workload W --seed S --seconds <run_seconds> --trace 0``
 once per seed on each side, alternating which side goes first, and appends one
 record (commit, parent, workload, seeds; per end-to-end metric both medians,
 their quartiles, the pairs the change won) to the root ``BENCH_wallclock.json``.
+With ``--trace`` the runs are ``--trace 1`` and the record holds the same
+statistics for every per-layer metric of ``BENCHMARK.json`` instead.
 """
 
 import argparse
@@ -28,9 +30,9 @@ def parse_result(stdout):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr[-2000:]}")
@@ -42,8 +44,11 @@ def spread(values):
     return dict(zip(("q1", "median", "q3"), cuts))
 
 
-def make_record(commit, parent, workload, seeds, seconds, parent_runs, change_runs, declared):
-    """One trajectory record; ``declared`` is BENCHMARK.json's ``end_to_end``."""
+def make_record(
+    commit, parent, workload, seeds, seconds, parent_runs, change_runs, declared, trace=0
+):
+    """One trajectory record; ``declared`` is BENCHMARK.json's ``end_to_end``
+    list, or its ``per_layer`` list for ``--trace 1`` runs."""
     metrics = {}
     for decl in declared:
         name, sign = decl["name"], 1 if decl["better"] == "higher" else -1
@@ -58,7 +63,7 @@ def make_record(commit, parent, workload, seeds, seconds, parent_runs, change_ru
             "runs": {"parent": before, "change": after},
         }
     head = {"commit": commit, "parent": parent, "workload": workload, "seeds": list(seeds)}
-    return {**head, "seconds": seconds, "metrics": metrics}
+    return {**head, "seconds": seconds, "trace": trace, "metrics": metrics}
 
 
 def git_head(checkout):
@@ -71,7 +76,9 @@ def main():
     ap.add_argument("parent", help="checkout of the parent commit (a git worktree or clone)")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="first-last, e.g. 500-509")
+    ap.add_argument("--trace", action="store_true", help="traced runs: record the per-layer metrics")
     args = ap.parse_args()
+    trace = int(args.trace)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declaration = json.load(fh)
     first, last = map(int, args.seeds.split("-"))
@@ -80,11 +87,12 @@ def main():
     for i, seed in enumerate(seeds):
         sides = [(args.parent, parent_runs), (ROOT, change_runs)]
         for checkout, runs in sides if i % 2 == 0 else reversed(sides):
-            runs.append(run_once(checkout, args.workload, seed, seconds))
+            runs.append(run_once(checkout, args.workload, seed, seconds, trace))
     parent, commit = git_head(args.parent), git_head(ROOT)
     commit += "+worktree" if commit == parent else ""  # measured before it was committed
+    declared = declaration["per_layer" if trace else "end_to_end"]
     record = make_record(
-        commit, parent, args.workload, seeds, seconds, parent_runs, change_runs, declaration["end_to_end"]
+        commit, parent, args.workload, seeds, seconds, parent_runs, change_runs, declared, trace
     )
     records = []
     if os.path.exists(TRAJECTORY):
