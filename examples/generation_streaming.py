@@ -74,7 +74,7 @@ def simulated_demo(module, mod, params, size, compiled):
 
     session = compiled.serve("adaptive", clock=SimulatedClock())
     gen = GenerationSession(session, module, size)
-    handles = gen.generate(requests, host_model=(0.2, 0.05), prepare=True)
+    handles = gen.generate(requests, host_model=(0.2, 0.05))
 
     for i, (h, ref) in enumerate(zip(handles, reference)):
         try:
@@ -89,8 +89,7 @@ def simulated_demo(module, mod, params, size, compiled):
     m = gen.metrics
     print(
         f"  rounds={session.num_flushes} "
-        f"mean_batch={session.requests_flushed / session.num_flushes:.1f} "
-        f"speculation_hits={session.speculation_hits}"
+        f"mean_batch={session.requests_flushed / session.num_flushes:.1f}"
     )
     print(
         f"  TTFS p50={m.ttfs_p50_ms:.3f}ms p99={m.ttfs_p99_ms:.3f}ms "

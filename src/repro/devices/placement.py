@@ -93,21 +93,6 @@ class PlacementPolicy:
         policies that rotate placement do so here, so dependency chains
         spanning a run's rounds (fiber programs) stay device-aligned."""
 
-    def snapshot_state(self) -> Any:
-        """Opaque snapshot of whatever mutable state :meth:`place_round`
-        advances, taken before a *speculative* placement so an abandoned
-        speculation can roll back via :meth:`restore_state`.  Stateless
-        policies return None.  Learned cost state (EWMAs fed by
-        :meth:`observe`) deliberately stays out of the snapshot: it only
-        tunes *future* split decisions, never the identity of a committed
-        round, so keeping observations from an aborted speculation is
-        harmless — and they were paid for."""
-        return None
-
-    def restore_state(self, state: Any) -> None:
-        """Roll back to a :meth:`snapshot_state` snapshot (abandoning a
-        speculative placement).  No-op for stateless policies."""
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -323,14 +308,6 @@ class DataParallelPlacement(PlacementPolicy):
         if self._placed_since_reset:
             self._round_base += 1
             self._placed_since_reset = False
-
-    def snapshot_state(self) -> Any:
-        # everything place_round/note_reset advance; _work_us (observe
-        # EWMAs) intentionally excluded — see the base-class docstring
-        return (self._unsplit_rr, self._round_base, self._placed_since_reset)
-
-    def restore_state(self, state: Any) -> None:
-        self._unsplit_rr, self._round_base, self._placed_since_reset = state
 
     # -- cost model ------------------------------------------------------------
     def _num_shards(

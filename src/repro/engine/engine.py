@@ -253,7 +253,6 @@ class ExecutionEngine:
             + stats.host_ms.get("dispatch", 0.0)
             + stats.host_ms.get("materialize", 0.0)
             + stats.host_ms.get("specialize", 0.0)
-            + stats.host_ms.get("prepare", 0.0)
             + rt.profiler.ms("numpy_compute")
         )
         stats.host_ms["dfg_construction"] = max(0.0, wall_s * 1e3 - accounted)

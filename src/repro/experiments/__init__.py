@@ -13,7 +13,6 @@ from . import (
     figure6,
     generation,
     multiloop,
-    overlap,
     serving,
     sharding,
     table4,
@@ -49,7 +48,6 @@ ALL_EXPERIMENTS = {
     "serving": serving,
     "sharding": sharding,
     "continuous": continuous,
-    "overlap": overlap,
     "generation": generation,
     "multiloop": multiloop,
 }
@@ -57,7 +55,7 @@ ALL_EXPERIMENTS = {
 __all__ = [
     "table4", "table5", "table6", "table7", "table8", "table9",
     "figure5", "figure6", "serving", "sharding", "continuous",
-    "overlap", "generation", "multiloop",
+    "generation", "multiloop",
     "ALL_EXPERIMENTS",
     "ExperimentScale", "REDUCED", "PAPER", "current_scale",
     "run_acrobat", "run_dynet", "run_eager", "run_vm", "run_cortex",

@@ -9,7 +9,7 @@ model/flush-policy pair:
   (:func:`repro.serve.traffic.replay`): each flush blocks intake for the
   round's full latency, so requests arriving during execution are only
   submitted after the round completes and the device idles while the host
-  prepares the next round;
+  builds the next round;
 * ``continuous`` — the :class:`~repro.serve.loop.ServeLoop`
   (:func:`repro.serve.traffic.replay_continuous`): rounds launch onto the
   device timeline the moment the policy fires, intake streams on while the

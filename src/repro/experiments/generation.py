@@ -4,18 +4,14 @@ Generation stresses exactly the regime ACROBAT's cross-request batching is
 for: every live sequence re-enters the round former once per token, so a
 cohort of live sequences offers a fresh batching opportunity *every step*.
 This table drives the same open-loop prompt trace through
-:class:`repro.generate.GenerationSession` in three modes:
+:class:`repro.generate.GenerationSession` in two modes:
 
 * ``per_request`` — a ``size(1)`` flush policy: every decode step is its
   own round, serialized on the device (the no-cross-request baseline —
   what a naive serving stack does to autoregressive traffic);
 * ``continuous`` — the ``adaptive`` policy under the generation driver's
   iteration-level scheduling: decode steps of all live sequences (and any
-  fresh prefills) land in one round per step cohort;
-* ``continuous+prepare`` — the same, with the overlapped host pipeline
-  speculatively building the next decode round's schedule/placement/plan
-  while the previous round's device share drains (the round's *structure*
-  is known before its token values are).
+  fresh prefills) land in one round per step cohort.
 
 Reported per model (tanh-RNN and GRU decoder cells): time-to-first-step
 percentiles (arrival → first emitted token), inter-step p99 (the decode
@@ -56,17 +52,15 @@ HEADERS = (
     "tok_per_s",
     "mean_batch",
     "kern_per_tok",
-    "hidden_ms",
     "matches_ref",
     "deterministic",
 )
 
 MODELS = ("declm", "declm_gru")
 
-MODES: Tuple[Tuple[str, str, Dict, bool], ...] = (
-    ("per_request", "size", {"n": 1}, False),
-    ("continuous", "adaptive", {}, False),
-    ("continuous+prepare", "adaptive", {}, True),
+MODES: Tuple[Tuple[str, str, Dict], ...] = (
+    ("per_request", "size", {"n": 1}),
+    ("continuous", "adaptive", {}),
 )
 
 SIZE_NAME = "small"
@@ -115,7 +109,7 @@ def _snapshot(handles) -> List[Tuple]:
     ]
 
 
-def _generate(compiled, model_module, size, requests_spec, policy, policy_args, prepare):
+def _generate(compiled, model_module, size, requests_spec, policy, policy_args):
     session = compiled.serve(policy, clock=SimulatedClock(), **policy_args)
     gen = GenerationSession(session, model_module, size)
     # fresh GenerationRequest objects per run: handles and stream state are
@@ -124,7 +118,7 @@ def _generate(compiled, model_module, size, requests_spec, policy, policy_args, 
         GenerationRequest(list(r.prompt), max_new_tokens=r.max_new_tokens, arrival=r.arrival)
         for r in requests_spec
     ]
-    handles = gen.generate(requests, host_model=HOST_MODEL, prepare=prepare)
+    handles = gen.generate(requests, host_model=HOST_MODEL)
     return handles, session, gen
 
 
@@ -149,12 +143,12 @@ def run(
         ]
         compiled = compile_model(mod, params, CompilerOptions())
 
-        for label, policy, policy_args, prepare in MODES:
+        for label, policy, policy_args in MODES:
             handles, session, gen = _generate(
-                compiled, module, size, requests, policy, policy_args, prepare
+                compiled, module, size, requests, policy, policy_args
             )
             again, _, _ = _generate(
-                compiled, module, size, requests, policy, policy_args, prepare
+                compiled, module, size, requests, policy, policy_args
             )
             deterministic = _snapshot(handles) == _snapshot(again)
             matches = [h.result() for h in handles] == reference
@@ -175,7 +169,6 @@ def run(
                     tokens / makespan if makespan > 0 else 0.0,
                     session.requests_flushed / flushes if flushes else 0.0,
                     session.total_kernel_calls / max(1, tokens),
-                    session.prepare_hidden_ms,
                     "yes" if matches else "NO",
                     "yes" if deterministic else "NO",
                 ]
@@ -225,7 +218,6 @@ def main(argv: Optional[List[str]] = None) -> str:
         assert ttfs_win >= 1.2, f"continuous TTFS win regressed: {ttfs_win:.2f}x"
         tput_win = by_mode["continuous"][5] / by_mode["per_request"][5]
         assert tput_win >= 1.2, f"continuous throughput win regressed: {tput_win:.2f}x"
-        assert by_mode["continuous+prepare"][8] > 0, "prepare hid no host time"
         return text
     headers, rows = run()
     text = format_report(headers, rows)

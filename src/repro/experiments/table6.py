@@ -21,7 +21,6 @@ ACTIVITIES = (
     "DFG construction (ms)",
     "Scheduling (ms)",
     "Memory planning (ms)",
-    "Prepare (pipelined) (ms)",
     "Memory copy time (ms)",
     "Output materialization (ms)",
     "GPU kernel time (ms)",
@@ -36,11 +35,6 @@ def _breakdown(stats: RunStats) -> Dict[str, float]:
         "DFG construction (ms)": stats.host_ms.get("dfg_construction", 0.0),
         "Scheduling (ms)": stats.host_ms.get("scheduling", 0.0),
         "Memory planning (ms)": stats.host_ms.get("memory_planning", 0.0),
-        # host work done ahead of the flush by the overlapped pipeline
-        # (schedule+placement+planning of adopted prepared rounds); zero for
-        # the one-shot runs this table measures, reported for parity with
-        # serving breakdowns
-        "Prepare (pipelined) (ms)": stats.host_ms.get("prepare", 0.0),
         "Memory copy time (ms)": (
             stats.device.get("gather_time_us", 0.0) + stats.device.get("memcpy_time_us", 0.0)
         )

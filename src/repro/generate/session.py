@@ -40,8 +40,7 @@ Token selection (greedy argmax) and EOS/max-token stopping are host-side
 and data-dependent, which is exactly why the cell itself carries no
 tensor-dependent control flow: the sequential structure lives in this
 driver, outside the DFG, keeping decode rounds on the non-fiber path where
-plan caching, speculation (``prepare=True``) and kernel specialization all
-apply.
+plan caching and kernel specialization both apply.
 """
 
 from __future__ import annotations
@@ -250,7 +249,6 @@ class GenerationSession:
         *,
         deterministic: bool = True,
         host_model: Optional[Tuple[float, float]] = None,
-        prepare: bool = False,
     ) -> List[GenerationHandle]:
         """Deterministically generate every request on the simulated clock.
 
@@ -260,11 +258,7 @@ class GenerationSession:
         host time serializes with intake), and with ``deterministic``
         (default) the measured host wall time is excluded — the same
         request list replays bit-for-bit.  ``host_model`` is the
-        deterministic ``(per_round_ms, per_request_ms)`` flush-cost model;
-        ``prepare`` turns on the overlapped host pipeline (the next decode
-        round's schedule/placement/plan is speculatively built while the
-        previous round's device share drains — the round's *structure* is
-        known before its token values are).
+        deterministic ``(per_round_ms, per_request_ms)`` flush-cost model.
 
         Returns one :class:`GenerationHandle` per request, in input order,
         all finished.
@@ -294,7 +288,7 @@ class GenerationSession:
             host_model=host_model,
             timeline=timeline,
         ):
-            self._run_simulated(handles, timeline, prepare)
+            self._run_simulated(handles, timeline)
         return handles
 
     def _submit_step_simulated(
@@ -344,7 +338,6 @@ class GenerationSession:
         self,
         handles: List[GenerationHandle],
         timeline: DeviceTimeline,
-        prepare: bool,
     ) -> None:
         session = self._session
         clock = session.clock
@@ -357,9 +350,7 @@ class GenerationSession:
         #: completion horizon of the steps consumed since the last flush:
         #: their successors were resubmitted *future-dated* (at= their
         #: producing round's completion), so the next round cannot launch
-        #: before the clock reaches this barrier — that window between
-        #: "composition known" and "launchable" is where prepared host work
-        #: hides
+        #: before the clock reaches this barrier
         barrier: Optional[float] = None
 
         while live or arrivals:
@@ -371,7 +362,7 @@ class GenerationSession:
                     # beyond it misses that round — flush first
                     flush_at = max(clock.now(), barrier or clock.now())
                     if na > flush_at:
-                        barrier = self._quiesce(live, timeline, barrier, prepare)
+                        barrier = self._quiesce(live, timeline, barrier)
                         continue
                 t, _, gh = arrivals.pop()
                 clock.advance_to(t)
@@ -416,10 +407,9 @@ class GenerationSession:
                     continue
                 # resubmit future-dated at the producing round's completion:
                 # the step logically exists once its input state does.  The
-                # clock may still lag behind c, which is exactly the
-                # prepare window — and the submit is never *behind* an
-                # earlier pending arrival because events are consumed in
-                # timestamp order.
+                # clock may still lag behind c, but the submit is never
+                # *behind* an earlier pending arrival because events are
+                # consumed in timestamp order.
                 self._submit_step_simulated(seq, nxt[0], c, ready)
                 continue
             # quiesce: every live step awaits a flush
@@ -428,23 +418,20 @@ class GenerationSession:
                     "generation driver stalled: live sequences with no "
                     "pending steps, no events, and no barrier"
                 )
-            barrier = self._quiesce(live, timeline, barrier, prepare)
+            barrier = self._quiesce(live, timeline, barrier)
 
     def _quiesce(
         self,
         live: "Dict[_Sequence, None]",
         timeline: DeviceTimeline,
         barrier: Optional[float],
-        prepare: bool,
     ) -> Optional[float]:
-        """Round boundary: sweep lifecycle, speculate, advance to the
-        barrier, and let the flush policy launch the accumulated round.
-        Returns the new (cleared) barrier."""
+        """Round boundary: sweep lifecycle, advance to the barrier, and let
+        the flush policy launch the accumulated round.  Returns the new
+        (cleared) barrier."""
         session = self._session
         clock = session.clock
         self._sweep_lifecycle(live, clock.now())
-        if session.pending_requests and prepare:
-            session.consider_prepare(clock.now())
         if barrier is not None:
             clock.advance_to(barrier)
         timeline.pop_completions(clock.now())

@@ -250,51 +250,6 @@ class _PlanTemplate:
 #: the earlier clear-everything overflow policy did)
 _PLAN_CACHE_MAX = 256
 
-#: zero-initialized per-kind operand tally, copied (never mutated) wherever a
-#: fresh staging counts dict is needed — a dict copy beats re-walking the
-#: Enum's descriptors on the planning hot path
-_ZERO_COUNTS: Dict[str, int] = {k.value: 0 for k in OperandKind}
-
-
-class StagedRound:
-    """The deferred side effects of one :meth:`MemoryPlanner.plan_round_staged`.
-
-    Speculative round preparation plans ahead of commitment: the plans
-    themselves are pure values, but planning normally also mutates the
-    planner (round ordinal, cache hit/miss counters, LRU order, template
-    insertion/eviction, operand counts, ``last_plans``).  Staging captures
-    every one of those mutations as data so that an abandoned speculation
-    costs only the wasted host work — the planner, the plan cache, and the
-    specialization tier are untouched until :meth:`MemoryPlanner.commit_staged`.
-
-    ``counts`` is the round's per-kind operand tally to merge into the
-    planner's cumulative totals at commit; on a cache hit it *is* the
-    template's precomputed tally (shared read-only, never a fresh dict —
-    the hit path allocates nothing beyond the staging record itself).
-    """
-
-    __slots__ = (
-        "plans",
-        "ordinal",
-        "counts",
-        "hit",
-        "miss",
-        "signature",
-        "make_template",
-        "mark_uncacheable",
-    )
-
-    def __init__(self, ordinal: int) -> None:
-        self.plans: List["BatchPlan"] = []
-        self.ordinal = ordinal
-        self.counts: Dict[str, int] = {}
-        self.hit = False
-        self.miss = False
-        self.signature: Optional[Tuple] = None
-        self.make_template = False
-        self.mark_uncacheable = False
-
-
 class MemoryPlanner:
     """Plans arena placement and operand contiguity for scheduled batches."""
 
@@ -377,116 +332,61 @@ class MemoryPlanner:
         instead of re-deriving placements; otherwise rounds plan uncached
         with no fingerprinting overhead.
         """
+        self._round_ordinal += 1
         if not (self.plan_cache_enabled and self.plan_cache_armed):
-            # the one-shot caller can never speculate: skip the staging
-            # record and merge counts straight into the cumulative totals,
-            # exactly as before the overlapped pipeline existed
-            self._round_ordinal += 1
             plans = self._plan_round_uncached(batches, kernels)
-            self.last_plans = plans
-            return plans
-        plans, staged = self.plan_round_staged(batches, kernels)
-        self.commit_staged(staged)
-        return plans
-
-    def plan_round_staged(
-        self, batches: List["ScheduledBatch"], kernels: Dict[int, "BlockKernel"]
-    ) -> Tuple[List[BatchPlan], StagedRound]:
-        """Plan one round without mutating any planner state.
-
-        Returns ``(plans, staged)``: the plans are complete and executable,
-        but the planner records nothing — no ordinal advance, no cache
-        hit/miss accounting, no template insertion, no operand counts —
-        until :meth:`commit_staged` applies ``staged``.  Dropping ``staged``
-        on the floor abandons the speculation for free: a later
-        ``plan_round`` of the *real* round observes exactly the state it
-        would have seen had the speculation never run.
-
-        Template *creation* on a cacheable miss is itself deferred to
-        commit (specialization slots are allocated there), so an abandoned
-        miss leaves the specialization tier untouched as well.  One planner
-        serves one session; stage/commit pairs are strictly ordered by the
-        caller, never interleaved.
-        """
-        ordinal = self._round_ordinal + 1
-        staged = StagedRound(ordinal)
-        if not (self.plan_cache_enabled and self.plan_cache_armed):
-            staged.counts = counts = dict(_ZERO_COUNTS)
-            staged.plans = self._plan_round_uncached(batches, kernels, counts)
-            return staged.plans, staged
-        if ordinal in self._uncacheable_ordinals:
+        elif self._round_ordinal in self._uncacheable_ordinals:
             # this sync-round position referenced earlier rounds' concrete
             # arenas before — it can never hit, so skip even fingerprinting
-            staged.miss = True
-            staged.counts = counts = dict(_ZERO_COUNTS)
-            staged.plans = self._plan_round_uncached(batches, kernels, counts)
-            return staged.plans, staged
+            self.cache_misses += 1
+            plans = self._plan_round_uncached(batches, kernels)
+        else:
+            plans = self._plan_round_cached(batches, kernels)
+        self.last_plans = plans
+        return plans
 
+    def _plan_round_cached(
+        self, batches: List["ScheduledBatch"], kernels: Dict[int, "BlockKernel"]
+    ) -> List[BatchPlan]:
+        """Replay the cached template of this round's signature, or plan the
+        round uncached and cache its template."""
         signature, cacheable = self._round_signature(batches, kernels)
         template = self._plan_cache.get(signature)
-        plans: Optional[List[BatchPlan]] = None
         if template is not None:
             plans = self._instantiate(template, batches)
-        if plans is not None:
-            staged.hit = True
-            staged.signature = signature
-            # the template's precomputed tally, shared read-only: the hit
-            # path neither builds nor merges a counts dict until commit
-            staged.counts = template.counts
-        else:
-            staged.miss = True
-            staged.counts = counts = dict(_ZERO_COUNTS)
-            plans = self._plan_round_uncached(batches, kernels, counts)
-            if cacheable:
-                staged.signature = signature
-                staged.make_template = True
-            else:
-                staged.mark_uncacheable = True
-        staged.plans = plans
-        return plans, staged
-
-    def commit_staged(self, staged: StagedRound) -> None:
-        """Apply a staged round's deferred planner mutations.
-
-        Called exactly once per adopted :meth:`plan_round_staged` result,
-        immediately before the plans execute; an abandoned staging is
-        simply never committed.
-        """
-        self._round_ordinal = staged.ordinal
-        totals = self.operand_counts
-        for kind_value, n in staged.counts.items():
-            if n:
-                totals[kind_value] += n
-        if staged.hit:
-            self.cache_hits += 1
-            if staged.signature in self._plan_cache:
-                self._plan_cache.move_to_end(staged.signature)  # LRU touch
-        elif staged.miss:
-            self.cache_misses += 1
-        if staged.make_template:
-            if len(self._plan_cache) >= _PLAN_CACHE_MAX:
-                # evict the least-recently-hit template, releasing any
-                # specialization state frozen against it
-                _, evicted = self._plan_cache.popitem(last=False)
-                self.cache_evictions += 1
-                if self._spec_cache is not None:
-                    self._spec_cache.release_slots(evicted.slots)
-            template = self._make_template(staged.plans)
-            self._plan_cache[staged.signature] = template
-            if template.slots is not None:
-                # the freshly fingerprinted round counts toward its own
-                # promotion threshold too
-                for plan, slot in zip(staged.plans, template.slots):
-                    plan.spec_slot = slot
-        if staged.mark_uncacheable:
-            self._uncacheable_ordinals.add(staged.ordinal)
-        self.last_plans = staged.plans
+            if plans is not None:
+                self.cache_hits += 1
+                self._plan_cache.move_to_end(signature)  # LRU touch
+                totals = self.operand_counts
+                for kind_value, n in template.counts.items():
+                    if n:
+                        totals[kind_value] += n
+                return plans
+        self.cache_misses += 1
+        plans = self._plan_round_uncached(batches, kernels)
+        if not cacheable:
+            self._uncacheable_ordinals.add(self._round_ordinal)
+            return plans
+        if len(self._plan_cache) >= _PLAN_CACHE_MAX:
+            # evict the least-recently-hit template, releasing any
+            # specialization state frozen against it
+            _, evicted = self._plan_cache.popitem(last=False)
+            self.cache_evictions += 1
+            if self._spec_cache is not None:
+                self._spec_cache.release_slots(evicted.slots)
+        template = self._make_template(plans)
+        self._plan_cache[signature] = template
+        if template.slots is not None:
+            # the freshly fingerprinted round counts toward its own
+            # promotion threshold too
+            for plan, slot in zip(plans, template.slots):
+                plan.spec_slot = slot
+        return plans
 
     def _plan_round_uncached(
         self,
         batches: List["ScheduledBatch"],
         kernels: Dict[int, "BlockKernel"],
-        counts: Optional[Dict[str, int]] = None,
     ) -> List[BatchPlan]:
         #: symbolic placements of the rows this round will execute:
         #: ``column -> (output arena ids, shift, rows)`` for the first run of
@@ -499,8 +399,7 @@ class MemoryPlanner:
         #: arenas carry their device on the concrete StorageArena)
         arena_devices: Dict[int, int] = {}
         plans: List[BatchPlan] = []
-        if counts is None:
-            counts = self.operand_counts
+        counts = self.operand_counts
 
         for batch in batches:
             block = kernels[batch.block_id].block
@@ -695,7 +594,7 @@ class MemoryPlanner:
                 )
             )
         # the operand tally is the template's precomputed ``counts``, merged
-        # into the planner's totals by the caller (commit_staged)
+        # into the planner's totals by the caller (_plan_round_cached)
         return plans
 
     def _plan_operand(

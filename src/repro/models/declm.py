@@ -10,8 +10,8 @@ and fresh prefills land in the same rounds.
 
 The cell is deliberately pure feedforward (no tensor-dependent control
 flow): token selection (argmax / EOS) happens host-side in the driver, which
-keeps the model on the non-fiber path so plan caching, speculation
-(``prepare=True``) and kernel specialization all apply to decode rounds.
+keeps the model on the non-fiber path so plan caching and kernel
+specialization both apply to decode rounds.
 
 Two cells share this module:
 

@@ -30,11 +30,6 @@ cancelled request is withdrawn by range
 (:meth:`AcrobatRuntime.drop_pending_slice`) and a capped flush executes the rows below a sequence number
 (``trigger(limit=)``): a column the cut falls inside keeps its executed
 prefix, and its remaining rows move to a fresh column that stays pending.
-A prepared round (:meth:`AcrobatRuntime.prepare_pending`) is stamped with
-its cut and the store's generation, which every trigger, withdrawal and
-reset advances; it still describes the next flush iff that flush cuts at the
-same number in the same generation (appends land behind every cut, so
-arrivals never invalidate it).
 
 Host-side work (graph construction, scheduling, memory planning, operand
 dispatch, output materialization) is measured as real wall-clock time;
@@ -131,11 +126,6 @@ class RunStats:
     #: what triggered the flush ("size", "deadline", "adaptive", "manual";
     #: empty outside sessions)
     flush_reason: str = ""
-    #: fraction of this round's prepare-pipeline host work that was hidden
-    #: behind the previous round's device time (0.0 when the round was not
-    #: prepared ahead, 1.0 when preparation finished entirely under device
-    #: execution); set by serving sessions with the overlap pipeline on
-    overlap_ratio: float = 0.0
 
     @property
     def host_total_ms(self) -> float:
@@ -194,45 +184,7 @@ class RunStats:
         out.update(self.device)
         if self.per_device:
             out["num_devices"] = len(self.per_device)
-        if self.overlap_ratio:
-            out["overlap_ratio"] = self.overlap_ratio
         return out
-
-
-class PreparedRound:
-    """A ready-to-launch round built ahead of its flush.
-
-    Holds everything :meth:`AcrobatRuntime.trigger` would otherwise derive
-    at flush time — the scheduled/placed batches of the rows it was built
-    from, and fully instantiated ``BatchPlan``s — plus the *deferred* side
-    effects (the planner's :class:`~repro.memory.planner.StagedRound` and
-    the placement policy's pre-speculation state snapshot) that make
-    abandoning it free.  It is stamped with what identifies those rows: the
-    store's generation (advanced by every trigger, withdrawal and reset) and
-    the sequence number it cut at.  A prepared round adopts only when the
-    flush cuts at the same number in the same generation; any other
-    admission divergence makes it worthless and it is abandoned, restoring
-    placement state and dropping the staged planner mutations on the floor.
-    """
-
-    __slots__ = (
-        "generation",
-        "cut",
-        "batches",
-        "plans",
-        "staged",
-        "placement_state",
-        "prepare_s",
-    )
-
-    def __init__(self, generation, cut, batches, plans, staged, placement_state, prepare_s):
-        self.generation: int = generation
-        self.cut: int = cut
-        self.batches: List[ScheduledBatch] = batches
-        self.plans: List[BatchPlan] = plans
-        self.staged = staged
-        self.placement_state = placement_state
-        self.prepare_s: float = prepare_s
 
 
 class AcrobatRuntime:
@@ -270,9 +222,6 @@ class AcrobatRuntime:
         #: the pending graph: ``(phase, depth, block_id) -> Column`` (see the
         #: module docstring)
         self._columns: Dict[Tuple[int, int, int], Column] = {}
-        #: advanced by every trigger, withdrawal and reset: a prepared round
-        #: is only ever adopted within the generation it was built in
-        self._generation = 0
         if scheduler is None:
             # resolved through the engine-layer policy registry so that even
             # directly constructed runtimes select schedulers by name;
@@ -397,7 +346,6 @@ class AcrobatRuntime:
         """Remove the round ``spans`` from the store: a column the cut falls
         inside keeps its first ``stop`` rows (they execute now), and the
         rest move to a fresh column under the same key."""
-        self._generation += 1
         if cut >= self._round_seq:
             self._columns = {}
             self._round_seq = 0
@@ -414,15 +362,8 @@ class AcrobatRuntime:
                 rest[key] = _split_column(col, stop)
         self._columns = rest
 
-    def _matches(self, prepared: "PreparedRound", cut: int) -> bool:
-        return prepared.generation == self._generation and prepared.cut == cut
-
     # -- execution -------------------------------------------------------------
-    def trigger(
-        self,
-        prepared: Optional[PreparedRound] = None,
-        limit: Optional[int] = None,
-    ) -> bool:
+    def trigger(self, limit: Optional[int] = None) -> None:
         """Schedule, memory-plan and execute pending rows.
 
         Every non-empty trigger is one synchronization round (a DFG flush);
@@ -433,52 +374,26 @@ class AcrobatRuntime:
         (the caller cuts at a request boundary — see the flush policies'
         round cap); the rows at or above it stay pending as the next
         round's prefix, their lazy outputs untouched.
-
-        When a :class:`PreparedRound` (built earlier by
-        :meth:`prepare_pending`, possibly speculatively) is passed and still
-        describes the rows this trigger executes, the round *adopts* it:
-        schedule/placement/planning are skipped, the staged planner
-        mutations commit, and the already-timed prepare work lands in the
-        ``prepare`` profiler bucket instead.  A stale prepared round is
-        abandoned (placement state restored, staged mutations dropped) and
-        the trigger falls back to the normal path — mis-speculation costs
-        only the wasted host work, never correctness.  Returns True when the
-        prepared round was adopted.
         """
         cut = self._cut(limit)
         spans = self._spans(cut)
         if not spans:
-            if prepared is not None:
-                self.abandon_prepared(prepared)
-            return False
-        if prepared is not None and not self._matches(prepared, cut):
-            self.abandon_prepared(prepared)
-            prepared = None
+            return
         self._take(spans, cut)
         self.sync_rounds += 1
 
-        if prepared is not None:
-            commit_start = time.perf_counter()
-            self.planner.commit_staged(prepared.staged)
-            self.profiler.add(
-                "prepare", prepared.prepare_s + (time.perf_counter() - commit_start)
-            )
-            batches, plans = prepared.batches, prepared.plans
-        else:
-            sched_start = time.perf_counter()
-            batches = self._scheduler.schedule(spans)
-            self.profiler.add("scheduling", time.perf_counter() - sched_start)
+        sched_start = time.perf_counter()
+        batches = self._scheduler.schedule(spans)
+        self.profiler.add("scheduling", time.perf_counter() - sched_start)
 
-            if self._placement is not None:
-                place_start = time.perf_counter()
-                batches = self._placement.place_round(
-                    batches, self.device, self.kernels
-                )
-                self.profiler.add("placement", time.perf_counter() - place_start)
+        if self._placement is not None:
+            place_start = time.perf_counter()
+            batches = self._placement.place_round(batches, self.device, self.kernels)
+            self.profiler.add("placement", time.perf_counter() - place_start)
 
-            plan_start = time.perf_counter()
-            plans = self.planner.plan_round(batches, self.kernels)
-            self.profiler.add("memory_planning", time.perf_counter() - plan_start)
+        plan_start = time.perf_counter()
+        plans = self.planner.plan_round(batches, self.kernels)
+        self.profiler.add("memory_planning", time.perf_counter() - plan_start)
 
         for plan in plans:
             self._execute_batch(plan)
@@ -491,7 +406,6 @@ class AcrobatRuntime:
             col.outs = col.args = None
         self.num_batches_total += len(batches)
         self.profiler.bump("num_batches", len(batches))
-        return prepared is not None
 
     def drop_pending_slice(self, start: int, end: int) -> None:
         """Withdraw the pending rows with sequence numbers in ``[start,
@@ -501,7 +415,6 @@ class AcrobatRuntime:
         perturbs plan-cache signatures for this one round, never
         correctness.  Later rows of a column move up, their lazy outputs
         renumbered."""
-        self._generation += 1
         for key, col in list(self._columns.items()):
             seqs = col.seqs
             a = bisect_left(seqs, start)
@@ -530,61 +443,6 @@ class AcrobatRuntime:
         self.planner.reset()
         if self._placement is not None:
             self._placement.note_reset()
-
-    # -- prepare pipeline ------------------------------------------------------
-    def prepare_pending(self, limit: Optional[int] = None) -> Optional[PreparedRound]:
-        """Build a :class:`PreparedRound` from the current pending rows
-        without committing anything.
-
-        Runs the full host pipeline — schedule, placement, memory planning —
-        over the rows the next flush would execute, but defers every state
-        mutation: the planner stages (``plan_round_staged``), the placement
-        policy's rotation state is snapshotted for rollback, and the store
-        is only read (the batches name its columns, which a later trigger
-        at the same cut executes as they are).
-
-        Safe to call from a second host thread while the previous round's
-        *device* share is in flight — by construction nothing here touches
-        the device simulator, the specialization tier, or any cumulative
-        counter.  The caller must not interleave it with ``invoke``/
-        ``trigger`` on the same runtime (serving loops serialize via their
-        own synchronization).
-
-        ``limit`` prepares only the rows below that sequence number — the
-        composition a round-capped flush would execute (see
-        :meth:`trigger`).
-        """
-        cut = self._cut(limit)
-        spans = self._spans(cut)
-        if not spans:
-            return None
-        start = time.perf_counter()
-        batches = self._scheduler.schedule(spans)
-        placement_state = None
-        if self._placement is not None:
-            placement_state = self._placement.snapshot_state()
-            batches = self._placement.place_round(batches, self.device, self.kernels)
-        plans, staged = self.planner.plan_round_staged(batches, self.kernels)
-        prepare_s = time.perf_counter() - start
-        return PreparedRound(
-            self._generation, cut, batches, plans, staged, placement_state, prepare_s
-        )
-
-    def prepared_matches(
-        self, prepared: PreparedRound, limit: Optional[int] = None
-    ) -> bool:
-        """True when the prepared round still describes exactly the rows the
-        next flush would execute.  With a round cap (``limit``) those are
-        the rows below the cut — later admissions append *behind* it, so a
-        prepared prefix survives arrival churn."""
-        return self._matches(prepared, self._cut(limit))
-
-    def abandon_prepared(self, prepared: PreparedRound) -> None:
-        """Discard a prepared round: restore the placement policy's state
-        and drop the staged planner mutations.  After this, the runtime is
-        observably identical to one that never speculated."""
-        if self._placement is not None and prepared.placement_state is not None:
-            self._placement.restore_state(prepared.placement_state)
 
     def arm_specialization(self) -> None:
         """Arm the kernel-specialization tier (idempotent, a no-op when the
@@ -673,12 +531,6 @@ class AcrobatRuntime:
             # the placement bucket exists only when a policy is active, so
             # single-device breakdowns keep their historical shape
             host_ms["placement"] = self.profiler.ms("placement")
-        prepare = self.profiler.ms("prepare")
-        if prepare:
-            # pipelined host work (schedule+placement+planning done ahead of
-            # the flush); the bucket exists only when rounds actually adopt
-            # prepared work, so non-pipelined breakdowns keep their shape
-            host_ms["prepare"] = prepare
         if self._specializer is not None and self._specializer.armed:
             # promotion (entry freezing / cross-checking) time; like
             # placement, the bucket exists only when the tier is active
@@ -715,7 +567,6 @@ class AcrobatRuntime:
         """
         self._columns = {}
         self._round_seq = 0
-        self._generation += 1
         self.current_instance = 0
         self.num_nodes_total = 0
         self.num_batches_total = 0

@@ -15,19 +15,15 @@ setting, where independent requests arrive continuously and must be batched
 * :mod:`repro.serve.session` — :class:`InferenceSession`, the persistent
   policy-driven batching session (``submit``/``poll``/``flush``);
 * :mod:`repro.serve.loop` — :class:`ServeLoop`, the single-owner serving
-  event loop: thread-safe bounded admission (backpressure), loop-driven
-  deadline polling, and continuous batching over a
-  :class:`~repro.serve.loop.DeviceTimeline`;
+  event loop: one thread owns the sessions (schedule, plan and execute
+  happen at the flush, on that thread), behind thread-safe bounded
+  admission (backpressure), loop-driven deadline polling, and continuous
+  batching over a :class:`~repro.serve.loop.DeviceTimeline`;
 * :mod:`repro.serve.sim` — :class:`~repro.serve.sim.TraceDriver`, the one
   deterministic discrete-event driver under every simulated replay
   (``ServeLoop.run_trace``, ``Server.run_trace``, the ``traffic.replay*``
   functions are thin adapters; caller-driven replay is the same driver
   without a device timeline/host lane);
-* :mod:`repro.serve.prepare` — :class:`RoundPreparer`, the wall-clock
-  worker of the overlapped host pipeline: builds the predicted next round
-  (schedule/placement/memory plan) while the loop sleeps, so a flush only
-  has to execute (``ServeLoop(prepare=True)``;
-  deterministically inlined in ``run_trace``);
 * :mod:`repro.serve.server` — :class:`Server`/:class:`Endpoint`
   multiplexing multiple compiled models over one shared device simulator,
   with ``run()``/``drain()``/``shutdown()`` facading the loop;
@@ -67,7 +63,6 @@ from .policy import (
     register_flush_policy,
     unregister_flush_policy,
 )
-from .prepare import RoundPreparer
 from .request import (
     RequestCancelled,
     RequestExpired,
@@ -105,7 +100,6 @@ __all__ = [
     "BackpressureFull",
     "RequestShed",
     "LoopStopped",
-    "RoundPreparer",
     "BACKPRESSURE_POLICIES",
     "FlushPolicy",
     "ManualPolicy",

@@ -198,6 +198,9 @@ class ServeLoop:
     Constructed from a :class:`~repro.serve.server.Server` (the server does
     this itself — ``server.loop``) or from a plain ``sessions`` mapping for
     single-session use (:func:`repro.serve.traffic.replay_continuous`).
+    In wall-clock mode the loop thread is the only thread that touches the
+    sessions: a round is scheduled, placed, planned and executed at its
+    flush, on that thread.
 
     Parameters
     ----------
@@ -213,17 +216,6 @@ class ServeLoop:
         ``"reject"`` raises :class:`BackpressureFull`, ``"shed-oldest"``
         drops the oldest queued request (failing its handle with
         :class:`RequestShed`) to admit the new one.
-    prepare:
-        Enable the overlapped host pipeline: build the next round's
-        schedule/placement/memory plan ahead of its flush whenever the
-        flush policy predicts the round's composition
-        (:meth:`~repro.serve.policy.FlushPolicy.predict_next_flush`).  In
-        wall-clock mode a :class:`~repro.serve.prepare.RoundPreparer`
-        worker thread runs while the loop sleeps; in :meth:`run_trace` the
-        preparation happens at deterministic event-loop points, so replays
-        stay bit-for-bit identical.  Mis-speculation only wastes host work
-        — a prepared round whose admission diverged is abandoned and the
-        flush falls back to the normal path.
     """
 
     def __init__(
@@ -234,7 +226,6 @@ class ServeLoop:
         clock: Optional[Clock] = None,
         max_pending: Optional[int] = None,
         backpressure: str = "block",
-        prepare: bool = False,
         name: str = "loop0",
     ) -> None:
         if (server is None) == (sessions is None):
@@ -256,12 +247,6 @@ class ServeLoop:
             self.clock = clock
         self.max_pending = max_pending
         self.backpressure = backpressure
-        #: overlapped host pipeline on by default for this loop's modes
-        #: (run_trace can override per replay via its ``prepare=`` argument)
-        self.prepare = bool(prepare)
-        #: the wall-clock preparer worker (exists only while running with
-        #: ``prepare`` on)
-        self._preparer = None
 
         self._cond = threading.Condition()
         # serializes mode transitions (start/shutdown) with inline
@@ -350,10 +335,6 @@ class ServeLoop:
             self._stop = False
             self._stopped = False
             self._error = None
-            if self.prepare:
-                from .prepare import RoundPreparer
-
-                self._preparer = RoundPreparer(self)
             self._thread = threading.Thread(
                 target=self._run_wall, name="repro-serve-loop", daemon=True
             )
@@ -625,13 +606,8 @@ class ServeLoop:
 
     # -- wall-clock mode -------------------------------------------------------
     def _run_wall(self) -> None:
-        preparer = self._preparer
         try:
             while True:
-                if preparer is not None:
-                    # a preparer-worker crash surfaces here, on the loop
-                    # thread, and takes the ordinary loop-death path below
-                    preparer.reraise()
                 with self._cond:
                     deadline = self.next_deadline()
                     timeout = (
@@ -646,17 +622,7 @@ class ServeLoop:
                         timeout = self.steal_interval_s
                     if not self._queue and not self._drain_requested and not self._stop:
                         if timeout is None or timeout > 0:
-                            # the loop is about to sleep: exactly the window
-                            # in which the preparer may own the sessions.
-                            # wait() releases the condition lock while
-                            # sleeping, and pause() blocks until the worker
-                            # is idle again, so the loop never touches a
-                            # session concurrently with a prepare pass.
-                            if preparer is not None:
-                                preparer.allow()
                             self._cond.wait(timeout)
-                            if preparer is not None:
-                                preparer.pause()
                     admissions = self._take_queue()
                     drain_requested = self._drain_requested
                     stopping = self._stop
@@ -715,10 +681,6 @@ class ServeLoop:
                     return
         except BaseException as exc:  # infrastructure failure: die loudly
             self._die(exc)
-        finally:
-            if preparer is not None:
-                preparer.stop()
-                self._preparer = None
 
     def _take_queue(self) -> List[_Admission]:
         """Empty the admission queue (the caller holds the condition lock)
@@ -773,9 +735,9 @@ class ServeLoop:
         dispatches it locally.  Returns how many admissions were stolen.
 
         Stealing the *newest* admissions keeps the victim's oldest requests
-        — the ones closest to dispatch and to any prepared round — on their
-        home loop, and guarantees the thief's sessions (empty by the idle
-        precondition) see monotonically increasing arrival stamps.
+        — the ones closest to dispatch — on their home loop, and
+        guarantees the thief's sessions (empty by the idle precondition)
+        see monotonically increasing arrival stamps.
         """
         mine = self.sessions()
         if any(s.pending_requests for s in mine.values()) or self._queue:
@@ -844,7 +806,6 @@ class ServeLoop:
         *,
         deterministic: bool = True,
         host_model: Optional[Tuple[float, float]] = None,
-        prepare: Optional[bool] = None,
     ) -> Dict[str, List[RequestHandle]]:
         """Deterministically replay a tagged open-loop trace with continuous
         batching on the simulated clock.
@@ -864,18 +825,11 @@ class ServeLoop:
         pays a host cost per flush (serial with intake, on the loop's host
         lane), just a modelled one.
 
-        ``prepare`` overrides the loop's overlapped-host-pipeline knob for
-        this replay (None keeps the constructor's setting).  With the
-        pipeline on, the loop speculatively prepares rounds at
-        deterministic points — after intake at a timestamp quiesces and
-        after every fired event — so the same trace still replays
-        bit-for-bit, speculation aborts and all.
-
         Returns the resolved handles per session name, in arrival order.
         """
         from .sim import TraceDriver
 
-        return TraceDriver([self], self.clock, prepare=prepare).run(
+        return TraceDriver([self], self.clock).run(
             workload, deterministic=deterministic, host_model=host_model
         )
 

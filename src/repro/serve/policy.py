@@ -86,33 +86,9 @@ class FlushPolicy:
 
         A capped flush executes the *oldest* pending requests and leaves
         the rest as the next round's prefix — continuous batching with
-        bounded rounds.  The cap is also what makes speculation robust
-        under arrival churn: admissions append *behind* the capped prefix,
-        so a speculatively prepared round stays valid while traffic keeps
-        arriving (see :meth:`InferenceSession.consider_prepare`).
-        """
-        return None
-
-    def predict_next_flush(
-        self, session: "InferenceSession", now: float
-    ) -> Optional[float]:
-        """Clock timestamp at which this policy expects the pending round to
-        flush *with its current composition*, or None when no confident
-        prediction exists.
-
-        This is the speculation hook of the overlapped host pipeline: when a
-        policy predicts that the pending requests will flush unchanged at
-        some future instant (no further arrival expected to join first), the
-        serve loop prepares the round ahead of time — schedule, placement
-        and memory plan — so the flush only has to execute.  A wrong
-        prediction is harmless (the prepared round is abandoned when
-        admission diverges and rebuilt at the next quiesce point), so
-        policies should predict whenever a definite flush horizon exists —
-        even if more arrivals are likely to join the round first — and
-        return None only when nothing schedules a flush at all.
-
-        The default never predicts (manual and size policies flush *on* an
-        arrival, so the composition always changes at flush time).
+        bounded rounds.  Requests record their rows one after another, so
+        the capped prefix is a prefix of the runtime's round sequence and
+        admissions append behind it.
         """
         return None
 
@@ -211,19 +187,6 @@ class DeadlinePolicy(FlushPolicy):
             return None
         return started + self.ms / 1e3
 
-    def predict_next_flush(
-        self, session: "InferenceSession", now: float
-    ) -> Optional[float]:
-        # the round flushes at its deadline; mis-speculation is free (a
-        # prepared round whose admission diverges is abandoned and rebuilt
-        # at the next quiesce point), so predict whenever the deadline is
-        # still ahead — even if more arrivals are likely to join first, the
-        # rebuild after the *last* one still hides the wait to the deadline
-        when = self.next_deadline(session)
-        if when is None or when <= now:
-            return None
-        return when
-
     def __repr__(self) -> str:
         return f"DeadlinePolicy(ms={self.ms})"
 
@@ -312,11 +275,7 @@ class AdaptivePolicy(FlushPolicy):
             # Keep accumulating; rounds stay bounded anyway because the
             # flush itself caps at max_batch (:meth:`round_cap`), and the
             # loop's device-idle wakeup (:meth:`on_idle`) launches the next
-            # capped round the moment the device frees.  Launching capped
-            # rounds at completion boundaries instead of on the admitting
-            # submit is also what gives the prepare pipeline its window:
-            # the prepared prefix rides out the arrivals and adopts with
-            # the whole device flight hidden behind it.
+            # capped round the moment the device frees.
             return False
         if session.pending_requests >= self.max_batch:
             return True
@@ -346,28 +305,6 @@ class AdaptivePolicy(FlushPolicy):
         self.round_launches = (
             self.smoothing * launches + (1 - self.smoothing) * self.round_launches
         )
-
-    def predict_next_flush(
-        self, session: "InferenceSession", now: float
-    ) -> Optional[float]:
-        # under continuous batching the accumulating round launches the
-        # moment the device goes idle (:meth:`on_idle` fires at the
-        # timeline's busy horizon) — that device-busy window is exactly
-        # where prepared host work hides; otherwise the max_wait deadline
-        # bounds the wait.  Predict whenever that horizon is still ahead:
-        # arrivals that join first only cost a free abandon-and-rebuild,
-        # while the rebuild after the last joiner hides the rest of the
-        # window.
-        started = session.round_started_at
-        if started is None:
-            return None
-        when = started + self.max_wait_ms / 1e3
-        timeline = session.timeline
-        if timeline is not None and timeline.in_flight(now):
-            when = min(when, timeline.busy_until)
-        if when <= now:
-            return None
-        return when
 
     def __repr__(self) -> str:
         return (

@@ -222,11 +222,6 @@ class Endpoint:
             "kernel_launches": sum(s.total_kernel_calls for s in replicas),
             "mean_batch": (requests_flushed / flushes) if flushes else 0.0,
             "device_ms": sum(s.total_device_ms for s in replicas),
-            # overlapped host pipeline: rounds adopted as prepared vs
-            # speculations abandoned when admission diverged
-            "speculation_hits": sum(s.speculation_hits for s in replicas),
-            "speculation_aborts": sum(s.speculation_aborts for s in replicas),
-            "prepare_hidden_ms": sum(s.prepare_hidden_ms for s in replicas),
         }
         metrics = self.session.generation_metrics
         if metrics is not None:
@@ -257,9 +252,7 @@ class Server:
     :class:`~repro.serve.loop.ServeLoop` and ``backpressure`` picks the
     overflow policy (``"block"``/``"reject"``/``"shed-oldest"``); both only
     bite once :meth:`run` starts the loop (or, for the non-blocking
-    policies, on inline intake too).  ``prepare`` turns on the loop's
-    overlapped host pipeline (speculative round preparation; see
-    :class:`~repro.serve.loop.ServeLoop`).
+    policies, on inline intake too).
 
     ``topology`` shards the front door (see :mod:`repro.serve.topology`):
     a registry name (``"single"``/``"per_device"``/``"per_endpoint"``, with
@@ -280,7 +273,6 @@ class Server:
         interconnect: Union[str, Any, None] = None,
         max_pending: Optional[int] = None,
         backpressure: str = "block",
-        prepare: bool = False,
         topology: Union[str, LoopTopology] = "single",
         topology_args: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -313,12 +305,7 @@ class Server:
         #: the event loop owning this server's intake and flush choreography
         #: (under a multi-loop topology, re-pointed at loop 0 once the
         #: topology materializes; ``topology.loops`` holds them all)
-        self.loop = ServeLoop(
-            self,
-            max_pending=max_pending,
-            backpressure=backpressure,
-            prepare=prepare,
-        )
+        self.loop = ServeLoop(self, max_pending=max_pending, backpressure=backpressure)
         if isinstance(topology, LoopTopology):
             self.topology = topology
         elif isinstance(topology, str):
@@ -529,7 +516,6 @@ class Server:
         *,
         deterministic: bool = True,
         host_model: Optional[Tuple[float, float]] = None,
-        prepare: Optional[bool] = None,
     ) -> Dict[str, List[RequestHandle]]:
         """Deterministically replay a tagged open-loop trace against the
         server's (possibly multi-loop) topology on the simulated clock —
@@ -540,11 +526,7 @@ class Server:
         included — filter with ``handle.failed``)."""
         self._materialize_topology()
         return run_topology_trace(
-            self,
-            workload,
-            deterministic=deterministic,
-            host_model=host_model,
-            prepare=prepare,
+            self, workload, deterministic=deterministic, host_model=host_model
         )
 
     def drain(self) -> None:

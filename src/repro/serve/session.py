@@ -146,27 +146,6 @@ class InferenceSession:
         self._round_started_at: Optional[float] = None
         self._last_submit_backdated = False
         self._last_arrival: Optional[float] = None
-        #: lifetime arrival-gap forecast state: running mean of *positive*
-        #: inter-arrival gaps (bursty traces submit whole bursts at one
-        #: timestamp; the zero intra-burst gaps would collapse a plain mean,
-        #: while the positive-gap mean approximates the gap to the *next*
-        #: batch of work — which is what flush prediction needs)
-        self._prev_arrival: Optional[float] = None
-        self._gap_sum = 0.0
-        self._gap_count = 0
-        #: the speculatively prepared next round (see :meth:`consider_prepare`)
-        self._prepared = None
-        self._prepared_at: Optional[float] = None
-        #: fraction of the modelled host cost (``host_cost_model``) treated
-        #: as preparable ahead of the flush in deterministic replays: the
-        #: prepare pipeline covers scheduling + placement + planning but not
-        #: result materialization or the CPU-side API calls
-        self.prepare_share = 0.6
-        #: overlap-pipeline accounting (lifetime)
-        self.prepare_attempts = 0
-        self.speculation_hits = 0
-        self.speculation_aborts = 0
-        self.prepare_hidden_ms = 0.0
         #: device timeline for continuous batching (set by a
         #: :class:`~repro.serve.loop.ServeLoop`): when present, flushed
         #: rounds launch asynchronously — completion lands on the timeline
@@ -243,21 +222,6 @@ class InferenceSession:
             return 0
         return self.timeline.in_flight(self.clock.now())
 
-    @property
-    def expected_gap_s(self) -> Optional[float]:
-        """Forecast of the gap until the next arrival (seconds): the
-        lifetime mean of positive inter-arrival gaps, or None before the
-        first positive gap has been observed.  Deterministic — a pure
-        function of the submitted arrival timestamps."""
-        if not self._gap_count:
-            return None
-        return self._gap_sum / self._gap_count
-
-    @property
-    def has_prepared_round(self) -> bool:
-        """Whether a speculatively prepared round is currently held."""
-        return self._prepared is not None
-
     def next_deadline(self) -> Optional[float]:
         """Clock timestamp by which the pending round must flush, or None
         (no pending requests, or the policy imposes no deadline)."""
@@ -311,14 +275,6 @@ class InferenceSession:
             now = at
             self._last_submit_backdated = self.clock.now() > now
         self._last_arrival = now
-        prev = self._prev_arrival
-        if prev is not None and now > prev:
-            # positive gaps only: intra-burst arrivals share a timestamp and
-            # a fresh trace may restart its timestamps — neither should
-            # drag the forecast toward zero
-            self._gap_sum += now - prev
-            self._gap_count += 1
-        self._prev_arrival = now
         if handle is None:
             handle = RequestHandle(
                 self._instance_seq, submitted_at=now, deadline=deadline
@@ -359,68 +315,6 @@ class InferenceSession:
             self.flush(reason=self.policy.name)
         return handle
 
-    # -- overlapped host pipeline ----------------------------------------------
-    def consider_prepare(self, now: float) -> bool:
-        """Speculatively prepare the pending round if the flush policy
-        predicts it will flush with its current composition.
-
-        Called by serving loops at moments when host time is available
-        ahead of the predicted flush (after intake quiesces, while the
-        previous round's device share is in flight).  A held prepared
-        round that still matches the pending nodes is kept; a stale one is
-        abandoned (and, when the policy still predicts, rebuilt against the
-        current composition — the "patch" path).  Returns True when a
-        prepared round is held on exit.
-
-        Mis-speculation is free by construction: the prepared round defers
-        every planner/placement side effect until the flush adopts it, so
-        abandoning costs only the host work spent building it.
-        """
-        if self._deferred or not self._pending:
-            # fiber programs cannot run ahead of their synchronization
-            # points, so there is nothing to prepare before the flush
-            return False
-        rt = self.engine.runtime
-        # a capped round's composition is the oldest-cap prefix: later
-        # admissions append *behind* it, so a prepared prefix survives
-        # arrival churn — the property that makes speculation pay under
-        # sustained load
-        limit = self._flush_seq_cut()
-        prepared = self._prepared
-        if prepared is not None:
-            if rt.prepared_matches(prepared, limit=limit):
-                return True
-            self._discard_prepared()
-        if self.policy.predict_next_flush(self, now) is None:
-            return False
-        self.prepare_attempts += 1
-        prepared = rt.prepare_pending(limit=limit)
-        if prepared is None:
-            return False
-        self._prepared = prepared
-        self._prepared_at = now
-        return True
-
-    def _flush_seq_cut(self) -> Optional[int]:
-        """Sequence number the next flush's capped prefix ends at, or None
-        when the whole backlog flushes at once (no cap, or the cap doesn't
-        bind)."""
-        if self._deferred:
-            return None
-        cap = self.policy.round_cap(self)
-        if cap is None or not 0 < cap < len(self._pending):
-            return None
-        return self._seq_ends[cap - 1]
-
-    def _discard_prepared(self) -> None:
-        """Abandon the held prepared round (admission diverged)."""
-        prepared = self._prepared
-        if prepared is not None:
-            self._prepared = None
-            self._prepared_at = None
-            self.speculation_aborts += 1
-            self.engine.runtime.abandon_prepared(prepared)
-
     # -- lifecycle -------------------------------------------------------------
     def cancel(self, handle: RequestHandle) -> bool:
         """Withdraw a pending request before its round flushes.
@@ -428,9 +322,8 @@ class InferenceSession:
         The request's recorded DFG nodes are removed from the shared lazy
         graph (whole-request node slices — requests are independent, so
         round-mates are untouched and flush exactly as if the request had
-        never been submitted), any speculatively prepared round is
-        abandoned (its composition no longer exists), and the handle fails
-        with :class:`~repro.serve.request.RequestCancelled`.
+        never been submitted), and the handle fails with
+        :class:`~repro.serve.request.RequestCancelled`.
 
         Returns False when the handle is unknown to this session or its
         round already executed.  Not thread-safe against a concurrent
@@ -457,8 +350,8 @@ class InferenceSession:
         unknown to this session or its round already executed.
 
         Exactly :meth:`cancel`'s sequence-range surgery (round-mates flush as
-        if the request had never been submitted; a speculatively prepared
-        round is abandoned), minus the handle resolution.
+        if the request had never been submitted), minus the handle
+        resolution.
         """
         index = None
         for i, (h, _) in enumerate(self._pending):
@@ -467,7 +360,6 @@ class InferenceSession:
                 break
         if index is None or handle.done:
             return None
-        self._discard_prepared()
         if self._deferred:
             instance = self._pending[index][1]
             del self._pending[index]
@@ -527,8 +419,7 @@ class InferenceSession:
             return None
         # a capping policy flushes the *oldest-cap* prefix and leaves the
         # overflow pending as the next round's prefix — request boundaries
-        # are sequence boundaries, so the prefix is exactly the cut the
-        # prepare pipeline speculated on
+        # are sequence boundaries, so the prefix is one sequence cut
         cap: Optional[int] = None
         seq_cut: Optional[int] = None
         if not self._deferred:
@@ -556,15 +447,12 @@ class InferenceSession:
             # a fresh trace may legally restart its timestamps next round
             self._last_arrival = None
             self._instance_seq = 0
-        prepared, self._prepared = self._prepared, None
-        prepared_at, self._prepared_at = self._prepared_at, None
         flush_start = self.clock.now()
         # per-flush device accounting: sessions may share one device
         # simulator (multi-endpoint servers), so each round's counters start
         # from zero at the flush that executes it
         self.engine.device.reset()
 
-        adopted = False
         try:
             if self._deferred:
                 # keep the device residency cache across fiber-program
@@ -576,7 +464,7 @@ class InferenceSession:
             else:
                 rt = self.engine.runtime
                 exec_start = time.perf_counter()
-                adopted = rt.trigger(prepared=prepared, limit=seq_cut)
+                rt.trigger(limit=seq_cut)
                 outputs = [materialize_value(raw) for _, raw in pending]
                 wall_s = self._build_s + (time.perf_counter() - exec_start)
                 stats = self.engine.collect_stats(len(pending), wall_s)
@@ -596,14 +484,6 @@ class InferenceSession:
             self._seq_ends = saved_ends
             self._abort_round(exc)
             raise
-        if prepared is not None:
-            if adopted:
-                self.speculation_hits += 1
-            else:
-                # admission diverged between the speculation and the flush
-                # (e.g. a size-policy flush triggered by the very arrival
-                # that invalidated the prepared round)
-                self.speculation_aborts += 1
 
         stats.batch_size = len(pending)
         stats.flushed_at = flush_start
@@ -621,25 +501,6 @@ class InferenceSession:
             if self.host_cost_model is not None:
                 per_round, per_request = self.host_cost_model
                 host_ms += per_round + per_request * len(pending)
-        if adopted and prepared_at is not None:
-            # the adopted round's prepare work ran concurrently with the
-            # wait since the speculation started (under a real preparer
-            # thread, literally; in deterministic replays, as a model):
-            # whatever fits in that window comes off the serial host share
-            if self.charge_host:
-                prep_ms = stats.host_ms.get("prepare", 0.0)
-            elif self.host_cost_model is not None:
-                per_round, per_request = self.host_cost_model
-                prep_ms = self.prepare_share * (
-                    per_round + per_request * len(pending)
-                )
-            else:
-                prep_ms = 0.0
-            hidden = min(prep_ms, max(0.0, flush_start - prepared_at) * 1e3)
-            host_ms = max(0.0, host_ms - hidden)
-            if prep_ms > 0.0:
-                stats.overlap_ratio = hidden / prep_ms
-            self.prepare_hidden_ms += hidden
         device_ms = stats.device_total_ms
         if self.timeline is not None:
             # continuous batching: charge only the host share to the clock,
@@ -740,7 +601,6 @@ class InferenceSession:
         same server — keeps serving."""
         pending, self._pending = self._pending, []
         self._pending_instances = []
-        self._discard_prepared()
         self._seq_ends = []
         self._instance_seq = 0
         self._round_started_at = None

@@ -18,10 +18,9 @@ exist exactly once:
   frees, and sibling loops' host work proceeds in parallel.  One loop is
   simply the k=1 case.  This is the model the wall-clock loop thread
   implements — pick up the whole queue once the host frees, dispatch,
-  poll, speculate once;
-* speculation (the overlapped host pipeline) and work-stealing run at
-  deterministic points: after intake at a timestamp quiesces and after
-  every fired event (speculation), at quiesce and drain points (stealing);
+  poll;
+* work-stealing runs at deterministic points: after intake at a timestamp
+  quiesces, and at drain points;
 * the drain phase fires remaining events until every backlog resolves,
   force-flushing only policies that would wait forever (``manual``).
 
@@ -88,9 +87,9 @@ class _LoopState:
     the sharded front door removes.  Admissions waiting for the lane to
     free sit in the loop's own admission queue (``loop._queue``)."""
 
-    __slots__ = ("loop", "index", "sessions", "timeline", "busy_until", "prepare")
+    __slots__ = ("loop", "index", "sessions", "timeline", "busy_until")
 
-    def __init__(self, loop: ServeLoop, index: int, start: float, prepare: bool) -> None:
+    def __init__(self, loop: ServeLoop, index: int, start: float) -> None:
         self.loop = loop
         self.index = index
         self.sessions: Dict[str, Any] = loop.sessions()
@@ -102,8 +101,6 @@ class _LoopState:
         self.timeline = DeviceTimeline(start=start, num_devices=lanes)
         #: the host lane: when this loop's host finishes its flush work
         self.busy_until = float(start)
-        #: overlapped host pipeline on for this loop during the replay
-        self.prepare = prepare
 
     def idle(self, now: float) -> bool:
         """Fully quiescent: nothing queued, pending, in flight, and the
@@ -130,8 +127,7 @@ class TraceDriver:
     never by user code.  ``route`` maps an endpoint name to its home loop
     (``LoopTopology.route``; None means the single loop).
     ``continuous=False`` is the caller-driven mode: no timeline or host
-    lane is assigned to the sessions.  ``prepare`` overrides every loop's
-    overlapped-host-pipeline knob (None keeps each loop's own setting).
+    lane is assigned to the sessions.
     """
 
     def __init__(
@@ -141,7 +137,6 @@ class TraceDriver:
         *,
         route: Optional[Callable[..., ServeLoop]] = None,
         continuous: bool = True,
-        prepare: Optional[bool] = None,
     ) -> None:
         if not isinstance(clock, SimulatedClock):
             raise TypeError("a simulated trace replay needs a SimulatedClock")
@@ -154,12 +149,7 @@ class TraceDriver:
         self.route = route
         self.continuous = continuous
         start = clock.now()
-        self.states = [
-            _LoopState(
-                loop, i, start, loop.prepare if prepare is None else bool(prepare)
-            )
-            for i, loop in enumerate(loops)
-        ]
+        self.states = [_LoopState(loop, i, start) for i, loop in enumerate(loops)]
         self._by_loop = {st.loop: st for st in self.states}
 
     # -- the drive -------------------------------------------------------------
@@ -197,12 +187,8 @@ class TraceDriver:
                 )
                 if i == last or items[i + 1][0] > t:
                     # intake at this timestamp has quiesced (a burst submits
-                    # many requests at one instant; speculating between them
-                    # would only churn abort/re-prepare): deterministic steal
-                    # + speculation point
+                    # many requests at one instant): deterministic steal point
                     self.steal_pass()
-                    for st in states:
-                        self.speculate(st)
             self.drain()
             # the trace ends when the last device round and host share finish
             horizon = clock.now()
@@ -341,10 +327,6 @@ class TraceDriver:
                 session.poll()
         else:
             self.dispatch(state)
-        # post-event speculation point: a flush just launched (device share
-        # in flight) or a deadline passed without flushing — either way the
-        # remaining backlog's composition may now be predictable
-        self.speculate(state)
 
     def advance_until(self, t: float) -> None:
         """Fire every wakeup scheduled at or before ``t``, in order."""
@@ -353,21 +335,6 @@ class TraceDriver:
             if event is None or event[0] > t:
                 return
             self.fire(event)
-
-    def speculate(self, state: _LoopState) -> None:
-        """Speculation point: let every session of the loop prepare its
-        predicted next round.  A preparer failure here is an infrastructure
-        failure exactly as in wall-clock mode: sessions abort (failing
-        implicated handles) and ``LoopStopped`` raises with the original
-        error as ``__cause__``."""
-        if not state.prepare:
-            return
-        now = self.clock.now()
-        try:
-            for session in state.sessions.values():
-                session.consider_prepare(now)
-        except BaseException as exc:
-            raise state.loop._die(exc) from exc
 
     # -- work-stealing ---------------------------------------------------------
     def steal_pass(self) -> int:

@@ -231,7 +231,6 @@ def _loops_over_complements(server: Any, complements: List[Any]) -> List[ServeLo
                 clock=server.clock,
                 max_pending=template.max_pending,
                 backpressure=template.backpressure,
-                prepare=template.prepare,
                 name=f"loop{j}",
             )
         )
@@ -267,7 +266,6 @@ class PerEndpointTopology(LoopTopology):
                     clock=server.clock,
                     max_pending=template.max_pending,
                     backpressure=template.backpressure,
-                    prepare=template.prepare,
                     name=f"loop{j}",
                 )
             )
@@ -297,7 +295,6 @@ def run_topology_trace(
     *,
     deterministic: bool = True,
     host_model: Optional[Tuple[float, float]] = None,
-    prepare: Optional[bool] = None,
 ) -> Dict[str, List[RequestHandle]]:
     """Deterministically replay a tagged open-loop trace against *all* of a
     server's loops, interleaving their events in global timestamp order
@@ -328,14 +325,12 @@ def run_topology_trace(
     bit-for-bit: the timeline is a pure function of the trace and the
     device cost model.
     """
-    return trace_driver(server, prepare=prepare).run(
+    return trace_driver(server).run(
         workload, deterministic=deterministic, host_model=host_model
     )
 
 
-def trace_driver(
-    server: Any, *, continuous: bool = True, prepare: Optional[bool] = None
-) -> TraceDriver:
+def trace_driver(server: Any, *, continuous: bool = True) -> TraceDriver:
     """The simulated trace driver over a server's materialized topology
     (internal: shared by :func:`run_topology_trace` and the caller-driven
     ``traffic.replay_server``)."""
@@ -343,9 +338,5 @@ def trace_driver(
     if not topology.loops:
         raise RuntimeError("topology not materialized; call through Server.run_trace")
     return TraceDriver(
-        topology.loops,
-        server.clock,
-        route=topology.route,
-        continuous=continuous,
-        prepare=prepare,
+        topology.loops, server.clock, route=topology.route, continuous=continuous
     )

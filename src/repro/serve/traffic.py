@@ -178,7 +178,6 @@ def _replay_session(
     continuous: bool,
     deterministic: bool,
     host_model: Optional[Tuple[float, float]],
-    prepare: bool = False,
 ) -> TrafficReport:
     """Replay one session's trace through the simulated trace driver, as
     the only session of a one-loop driver."""
@@ -189,7 +188,7 @@ def _replay_session(
     if isinstance(session, Endpoint):
         session = session.session
     clock = session.clock
-    loop = ServeLoop(sessions={"_": session}, clock=clock, prepare=prepare)
+    loop = ServeLoop(sessions={"_": session}, clock=clock)
     driver = TraceDriver([loop], clock, continuous=continuous)
     start = _snapshot(session)
     first_arrival = arrivals[0] if len(arrivals) else clock.now()
@@ -247,7 +246,6 @@ def replay_continuous(
     *,
     deterministic: bool = True,
     host_model: Optional[Tuple[float, float]] = None,
-    prepare: bool = False,
 ) -> TrafficReport:
     """Replay an open-loop arrival trace with **continuous batching**: the
     trace runs through a one-session :class:`~repro.serve.loop.ServeLoop`
@@ -258,9 +256,7 @@ def replay_continuous(
 
     With ``deterministic`` (default) the simulated timeline depends only on
     the trace and the device cost model: replaying the same trace is
-    bit-for-bit identical across runs.  ``prepare`` additionally turns on
-    the overlapped host pipeline (speculative round preparation) for the
-    replay — still bit-for-bit deterministic.
+    bit-for-bit identical across runs.
     """
     return _replay_session(
         session,
@@ -269,7 +265,6 @@ def replay_continuous(
         continuous=True,
         deterministic=deterministic,
         host_model=host_model,
-        prepare=prepare,
     )
 
 
@@ -327,7 +322,6 @@ def replay_server_continuous(
     *,
     deterministic: bool = True,
     host_model: Optional[Tuple[float, float]] = None,
-    prepare: Optional[bool] = None,
 ) -> Dict[str, TrafficReport]:
     """Replay a tagged open-loop trace against a multi-endpoint server with
     continuous batching: the trace runs through the server's
@@ -341,5 +335,4 @@ def replay_server_continuous(
         server.loop.run_trace,
         deterministic=deterministic,
         host_model=host_model,
-        prepare=prepare,
     )

@@ -134,8 +134,8 @@ class SpecializationCache:
     def release_slots(self, slots: Optional[Iterable[SpecSlot]]) -> None:
         """Retire an evicted plan template's slots (the planner calls this
         on LRU eviction so entry/byte accounting tracks live state, not
-        garbage).  The slots become terminal, not cold: a plan staged before
-        the eviction may still carry one, and an orphan that re-promoted
+        garbage).  The slots become terminal, not cold: a plan instantiated
+        from the template may still carry one, and an orphan that re-promoted
         would hold an entry nobody is left to release."""
         for slot in slots or ():
             self._retire(slot)

@@ -1,7 +1,6 @@
 """Tests for request lifecycle at the serving layer: cancellation of
 pending round members (round-mates flush bit-identical, device counters
-stay consistent), prepared-round discard on cancel, cancellation of
-loop-queued admissions, deadline expiry on the inline, dispatch and
+stay consistent), cancellation of loop-queued admissions, deadline expiry on the inline, dispatch and
 simulated-trace arrival paths,
 and the Endpoint.summary() queue-depth / oldest-pending-age gauges."""
 
@@ -62,6 +61,71 @@ class TestSessionCancel:
         assert sess.last_stats.kernel_calls == base.last_stats.kernel_calls
         assert sess.requests_flushed == BATCH - 1
 
+    @pytest.mark.parametrize("devices", [1, 4])
+    def test_cancelled_request_leaves_no_trace(self, treelstm_setup, devices):
+        """The newest pending request, withdrawn before its round flushes,
+        costs nothing observable: outputs, device counters, the plan cache
+        and the specialization tier all match a session that never
+        admitted it."""
+        _, _, instances, _ = treelstm_setup
+        kwargs = (
+            {"devices": 4, "placement": "data_parallel"} if devices == 4 else {}
+        )
+
+        def drive(cancel):
+            sess = _session(treelstm_setup, **kwargs)
+            # warm round: populates the plan cache
+            for inst in instances[:3]:
+                sess.submit(inst)
+            outs = [sess.flush()]
+            sess.submit(instances[0])
+            sess.submit(instances[1])
+            sess.submit(instances[2])
+            if cancel:
+                assert sess.cancel(sess.submit(instances[3]))
+            outs.append(sess.flush())
+            return sess, outs
+
+        control, control_outs = drive(cancel=False)
+        tested, tested_outs = drive(cancel=True)
+
+        assert tested.num_cancelled == 1
+        assert all(
+            values_allclose(a, b)
+            for round_a, round_b in zip(control_outs, tested_outs)
+            for a, b in zip(round_a, round_b)
+        )
+        assert control.last_stats.device == tested.last_stats.device
+        cp = control.engine.runtime.planner
+        tp = tested.engine.runtime.planner
+        assert (cp.cache_hits, cp.cache_misses, cp.cache_evictions) == (
+            tp.cache_hits,
+            tp.cache_misses,
+            tp.cache_evictions,
+        )
+        assert len(cp._plan_cache) == len(tp._plan_cache)
+        assert cp.operand_counts == tp.operand_counts
+        assert control.last_stats.specialize == tested.last_stats.specialize
+
+    def test_cancel_in_capped_overflow(self, treelstm_setup):
+        """A request a capped flush left pending can still be withdrawn:
+        the next capped round takes the requests behind it."""
+        _, _, instances, reference = treelstm_setup
+        sess = _session(
+            treelstm_setup, policy="adaptive", max_batch=2, max_wait_ms=10_000.0
+        )
+        sess.clock.advance(1.0)
+        handles = [sess.submit(inst, at=0.0) for inst in instances]
+        assert len(sess.flush()) == 2
+        assert sess.cancel(handles[2]) is True
+        assert sess.pending_requests == BATCH - 3
+        assert len(sess.flush()) == 2
+        assert sess.pending_requests == 0
+        with pytest.raises(RequestCancelled):
+            handles[2].result()
+        for i in (0, 1, 3, 4):
+            assert values_allclose(handles[i].result(), reference[i])
+
     def test_cancel_resolved_handle_returns_false(self, treelstm_setup):
         _, _, instances, reference = treelstm_setup
         sess = _session(treelstm_setup)
@@ -106,22 +170,6 @@ class TestSessionCancel:
         assert values_allclose(h1.result(), reference[1])
         with pytest.raises(RequestCancelled):
             h0.result()
-
-    def test_cancel_discards_prepared_round(self, treelstm_setup):
-        """A speculatively prepared round is invalidated by cancellation —
-        admission diverged, so adopting it would execute a stale
-        composition."""
-        _, _, instances, reference = treelstm_setup
-        # a policy with a flush prediction, so speculation can fire
-        sess = _session(treelstm_setup, policy="deadline", ms=50.0)
-        handles = [sess.submit(inst) for inst in instances[:3]]
-        assert sess.consider_prepare(sess.clock.now()) is True
-        assert sess.cancel(handles[1]) is True
-        assert sess.speculation_aborts == 1
-        sess.flush()
-        assert sess.speculation_hits == 0
-        assert values_allclose(handles[0].result(), reference[0])
-        assert values_allclose(handles[2].result(), reference[2])
 
 
 class TestLoopLifecycle:

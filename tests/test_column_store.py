@@ -8,8 +8,8 @@ records the tests build from the invocations the runtime saw.  For every
 round of a run, each policy's batch sequence — ``(block_id, [(instance,
 round_seq), ...])`` per launch — must equal its oracle's, over the model zoo
 and over random tail-recursive programs; a capped flush and a cancellation
-whose cuts fall inside columns keep (or drop) their prepared round and stay
-bitwise equal to the reference.
+whose cuts fall inside columns execute exactly the rows below the cut and
+stay bitwise equal to the reference.
 """
 
 from collections import defaultdict
@@ -355,9 +355,8 @@ def capped_session(zoo, requests):
     session = model.session(flush_policy="manual")
     rec = Recorder(session.engine.runtime, inline_depth)
     handles = [session.submit(batch[i]) for i in requests]
-    # flush the two oldest requests per round, and let the session prepare
+    # flush the two oldest requests per round
     session.policy.round_cap = lambda _session: 2
-    session.policy.predict_next_flush = lambda _session, now: now
     return session, rec, handles, [reference[i] for i in requests]
 
 
@@ -372,22 +371,19 @@ def assert_outputs_name_their_rows(runtime):
         assert all(t.column is col and t.row == i // n for i, t in enumerate(col.outs))
 
 
-def test_capped_flush_adopts_its_prepared_round_across_a_column_cut(zoo):
+def test_capped_flush_across_a_column_cut(zoo):
     session, rec, handles, reference = capped_session(zoo, [0, 1, 2, 3])
     runtime = session.engine.runtime
     cut = session._seq_ends[1]
     assert straddled(runtime, cut)
-    assert session.consider_prepare(session.clock.now())
-    # exactly the two oldest requests' rows went into the prepared round
-    assert sorted(n.round_seq for n in rec.last_round) == list(range(cut))
 
-    # an arrival appends behind the cut: the prepared prefix still matches
+    # an arrival appends behind the cut
     _mod, _params, batch, batch_reference = zoo["treelstm"]
     handles.append(session.submit(batch[0]))
     reference.append(batch_reference[0])
-    assert session.consider_prepare(session.clock.now())
     session.flush()
-    assert session.speculation_hits == 1 and session.speculation_aborts == 0
+    # exactly the two oldest requests' rows went into the round
+    assert sorted(n.round_seq for n in rec.last_round) == list(range(cut))
     assert [h.done for h in handles] == [True, True, False, False, False]
 
     # the rows the cut left behind moved to fresh columns, renumbered
@@ -398,39 +394,20 @@ def test_capped_flush_adopts_its_prepared_round_across_a_column_cut(zoo):
     assert_bitwise([h.result() for h in handles], reference)
 
 
-def test_cancel_inside_a_column_drops_the_prepared_round(zoo):
+def test_cancel_inside_a_column(zoo):
     session, rec, handles, reference = capped_session(zoo, [0, 1, 2, 3])
     runtime = session.engine.runtime
     first, second = session._seq_ends[0], session._seq_ends[1]
     assert straddled(runtime, first) and straddled(runtime, second)
-    assert session.consider_prepare(session.clock.now())
-    prepared = session._prepared
 
     assert handles[1].cancel()  # its rows sit inside columns, below the cut
-    assert session.speculation_aborts == 1 and session._prepared is None
-    assert not runtime.prepared_matches(prepared, limit=session._flush_seq_cut())
     assert not any(first <= s < second for c in runtime._columns.values() for s in c.seqs)
     assert_outputs_name_their_rows(runtime)
 
-    # the new prefix is requests 0 and 2; it prepares and adopts
-    assert session.consider_prepare(session.clock.now())
-    assert {n.instance_id for n in rec.last_round} == {handles[0].index, handles[2].index}
+    # the new prefix is requests 0 and 2
     session.flush()
-    assert session.speculation_hits == 1
+    assert {n.instance_id for n in rec.last_round} == {handles[0].index, handles[2].index}
     while session.pending_requests:
         session.flush()
     kept = [0, 2, 3]
     assert_bitwise([handles[i].result() for i in kept], [reference[i] for i in kept])
-
-
-def test_a_prepared_round_is_stamped_with_its_cut_and_generation(zoo):
-    session, _rec, _handles, _reference = capped_session(zoo, [0, 1, 2])
-    runtime = session.engine.runtime
-    cut = session._seq_ends[1]
-    prepared = runtime.prepare_pending(limit=cut)
-    assert runtime.prepared_matches(prepared, limit=cut)
-    assert not runtime.prepared_matches(prepared)  # an uncapped flush cuts elsewhere
-    # any withdrawal advances the generation, even one behind the cut
-    runtime.drop_pending_slice(cut, session._seq_ends[2])
-    assert not runtime.prepared_matches(prepared, limit=cut)
-    assert not runtime.trigger(prepared=prepared, limit=cut)

@@ -339,13 +339,24 @@ class TestPlacementRegistry:
         assert "custom_test_placement" not in available_placements()
 
     @pytest.mark.parametrize("name", ["single", "round_robin"])
-    def test_stateless_policies_snapshot_nothing(self, name):
-        # placement is a pure function of the round: a speculative placement
-        # has nothing to roll back
+    def test_stateless_policies_ignore_history(self, name):
+        # placement is a pure function of the round: earlier rounds and run
+        # boundaries change nothing
+        group = DeviceGroup(2)
+
+        def place():
+            batches = [_batch([0, 1, 2, 3]), _batch([1, 3], block_id=1)]
+            return [
+                (b.block_id, b.device, b.instances())
+                for b in policy.place_round(batches, group, {})
+            ]
+
         policy = make_placement(name)
-        policy.place_round([_batch([0, 1, 2, 3])], DeviceGroup(2), {})
-        assert policy.snapshot_state() is None
-        policy.restore_state(None)
+        fresh = place()
+        for _ in range(3):
+            policy.place_round([_batch([2, 3, 4])], group, {})
+            policy.note_reset()
+        assert place() == fresh
 
 
 class TestRoundRobinPlacement:
@@ -479,46 +490,22 @@ class TestDataParallelPlacement:
         batches = [_batch(range(8))]
         assert len(policy.place_round(batches, group, {})) == 1
 
-    def test_min_shard_validation(self):
-        with pytest.raises(ValueError):
-            DataParallelPlacement(min_shard=0)
-
-    def test_snapshot_restore_rolls_back_rotation(self):
-        """An abandoned speculative placement leaves no trace: after restore
-        the unsplit rotation and the split base replay exactly what they
-        would have placed had the speculation never run."""
-        group = DeviceGroup(4)
-        policy = DataParallelPlacement(min_shard=2)
-        spec = group.spec
-        policy.observe(1, 8, 8 * 1.6 + spec.launch_overhead_us, 1, spec)
-
-        def place():
-            batches = [_batch([0, 1, 2]), _batch(range(8), block_id=1)]
-            return [b.device for b in policy.place_round(batches, group, {})]
-
-        place()
-        policy.note_reset()
-        state = policy.snapshot_state()
-        expected = place()
-        policy.note_reset()
-        place()
-        policy.note_reset()
-        policy.restore_state(state)
-        assert policy.snapshot_state() == state
-        assert place() == expected
-
-    def test_restore_keeps_learned_work(self):
-        """Observations made during an abandoned speculation survive the
-        rollback: they only tune future split decisions."""
+    def test_later_observations_retune_the_split(self):
+        """The per-block work estimate is an EWMA: costly launches observed
+        after a cheap one turn a refused split into a split."""
         group = DeviceGroup(4)
         policy = DataParallelPlacement(min_shard=2)
         spec = group.spec
         policy.observe(0, 8, spec.launch_overhead_us + 0.001, 1, spec)
-        state = policy.snapshot_state()
+        assert len(policy.place_round([_batch(range(8))], group, {})) == 1
         policy.observe(0, 8, 8 * 1000.0 + spec.launch_overhead_us, 1, spec)
-        policy.restore_state(state)
         placed = policy.place_round([_batch(range(8))], group, {})
         assert len(placed) > 1
+        assert [i for b in placed for i in b.instances()] == list(range(8))
+
+    def test_min_shard_validation(self):
+        with pytest.raises(ValueError):
+            DataParallelPlacement(min_shard=0)
 
 
 # ---------------------------------------------------------------------------

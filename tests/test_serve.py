@@ -1,7 +1,9 @@
 """Tests for the serving subsystem: clocks, flush policies and their
-registry, request futures, policy-driven sessions, multi-model servers,
-open-loop traffic, and the memory planner's plan cache."""
+registry, request futures, policy-driven sessions, capped flushes,
+multi-model servers, open-loop traffic, and the memory planner's plan
+cache."""
 
+import numpy as np
 import pytest
 
 from repro import CompilerOptions, compile_model, reference_run
@@ -19,15 +21,29 @@ from repro.serve import (
     poisson_arrivals,
     register_flush_policy,
     replay,
+    replay_continuous,
     replay_server,
     unregister_flush_policy,
 )
 from repro.models import MODEL_MODULES
-from repro.utils import values_allclose
+from repro.utils import flatten_arrays, values_allclose
 
 BATCH = 6
 
 BUILTIN_POLICIES = ("manual", "size", "deadline", "adaptive")
+
+SCHEDULERS = ("inline_depth", "dynamic_depth", "agenda", "nobatch", "dynet")
+
+#: the zoo's one-shot (non-decoder) models
+ZOO = ("treelstm", "mvrnn", "birnn", "nestedrnn", "drnn", "berxit", "stackrnn")
+
+
+def exact_equal(a, b):
+    """Bitwise reference identity over nested output structures."""
+    fa, fb = flatten_arrays(a), flatten_arrays(b)
+    return len(fa) == len(fb) and all(
+        np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(fa, fb)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -715,3 +731,191 @@ class TestServeFacade:
             values_allclose(a, h.result()) for a, h in zip(reference, handles)
         )
         assert session.num_flushes >= len(instances) // 2
+
+
+class TestCappedFlush:
+    """The ``round_cap`` policy hook: a capped flush takes the oldest-cap
+    request prefix (which is a sequence prefix — requests record their rows
+    one after another) and leaves the overflow pending as the next round's
+    prefix."""
+
+    def test_prefix_flush_leaves_overflow_pending(self, treelstm_setup):
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        clock = SimulatedClock()
+        session = model.serve("adaptive", clock=clock, max_batch=4)
+        clock.advance(1.0)  # arrivals at t=0 are backdated: no submit flush
+        handles = [session.submit(inst, at=0.0) for inst in instances]
+        assert session.pending_requests == len(instances)
+        first = session.flush()
+        assert len(first) == 4
+        assert session.pending_requests == len(instances) - 4
+        second = session.flush()
+        assert len(second) == len(instances) - 4
+        assert session.pending_requests == 0
+        assert session.num_flushes == 2
+        # submission order preserved across the split, results identical
+        outputs = [h.result() for h in handles]
+        assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
+
+    def test_later_arrival_appends_behind_capped_prefix(self, treelstm_setup):
+        """An arrival before the flush lands behind the capped prefix: the
+        round takes the same oldest requests it would have taken without
+        it."""
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        clock = SimulatedClock()
+        session = model.serve(
+            "adaptive", clock=clock, max_batch=3, max_wait_ms=10_000.0
+        )
+        clock.advance(1.0)
+        handles = [session.submit(inst, at=0.0) for inst in instances[:4]]
+        cut = session._seq_ends[2]
+        handles.append(session.submit(instances[4], at=0.0))
+        assert session._seq_ends[2] == cut
+        first = session.flush()
+        assert len(first) == 3
+        assert [h.done for h in handles] == [True, True, True, False, False]
+        second = session.flush()
+        assert len(second) == 2
+        outputs = first + second
+        assert all(exact_equal(a, b) for a, b in zip(reference[:5], outputs))
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("devices", [1, 4])
+    def test_capped_rounds_match_reference(self, treelstm_setup, scheduler, devices):
+        """Every scheduler's pending rows cut cleanly at the capped prefix:
+        a backlog drained two requests per round, on one device or sharded
+        over four, stays bitwise equal to the eager reference."""
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions(scheduler=scheduler))
+        kwargs = {"devices": 4, "placement": "round_robin"} if devices == 4 else {}
+        clock = SimulatedClock()
+        session = model.serve("adaptive", clock=clock, max_batch=2, **kwargs)
+        clock.advance(1.0)
+        handles = [session.submit(inst, at=0.0) for inst in instances]
+        sizes = []
+        while session.pending_requests:
+            sizes.append(len(session.flush()))
+        assert sizes == [2] * (len(instances) // 2)
+        assert all(
+            exact_equal(a, h.result()) for a, h in zip(reference, handles)
+        ), f"{scheduler}/dev{devices}"
+
+    @pytest.mark.parametrize("model_name", ZOO)
+    def test_capped_rounds_match_reference_across_the_zoo(self, model_name):
+        """Capped flushes cut the pending rows of every zoo model without
+        changing a result.  Fiber programs defer their whole backlog to one
+        fiber-interleaved batch, so they ignore the cap."""
+        module = MODEL_MODULES[model_name]
+        mod, params, size = module.build_for("test")
+        instances = module.make_batch(mod, size, 5, seed=7)
+        reference = reference_run(mod, params, instances)
+        model = compile_model(mod, params, CompilerOptions())
+        clock = SimulatedClock()
+        session = model.serve("adaptive", clock=clock, max_batch=2)
+        clock.advance(1.0)
+        handles = [session.submit(inst, at=0.0) for inst in instances]
+        sizes = []
+        while session.pending_requests:
+            sizes.append(len(session.flush()))
+        assert sizes == ([5] if session.engine.program.uses_fibers else [2, 2, 1])
+        assert all(exact_equal(a, h.result()) for a, h in zip(reference, handles))
+
+    def test_uncapped_policies_flush_everything(self, treelstm_setup):
+        """round_cap is adaptive-only: deadline/size/manual keep the
+        flush-takes-all semantics."""
+        mod, params, instances, _ = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        session = model.serve("manual", clock=SimulatedClock())
+        for inst in instances:
+            session.submit(inst)
+        outs = session.flush()
+        assert len(outs) == len(instances)
+        assert session.pending_requests == 0
+
+    def test_context_exit_drains_capped_backlog(self, treelstm_setup):
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        clock = SimulatedClock()
+        with model.serve("adaptive", clock=clock, max_batch=4) as session:
+            clock.advance(1.0)
+            handles = [session.submit(inst, at=0.0) for inst in instances]
+        assert session.pending_requests == 0
+        assert session.num_flushes == 2
+        outputs = [h.result() for h in handles]
+        assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
+
+    def test_submission_between_capped_flushes_appends_behind(
+        self, treelstm_setup
+    ):
+        """Submissions landing mid-drain (between the capped flushes of one
+        backlog) append *behind* the leftover prefix, preserving submission
+        order."""
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        clock = SimulatedClock()
+        session = model.serve(
+            "adaptive", clock=clock, max_batch=3, max_wait_ms=10_000.0
+        )
+        clock.advance(1.0)
+        handles = [session.submit(inst, at=0.0) for inst in instances[:4]]
+        first = session.flush()
+        assert len(first) == 3
+        handles += [session.submit(inst, at=0.0) for inst in instances[4:6]]
+        assert session.pending_requests == 3
+        second = session.flush()
+        assert len(second) == 3
+        assert session.pending_requests == 0
+        outputs = [h.result() for h in handles]
+        assert all(exact_equal(a, b) for a, b in zip(reference[:6], outputs))
+
+    def test_reentrant_submission_from_done_callback(self, treelstm_setup):
+        """A handle's done callback submits a new request *while the capped
+        flush that resolves it is still running*.  The submission must
+        append behind the overflow prefix without corrupting sequence
+        ranges or arrival tracking."""
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        clock = SimulatedClock()
+        session = model.serve(
+            "adaptive", clock=clock, max_batch=3, max_wait_ms=10_000.0
+        )
+        clock.advance(1.0)
+        handles = [session.submit(inst, at=0.0) for inst in instances[:4]]
+        late = []
+        handles[0].add_done_callback(
+            lambda h: late.append(session.submit(instances[4], at=0.0))
+        )
+        first = session.flush()
+        assert len(first) == 3
+        # the callback fired mid-flush: its submission queued behind the
+        # leftover prefix
+        assert session.pending_requests == 2
+        second = session.flush()
+        assert len(second) == 2
+        outputs = [h.result() for h in handles] + [late[0].result()]
+        assert all(exact_equal(a, b) for a, b in zip(reference[:5], outputs))
+
+    def test_capped_replay_is_deterministic_and_reference_identical(
+        self, treelstm_setup
+    ):
+        """End to end through the trace driver: capped rounds replay
+        bit-for-bit and match the eager reference."""
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        arrivals = poisson_arrivals(2000.0, len(instances), seed=33)
+
+        def run():
+            session = model.serve(
+                "adaptive", clock=SimulatedClock(), max_batch=2, max_wait_ms=300.0
+            )
+            return replay_continuous(
+                session, instances, arrivals, host_model=(6.0, 1.0)
+            )
+
+        r1, r2 = run(), run()
+        assert r1.latencies_ms == r2.latencies_ms
+        assert exact_equal(r1.outputs, r2.outputs)
+        assert all(exact_equal(a, b) for a, b in zip(reference, r1.outputs))
+        assert r1.num_flushes >= len(instances) // 2  # the cap bound rounds

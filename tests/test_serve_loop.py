@@ -301,6 +301,29 @@ class TestServerLifecycle:
         # shutdown is idempotent
         server.shutdown()
 
+    def test_drain_flushes_a_capped_backlog_until_empty(self, treelstm_setup):
+        """drain() under a capping policy runs capped rounds until the
+        backlog is empty; no round exceeds the cap."""
+        mod, params, instances, reference = treelstm_setup
+        server = Server()
+        endpoint = server.add_endpoint(
+            "m", compile_model(mod, params, CompilerOptions()),
+            policy="adaptive", max_batch=2, max_wait_ms=60_000.0,
+        )
+        loop = server.run()
+        try:
+            with loop._cond:  # the whole burst reaches one dispatch pass
+                handles = [server.submit("m", inst) for inst in instances]
+            server.drain()
+            assert all(h.done for h in handles)
+        finally:
+            server.shutdown()
+        assert all(
+            values_allclose(a, h.result()) for a, h in zip(reference, handles)
+        )
+        assert all(h.stats.batch_size <= 2 for h in handles)
+        assert endpoint.session.num_flushes == len(instances) // 2
+
     def test_result_timeout_blocks_until_loop_flushes(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
         server = Server()
@@ -542,9 +565,8 @@ class TestContinuousReferenceIdentity:
     def test_scheduler_matrix_on_device_group(
         self, treelstm_setup, scheduler, placement
     ):
-        """Continuous batching with speculative round preparation on a
-        2-device group: every scheduler's rounds place, roll back and
-        re-place without changing a result."""
+        """Continuous batching on a 2-device group: every scheduler's
+        rounds place without changing a result."""
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
         session = model.serve(
@@ -556,7 +578,7 @@ class TestContinuousReferenceIdentity:
             placement=placement,
         )
         arrivals = bursty_arrivals(3000.0, len(instances), burst=3, seed=9)
-        report = replay_continuous(session, instances, arrivals, prepare=True)
+        report = replay_continuous(session, instances, arrivals)
         assert all(
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
         )
@@ -754,9 +776,8 @@ class TestDeterministicReplay:
         assert caller != continuous
 
     @pytest.mark.parametrize("placement", ["single", "round_robin", "data_parallel"])
-    def test_bitwise_with_prepare_on_device_group(self, treelstm_setup, placement):
-        """A 2-device continuous replay with speculative placement
-        (snapshot/restore) on replays bit-for-bit and matches the
+    def test_bitwise_on_device_group(self, treelstm_setup, placement):
+        """A 2-device continuous replay replays bit-for-bit and matches the
         reference."""
         from repro.devices import DeviceGroup
         from repro.experiments.continuous import _bitwise_equal
@@ -779,7 +800,6 @@ class TestDeterministicReplay:
                 arrivals,
                 deterministic=True,
                 host_model=(0.5, 0.05),
-                prepare=True,
             )
 
         first, second = once(), once()
@@ -863,6 +883,74 @@ class TestFailureIsolation:
             handle.exception()
         session.flush()
         assert handle.exception() is None
+
+
+class TestLoopDeath:
+    """An error outside any one round is an infrastructure failure: the
+    wall-clock loop dies loudly — pending handles fail, the loop stops with
+    the original error, and new submissions are refused until it is run
+    again."""
+
+    @staticmethod
+    def _crashing_server(treelstm_setup, boom):
+        mod, params, _, _ = treelstm_setup
+        server = Server()
+        endpoint = server.add_endpoint(
+            "trees", compile_model(mod, params, CompilerOptions()), policy="manual"
+        )
+        session = endpoint.session
+        healthy = session.next_deadline
+
+        def next_deadline():
+            # the loop asks every session for its deadline right after
+            # dispatching an admission: crash once a request is pending
+            if session.pending_requests:
+                raise boom
+            return healthy()
+
+        session.next_deadline = next_deadline
+        return server, session, healthy
+
+    def test_wall_crash_fails_handles_and_stops_loop(self, treelstm_setup):
+        from repro.serve import LoopStopped
+
+        _, _, instances, _ = treelstm_setup
+        boom = RuntimeError("loop infrastructure exploded")
+        server, session, _ = self._crashing_server(treelstm_setup, boom)
+        server.run()
+        handle = server.submit("trees", instances[0])
+        with pytest.raises(Exception) as excinfo:
+            handle.result(timeout=5.0)
+        # the session's round was aborted with the original error as cause
+        assert excinfo.value is boom or excinfo.value.__cause__ is boom
+        server.loop._thread.join(timeout=5.0)
+        assert not server.loop.running
+        assert server.loop._error is boom
+        assert session.pending_requests == 0
+        with pytest.raises(LoopStopped) as refused:
+            server.submit("trees", instances[0])
+        assert refused.value.__cause__ is boom
+        # shutting down a dead loop reports its death too
+        with pytest.raises(LoopStopped):
+            server.shutdown()
+
+    def test_dead_loop_serves_again_after_rerun(self, treelstm_setup):
+        _, _, instances, reference = treelstm_setup
+        boom = RuntimeError("loop infrastructure exploded")
+        server, session, healthy = self._crashing_server(treelstm_setup, boom)
+        server.run()
+        with pytest.raises(Exception):
+            server.submit("trees", instances[0]).result(timeout=5.0)
+        server.loop._thread.join(timeout=5.0)
+        assert not server.loop.running
+        # the abort left a clean empty round: a rerun loop serves normally
+        session.next_deadline = healthy
+        with server.run():
+            handles = [server.submit("trees", inst) for inst in instances[:3]]
+            server.drain()
+            outputs = [h.result(timeout=10.0) for h in handles]
+        server.shutdown()
+        assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
 
 
 class TestInFlightVisibility:

@@ -164,7 +164,7 @@ class TestStateMachine:
         cache.release_slots(None)  # tolerated
 
     def test_released_slots_keep_counting_launches(self, monkeypatch):
-        """A plan staged before its template's LRU eviction still carries
+        """A plan instantiated before its template's LRU eviction carries
         the template's slots: each later launch must count as a miss (not
         vanish into a PROMOTED slot with no entry), and an orphaned slot
         must never promote again — nobody is left to release it."""
