@@ -36,15 +36,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..compiler.options import CompilerOptions
 from ..core.api import compile_model, reference_run
-from ..ir.adt import ADTValue
 from ..runtime.device import DeviceSimulator
 from ..serve.clock import SimulatedClock
 from ..serve.traffic import TrafficReport, bursty_arrivals, replay, replay_continuous
-from ..utils import values_allclose
+from ..utils import bitwise_equal
 from .harness import (
     ExperimentScale,
     build_model,
@@ -95,27 +92,6 @@ BURST = 6
 HOST_MODEL = (2.0, 0.75)
 
 
-def _bitwise_equal(a, b) -> bool:
-    """Exact (bit-for-bit) equality over nested outputs (ADT values, tuples,
-    lists, arrays — the same structures :func:`values_allclose` walks)."""
-    if isinstance(a, ADTValue) or isinstance(b, ADTValue):
-        return (
-            isinstance(a, ADTValue)
-            and isinstance(b, ADTValue)
-            and a.constructor.name == b.constructor.name
-            and len(a.fields) == len(b.fields)
-            and all(_bitwise_equal(x, y) for x, y in zip(a.fields, b.fields))
-        )
-    if isinstance(a, (list, tuple)) or isinstance(b, (list, tuple)):
-        return (
-            isinstance(a, (list, tuple))
-            and isinstance(b, (list, tuple))
-            and len(a) == len(b)
-            and all(_bitwise_equal(x, y) for x, y in zip(a, b))
-        )
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
-
-
 def _replay_mode(
     compiled,
     requests,
@@ -160,12 +136,9 @@ def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[
                 )
                 deterministic = (
                     report.latencies_ms == rerun.latencies_ms
-                    and _bitwise_equal(report.outputs, rerun.outputs)
+                    and bitwise_equal(report.outputs, rerun.outputs)
                 )
-                ok = all(
-                    values_allclose(a, b)
-                    for a, b in zip(reference, report.outputs)
-                )
+                ok = bitwise_equal(reference, report.outputs)
                 rows.append(
                     [
                         model_name,

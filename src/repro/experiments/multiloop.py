@@ -2,14 +2,13 @@
 overload.
 
 The continuous-batching benchmark (:mod:`repro.experiments.continuous`)
-showed the event loop beating caller-driven intake; the overlap benchmark
-hid host time behind device rounds.  Both still serialize every round's
-host work through **one** loop — at high request rates the host lane, not
-the device, is the ceiling.  This driver measures the sharded serving
-front door (:mod:`repro.serve.topology`): the same bursty trace — an
-order of magnitude above the continuous benchmark's arrival rate — is
-replayed against each loop topology on the same four-device
-group:
+showed the event loop beating caller-driven intake, but it still
+serializes every round's host work through **one** loop — at high
+request rates the host lane, not the device, is the ceiling.  This
+driver measures the sharded serving front door
+(:mod:`repro.serve.topology`): the same bursty trace — an order of
+magnitude above the continuous benchmark's arrival rate — is replayed
+against each loop topology on the same four-device group:
 
 * ``single`` — one loop owns all four devices: every round's host cost
   serializes on one host lane (the baseline the sharding win is measured
@@ -47,7 +46,7 @@ from ..core.api import compile_model, reference_run
 from ..serve.clock import SimulatedClock
 from ..serve.server import Server
 from ..serve.traffic import bursty_arrivals
-from .continuous import _bitwise_equal
+from ..utils import bitwise_equal
 from .harness import (
     ExperimentScale,
     build_model,
@@ -128,7 +127,7 @@ def _measure(server, handles, workload, reference) -> Dict[str, object]:
             if h.failed:
                 continue
             completed.append(h)
-            if not _bitwise_equal(h.result(), reference[idx]):
+            if not bitwise_equal(h.result(), reference[idx]):
                 matches = False
     horizon = max(h.stats.completed_at for h in completed)
     throughput = len(completed) / max(1e-9, horizon - first_arrival)
@@ -169,7 +168,7 @@ def _run_row(
         compiled, endpoints, workload, topology, topology_args
     )
     m2 = _measure(server2, handles2, workload, reference)
-    deterministic = m["times"] == m2["times"] and _bitwise_equal(
+    deterministic = m["times"] == m2["times"] and bitwise_equal(
         m["outputs"], m2["outputs"]
     )
     row = [

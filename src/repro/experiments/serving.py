@@ -37,7 +37,7 @@ from ..compiler.options import CompilerOptions
 from ..core.api import compile_model, reference_run
 from ..serve.clock import SimulatedClock
 from ..serve.traffic import TrafficReport, poisson_arrivals, replay
-from ..utils import values_allclose
+from ..utils import bitwise_equal
 from .harness import (
     ExperimentScale,
     build_model,
@@ -123,9 +123,7 @@ def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[
             report = _replay_policy(
                 compiled, requests, rate, scale.seed, policy, policy_args
             )
-            ok = all(
-                values_allclose(a, b) for a, b in zip(reference, report.outputs)
-            )
+            ok = bitwise_equal(reference, report.outputs)
             if label == "per_request":
                 base_launches = report.kernel_launches
             rows.append(
@@ -164,7 +162,7 @@ def run_plan_cache(
         for _ in range(rounds):
             handles = [session.submit(r) for r in requests]
             assert all(
-                values_allclose(a, h.result()) for a, h in zip(reference, handles)
+                bitwise_equal(a, h.result()) for a, h in zip(reference, handles)
             ), "plan-cached session diverged from the reference"
         # hit/miss counters are a pure function of the flush structure (the
         # wall-clock memory_planning bucket is not, and is not reported)

@@ -45,7 +45,7 @@ from ..models import MODEL_MODULES
 from ..runtime.device import GPUSpec
 from ..serve.clock import SimulatedClock
 from ..serve.traffic import TrafficReport, poisson_arrivals, replay
-from ..utils import values_allclose
+from ..utils import bitwise_equal
 from .harness import (
     ExperimentScale,
     build_model,
@@ -199,10 +199,7 @@ def run(
                 report, session = _replay_config(
                     compiled, requests, rate, scale.seed, placement, devices
                 )
-                ok = all(
-                    values_allclose(a, b)
-                    for a, b in zip(reference, report.outputs)
-                )
+                ok = bitwise_equal(reference, report.outputs)
                 peer = sum(
                     s.device.get("num_peer_transfers", 0)
                     for s in session.history

@@ -5,10 +5,11 @@ sequence re-enters the round former once per token, so decode steps of many
 sequences — and fresh prefills — batch into the same rounds through the
 normal scheduler → placement → memory-planner → specializer path.
 
-* :class:`GenerationSession` — the step driver: a deterministic simulated
-  event loop (:meth:`~GenerationSession.generate`, the decode twin of
-  ``ServeLoop.run_trace``) or a wall-clock pump behind a running
-  :class:`~repro.serve.server.Server` (:meth:`~GenerationSession.submit`);
+* :class:`GenerationSession` — the step driver: decode steps as events of
+  the one simulated driver, :class:`~repro.serve.sim.TraceDriver`
+  (:meth:`~GenerationSession.generate`), or a wall-clock pump behind a
+  running :class:`~repro.serve.server.Server`
+  (:meth:`~GenerationSession.submit`), both running one per-step handler;
 * :class:`GenerationRequest` / :class:`GenerationHandle` — prompt,
   stopping rules (EOS / ``max_new_tokens``), streaming (``stream()`` /
   ``on_token``), cancellation and deadlines at round-boundary granularity;

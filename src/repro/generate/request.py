@@ -31,7 +31,7 @@ from typing import Any, Callable, Deque, Iterator, List, Optional
 
 import numpy as np
 
-from ..serve.request import RequestCancelled, RequestExpired
+from ..serve.request import RequestCancelled, RequestExpired, RequestHandle
 
 
 class GenerationCancelled(RequestCancelled):
@@ -121,6 +121,11 @@ class GenerationHandle:
         self._cond = threading.Condition()
         self._cancel_requested = False
         self._last_emit_at: Optional[float] = None
+        #: the pending step :meth:`cancel` withdraws from its round — set
+        #: only by the simulated driver, whose thread runs every callback
+        #: (on the wall clock the loop thread owns the session, and the
+        #: pump drops a cancelled sequence when its step completes)
+        self._step: Optional[RequestHandle] = None
 
     # -- consumption -----------------------------------------------------------
     def result(self, timeout: Optional[float] = None) -> List[int]:
@@ -169,6 +174,9 @@ class GenerationHandle:
             if self.done:
                 return False
             self._cancel_requested = True
+            step = self._step
+        if step is not None:
+            step.cancel()
         return True
 
     @property
@@ -176,6 +184,16 @@ class GenerationHandle:
         return self._cancel_requested
 
     # -- driver internals ------------------------------------------------------
+    def _track_step(self, step: RequestHandle) -> None:
+        """Make ``step`` the one :meth:`cancel` withdraws — at once when
+        cancellation was already requested (from the sequence's own token
+        callback, before its successor step existed)."""
+        with self._cond:
+            self._step = step
+            cancelled = self._cancel_requested
+        if cancelled:
+            step.cancel()
+
     def _emit(self, token: int, at: float) -> None:
         with self._cond:
             if self.stats.first_token_at is None:

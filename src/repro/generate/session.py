@@ -11,20 +11,24 @@ batch into the same rounds through the normal scheduler → placement →
 memory-planner → specializer path.  Nothing below the session knows
 generation exists.
 
-Two drivers share the per-step logic:
+Both drivers run one per-step handler (:meth:`GenerationSession._step_done`:
+map a failed step to the sequence's status, or consume the result and
+resubmit the successor step):
 
-* **simulated** (:meth:`GenerationSession.generate`): a deterministic
-  event loop on the session's :class:`~repro.serve.clock.SimulatedClock`
-  and a :class:`~repro.serve.loop.DeviceTimeline` — the decode twin of
-  ``ServeLoop.run_trace``.  Rounds form at step boundaries
-  (iteration-level scheduling: a round launches when the previous round's
-  results have been consumed and its successor steps resubmitted), the
-  flush policy decides composition exactly as for single-shot traffic, and
+* **simulated** (:meth:`GenerationSession.generate`): the steps run
+  through the one simulated event driver,
+  :class:`~repro.serve.sim.TraceDriver`, over a one-session
+  :class:`~repro.serve.loop.ServeLoop` — the machinery under
+  ``replay_continuous``.  A step's completion is a driver event at its
+  round's completion timestamp; the handler admits the successor there,
+  before the same-instant device-idle wakeup, so that launch takes the
+  whole cohort as one round (iteration-level scheduling).  The flush
+  policy decides composition exactly as for single-shot traffic, and
   replaying the same request list is bit-for-bit identical.
 * **wall-clock** (:meth:`GenerationSession.submit` behind a running
-  :class:`~repro.serve.server.Server`): a pump thread consumes completed
-  step handles, selects tokens host-side and resubmits through
-  ``Server.submit``, so generation streams through the live serve loop.
+  :class:`~repro.serve.server.Server`): a pump thread runs the handler on
+  completed step handles and resubmits through ``Server.submit``, so
+  generation streams through the live serve loop.
 
 Per-sequence recurrent state stays **arena-resident** across steps: a
 step's output state is a zero-copy view into a device-born output arena
@@ -45,18 +49,16 @@ plan caching and kernel specialization both apply.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import queue
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..serve.clock import SimulatedClock
-from ..serve.loop import DeviceTimeline
+from ..serve.loop import ServeLoop
 from ..serve.request import RequestCancelled, RequestExpired, RequestHandle
-from ..serve.sim import replay_state
+from ..serve.sim import TraceDriver
 from ..utils import flatten_arrays
 from .request import (
     GenerationCancelled,
@@ -70,7 +72,7 @@ from .request import (
 class _Sequence:
     """Driver-internal state of one generating sequence."""
 
-    __slots__ = ("handle", "req", "state", "pos", "step", "finished")
+    __slots__ = ("handle", "req", "state", "pos", "step")
 
     def __init__(self, handle: GenerationHandle, state: np.ndarray) -> None:
         self.handle = handle
@@ -82,7 +84,6 @@ class _Sequence:
         self.pos = 0
         #: the in-flight step's serving handle (None between steps)
         self.step: Optional[RequestHandle] = None
-        self.finished = False
 
 
 class GenerationSession:
@@ -114,10 +115,6 @@ class GenerationSession:
     eos_id:
         Token id that terminates a sequence (None: only ``max_new_tokens``
         stops it).
-    step_host_ms:
-        Modelled host time per processed step result (token selection +
-        resubmission) charged to the simulated clock; the wall clock pays
-        the real cost instead.
     """
 
     def __init__(
@@ -130,7 +127,6 @@ class GenerationSession:
         endpoint: Optional[str] = None,
         seed: int = 0,
         eos_id: Optional[int] = None,
-        step_host_ms: float = 0.05,
     ) -> None:
         if (session is None) == (server is None):
             raise ValueError("pass exactly one of session= or server=")
@@ -146,7 +142,6 @@ class GenerationSession:
         self.model = model
         self.size = size
         self.eos_id = eos_id
-        self.step_host_ms = float(step_host_ms)
         self.metrics = GenerationMetrics()
         # surface the decode SLO view in Endpoint.summary()/Server.summary()
         session.generation_metrics = self.metrics
@@ -161,7 +156,6 @@ class GenerationSession:
         self._emb_rows = [
             self._embedding[i : i + 1] for i in range(self._embedding.shape[0])
         ]
-        self._counter = itertools.count()
         # wall-clock pump state (started lazily by the first submit)
         self._pump: Optional[threading.Thread] = None
         self._events: "queue.Queue" = queue.Queue()
@@ -184,19 +178,15 @@ class GenerationSession:
         status: str,
         error: Optional[BaseException] = None,
     ) -> None:
-        seq.finished = True
         seq.handle._finish(status, at, error)
         self.metrics.record(seq.handle.stats)
 
-    def _consume_result(
-        self, seq: _Sequence, result: Any, at: float
-    ) -> Optional[Tuple[Any, bool]]:
+    def _consume_result(self, seq: _Sequence, result: Any, at: float) -> Any:
         """Apply one completed step's ``(new_state, logits)`` to ``seq``.
 
         Emits a token when the prompt is exhausted, applies EOS /
         ``max_new_tokens`` / cancellation / deadline stopping, and returns
-        the next step's instance (plus whether the sequence is still in
-        prefill) — or None when the sequence retired.
+        the next step's instance — or None when the sequence retired.
         """
         handle = seq.handle
         req = seq.req
@@ -225,7 +215,7 @@ class GenerationSession:
         if seq.pos < len(req.prompt) - 1:
             # still prefilling: consume the next prompt token, emit nothing
             seq.pos += 1
-            return self._next_instance(seq, req.prompt[seq.pos]), True
+            return self._next_instance(seq, req.prompt[seq.pos])
         token = self.model.select_token(logits)
         try:
             handle._emit(token, at)
@@ -238,7 +228,37 @@ class GenerationSession:
         ) >= req.max_new_tokens:
             self._retire(seq, at, "done")
             return None
-        return self._next_instance(seq, token), False
+        return self._next_instance(seq, token)
+
+    def _step_done(
+        self, seq: _Sequence, submit: Callable[[_Sequence, Any], None]
+    ) -> bool:
+        """The per-step handler both drivers run once ``seq``'s step has
+        resolved: a failed step retires the sequence with the matching
+        status, a completed one is consumed and its successor resubmitted
+        through ``submit(seq, instance)``.  Returns whether the sequence is
+        still live."""
+        step, seq.step = seq.step, None
+        at = (
+            step.stats.completed_at if step.stats is not None
+            else self._session.clock.now()
+        )
+        err = step.exception(0)
+        if err is not None:
+            status, error = "failed", err
+            if isinstance(err, RequestCancelled):
+                status, error = "cancelled", GenerationCancelled(str(err))
+            elif isinstance(err, RequestExpired):
+                status, error = "expired", GenerationExpired(str(err))
+            if error is not err:
+                error.__cause__ = err
+            self._retire(seq, at, status, error)
+            return False
+        instance = self._consume_result(seq, step.result(), at)
+        if instance is None:
+            return False
+        submit(seq, instance)
+        return True
 
     # ==========================================================================
     # simulated mode
@@ -252,13 +272,16 @@ class GenerationSession:
     ) -> List[GenerationHandle]:
         """Deterministically generate every request on the simulated clock.
 
-        The decode twin of ``ServeLoop.run_trace``: arrivals and step
-        completions interleave as timed events, flushed rounds execute on a
-        :class:`~repro.serve.loop.DeviceTimeline` (device time pipelines,
-        host time serializes with intake), and with ``deterministic``
-        (default) the measured host wall time is excluded — the same
-        request list replays bit-for-bit.  ``host_model`` is the
-        deterministic ``(per_round_ms, per_request_ms)`` flush-cost model.
+        Arrivals and step completions are events of one
+        :class:`~repro.serve.sim.TraceDriver` over a one-session
+        :class:`~repro.serve.loop.ServeLoop`: flushed rounds execute on the
+        loop's device timeline (device time pipelines, host time occupies
+        the host lane), each step is admitted like any request (deadline
+        checks, host-gated dispatch), and with ``deterministic`` (default)
+        the measured host wall time is excluded — the same request list
+        replays bit-for-bit.  ``host_model`` is the deterministic
+        ``(per_round_ms, per_request_ms)`` flush-cost model; a decode step
+        is one request, so ``per_request_ms`` prices its host work.
 
         Returns one :class:`GenerationHandle` per request, in input order,
         all finished.
@@ -268,182 +291,40 @@ class GenerationSession:
                 "generate() drives the simulated clock; this GenerationSession "
                 "is in wall-clock server mode — use submit()"
             )
-        if not isinstance(self._session.clock, SimulatedClock):
+        clock = self._session.clock
+        if not isinstance(clock, SimulatedClock):
             raise RuntimeError(
                 "generate() needs the session on a SimulatedClock; for "
                 "wall-clock generation put the model behind a Server and use "
                 "GenerationSession(server=..., endpoint=...)"
             )
-        session = self._session
-        clock = session.clock
-        # one lane per group member, so multi-device decode rounds overlap
-        # lane-wise exactly as in ServeLoop.run_trace
-        timeline = DeviceTimeline(
-            clock.now(), num_devices=getattr(session.engine, "num_devices", 1)
+        driver = TraceDriver(
+            [ServeLoop(sessions={"_": self._session}, clock=clock)], clock
         )
+
+        def submit(seq: _Sequence, instance: Any) -> None:
+            seq.step = step = driver.admit(
+                clock.now(), "_", instance, {"deadline": seq.req.deadline}
+            )
+            # the step's completion is a driver event at its round's
+            # completion timestamp (a withdrawn or expired step: now)
+            step.add_done_callback(
+                lambda h: driver.call_at(
+                    h.stats.completed_at if h.stats is not None else clock.now(),
+                    lambda: self._step_done(seq, submit),
+                )
+            )
+            seq.handle._track_step(step)
+
+        def arrive(handle: GenerationHandle) -> None:
+            seq = _Sequence(handle, self.model.initial_state(self.size))
+            submit(seq, self._first_instance(seq))
+
         handles = [GenerationHandle(req) for req in requests]
-        with replay_state(
-            [session],
-            deterministic=deterministic,
-            host_model=host_model,
-            timeline=timeline,
-        ):
-            self._run_simulated(handles, timeline)
+        for handle in handles:
+            driver.call_at(handle.request.arrival, lambda h=handle: arrive(h))
+        driver.run((), deterministic=deterministic, host_model=host_model)
         return handles
-
-    def _submit_step_simulated(
-        self, seq: _Sequence, instance: Any, at: float, ready: List
-    ) -> None:
-        seq.step = handle = self._session.submit(instance, at=at)
-        clock = self._session.clock
-
-        def _resolved(h: RequestHandle, seq: _Sequence = seq) -> None:
-            # success: the event fires at the round's (possibly future)
-            # completion timestamp; failure (cancel/abort): at the clock
-            at = h.stats.completed_at if h.stats is not None else clock.now()
-            heapq.heappush(ready, (at, next(self._counter), seq))
-
-        handle.add_done_callback(_resolved)
-
-    def _sweep_lifecycle(self, live: "Dict[_Sequence, None]", now: float) -> None:
-        """Round-boundary lifecycle point: withdraw the pending step of any
-        sequence that was cancelled (or whose deadline passed) before the
-        round formed — its DFG nodes leave the shared graph and round-mates
-        flush as if it had never stepped."""
-        for seq in list(live):
-            step = seq.step
-            if seq.finished or step is None or step.done:
-                continue
-            if seq.handle.cancel_requested:
-                self._session.cancel(step)
-                del live[seq]
-                self._retire(
-                    seq, now, "cancelled",
-                    GenerationCancelled(
-                        "generation cancelled before its round formed"
-                    ),
-                )
-            elif seq.req.deadline is not None and now > seq.req.deadline:
-                self._session.cancel(step)
-                del live[seq]
-                self._retire(
-                    seq, now, "expired",
-                    GenerationExpired(
-                        f"deadline {seq.req.deadline!r} passed at {now!r} "
-                        "with the step still unflushed"
-                    ),
-                )
-
-    def _run_simulated(
-        self,
-        handles: List[GenerationHandle],
-        timeline: DeviceTimeline,
-    ) -> None:
-        session = self._session
-        clock = session.clock
-        arrivals: List[Tuple[float, int, GenerationHandle]] = sorted(
-            (gh.request.arrival, i, gh) for i, gh in enumerate(handles)
-        )
-        arrivals.reverse()  # pop() takes the earliest
-        ready: List[Tuple[float, int, _Sequence]] = []
-        live: Dict[_Sequence, None] = {}
-        #: completion horizon of the steps consumed since the last flush:
-        #: their successors were resubmitted *future-dated* (at= their
-        #: producing round's completion), so the next round cannot launch
-        #: before the clock reaches this barrier
-        barrier: Optional[float] = None
-
-        while live or arrivals:
-            na = arrivals[-1][0] if arrivals else None
-            nc = ready[0][0] if ready else None
-            if na is not None and (nc is None or na <= nc):
-                if nc is None and session.pending_requests:
-                    # pending steps would flush at the barrier; an arrival
-                    # beyond it misses that round — flush first
-                    flush_at = max(clock.now(), barrier or clock.now())
-                    if na > flush_at:
-                        barrier = self._quiesce(live, timeline, barrier)
-                        continue
-                t, _, gh = arrivals.pop()
-                clock.advance_to(t)
-                req = gh.request
-                seq = _Sequence(gh, self.model.initial_state(self.size))
-                if req.deadline is not None and t > req.deadline:
-                    self._retire(
-                        seq, t, "expired",
-                        GenerationExpired(
-                            f"deadline {req.deadline!r} already passed on "
-                            f"arrival at {t!r}"
-                        ),
-                    )
-                    continue
-                live[seq] = None
-                self._submit_step_simulated(
-                    seq, self._first_instance(seq), t, ready
-                )
-                continue
-            if nc is not None:
-                c, _, seq = heapq.heappop(ready)
-                if seq.finished:
-                    continue
-                barrier = c if barrier is None else max(barrier, c)
-                # host-side step cost: unpack, argmax, resubmit (serial
-                # with intake, like the flush host share)
-                clock.charge(self.step_host_ms / 1e3)
-                step, seq.step = seq.step, None
-                err = step.exception(0)
-                if err is not None:
-                    del live[seq]
-                    status = (
-                        "cancelled" if isinstance(err, RequestCancelled)
-                        else "expired" if isinstance(err, RequestExpired)
-                        else "failed"
-                    )
-                    self._retire(seq, c, status, err)
-                    continue
-                nxt = self._consume_result(seq, step.result(), c)
-                if nxt is None:
-                    del live[seq]
-                    continue
-                # resubmit future-dated at the producing round's completion:
-                # the step logically exists once its input state does.  The
-                # clock may still lag behind c, but the submit is never
-                # *behind* an earlier pending arrival because events are
-                # consumed in timestamp order.
-                self._submit_step_simulated(seq, nxt[0], c, ready)
-                continue
-            # quiesce: every live step awaits a flush
-            if not session.pending_requests and barrier is None:
-                raise RuntimeError(
-                    "generation driver stalled: live sequences with no "
-                    "pending steps, no events, and no barrier"
-                )
-            barrier = self._quiesce(live, timeline, barrier)
-
-    def _quiesce(
-        self,
-        live: "Dict[_Sequence, None]",
-        timeline: DeviceTimeline,
-        barrier: Optional[float],
-    ) -> Optional[float]:
-        """Round boundary: sweep lifecycle, advance to the barrier, and let
-        the flush policy launch the accumulated round.  Returns the new
-        (cleared) barrier."""
-        session = self._session
-        clock = session.clock
-        self._sweep_lifecycle(live, clock.now())
-        if barrier is not None:
-            clock.advance_to(barrier)
-        timeline.pop_completions(clock.now())
-        if session.pending_requests:
-            if session.poll() is None and session.pending_requests:
-                if session.policy.on_idle(session, clock.now()):
-                    session.flush(reason=session.policy.name)
-                else:
-                    # policies with no idle rule (manual) must still make
-                    # progress — generation would otherwise deadlock
-                    session.flush(reason="drain")
-        return None
 
     # ==========================================================================
     # wall-clock mode
@@ -525,34 +406,10 @@ class GenerationSession:
                             GenerationCancelled("cancelled before first step"),
                         )
                         self._wall_retired()
-                        continue
-                    self._wall_submit_step(seq, self._first_instance(seq))
-                    continue
-                # completed step
-                step, seq.step = seq.step, None
-                err = step.exception(0)
-                at = (
-                    step.stats.completed_at if step.stats is not None
-                    else clock.now()
-                )
-                if err is not None:
-                    status = (
-                        "cancelled" if isinstance(err, RequestCancelled)
-                        else "expired" if isinstance(err, RequestExpired)
-                        else "failed"
-                    )
-                    self._retire(seq, at, status, err)
+                    else:
+                        self._wall_submit_step(seq, self._first_instance(seq))
+                elif not self._step_done(seq, self._wall_submit_step):
                     self._wall_retired()
-                    continue
-                # note: unlike the simulated driver, the wall pump does not
-                # mark the fed-back state resident — the residency cache is
-                # owned by the loop thread mid-flush, and the cost is only a
-                # modelled re-upload of one (1, hidden) row per step
-                nxt = self._consume_result(seq, step.result(), at)
-                if nxt is None:
-                    self._wall_retired()
-                    continue
-                self._wall_submit_step(seq, nxt[0])
             except BaseException as exc:  # pump must survive any sequence
                 if not seq.handle.done:
                     self._retire(seq, clock.now(), "failed", exc)

@@ -148,8 +148,12 @@ class DeviceTimeline:
         return completion
 
     def in_flight(self, now: float) -> int:
-        """Rounds launched but not yet complete at ``now``."""
-        return sum(1 for c in self._completions if c > now)
+        """Rounds launched but not yet complete at ``now``.  A round
+        completing exactly at ``now`` counts until :meth:`pop_completions`
+        drains it: the decode steps it produced are admitted at that
+        instant, before the device-idle wakeup, and must keep accumulating
+        for that launch."""
+        return sum(1 for c in self._completions if c >= now)
 
     def next_completion(self) -> Optional[float]:
         """Earliest completion not yet drained by the loop (None if all

@@ -151,13 +151,13 @@ class InferenceSession:
         #: rounds launch asynchronously — completion lands on the timeline
         #: instead of blocking the clock for the round's device time
         self.timeline = None
-        #: the owning loop's host lane (set by the simulated trace driver,
-        #: see :mod:`repro.serve.sim`): when present, a flush serializes its
-        #: host share against *this loop only* — the lane's ``busy_until``
-        #: advances instead of the shared clock, so sibling loops' host
-        #: work proceeds in parallel (the whole point of the sharded front
-        #: door) and the driver delays this loop's next event until the
-        #: lane frees
+        #: the owning loop's host lane (set together with ``timeline`` by
+        #: the simulated trace driver, see :mod:`repro.serve.sim`): a flush
+        #: serializes its host share against *this loop only* — the lane's
+        #: ``busy_until`` advances instead of the shared clock, so sibling
+        #: loops' host work proceeds in parallel (the whole point of the
+        #: sharded front door) and the driver delays this loop's next event
+        #: until the lane frees
         self.host_lane = None
         #: charge measured host wall time to the clock at each flush (the
         #: default).  Deterministic replays switch this off so the simulated
@@ -508,18 +508,12 @@ class InferenceSession:
             # horizon plus its own device time, while intake keeps running.
             # On a multi-lane timeline the round occupies only the lanes its
             # per-device shares use, so different members' rounds overlap;
-            # the aggregate launch is the single-device path.
-            if self.host_lane is not None:
-                # trace-driver replays: the host share occupies this loop's
-                # lane only; the driver delays the loop's next event until
-                # the lane frees instead of advancing the shared clock
-                launch_at = flush_start + host_ms / 1e3
-                self.host_lane.busy_until = launch_at
-            else:
-                # the decode step driver (generate/) has no lanes: its host
-                # share serializes on the shared clock
-                self.clock.charge(host_ms / 1e3)
-                launch_at = self.clock.now()
+            # the aggregate launch is the single-device path.  The host
+            # share occupies this loop's host lane only: the trace driver
+            # delays the loop's next event until the lane frees instead of
+            # advancing the shared clock
+            launch_at = flush_start + host_ms / 1e3
+            self.host_lane.busy_until = launch_at
             shares = self._device_shares(stats)
             if shares is None:
                 completed_at = self.timeline.launch(launch_at, device_ms / 1e3)

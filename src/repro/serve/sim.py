@@ -4,14 +4,18 @@ serve-side replay.
 Every way of replaying an open-loop trace on a
 :class:`~repro.serve.clock.SimulatedClock` — :meth:`ServeLoop.run_trace`,
 ``Server.run_trace`` / :func:`~repro.serve.topology.run_topology_trace`,
-and the four :mod:`repro.serve.traffic` ``replay*`` functions — is a thin
+the four :mod:`repro.serve.traffic` ``replay*`` functions and the decode
+steps of :meth:`repro.generate.GenerationSession.generate` — is a thin
 adapter over :class:`TraceDriver`.  The event-ordering rules therefore
 exist exactly once:
 
-* wakeups are ordered by ``(time, kind, loop)`` with kind 0 = device
-  completion, 1 = flush deadline, 2 = host-gated dispatch — completions
-  win ties, so the device-idle launch happens before a same-instant
-  deadline fires;
+* wakeups are ordered by ``(time, kind, loop)`` with kind 0 = scheduled
+  call (:meth:`TraceDriver.call_at`: a decode step's completion, whose
+  handler admits the successor step), 1 = device completion, 2 = flush
+  deadline, 3 = host-gated dispatch.  Scheduled calls win ties, so a
+  cohort's successor steps are all admitted before the same-instant
+  device-idle launch takes them as one round; completions beat a
+  same-instant deadline, so the device-idle launch happens first;
 * a loop's host work serializes on its own *host lane*: a flush's host
   share pushes the lane's ``busy_until`` out, the loop's next event
   (and the dispatch of arrivals queued behind it) waits until the lane
@@ -21,8 +25,9 @@ exist exactly once:
   poll;
 * work-stealing runs at deterministic points: after intake at a timestamp
   quiesces, and at drain points;
-* the drain phase fires remaining events until every backlog resolves,
-  force-flushing only policies that would wait forever (``manual``).
+* the drain phase fires remaining events until every backlog resolves
+  and no call is scheduled, force-flushing only policies that would wait
+  forever (``manual``).
 
 **Caller-driven** replays (``traffic.replay`` / ``replay_server``) are the
 same driver with the :class:`~repro.serve.loop.DeviceTimeline` / host
@@ -30,15 +35,13 @@ lane *assignment* skipped: sessions keep ``timeline=None``,
 so each flush blocks the shared clock for the round's full latency — the
 historical single-threaded choreography — while admission, deadline
 firing and drain run through the identical code.
-
-The decode step driver (``GenerationSession._run_simulated``) is the one
-simulated driver not folded in: its round boundary is a step barrier, not
-a timed event.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .clock import SimulatedClock
@@ -52,18 +55,18 @@ def replay_state(
     *,
     deterministic: bool,
     host_model: Optional[Tuple[float, float]],
-    timeline: Optional[DeviceTimeline] = None,
 ) -> Iterator[None]:
-    """Apply a replay's session configuration — device timeline (None for
-    caller-driven replays), no host lane, host charging mode and
-    deterministic host-cost model — and restore each session's prior values
-    on exit, so replays never clobber a caller's own settings."""
+    """Apply a replay's session configuration — no device timeline or host
+    lane (the driver assigns both for continuous replays), host charging
+    mode and deterministic host-cost model — and restore each session's
+    prior values on exit, so replays never clobber a caller's own
+    settings."""
     sessions = list(sessions)
     prior = [
         (s.timeline, s.host_lane, s.charge_host, s.host_cost_model) for s in sessions
     ]
     for session in sessions:
-        session.timeline = timeline
+        session.timeline = None
         session.host_lane = None
         session.charge_host = not deterministic
         session.host_cost_model = host_model
@@ -151,6 +154,9 @@ class TraceDriver:
         start = clock.now()
         self.states = [_LoopState(loop, i, start) for i, loop in enumerate(loops)]
         self._by_loop = {st.loop: st for st in self.states}
+        #: scheduled calls, a min-heap of ``(time, seq, fn)``
+        self._calls: List[Tuple[float, int, Callable[[], Any]]] = []
+        self._call_seq = itertools.count()
 
     # -- the drive -------------------------------------------------------------
     def run(
@@ -279,14 +285,25 @@ class TraceDriver:
             state.loop._dispatch_one(queue.popleft())
 
     # -- events ----------------------------------------------------------------
+    def call_at(self, t: float, fn: Callable[[], Any]) -> None:
+        """Schedule ``fn()`` at ``t``: the event source for work outside
+        the loops — a decode step's completion, whose handler admits the
+        successor step while the driver runs.  No host lane delays it (the
+        wall-clock twin is a separate pump thread)."""
+        heapq.heappush(self._calls, (float(t), next(self._call_seq), fn))
+
     def next_event(self) -> Optional[Tuple[float, int, int]]:
-        """Earliest pending wakeup across all loops: ``(time, kind,
-        loop_index)`` with kind 0 = device completion, 1 = flush deadline,
-        2 = host-gated dispatch.  Times are *effective*: a busy host lane
-        delays its loop's events until it frees, which is exactly how the
-        sharded front door overlaps host work across loops.  Completions
-        win ties (device-idle launch before a same-instant deadline)."""
-        best: Optional[Tuple[float, int, int]] = None
+        """Earliest pending wakeup: ``(time, kind, loop_index)`` with kind
+        0 = scheduled call (loop index -1), 1 = device completion, 2 = flush
+        deadline, 3 = host-gated dispatch.  Loop times are *effective*: a
+        busy host lane delays its loop's events until it frees, which is
+        exactly how the sharded front door overlaps host work across loops.
+        Scheduled calls win ties (a cohort's successor steps join the
+        same-instant device-idle launch), then completions (device-idle
+        launch before a same-instant deadline)."""
+        best: Optional[Tuple[float, int, int]] = (
+            (self._calls[0][0], 0, -1) if self._calls else None
+        )
         for st in self.states:
             free = st.busy_until
             queue = st.loop._queue
@@ -295,7 +312,7 @@ class TraceDriver:
                 st.loop.next_deadline(),
                 queue[0].at if queue else None,
             )
-            for kind, when in enumerate(candidates):
+            for kind, when in enumerate(candidates, start=1):
                 if when is not None:
                     event = (max(when, free), kind, st.index)
                     if best is None or event < best:
@@ -304,10 +321,13 @@ class TraceDriver:
 
     def fire(self, event: Tuple[float, int, int]) -> None:
         when, kind, index = event
-        state = self.states[index]
         clock = self.clock
         clock.advance_to(when)
         if kind == 0:
+            heapq.heappop(self._calls)[2]()
+            return
+        state = self.states[index]
+        if kind == 1:
             state.timeline.pop_completions(clock.now())
             # the device went idle: give continuous-batching policies the
             # chance to launch their backlog immediately.  Re-check before
@@ -322,7 +342,7 @@ class TraceDriver:
                     session, clock.now()
                 ):
                     session.flush(reason=session.policy.name)
-        elif kind == 1:
+        elif kind == 2:
             for session in state.sessions.values():
                 session.poll()
         else:
@@ -417,11 +437,11 @@ class TraceDriver:
     # -- drain -----------------------------------------------------------------
     def drain(self) -> None:
         """After the last arrival: fire remaining wakeups until every
-        backlog resolves, force-flushing only when nothing schedules a
-        flush at all (``manual``-style policies leave a deadline-less
-        backlog with an empty dispatch queue)."""
+        backlog resolves and no call is scheduled, force-flushing only when
+        nothing schedules a flush at all (``manual``-style policies leave a
+        deadline-less backlog with an empty dispatch queue)."""
         states = self.states
-        while any(st.loop.backlog() for st in states):
+        while self._calls or any(st.loop.backlog() for st in states):
             self.steal_pass()
             event = self.next_event()
             if event is not None:

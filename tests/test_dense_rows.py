@@ -222,7 +222,11 @@ class TestAnyTile:
         session = compile_model(mod, params, CompilerOptions()).serve(
             "adaptive", clock=SimulatedClock()
         )
-        handles = GenerationSession(session, module, size).generate(requests)
+        # the host model prices each step, so live sequences overlap and
+        # rounds carry several rows
+        handles = GenerationSession(session, module, size).generate(
+            requests, host_model=(0.2, 0.05)
+        )
         assert session.requests_flushed / session.num_flushes > 1.5
         assert [h.result() for h in handles] == [
             reference_generate(mod, params, module, size, r.prompt, r.max_new_tokens)

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CompilerOptions, compile_model
 from repro.generate import (
@@ -89,11 +91,15 @@ class TestReferenceIdentity:
     )
     def test_batched_trajectories_match_eager_reference(self, name, policy, args):
         """Every decode trajectory — continuously batched or one round per
-        step — equals the eager unbatched loop bitwise."""
+        step — equals the eager unbatched loop bitwise.  The host model
+        prices each step (one request) as well as each round, so live
+        sequences overlap as they do in the generation table."""
         _, _, _, size, _ = _setup(name)
         requests = _make_requests(size.classes, 6, 6, seed=3)
         reference = _references(name, requests)
-        handles, session, _ = _generate(name, requests, policy=policy, **args)
+        handles, session, _ = _generate(
+            name, requests, policy=policy, host_model=HOST_MODEL, **args
+        )
         assert [h.result() for h in handles] == reference
         assert all(h.stats.status == "done" for h in handles)
         if policy == "adaptive":
@@ -153,6 +159,30 @@ class TestReferenceIdentity:
         requests = _make_requests(size.classes, 6, 6, seed=7)
         again, _, _ = _generate("declm", requests, host_model=HOST_MODEL)
         assert _snapshot(first) == _snapshot(again)
+
+
+class TestCohortTieRule:
+    def test_every_round_flushes_the_whole_cohort(self):
+        """N simultaneous length-1 prompts under ``adaptive``: a round's step
+        completions share one instant, and each completion's handler admits
+        the successor before that instant's device-idle launch, so every
+        round carries all N live sequences.  Firing the completions after
+        the idle launch splits each cohort into two rounds."""
+        _, _, _, size, _ = _setup("declm")
+        n, max_new = 5, 4
+        rng = np.random.default_rng(23)
+        requests = [
+            GenerationRequest(
+                [int(rng.integers(0, size.classes))],
+                max_new_tokens=max_new,
+                arrival=0.0,
+            )
+            for _ in range(n)
+        ]
+        reference = _references("declm", requests)
+        handles, session, _ = _generate("declm", requests, host_model=HOST_MODEL)
+        assert [h.result() for h in handles] == reference
+        assert [stats.batch_size for stats in session.history] == [n] * max_new
 
 
 class TestStreamingAndStats:
@@ -293,8 +323,9 @@ class TestCancellation:
 
     def test_cancel_peer_pending_step_withdrawn(self):
         """Cancelling a sequence whose next step is already pending in the
-        round: the sweep withdraws its DFG nodes at the round boundary and
-        the round flushes as if it had never stepped."""
+        round: cancel() withdraws its DFG nodes through the session before
+        the round launches, and the round flushes as if it had never
+        stepped."""
         _, _, _, size, _ = _setup("declm")
         requests = self._paired_requests(size)
         reference = _references("declm", requests)
@@ -529,3 +560,70 @@ class TestModes:
                 if h.stats.status == "cancelled":
                     with pytest.raises(GenerationCancelled):
                         h.result(timeout=1.0)
+
+
+#: flush policies the generative decode test draws from: ``size(3)`` and
+#: ``manual`` leave steps pending with no flush scheduled, so the trace
+#: driver's drain is what makes progress
+DECODE_POLICIES = {
+    "size1": ("size", {"n": 1}),
+    "size3": ("size", {"n": 3}),
+    "deadline": ("deadline", {"ms": 0.5}),
+    "adaptive": ("adaptive", {}),
+    "manual": ("manual", {}),
+}
+
+
+@lru_cache(maxsize=None)
+def _reference_tokens(prompt, max_new):
+    module, mod, params, size, _ = _setup("declm")
+    return reference_generate(mod, params, module, size, list(prompt), max_new)
+
+
+@st.composite
+def _prompt_traces(draw):
+    """A few sequences: prompts of 1-3 tokens, 1-4 new tokens each, arrival
+    gaps from simultaneous to several rounds apart."""
+    _, _, _, size, _ = _setup("declm")
+    token = st.integers(0, size.classes - 1)
+    trace, t = [], 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        t += draw(st.sampled_from([0.0, 0.0001, 0.0006, 0.003]))
+        prompt = tuple(draw(st.lists(token, min_size=1, max_size=3)))
+        trace.append((prompt, draw(st.integers(1, 4)), t))
+    return trace
+
+
+class TestGenerativeDecode:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        trace=_prompt_traces(),
+        policy=st.sampled_from(sorted(DECODE_POLICIES)),
+        devices=st.sampled_from([1, 2]),
+    )
+    def test_every_draw_finishes_matches_reference_and_replays(
+        self, trace, policy, devices
+    ):
+        """Random prompt traces x flush policies x 1-2 devices: every handle
+        finishes, every trajectory equals the eager reference bitwise, and
+        two replays of the trace produce identical tokens and timestamps."""
+        module, _, _, size, compiled = _setup("declm")
+        name, args = DECODE_POLICIES[policy]
+        if devices > 1:
+            args = dict(args, devices=devices, placement="round_robin")
+
+        def replay():
+            session = compiled.serve(name, clock=SimulatedClock(), **args)
+            requests = [
+                GenerationRequest(list(prompt), max_new_tokens=m, arrival=t)
+                for prompt, m, t in trace
+            ]
+            gen = GenerationSession(session, module, size)
+            return gen.generate(requests, host_model=HOST_MODEL)
+
+        handles = replay()
+        assert all(h.done and h.stats.status == "done" for h in handles)
+        assert [h.tokens for h in handles] == [
+            _reference_tokens(prompt, m) for prompt, m, _ in trace
+        ]
+        assert _snapshot(handles) == _snapshot(replay())

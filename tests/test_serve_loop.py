@@ -26,7 +26,8 @@ from repro.serve import (
     replay_server_continuous,
 )
 from repro.models import MODEL_MODULES
-from repro.utils import values_allclose
+from repro.serve.sim import TraceDriver
+from repro.utils import bitwise_equal, values_allclose
 
 BATCH = 6
 
@@ -59,6 +60,9 @@ class TestDeviceTimeline:
         assert tl.launch(1.0, 0.5) == pytest.approx(1.5)
         assert tl.busy_until == pytest.approx(1.5)
         assert tl.in_flight(1.2) == 1
+        # completing exactly now: in flight until the wakeup drains it
+        assert tl.in_flight(1.5) == 1
+        assert tl.pop_completions(1.5) == 1
         assert tl.in_flight(1.5) == 0
 
     def test_busy_launch_queues_behind(self):
@@ -780,7 +784,6 @@ class TestDeterministicReplay:
         """A 2-device continuous replay replays bit-for-bit and matches the
         reference."""
         from repro.devices import DeviceGroup
-        from repro.experiments.continuous import _bitwise_equal
 
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
@@ -805,7 +808,7 @@ class TestDeterministicReplay:
         first, second = once(), once()
         assert all(values_allclose(a, b) for a, b in zip(reference, first.outputs))
         assert first.latencies_ms == second.latencies_ms
-        assert _bitwise_equal(first.outputs, second.outputs)
+        assert bitwise_equal(first.outputs, second.outputs)
 
     def test_wall_time_restored_after_replay(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
@@ -959,19 +962,29 @@ class TestInFlightVisibility:
         clock = SimulatedClock()
         model = compile_model(mod, params, CompilerOptions())
         session = model.serve("manual", clock=clock)
-        session.timeline = DeviceTimeline()
+        # the timeline and host lane a one-loop trace driver assigns
+        (lane,) = TraceDriver(
+            [ServeLoop(sessions={"_": session}, clock=clock)], clock
+        ).states
+        session.timeline, session.host_lane = lane.timeline, lane
         session.charge_host = False
         try:
             session.submit(instances[0])
             assert session.in_flight_rounds == 0
             session.flush()
             # the round launched onto the timeline instead of blocking the
-            # clock: it is still executing now
+            # clock: it is still executing now, and its host share holds
+            # only the loop's lane
             assert session.in_flight_rounds == 1
+            assert clock.now() == 0.0 < lane.busy_until
             clock.advance_to(session.timeline.busy_until)
+            # a round completing now counts until its completion wakeup
+            # drains it
+            assert session.in_flight_rounds == 1
+            session.timeline.pop_completions(clock.now())
             assert session.in_flight_rounds == 0
         finally:
-            session.timeline = None
+            session.timeline = session.host_lane = None
             session.charge_host = True
 
     def test_adaptive_defers_to_in_flight_round(self, treelstm_setup):
@@ -994,8 +1007,10 @@ class TestInFlightVisibility:
             clock.advance(0.001)
             session.submit(instances[2], at=clock.now())
             assert session.pending_requests == 3
-            # device idle again: the policy launches the backlog
+            # device idle again once the completion wakeup drains the round:
+            # the policy launches the backlog
             clock.advance_to(session.timeline.busy_until)
+            session.timeline.pop_completions(clock.now())
             assert session.in_flight_rounds == 0
             assert session.policy.on_idle(session, clock.now())
         finally:

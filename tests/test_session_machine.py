@@ -7,7 +7,6 @@ two-device group) and the uncapped ``size`` policy.  After every step it checks 
 bookkeeping against the runtime's pending column store, and every resolved
 handle against the eager reference."""
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -23,7 +22,7 @@ from hypothesis.stateful import (
 from repro import CompilerOptions, compile_model, reference_run
 from repro.models import MODEL_MODULES
 from repro.serve import RequestCancelled, SimulatedClock
-from repro.utils import flatten_arrays
+from repro.utils import bitwise_equal
 
 NUM_INSTANCES = 5
 
@@ -45,13 +44,6 @@ def treelstm():
     instances = module.make_batch(mod, size, NUM_INSTANCES, seed=17)
     reference = reference_run(mod, params, instances)
     return compile_model(mod, params, CompilerOptions()), instances, reference
-
-
-def bitwise_equal(a, b):
-    fa, fb = flatten_arrays(a), flatten_arrays(b)
-    return len(fa) == len(fb) and all(
-        np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(fa, fb)
-    )
 
 
 class SessionMachine(RuleBasedStateMachine):
