@@ -37,25 +37,21 @@ def main() -> None:
             backpressure="shed-oldest",
         )
         server.add_endpoint("trees", model, policy="adaptive")
-        handles = server.run_trace(
-            workload, deterministic=True, host_model=HOST_MODEL
-        )["trees"]
-
-        done = [h for h in handles if not h.failed]
-        idx = [i for i, h in enumerate(handles) if not h.failed]
+        # shed requests stay in the report as failed handles; latency,
+        # throughput and outputs fold over the completed ones
+        report = server.replay(workload, host_model=HOST_MODEL)["trees"]
         assert all(
-            values_allclose(h.result(), reference[i])
-            for h, i in zip(done, idx)
+            h.failed or values_allclose(h.result(), expected)
+            for h, expected in zip(report.handles, reference)
         ), "sharded replay diverged from the eager reference"
 
-        horizon = max(h.stats.completed_at for h in done) - workload[0][0]
-        latencies = sorted(h.stats.latency_ms for h in done)
-        p99 = latencies[int(0.99 * (len(latencies) - 1))]
+        completed = report.num_requests - report.num_failed
         loops = server.summary()["loops"]
         print(
             f"topology={topology:<11} loops={len(loops)} "
-            f"completed={len(done):>2}/{NUM_REQUESTS} "
-            f"throughput={len(done) / horizon:7.1f} rps  p99={p99:6.2f} ms"
+            f"completed={completed:>2}/{NUM_REQUESTS} "
+            f"throughput={report.throughput_rps:7.1f} rps  "
+            f"p99={report.p99_ms:6.2f} ms"
         )
         for name, gauges in sorted(loops.items()):
             print(

@@ -15,13 +15,7 @@ Run with: PYTHONPATH=src python examples/serving_server.py
 
 from repro import CompilerOptions, compile_model, reference_run
 from repro.models import MODEL_MODULES
-from repro.serve import (
-    Server,
-    SimulatedClock,
-    bursty_arrivals,
-    replay_server,
-    replay_server_continuous,
-)
+from repro.serve import Server, SimulatedClock, bursty_arrivals
 from repro.utils import values_allclose
 
 REQUESTS_PER_MODEL = 16
@@ -67,15 +61,12 @@ def main() -> None:
 
     print("continuous (event loop) vs caller-driven, same trace:\n")
     continuous_server = None
-    for mode, replay_fn in (
-        ("continuous", replay_server_continuous),
-        ("caller", replay_server),
-    ):
+    for mode in ("continuous", "caller"):
         server = make_server(trees_model, seqs_model)
         # both modes run deterministically with the same host-cost model,
         # so the side-by-side isolates the intake choreography
-        reports = replay_fn(
-            server, workload, deterministic=True, host_model=HOST_MODEL
+        reports = server.replay(
+            workload, continuous=mode == "continuous", host_model=HOST_MODEL
         )
         if mode == "continuous":
             continuous_server = server

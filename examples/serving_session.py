@@ -1,21 +1,22 @@
-"""Policy-driven serving with ``compile_model(...).serve(...)``.
+"""Policy-driven serving: one model behind one ``Server`` endpoint.
 
 Simulates a serving scenario: single TreeLSTM requests arrive as open-loop
-Poisson traffic, a persistent session accumulates them, and a *flush
-policy* decides when the backlog executes as one cross-request batched
-round.  Compare the kernel launches against per-request execution — the
+Poisson traffic, the endpoint's persistent session accumulates them, and a
+*flush policy* decides when the backlog executes as one cross-request
+batched round.  Compare the kernel launches against per-request execution — the
 amortization is where the serving-path speedup comes from — and note the
 latency/throughput tradeoff each policy picks.
 
-Everything runs on a simulated clock, so deadline semantics are exact and
-the whole sweep takes milliseconds of real time.
+Everything replays caller-driven on a simulated clock (``Server.replay``),
+so deadline semantics are exact, the numbers are the same on every run,
+and the whole sweep takes milliseconds of real time.
 
 Run with: PYTHONPATH=src python examples/serving_session.py
 """
 
 from repro import CompilerOptions, compile_model
 from repro.models import MODEL_MODULES
-from repro.serve import SimulatedClock, poisson_arrivals, replay
+from repro.serve import Server, SimulatedClock, poisson_arrivals
 
 NUM_REQUESTS = 24
 ARRIVAL_RATE = 2500.0  # requests/second
@@ -28,11 +29,19 @@ POLICIES = (
 )
 
 
+def replay(model, trace, policy, **args):
+    """Replay ``trace`` on a fresh one-endpoint server under ``policy``."""
+    server = Server(clock=SimulatedClock())
+    server.add_endpoint("m", model, policy=policy, **args)
+    return server.replay(trace, continuous=False)["m"]
+
+
 def main() -> None:
     module = MODEL_MODULES["treelstm"]
     mod, params, size = module.build_for("test")
     requests = module.make_batch(mod, size, NUM_REQUESTS, seed=11)
     arrivals = poisson_arrivals(ARRIVAL_RATE, NUM_REQUESTS, seed=0)
+    trace = [(t, "m", request) for t, request in zip(arrivals, requests)]
 
     model = compile_model(mod, params, CompilerOptions())
 
@@ -41,8 +50,7 @@ def main() -> None:
           f"{'p99 ms':>7} {'req/s':>7}")
     base_launches = None
     for label, policy, args in POLICIES:
-        session = model.serve(policy, clock=SimulatedClock(), **args)
-        report = replay(session, requests, arrivals)
+        report = replay(model, trace, policy, **args)
         if label == "per_request":
             base_launches = report.kernel_launches
         print(
@@ -52,8 +60,7 @@ def main() -> None:
         )
 
     # per-request observability: every handle carries its own stats
-    session = model.serve("deadline", ms=5.0, clock=SimulatedClock())
-    report = replay(session, requests, arrivals)
+    report = replay(model, trace, "deadline", ms=5.0)
     handle = report.handles[0]
     stats = handle.stats
     print(f"\nfirst request under deadline(5ms): queued {stats.queue_ms:.2f} ms, "

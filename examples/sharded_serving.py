@@ -13,7 +13,7 @@ from repro.devices import DeviceGroup
 from repro.models import MODEL_MODULES
 from repro.runtime.device import GPUSpec
 from repro.serve import Server
-from repro.serve.traffic import poisson_arrivals, replay_server
+from repro.serve.traffic import poisson_arrivals
 from repro.utils import values_allclose
 
 NUM_REQUESTS = 24
@@ -42,8 +42,8 @@ def main() -> None:
         group = DeviceGroup(devices, spec=EDGE, interconnect="nvlink")
         server = Server(devices=group, placement=placement, clock=SimulatedClock())
         server.add_endpoint("trees", model, policy="size", n=8)
-        report = replay_server(
-            server, [(t, "trees", r) for t, r in zip(arrivals, requests)]
+        report = server.replay(
+            [(t, "trees", r) for t, r in zip(arrivals, requests)], continuous=False
         )["trees"]
         ok = all(values_allclose(a, b) for a, b in zip(reference, report.outputs))
         balance = server.summary()["devices"]["balance"]

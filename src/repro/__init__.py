@@ -77,7 +77,6 @@ _SERVE_EXPORTS = (
     "available_topologies",
     "make_topology",
     "register_topology",
-    "run_topology_trace",
 )
 
 #: multi-device names importable from the top level (lazy):

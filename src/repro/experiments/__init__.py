@@ -1,7 +1,9 @@
 """Experiment drivers that regenerate every table and figure of the paper's
 evaluation (§7).  Each module exposes ``run()`` returning (headers, rows) and
-``main()`` printing the formatted table; they can also be run directly, e.g.
-``python -m repro.experiments.table5``.
+``main()`` printing the formatted table and saving it under
+``benchmarks/results/``; they can also be run directly, e.g.
+``python -m repro.experiments.table5``.  The deterministic serving
+experiments share one runner (:mod:`repro.experiments.runner`).
 
 Set ``REPRO_SCALE=paper`` to use the paper's model sizes and batch sizes
 (slower); the default ``reduced`` scale regenerates everything in minutes.

@@ -19,7 +19,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import ALL_EXPERIMENTS
-from .harness import save_result
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -76,10 +75,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.environ["REPRO_BEST_OF"] = "3"
     try:
         for name in names:
+            # each experiment's main() prints and saves its own table
             print(f"== {name} ==")
-            text = ALL_EXPERIMENTS[name].main()
-            path = save_result(name, text)
-            print(f"-> {path}\n")
+            ALL_EXPERIMENTS[name].main()
+            print()
     finally:
         if defaulted:
             del os.environ["REPRO_BEST_OF"]

@@ -6,12 +6,12 @@ the intake**.  The same bursty open-loop trace is replayed twice per
 model/flush-policy pair:
 
 * ``caller`` — the historical single-threaded choreography
-  (:func:`repro.serve.traffic.replay`): each flush blocks intake for the
+  (``Server.replay(continuous=False)``): each flush blocks intake for the
   round's full latency, so requests arriving during execution are only
   submitted after the round completes and the device idles while the host
   builds the next round;
 * ``continuous`` — the :class:`~repro.serve.loop.ServeLoop`
-  (:func:`repro.serve.traffic.replay_continuous`): rounds launch onto the
+  (``Server.replay(continuous=True)``): rounds launch onto the
   device timeline the moment the policy fires, intake streams on while the
   device executes, in-flight rounds inform the adaptive policy, and the
   device-idle wakeup launches the accumulated backlog back-to-back.
@@ -36,20 +36,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler.options import CompilerOptions
-from ..core.api import compile_model, reference_run
-from ..runtime.device import DeviceSimulator
-from ..serve.clock import SimulatedClock
-from ..serve.traffic import TrafficReport, bursty_arrivals, replay, replay_continuous
-from ..utils import bitwise_equal
-from .harness import (
-    ExperimentScale,
-    build_model,
-    current_scale,
-    format_table,
-    make_instances,
-    save_result,
-)
+from ..serve.traffic import bursty_arrivals
+from .harness import ExperimentScale, current_scale, format_table, publish
+from .runner import Row, prepare, replay_row, tag, yes
 from .sharding import EDGE_SPEC
 
 HEADERS = (
@@ -92,26 +81,6 @@ BURST = 6
 HOST_MODEL = (2.0, 0.75)
 
 
-def _replay_mode(
-    compiled,
-    requests,
-    arrivals,
-    mode: str,
-    policy: str,
-    policy_args: Dict,
-) -> TrafficReport:
-    session = compiled.serve(
-        policy,
-        clock=SimulatedClock(),
-        device=DeviceSimulator(spec=EDGE_SPEC),
-        **policy_args,
-    )
-    fn = replay if mode == "caller" else replay_continuous
-    return fn(
-        session, requests, arrivals, deterministic=True, host_model=HOST_MODEL
-    )
-
-
 def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[List]]:
     """The intake-mode table (one row per model x policy x mode)."""
     scale = scale or current_scale()
@@ -120,25 +89,24 @@ def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[
 
     rows: List[List] = []
     for model_name in MODELS:
-        mod, params, size = build_model(model_name, SIZE_NAME, scale.seed)
-        requests = make_instances(model_name, mod, size, n, seed=scale.seed + 4)
-        reference = reference_run(mod, params, requests)
-        compiled = compile_model(mod, params, CompilerOptions())
-        arrivals = bursty_arrivals(rate, n, burst=BURST, seed=scale.seed + 5)
+        compiled, requests, reference = prepare(model_name, SIZE_NAME, n, scale.seed, scale.seed + 4)
+        trace = tag(bursty_arrivals(rate, n, burst=BURST, seed=scale.seed + 5), requests)
 
         for label, policy, policy_args in POLICIES:
             for mode in ("caller", "continuous"):
-                report = _replay_mode(
-                    compiled, requests, arrivals, mode, policy, policy_args
+                result = replay_row(
+                    Row(
+                        compiled,
+                        trace,
+                        reference,
+                        policy,
+                        policy_args,
+                        continuous=mode == "continuous",
+                        host_model=HOST_MODEL,
+                        server_args={"gpu_spec": EDGE_SPEC},
+                    )
                 )
-                rerun = _replay_mode(
-                    compiled, requests, arrivals, mode, policy, policy_args
-                )
-                deterministic = (
-                    report.latencies_ms == rerun.latencies_ms
-                    and bitwise_equal(report.outputs, rerun.outputs)
-                )
-                ok = bitwise_equal(reference, report.outputs)
+                report = result.reports["m"]
                 rows.append(
                     [
                         model_name,
@@ -150,8 +118,8 @@ def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[
                         report.mean_batch,
                         report.num_flushes,
                         report.kernel_launches,
-                        "yes" if ok else "NO",
-                        "yes" if deterministic else "NO",
+                        yes(result.matches_ref),
+                        yes(result.deterministic),
                     ]
                 )
     return HEADERS, rows
@@ -171,11 +139,7 @@ def format_report(headers: Tuple[str, ...], rows: List[List]) -> str:
 
 
 def main() -> str:
-    headers, rows = run()
-    text = format_report(headers, rows)
-    print(text)
-    save_result("continuous", text)
-    return text
+    return publish("continuous", format_report(*run()))
 
 
 if __name__ == "__main__":

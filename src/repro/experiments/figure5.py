@@ -15,6 +15,7 @@ from .harness import (
     ExperimentScale,
     current_scale,
     format_table,
+    publish,
     resolve_size_name,
     run_acrobat,
     run_eager,
@@ -57,8 +58,7 @@ def main() -> str:
     text = format_table(
         headers, rows, title="Figure 5: speedup over eager (no auto-batching) execution vs batch size"
     )
-    print(text)
-    return text
+    return publish("figure5", text)
 
 
 if __name__ == "__main__":

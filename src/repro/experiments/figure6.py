@@ -23,6 +23,7 @@ from .harness import (
     current_scale,
     format_table,
     make_instances,
+    publish,
     resolve_size_name,
 )
 
@@ -69,8 +70,7 @@ def main() -> str:
         headers, rows, title="Figure 6: inference latency (ms) under cumulative optimization levels"
     )
     text += "\n\n" + NOTE
-    print(text)
-    return text
+    return publish("figure6", text)
 
 
 if __name__ == "__main__":

@@ -40,8 +40,9 @@ from .harness import (
     build_model,
     current_scale,
     format_table,
-    save_result,
+    publish,
 )
+from .runner import assert_checks, replay_twice, yes
 
 HEADERS = (
     "model",
@@ -144,13 +145,10 @@ def run(
         compiled = compile_model(mod, params, CompilerOptions())
 
         for label, policy, policy_args in MODES:
-            handles, session, gen = _generate(
-                compiled, module, size, requests, policy, policy_args
+            (handles, session, gen), deterministic = replay_twice(
+                lambda: _generate(compiled, module, size, requests, policy, policy_args),
+                lambda run: _snapshot(run[0]),
             )
-            again, _, _ = _generate(
-                compiled, module, size, requests, policy, policy_args
-            )
-            deterministic = _snapshot(handles) == _snapshot(again)
             matches = [h.result() for h in handles] == reference
 
             tokens = sum(len(h.tokens) for h in handles)
@@ -169,8 +167,8 @@ def run(
                     tokens / makespan if makespan > 0 else 0.0,
                     session.requests_flushed / flushes if flushes else 0.0,
                     session.total_kernel_calls / max(1, tokens),
-                    "yes" if matches else "NO",
-                    "yes" if deterministic else "NO",
+                    yes(matches),
+                    yes(deterministic),
                 ]
             )
     return HEADERS, rows
@@ -208,9 +206,7 @@ def main(argv: Optional[List[str]] = None) -> str:
         text = format_report(headers, rows)
         print(text)
         by_mode = {row[1]: row for row in rows}
-        for row in rows:
-            assert row[-2] == "yes", f"{row[0]}/{row[1]}: tokens diverged from reference"
-            assert row[-1] == "yes", f"{row[0]}/{row[1]}: replay not bitwise-identical"
+        assert_checks(headers, rows)
         # the headline: batching the decode cohort must beat one-round-per-
         # step on both first-token latency and throughput.  Safe to assert
         # on shared CI — simulated time is a pure function of the trace.
@@ -219,11 +215,7 @@ def main(argv: Optional[List[str]] = None) -> str:
         tput_win = by_mode["continuous"][5] / by_mode["per_request"][5]
         assert tput_win >= 1.2, f"continuous throughput win regressed: {tput_win:.2f}x"
         return text
-    headers, rows = run()
-    text = format_report(headers, rows)
-    print(text)
-    save_result("generation", text)
-    return text
+    return publish("generation", format_report(*run()))
 
 
 if __name__ == "__main__":

@@ -248,3 +248,10 @@ def save_result(name: str, text: str) -> str:
     with open(path, "w") as fh:
         fh.write(text + "\n")
     return path
+
+
+def publish(name: str, text: str) -> str:
+    """Print a formatted result table and save it as ``<name>.txt``."""
+    print(text)
+    save_result(name, text)
+    return text

@@ -39,22 +39,11 @@ devices).
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from ..compiler.options import CompilerOptions
-from ..core.api import compile_model, reference_run
-from ..serve.clock import SimulatedClock
-from ..serve.server import Server
-from ..serve.traffic import bursty_arrivals
-from ..utils import bitwise_equal
-from .harness import (
-    ExperimentScale,
-    build_model,
-    current_scale,
-    format_table,
-    make_instances,
-    save_result,
-)
+from ..serve.traffic import TrafficReport, bursty_arrivals
+from .harness import ExperimentScale, current_scale, format_table, publish
+from .runner import Row, assert_checks, prepare, replay_row, tag, yes
 
 HEADERS = (
     "topology",
@@ -88,102 +77,25 @@ MAX_PENDING = 48
 BACKPRESSURE = "shed-oldest"
 
 
-def _replay_once(
-    compiled,
-    endpoints: Sequence[str],
-    workload,
-    topology: str,
-    topology_args: Optional[Dict] = None,
-):
-    """One fresh server, one deterministic trace replay; returns the
-    server plus handle lists per endpoint."""
-    server = Server(
-        clock=SimulatedClock(),
-        devices=DEVICES,
-        topology=topology,
-        topology_args=topology_args,
-        max_pending=MAX_PENDING,
-        backpressure=BACKPRESSURE,
-    )
-    for name in endpoints:
-        server.add_endpoint(name, compiled, policy="adaptive")
-    handles = server.run_trace(
-        workload, deterministic=True, host_model=HOST_MODEL
-    )
-    return server, handles
-
-
-def _measure(server, handles, workload, reference) -> Dict[str, object]:
-    """Fold one replay into the table's measurement columns."""
-    per_endpoint_idx: Dict[str, List[int]] = {}
-    for i, item in enumerate(workload):
-        per_endpoint_idx.setdefault(item[1], []).append(i)
-
-    completed = []
-    matches = True
-    first_arrival = workload[0][0] if workload else 0.0
-    for name, hs in handles.items():
-        for h, idx in zip(hs, per_endpoint_idx[name]):
-            if h.failed:
-                continue
-            completed.append(h)
-            if not bitwise_equal(h.result(), reference[idx]):
-                matches = False
-    horizon = max(h.stats.completed_at for h in completed)
-    throughput = len(completed) / max(1e-9, horizon - first_arrival)
-    latencies = sorted(h.stats.latency_ms for h in completed)
-    p99 = latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))]
-
-    loops = server.summary()["loops"]
-    stolen = sum(g["stolen_out"] for g in loops.values())
-    shed = sum(g["shed"] + g["expired"] for g in loops.values())
-    return {
-        "loops": len(loops),
-        "completed": len(completed),
-        "throughput": throughput,
-        "p99": p99,
-        "stolen": stolen,
-        "shed": shed,
-        "matches": matches,
-        "times": [
-            [None if h.stats is None else h.stats.completed_at for h in hs]
-            for hs in handles.values()
-        ],
-        "outputs": [
-            [None if h.failed else h.result() for h in hs]
-            for hs in handles.values()
-        ],
-    }
-
-
-def _run_row(
-    compiled, endpoints, workload, reference, topology, topology_args=None,
-    label=None,
-):
-    server, handles = _replay_once(
-        compiled, endpoints, workload, topology, topology_args
-    )
-    m = _measure(server, handles, workload, reference)
-    server2, handles2 = _replay_once(
-        compiled, endpoints, workload, topology, topology_args
-    )
-    m2 = _measure(server2, handles2, workload, reference)
-    deterministic = m["times"] == m2["times"] and bitwise_equal(
-        m["outputs"], m2["outputs"]
-    )
-    row = [
-        label or topology,
+def _columns(label: str, row: Row) -> List:
+    """Replay one topology row and fold it into the table's columns; the
+    throughput and p99 fold over every endpoint's completed requests."""
+    result = replay_row(row)
+    handles = [h for report in result.reports.values() for h in report.handles]
+    merged = TrafficReport.fold(handles, row.trace[0][0])
+    loops = result.server.summary()["loops"]
+    return [
+        label,
         DEVICES,
-        m["loops"],
-        len(workload),
-        m["throughput"],
-        m["p99"],
-        m["stolen"],
-        m["shed"],
-        "yes" if m["matches"] else "NO",
-        "yes" if deterministic else "NO",
+        len(loops),
+        len(row.trace),
+        merged.throughput_rps,
+        merged.p99_ms,
+        sum(g["stolen_out"] for g in loops.values()),
+        sum(g["shed"] + g["expired"] for g in loops.values()),
+        yes(result.matches_ref),
+        yes(result.deterministic),
     ]
-    return row, m
 
 
 def run(
@@ -195,65 +107,50 @@ def run(
     if quick:
         n = min(n, 160)
 
-    mod, params, size = build_model(MODEL, SIZE_NAME, scale.seed)
-    requests = make_instances(MODEL, mod, size, n, seed=scale.seed + 6)
-    reference = reference_run(mod, params, requests)
-    compiled = compile_model(mod, params, CompilerOptions())
+    compiled, requests, reference = prepare(MODEL, SIZE_NAME, n, scale.seed, scale.seed + 6)
     arrivals = bursty_arrivals(ARRIVAL_RATE, n, burst=BURST, seed=scale.seed + 7)
 
-    rows: List[List] = []
-    results: Dict[str, Dict] = {}
+    def row(trace, topology: str, **topology_args: object) -> Row:
+        return Row(
+            compiled,
+            trace,
+            reference,
+            "adaptive",
+            host_model=HOST_MODEL,
+            server_args={
+                "devices": DEVICES,
+                "topology": topology,
+                "topology_args": topology_args,
+                "max_pending": MAX_PENDING,
+                "backpressure": BACKPRESSURE,
+            },
+        )
 
     # single-endpoint trace shared by the single and per_device rows
-    workload = [(at, "m", inst) for at, inst in zip(arrivals, requests)]
-    for topology in ("single", "per_device"):
-        row, m = _run_row(compiled, ["m"], workload, reference, topology)
-        rows.append(row)
-        results[topology] = m
-
+    trace = tag(arrivals, requests)
+    rows = {label: row(trace, label) for label in ("single", "per_device")}
     if not quick:
         # affinity routing: requests pinned round-robin to three of the
         # four loops (loop 3 left idle) — backlog skew the cross-loop
         # work-stealing pass rebalances, where least-backlog routing never
         # would
-        pinned = [
-            (at, "m", inst, {"loop": i % 3})
-            for i, (at, inst) in enumerate(zip(arrivals, requests))
-        ]
-        row, m = _run_row(
-            compiled, ["m"], pinned, reference, "per_device",
-            label="per_device+pin",
-        )
-        rows.append(row)
-        results["per_device+pin"] = m
-
+        pinned = [(t, name, inst, {"loop": i % 3}) for i, (t, name, inst) in enumerate(trace)]
+        rows["per_device+pin"] = row(pinned, "per_device")
         # per_endpoint needs >= 2 endpoints: alternate the same trace
         # over two replicas of the model, two devices per loop
-        workload2 = [
-            (at, "ab"[i % 2], inst)
-            for i, (at, inst) in enumerate(zip(arrivals, requests))
-        ]
-        row, m = _run_row(
-            compiled, ["a", "b"], workload2, reference, "per_endpoint"
-        )
-        rows.append(row)
-        results["per_endpoint"] = m
+        alternating = [(t, "ab"[i % 2], inst) for i, (t, _, inst) in enumerate(trace)]
+        rows["per_endpoint"] = row(alternating, "per_endpoint")
 
+    table = [_columns(label, spec) for label, spec in rows.items()]
     if quick:
-        single, multi = results["single"], results["per_device"]
-        assert single["matches"] and multi["matches"], (
-            "sharded replay diverged from the eager reference"
-        )
-        speedup = multi["throughput"] / single["throughput"]
+        assert_checks(HEADERS, table)
+        col = HEADERS.index("throughput_rps")
+        speedup = table[1][col] / table[0][col]
         assert speedup >= 1.3, (
             f"per_device must sustain >= 1.3x single-loop throughput at "
             f"{DEVICES} devices (got {speedup:.2f}x)"
         )
-        col = HEADERS.index("deterministic")
-        assert all(r[col] == "yes" for r in rows), (
-            "multi-loop replay must be bit-for-bit deterministic"
-        )
-    return HEADERS, rows
+    return HEADERS, table
 
 
 def format_report(headers: Tuple[str, ...], rows: List[List]) -> str:
@@ -287,10 +184,10 @@ def main(argv: Optional[List[str]] = None) -> str:
     args = parser.parse_args(list(argv) if argv is not None else [])
     headers, rows = run(quick=args.quick)
     text = format_report(headers, rows)
-    print(text)
-    if not args.quick:
-        save_result("multiloop", text)
-    return text
+    if args.quick:
+        print(text)
+        return text
+    return publish("multiloop", text)
 
 
 if __name__ == "__main__":

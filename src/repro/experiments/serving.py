@@ -30,13 +30,11 @@ hit/miss counters against the uncached path.
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler.options import CompilerOptions
 from ..core.api import compile_model, reference_run
-from ..serve.clock import SimulatedClock
-from ..serve.traffic import TrafficReport, poisson_arrivals, replay
+from ..serve.traffic import poisson_arrivals
 from ..utils import bitwise_equal
 from .harness import (
     ExperimentScale,
@@ -44,9 +42,10 @@ from .harness import (
     current_scale,
     format_table,
     make_instances,
+    publish,
     resolve_size_name,
-    save_result,
 )
+from .runner import Row, prepare, replay_row, tag, yes
 
 HEADERS = (
     "model",
@@ -92,38 +91,32 @@ NUM_REQUESTS = {"reduced": 32, "paper": 64}
 HOST_MODEL = (0.5, 0.05)
 
 
-def _replay_policy(
-    compiled, requests, rate: float, seed: int, policy: str, policy_args: Dict
-) -> TrafficReport:
-    arrivals = poisson_arrivals(rate, len(requests), seed=seed)
-    session = compiled.serve(policy, clock=SimulatedClock(), **policy_args)
-    return replay(
-        session, requests, arrivals, deterministic=True, host_model=HOST_MODEL
-    )
-
-
 def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[List]]:
     """The policy-matrix traffic table (one row per model x policy)."""
     scale = scale or current_scale()
     n = NUM_REQUESTS.get(scale.name, 32)
     rate = ARRIVAL_RATE.get(scale.name, 2500.0)
 
+    size_name = resolve_size_name(scale, scale.size_names[0])
     rows: List[List] = []
     for model_name in MODELS:
-        size_name = resolve_size_name(scale, scale.size_names[0])
-        mod, params, size = build_model(model_name, size_name, scale.seed)
-        requests = make_instances(model_name, mod, size, n, seed=scale.seed + 1)
-        reference = reference_run(mod, params, requests)
-        compiled = compile_model(mod, params, CompilerOptions())
+        compiled, requests, reference = prepare(model_name, size_name, n, scale.seed, scale.seed + 1)
+        trace = tag(poisson_arrivals(rate, n, seed=scale.seed), requests)
 
         base_launches: Optional[int] = None
         for label, policy, policy_args in POLICIES:
-            # the replay is deterministic (fixed host model, simulated
-            # clock), so a single run is already exact — no best-of-N needed
-            report = _replay_policy(
-                compiled, requests, rate, scale.seed, policy, policy_args
+            result = replay_row(
+                Row(
+                    compiled,
+                    trace,
+                    reference,
+                    policy,
+                    policy_args,
+                    continuous=False,
+                    host_model=HOST_MODEL,
+                )
             )
-            ok = bitwise_equal(reference, report.outputs)
+            report = result.reports["m"]
             if label == "per_request":
                 base_launches = report.kernel_launches
             rows.append(
@@ -136,7 +129,7 @@ def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[
                     report.mean_batch,
                     report.kernel_launches,
                     base_launches / report.kernel_launches,
-                    "yes" if ok else "NO",
+                    yes(result.matches_ref),
                 ]
             )
     return HEADERS, rows
@@ -198,36 +191,9 @@ def format_report(
     return "\n".join(parts)
 
 
-def main(argv: Optional[List[str]] = None) -> str:
-    """``--continuous`` delegates to the continuous-vs-caller-driven intake
-    benchmark (:mod:`repro.experiments.continuous`), the CI serving smoke;
-    the default regenerates the flush-policy matrix + plan-cache tables."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.serving",
-        description="Serving benchmarks: flush-policy matrix (default) or "
-        "the continuous-batching intake comparison (--continuous).",
-    )
-    parser.add_argument(
-        "--continuous",
-        action="store_true",
-        help="run the continuous-vs-caller-driven intake benchmark instead",
-    )
-    # in-process callers (python -m repro.experiments) pass no argv: parse
-    # nothing rather than sys.argv, exactly as the sharding driver does
-    args = parser.parse_args(list(argv) if argv is not None else [])
-    if args.continuous:
-        from . import continuous
-
-        return continuous.main()
-    headers, rows = run()
-    cache_headers, cache_rows = run_plan_cache()
-    text = format_report(headers, rows, cache_headers, cache_rows)
-    print(text)
-    save_result("serving", text)
-    return text
+def main() -> str:
+    return publish("serving", format_report(*run(), *run_plan_cache()))
 
 
 if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1:])
+    main()

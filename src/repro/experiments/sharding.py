@@ -38,22 +38,10 @@ from __future__ import annotations
 import argparse
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..compiler.options import CompilerOptions
-from ..core.api import compile_model, reference_run
-from ..devices.group import DeviceGroup
-from ..models import MODEL_MODULES
 from ..runtime.device import GPUSpec
-from ..serve.clock import SimulatedClock
-from ..serve.traffic import TrafficReport, poisson_arrivals, replay
-from ..utils import bitwise_equal
-from .harness import (
-    ExperimentScale,
-    build_model,
-    current_scale,
-    format_table,
-    make_instances,
-    save_result,
-)
+from ..serve.traffic import poisson_arrivals
+from .harness import ExperimentScale, current_scale, format_table, publish
+from .runner import Row, prepare, replay_row, tag, yes
 
 HEADERS = (
     "model",
@@ -150,32 +138,11 @@ def _busy_balance(history) -> Tuple[float, int]:
     return min(active) / max(active), len(active)
 
 
-def _replay_config(
-    compiled, requests, rate: float, seed: int, placement: str, devices: int
-) -> Tuple[TrafficReport, object]:
-    group = DeviceGroup(devices, spec=EDGE_SPEC, interconnect=INTERCONNECT)
-    session = compiled.serve(
-        "size",
-        n=FLUSH_SIZE,
-        clock=SimulatedClock(),
-        devices=group,
-        placement=placement,
-    )
-    arrivals = poisson_arrivals(rate, len(requests), seed=seed)
-    report = replay(
-        session, requests, arrivals, deterministic=True, host_model=HOST_MODEL
-    )
-    return report, session
-
-
 def run(
     scale: Optional[ExperimentScale] = None,
     device_counts: Sequence[int] = DEVICE_COUNTS,
-    placements: Sequence[str] = PLACEMENTS,
-    models: Sequence[str] = (MODEL,),
 ) -> Tuple[Tuple[str, ...], List[List]]:
-    """The device-scaling table (one row per model x placement x device
-    count).
+    """The device-scaling table (one row per placement x device count).
 
     Device counts are swept in ascending order and each placement's
     ``speedup`` column is relative to its own run at the *smallest* swept
@@ -186,45 +153,53 @@ def run(
     rate = ARRIVAL_RATE.get(scale.name, 1600.0)
     device_counts = tuple(sorted(set(device_counts)))
 
+    compiled, requests, reference = prepare(MODEL, SIZE_NAME, n, scale.seed, scale.seed + 3)
+    trace = tag(poisson_arrivals(rate, n, seed=scale.seed), requests)
     rows: List[List] = []
-    for model in models:
-        mod, params, size = build_model(model, SIZE_NAME, scale.seed)
-        requests = make_instances(model, mod, size, n, seed=scale.seed + 3)
-        reference = reference_run(mod, params, requests)
-        compiled = compile_model(mod, params, CompilerOptions())
-
-        for placement in placements:
-            base_throughput: Optional[float] = None
-            for devices in device_counts:
-                report, session = _replay_config(
-                    compiled, requests, rate, scale.seed, placement, devices
+    for placement in PLACEMENTS:
+        base_throughput: Optional[float] = None
+        for devices in device_counts:
+            result = replay_row(
+                Row(
+                    compiled,
+                    trace,
+                    reference,
+                    "size",
+                    {"n": FLUSH_SIZE},
+                    continuous=False,
+                    host_model=HOST_MODEL,
+                    server_args={
+                        "devices": devices,
+                        "gpu_spec": EDGE_SPEC,
+                        "interconnect": INTERCONNECT,
+                        "placement": placement,
+                    },
                 )
-                ok = bitwise_equal(reference, report.outputs)
-                peer = sum(
-                    s.device.get("num_peer_transfers", 0)
-                    for s in session.history
-                )
-                if base_throughput is None:
-                    base_throughput = report.throughput_rps
-                balance, active = _busy_balance(session.history)
-                rows.append(
-                    [
-                        model,
-                        placement,
-                        devices,
-                        report.throughput_rps,
-                        report.throughput_rps / base_throughput,
-                        report.p50_ms,
-                        report.p99_ms,
-                        report.mean_batch,
-                        report.kernel_launches,
-                        peer,
-                        balance,
-                        active,
-                        "yes" if ok else "NO",
-                        "yes" if _counters_sum_ok(session.history) else "NO",
-                    ]
-                )
+            )
+            report = result.reports["m"]
+            history = result.server.endpoint("m").session.history
+            peer = sum(s.device.get("num_peer_transfers", 0) for s in history)
+            if base_throughput is None:
+                base_throughput = report.throughput_rps
+            balance, active = _busy_balance(history)
+            rows.append(
+                [
+                    MODEL,
+                    placement,
+                    devices,
+                    report.throughput_rps,
+                    report.throughput_rps / base_throughput,
+                    report.p50_ms,
+                    report.p99_ms,
+                    report.mean_batch,
+                    report.kernel_launches,
+                    peer,
+                    balance,
+                    active,
+                    yes(result.matches_ref),
+                    yes(_counters_sum_ok(history)),
+                ]
+            )
     return HEADERS, rows
 
 
@@ -259,37 +234,13 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
         "baseline is always included so the speedup column stays "
         "comparable across invocations — --devices 2 sweeps {1, 2}",
     )
-    parser.add_argument(
-        "--placements",
-        nargs="+",
-        default=None,
-        choices=PLACEMENTS,
-        help=f"placement policies to sweep (default: {' '.join(PLACEMENTS)})",
-    )
-    parser.add_argument(
-        "--models",
-        nargs="+",
-        default=None,
-        choices=sorted(MODEL_MODULES),
-        metavar="MODEL",
-        help="registered model names to sweep (default: "
-        f"{MODEL}; choices: {' '.join(sorted(MODEL_MODULES))})",
-    )
     args = parser.parse_args(list(argv) if argv is not None else [])
     counts: Sequence[int] = DEVICE_COUNTS
     if args.devices is not None:
         # the 1-device baseline is always swept so "speedup" means the same
         # thing however the counts are given ("--devices 2" = smoke {1, 2})
         counts = tuple(sorted({1, *args.devices}))
-    headers, rows = run(
-        device_counts=counts,
-        placements=args.placements or PLACEMENTS,
-        models=tuple(args.models) if args.models else (MODEL,),
-    )
-    text = format_report(headers, rows)
-    print(text)
-    save_result("sharding", text)
-    return text
+    return publish("sharding", format_report(*run(device_counts=counts)))
 
 
 if __name__ == "__main__":

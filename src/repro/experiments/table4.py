@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .harness import ExperimentScale, current_scale, format_table, resolve_size_name, run_acrobat, run_vm
+from .harness import ExperimentScale, current_scale, format_table, publish, resolve_size_name, run_acrobat, run_vm
 
 MODELS = ("treelstm", "mvrnn", "birnn")
 HEADERS = ("model", "size", "batch", "vm_ms", "aot_ms", "vm_over_aot")
@@ -42,8 +42,7 @@ def run(scale: ExperimentScale | None = None) -> Tuple[Tuple[str, ...], List[Lis
 def main() -> str:
     headers, rows = run()
     text = format_table(headers, rows, title="Table 4: Relay VM vs ACROBAT AOT (inference latency, ms)")
-    print(text)
-    return text
+    return publish("table4", text)
 
 
 if __name__ == "__main__":

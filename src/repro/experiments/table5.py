@@ -15,6 +15,7 @@ from .harness import (
     ExperimentScale,
     current_scale,
     format_table,
+    publish,
     resolve_size_name,
     run_acrobat,
     run_dynet,
@@ -80,8 +81,7 @@ def main() -> str:
     text = format_table(headers, rows, title="Table 5: DyNet vs ACROBAT (inference latency, ms)")
     text += f"\n\nGeometric-mean speedup over DyNet: {geometric_mean_speedup(rows):.2f}x"
     text += "\n\n" + NOTE
-    print(text)
-    return text
+    return publish("table5", text)
 
 
 if __name__ == "__main__":

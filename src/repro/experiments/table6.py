@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..runtime.executor import RunStats
-from .harness import ExperimentScale, current_scale, format_table, resolve_size_name, run_acrobat, run_dynet
+from .harness import ExperimentScale, current_scale, format_table, publish, resolve_size_name, run_acrobat, run_dynet
 
 HEADERS = ("activity", "treelstm_dynet", "treelstm_acrobat", "birnn_dynet", "birnn_acrobat")
 
@@ -82,8 +82,7 @@ def main() -> str:
     text = format_table(
         headers, rows, title="Table 6: runtime activity breakdown (DyNet vs ACROBAT, largest batch)"
     )
-    print(text)
-    return text
+    return publish("table6", text)
 
 
 if __name__ == "__main__":

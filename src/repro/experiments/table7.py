@@ -17,6 +17,7 @@ from .harness import (
     ExperimentScale,
     current_scale,
     format_table,
+    publish,
     resolve_size_name,
     run_acrobat,
     run_dynet,
@@ -51,8 +52,7 @@ def run(scale: ExperimentScale | None = None) -> Tuple[Tuple[str, ...], List[Lis
 def main() -> str:
     headers, rows = run()
     text = format_table(headers, rows, title="Table 7: DyNet (DN) vs improved DyNet (DN++) vs ACROBAT (AB), ms")
-    print(text)
-    return text
+    return publish("table7", text)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .harness import (
     ExperimentScale,
     current_scale,
     format_table,
+    publish,
     resolve_size_name,
     run_acrobat,
     run_cortex,
@@ -49,8 +50,7 @@ def run(scale: ExperimentScale | None = None) -> Tuple[Tuple[str, ...], List[Lis
 def main() -> str:
     headers, rows = run()
     text = format_table(headers, rows, title="Table 8: Cortex vs ACROBAT (inference latency, ms)")
-    print(text)
-    return text
+    return publish("table8", text)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .harness import (
     current_scale,
     format_table,
     make_instances,
+    publish,
     resolve_size_name,
 )
 
@@ -88,8 +89,7 @@ def main() -> str:
     text = format_table(
         headers, rows, title="Table 9: auto-scheduling with and without PGO priorities (NestedRNN)"
     )
-    print(text)
-    return text
+    return publish("table9", text)
 
 
 if __name__ == "__main__":

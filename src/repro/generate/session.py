@@ -19,7 +19,7 @@ resubmit the successor step):
   through the one simulated event driver,
   :class:`~repro.serve.sim.TraceDriver`, over a one-session
   :class:`~repro.serve.loop.ServeLoop` — the machinery under
-  ``replay_continuous``.  A step's completion is a driver event at its
+  ``Server.replay``.  A step's completion is a driver event at its
   round's completion timestamp; the handler admits the successor there,
   before the same-instant device-idle wakeup, so that launch takes the
   whole cohort as one round (iteration-level scheduling).  The flush

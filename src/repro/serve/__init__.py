@@ -21,26 +21,25 @@ setting, where independent requests arrive continuously and must be batched
   batching over a :class:`~repro.serve.loop.DeviceTimeline`;
 * :mod:`repro.serve.sim` — :class:`~repro.serve.sim.TraceDriver`, the one
   deterministic discrete-event driver under every simulated replay
-  (``ServeLoop.run_trace``, ``Server.run_trace``, the ``traffic.replay*``
-  functions are thin adapters; caller-driven replay is the same driver
-  without a device timeline/host lane);
+  (``Server.replay`` and ``GenerationSession.generate``; caller-driven
+  replay is the same driver without a device timeline/host lane);
 * :mod:`repro.serve.server` — :class:`Server`/:class:`Endpoint`
   multiplexing multiple compiled models over one shared device simulator,
-  with ``run()``/``drain()``/``shutdown()`` facading the loop;
+  with ``run()``/``drain()``/``shutdown()`` facading the loop and
+  ``replay()`` running a trace on the simulated clock;
 * :mod:`repro.serve.traffic` — open-loop arrival processes (Poisson,
-  bursty) and deterministic replay on the simulated clock — caller-driven (``replay``) or continuous
-  (``replay_continuous``) — feeding the ``experiments.serving`` and
-  ``experiments.continuous`` benchmarks;
+  bursty) and :class:`~repro.serve.traffic.TrafficReport`, the
+  per-endpoint outcome of a replay;
 * :mod:`repro.serve.topology` — the sharded serving front door: the loop
-  topology registry (``single``/``per_device``/``per_endpoint``),
-  cross-loop work-stealing, and
-  :func:`run_topology_trace`, the deterministic multi-loop trace replay
-  behind ``Server.run_trace``.
+  topology registry (``single``/``per_device``/``per_endpoint``) and
+  cross-loop work-stealing.
 
 Entry points: ``compile_model(...).serve(policy="adaptive")`` opens a
 policy-driven session; ``Server().add_endpoint(name, model, policy=...)``
 builds a multi-model deployment; ``with server.run(): ...`` serves it from
-any number of producer threads with awaitable request handles.
+any number of producer threads with awaitable request handles, and
+``server.replay(trace)`` replays a tagged open-loop trace deterministically
+on a :class:`SimulatedClock`.
 """
 
 from .clock import Clock, SimulatedClock, WallClock
@@ -79,17 +78,8 @@ from .topology import (
     available_topologies,
     make_topology,
     register_topology,
-    run_topology_trace,
 )
-from .traffic import (
-    TrafficReport,
-    bursty_arrivals,
-    poisson_arrivals,
-    replay,
-    replay_continuous,
-    replay_server,
-    replay_server_continuous,
-)
+from .traffic import TrafficReport, bursty_arrivals, poisson_arrivals
 
 __all__ = [
     "Clock",
@@ -125,12 +115,7 @@ __all__ = [
     "register_topology",
     "make_topology",
     "available_topologies",
-    "run_topology_trace",
     "TrafficReport",
     "poisson_arrivals",
     "bursty_arrivals",
-    "replay",
-    "replay_continuous",
-    "replay_server",
-    "replay_server_continuous",
 ]

@@ -34,7 +34,8 @@ Two operating modes, one per :class:`~repro.serve.clock.Clock` flavour:
   (one DFG build per request), so when the deadline comes due meanwhile
   the thread empties the queue once more before it polls, and the round's
   size does not depend on how far through the queue the thread had got.
-* **simulated** (:meth:`run_trace`): a deterministic replay over a
+* **simulated** (:meth:`Server.replay <repro.serve.server.Server.replay>`):
+  a deterministic replay over a
   :class:`~repro.serve.clock.SimulatedClock`, driven by the one simulated
   event driver (:class:`repro.serve.sim.TraceDriver` — a single loop is its
   k=1 case).  Execution is modelled asynchronously through a
@@ -51,7 +52,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .clock import Clock, SimulatedClock
 from .request import RequestCancelled, RequestExpired, RequestHandle
@@ -201,7 +202,8 @@ class ServeLoop:
 
     Constructed from a :class:`~repro.serve.server.Server` (the server does
     this itself — ``server.loop``) or from a plain ``sessions`` mapping for
-    single-session use (:func:`repro.serve.traffic.replay_continuous`).
+    single-session use (the decode driver of
+    :meth:`repro.generate.GenerationSession.generate`).
     In wall-clock mode the loop thread is the only thread that touches the
     sessions: a round is scheduled, placed, planned and executed at its
     flush, on that thread.
@@ -327,11 +329,11 @@ class ServeLoop:
 
     def start(self) -> "ServeLoop":
         """Start the wall-clock loop thread (simulated clocks replay
-        deterministically through :meth:`run_trace` instead)."""
+        deterministically through ``Server.replay`` instead)."""
         if isinstance(self.clock, SimulatedClock):
             raise TypeError(
                 "ServeLoop.start() drives real time; a SimulatedClock replays "
-                "deterministically through run_trace()/replay_continuous()"
+                "deterministically through Server.replay()"
             )
         with self._mode_lock:
             if self.running:
@@ -802,40 +804,6 @@ class ServeLoop:
         died.__cause__ = exc
         self._fail_queued(died)
         return died
-
-    # -- simulated mode --------------------------------------------------------
-    def run_trace(
-        self,
-        workload: Iterable[Tuple[float, str, Any]],
-        *,
-        deterministic: bool = True,
-        host_model: Optional[Tuple[float, float]] = None,
-    ) -> Dict[str, List[RequestHandle]]:
-        """Deterministically replay a tagged open-loop trace with continuous
-        batching on the simulated clock.
-
-        ``workload`` yields ``(arrival_time, session_name, request)`` sorted
-        by arrival time.  The trace runs through the one simulated event
-        driver (:class:`repro.serve.sim.TraceDriver`, this loop being its
-        k=1 case): the clock advances from event to event — arrivals, flush
-        deadlines, device-free completions — exactly as the wall-clock
-        thread would wake, and flushed rounds execute on a
-        :class:`DeviceTimeline`, so intake streams on while the device
-        works and rounds pipeline back-to-back.  With ``deterministic``
-        (default) the measured host wall time is excluded from the
-        simulated timeline: the same trace replays bit-for-bit.
-        ``host_model`` optionally replaces it with a deterministic
-        ``(per_round_ms, per_request_ms)`` linear model — the loop still
-        pays a host cost per flush (serial with intake, on the loop's host
-        lane), just a modelled one.
-
-        Returns the resolved handles per session name, in arrival order.
-        """
-        from .sim import TraceDriver
-
-        return TraceDriver([self], self.clock).run(
-            workload, deterministic=deterministic, host_model=host_model
-        )
 
     def __repr__(self) -> str:
         mode = "running" if self.running else "idle"

@@ -28,7 +28,7 @@ session work happens on the loop thread, with :meth:`Server.drain` /
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..runtime.device import DeviceSimulator, GPUSpec
 from .clock import Clock, WallClock
@@ -36,13 +36,9 @@ from .loop import ServeLoop
 from .policy import FlushPolicy
 from .request import RequestHandle
 from .session import InferenceSession
-from .topology import (
-    LoopTopology,
-    SingleTopology,
-    TopologyRun,
-    make_topology,
-    run_topology_trace,
-)
+from .sim import TraceDriver
+from .topology import LoopTopology, SingleTopology, TopologyRun, make_topology
+from .traffic import TrafficReport
 
 #: endpoint names Server.summary() uses for its own aggregate entries
 RESERVED_ENDPOINT_NAMES = ("devices", "loops")
@@ -235,6 +231,18 @@ class Endpoint:
         )
 
 
+def _counters(endpoint: Endpoint) -> Tuple[int, int, int]:
+    """An endpoint's running flush, flushed-request and kernel-launch
+    totals over its replicas (a replay reports the deltas, so it stays
+    correct however long the endpoint has already been serving)."""
+    replicas = endpoint.replicas
+    return (
+        sum(s.num_flushes for s in replicas),
+        sum(s.requests_flushed for s in replicas),
+        sum(s.total_kernel_calls for s in replicas),
+    )
+
+
 class Server:
     """Routes requests to named endpoints sharing one device (group) and
     clock.
@@ -257,7 +265,7 @@ class Server:
     ``topology`` shards the front door (see :mod:`repro.serve.topology`):
     a registry name (``"single"``/``"per_device"``/``"per_endpoint"``, with
     ``topology_args``) or a ready :class:`LoopTopology` instance.  The
-    topology materializes lazily at the first :meth:`run`/:meth:`run_trace`
+    topology materializes lazily at the first :meth:`run`/:meth:`replay`
     (or the first routed :meth:`submit`); endpoint registration must happen
     before that.
     """
@@ -328,7 +336,7 @@ class Server:
 
     def _materialize_topology(self) -> None:
         """Build the topology's loops against this server (idempotent).
-        Happens lazily at the first ``run()``/``run_trace()`` (or a routed
+        Happens lazily at the first ``run()``/``replay()`` (or a routed
         ``submit``), so every ``add_endpoint`` call is visible to it."""
         if self._topology_built:
             return
@@ -379,7 +387,7 @@ class Server:
             raise RuntimeError(
                 "cannot add endpoints after a multi-loop topology has "
                 "materialized; register every endpoint before the first "
-                "Server.run()/run_trace()"
+                "Server.run()/replay()"
             )
         resolved_placement = placement if placement is not None else self.placement
         engine = model.make_engine(
@@ -491,9 +499,8 @@ class Server:
         Under the default ``single`` topology this is the loop itself
         (back-compatible); a multi-loop topology starts one thread per
         loop and returns a :class:`~repro.serve.topology.TopologyRun`.
-        Simulated clocks replay deterministically through
-        :meth:`run_trace` /
-        :func:`repro.serve.traffic.replay_server_continuous` instead.
+        Simulated clocks replay deterministically through :meth:`replay`
+        instead.
         """
         self._materialize_topology()
         loops = self.topology.loops
@@ -510,24 +517,54 @@ class Server:
             raise
         return TopologyRun(self)
 
-    def run_trace(
+    def replay(
         self,
-        workload: Any,
+        trace: Iterable[Tuple],
         *,
+        continuous: bool = True,
         deterministic: bool = True,
         host_model: Optional[Tuple[float, float]] = None,
-    ) -> Dict[str, List[RequestHandle]]:
-        """Deterministically replay a tagged open-loop trace against the
-        server's (possibly multi-loop) topology on the simulated clock —
-        see :func:`repro.serve.topology.run_topology_trace`.  Workload
-        items are ``(arrival_time, endpoint, request)`` or ``(...,
-        meta)`` with ``meta`` carrying a ``deadline``.  Returns every
-        request's handle per endpoint, in arrival order (failed admissions
-        included — filter with ``handle.failed``)."""
+    ) -> Dict[str, TrafficReport]:
+        """Replay a tagged open-loop trace on the simulated clock through
+        the one simulated event driver (:class:`repro.serve.sim.TraceDriver`)
+        over every loop of the topology; returns one
+        :class:`~repro.serve.traffic.TrafficReport` per endpoint that
+        received traffic.  A single-session trace is a one-endpoint server.
+
+        ``trace`` yields ``(arrival_time, endpoint, request)`` or ``(...,
+        meta)`` items, where ``meta`` may carry a ``deadline`` (absolute
+        clock time; a request still queued past it expires) and a ``loop``
+        (a home-loop index overriding the least-backlog router).  Arrivals
+        keep their true timestamps while a loop's host is busy, so queueing
+        delay is measured without coordinated omission.
+
+        ``continuous=True`` runs rounds on each loop's device timeline
+        while intake streams on; ``continuous=False`` is the caller-driven
+        choreography, where each flush blocks the clock for the round's
+        full latency.  ``deterministic=True`` excludes measured host wall
+        time, so the same trace replays bit-for-bit; ``host_model`` stands
+        in for it as ``(per_round_ms, per_request_ms)``.
+        """
+        items = sorted(trace, key=lambda item: item[0])
         self._materialize_topology()
-        return run_topology_trace(
-            self, workload, deterministic=deterministic, host_model=host_model
+        topology = self.topology
+        driver = TraceDriver(
+            topology.loops, self.clock, route=topology.route, continuous=continuous
         )
+        before = {name: _counters(ep) for name, ep in self._endpoints.items()}
+        first_arrival: Dict[str, float] = {}
+        for t, name, *_ in items:
+            first_arrival.setdefault(name, t)
+        handles = driver.run(items, deterministic=deterministic, host_model=host_model)
+        reports = {}
+        for name, hs in handles.items():
+            after = _counters(self._endpoints[name])
+            flushes, batched, launches = (a - b for a, b in zip(after, before[name]))
+            reports[name] = TrafficReport.fold(
+                hs, first_arrival[name], flushes=flushes, batched=batched,
+                launches=launches,
+            )
+        return reports
 
     def drain(self) -> None:
         """Flush every backlog and wait for all admitted requests to

@@ -1,12 +1,10 @@
 """The simulated trace driver: one deterministic event loop under every
 serve-side replay.
 
-Every way of replaying an open-loop trace on a
-:class:`~repro.serve.clock.SimulatedClock` — :meth:`ServeLoop.run_trace`,
-``Server.run_trace`` / :func:`~repro.serve.topology.run_topology_trace`,
-the four :mod:`repro.serve.traffic` ``replay*`` functions and the decode
-steps of :meth:`repro.generate.GenerationSession.generate` — is a thin
-adapter over :class:`TraceDriver`.  The event-ordering rules therefore
+:meth:`Server.replay <repro.serve.server.Server.replay>` — the one way to
+replay an open-loop trace on a :class:`~repro.serve.clock.SimulatedClock`
+— and the decode steps of :meth:`repro.generate.GenerationSession.generate`
+both run on :class:`TraceDriver`.  The event-ordering rules therefore
 exist exactly once:
 
 * wakeups are ordered by ``(time, kind, loop)`` with kind 0 = scheduled
@@ -29,7 +27,7 @@ exist exactly once:
   and no call is scheduled, force-flushing only policies that would wait
   forever (``manual``).
 
-**Caller-driven** replays (``traffic.replay`` / ``replay_server``) are the
+**Caller-driven** replays (``Server.replay(continuous=False)``) are the
 same driver with the :class:`~repro.serve.loop.DeviceTimeline` / host
 lane *assignment* skipped: sessions keep ``timeline=None``,
 so each flush blocks the shared clock for the round's full latency — the
@@ -126,7 +124,7 @@ class TraceDriver:
     one or more :class:`~repro.serve.loop.ServeLoop`\\ s sharing a
     :class:`~repro.serve.clock.SimulatedClock`.
 
-    Internal: built by the public entry points (see the module docstring),
+    Internal: built by ``Server.replay`` and ``GenerationSession.generate``,
     never by user code.  ``route`` maps an endpoint name to its home loop
     (``LoopTopology.route``; None means the single loop).
     ``continuous=False`` is the caller-driven mode: no timeline or host

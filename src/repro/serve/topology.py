@@ -24,25 +24,23 @@ burst aimed at one loop spreads across the group.  Both modes survive:
 wall-clock stealing runs in :meth:`ServeLoop._try_steal_wall`; simulated
 stealing happens at deterministic event-loop points in the trace driver.
 
-:func:`run_topology_trace` replays a trace against *all* of a server's
-loops through the one simulated event driver
+:meth:`Server.replay <repro.serve.server.Server.replay>` runs a trace
+against *all* of a server's loops through the one simulated event driver
 (:class:`repro.serve.sim.TraceDriver`): every loop's events — arrivals,
 flush deadlines, device completions, host-gated dispatches — interleave
 in global timestamp order on the shared
 :class:`~repro.serve.clock.SimulatedClock`.  Each loop has its own
 host lane, so host shares serialize per loop
 instead of globally (the sharding win), and the same trace replays
-bit-for-bit.  ``ServeLoop.run_trace`` is the same driver over one loop.
+bit-for-bit.  The ``single`` topology is the driver's k=1 case.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..utils import Registry
 from .loop import ServeLoop
-from .request import RequestHandle
-from .sim import TraceDriver
 
 __all__ = [
     "LoopTopology",
@@ -52,7 +50,6 @@ __all__ = [
     "register_topology",
     "make_topology",
     "available_topologies",
-    "run_topology_trace",
 ]
 
 
@@ -88,7 +85,7 @@ class LoopTopology:
 
     A topology is pure configuration until :meth:`build` materializes it
     against a server (``Server`` does this lazily at the first
-    ``run()``/``run_trace()``); after that :attr:`loops` holds the
+    ``run()``/``replay()``); after that :attr:`loops` holds the
     server's loops and :meth:`route` maps an admitted request to its home
     loop (least backlog among the loops serving the endpoint, ties to the
     lowest loop index — deterministic).
@@ -284,59 +281,3 @@ class TopologyRun:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._server.shutdown()
-
-
-# -- the deterministic multi-loop trace replay ---------------------------------
-
-
-def run_topology_trace(
-    server: Any,
-    workload: Iterable[Tuple],
-    *,
-    deterministic: bool = True,
-    host_model: Optional[Tuple[float, float]] = None,
-) -> Dict[str, List[RequestHandle]]:
-    """Deterministically replay a tagged open-loop trace against *all* of a
-    server's loops, interleaving their events in global timestamp order
-    (:class:`repro.serve.sim.TraceDriver` over the topology's loops).
-
-    ``workload`` yields ``(arrival_time, endpoint, request)`` or
-    ``(arrival_time, endpoint, request, meta)`` sorted by arrival time,
-    where ``meta`` optionally carries a ``deadline`` (absolute clock
-    timestamp) and a ``loop`` (an explicit home-loop index overriding the
-    router).
-
-    Per arrival: router (least backlog) → per-loop backpressure
-    (``reject``/``shed-oldest`` resolve the victim's handle; ``block`` is
-    inert in a deterministic trace) → the loop's host-gated dispatch
-    queue.  A
-    dispatch submits into the loop's session (flushes charge the loop's
-    own host lane, not the shared clock, so sibling
-    loops' host work overlaps); device shares land on each loop's own
-    :class:`~repro.serve.loop.DeviceTimeline`.  Work-stealing runs at
-    deterministic points: after intake at a timestamp quiesces and during
-    the drain phase, a fully idle loop takes the newest half of the most
-    backlogged sibling's backlog (dispatch queue tail first, then the
-    pending round tail via :meth:`InferenceSession.withdraw`).
-
-    Returns every admitted request's handle per endpoint, in arrival order
-    — including handles resolved exceptionally (rejected, shed, expired);
-    filter with ``handle.failed``.  The same trace replays
-    bit-for-bit: the timeline is a pure function of the trace and the
-    device cost model.
-    """
-    return trace_driver(server).run(
-        workload, deterministic=deterministic, host_model=host_model
-    )
-
-
-def trace_driver(server: Any, *, continuous: bool = True) -> TraceDriver:
-    """The simulated trace driver over a server's materialized topology
-    (internal: shared by :func:`run_topology_trace` and the caller-driven
-    ``traffic.replay_server``)."""
-    topology = server.topology
-    if not topology.loops:
-        raise RuntimeError("topology not materialized; call through Server.run_trace")
-    return TraceDriver(
-        topology.loops, server.clock, route=topology.route, continuous=continuous
-    )

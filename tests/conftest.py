@@ -72,6 +72,22 @@ def rnn_instances(mod, hidden: int, lengths, seed: int = 1):
     ]
 
 
+def one_endpoint(model, policy="adaptive", *, scheduler=None, server_args=None, **policy_args):
+    """A simulated-clock server whose one endpoint ``"m"`` serves ``model``:
+    how a single-session trace replays (``Server.replay``)."""
+    from repro.serve import Server, SimulatedClock
+
+    server = Server(clock=SimulatedClock(), **(server_args or {}))
+    server.add_endpoint("m", model, policy=policy, scheduler=scheduler, **policy_args)
+    return server
+
+
+def trace_of(arrivals, requests, endpoint="m"):
+    """A single-endpoint trace: one ``(arrival, endpoint, request)`` item per
+    request."""
+    return [(t, endpoint, request) for t, request in zip(arrivals, requests)]
+
+
 @pytest.fixture(scope="session")
 def rnn_module_and_params():
     return build_listing1_rnn()

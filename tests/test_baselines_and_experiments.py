@@ -256,15 +256,37 @@ class TestExperimentsCLI:
         assert main(["--only", "table99"]) == 2
         assert "table99" in capsys.readouterr().err
 
+    @staticmethod
+    def _stub(monkeypatch):
+        """Register a stub experiment that records the ``REPRO_BEST_OF`` it
+        sees and saves a one-line table, so the CLI is tested without
+        running a real one."""
+        import os
+        import types
+
+        from repro.experiments import ALL_EXPERIMENTS
+        from repro.experiments.harness import publish
+
+        seen = []
+
+        def main():
+            seen.append(os.environ.get("REPRO_BEST_OF"))
+            return publish("stub", "stub table")
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "stub", types.SimpleNamespace(main=main))
+        return seen
+
     def test_only_runs_named_experiment(self, capsys, tmp_path, monkeypatch):
         from repro.experiments.__main__ import main
 
+        seen = self._stub(monkeypatch)
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        assert main(["--only", "table5"]) == 0
+        assert main(["--only", "stub"]) == 0
         out = capsys.readouterr().out
-        assert "== table5 ==" in out
-        assert (tmp_path / "table5.txt").exists()
+        assert "== stub ==" in out
+        assert (tmp_path / "stub.txt").read_text() == "stub table\n"
         # only the requested experiment ran
+        assert len(seen) == 1
         assert "== table4 ==" not in out
 
     def test_best_of_default_is_scoped_to_the_invocation(self, tmp_path, monkeypatch):
@@ -275,13 +297,16 @@ class TestExperimentsCLI:
 
         from repro.experiments.__main__ import main
 
+        seen = self._stub(monkeypatch)
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_BEST_OF", raising=False)
-        assert main(["--only", "table5"]) == 0
+        assert main(["--only", "stub"]) == 0
+        assert seen == ["3"]
         assert "REPRO_BEST_OF" not in os.environ
         # an explicit setting is respected and survives the invocation
         monkeypatch.setenv("REPRO_BEST_OF", "1")
-        assert main(["--only", "table5"]) == 0
+        assert main(["--only", "stub"]) == 0
+        assert seen == ["3", "1"]
         assert os.environ["REPRO_BEST_OF"] == "1"
 
 

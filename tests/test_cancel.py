@@ -249,7 +249,7 @@ class TestLoopLifecycle:
             (0.01 * i, "m", inst, {"deadline": 0.005})
             for i, inst in enumerate(instances[:4])
         ]
-        handles = server.run_trace(workload)["m"]
+        handles = server.replay(workload)["m"].handles
         assert values_allclose(handles[0].result(), reference[0])
         for h in handles[1:]:
             with pytest.raises(RequestExpired, match="already passed at submit"):

@@ -20,13 +20,11 @@ from repro.serve import (
     make_flush_policy,
     poisson_arrivals,
     register_flush_policy,
-    replay,
-    replay_continuous,
-    replay_server,
     unregister_flush_policy,
 )
 from repro.models import MODEL_MODULES
 from repro.utils import flatten_arrays, values_allclose
+from tests.conftest import one_endpoint, trace_of
 
 BATCH = 6
 
@@ -138,9 +136,11 @@ class TestPolicyMatrix:
     def test_policy_matches_reference(self, treelstm_setup, policy, policy_args):
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.serve(policy, clock=SimulatedClock(), **policy_args)
+        server = one_endpoint(model, policy, **policy_args)
         arrivals = poisson_arrivals(2000.0, len(instances), seed=3)
-        report = replay(session, instances, arrivals)
+        report = server.replay(
+            trace_of(arrivals, instances), continuous=False, deterministic=False
+        )["m"]
         assert all(
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
         )
@@ -235,11 +235,12 @@ class TestAdaptivePolicy:
         """When arrivals are far apart relative to the launch overhead the
         policy stops waiting almost immediately."""
         mod, params, instances, _ = treelstm_setup
-        clock = SimulatedClock()
         model = compile_model(mod, params, CompilerOptions())
-        session = model.serve("adaptive", clock=clock)
+        server = one_endpoint(model, "adaptive")
         arrivals = [i * 10.0 for i in range(len(instances))]  # one per 10s
-        report = replay(session, instances, arrivals)
+        report = server.replay(
+            trace_of(arrivals, instances), continuous=False, deterministic=False
+        )["m"]
         assert report.mean_batch < 2.0
 
     def test_backlog_batches_together(self, treelstm_setup):
@@ -465,7 +466,7 @@ class TestServer:
         assert server.poll() == 1  # only "a" was due
         assert ha.done and not hb.done
 
-    def test_replay_server(self, treelstm_setup, birnn_setup):
+    def test_replay_two_endpoints(self, treelstm_setup, birnn_setup):
         t_mod, t_params, t_instances, t_reference = treelstm_setup
         b_mod, b_params, b_instances, b_reference = birnn_setup
         server = Server(clock=SimulatedClock())
@@ -484,7 +485,7 @@ class TestServer:
             (t, "seqs", inst)
             for t, inst in zip(poisson_arrivals(2000.0, len(b_instances), seed=2), b_instances)
         ]
-        reports = replay_server(server, workload)
+        reports = server.replay(workload, continuous=False, deterministic=False)
         assert all(
             values_allclose(a, b)
             for a, b in zip(t_reference, reports["trees"].outputs)
@@ -511,15 +512,19 @@ class TestTraffic:
 
     def test_replay_requires_simulated_clock(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
-        session = compile_model(mod, params, CompilerOptions()).serve("manual")
+        server = Server()  # wall clock
+        server.add_endpoint("m", compile_model(mod, params, CompilerOptions()))
         with pytest.raises(TypeError, match="SimulatedClock"):
-            replay(session, instances, [0.0] * len(instances))
+            server.replay(trace_of([0.0] * len(instances), instances))
 
     def test_replay_report_sanity(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.serve("size", n=2, clock=SimulatedClock())
-        report = replay(session, instances, poisson_arrivals(1000.0, len(instances), seed=4))
+        server = one_endpoint(model, "size", n=2)
+        arrivals = poisson_arrivals(1000.0, len(instances), seed=4)
+        report = server.replay(
+            trace_of(arrivals, instances), continuous=False, deterministic=False
+        )["m"]
         assert report.num_requests == len(instances)
         assert report.throughput_rps > 0
         assert report.p99_ms >= report.p50_ms > 0
@@ -533,9 +538,11 @@ class TestTraffic:
     def test_bursty_traffic_batches_bursts(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.serve("deadline", ms=2.0, clock=SimulatedClock())
+        server = one_endpoint(model, "deadline", ms=2.0)
         arrivals = bursty_arrivals(5000.0, len(instances), burst=3, seed=7)
-        report = replay(session, instances, arrivals)
+        report = server.replay(
+            trace_of(arrivals, instances), continuous=False, deterministic=False
+        )["m"]
         assert report.mean_batch >= 2.0  # whole bursts flush together
         assert all(
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
@@ -907,12 +914,10 @@ class TestCappedFlush:
         arrivals = poisson_arrivals(2000.0, len(instances), seed=33)
 
         def run():
-            session = model.serve(
-                "adaptive", clock=SimulatedClock(), max_batch=2, max_wait_ms=300.0
-            )
-            return replay_continuous(
-                session, instances, arrivals, host_model=(6.0, 1.0)
-            )
+            server = one_endpoint(model, "adaptive", max_batch=2, max_wait_ms=300.0)
+            return server.replay(
+                trace_of(arrivals, instances), host_model=(6.0, 1.0)
+            )["m"]
 
         r1, r2 = run(), run()
         assert r1.latencies_ms == r2.latencies_ms

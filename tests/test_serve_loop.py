@@ -20,14 +20,11 @@ from repro.serve import (
     SimulatedClock,
     bursty_arrivals,
     poisson_arrivals,
-    replay,
-    replay_continuous,
-    replay_server,
-    replay_server_continuous,
 )
 from repro.models import MODEL_MODULES
 from repro.serve.sim import TraceDriver
 from repro.utils import bitwise_equal, values_allclose
+from tests.conftest import one_endpoint, trace_of
 
 BATCH = 6
 
@@ -133,7 +130,7 @@ class TestMonotonicArrivals:
     def test_flush_resets_the_tracker(self, treelstm_setup):
         """Monotonicity is per round: a long-lived session may replay a
         fresh trace whose timestamps start over after a flush (the
-        successive-replay contract of traffic._snapshot)."""
+        successive-replay contract of Server.replay's counter deltas)."""
         mod, params, instances, _ = treelstm_setup
         clock = SimulatedClock(start=10.0)
         session = compile_model(mod, params, CompilerOptions()).serve(
@@ -162,15 +159,15 @@ class TestLoopValidation:
 
     def test_start_rejects_simulated_clock(self):
         server = Server(clock=SimulatedClock())
-        with pytest.raises(TypeError, match="run_trace"):
+        with pytest.raises(TypeError, match="Server.replay"):
             server.run()
 
-    def test_run_trace_rejects_wall_clock(self, treelstm_setup):
+    def test_replay_rejects_wall_clock(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
         server = Server()  # wall clock
         server.add_endpoint("m", compile_model(mod, params, CompilerOptions()))
         with pytest.raises(TypeError, match="SimulatedClock"):
-            server.loop.run_trace([(0.0, "m", instances[0])])
+            server.replay([(0.0, "m", instances[0])])
 
     def test_add_endpoint_while_running_rejected(self, treelstm_setup):
         mod, params, _, _ = treelstm_setup
@@ -554,11 +551,9 @@ class TestContinuousReferenceIdentity:
     def test_scheduler_matrix(self, treelstm_setup, scheduler):
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.serve(
-            "deadline", ms=2.0, clock=SimulatedClock(), scheduler=scheduler
-        )
+        server = one_endpoint(model, "deadline", ms=2.0, scheduler=scheduler)
         arrivals = bursty_arrivals(3000.0, len(instances), burst=3, seed=9)
-        report = replay_continuous(session, instances, arrivals)
+        report = server.replay(trace_of(arrivals, instances))["m"]
         assert all(
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
         )
@@ -573,16 +568,15 @@ class TestContinuousReferenceIdentity:
         rounds place without changing a result."""
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.serve(
+        server = one_endpoint(
+            model,
             "deadline",
             ms=2.0,
-            clock=SimulatedClock(),
             scheduler=scheduler,
-            devices=2,
-            placement=placement,
+            server_args={"devices": 2, "placement": placement},
         )
         arrivals = bursty_arrivals(3000.0, len(instances), burst=3, seed=9)
-        report = replay_continuous(session, instances, arrivals)
+        report = server.replay(trace_of(arrivals, instances))["m"]
         assert all(
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
         )
@@ -597,9 +591,9 @@ class TestContinuousReferenceIdentity:
     def test_flush_policy_matrix(self, treelstm_setup, policy, policy_args):
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.serve(policy, clock=SimulatedClock(), **policy_args)
+        server = one_endpoint(model, policy, **policy_args)
         arrivals = poisson_arrivals(2000.0, len(instances), seed=10)
-        report = replay_continuous(session, instances, arrivals)
+        report = server.replay(trace_of(arrivals, instances))["m"]
         assert all(
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
         )
@@ -613,15 +607,17 @@ class TestContinuousReferenceIdentity:
         reference = reference_run(mod, params, instances)
         model = compile_model(mod, params, CompilerOptions())
         assert model.uses_tdc
-        session = model.serve("deadline", ms=2.0, clock=SimulatedClock())
+        server = one_endpoint(model, "deadline", ms=2.0)
         arrivals = bursty_arrivals(2000.0, len(instances), burst=2, seed=14)
-        report = replay_continuous(session, instances, arrivals)
+        report = server.replay(trace_of(arrivals, instances))["m"]
         assert all(
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
         )
 
-    @pytest.mark.parametrize("entry", ["continuous", "run_trace", "caller"])
-    def test_server_trace_matches_reference(self, treelstm_setup, birnn_setup, entry):
+    @pytest.mark.parametrize("continuous", [True, False])
+    def test_server_trace_matches_reference(
+        self, treelstm_setup, birnn_setup, continuous
+    ):
         t_mod, t_params, t_instances, t_reference = treelstm_setup
         b_mod, b_params, b_instances, b_reference = birnn_setup
         server = Server(clock=SimulatedClock())
@@ -644,16 +640,10 @@ class TestContinuousReferenceIdentity:
                 poisson_arrivals(2000.0, len(b_instances), seed=2), b_instances
             )
         ]
-        if entry == "run_trace":
-            outputs = {
-                name: [h.result() for h in handles]
-                for name, handles in server.run_trace(workload).items()
-            }
-        else:
-            run = replay_server_continuous if entry == "continuous" else replay_server
-            outputs = {
-                name: report.outputs for name, report in run(server, workload).items()
-            }
+        outputs = {
+            name: report.outputs
+            for name, report in server.replay(workload, continuous=continuous).items()
+        }
         assert all(
             values_allclose(a, b) for a, b in zip(t_reference, outputs["trees"])
         )
@@ -669,10 +659,9 @@ class TestDeterministicReplay:
         arrivals = bursty_arrivals(2500.0, len(instances), burst=3, seed=21)
         latencies = []
         for _ in range(2):
-            session = model.serve("adaptive", clock=SimulatedClock())
-            report = replay_continuous(
-                session, instances, arrivals, host_model=(1.0, 0.25)
-            )
+            report = one_endpoint(model, "adaptive").replay(
+                trace_of(arrivals, instances), host_model=(1.0, 0.25)
+            )["m"]
             latencies.append(report.latencies_ms)
         assert latencies[0] == latencies[1]  # exact float equality
 
@@ -682,14 +671,15 @@ class TestDeterministicReplay:
         arrivals = poisson_arrivals(2500.0, len(instances), seed=22)
         latencies = []
         for _ in range(2):
-            session = model.serve("deadline", ms=2.0, clock=SimulatedClock())
-            report = replay(
-                session, instances, arrivals,
-                deterministic=True, host_model=(1.0, 0.25),
-            )
+            report = one_endpoint(model, "deadline", ms=2.0).replay(
+                trace_of(arrivals, instances),
+                continuous=False,
+                host_model=(1.0, 0.25),
+            )["m"]
             latencies.append(report.latencies_ms)
         assert latencies[0] == latencies[1]
 
+    @pytest.mark.parametrize("continuous", [True, False])
     @pytest.mark.parametrize("devices", [1, 2])
     @pytest.mark.parametrize("policy,policy_args", [
         ("deadline", {"ms": 5.0}),
@@ -697,11 +687,13 @@ class TestDeterministicReplay:
         ("size", {"n": 4}),
     ])
     def test_entry_points_share_one_timeline(
-        self, treelstm_setup, birnn_setup, policy, policy_args, devices
+        self, treelstm_setup, birnn_setup, policy, policy_args, devices, continuous
     ):
         """One tagged two-endpoint trace yields the same per-request
-        timeline through every entry point of a mode: the simulated trace
-        driver is one code path, not one per adapter."""
+        timeline through Server.replay as through its oracle: the bare
+        trace driver over the server's loop (continuous), or the
+        caller-driven choreography written out against the public Server
+        API (caller-driven)."""
         t_mod, t_params, t_instances, _ = treelstm_setup
         b_mod, b_params, b_instances, _ = birnn_setup
         models = {
@@ -740,7 +732,8 @@ class TestDeterministicReplay:
 
         def choreography(srv):
             """The caller-driven choreography written out against the
-            public Server API — the reference replay_server must match."""
+            public Server API — the reference the caller-driven
+            Server.replay must match."""
             for name in srv.endpoints:
                 session = srv.endpoint(name).session
                 session.charge_host = False
@@ -764,20 +757,20 @@ class TestDeterministicReplay:
                     srv.flush_all()
             return handles
 
-        continuous = timeline(report_handles(
-            replay_server_continuous(server(), workload, host_model=host_model)
-        ))
-        assert continuous == timeline(
-            server().run_trace(workload, host_model=host_model)
-        )
-        caller = timeline(report_handles(
-            replay_server(
-                server(), workload, deterministic=True, host_model=host_model
-            )
-        ))
-        assert caller == timeline(choreography(server()))
-        # the two modes are genuinely different timelines on this trace
-        assert caller != continuous
+        def replayed(continuous):
+            return timeline(report_handles(
+                server().replay(workload, continuous=continuous, host_model=host_model)
+            ))
+
+        if continuous:
+            srv = server()
+            bare = TraceDriver([srv.loop], srv.clock)
+            assert replayed(True) == timeline(bare.run(workload, host_model=host_model))
+        else:
+            caller = replayed(False)
+            assert caller == timeline(choreography(server()))
+            # the two modes are genuinely different timelines on this trace
+            assert caller != replayed(True)
 
     @pytest.mark.parametrize("placement", ["single", "round_robin", "data_parallel"])
     def test_bitwise_on_device_group(self, treelstm_setup, placement):
@@ -790,20 +783,18 @@ class TestDeterministicReplay:
         arrivals = bursty_arrivals(500.0, len(instances), burst=4, seed=7)
 
         def once():
-            session = model.serve(
+            server = one_endpoint(
+                model,
                 "size",
                 n=4,
-                clock=SimulatedClock(),
-                devices=DeviceGroup(2, interconnect="nvlink"),
-                placement=placement,
+                server_args={
+                    "devices": DeviceGroup(2, interconnect="nvlink"),
+                    "placement": placement,
+                },
             )
-            return replay_continuous(
-                session,
-                instances,
-                arrivals,
-                deterministic=True,
-                host_model=(0.5, 0.05),
-            )
+            return server.replay(
+                trace_of(arrivals, instances), host_model=(0.5, 0.05)
+            )["m"]
 
         first, second = once(), once()
         assert all(values_allclose(a, b) for a, b in zip(reference, first.outputs))
@@ -813,12 +804,54 @@ class TestDeterministicReplay:
     def test_wall_time_restored_after_replay(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.serve("manual", clock=SimulatedClock())
-        replay_continuous(session, instances[:2], [0.0, 0.0])
+        server = one_endpoint(model, "manual")
+        server.replay(trace_of([0.0, 0.0], instances[:2]))
+        session = server.endpoint("m").session
         assert session.charge_host is True
         assert session.timeline is None
         assert session.host_lane is None
         assert session.host_cost_model is None
+
+
+class TestReplayReportWithFailures:
+    """A replay report folds latency, throughput and outputs over the
+    completed requests, keeps every handle and counts the failed ones: a
+    trace with rejected or expired admissions reports instead of raising."""
+
+    @pytest.mark.parametrize("continuous", [True, False])
+    def test_rejected_admissions(self, treelstm_setup, continuous):
+        mod, params, instances, reference = treelstm_setup
+        server = Server(clock=SimulatedClock(), max_pending=2, backpressure="reject")
+        server.add_endpoint(
+            "m", compile_model(mod, params, CompilerOptions()), policy="manual"
+        )
+        trace = trace_of([0.0] * len(instances), instances)
+        report = server.replay(trace, continuous=continuous)["m"]
+        rejected = len(instances) - 2
+        assert server.loop.num_rejected == rejected
+        assert report.num_requests == len(report.handles) == len(instances)
+        assert report.num_failed == rejected
+        assert [h.failed for h in report.handles] == [False] * 2 + [True] * rejected
+        with pytest.raises(BackpressureFull):
+            report.handles[-1].result()
+        assert len(report.latencies_ms) == 2
+        assert bitwise_equal(report.outputs, reference[:2])
+        assert report.throughput_rps > 0 and report.p99_ms > 0
+
+    @pytest.mark.parametrize("continuous", [True, False])
+    def test_expired_admission(self, treelstm_setup, continuous):
+        mod, params, instances, reference = treelstm_setup
+        server = one_endpoint(compile_model(mod, params, CompilerOptions()), "adaptive")
+        trace = [
+            (0.0, "m", instances[0]),
+            (0.01, "m", instances[1], {"deadline": 0.0}),
+            (0.02, "m", instances[2]),
+        ]
+        report = server.replay(trace, continuous=continuous)["m"]
+        assert report.num_requests == 3 and report.num_failed == 1
+        assert report.handles[1].failed
+        assert bitwise_equal(report.outputs, [reference[0], reference[2]])
+        assert len(report.latencies_ms) == 2
 
 
 class TestFailureIsolation:

@@ -1,6 +1,6 @@
 """Tests for the sharded serving front door: the loop-topology registry
 (single / per_device / per_endpoint), cross-loop work-stealing, and the
-deterministic multi-loop trace driver behind ``Server.run_trace``."""
+deterministic multi-loop trace driver behind ``Server.replay``."""
 
 import pytest
 
@@ -32,8 +32,8 @@ def _serve(model, instances, topology="single", gap=0.001, meta=None, **kw):
             workload.append((gap * i, "m", inst))
         else:
             workload.append((gap * i, "m", inst, meta(i)))
-    handles = srv.run_trace(workload, deterministic=True, host_model=HOST_MODEL)
-    return srv, handles["m"]
+    reports = srv.replay(workload, host_model=HOST_MODEL)
+    return srv, reports["m"].handles
 
 
 class TestRegistry:
@@ -55,7 +55,7 @@ class TestRegistry:
         )
         srv.add_endpoint("m", model, policy="adaptive")
         with pytest.raises(ValueError, match="divide evenly"):
-            srv.run_trace([(0.0, "m", instances[0])])
+            srv.replay([(0.0, "m", instances[0])])
 
     def test_reserved_endpoint_names(self, rnn_setup):
         model, _, _ = rnn_setup
@@ -110,9 +110,8 @@ class TestTraceTopologies:
             (0.001 * i, "a" if i % 2 == 0 else "b", inst)
             for i, inst in enumerate(instances)
         ]
-        handles = srv.run_trace(
-            workload, deterministic=True, host_model=HOST_MODEL
-        )
+        reports = srv.replay(workload, host_model=HOST_MODEL)
+        handles = {name: report.handles for name, report in reports.items()}
         assert len(srv.summary()["loops"]) == 2
         outs = {"a": handles["a"], "b": handles["b"]}
         for name, hs in outs.items():
