@@ -25,8 +25,9 @@ setting, where independent requests arrive continuously and must be batched
   replay is the same driver without a device timeline/host lane);
 * :mod:`repro.serve.server` — :class:`Server`/:class:`Endpoint`
   multiplexing multiple compiled models over one shared device simulator,
-  with ``run()``/``drain()``/``shutdown()`` facading the loop and
-  ``replay()`` running a trace on the simulated clock;
+  with exactly two drivers, one per clock: ``run()`` starts the loop
+  thread(s) on the wall clock (``drain()``/``shutdown()`` finish them)
+  and ``replay()`` runs a trace on the simulated clock;
 * :mod:`repro.serve.traffic` — open-loop arrival processes (Poisson,
   bursty) and :class:`~repro.serve.traffic.TrafficReport`, the
   per-endpoint outcome of a replay;
@@ -39,7 +40,8 @@ policy-driven session; ``Server().add_endpoint(name, model, policy=...)``
 builds a multi-model deployment; ``with server.run(): ...`` serves it from
 any number of producer threads with awaitable request handles, and
 ``server.replay(trace)`` replays a tagged open-loop trace deterministically
-on a :class:`SimulatedClock`.
+on a :class:`SimulatedClock`.  ``Server.submit`` without a running loop
+raises :class:`LoopStopped`.
 """
 
 from .clock import Clock, SimulatedClock, WallClock

@@ -3,9 +3,10 @@
 ACROBAT's cross-request batching only pays when requests actually co-arrive
 in a round, and under live traffic that is determined by the *intake loop*,
 not just the flush policy: a caller-driven ``submit``/``poll``/``flush``
-choreography is single-threaded, so while one round executes nothing can
-accept new requests or launch the next partial round.  :class:`ServeLoop`
-closes that gap.  It is the **single owner** of every endpoint session of a
+choreography over one :class:`~repro.serve.session.InferenceSession` is
+single-threaded, so while one round executes nothing can accept new
+requests or launch the next partial round.  :class:`ServeLoop` closes that
+gap.  It is the **single owner** of every endpoint session of a
 :class:`~repro.serve.server.Server`:
 
 * all session mutations (submit dispatch, deadline polling, flushing)
@@ -22,9 +23,12 @@ closes that gap.  It is the **single owner** of every endpoint session of a
   visible to the ``adaptive`` policy's waiting-cost model
   (:attr:`~repro.serve.session.InferenceSession.in_flight_rounds`).
 
-Two operating modes, one per :class:`~repro.serve.clock.Clock` flavour:
+A loop is driven in exactly one of two ways, one per
+:class:`~repro.serve.clock.Clock` flavour; without either, ``submit``
+raises :class:`LoopStopped`:
 
-* **wall-clock** (:meth:`start`/:meth:`drain`/:meth:`shutdown`): a real
+* **wall-clock** (:meth:`start`/:meth:`drain`/:meth:`shutdown`, behind
+  :meth:`Server.run <repro.serve.server.Server.run>`): a real
   background thread waits on the admission queue with a timeout set to the
   earliest pending flush deadline.  Arrivals admitted while a round
   executes are timestamped at admission, so when the loop picks them up
@@ -72,10 +76,11 @@ class RequestShed(RuntimeError):
 
 
 class LoopStopped(RuntimeError):
-    """Raised when submitting to a loop that has shut down or died; carries
-    the loop's original error as ``__cause__`` when it died.  A cleanly
-    shut-down server can be revived with another :meth:`ServeLoop.start`
-    (``Server.run()``)."""
+    """Raised when submitting to a loop whose thread is not running: before
+    the first ``Server.run()``, after a shutdown, or after the loop died
+    (then carrying its original error as ``__cause__``).  Another
+    ``Server.run()`` serves again; simulated clocks replay through
+    ``Server.replay()`` instead."""
 
 
 class DeviceTimeline:
@@ -255,14 +260,9 @@ class ServeLoop:
         self.backpressure = backpressure
 
         self._cond = threading.Condition()
-        # serializes mode transitions (start/shutdown) with inline
-        # dispatches, so a submit racing Server.run() can never mutate a
-        # session concurrently with the freshly started loop thread
-        self._mode_lock = threading.RLock()
         self._queue: Deque[_Admission] = deque()
         self._thread: Optional[threading.Thread] = None
         self._stop = False
-        self._stopped = False  # a loop ran and was shut down (until re-start)
         self._drain_requested = False
         self._error: Optional[BaseException] = None
         # admission generation counters: drain() waits only for requests
@@ -274,7 +274,7 @@ class ServeLoop:
         self._dispatched_seq = 0
         self._flushed_seq = 0
         self._pass_count = 0  # completed drain-flush passes
-        #: requests admitted over the loop's lifetime (queue + inline)
+        #: requests admitted over the loop's lifetime
         self.num_admitted = 0
         #: requests shed by the ``shed-oldest`` backpressure policy
         self.num_shed = 0
@@ -335,56 +335,33 @@ class ServeLoop:
                 "ServeLoop.start() drives real time; a SimulatedClock replays "
                 "deterministically through Server.replay()"
             )
-        with self._mode_lock:
-            if self.running:
-                raise RuntimeError("serve loop already running")
-            self._stop = False
-            self._stopped = False
-            self._error = None
-            self._thread = threading.Thread(
-                target=self._run_wall, name="repro-serve-loop", daemon=True
-            )
-            self._thread.start()
+        if self.running:
+            raise RuntimeError("serve loop already running")
+        self._stop = False
+        self._error = None
+        self._thread = threading.Thread(
+            target=self._run_wall, name="repro-serve-loop", daemon=True
+        )
+        self._thread.start()
         return self
 
     def drain(self) -> None:
         """Flush every backlog and wait until all requests admitted so far
-        have completed.  Without a running loop this degrades to flushing
-        the sessions inline (one session's failing flush does not stop the
-        others from draining — the first error re-raises at the end, after
-        failing its own round's handles)."""
-        with self._mode_lock:
-            if not self.running:
-                first: Optional[BaseException] = None
-                for session in self.sessions().values():
-                    # capping policies flush at most round_cap requests per
-                    # call: drain until empty (a failing flush aborts the
-                    # whole backlog, so the loop terminates either way)
-                    while session.pending_requests:
-                        try:
-                            session.flush()
-                        except BaseException as exc:
-                            # the flush failed its round's handles and reset
-                            # the session; keep draining the other endpoints
-                            if first is None:
-                                first = exc
-                self._raise_if_dead()
-                if first is not None:
-                    raise first
-                return
+        have completed.  Without a running loop there is nothing admitted
+        to wait for: it returns at once (re-raising a dead loop's error)."""
         with self._cond:
             target = self._admit_seq
             entry_pass = self._pass_count
-            while self._error is None and (
-                self._flushed_seq < target or self._pass_count == entry_pass
+            while (
+                self._error is None
+                and self.running
+                and (self._flushed_seq < target or self._pass_count == entry_pass)
             ):
-                if not self.running:  # died without recording an error
-                    break
                 # re-assert every wake: a concurrent drainer's flush pass
                 # may have absorbed our request flag before our admissions
                 # were dispatched — only a pass covering `target` (and at
-                # least one full pass after entry, for backlogs built
-                # before the loop started) counts
+                # least one full pass after entry, for work this loop did
+                # not admit itself: admissions stolen from a sibling) counts
                 self._drain_requested = True
                 self._cond.notify_all()
                 self._cond.wait(timeout=0.05)
@@ -400,19 +377,10 @@ class ServeLoop:
             finally:
                 with self._cond:
                     self._stop = True
-                    self._stopped = True
                     self._cond.notify_all()
                 self._thread.join()
         self._fail_queued(LoopStopped("serve loop shut down"))
         self._raise_if_dead()
-
-    def __enter__(self) -> "ServeLoop":
-        if not self.running:
-            self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
 
     def _raise_if_dead(self) -> None:
         if self._error is not None:
@@ -441,44 +409,18 @@ class ServeLoop:
         """Admit one request for session ``name``; returns its handle
         immediately.
 
-        With the loop running this is thread-safe: the request enters the
-        bounded admission queue (timestamped under the queue lock, so
-        per-session arrival order is monotonic) and the loop dispatches it.
-        Before the loop has ever started it degrades to the historical
-        synchronous path — the session's ``submit`` runs inline on the
-        caller (inline submits serialize on the mode lock, so they cannot
-        race a concurrent ``start()`` or each other).  After a shutdown it
-        raises :class:`LoopStopped` until the loop is started again.
+        Thread-safe: the request enters the bounded admission queue
+        (timestamped under the queue lock, so per-session arrival order is
+        monotonic) and the loop thread dispatches it.  Without a running
+        loop thread — before the first ``Server.run()`` as after a
+        shutdown — it raises :class:`LoopStopped`.
 
         ``deadline`` is an absolute clock timestamp: a request still queued
         when its deadline passes is dropped at dispatch time, its handle
         failing with :class:`~repro.serve.request.RequestExpired` — it never
         enters a round, so round-mates are unaffected.
         """
-        session = self._session(name)  # fail fast on unknown names
-        with self._mode_lock:
-            if not self.running:
-                self._raise_if_dead()
-                if self._stopped:
-                    raise LoopStopped(
-                        "serve loop shut down — call Server.run() again to "
-                        "resume serving"
-                    )
-                if deadline is not None and self.clock.now() > deadline:
-                    # inline intake dispatches immediately, so the only way
-                    # to expire is to arrive already past the deadline
-                    handle = RequestHandle(-1, submitted_at=self.clock.now())
-                    self.num_expired += 1
-                    handle._fail(
-                        RequestExpired(
-                            f"deadline {deadline!r} already passed at submit"
-                        )
-                    )
-                    return handle
-                self._check_inline_capacity()
-                handle = session.submit(instance, at=at, deadline=deadline)
-                self.num_admitted += 1  # only successful admissions count
-                return handle
+        self._session(name)  # fail fast on unknown names
         with self._cond:
             if self.max_pending is not None:
                 while len(self._queue) >= self.max_pending:
@@ -502,7 +444,11 @@ class ServeLoop:
                     self._cond.wait(timeout=0.05)
             if self._stop or self._error is not None or not self.running:
                 self._raise_if_dead()
-                raise LoopStopped("serve loop is shutting down")
+                raise LoopStopped(
+                    "serve loop is not running: Server.run() serves on the "
+                    "wall clock, Server.replay() replays a trace on a "
+                    "simulated clock"
+                )
             # stamp under the lock: queue order == timestamp order, so the
             # monotonic-arrival invariant holds per session no matter how
             # many producer threads race
@@ -555,51 +501,6 @@ class ServeLoop:
             RequestCancelled("request cancelled while queued for admission")
         )
         return True
-
-    def _check_inline_capacity(self) -> None:
-        if self.max_pending is None:
-            return
-        if self.backpressure == "block":
-            # blocking needs a loop thread to drain the queue; inline (the
-            # historical caller-driven path) stays unbounded, exactly as
-            # the Server docstring promises — the bound bites after run()
-            return
-        backlog = sum(s.pending_requests for s in self.sessions().values())
-        if backlog < self.max_pending:
-            return
-        # inline intake builds DFG nodes at submit, so an admitted request
-        # cannot be shed afterwards: every non-blocking overflow policy
-        # rejects here
-        self.num_rejected += 1
-        raise BackpressureFull(
-            f"{backlog} requests pending >= max_pending={self.max_pending}"
-        )
-
-    # -- caller-driven facade --------------------------------------------------
-    def poll(self) -> int:
-        """Fire every session flush whose deadline has passed; returns the
-        number of rounds flushed.  With the loop running, deadlines fire on
-        the loop thread — polling just nudges it awake."""
-        with self._mode_lock:
-            if not self.running:
-                flushed = 0
-                for session in self.sessions().values():
-                    if session.poll() is not None:
-                        flushed += 1
-                return flushed
-        with self._cond:
-            self._cond.notify_all()
-        return 0
-
-    def flush_all(self) -> Dict[str, Optional[List[Any]]]:
-        """Flush every session's backlog; returns outputs by name (None for
-        empty sessions).  With the loop running this delegates to
-        :meth:`drain` (the loop owns the sessions) and returns ``{}``."""
-        with self._mode_lock:
-            if not self.running:
-                return {name: s.flush() for name, s in self.sessions().items()}
-        self.drain()
-        return {}
 
     def next_deadline(self) -> Optional[float]:
         """Earliest pending flush deadline across the loop's sessions."""

@@ -7,23 +7,28 @@ share one accelerator — a single
 :class:`~repro.devices.group.DeviceGroup` sharded by a placement policy —
 and one :class:`~repro.serve.clock.Clock`: each endpoint owns a
 policy-driven :class:`~repro.serve.session.InferenceSession` over its
-model, requests are routed by endpoint name, and deadline-driven flushing
-is coordinated server-wide through :meth:`Server.poll` /
-:meth:`Server.next_deadline`.
+model, and requests are routed by endpoint name.
 
 Per-flush device counters stay isolated even on the shared device: every
 session resets the device's counters at the flush that executes its round
 (the residency cache — which parameters are already on the GPU — is shared
 and persists, as it would on real hardware).
 
-Request intake is owned by the server's :class:`~repro.serve.loop.ServeLoop`
-(``server.loop``): :meth:`Server.submit`/:meth:`Server.poll`/
-:meth:`Server.flush_all` are thin facades over it.  Without a running loop
-they behave exactly as the historical caller-driven API; after
-:meth:`Server.run` the same calls become thread-safe — requests enter the
-loop's bounded admission queue (``max_pending``/``backpressure``) and all
-session work happens on the loop thread, with :meth:`Server.drain` /
-:meth:`Server.shutdown` replacing hand-rolled poll choreography.
+A server has exactly two drivers, one per clock:
+
+* :meth:`Server.run` (wall clock) starts the
+  :class:`~repro.serve.loop.ServeLoop` thread(s) of the server's topology;
+  :meth:`Server.submit` is then thread-safe — requests enter the loop's
+  bounded admission queue (``max_pending``/``backpressure``), all session
+  work happens on the loop thread, and :meth:`Server.drain` /
+  :meth:`Server.shutdown` (or leaving ``with server.run():``) finish it;
+* :meth:`Server.replay` (simulated clock) replays a tagged open-loop
+  trace deterministically.
+
+Without a running loop, :meth:`Server.submit` raises
+:class:`~repro.serve.loop.LoopStopped`.  Caller-driven batching of one
+model lives on :class:`~repro.serve.session.InferenceSession`
+(``submit``/``poll``/``flush``).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .policy import FlushPolicy
 from .request import RequestHandle
 from .session import InferenceSession
 from .sim import TraceDriver
-from .topology import LoopTopology, SingleTopology, TopologyRun, make_topology
+from .topology import LoopTopology, make_topology
 from .traffic import TrafficReport
 
 #: endpoint names Server.summary() uses for its own aggregate entries
@@ -47,19 +52,18 @@ RESERVED_ENDPOINT_NAMES = ("devices", "loops")
 class Endpoint:
     """One named model behind a server: a model plus its serving session.
 
-    Sessions are lock-free and, once :meth:`Server.run` has started the
-    serve loop, owned exclusively by the loop thread — the endpoint's
-    session-mutating methods therefore refuse to run while the loop does
-    (route through ``Server.submit``/``drain`` instead)."""
+    Sessions are lock-free and owned by the server's drivers — the loop
+    thread under :meth:`Server.run`, the trace driver under
+    :meth:`Server.replay` — so requests go through ``Server.submit``, not
+    the endpoint."""
 
     def __init__(
         self,
         name: str,
         model: Any,
         session: InferenceSession,
-        loop: Optional[ServeLoop] = None,
         *,
-        server: Any = None,
+        server: Any,
         policy: Any = None,
         policy_args: Optional[Dict[str, Any]] = None,
         scheduler: Optional[str] = None,
@@ -68,7 +72,6 @@ class Endpoint:
         self.name = name
         self.model = model
         self.session = session
-        self._loop = loop
         self._server = server
         #: one serving session per topology slice (a single-loop server has
         #: exactly one replica: the session itself)
@@ -79,16 +82,6 @@ class Endpoint:
         self._policy_args = policy_args
         self._scheduler = scheduler
         self._placement = placement
-
-    def _all_loops(self) -> List[ServeLoop]:
-        """Every loop serving this endpoint (one, before a multi-loop
-        topology materializes)."""
-        server = self._server
-        if server is not None and server._topology_built:
-            loops = server.topology.loops_for(self.name)
-            if loops:
-                return loops
-        return [self._loop] if self._loop is not None else []
 
     def _build_replicas(
         self, complements: List[Any], clock: Clock
@@ -138,46 +131,10 @@ class Endpoint:
         self.session = replicas[0]
         return replicas
 
-    def _session_op(self, what: str, op: Any) -> Any:
-        """Run a session mutation under the loop's mode lock: the check and
-        the operation are atomic against a concurrent ``Server.run()``, so
-        the inline path can never race the freshly started loop thread
-        (the same protocol ``ServeLoop.submit`` uses)."""
-        loops = self._all_loops()
-        if not loops:
-            return op()
-        with loops[0]._mode_lock:
-            if any(loop.running for loop in loops):
-                raise RuntimeError(
-                    f"cannot {what} directly while the serve loop is "
-                    "running — the loop thread owns this endpoint's "
-                    "session; use Server.submit()/drain() (or shutdown() "
-                    "first)"
-                )
-            return op()
-
-    # -- request path ----------------------------------------------------------
-    def submit(self, instance: Any, at: Optional[float] = None) -> RequestHandle:
-        return self._session_op(
-            "submit to an endpoint", lambda: self.session.submit(instance, at=at)
-        )
-
-    def poll(self) -> Optional[List[Any]]:
-        return self._session_op("poll an endpoint", self.session.poll)
-
-    def flush(self) -> Optional[List[Any]]:
-        return self._session_op("flush an endpoint", self.session.flush)
-
     # -- introspection ---------------------------------------------------------
     @property
     def pending_requests(self) -> int:
         return sum(s.pending_requests for s in self.replicas)
-
-    def next_deadline(self) -> Optional[float]:
-        deadlines = [
-            d for d in (s.next_deadline() for s in self.replicas) if d is not None
-        ]
-        return min(deadlines) if deadlines else None
 
     def summary(self) -> Dict[str, float]:
         """Aggregate serving statistics across the endpoint's lifetime
@@ -198,7 +155,9 @@ class Endpoint:
             if started is not None and (oldest is None or started < oldest):
                 oldest = started
         queued = 0
-        for loop in self._all_loops():
+        # every loop serving this endpoint (none before the topology
+        # materializes: nothing can be queued yet)
+        for loop in self._server.topology.loops_for(self.name):
             with loop._cond:
                 for adm in loop._queue:
                     if adm.name == self.name:
@@ -258,16 +217,15 @@ class Server:
 
     ``max_pending`` bounds the admission queue of the server's
     :class:`~repro.serve.loop.ServeLoop` and ``backpressure`` picks the
-    overflow policy (``"block"``/``"reject"``/``"shed-oldest"``); both only
-    bite once :meth:`run` starts the loop (or, for the non-blocking
-    policies, on inline intake too).
+    overflow policy (``"block"``/``"reject"``/``"shed-oldest"``), on the
+    wall clock and in :meth:`replay` alike (a replay cannot block, so
+    ``"block"`` is inert there).
 
     ``topology`` shards the front door (see :mod:`repro.serve.topology`):
     a registry name (``"single"``/``"per_device"``/``"per_endpoint"``, with
     ``topology_args``) or a ready :class:`LoopTopology` instance.  The
-    topology materializes lazily at the first :meth:`run`/:meth:`replay`
-    (or the first routed :meth:`submit`); endpoint registration must happen
-    before that.
+    topology materializes lazily at the first :meth:`run`/:meth:`replay`;
+    endpoint registration must happen before that.
     """
 
     def __init__(
@@ -336,17 +294,14 @@ class Server:
 
     def _materialize_topology(self) -> None:
         """Build the topology's loops against this server (idempotent).
-        Happens lazily at the first ``run()``/``replay()`` (or a routed
-        ``submit``), so every ``add_endpoint`` call is visible to it."""
+        Happens lazily at the first ``run()``/``replay()``, so every
+        ``add_endpoint`` call is visible to it."""
         if self._topology_built:
             return
         loops = self.topology.build(self)
         self._topology_built = True
         if loops and loops[0] is not self.loop:
             self.loop = loops[0]
-        for ep in self._endpoints.values():
-            serving = self.topology.loops_for(ep.name)
-            ep._loop = serving[0] if serving else None
 
     # -- endpoint management ---------------------------------------------------
     def add_endpoint(
@@ -402,7 +357,6 @@ class Server:
             name,
             model,
             session,
-            loop=self.loop,
             server=self,
             policy=policy,
             policy_args=policy_args or None,
@@ -428,7 +382,7 @@ class Server:
     def __contains__(self, name: str) -> bool:
         return name in self._endpoints
 
-    # -- request path (facade over the serve loop) ------------------------------
+    # -- request path ------------------------------------------------------------
     def submit(
         self,
         name: str,
@@ -439,83 +393,54 @@ class Server:
     ) -> RequestHandle:
         """Route one request to endpoint ``name``.
 
-        Thread-safe once :meth:`run` has started the serve loop (the
-        request enters the loop's bounded admission queue and the returned
-        handle resolves when the loop flushes its round — ``await handle``
-        or ``handle.result(timeout=...)``); before that it is the
-        historical synchronous intake path.  ``deadline`` (absolute clock
-        timestamp) expires the request if it is still queued when the
-        deadline passes — see :meth:`ServeLoop.submit`.  Under a
-        multi-loop topology the request routes to the least-backlogged loop
-        serving the endpoint.
+        Needs a running loop (:meth:`run`); thread-safe.  The request
+        enters the loop's bounded admission queue and the returned handle
+        resolves when the loop flushes its round — ``await handle`` or
+        ``handle.result(timeout=...)``.  Without a running loop it raises
+        :class:`~repro.serve.loop.LoopStopped` (a simulated clock replays
+        a whole trace through :meth:`replay` instead).  ``deadline``
+        (absolute clock timestamp) expires the request if it is still
+        queued when the deadline passes — see :meth:`ServeLoop.submit`.
+        Under a multi-loop topology the request routes to the
+        least-backlogged loop serving the endpoint.
         """
         self.endpoint(name)  # fail fast on unknown endpoints
-        if not self._topology_built and not isinstance(self.topology, SingleTopology):
-            self._materialize_topology()
         loops = self._loops()
         loop = self.topology.route(name) if len(loops) > 1 else self.loop
         return loop.submit(name, instance, at=at, deadline=deadline)
 
-    def poll(self) -> int:
-        """Fire every endpoint flush whose deadline has passed; returns the
-        number of rounds flushed.  With the loop running, deadline polling
-        is the loop's job — this just nudges it awake."""
-        return sum(loop.poll() for loop in self._loops())
-
-    def flush_all(self) -> Dict[str, Optional[List[Any]]]:
-        """Flush every endpoint's backlog (drain); returns outputs by
-        endpoint name (None for endpoints that were empty).  With the loop
-        running this delegates to :meth:`drain` and returns ``{}``."""
-        loops = self._loops()
-        if len(loops) == 1:
-            return self.loop.flush_all()
-        out: Dict[str, Optional[List[Any]]] = {}
-        for loop in loops:
-            for name, outputs in loop.flush_all().items():
-                if name not in out or out[name] is None:
-                    out[name] = outputs
-                elif outputs:
-                    out[name] = list(out[name]) + list(outputs)
-        return out
-
-    def next_deadline(self) -> Optional[float]:
-        """Earliest pending flush deadline across all endpoints."""
-        deadlines = [
-            d for d in (lp.next_deadline() for lp in self._loops()) if d is not None
-        ]
-        return min(deadlines) if deadlines else None
-
     # -- event-loop lifecycle ---------------------------------------------------
-    def run(self) -> Any:
-        """Start the serving event loop(s) (wall-clock traffic).
-
-        From here on :meth:`submit` is thread-safe and the loop(s) drive
-        all deadline polling and flushing.  Returns a context manager::
+    def run(self) -> "Server":
+        """Start every serving loop of the topology (the wall-clock
+        driver): one thread per loop, each owning its sessions and driving
+        their deadline polling and flushing.  From here on :meth:`submit`
+        is thread-safe.  Returns the server, which is its own context
+        manager (leaving it calls :meth:`shutdown`)::
 
             with server.run():
                 handle = server.submit("trees", request)
                 output = handle.result(timeout=5.0)
 
-        Under the default ``single`` topology this is the loop itself
-        (back-compatible); a multi-loop topology starts one thread per
-        loop and returns a :class:`~repro.serve.topology.TopologyRun`.
         Simulated clocks replay deterministically through :meth:`replay`
         instead.
         """
         self._materialize_topology()
-        loops = self.topology.loops
-        if len(loops) == 1:
-            return loops[0].start()
         started = []
         try:
-            for loop in loops:
+            for loop in self.topology.loops:
                 loop.start()
                 started.append(loop)
         except BaseException:
             for loop in started:
                 loop.shutdown()
             raise
-        return TopologyRun(self)
+        return self
+
+    def __enter__(self) -> "Server":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.shutdown()
 
     def replay(
         self,
@@ -534,9 +459,11 @@ class Server:
         ``trace`` yields ``(arrival_time, endpoint, request)`` or ``(...,
         meta)`` items, where ``meta`` may carry a ``deadline`` (absolute
         clock time; a request still queued past it expires) and a ``loop``
-        (a home-loop index overriding the least-backlog router).  Arrivals
-        keep their true timestamps while a loop's host is busy, so queueing
-        delay is measured without coordinated omission.
+        (the index of a loop serving the endpoint, overriding the
+        least-backlog router).  A bad pin raises ``ValueError`` and an
+        unknown endpoint ``KeyError``, both before the first admission.  Arrivals keep their true timestamps while a
+        loop's host is busy, so queueing delay is measured without
+        coordinated omission.
 
         ``continuous=True`` runs rounds on each loop's device timeline
         while intake streams on; ``continuous=False`` is the caller-driven
@@ -568,7 +495,8 @@ class Server:
 
     def drain(self) -> None:
         """Flush every backlog and wait for all admitted requests to
-        complete (works with or without a running loop)."""
+        complete; returns at once when no loop is running (nothing can be
+        admitted then)."""
         for loop in self._loops():
             loop.drain()
 
@@ -585,22 +513,15 @@ class Server:
             raise first
 
     # -- introspection ---------------------------------------------------------
-    def device_summary(self) -> Dict[str, Any]:
-        """Utilization and balance across the server's device (group):
-        per-device busy time, each member's share of the busiest member, and
-        the least/busiest ratio (1.0 = perfectly balanced).  Counters are
-        per-flush (sessions reset them at each round), so this reflects the
-        most recent round."""
-        return self.device.device_summary()
-
     def summary(self) -> Dict[str, Dict[str, Any]]:
         """Per-endpoint aggregate serving statistics, plus two aggregate
-        entries: ``devices`` (the group's utilization/balance breakdown)
-        and ``loops`` (per-loop admission and work-stealing counters)."""
+        entries: ``devices`` (the group's utilization/balance breakdown —
+        device counters are per flush, so of the most recent round) and
+        ``loops`` (per-loop admission and work-stealing counters)."""
         out: Dict[str, Dict[str, Any]] = {
             name: ep.summary() for name, ep in sorted(self._endpoints.items())
         }
-        out["devices"] = self.device_summary()
+        out["devices"] = self.device.device_summary()
         out["loops"] = {
             loop.name: {
                 "admitted": loop.num_admitted,

@@ -327,9 +327,9 @@ class InferenceSession:
 
         Returns False when the handle is unknown to this session or its
         round already executed.  Not thread-safe against a concurrent
-        flush: under a running :class:`~repro.serve.loop.ServeLoop`, use
-        the endpoint's ``_session_op`` guard (``RequestHandle.cancel()``
-        on a still-queued admission is always safe — the loop removes it
+        flush: under a running :class:`~repro.serve.loop.ServeLoop` the
+        loop thread owns the session, and only ``RequestHandle.cancel()``
+        on a still-queued admission is always safe (the loop removes it
         before dispatch).
         """
         removed = self.withdraw(handle)

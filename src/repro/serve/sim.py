@@ -166,10 +166,13 @@ class TraceDriver:
     ) -> Dict[str, List[RequestHandle]]:
         """Replay ``workload`` — ``(arrival_time, endpoint, request)`` or
         ``(..., meta)`` items — and return every request's handle per
-        endpoint, in arrival order (failed admissions included)."""
+        endpoint, in arrival order (failed admissions included).  An item
+        no loop could admit is refused before the first admission."""
         clock = self.clock
         states = self.states
-        items = sorted(workload, key=lambda item: item[0])
+        items = [_unpack(item) for item in sorted(workload, key=lambda it: it[0])]
+        for _, name, _, meta in items:
+            self._check_home(name, meta.get("loop"))
         handles: Dict[str, List[RequestHandle]] = {}
         with replay_state(
             [s for st in states for s in st.sessions.values()],
@@ -182,8 +185,7 @@ class TraceDriver:
                         session.timeline = st.timeline
                         session.host_lane = st
             last = len(items) - 1
-            for i, item in enumerate(items):
-                t, name, instance, meta = _unpack(item)
+            for i, (t, name, instance, meta) in enumerate(items):
                 self.advance_until(t)
                 clock.advance_to(t)
                 handles.setdefault(name, []).append(
@@ -204,6 +206,27 @@ class TraceDriver:
         return handles
 
     # -- admission -------------------------------------------------------------
+    def _check_home(self, name: str, pin: Any) -> None:
+        """Refuse an arrival no loop could admit: a ``loop`` pin that is not
+        the int index of a loop serving ``name`` (ValueError), or an
+        endpoint no loop serves (KeyError)."""
+        states = self.states
+        if pin is None:
+            candidates = states if self.route is not None else states[:1]
+            if not any(name in st.sessions for st in candidates):
+                raise KeyError(f"no loop serves endpoint {name!r}")
+            return
+        if isinstance(pin, bool) or not isinstance(pin, int) or not 0 <= pin < len(states):
+            raise ValueError(
+                f"meta['loop'] must be a loop index in [0, {len(states)}) "
+                f"(this server runs {len(states)} loop(s)), got {pin!r}"
+            )
+        if name not in states[pin].sessions:
+            raise ValueError(
+                f"meta['loop']={pin} pins endpoint {name!r} to "
+                f"{states[pin].loop.name}, which does not serve it"
+            )
+
     def admit(
         self, t: float, name: str, instance: Any, meta: Dict[str, Any]
     ) -> RequestHandle:
@@ -218,8 +241,6 @@ class TraceDriver:
             state = self.states[0]
         else:
             state = self._by_loop[self.route(name)]
-        if name not in state.sessions:
-            raise KeyError(f"{state.loop.name} does not serve endpoint {name!r}")
         if deadline is not None and t > deadline:
             state.loop.num_expired += 1
             handle._fail(

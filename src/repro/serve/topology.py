@@ -268,16 +268,3 @@ class PerEndpointTopology(LoopTopology):
             )
         return self._wire(loops)
 
-
-class TopologyRun:
-    """Context manager returned by ``Server.run()`` on a multi-loop
-    topology: exiting drains and shuts every loop down."""
-
-    def __init__(self, server: Any) -> None:
-        self._server = server
-
-    def __enter__(self) -> "TopologyRun":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._server.shutdown()

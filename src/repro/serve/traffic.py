@@ -30,15 +30,13 @@ from .request import RequestHandle
 # -- arrival processes ---------------------------------------------------------
 
 
-def poisson_arrivals(
-    rate_rps: float, n: int, *, seed: int = 0, start: float = 0.0
-) -> List[float]:
+def poisson_arrivals(rate_rps: float, n: int, *, seed: int = 0) -> List[float]:
     """``n`` Poisson arrival timestamps at ``rate_rps`` requests/second."""
     if rate_rps <= 0:
         raise ValueError("arrival rate must be positive")
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_rps, size=n)
-    return list(start + np.cumsum(gaps))
+    return list(np.cumsum(gaps))
 
 
 def bursty_arrivals(
@@ -47,7 +45,6 @@ def bursty_arrivals(
     *,
     burst: int = 8,
     seed: int = 0,
-    start: float = 0.0,
 ) -> List[float]:
     """``n`` arrivals in bursts of ``burst`` simultaneous requests.
 
@@ -61,7 +58,7 @@ def bursty_arrivals(
         raise ValueError("burst size must be >= 1")
     rng = np.random.default_rng(seed)
     times: List[float] = []
-    t = start
+    t = 0.0
     while len(times) < n:
         t += rng.exponential(burst / rate_rps)
         times.extend([t] * min(burst, n - len(times)))

@@ -1,14 +1,17 @@
 """Tests for request lifecycle at the serving layer: cancellation of
 pending round members (round-mates flush bit-identical, device counters
-stay consistent), cancellation of loop-queued admissions, deadline expiry on the inline, dispatch and
-simulated-trace arrival paths,
-and the Endpoint.summary() queue-depth / oldest-pending-age gauges."""
+stay consistent), cancellation of loop-queued admissions, deadline expiry on
+the dispatch and simulated-trace arrival paths, and the Endpoint.summary()
+queue-depth / oldest-pending-age gauges."""
+
+import time
 
 import pytest
 
 from repro import CompilerOptions, compile_model, reference_run
 from repro.models import MODEL_MODULES
 from repro.serve import Server, SimulatedClock
+from repro.serve.clock import Clock
 from repro.serve.request import RequestCancelled, RequestExpired
 from repro.utils import values_allclose
 
@@ -182,7 +185,8 @@ class TestLoopLifecycle:
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="size", n=1
         )
-        loop = server.run()
+        server.run()
+        loop = server.loop
         try:
             with loop._cond:  # loop thread cannot dispatch while we hold this
                 h_cancel = server.submit("m", instances[0])
@@ -205,7 +209,8 @@ class TestLoopLifecycle:
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="size", n=1
         )
-        loop = server.run()
+        server.run()
+        loop = server.loop
         try:
             past = server.clock.now() - 1.0
             with loop._cond:
@@ -219,49 +224,72 @@ class TestLoopLifecycle:
         finally:
             server.shutdown()
 
-    def test_deadline_expires_inline_submit(self, treelstm_setup):
-        """Before the loop ever runs, intake is synchronous — the only way
-        to expire is to arrive already past the deadline."""
-        mod, params, instances, reference = treelstm_setup
-        clock = SimulatedClock(start=10.0)
-        server = Server(clock=clock)
-        server.add_endpoint(
-            "m", compile_model(mod, params, CompilerOptions()), policy="manual"
-        )
-        h_dead = server.submit("m", instances[0], deadline=9.0)
-        assert h_dead.failed
-        with pytest.raises(RequestExpired, match="already passed at submit"):
-            h_dead.result()
-        assert server.loop.num_expired == 1
-        h_live = server.submit("m", instances[1], deadline=11.0)
-        server.flush_all()
-        assert values_allclose(h_live.result(), reference[1])
-
-    def test_deadline_expires_on_trace_arrival(self, treelstm_setup):
+    @pytest.mark.parametrize(
+        "start, arrivals",
+        [
+            # staggered arrivals against one shared deadline: only the
+            # first is in time
+            (0.0, [(0.0, 0.005), (0.01, 0.005), (0.02, 0.005), (0.03, 0.005)]),
+            # a clock that starts late: of two same-instant arrivals, one is
+            # already past its deadline and one has time to spare
+            (10.0, [(10.0, 9.0), (10.0, 11.0)]),
+        ],
+        ids=["staggered", "late_clock"],
+    )
+    def test_deadline_expires_on_trace_arrival(self, treelstm_setup, start, arrivals):
         """A simulated trace arrival already past its deadline is expired
-        at admission and counted; the rest of the trace is unaffected."""
+        at admission — it never reaches a queue — and counted; the rest of
+        the trace is unaffected."""
         mod, params, instances, reference = treelstm_setup
-        server = Server(clock=SimulatedClock())
+        server = Server(clock=SimulatedClock(start=start))
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="adaptive"
         )
         workload = [
-            (0.01 * i, "m", inst, {"deadline": 0.005})
-            for i, inst in enumerate(instances[:4])
+            (t, "m", inst, {"deadline": d})
+            for (t, d), inst in zip(arrivals, instances)
         ]
         handles = server.replay(workload)["m"].handles
-        assert values_allclose(handles[0].result(), reference[0])
-        for h in handles[1:]:
-            with pytest.raises(RequestExpired, match="already passed at submit"):
-                h.result()
-        assert server.loop.num_expired == len(handles) - 1
-        assert server.summary()["loops"]["loop0"]["expired"] == len(handles) - 1
+        assert len(handles) == len(arrivals)
+        expired = [t > d for t, d in arrivals]
+        for h, dead, ref in zip(handles, expired, reference):
+            if dead:
+                with pytest.raises(RequestExpired, match="already passed at submit"):
+                    h.result()
+            else:
+                assert values_allclose(h.result(), ref)
+        assert server.loop.num_expired == sum(expired)
+        assert server.loop.num_admitted == len(arrivals) - sum(expired)
+        assert server.summary()["loops"]["loop0"]["expired"] == sum(expired)
+
+
+class _SteppedClock(Clock):
+    """A real-time clock stand-in that moves only when told: the wall-clock
+    loop runs on it, and gauge ages come out exact."""
+
+    def __init__(self) -> None:
+        self.t = 100.0
+
+    def now(self) -> float:
+        return self.t
+
+
+def _wait_dispatched(server, name, count):
+    """Wait until the loop thread has dispatched ``count`` requests into
+    the endpoint's session (a manual policy then leaves them pending)."""
+    session = server.endpoint(name).session
+    give_up = time.monotonic() + 10.0
+    while session.pending_requests < count:
+        assert time.monotonic() < give_up, "loop never dispatched"
+        time.sleep(0.001)
 
 
 class TestSummaryGauges:
     def test_queue_depth_and_oldest_pending_age(self, treelstm_setup):
+        """The gauges cover both places a request waits: the loop's
+        admission queue and the session's pending round."""
         mod, params, instances, _ = treelstm_setup
-        clock = SimulatedClock()
+        clock = _SteppedClock()
         server = Server(clock=clock)
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="manual"
@@ -269,29 +297,42 @@ class TestSummaryGauges:
         assert server.summary()["m"]["queue_depth"] == 0
         assert server.summary()["m"]["oldest_pending_age_ms"] == 0.0
 
-        server.submit("m", instances[0])
-        clock.advance(0.004)
-        server.submit("m", instances[1])
-        summary = server.summary()["m"]
-        assert summary["queue_depth"] == 2
-        # the gauge tracks the *oldest* waiter
-        assert summary["oldest_pending_age_ms"] == pytest.approx(4.0)
+        with server.run():
+            with server.loop._cond:  # both stay queued while we hold this
+                server.submit("m", instances[0])
+                clock.t += 0.004
+                server.submit("m", instances[1])
+                summary = server.summary()["m"]
+                assert summary["pending"] == 0
+                assert summary["queue_depth"] == 2
+                # the gauge tracks the *oldest* waiter
+                assert summary["oldest_pending_age_ms"] == pytest.approx(4.0)
+            _wait_dispatched(server, "m", 2)
+            clock.t += 0.001
+            summary = server.summary()["m"]
+            assert summary["pending"] == summary["queue_depth"] == 2
+            assert summary["oldest_pending_age_ms"] == pytest.approx(5.0)
 
-        server.flush_all()
-        summary = server.summary()["m"]
-        assert summary["queue_depth"] == 0
-        assert summary["oldest_pending_age_ms"] == 0.0
+            server.drain()
+            summary = server.summary()["m"]
+            assert summary["queue_depth"] == 0
+            assert summary["oldest_pending_age_ms"] == 0.0
 
     def test_summary_counts_cancelled(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
-        server = Server(clock=SimulatedClock())
+        server = Server()
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="manual"
         )
-        h = server.submit("m", instances[0])
-        keep = server.submit("m", instances[1])
-        assert h.cancel() is True
-        server.flush_all()
+        with server.run():
+            h = server.submit("m", instances[0])
+            keep = server.submit("m", instances[1])
+            # once both are dispatched the manual policy leaves the loop
+            # thread idle, so withdrawing a pending round member cannot
+            # race a flush
+            _wait_dispatched(server, "m", 2)
+            assert h.cancel() is True
+            server.drain()
         summary = server.summary()["m"]
         assert summary["cancelled"] == 1
         assert summary["requests"] == 2

@@ -942,11 +942,12 @@ class TestServerSharding:
         compiled, instances, reference = treelstm
         server = Server(devices=2, clock=SimulatedClock(), interconnect="nvlink")
         assert server.num_devices == 2
-        endpoint = server.add_endpoint("m", compiled, policy="manual")
-        handles = [endpoint.submit(i) for i in instances]
-        endpoint.flush()
+        server.add_endpoint("m", compiled, policy="manual")
+        report = server.replay([(0.0, "m", i) for i in instances])["m"]
+        assert report.num_flushes == 1  # manual: the drain flushes one round
+        assert len(report.handles) == len(reference)
         assert all(
-            values_allclose(a, h.result()) for a, h in zip(reference, handles)
+            values_allclose(a, h.result()) for a, h in zip(reference, report.handles)
         )
         summary = server.summary()
         assert summary["devices"]["count"] == 2

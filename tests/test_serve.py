@@ -414,22 +414,18 @@ class TestServer:
             "seqs", compile_model(b_mod, b_params, CompilerOptions()), policy="manual"
         )
 
-        # interleaved traffic
-        t_handles = []
-        b_handles = []
-        for i in range(max(len(t_instances), len(b_instances))):
-            if i < len(t_instances):
-                t_handles.append(server.submit("trees", t_instances[i]))
-            if i < len(b_instances):
-                b_handles.append(server.submit("seqs", b_instances[i]))
-        server.flush_all()
-
-        assert all(
-            values_allclose(a, h.result()) for a, h in zip(t_reference, t_handles)
-        )
-        assert all(
-            values_allclose(a, h.result()) for a, h in zip(b_reference, b_handles)
-        )
+        # interleaved traffic; the manual policies flush one round each
+        workload = [
+            (0.0, name, instances[i])
+            for i in range(max(len(t_instances), len(b_instances)))
+            for name, instances in (("trees", t_instances), ("seqs", b_instances))
+            if i < len(instances)
+        ]
+        reports = server.replay(workload)
+        for name, reference in (("trees", t_reference), ("seqs", b_reference)):
+            handles = reports[name].handles
+            assert len(handles) == len(reference)
+            assert all(values_allclose(a, h.result()) for a, h in zip(reference, handles))
 
         summary = server.summary()
         assert summary["trees"]["requests"] == len(t_instances)
@@ -453,18 +449,19 @@ class TestServer:
         assert "a" in server and "missing" not in server
 
     def test_server_poll_fires_deadlines(self, treelstm_setup):
+        """Each endpoint's flush deadline fires on its own: "a" (5 ms)
+        flushes and completes before "b" (15 ms) is due."""
         mod, params, instances, _ = treelstm_setup
-        clock = SimulatedClock()
-        server = Server(clock=clock)
+        server = Server(clock=SimulatedClock())
         model = compile_model(mod, params, CompilerOptions())
         server.add_endpoint("a", model, policy="deadline", ms=5.0)
         server.add_endpoint("b", model, policy="deadline", ms=15.0)
-        ha = server.submit("a", instances[0])
-        hb = server.submit("b", instances[1])
-        assert server.next_deadline() == pytest.approx(0.005)
-        clock.advance(0.006)
-        assert server.poll() == 1  # only "a" was due
-        assert ha.done and not hb.done
+        reports = server.replay([(0.0, "a", instances[0]), (0.0, "b", instances[1])])
+        (ha,), (hb,) = reports["a"].handles, reports["b"].handles
+        assert ha.stats.flush_reason == hb.stats.flush_reason == "deadline"
+        assert ha.stats.flushed_at == pytest.approx(0.005)
+        assert hb.stats.flushed_at == pytest.approx(0.015)
+        assert ha.stats.completed_at < hb.stats.flushed_at
 
     def test_replay_two_endpoints(self, treelstm_setup, birnn_setup):
         t_mod, t_params, t_instances, t_reference = treelstm_setup

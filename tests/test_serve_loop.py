@@ -178,57 +178,8 @@ class TestLoopValidation:
             with pytest.raises(RuntimeError, match="while the serve loop"):
                 server.add_endpoint("b", model, policy="manual")
 
-    def test_endpoint_bypass_rejected_while_running(self, treelstm_setup):
-        """The pre-loop idiom server.endpoint(name).submit(...) would
-        mutate a lock-free session concurrently with the loop thread; it
-        must refuse while the loop runs (and work again after shutdown)."""
-        mod, params, instances, _ = treelstm_setup
-        model = compile_model(mod, params, CompilerOptions())
-        server = Server()
-        endpoint = server.add_endpoint("a", model, policy="manual")
-        with server.run():
-            with pytest.raises(RuntimeError, match="loop thread owns"):
-                endpoint.submit(instances[0])
-            with pytest.raises(RuntimeError, match="loop thread owns"):
-                endpoint.poll()
-            with pytest.raises(RuntimeError, match="loop thread owns"):
-                endpoint.flush()
-        handle = endpoint.submit(instances[0])  # inline again after shutdown
-        endpoint.flush()
-        assert handle.done
-
 
 class TestBackpressure:
-    def test_inline_reject(self, treelstm_setup):
-        """Without a running loop, reject fires against the sessions'
-        pending backlog."""
-        mod, params, instances, _ = treelstm_setup
-        server = Server(max_pending=2, backpressure="reject")
-        server.add_endpoint(
-            "m", compile_model(mod, params, CompilerOptions()), policy="manual"
-        )
-        server.submit("m", instances[0])
-        server.submit("m", instances[1])
-        with pytest.raises(BackpressureFull):
-            server.submit("m", instances[2])
-        assert server.loop.num_rejected == 1
-        server.flush_all()  # backlog drains: capacity frees up
-        server.submit("m", instances[2])
-
-    def test_inline_block_is_inert(self, treelstm_setup):
-        """block needs a loop thread to drain the queue: on the historical
-        caller-driven path the bound stays inert (exactly as documented),
-        rather than deadlocking or erroring."""
-        mod, params, instances, _ = treelstm_setup
-        server = Server(max_pending=1, backpressure="block")
-        server.add_endpoint(
-            "m", compile_model(mod, params, CompilerOptions()), policy="manual"
-        )
-        server.submit("m", instances[0])
-        server.submit("m", instances[1])  # beyond max_pending: still fine
-        assert server.endpoint("m").pending_requests == 2
-        server.flush_all()
-
     def test_threaded_shed_oldest(self, treelstm_setup):
         """Holding the loop's condition stalls the drain deterministically:
         overflowing the queue sheds the oldest request, whose handle fails
@@ -238,7 +189,8 @@ class TestBackpressure:
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="manual"
         )
-        loop = server.run()
+        server.run()
+        loop = server.loop
         try:
             with loop._cond:  # loop thread cannot drain while we hold this
                 h1 = server.submit("m", instances[0])
@@ -260,7 +212,8 @@ class TestBackpressure:
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="manual"
         )
-        loop = server.run()
+        server.run()
+        loop = server.loop
         try:
             submitted = threading.Event()
             handles = []
@@ -311,7 +264,8 @@ class TestServerLifecycle:
             "m", compile_model(mod, params, CompilerOptions()),
             policy="adaptive", max_batch=2, max_wait_ms=60_000.0,
         )
-        loop = server.run()
+        server.run()
+        loop = server.loop
         try:
             with loop._cond:  # the whole burst reaches one dispatch pass
                 handles = [server.submit("m", inst) for inst in instances]
@@ -342,20 +296,26 @@ class TestServerLifecycle:
         server.shutdown()
 
     def test_facade_with_running_loop(self, treelstm_setup):
-        mod, params, instances, _ = treelstm_setup
+        """run() returns the server as its own context manager, and drain()
+        is what flushes a manual backlog on the loop thread."""
+        mod, params, instances, reference = treelstm_setup
         server = Server()
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="manual"
         )
-        with server.run():
-            server.submit("m", instances[0])
-            assert server.poll() == 0  # loop owns deadline polling
-            assert server.flush_all() == {}  # delegates to drain()
-        server.shutdown()
+        with server.run() as running:
+            assert running is server
+            handle = server.submit("m", instances[0])
+            assert not handle.done  # manual: nothing flushes by itself
+            server.drain()
+            assert values_allclose(reference[0], handle.result(timeout=10.0))
+        assert not server.loop.running
 
-    def test_submit_after_shutdown_raises_until_rerun(self, treelstm_setup):
-        """A shut-down loop refuses silent inline intake (nothing would
-        ever flush it); Server.run() again revives the server."""
+    @pytest.mark.parametrize("history", ["never_started", "shut_down"])
+    def test_submit_after_shutdown_raises_until_rerun(self, treelstm_setup, history):
+        """Without a running loop thread — before the first run() as after
+        a shutdown — submit refuses (nothing would ever flush the request)
+        and names both drivers; Server.run() (again) serves."""
         from repro.serve import LoopStopped
 
         mod, params, instances, reference = treelstm_setup
@@ -363,10 +323,12 @@ class TestServerLifecycle:
         server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()), policy="manual"
         )
-        with server.run():
-            server.submit("m", instances[0])
-        with pytest.raises(LoopStopped, match="run"):
+        if history == "shut_down":
+            with server.run():
+                server.submit("m", instances[0])
+        with pytest.raises(LoopStopped, match=r"Server\.run\(\).*Server\.replay\(\)"):
             server.submit("m", instances[1])
+        assert server.endpoint("m").pending_requests == 0
         with server.run():  # revive
             handle = server.submit("m", instances[1])
             server.drain()
@@ -731,30 +693,41 @@ class TestDeterministicReplay:
             return {name: report.handles for name, report in reports.items()}
 
         def choreography(srv):
-            """The caller-driven choreography written out against the
-            public Server API — the reference the caller-driven
-            Server.replay must match."""
-            for name in srv.endpoints:
-                session = srv.endpoint(name).session
+            """The caller-driven choreography written out against each
+            endpoint's InferenceSession (submit/poll/next_deadline/flush)
+            — the reference the caller-driven Server.replay must match."""
+            # registration order: the order a loop polls and drains them
+            sessions = [srv.endpoint(n).session for n in models]
+            for session in sessions:
                 session.charge_host = False
                 session.host_cost_model = host_model
+
+            def next_deadline():
+                due = [d for d in (s.next_deadline() for s in sessions) if d is not None]
+                return min(due) if due else None
+
+            def fire(deadline):
+                srv.clock.advance_to(deadline)
+                for session in sessions:
+                    session.poll()
+
             handles = {}
             for t, name, instance in workload:
                 while True:
-                    deadline = srv.next_deadline()
+                    deadline = next_deadline()
                     if deadline is None or deadline > t:
                         break
-                    srv.clock.advance_to(deadline)
-                    srv.poll()
+                    fire(deadline)
                 srv.clock.advance_to(t)
-                handles.setdefault(name, []).append(srv.submit(name, instance, at=t))
-            while any(srv.endpoint(n).pending_requests for n in srv.endpoints):
-                deadline = srv.next_deadline()
+                session = srv.endpoint(name).session
+                handles.setdefault(name, []).append(session.submit(instance, at=t))
+            while any(s.pending_requests for s in sessions):
+                deadline = next_deadline()
                 if deadline is not None:
-                    srv.clock.advance_to(deadline)
-                    srv.poll()
+                    fire(deadline)
                 else:
-                    srv.flush_all()
+                    for session in sessions:
+                        session.flush()
             return handles
 
         def replayed(continuous):

@@ -186,6 +186,44 @@ class TestWorkStealing:
         assert horizon(h_steal) <= horizon(h_nosteal)
 
 
+class TestLoopPins:
+    @pytest.mark.parametrize("pin", [-1, 1, 2.0, "0", True])
+    def test_bad_pin_rejected_before_any_admission(self, rnn_setup, pin):
+        """A ``loop`` pin must be the int index of an existing loop.  Any
+        other value is refused before the first arrival is admitted — not
+        routed by Python indexing (-1 would quietly pick the last loop) nor
+        failed partway through the trace."""
+        model, instances, _ = rnn_setup
+        srv = Server(clock=SimulatedClock())  # single topology: one loop
+        srv.add_endpoint("m", model, policy="adaptive")
+        trace = [(0.0, "m", instances[0]), (0.001, "m", instances[1], {"loop": pin})]
+        with pytest.raises(ValueError, match=r"\[0, 1\) \(this server runs 1 loop"):
+            srv.replay(trace)
+        assert srv.loop.num_admitted == 0
+        assert srv.endpoint("m").session.num_requests == 0
+
+    def test_pin_to_loop_not_serving_endpoint_rejected(self, rnn_setup):
+        """Under per_endpoint each loop serves one model: pinning "a" to
+        "b"'s loop is an in-range index that still names the wrong loop."""
+        model, instances, _ = rnn_setup
+        srv = Server(clock=SimulatedClock(), devices=2, topology="per_endpoint")
+        srv.add_endpoint("a", model, policy="adaptive")
+        srv.add_endpoint("b", model, policy="adaptive")
+        trace = [(0.0, "a", instances[0]), (0.001, "a", instances[1], {"loop": 1})]
+        with pytest.raises(ValueError, match="does not serve it"):
+            srv.replay(trace)
+        assert sum(g["admitted"] for g in srv.summary()["loops"].values()) == 0
+
+    def test_unknown_endpoint_rejected_before_any_admission(self, rnn_setup):
+        model, instances, _ = rnn_setup
+        srv = Server(clock=SimulatedClock())
+        srv.add_endpoint("m", model, policy="adaptive")
+        trace = [(0.0, "m", instances[0]), (0.001, "nope", instances[1])]
+        with pytest.raises(KeyError, match="no loop serves endpoint 'nope'"):
+            srv.replay(trace)
+        assert srv.loop.num_admitted == 0
+
+
 class TestSummarySchema:
     def test_loop_gauges(self, rnn_setup):
         model, instances, _ = rnn_setup
