@@ -1,5 +1,5 @@
 """Benchmark regenerating the serving table: open-loop traffic through the
-flush-policy matrix, plus the memory planner's plan-cache comparison."""
+flush-policy matrix."""
 
 import math
 
@@ -9,8 +9,7 @@ from repro.experiments.harness import save_result
 
 def test_serving_policies(benchmark):
     headers, rows = benchmark.pedantic(serving.run, rounds=1, iterations=1)
-    cache_headers, cache_rows = serving.run_plan_cache()
-    text = serving.format_report(headers, rows, cache_headers, cache_rows)
+    text = serving.format_report(headers, rows)
     save_result("serving", text)
     print("\n" + text)
 
@@ -29,14 +28,3 @@ def test_serving_policies(benchmark):
             assert math.isfinite(row[col["p99_ms"]]) and row[col["p99_ms"]] > 0
             assert row[col["mean_batch"]] > 1.0
 
-    # plan cache: >= 50% hit rate over structurally identical flushes,
-    # asserted (and reported) on the deterministic hit/miss counters — a
-    # pure function of the flush structure: identical rounds plan once and
-    # hit ever after, and the disabled cache never counts a hit
-    ccol = {name: i for i, name in enumerate(cache_headers)}
-    cache = {row[ccol["config"]]: row for row in cache_rows}
-    on, off = cache["plan_cache=on"], cache["plan_cache=off"]
-    assert on[ccol["hit_rate"]] >= 0.5
-    assert on[ccol["misses"]] == 1
-    assert on[ccol["hits"]] == on[ccol["flushes"]] - 1
-    assert off[ccol["hits"]] == 0 and off[ccol["hit_rate"]] == 0.0

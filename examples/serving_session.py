@@ -70,17 +70,16 @@ def main() -> None:
     reduction = base_launches / report.kernel_launches
     print(f"launch reduction vs per-request execution: {reduction:.1f}x")
 
-    # the plan cache kicks in when structurally identical rounds repeat
-    # (here: the same 8 requests flushed three times)
-    cache_session = model.session(flush_policy="size", flush_args={"n": 8})
-    for _ in range(3):
-        for request in requests[:8]:
-            cache_session.submit(request)
-    memory = cache_session.last_stats.memory
-    planning = [f"{s.host_ms['memory_planning']:.2f}" for s in cache_session.history]
-    print(f"plan cache over 3 identical rounds: {memory['plan_cache_hits']} hits / "
-          f"{memory['plan_cache_misses']} miss; memory_planning ms per flush: "
-          f"{', '.join(planning)}")
+    # inside one flush, the memory planner decides per batched operand
+    # whether it already sits contiguously in a device arena (zero-copy) or
+    # is gathered by the kernel itself (gather fusion, section 5.2)
+    session = model.session(flush_policy="size", flush_args={"n": 8})
+    for request in requests[:8]:
+        session.submit(request)
+    memory = session.last_stats.memory
+    print(f"one flush of 8 requests: {memory['contiguous']} contiguous and "
+          f"{memory['fused_gather']} fused-gather operands "
+          f"({memory['gather_segments']} gathered source arenas)")
 
 
 if __name__ == "__main__":

@@ -125,7 +125,6 @@ class CompiledModel(EngineModel):
             or opts.scheduler
             or ("inline_depth" if opts.inline_depth else "dynamic_depth"),
             batch_memcpy=opts.batch_memcpy,
-            plan_cache=opts.plan_cache,
             validate=opts.validate,
         )
 

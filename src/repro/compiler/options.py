@@ -42,9 +42,6 @@ class CompilerOptions:
     concurrent_fibers: bool = True
     #: coalesce host->device transfers
     batch_memcpy: bool = True
-    #: cache memory plans across structurally identical execution rounds
-    #: (cuts the ``memory_planning`` bucket on repeated session flushes)
-    plan_cache: bool = True
     #: enable extra runtime consistency checks (tests)
     validate: bool = False
     #: scheduler-policy name from the engine registry

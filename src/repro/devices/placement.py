@@ -221,16 +221,6 @@ class DataParallelPlacement(PlacementPolicy):
       same-``k`` producer/consumer pairs within a run (including fiber
       programs' chains across sync rounds) keep their shard placement
       aligned: chains stay device-local exactly as before.
-
-    Deliberate tradeoff: plan-cache signatures carry batch device (cached
-    plans must replay with placement identity), so rotation multiplies the
-    signatures of otherwise identical serving rounds by up to N — the
-    steady state warms N plan variants instead of one.  The sharding
-    benchmark measures the net effect end-to-end and rotation still wins
-    clearly (``benchmarks/results/sharding.txt``: ~2.8x vs ~2.0x speedup
-    at 4 devices); if a workload with many
-    distinct shapes ever thrashes the 256-entry cache bound, pinning the
-    rotation (``single``-style) or widening the cache is the knob.
     """
 
     name = "data_parallel"

@@ -21,27 +21,17 @@ replay is deterministic: measured host wall time is excluded and replaced
 by the fixed linear ``HOST_MODEL`` cost, so every column is a pure
 function of the trace and the device cost model (bit-for-bit identical
 across runs and hosts).
-
-A second table isolates the memory planner's plan cache
-(:mod:`repro.memory.planner`): a session flushing structurally identical
-rounds replays cached plans, and the table compares the deterministic
-hit/miss counters against the uncached path.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler.options import CompilerOptions
-from ..core.api import compile_model, reference_run
 from ..serve.traffic import poisson_arrivals
-from ..utils import bitwise_equal
 from .harness import (
     ExperimentScale,
-    build_model,
     current_scale,
     format_table,
-    make_instances,
     publish,
     resolve_size_name,
 )
@@ -57,14 +47,6 @@ HEADERS = (
     "launches",
     "launch_reduction",
     "matches_ref",
-)
-
-CACHE_HEADERS = (
-    "config",
-    "flushes",
-    "hits",
-    "misses",
-    "hit_rate",
 )
 
 #: flush-policy matrix: (row label, registry name, policy arguments)
@@ -135,64 +117,19 @@ def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[
     return HEADERS, rows
 
 
-def run_plan_cache(
-    scale: Optional[ExperimentScale] = None,
-    rounds: int = 4,
-    batch: int = 8,
-) -> Tuple[Tuple[str, ...], List[List]]:
-    """The plan-cache table: ``rounds`` structurally identical session
-    flushes with the cache on vs off."""
-    scale = scale or current_scale()
-    size_name = resolve_size_name(scale, scale.size_names[0])
-    mod, params, size = build_model("treelstm", size_name, scale.seed)
-    requests = make_instances("treelstm", mod, size, batch, seed=scale.seed + 2)
-    reference = reference_run(mod, params, requests)
-
-    rows: List[List] = []
-    for label, cached in (("plan_cache=on", True), ("plan_cache=off", False)):
-        compiled = compile_model(mod, params, CompilerOptions(plan_cache=cached))
-        session = compiled.session(flush_policy="size", flush_args={"n": batch})
-        for _ in range(rounds):
-            handles = [session.submit(r) for r in requests]
-            assert all(
-                bitwise_equal(a, h.result()) for a, h in zip(reference, handles)
-            ), "plan-cached session diverged from the reference"
-        # hit/miss counters are a pure function of the flush structure (the
-        # wall-clock memory_planning bucket is not, and is not reported)
-        memory = session.last_stats.memory
-        hits, misses = memory["plan_cache_hits"], memory["plan_cache_misses"]
-        rows.append([label, rounds, hits, misses, hits / max(1, hits + misses)])
-    return CACHE_HEADERS, rows
-
-
-def format_report(
-    headers: Tuple[str, ...],
-    rows: List[List],
-    cache_headers: Tuple[str, ...],
-    cache_rows: List[List],
-) -> str:
-    """Both tables as one result file."""
-    parts = [
-        format_table(
-            headers,
-            rows,
-            title=(
-                "Serving: open-loop Poisson traffic, flush-policy matrix "
-                "(simulated clock; latencies include queueing + execution)"
-            ),
+def format_report(headers: Tuple[str, ...], rows: List[List]) -> str:
+    return format_table(
+        headers,
+        rows,
+        title=(
+            "Serving: open-loop Poisson traffic, flush-policy matrix "
+            "(simulated clock; latencies include queueing + execution)"
         ),
-        "",
-        format_table(
-            cache_headers,
-            cache_rows,
-            title="Plan cache: structurally identical session flushes (TreeLSTM)",
-        ),
-    ]
-    return "\n".join(parts)
+    )
 
 
 def main() -> str:
-    return publish("serving", format_report(*run(), *run_plan_cache()))
+    return publish("serving", format_report(*run()))
 
 
 if __name__ == "__main__":

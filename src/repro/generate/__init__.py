@@ -3,7 +3,7 @@
 Generation turns ACROBAT's cross-request batching into a loop: every live
 sequence re-enters the round former once per token, so decode steps of many
 sequences — and fresh prefills — batch into the same rounds through the
-normal scheduler → placement → memory-planner → specializer path.
+normal scheduler → placement → memory-planner path.
 
 * :class:`GenerationSession` — the step driver: decode steps as events of
   the one simulated driver, :class:`~repro.serve.sim.TraceDriver`

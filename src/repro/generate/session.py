@@ -8,7 +8,7 @@ Each decode step is one ordinary
 application ``(state, token) -> (state', logits)`` recorded into the shared
 lazy DFG — so decode steps of many live sequences *and fresh prefills*
 batch into the same rounds through the normal scheduler → placement →
-memory-planner → specializer path.  Nothing below the session knows
+memory-planner path.  Nothing below the session knows
 generation exists.
 
 Both drivers run one per-step handler (:meth:`GenerationSession._step_done`:
@@ -43,8 +43,7 @@ cache — a device-resident embedding table.
 Token selection (greedy argmax) and EOS/max-token stopping are host-side
 and data-dependent, which is exactly why the cell itself carries no
 tensor-dependent control flow: the sequential structure lives in this
-driver, outside the DFG, keeping decode rounds on the non-fiber path where
-plan caching and kernel specialization both apply.
+driver, outside the DFG, keeping decode rounds on the non-fiber path.
 """
 
 from __future__ import annotations

@@ -64,7 +64,9 @@ It keeps one local per value and
   varying one — a ready array (batch dimension checked), an
   :func:`index_gather` of its segments, or its host parts as one
   ``np.array`` (``np.stack`` into ``buffers[i]`` when a caller passes one;
-  only inputs in :attr:`BlockKernel.reusable_inputs` ever read it);
+  only inputs in :attr:`BlockKernel.reusable_inputs` ever read it; the
+  runtime never passes one, and :mod:`repro.specialize` is the only
+  caller that does);
 * calls each op body bound at construction — ``opdef.batched`` when an
   argument carries the batch dimension, else ``opdef.compute`` — with its
   attributes as literals, already shifted for the batch dimension; a
@@ -81,10 +83,8 @@ It keeps one local per value and
   back in.
 
 Op bodies are captured when the kernel is built, so a wrapper installed on
-``opdef.compute`` / ``opdef.batched`` afterwards is not seen by it.  The
-generic path (:meth:`BlockKernel.execute_batched`) and the specialization
-tier (which passes its buffers and replays frozen records instead) both run
-this one function.
+``opdef.compute`` / ``opdef.batched`` afterwards is not seen by it.  Every
+launch (:meth:`BlockKernel.execute_batched`) runs this one function.
 """
 
 from __future__ import annotations

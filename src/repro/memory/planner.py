@@ -72,37 +72,10 @@ per instance per layer:
   runtime drops each column's ``outs``, the graph's only back edge, so a
   finished round is freed by reference counting.)
 
-Planning is pure classification over the round's *structure* (which blocks,
-batched how, with operands placed where), so structurally identical rounds —
-the common case for a serving session flushing similar request batches over
-and over — replan from scratch needlessly.  The planner therefore keeps a
-**plan cache**: each round is fingerprinted by a canonical signature (block
-ids, batch sizes, and every varying operand's producer expressed relative to
-the round, so concrete arena ids don't leak in), and a hit replays the
-cached classification with fresh output arena ids instead of re-walking
-placements.  Fingerprinting costs about half of planning, so the cache
-stays dormant until a repeat-heavy caller arms it
-(:meth:`MemoryPlanner.expect_repeats` — serving sessions do; one-shot runs
-pay nothing).  **Arming is idempotent**: sessions re-created across
-``Server.run()`` restarts re-arm the same planner freely — a repeat arm is
-a no-op that keeps cached templates and hit/miss counters, and the armed
-state is inspectable via :attr:`MemoryPlanner.plan_cache_armed` (the call
-also reports whether it newly armed).  The cache is bounded by LRU
-eviction: once ``_PLAN_CACHE_MAX`` distinct signatures accumulate, the
-least-recently-hit template is evicted (``plan_cache_evictions`` in
-``RunStats.memory``) instead of dumping the whole working set.
-
-The cache is also where the kernel-specialization tier
-(:mod:`repro.specialize`) gets its fingerprints for free: when a
-specialization cache is attached (:meth:`MemoryPlanner.attach_specializer`),
-every cached template carries one specialization slot per batch, handed to
-the instantiated plans on each hit — a ``(round signature, batch position)``
-fingerprint with zero per-launch fingerprinting cost.  The planner stays
-ignorant of the tier's internals (duck-typed ``make_slot`` /
-``release_slots``), so ``repro.memory`` does not import ``repro.specialize``
-— and the tier stays ignorant of the planner's: every launch, promoted or
-not, goes through :meth:`MemoryPlanner.resolve` and
-:meth:`MemoryPlanner.commit`.
+Every round is planned from scratch, with no plan reused across rounds:
+fingerprinting a round costs about half of planning it, and the traffic
+the paper is about (distinct tree and sequence shapes per request) rarely
+repeats a round's structure.
 
 This module is the single authority on storage contiguity: nothing outside
 ``repro.memory`` compares arena placements.
@@ -110,7 +83,6 @@ This module is the single authority on storage contiguity: nothing outside
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
@@ -204,56 +176,15 @@ class BatchPlan:
     #: device index (within the runtime's device group) this batch executes
     #: on; its output arenas are born on that device
     device: int = 0
-    #: the specialization slot for this batch's fingerprint (set only for
-    #: plans instantiated from cached templates while a specialization cache
-    #: is attached; see :mod:`repro.specialize`)
-    spec_slot: Optional[Any] = None
 
     def count(self, kind: OperandKind) -> int:
         return sum(1 for op in self.operands if op.kind is kind)
 
 
-class _PlanTemplate:
-    """Cached classification of one round, relative to the round itself.
-
-    ``entries`` holds one ``(batch_size, num_outputs, operand_specs)``
-    triple per batch; ``operand_specs`` preserves the block-input order the
-    executor relies on.  Each spec is either a ready-to-share
-    :class:`OperandPlan` reused as-is (shared / gather / batch-of-one /
-    external-arena operands — nothing in them names a fresh arena) or a
-    ``(index, kind, producer_batch_idx, out_k, start)`` tuple for a
-    contiguous operand sourced from an output planned earlier in the same
-    round, rebound to that batch's fresh arena id on instantiation.
-    ``counts`` is the round's precomputed per-kind operand tally.
-    ``slots`` carries one specialization slot per batch when a
-    specialization cache is attached (None otherwise): the slot *is* the
-    batch's ``(round signature, batch position)`` fingerprint, handed to
-    instantiated plans on every hit.
-    """
-
-    __slots__ = ("entries", "counts", "slots")
-
-    def __init__(
-        self,
-        entries: List[Tuple],
-        counts: Dict[str, int],
-        slots: Optional[List[Any]] = None,
-    ) -> None:
-        self.entries = entries
-        self.counts = counts
-        self.slots = slots
-
-
-#: plan-cache size bound: once this many distinct signatures accumulate,
-#: the least-recently-hit template is evicted (steady serving loads keep a
-#: small hot working set; evicting one cold template never dumps it the way
-#: the earlier clear-everything overflow policy did)
-_PLAN_CACHE_MAX = 256
-
 class MemoryPlanner:
     """Plans arena placement and operand contiguity for scheduled batches."""
 
-    def __init__(self, gather_fusion: bool = True, plan_cache: bool = True) -> None:
+    def __init__(self, gather_fusion: bool = True) -> None:
         self.gather_fusion = gather_fusion
         #: plans of the most recent round (introspection / tests)
         self.last_plans: List[BatchPlan] = []
@@ -263,131 +194,18 @@ class MemoryPlanner:
         #: last reset: an index gather costs one take per segment, so this —
         #: not the row count — is what a gather-free layout would save
         self.gather_segments = 0
-        self.plan_cache_enabled = plan_cache
-        self._plan_cache: "OrderedDict[Tuple, _PlanTemplate]" = OrderedDict()
-        #: cumulative cache accounting over the planner's lifetime (NOT
-        #: cleared by :meth:`reset`, so a session reports its cache hit rate
-        #: across flush rounds)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        #: the attached kernel-specialization cache (duck-typed; see
-        #: :meth:`attach_specializer`), or None when the tier is off
-        self._spec_cache: Optional[Any] = None
-        #: the cache stays dormant until a repeat-heavy caller *arms* it
-        #: (:meth:`expect_repeats`): fingerprinting a round costs about half
-        #: of planning it, which only pays off when rounds actually repeat —
-        #: serving sessions do, one-shot ``run()`` calls do not and must not
-        #: fund a cache they can never hit
-        self.plan_cache_armed = False
-        #: sync-round ordinal within the current run/flush, and the ordinals
-        #: known to produce uncacheable signatures (rounds referencing
-        #: earlier rounds' concrete arenas — fiber programs — can never hit,
-        #: so after the first observation those ordinals skip fingerprinting
-        #: entirely)
-        self._round_ordinal = 0
-        self._uncacheable_ordinals: set = set()
-
-    def expect_repeats(self) -> bool:
-        """Arm the plan cache: the caller expects structurally repeating
-        rounds (serving sessions call this at construction).
-
-        Idempotent: a ``Server.run()`` restart re-creates its sessions over
-        the same engine and re-arms freely — a repeat arm is a no-op that
-        keeps cached templates and hit/miss counters.  Returns True when
-        this call newly armed the cache, False when it was already armed;
-        the armed state stays inspectable via :attr:`plan_cache_armed`.
-        """
-        newly_armed = not self.plan_cache_armed
-        self.plan_cache_armed = True
-        return newly_armed
-
-    def attach_specializer(self, cache: Any) -> None:
-        """Attach a kernel-specialization cache: from now on every cached
-        plan template carries one specialization slot per batch (allocated
-        via ``cache.make_slot()``) and evicted templates release their
-        frozen state via ``cache.release_slots()``.  Duck-typed so that
-        ``repro.memory`` never imports ``repro.specialize``."""
-        self._spec_cache = cache
 
     def reset(self) -> None:
-        """Clear per-run state.  The plan cache (and its hit/miss counters)
-        survives: cached templates are content-addressed by round structure,
-        so they stay valid across runs and across a session's flush rounds —
-        which is exactly when they pay off."""
+        """Clear per-run state."""
         self.last_plans = []
         self.operand_counts = {k.value: 0 for k in OperandKind}
         self.gather_segments = 0
-        self._round_ordinal = 0
 
     # -- planning --------------------------------------------------------------
     def plan_round(
         self, batches: List["ScheduledBatch"], kernels: Dict[int, "BlockKernel"]
     ) -> List[BatchPlan]:
-        """Plan memory for one scheduled round, in execution order.
-
-        With the cache enabled *and armed* (:meth:`expect_repeats`), a round
-        structurally identical to an earlier one replays the cached
-        classification (fresh output arena ids, operand sources rebound)
-        instead of re-deriving placements; otherwise rounds plan uncached
-        with no fingerprinting overhead.
-        """
-        self._round_ordinal += 1
-        if not (self.plan_cache_enabled and self.plan_cache_armed):
-            plans = self._plan_round_uncached(batches, kernels)
-        elif self._round_ordinal in self._uncacheable_ordinals:
-            # this sync-round position referenced earlier rounds' concrete
-            # arenas before — it can never hit, so skip even fingerprinting
-            self.cache_misses += 1
-            plans = self._plan_round_uncached(batches, kernels)
-        else:
-            plans = self._plan_round_cached(batches, kernels)
-        self.last_plans = plans
-        return plans
-
-    def _plan_round_cached(
-        self, batches: List["ScheduledBatch"], kernels: Dict[int, "BlockKernel"]
-    ) -> List[BatchPlan]:
-        """Replay the cached template of this round's signature, or plan the
-        round uncached and cache its template."""
-        signature, cacheable = self._round_signature(batches, kernels)
-        template = self._plan_cache.get(signature)
-        if template is not None:
-            plans = self._instantiate(template, batches)
-            if plans is not None:
-                self.cache_hits += 1
-                self._plan_cache.move_to_end(signature)  # LRU touch
-                totals = self.operand_counts
-                for kind_value, n in template.counts.items():
-                    if n:
-                        totals[kind_value] += n
-                return plans
-        self.cache_misses += 1
-        plans = self._plan_round_uncached(batches, kernels)
-        if not cacheable:
-            self._uncacheable_ordinals.add(self._round_ordinal)
-            return plans
-        if len(self._plan_cache) >= _PLAN_CACHE_MAX:
-            # evict the least-recently-hit template, releasing any
-            # specialization state frozen against it
-            _, evicted = self._plan_cache.popitem(last=False)
-            self.cache_evictions += 1
-            if self._spec_cache is not None:
-                self._spec_cache.release_slots(evicted.slots)
-        template = self._make_template(plans)
-        self._plan_cache[signature] = template
-        if template.slots is not None:
-            # the freshly fingerprinted round counts toward its own
-            # promotion threshold too
-            for plan, slot in zip(plans, template.slots):
-                plan.spec_slot = slot
-        return plans
-
-    def _plan_round_uncached(
-        self,
-        batches: List["ScheduledBatch"],
-        kernels: Dict[int, "BlockKernel"],
-    ) -> List[BatchPlan]:
+        """Plan memory for one scheduled round, in execution order."""
         #: symbolic placements of the rows this round will execute:
         #: ``column -> (output arena ids, shift, rows)`` for the first run of
         #: each column, ``seq -> (output arena ids, offset)`` for any other
@@ -456,145 +274,7 @@ class MemoryPlanner:
                 )
             )
 
-        return plans
-
-    # -- plan cache ------------------------------------------------------------
-    def _round_signature(
-        self, batches: List["ScheduledBatch"], kernels: Dict[int, "BlockKernel"]
-    ) -> Tuple[Tuple, bool]:
-        """Canonical fingerprint of one scheduled round, plus whether it is
-        worth caching (False when the signature pins concrete earlier-round
-        placements — arena ids are never reused, so such a round cannot
-        recur).
-
-        Per batch: the block, the batch's *membership* — each member row's
-        round sequence number (:attr:`~repro.runtime.tensor.Column.seqs`,
-        assigned in invoke order by the runtime, so it is canonical across
-        rounds) —
-        and, for every varying (non-shared) block input, the operand column:
-        in-round producers named by their sequence number, producers
-        materialized in *earlier* rounds pinned by their concrete
-        ``(arena_id, offset)`` placement (arena ids are never recycled, so a
-        stale match is impossible), host arrays by presence only
-        (classification never looks at their values).
-
-        Membership plus columns is what makes sequence-number references
-        sound: membership pins where every producer sits positionally
-        (batch, offset), columns pin which producer each operand names —
-        equal signatures therefore imply identical placements, hence
-        identical plans.  Shared (weight) inputs are skipped exactly as
-        :meth:`_plan_operand` skips them.
-        """
-        lazy = LazyTensor
-        cacheable = True
-        sig: List[Tuple] = []
-        add = sig.append
-        for batch in batches:
-            # placement identity: equal signatures must imply identical
-            # device assignment, or a cache hit could replay a plan whose
-            # peer-transfer classification no longer matches the round.
-            members = (batch.device, *batch.seqs())
-            if batch.size == 1:
-                # batch of one classifies from the block alone
-                add((batch.block_id, members))
-                continue
-            columns: List[Tuple] = []
-            for inp in kernels[batch.block_id].block.inputs:
-                if inp.shared:
-                    continue  # classified SHARED without looking at operands
-                col: List[Any] = []
-                cadd = col.append
-                for arg in batch.operand(inp.index):
-                    if type(arg) is lazy:
-                        arena = arg.arena
-                        if arena is not None:
-                            cadd(("x", arena.arena_id, arg.offset))
-                            cacheable = False
-                        else:
-                            cadd((arg.column.seqs[arg.row], arg.output_index))
-                    else:
-                        cadd("h")
-                columns.append(tuple(col))
-            add((batch.block_id, members, tuple(columns)))
-        return tuple(sig), cacheable
-
-    def _make_template(self, plans: List[BatchPlan]) -> _PlanTemplate:
-        """Strip freshly made plans down to a reusable, round-relative
-        template.
-
-        Operand plans that name no fresh arena (shared / gather /
-        batch-of-one / external-arena sources) are round-independent and
-        stored as ready-to-share :class:`OperandPlan` objects; only
-        contiguous operands sourced from the round's own outputs need
-        rebinding and are kept as symbolic specs.
-        """
-        arena_origin: Dict[int, Tuple[int, int]] = {}
-        for bi, plan in enumerate(plans):
-            for k, arena_id in enumerate(plan.output_arena_ids):
-                arena_origin[arena_id] = (bi, k)
-
-        counts: Dict[str, int] = {}
-        entries: List[Tuple] = []
-        for plan in plans:
-            specs: List[Any] = []
-            for op in plan.operands:
-                counts[op.kind.value] = counts.get(op.kind.value, 0) + 1
-                origin = arena_origin.get(op.arena_id) if op.arena_id is not None else None
-                if origin is None:
-                    specs.append(op)  # round-independent: reuse as-is
-                else:
-                    specs.append((op.index, op.kind, origin[0], origin[1], op.start))
-            entries.append((plan.batch_size, len(plan.output_arena_ids), specs))
-        spec_cache = self._spec_cache
-        slots = (
-            [spec_cache.make_slot() for _ in plans] if spec_cache is not None else None
-        )
-        return _PlanTemplate(entries, counts, slots)
-
-    def _instantiate(
-        self, template: _PlanTemplate, batches: List["ScheduledBatch"]
-    ) -> Optional[List[BatchPlan]]:
-        """Replay a cached template against this round's batches: allocate
-        fresh output arena ids and rebind round-sourced contiguous operands.
-
-        Returns None when the template's shape does not line up with the
-        scheduled batches (cannot happen for signatures produced by
-        :meth:`_round_signature`, but kept as a cheap invariant so a bad hit
-        degrades to a plain miss rather than a bad plan).
-        """
-        entries = template.entries
-        if len(entries) != len(batches) or any(
-            entry[0] != batch.size for entry, batch in zip(entries, batches)
-        ):
-            return None
-        plans: List[BatchPlan] = []
-        round_ids: List[List[int]] = []
-        slots = template.slots
-        for bi, ((_, num_outputs, specs), batch) in enumerate(zip(entries, batches)):
-            output_ids = [next_arena_id() for _ in range(num_outputs)]
-            round_ids.append(output_ids)
-            operands: List[OperandPlan] = [
-                spec
-                if type(spec) is OperandPlan
-                # (index, kind, producer batch, out_k, start): rebind to the
-                # producer's fresh arena id, preserving block-input order
-                else OperandPlan(
-                    spec[0], spec[1], arena_id=round_ids[spec[2]][spec[3]], start=spec[4]
-                )
-                for spec in specs
-            ]
-            plans.append(
-                BatchPlan(
-                    batch=batch,
-                    batch_size=batch.size,
-                    operands=operands,
-                    output_arena_ids=output_ids,
-                    device=batch.device,
-                    spec_slot=slots[bi] if slots is not None else None,
-                )
-            )
-        # the operand tally is the template's precomputed ``counts``, merged
-        # into the planner's totals by the caller (_plan_round_cached)
+        self.last_plans = plans
         return plans
 
     def _plan_operand(

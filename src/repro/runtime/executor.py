@@ -48,7 +48,6 @@ import numpy as np
 
 from ..kernels.batched import BlockKernel
 from ..memory.planner import BatchPlan, MemoryPlanner, OperandKind
-from ..specialize.cache import BUILD as _SPEC_BUILD, SpecializationCache
 from .device import DeviceSimulator
 from .profiler import ActivityProfiler
 from .scheduler import ScheduledBatch, Span
@@ -86,10 +85,6 @@ class ExecutionOptions:
     placement_args: Dict[str, Any] = field(default_factory=dict)
     #: coalesce host->device parameter/input transfers
     batch_memcpy: bool = True
-    #: cache memory plans across structurally identical rounds (serving
-    #: sessions flush similar request batches repeatedly; see
-    #: :class:`~repro.memory.planner.MemoryPlanner`)
-    plan_cache: bool = True
     #: extra consistency checks (shared-argument equality, dependency order)
     validate: bool = False
 
@@ -103,13 +98,10 @@ class RunStats:
     #: memory-planner operand classification counts (contiguous / gather /
     #: fused_gather / peer / shared), ``gather_segments`` (source arenas
     #: summed over the gathered columns — an index gather costs one take per
-    #: segment) plus plan-cache accounting (``plan_cache_hits`` /
-    #: ``plan_cache_misses`` / ``plan_cache_evictions``, cumulative over the
-    #: runtime's lifetime)
+    #: segment)
     memory: Dict[str, int] = field(default_factory=dict)
-    #: kernel-specialization tier accounting (promotions / demotions / hits /
-    #: misses / entries / frozen_bytes, cumulative); empty when the tier is
-    #: off
+    #: always empty; kept only because the wall-clock benchmark (``bench/``)
+    #: still reads it
     specialize: Dict[str, float] = field(default_factory=dict)
     #: per-device counter breakdown when the runtime drives a
     #: :class:`~repro.devices.group.DeviceGroup` (one dict per member, with
@@ -180,7 +172,6 @@ class RunStats:
                 for k, v in self.memory.items()
             }
         )
-        out.update({f"spec_{k}": v for k, v in self.specialize.items()})
         out.update(self.device)
         if self.per_device:
             out["num_devices"] = len(self.per_device)
@@ -207,18 +198,7 @@ class AcrobatRuntime:
         #: :class:`~repro.devices.device.Device` protocol)
         self.device = device or DeviceSimulator()
         self.profiler = profiler or ActivityProfiler()
-        self.planner = MemoryPlanner(
-            gather_fusion=self.options.gather_fusion,
-            plan_cache=self.options.plan_cache,
-        )
-        #: the kernel-specialization tier (see :mod:`repro.specialize`);
-        #: exists iff the plan cache does — fingerprints *are* plan-cache
-        #: slots — and never under `validate`, which wants every launch on
-        #: the fully accounted generic program
-        self._specializer = None
-        if self.options.plan_cache and not self.options.validate:
-            self._specializer = SpecializationCache()
-            self.planner.attach_specializer(self._specializer)
+        self.planner = MemoryPlanner(gather_fusion=self.options.gather_fusion)
         #: the pending graph: ``(phase, depth, block_id) -> Column`` (see the
         #: module docstring)
         self._columns: Dict[Tuple[int, int, int], Column] = {}
@@ -411,10 +391,8 @@ class AcrobatRuntime:
         """Withdraw the pending rows with sequence numbers in ``[start,
         end)`` — the removal path for a cancelled request whose rows were
         recorded but whose round has not flushed.  Callers pass whole
-        requests' ranges; the gap the removal leaves in the sequence only
-        perturbs plan-cache signatures for this one round, never
-        correctness.  Later rows of a column move up, their lazy outputs
-        renumbered."""
+        requests' ranges.  Later rows of a column move up, their lazy
+        outputs renumbered."""
         for key, col in list(self._columns.items()):
             seqs = col.seqs
             a = bisect_left(seqs, start)
@@ -444,19 +422,6 @@ class AcrobatRuntime:
         if self._placement is not None:
             self._placement.note_reset()
 
-    def arm_specialization(self) -> None:
-        """Arm the kernel-specialization tier (idempotent, a no-op when the
-        tier is off).  Sessions call this at construction, exactly as they
-        arm the planner via ``expect_repeats``; one-shot runs never pay for
-        promotion tracking they cannot amortize."""
-        if self._specializer is not None:
-            self._specializer.arm()
-
-    @property
-    def specializer(self):
-        """The specialization cache (None when the tier is off)."""
-        return self._specializer
-
     def _execute_batch(self, plan: BatchPlan) -> None:
         batch: ScheduledBatch = plan.batch
         kernel = self.kernels[batch.block_id]
@@ -464,37 +429,11 @@ class AcrobatRuntime:
 
         dispatch_start = time.perf_counter()
         operands = self.planner.resolve(plan, kernel, self.device, self.options)
-        # specialization tier: a promoted fingerprint whose operands pass the
-        # entry's shape check replays its launch records; the promoting
-        # launch itself, and a launch that just demoted, run the oracle on
-        # the operands already in hand
-        spec = self._specializer
-        slot = plan.spec_slot
-        verdict = None
-        if spec is not None and slot is not None and spec.armed:
-            verdict = spec.poll(slot, operands)
         self.profiler.add("dispatch", time.perf_counter() - dispatch_start)
-        entry = None if verdict is _SPEC_BUILD else verdict
 
         compute_start = time.perf_counter()
-        if entry is None:
-            outputs, launches = kernel.execute_batched(operands, batch_size)
-        else:
-            outputs, launches = entry.execute(operands), entry.launches
+        outputs, launches = kernel.execute_batched(operands, batch_size)
         self.profiler.add("numpy_compute", time.perf_counter() - compute_start)
-
-        if verdict is _SPEC_BUILD:
-            # freeze the entry from this very oracle launch: promotion never
-            # installs a path that has not just executed
-            build_start = time.perf_counter()
-            spec.build_and_install(
-                slot, kernel, batch_size, operands, outputs, launches
-            )
-            self.profiler.add("specialize", time.perf_counter() - build_start)
-        elif entry is not None and spec.crosscheck:
-            check_start = time.perf_counter()
-            entry.crosscheck(operands, outputs)
-            self.profiler.add("specialize", time.perf_counter() - check_start)
 
         # launches land on the member device the placement policy chose
         local = self.device.device_for(plan.device)
@@ -509,8 +448,6 @@ class AcrobatRuntime:
             )
 
         store_start = time.perf_counter()
-        if entry is not None:
-            entry.commit(outputs)
         self.planner.commit(plan, outputs, self.device)
         self.profiler.add("materialize", time.perf_counter() - store_start)
 
@@ -531,15 +468,8 @@ class AcrobatRuntime:
             # the placement bucket exists only when a policy is active, so
             # single-device breakdowns keep their historical shape
             host_ms["placement"] = self.profiler.ms("placement")
-        if self._specializer is not None and self._specializer.armed:
-            # promotion (entry freezing / cross-checking) time; like
-            # placement, the bucket exists only when the tier is active
-            host_ms["specialize"] = self.profiler.ms("specialize")
         memory = dict(self.planner.operand_counts)
         memory["gather_segments"] = self.planner.gather_segments
-        memory["plan_cache_hits"] = self.planner.cache_hits
-        memory["plan_cache_misses"] = self.planner.cache_misses
-        memory["plan_cache_evictions"] = self.planner.cache_evictions
         device = self.device.counters_dict()
         per_device = self.device.per_device_dicts()
         return RunStats(
@@ -547,11 +477,6 @@ class AcrobatRuntime:
             device=device,
             per_device=per_device,
             memory=memory,
-            specialize=(
-                self._specializer.stats_dict()
-                if self._specializer is not None
-                else {}
-            ),
             num_dfg_nodes=self.num_nodes_total,
             num_batches=self.num_batches_total,
             batch_size=batch_size,

@@ -12,7 +12,7 @@ its ``(phase, depth, block)`` key: the argument tuple, the instance id and the
 round sequence number (its position in the round's invoke order) each
 append to one list.  A column *is* a bucket of the inline-depth schedule,
 which therefore only sorts column keys.  The ordering contract every
-scheduler and the plan cache rely on: **columns in first-appearance order,
+scheduler relies on: **columns in first-appearance order,
 rows in invoke order** — a column's rows are appended as they are invoked,
 so its ``seqs`` are increasing, and a column is created by its first row.
 

@@ -234,6 +234,12 @@ class AdaptivePolicy(FlushPolicy):
     ) -> None:
         if max_batch < 1:
             raise ValueError("adaptive policy needs max_batch >= 1")
+        if max_wait_ms < 0:
+            raise ValueError("adaptive policy needs max_wait_ms >= 0")
+        if not 0 < smoothing <= 1:
+            raise ValueError("adaptive policy needs 0 < smoothing <= 1")
+        if launch_prior < 0:
+            raise ValueError("adaptive policy needs launch_prior >= 0")
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.smoothing = float(smoothing)

@@ -110,16 +110,6 @@ class InferenceSession:
                 f"got {type(policy).__name__}"
             )
         self.policy: FlushPolicy = policy
-        # serving sessions flush structurally similar rounds over and over —
-        # exactly the workload the memory planner's plan cache pays off for
-        # — so arm it here; one-shot runs leave it dormant and pay zero
-        # fingerprinting overhead.  Both arms are idempotent: Server.run()
-        # restarts re-create sessions over the same engine freely.
-        engine.runtime.planner.expect_repeats()
-        # the kernel-specialization tier piggybacks on the same repetition:
-        # recurring (block, batch size, operand layout, device) fingerprints
-        # promote to replaying their launch records (see repro.specialize)
-        engine.runtime.arm_specialization()
         self._deferred = engine.program.uses_fibers
         self._pending: List[Tuple[RequestHandle, Any]] = []
         #: original submitted instances, parallel to ``_pending`` in

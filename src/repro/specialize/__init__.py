@@ -1,15 +1,14 @@
-"""Shape-keyed kernel specialization: a thin replay tier below the plan cache.
+"""Shape-keyed kernel specialization: a launch-record replay tier.
 
-Steady-state serving replays a small set of recurring rounds.  The plan
-cache stops re-*planning* them; for a ``(block, batch_size, operand-layout,
-device)`` fingerprint that recurs past a promotion threshold this tier
-additionally replays the launch records instead of re-deriving them and
-stacks gathered operands into preallocated buffers.  Everything else — every
-operand resolved, every device charge, every output committed — goes through
-the memory planner exactly as on the generic path, which stays the
-correctness oracle.  Measured end to end the tier moves no benchmark metric
-(ROADMAP item 2); it is kept this small so it can go in one commit.
+Not wired into the runtime: nothing under :mod:`repro` outside this package
+imports it.  It stays only as the import target of the wall-clock
+benchmark's tracer (``bench/trace.py``) and is deleted together with those
+references.
 
+For a ``(block, batch_size, operand-layout, device)`` fingerprint that
+recurs past a promotion threshold, the tier replays the launch records
+instead of re-deriving them and stacks gathered operands into preallocated
+buffers (the ``buffers=`` hook of the generated ``BlockKernel.launch``).
 See :mod:`repro.specialize.cache` for the promotion state machine and
 :mod:`repro.specialize.entry` for the frozen per-fingerprint state.
 """

@@ -70,8 +70,7 @@ class SpecializationCache:
         self.crosscheck = False
         #: stop promoting new fingerprints past this many live entries
         self.max_entries = 512
-        #: dormant until a repeat-heavy caller arms it (serving sessions do,
-        #: exactly as they arm the plan cache via ``expect_repeats``)
+        #: dormant until a caller arms it
         self.armed = False
         # cumulative accounting (survives runtime.reset, like the plan cache)
         self.promotions = 0

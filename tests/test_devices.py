@@ -898,9 +898,9 @@ class TestEngineWiring:
         finally:
             compiled.schedule_table.clear()
 
-    def test_session_plan_cache_with_placement(self, treelstm):
-        """Structurally identical sharded flushes hit the plan cache, and
-        cached replays keep placement identity (reference-identical)."""
+    def test_session_repeats_with_placement(self, treelstm):
+        """Structurally identical sharded flushes stay reference-identical
+        round after round."""
         compiled, instances, reference = treelstm
         session = compiled.session(
             flush_policy="size",
@@ -914,13 +914,10 @@ class TestEngineWiring:
                 values_allclose(a, h.result())
                 for a, h in zip(reference, handles)
             )
-        memory = session.last_stats.memory
-        assert memory["plan_cache_hits"] > 0
 
-    def test_session_plan_cache_with_rotating_data_parallel(self, treelstm):
-        """data_parallel rotates its split base per flush, so identical
-        flushes warm one plan variant per base before they hit; cached
-        replays stay reference-identical."""
+    def test_session_repeats_with_rotating_data_parallel(self, treelstm):
+        """data_parallel rotates its split base per flush; identical flushes
+        stay reference-identical under every base."""
         compiled, instances, reference = treelstm
         session = compiled.session(
             flush_policy="size",
@@ -934,7 +931,6 @@ class TestEngineWiring:
                 values_allclose(a, h.result())
                 for a, h in zip(reference, handles)
             )
-        assert session.last_stats.memory["plan_cache_hits"] > 0
 
 
 class TestServerSharding:

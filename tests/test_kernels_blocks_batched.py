@@ -631,7 +631,7 @@ class TestBlockProgramProperty:
         seed=st.integers(min_value=0, max_value=1000),
     )
     def test_buffered_launch_and_record_cache_hit(self, block, fusion, batch_size, delivery, seed):
-        """The specialization tier's path: gathered operands of reusable
+        """The ``buffers=`` hook: gathered operands of reusable
         inputs land in caller buffers, outputs stay bitwise those of the
         unbuffered launch (and never alias a buffer), and the second launch
         of a class is a record-cache hit equal to a fresh derivation."""

@@ -3,6 +3,7 @@ compiled: once ``compile_model`` has returned, no launch looks an operator
 up, adjusts an attribute or walks a block's consumer map again."""
 
 import numpy as np
+import pytest
 
 import repro.kernels
 from repro import CompilerOptions, compile_model, reference_run
@@ -67,10 +68,70 @@ def test_no_static_work_on_the_launch_path(monkeypatch):
     handles = [session.submit(i) for i in instances]
     assert all(exact_equal(r, h.result()) for r, h in zip(reference, handles))
 
-    # same-length prompts decode in lockstep: rounds repeat, so the
-    # specializer promotes and then dispatches through frozen entries
+    # same-length prompts decode in lockstep: rounds repeat
     session = declm.serve("adaptive", clock=SimulatedClock())
     handles = GenerationSession(session, decl_module, decl_size).generate(requests)
     assert [h.result() for h in handles] == decl_reference
-    spec = session.last_stats.specialize
-    assert spec["promotions"] > 0 and spec["hits"] > 0
+
+
+def test_missized_operand_raises_the_batch_dimension_error(monkeypatch):
+    """Every operand form the planner resolves — a ready array, an index
+    gather's segments, host parts — is checked against the batch size by
+    the block program, with one error naming the block and the input."""
+    from repro.kernels import BatchedOperand, BlockKernel
+
+    _, _, _, _, instances, _, compiled = _setup("treelstm", batch=4, seed=3)
+    session = compiled.session(flush_policy="size", flush_args={"n": len(instances)})
+    launched = []
+    real = BlockKernel.execute_batched
+    monkeypatch.setattr(
+        BlockKernel,
+        "execute_batched",
+        lambda kernel, operands, batch_size: (
+            launched.append((kernel, list(operands), batch_size)),
+            real(kernel, operands, batch_size),
+        )[1],
+    )
+    for i in instances:
+        session.submit(i)
+    session.flush()
+    monkeypatch.undo()
+    checked = 0
+    forms = set()
+    for kernel, operands, batch_size in launched:
+        if batch_size < 2:
+            continue
+        for inp in kernel.block.inputs:
+            if inp.shared:
+                continue
+            op = operands[inp.index]
+            if op.array is not None:
+                short = BatchedOperand.batched(op.array[:-1])
+                forms.add("array")
+            elif op.parts is not None:
+                short = BatchedOperand(
+                    shared=False, parts=op.parts[:-1], scattered=op.scattered
+                )
+                forms.add("parts")
+            else:
+                # the index form names its instances per source arena: drop
+                # the batch's last row from whichever segment has it
+                last = batch_size - 1
+                segments = [
+                    (arena, None, offsets[:-1])
+                    if positions is None
+                    else (arena, positions[positions != last], offsets[positions != last])
+                    for arena, positions, offsets in op.segments
+                ]
+                short = BatchedOperand(
+                    shared=False, segments=segments, scattered=op.scattered
+                )
+                forms.add("segments")
+            bad = operands[: inp.index] + [short] + operands[inp.index + 1:]
+            expected = f"block {kernel.name}: varying input {inp.name} got"
+            with pytest.raises(ValueError, match=expected):
+                kernel.execute_batched(bad, batch_size)
+            checked += 1
+    assert checked > 0
+    # the count check guards the index form as it guards the parts form
+    assert {"segments", "parts"} <= forms

@@ -346,85 +346,3 @@ class TestSchedulerArgsOption:
                 ExecutionOptions(scheduler="dynet", scheduler_args={"kind": "bogus"}),
             )
 
-
-class TestPlanCacheLRU:
-    """LRU bounding of the plan cache and idempotent arming (the
-    specialization tier hangs its slots off cached templates, so eviction
-    accounting must be exact)."""
-
-    @pytest.fixture()
-    def treelstm_parts(self):
-        module = MODEL_MODULES["treelstm"]
-        mod, params, size = module.build_for("test")
-        return module, mod, params, size
-
-    def _distinct_batches(self, treelstm_parts, n, batch=3):
-        module, mod, _, size = treelstm_parts
-        return [module.make_batch(mod, size, batch, seed=500 + k) for k in range(n)]
-
-    def test_eviction_counter_exported(self, treelstm_parts, monkeypatch):
-        monkeypatch.setattr("repro.memory.planner._PLAN_CACHE_MAX", 2)
-        _, mod, params, _ = treelstm_parts
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="size", flush_args={"n": 3})
-        for batch in self._distinct_batches(treelstm_parts, 4):
-            for i in batch:
-                session.submit(i)
-            session.flush()
-        memory = session.last_stats.memory
-        assert memory["plan_cache_evictions"] >= 1
-        planner = session.engine.runtime.planner
-        assert len(planner._plan_cache) <= 2
-
-    def test_hot_template_survives_eviction(self, treelstm_parts, monkeypatch):
-        """A recently hit signature must not be the eviction victim."""
-        monkeypatch.setattr("repro.memory.planner._PLAN_CACHE_MAX", 2)
-        _, mod, params, _ = treelstm_parts
-        a, b, c = self._distinct_batches(treelstm_parts, 3)
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="size", flush_args={"n": 3})
-        for batch in (a, b, a, c, a):  # touch A before C evicts the LRU (B)
-            for i in batch:
-                session.submit(i)
-            session.flush()
-        memory = session.last_stats.memory
-        # misses: A, B, C only — both A replays hit because eviction picked B
-        assert memory["plan_cache_misses"] == 3
-        assert memory["plan_cache_hits"] == 2
-
-    def test_no_evictions_below_capacity(self, treelstm_parts):
-        _, mod, params, _ = treelstm_parts
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="size", flush_args={"n": 3})
-        for batch in self._distinct_batches(treelstm_parts, 3):
-            for i in batch:
-                session.submit(i)
-            session.flush()
-        assert session.last_stats.memory["plan_cache_evictions"] == 0
-
-    def test_expect_repeats_is_idempotent(self, treelstm_parts):
-        """Re-arming (as every Server.run() restart does) must keep cached
-        templates, counters, and the armed state."""
-        _, mod, params, _ = treelstm_parts
-        model = compile_model(mod, params, CompilerOptions())
-        engine = model.make_engine()
-        planner = engine.runtime.planner
-        assert not planner.plan_cache_armed
-        assert planner.expect_repeats() is True  # newly armed
-        assert planner.plan_cache_armed
-        assert planner.expect_repeats() is False  # already armed, no-op
-
-        batch = self._distinct_batches(treelstm_parts, 1)[0]
-        session = engine.session(policy="size", policy_args={"n": 3})
-        for i in batch:
-            session.submit(i)
-        session.flush()
-        cached = len(planner._plan_cache)
-        assert cached > 0
-        # a second session on the same engine re-arms without clearing
-        session2 = engine.session(policy="size", policy_args={"n": 3})
-        assert len(planner._plan_cache) == cached
-        for i in batch:
-            session2.submit(i)
-        session2.flush()
-        assert session2.last_stats.memory["plan_cache_hits"] >= 1

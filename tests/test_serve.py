@@ -1,7 +1,6 @@
 """Tests for the serving subsystem: clocks, flush policies and their
-registry, request futures, policy-driven sessions, capped flushes,
-multi-model servers, open-loop traffic, and the memory planner's plan
-cache."""
+registry, request futures, policy-driven sessions, repeated rounds, capped
+flushes, multi-model servers and open-loop traffic."""
 
 import numpy as np
 import pytest
@@ -118,6 +117,27 @@ class TestPolicyRegistry:
             make_flush_policy("size", n=0)
         with pytest.raises(ValueError):
             make_flush_policy("deadline", ms=-1.0)
+        with pytest.raises(ValueError, match="max_wait_ms"):
+            make_flush_policy("adaptive", max_wait_ms=-1.0)
+        for smoothing in (0.0, 2.0):
+            with pytest.raises(ValueError, match="smoothing"):
+                make_flush_policy("adaptive", smoothing=smoothing)
+        with pytest.raises(ValueError, match="launch_prior"):
+            make_flush_policy("adaptive", launch_prior=-1.0)
+
+    @pytest.mark.parametrize(
+        "name,value,attr",
+        [
+            ("max_wait_ms", 0.0, "max_wait_ms"),
+            ("smoothing", 1.0, "smoothing"),
+            ("launch_prior", 0.0, "round_launches"),
+        ],
+    )
+    def test_adaptive_boundary_args_accepted(self, name, value, attr):
+        """The closed ends of the adaptive policy's argument ranges are
+        legal values, not errors."""
+        policy = make_flush_policy("adaptive", **{name: value})
+        assert getattr(policy, attr) == value
 
 
 class TestPolicyMatrix:
@@ -284,6 +304,20 @@ class TestAdaptivePolicy:
             session.submit(inst)
         session.flush()
         assert policy.round_launches != prior
+        assert policy.marginal_benefit_us(session) > 0
+
+    def test_full_smoothing_tracks_the_last_flush(self, treelstm_setup):
+        """smoothing=1 (the largest legal value) makes the launch estimate
+        the last flush's launch count: it never goes negative, so the
+        flush benefit stays positive."""
+        mod, params, instances, _ = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        session = model.serve("adaptive", clock=SimulatedClock(), smoothing=1.0)
+        policy = session.policy
+        for inst in instances:
+            session.submit(inst)
+        session.flush()
+        assert policy.round_launches == session.last_stats.kernel_calls > 0
         assert policy.marginal_benefit_us(session) > 0
 
 
@@ -546,123 +580,110 @@ class TestTraffic:
         )
 
 
-class TestPlanCache:
-    def test_hits_on_identical_rounds(self, treelstm_setup):
-        mod, params, instances, reference = treelstm_setup
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
-        for round_no in range(4):
+class TestRepeatedRounds:
+    """A session flushing the same requests round after round stays bitwise
+    equal to the reference in every round, across scheduler policies,
+    models and device counts."""
+
+    @pytest.mark.parametrize("model_name", ("treelstm", "birnn", "stackrnn"))
+    @pytest.mark.parametrize("policy", SCHEDULERS)
+    @pytest.mark.parametrize("devices", [1, 4])
+    def test_repeated_rounds_match_oracle(self, model_name, policy, devices):
+        module = MODEL_MODULES[model_name]
+        mod, params, size = module.build_for("test")
+        instances = module.make_batch(mod, size, 4, seed=3)
+        reference = reference_run(mod, params, instances)
+        model = compile_model(mod, params, CompilerOptions(scheduler=policy))
+        kwargs = (
+            {"devices": 4, "placement": "round_robin"} if devices == 4 else {}
+        )
+        session = model.session(
+            flush_policy="size", flush_args={"n": len(instances)}, **kwargs
+        )
+        for round_no in range(5):
             handles = [session.submit(i) for i in instances]
-            assert all(
-                values_allclose(a, h.result())
-                for a, h in zip(reference, handles)
-            ), f"round {round_no} diverged"
-        memory = session.last_stats.memory
-        assert memory["plan_cache_hits"] == 3
-        assert memory["plan_cache_misses"] == 1
-
-    def test_structural_change_misses_then_rehits(self, treelstm_setup):
-        mod, params, instances, reference = treelstm_setup
-        module = MODEL_MODULES["treelstm"]
-        _, _, size = module.build_for("test")
-        other = module.make_batch(mod, size, 4, seed=77)
-        other_reference = reference_run(mod, params, other)
-
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.session()
-        for batch, ref in ((instances, reference), (other, other_reference), (instances, reference)):
-            handles = [session.submit(i) for i in batch]
             session.flush()
             assert all(
-                values_allclose(a, h.result()) for a, h in zip(ref, handles)
-            )
-        memory = session.last_stats.memory
-        # round 1 and 2 are distinct structures (two misses); round 3
-        # replays round 1's plans
-        assert memory["plan_cache_misses"] == 2
-        assert memory["plan_cache_hits"] == 1
-
-    def test_disabled_cache_never_hits(self, treelstm_setup):
-        mod, params, instances, _ = treelstm_setup
-        model = compile_model(mod, params, CompilerOptions(plan_cache=False))
-        session = model.session(flush_policy="size", flush_args={"n": len(instances)})
-        for _ in range(3):
-            for i in instances:
-                session.submit(i)
-        memory = session.last_stats.memory
-        assert memory["plan_cache_hits"] == 0
-        assert memory["plan_cache_misses"] == 0
-
-    def test_one_shot_runs_leave_cache_dormant(self, treelstm_setup):
-        """Only sessions arm the cache: plain run() calls pay no
-        fingerprinting overhead and never count hits or misses."""
-        mod, params, instances, _ = treelstm_setup
-        model = compile_model(mod, params, CompilerOptions())
-        engine = model.make_engine()
-        engine.run(instances)
-        _, stats = engine.run(instances)
-        assert stats.memory["plan_cache_hits"] == 0
-        assert stats.memory["plan_cache_misses"] == 0
-
-    def test_cached_plans_identical_operand_counts(self, treelstm_setup):
-        """A cache hit reports the same operand classification the uncached
-        planner derives."""
-        mod, params, instances, _ = treelstm_setup
-        counts = []
-        for cached in (True, False):
-            model = compile_model(mod, params, CompilerOptions(plan_cache=cached))
-            session = model.session(flush_policy="size", flush_args={"n": len(instances)})
-            for _ in range(2):
-                for i in instances:
-                    session.submit(i)
-            memory = dict(session.last_stats.memory)
-            memory.pop("plan_cache_hits"), memory.pop("plan_cache_misses")
-            counts.append(memory)
-        assert counts[0] == counts[1]
+                exact_equal(r, h.result()) for r, h in zip(reference, handles)
+            ), f"{model_name}/{policy}/dev{devices} round {round_no}"
 
     def test_deferred_sessions_keep_residency(self):
         """Fiber-program session flushes preserve the device residency
         cache: round two reuses resident parameters instead of re-uploading
-        them."""
-        module = MODEL_MODULES["drnn"]
-        mod, params, size = module.build_for("test")
-        instances = module.make_batch(mod, size, 2, seed=3)
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.session()
-        assert model.uses_tdc
-        per_round_bytes = []
-        for _ in range(2):
-            for i in instances:
-                session.submit(i)
-            session.flush()
-            per_round_bytes.append(session.last_stats.device.get("num_memcpy", 0))
-        assert per_round_bytes[1] < per_round_bytes[0]
-
-    def test_cache_works_for_deferred_sessions(self):
-        """Fiber (tensor-dependent control flow) sessions flush through
-        engine.run; identical resubmissions still hit the cache."""
+        them, and both rounds match the reference."""
         module = MODEL_MODULES["drnn"]
         mod, params, size = module.build_for("test")
         instances = module.make_batch(mod, size, 2, seed=3)
         reference = reference_run(mod, params, instances)
         model = compile_model(mod, params, CompilerOptions())
         session = model.session()
-        planner = session.engine.runtime.planner
-        sizes = []
-        for _ in range(3):
+        assert model.uses_tdc
+        per_round_bytes = []
+        for _ in range(2):
             handles = [session.submit(i) for i in instances]
             session.flush()
             assert all(
-                values_allclose(a, h.result())
-                for a, h in zip(reference, handles)
+                values_allclose(a, h.result()) for a, h in zip(reference, handles)
             )
-            sizes.append(len(planner._plan_cache))
-        memory = session.last_stats.memory
-        assert memory["plan_cache_hits"] > 0
-        # repeated identical flushes must not keep inserting templates:
-        # every recurring round hits, and rounds pinned to earlier rounds'
-        # concrete arenas (can never recur) are never inserted at all
-        assert sizes[1] == sizes[2]
+            per_round_bytes.append(session.last_stats.device.get("num_memcpy", 0))
+        assert per_round_bytes[1] < per_round_bytes[0]
+
+    @pytest.mark.parametrize("model_name", ZOO)
+    def test_structural_change_between_rounds(self, model_name):
+        """Rounds of different structure, in the order A, B, A, each match
+        the reference, and round three is planned exactly as round one was:
+        nothing carried over from round two steers the planner."""
+        module = MODEL_MODULES[model_name]
+        mod, params, size = module.build_for("test")
+        first = module.make_batch(mod, size, 4, seed=3)
+        second = module.make_batch(mod, size, 3, seed=77)
+        references = {
+            id(first): reference_run(mod, params, first),
+            id(second): reference_run(mod, params, second),
+        }
+        model = compile_model(mod, params, CompilerOptions())
+        session = model.session()
+        stats = []
+        for round_no, batch in enumerate((first, second, first)):
+            handles = [session.submit(i) for i in batch]
+            session.flush()
+            assert all(
+                exact_equal(r, h.result())
+                for r, h in zip(references[id(batch)], handles)
+            ), f"{model_name} round {round_no}"
+            stats.append(session.last_stats)
+        assert stats[2].memory == stats[0].memory
+        assert stats[2].num_batches == stats[0].num_batches
+
+    @pytest.mark.parametrize("gather_fusion", [True, False])
+    @pytest.mark.parametrize("policy", SCHEDULERS)
+    def test_identical_rounds_plan_identically(
+        self, treelstm_setup, policy, gather_fusion
+    ):
+        """Every round is planned from scratch, so identical rounds report
+        identical operand classifications, gather segments, batch counts and
+        launch counts under every scheduler, with gather fusion on and off."""
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(
+            mod, params,
+            CompilerOptions(scheduler=policy, gather_fusion=gather_fusion),
+        )
+        session = model.session()
+        seen = []
+        for round_no in range(3):
+            handles = [session.submit(i) for i in instances]
+            session.flush()
+            assert all(
+                exact_equal(r, h.result()) for r, h in zip(reference, handles)
+            ), f"{policy}/fusion={gather_fusion} round {round_no}"
+            stats = session.last_stats
+            seen.append((
+                stats.memory,
+                stats.num_batches,
+                stats.device["num_kernel_launches"],
+                stats.device["num_gather_launches"],
+            ))
+        assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 class TestSchedulerValidation:
