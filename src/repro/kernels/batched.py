@@ -67,20 +67,23 @@ It keeps one local per value and
   only inputs in :attr:`BlockKernel.reusable_inputs` ever read it; the
   runtime never passes one, and :mod:`repro.specialize` is the only
   caller that does);
+* looks its launch records up, right after the operands are read, in a
+  per-kernel cache keyed by the batch size, every input's shape and dtype,
+  and which varying inputs arrive scattered;
 * calls each op body bound at construction — ``opdef.batched`` when an
   argument carries the batch dimension, else ``opdef.compute`` — with its
   attributes as literals, already shifted for the batch dimension; a
   batched ``concat`` broadcasts its shared operands, a batched ``reshape``
   prepends the batch size and a batched ``take_row`` is an index;
-* takes its launch records from a per-kernel cache keyed by the batch
-  size, every input's shape and dtype, and which varying inputs arrive
-  scattered.  A miss evaluates the FLOP and byte rules of every fusion group
-  (:meth:`BlockKernel._derive_costs`, fixed + per-instance) and publishes
-  the complete tuple: kernels are shared by every engine of a compiled
-  model, across threads;
-* drops its values newest first (``del``), so glibc keeps reusing the heap
-  top rather than returning it to the system for the next launch to fault
-  back in.
+* releases each value at its last use: after every op line a ``del`` drops
+  the values that line read last (gathered inputs included, returned
+  outputs never), newest first, so a launch holds its working set, not
+  every intermediate it has made;
+* on a record-cache miss keeps each op result's ``(shape, dtype)`` as it is
+  made — never the value — and evaluates the FLOP and byte rules of every
+  fusion group over those (:meth:`BlockKernel._derive_costs`, fixed +
+  per-instance), then publishes the complete tuple: kernels are shared by
+  every engine of a compiled model, across threads.
 
 Op bodies are captured when the kernel is built, so a wrapper installed on
 ``opdef.compute`` / ``opdef.batched`` afterwards is not seen by it.  Every
@@ -381,15 +384,18 @@ class BlockKernel:
         src.namespace["cached_records"] = self._records.get
         src.namespace["derive_records"] = self._derive_records
         names = [f"v{slot}" for slot in range(n_inputs + len(block.ops))]
+        n_values = len(names)
         batched = [not inp.shared for inp in block.inputs] + [False] * len(block.ops)
         # inputs a value may be a NumPy view of (escape analysis, below)
         may_view = [frozenset((i,)) for i in range(n_inputs)] + [frozenset()] * len(block.ops)
-        body: List[str] = []
-        #: the locals holding values, in the order the launch assigns them
-        assigned = [names[inp.index] for inp in block.inputs]
+        #: (slot of a constant, (shape, dtype)) for every constant operand
+        const_meta: List[Tuple[int, Tuple[Tuple[int, ...], np.dtype]]] = []
+        #: per op line, in launch order: (launch comment or None, result
+        #: slot, the line, the value slots it reads)
+        steps: List[Tuple[Optional[str], int, str, Tuple[int, ...]]] = []
         group_specs: List[_GroupSpec] = []
         for group in self.groups:
-            body.append(f"    # launch {group.group_id}: {self.group_names[group.group_id]}")
+            comment: Optional[str] = f"# launch {group.group_id}: {self.group_names[group.group_id]}"
             reads: List[int] = []
             flop_rules = []
             for j in group.op_indices:
@@ -398,8 +404,10 @@ class BlockKernel:
                 srcs: List[int] = []
                 for kind, ref in bop.args:
                     if kind == "const":
+                        value = np.asarray(ref)
+                        const_meta.append((len(names), (value.shape, value.dtype)))
                         srcs.append(len(names))
-                        names.append(src.bind(f"c{len(names)}", np.asarray(ref)))
+                        names.append(src.bind(f"c{len(names)}", value))
                         batched.append(False)
                         may_view.append(frozenset())
                         continue
@@ -416,8 +424,9 @@ class BlockKernel:
                 call = self._op_call(
                     src, bop, opdef, [names[s] for s in srcs], [batched[s] for s in srcs]
                 )
-                body.append(f"    {names[out]} = {call}")
-                assigned.append(names[out])
+                used = tuple(dict.fromkeys(s for s in srcs if s < n_values))
+                steps.append((comment, out, f"{names[out]} = {call}", used))
+                comment = None
                 flop_rules.append((opdef.estimate_flops, bop.attrs, tuple(srcs), any_batched))
             writes = tuple(
                 n_inputs + j
@@ -432,6 +441,7 @@ class BlockKernel:
         self._batched = tuple(batched)
         self._varying = self._batched[:n_inputs]
         self._group_specs = group_specs
+        self._const_meta = tuple(const_meta)
         output_slots = [ref if kind == "input" else n_inputs + ref for kind, ref in block.outputs]
         #: varying inputs whose gather buffer is safe to reuse across
         #: launches: no block output can be a NumPy view of them (a value
@@ -446,29 +456,64 @@ class BlockKernel:
             if not inp.shared and inp.index not in escaped
         )
 
+        # Liveness: the key reads every input (position 0); op line k reads
+        # its arguments (position 2k + 1) and its record-cache miss capture
+        # reads its result (2k + 2).  A value the launch does not return is
+        # dropped right after its last read.
+        last_read: Dict[int, int] = {inp.index: 0 for inp in block.inputs}
+        for k, (_, out, _, used) in enumerate(steps):
+            for slot in used:
+                last_read[slot] = 2 * k + 1
+            last_read[out] = 2 * k + 2
+        #: order the launch assigns values in: inputs, then op results
+        birth = {inp.index: n for n, inp in enumerate(block.inputs)}
+        birth.update((out, n_inputs + k) for k, (_, out, _, _) in enumerate(steps))
+        dying: Dict[int, List[int]] = {}
+        for slot, at in last_read.items():
+            if slot not in output_slots:
+                dying.setdefault(at, []).append(slot)
+
+        def release(at: int) -> None:
+            # newest first, as a stack unwinds
+            slots = sorted(dying.get(at, ()), key=birth.__getitem__, reverse=True)
+            if slots:
+                src.emit("del " + ", ".join(names[slot] for slot in slots))
+
         src.emit("def launch(operands, batch_size, buffers=None):", indent=0)
         for inp in block.inputs:
             self._emit_input(src, inp.index, names[inp.index], inp.name)
-        src.lines.extend(body)
         src.emit("key = (")
         src.emit("batch_size,", indent=2)
+        key_at, at = [], 1
         for inp in block.inputs:
             v = names[inp.index]
             flag = "" if inp.shared else f" o{inp.index}.scattered,"
             src.emit(f"{v}.shape, {v}.dtype,{flag}", indent=2)
+            key_at.append((inp.index, at))
+            at += 2 if inp.shared else 3
+        #: per input: its slot and where its shape, dtype and — varying
+        #: inputs — scattered flag sit in the record-cache key
+        self._key_at = tuple(key_at)
         src.emit(")")
+        release(0)
         src.emit("launches = cached_records(key)")
-        src.emit("if launches is None:")
-        src.emit(f"launches = derive_records(key, batch_size, operands, [{', '.join(names)}])", 2)
+        # a miss keeps each value's (shape, dtype) as it is made, never the
+        # value itself
+        src.emit("meta = None if launches is not None else {}")
+        for k, (comment, out, line, _) in enumerate(steps):
+            if comment is not None:
+                src.emit(comment)
+            src.emit(line)
+            release(2 * k + 1)
+            src.emit("if meta is not None:")
+            src.emit(f"meta[{out}] = {names[out]}.shape, {names[out]}.dtype", 2)
+            release(2 * k + 2)
+        src.emit("if meta is not None:")
+        src.emit("launches = derive_records(key, meta)", 2)
         outputs = ", ".join(
             f"BatchedOutput({names[slot]}, {batched[slot]}, batch_size)" for slot in output_slots
         )
-        src.emit(f"outputs = [{outputs}]")
-        # release the launch's values newest first, as a stack unwinds: freed
-        # oldest first they leave glibc a heap top it hands back to the
-        # system, and every later launch faults those pages in again
-        src.emit("del " + ", ".join(reversed(assigned)))
-        src.emit("return outputs, launches")
+        src.emit(f"return [{outputs}], launches")
         #: Python source of :attr:`launch`
         self.source = "\n".join(src.lines) + "\n"
         exec(compile(self.source, f"<kernel {block.name}>", "exec"), src.namespace)
@@ -623,21 +668,23 @@ class BlockKernel:
         return self.launch(args, batch_size)
 
     def _derive_records(
-        self,
-        key: tuple,
-        batch_size: int,
-        operands: Sequence[BatchedOperand],
-        vals: List[Any],
+        self, key: tuple, meta: Dict[int, Tuple[Tuple[int, ...], np.dtype]]
     ) -> Tuple[LaunchRecord, ...]:
-        """The launch records of a record-cache miss (``vals``: every slot's
-        value), cached under ``key`` once complete.  Threads that miss on one
-        key together each derive and store equal records, so the cache needs
-        no lock: a reader sees no entry or a finished one."""
-        scattered = [
-            i for i, varying in enumerate(self._varying) if varying and operands[i].scattered
-        ]
+        """The launch records of a record-cache miss, cached under ``key``
+        once complete.  ``meta`` holds the ``(shape, dtype)`` of every op
+        result the launch made; the inputs' come from ``key``, the
+        constants' from the block.  Threads that miss on one key together
+        each derive and store equal records, so the cache needs no lock: a
+        reader sees no entry or a finished one."""
+        batch_size = key[0]
+        scattered = []
+        for slot, at in self._key_at:
+            meta[slot] = key[at], key[at + 1]
+            if self._varying[slot] and key[at + 2]:
+                scattered.append(slot)
+        meta.update(self._const_meta)
         launches = []
-        for name, flops, bytes_read, bytes_written, gathered in self._derive_costs(vals):
+        for name, flops, bytes_read, bytes_written, gathered in self._derive_costs(meta):
             scattered_bytes = 0.0
             if scattered:
                 for i, nbytes in gathered:
@@ -659,27 +706,27 @@ class BlockKernel:
         self._records[key] = records
         return records
 
-    def _derive_costs(self, vals: List[Any]) -> List[tuple]:
+    def _derive_costs(self, meta: Dict[int, Tuple[Tuple[int, ...], np.dtype]]) -> List[tuple]:
         """Evaluate the accounting rules for one operand-shape class.
 
         FLOPs come from the per-instance argument shapes, bytes from the
         values a group reads from outside itself and the results that leave
         it — all functions of the block inputs' per-instance shapes and
-        dtypes.  Each record field is stored as ``(fixed, per_instance)``:
-        batched values scale with the batch size, shared ones do not.  The
-        last element lists the varying inputs a group reads, whose bytes
-        count as ``scattered_bytes`` on a launch that receives them
-        scattered.
+        dtypes, read off ``meta`` (every slot's ``(shape, dtype)``).  Each
+        record field is stored as ``(fixed, per_instance)``: batched values
+        scale with the batch size, shared ones do not.  The last element
+        lists the varying inputs a group reads, whose bytes count as
+        ``scattered_bytes`` on a launch that receives them scattered.
         """
         batched = self._batched
         n_inputs = len(self._varying)
 
         def shape_of(slot: int) -> Tuple[int, ...]:
-            shape = vals[slot].shape
+            shape = meta[slot][0]
             return shape[1:] if batched[slot] else shape
 
         def nbytes_of(slot: int) -> float:
-            return float(math.prod(shape_of(slot)) * vals[slot].dtype.itemsize)
+            return float(math.prod(shape_of(slot)) * meta[slot][1].itemsize)
 
         costs = []
         for spec in self._group_specs:

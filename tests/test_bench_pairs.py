@@ -119,3 +119,55 @@ def test_traced_pairs_record_the_per_layer_metrics(bench_pairs, monkeypatch):
     assert (interp["wins"], interp["pairs"]) == (2, 2)
     nodes = record["metrics"]["runtime.nodes_per_batch"]
     assert (nodes["wins"], nodes["unit"]) == (0, "count")  # 21 == 21, 21 < 22
+
+
+def summary(better, parent, change, wins, pairs=10):
+    """A metric of a record: ``parent`` / ``change`` are (q1, median, q3)."""
+    return {
+        "better": better,
+        "parent": dict(zip(("q1", "median", "q3"), parent)),
+        "change": dict(zip(("q1", "median", "q3"), change)),
+        "wins": wins,
+        "pairs": pairs,
+    }
+
+
+@pytest.mark.parametrize(
+    "metric, bound, expected",
+    [
+        # 9/10 wins and a median gain (10) beyond the parent's IQR (8)
+        (summary("higher", (96, 100, 104), (108, 110, 112), 9), 0.25, "gain"),
+        (summary("lower", (96, 100, 104), (88, 90, 92), 9), 0.25, "gain"),
+        (summary("lower", (96, 100, 104), (88, 90, 92), 18, pairs=20), 0.25, "gain"),
+        # 8/10 wins is short of 9 in every 10; five pairs are too few
+        (summary("higher", (96, 100, 104), (108, 110, 112), 8), 0.25, "flat"),
+        (summary("higher", (96, 100, 104), (108, 110, 112), 5, pairs=5), 0.25, "flat"),
+        # every pair won, but by no more than the parent's spread
+        (summary("higher", (96, 100, 104), (106, 108, 110), 10), 0.25, "flat"),
+        # worse than the parent by more than the bound's share of its median
+        (summary("higher", (96, 100, 104), (70, 74, 78), 0), 0.25, "worse"),
+        (summary("lower", (96, 100, 104), (110, 116, 120), 0), 0.15, "worse"),
+        # worse, but within the bound
+        (summary("lower", (96, 100, 104), (110, 114, 120), 0), 0.15, "flat"),
+        (summary("higher", (96, 100, 104), (74, 76, 78), 0), 0.25, "flat"),
+        # a metric without a bound is never judged worse
+        (summary("lower", (96, 100, 104), (190, 200, 210), 0), None, "flat"),
+    ],
+)
+def test_verdict(bench_pairs, metric, bound, expected):
+    assert bench_pairs.verdict(metric, bound) == expected
+
+
+def test_the_record_carries_each_metrics_verdict(bench_pairs):
+    parent = [bench_pairs.parse_result(result_line(1000.0 + i, 60.0)) for i in range(10)]
+    change = [bench_pairs.parse_result(result_line(1100.0 + i, 80.0)) for i in range(10)]
+    record = bench_pairs.make_record(
+        "abc1234", "24336a3", "tree_batch", range(10), 24, parent, change, DECLARED
+    )
+    assert record["metrics"]["throughput_per_s"]["verdict"] == "gain"
+    assert record["metrics"]["latency_p50_ms"]["verdict"] == "worse"  # +33% > 25%
+    unbounded = [{"name": "latency_p50_ms", "unit": "ms", "better": "lower"}]
+    traced = bench_pairs.make_record(
+        "abc1234", "24336a3", "tree_batch", range(10), 24, parent, change, unbounded, trace=1
+    )
+    assert traced["metrics"]["latency_p50_ms"]["verdict"] == "flat"  # no bound

@@ -2,9 +2,12 @@
 
 Each zoo model's largest block (most ops, then lowest block id) has its
 generated ``kernel.source`` pinned under ``tests/golden/``: the operand
-prologue (ready array, index gather, host parts), one line per op with its
-attributes spelled out, the record-cache lookup, and the release of the
-launch's values newest first.
+prologue (ready array, index gather, host parts), the record-cache key and
+lookup, one line per op with its attributes spelled out, each followed by
+the ``del`` of the values it read last (newest first) and, on a cache miss,
+the capture of its result's ``(shape, dtype)``.  Every block of every model
+is checked for that liveness: a value the launch does not return is dropped
+right after its last read, once, and never read again.
 
 Regenerate after an intended change to the launch generator:
 
@@ -14,6 +17,7 @@ Regenerate after an intended change to the launch generator:
 import ast
 import functools
 import os
+import re
 
 import pytest
 
@@ -49,31 +53,66 @@ def test_launch_source_matches_golden(name):
     )
 
 
+#: a value local of a launch: an input or an op result
+VALUE = re.compile(r"v\d+")
+
+
 def assigned_values(statements):
     """Value locals (``v<slot>``) in the order the statements first assign
     them, branches included."""
     order = []
     for statement in statements:
         if isinstance(statement, ast.Assign):
-            order += [t.id for t in statement.targets if t.id.startswith("v")]
+            names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+            order += [n for n in names if VALUE.fullmatch(n)]
         elif isinstance(statement, ast.If):
             order += assigned_values(statement.body) + assigned_values(statement.orelse)
     return list(dict.fromkeys(order))
+
+
+def values_read(statement):
+    """Value locals ``statement`` reads, branches included."""
+    return {
+        node.id
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and VALUE.fullmatch(node.id)
+    }
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_MODULES))
 def test_every_launch_is_straight_line_python_3_9(name):
     """The oldest Python CI runs parses every block's launch; no launch
     loops (one statement per value, branching only on an operand's form);
-    and it releases its values newest first, the order glibc reuses."""
+    and it holds only its working set: every value it does not return is
+    deleted exactly once, in the statement right after its last read, and
+    never read after; returned values are never deleted; and one ``del``
+    drops its values newest first, the order glibc reuses."""
     for kernel in compiled(name).kernels.values():
         tree = ast.parse(kernel.source, feature_version=(3, 9))
         (launch,) = tree.body
         assert launch.name == "launch"
         assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree))
-        release = launch.body[-2]
-        assert isinstance(release, ast.Delete)
-        assert [t.id for t in release.targets] == assigned_values(launch.body)[::-1]
+        assert isinstance(launch.body[-1], ast.Return)
+        order = assigned_values(launch.body)
+        returned = values_read(launch.body[-1])
+        deleted_at, last_read = {}, {}
+        for at, statement in enumerate(launch.body):
+            for value in values_read(statement):
+                assert value not in deleted_at, f"{kernel.name}: {value} read after its del"
+                last_read[value] = at
+            if isinstance(statement, ast.Delete):
+                dropped = [t.id for t in statement.targets]
+                assert dropped == sorted(dropped, key=order.index, reverse=True)
+                for value in dropped:
+                    assert value not in deleted_at, f"{kernel.name}: {value} deleted twice"
+                    deleted_at[value] = at
+        for value in order:
+            if value in returned:
+                assert value not in deleted_at, f"{kernel.name}: returned {value} deleted"
+            else:
+                assert deleted_at.get(value) == last_read[value] + 1, (
+                    f"{kernel.name}: {value} not deleted right after its last read"
+                )
         assert kernel.launch.__code__.co_filename == f"<kernel {kernel.name}>"
 
 

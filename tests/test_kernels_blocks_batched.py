@@ -1,6 +1,8 @@
 """Tests for static blocks, kernel fusion and batched execution, including
 property-based checks that batched execution matches the unbatched reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -512,6 +514,38 @@ class TestBlockProgram:
         xs = [_random_like(rng, (2, 3), np.float32) for _ in range(batch_size)]
         check_against_oracle(BlockKernel(block), [xs], batch_size, delivery)
 
+    @pytest.mark.parametrize("delivery", list(DELIVERIES))
+    def test_largest_block_miss_and_hit_agree(self, model_block_operands, delivery):
+        """A record-cache miss keeps each value's ``(shape, dtype)``, not the
+        value: on the largest block of every model (most ops, then lowest
+        block id) a miss and a hit on the same operands return bitwise-equal
+        outputs, and the miss derives the naive oracle's records."""
+        largest = {}
+        for label, kernel, example in model_block_operands:
+            model = label.split("/")[0]
+            rank = (-len(kernel.block.ops), kernel.block.block_id)
+            if model not in largest or rank < largest[model][0]:
+                largest[model] = (rank, kernel, example)
+        assert sorted(largest) == sorted(MODEL_MODULES)
+        rng = np.random.default_rng(11)
+        batch_size = 7
+        for _rank, kernel, example in largest.values():
+            operands = [
+                BatchedOperand.shared_value(e)
+                if isinstance(e, np.ndarray)
+                else DELIVERIES[delivery]([_random_like(rng, *e) for _ in range(batch_size)])
+                for e in example
+            ]
+            kernel._records.clear()
+            missed, fresh = kernel.launch(operands, batch_size)
+            hit_outputs, hit = kernel.launch(operands, batch_size)
+            assert hit is fresh
+            assert list(fresh) == naive_launch_records(kernel, operands, batch_size)
+            for got, ref in zip(hit_outputs, missed):
+                assert got.batched == ref.batched and got.array.dtype == ref.array.dtype
+                assert got.array.shape == ref.array.shape
+                assert got.array.tobytes() == ref.array.tobytes()
+
     def test_record_cache_is_keyed_by_shape_class_and_batch_size(self, monkeypatch):
         """A launch derives its records once per (batch size, operand shapes
         and dtypes, scattered inputs); every later launch of that class gets
@@ -809,3 +843,22 @@ class TestIndexGather:
         got = index_gather(segments, buffer)
         assert got is not buffer and not buffer.any()
         assert np.array_equal(got, arena.data[[2, 0]])
+
+
+def test_a_launch_keeps_its_working_set_not_every_value():
+    """Each launch value is dropped at its last use, so the traced peak of a
+    warm TreeLSTM B=64 run is its largest working set plus the run's own
+    state (8.3 MB), not every intermediate of the largest launch (22.8 MB
+    when values were held to the end of the launch)."""
+    module = MODEL_MODULES["treelstm"]
+    mod, params, size = module.build_for("small")
+    model = compile_model(mod, params)
+    model.run(module.make_batch(mod, size, 64, seed=1))
+    batch = module.make_batch(mod, size, 64, seed=2)
+    tracemalloc.start()
+    try:
+        model.run(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, f"traced peak {peak / 1e6:.1f} MB"

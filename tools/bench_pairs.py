@@ -5,9 +5,17 @@
 runs ``bench/run.py --workload W --seed S --seconds <run_seconds> --trace 0``
 once per seed on each side, alternating which side goes first, and appends one
 record (commit, parent, workload, seeds; per end-to-end metric both medians,
-their quartiles, the pairs the change won) to the root ``BENCH_wallclock.json``.
-With ``--trace`` the runs are ``--trace 1`` and the record holds the same
-statistics for every per-layer metric of ``BENCHMARK.json`` instead.
+their quartiles, the pairs the change won and a verdict) to the root
+``BENCH_wallclock.json``.  With ``--trace`` the runs are ``--trace 1`` and the
+record holds the same statistics for every per-layer metric of
+``BENCHMARK.json`` instead.
+
+The verdict (:func:`verdict`) is ``gain`` when at least ten pairs ran, the
+change won at least 9 of every 10 and its median beats the parent's by more
+than the parent's interquartile range; ``worse`` when its median is worse
+than the parent's by more than the metric's ``bound`` (a share of the
+parent's median; a metric without one is never ``worse``); and ``flat``
+otherwise.
 """
 
 import argparse
@@ -44,6 +52,21 @@ def spread(values):
     return dict(zip(("q1", "median", "q3"), cuts))
 
 
+def verdict(metric, bound=None):
+    """``gain``, ``worse`` or ``flat`` for one metric of a record (see the
+    module docstring); ``bound`` is the metric's ``bound`` in
+    ``BENCHMARK.json``, if it has one."""
+    sign = 1 if metric["better"] == "higher" else -1
+    parent, change = metric["parent"], metric["change"]
+    gained = sign * (change["median"] - parent["median"])
+    pairs = metric["pairs"]
+    if pairs >= 10 and 10 * metric["wins"] >= 9 * pairs and gained > parent["q3"] - parent["q1"]:
+        return "gain"
+    if bound is not None and -gained > bound * abs(parent["median"]):
+        return "worse"
+    return "flat"
+
+
 def make_record(
     commit, parent, workload, seeds, seconds, parent_runs, change_runs, declared, trace=0
 ):
@@ -62,6 +85,7 @@ def make_record(
             "pairs": len(seeds),
             "runs": {"parent": before, "change": after},
         }
+        metrics[name]["verdict"] = verdict(metrics[name], decl.get("bound"))
     head = {"commit": commit, "parent": parent, "workload": workload, "seeds": list(seeds)}
     return {**head, "seconds": seconds, "trace": trace, "metrics": metrics}
 
@@ -101,7 +125,8 @@ def main():
     with open(TRAJECTORY, "w") as fh:
         fh.write(json.dumps(records + [record], indent=1) + "\n")
     for name, m in record["metrics"].items():
-        print(name, m["parent"]["median"], "->", m["change"]["median"], m["unit"], f"wins {m['wins']}/{m['pairs']}")
+        print(name, m["parent"]["median"], "->", m["change"]["median"], m["unit"],
+              f"wins {m['wins']}/{m['pairs']}", m["verdict"])
 
 
 if __name__ == "__main__":
