@@ -31,7 +31,7 @@ def main() -> None:
     for topology in ("single", "per_device"):
         server = Server(
             clock=SimulatedClock(),
-            devices=4,
+            device=4,
             topology=topology,
             max_pending=24,
             backpressure="shed-oldest",

@@ -40,7 +40,7 @@ def main() -> None:
         ("4 devices, data_parallel", 4, "data_parallel"),
     ):
         group = DeviceGroup(devices, spec=EDGE, interconnect="nvlink")
-        server = Server(devices=group, placement=placement, clock=SimulatedClock())
+        server = Server(device=group, placement=placement, clock=SimulatedClock())
         server.add_endpoint("trees", model, policy="size", n=8)
         report = server.replay(
             [(t, "trees", r) for t, r in zip(arrivals, requests)], continuous=False

@@ -12,9 +12,9 @@ Package map:
   GPU simulator, profiler.
 * :mod:`repro.memory` -- arena-backed batched tensor storage and the
   ahead-of-execution memory planner (contiguity / gather classification).
-* :mod:`repro.devices` -- multi-device execution: the Device protocol,
-  device groups with interconnect cost models, and the placement-policy
-  registry (single / round_robin / data_parallel).
+* :mod:`repro.devices` -- multi-device execution: device groups (a single
+  accelerator is the one-member group) with interconnect cost models, and
+  the placement-policy registry (single / round_robin / data_parallel).
 * :mod:`repro.engine` -- the execution-engine layer: runtime orchestration,
   the scheduler-policy registry.
 * :mod:`repro.serve` -- the serving subsystem: flush policies, awaitable

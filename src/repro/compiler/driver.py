@@ -31,7 +31,7 @@ from ..analysis.taint import analyze_taint
 from ..engine.engine import EngineModel, ExecutionEngine, ProgramBinding
 from ..ir.module import IRModule
 from ..kernels.batched import BlockKernel
-from ..runtime.device import DeviceSimulator, GPUSpec
+from ..runtime.device import GPUSpec
 from ..runtime.executor import AcrobatRuntime, ExecutionOptions, RunStats
 from ..runtime.fibers import FiberScheduler
 from .codegen import GeneratedProgram, PythonCodegen, py_func_name
@@ -130,10 +130,9 @@ class CompiledModel(EngineModel):
 
     def make_engine(
         self,
-        device: Optional[DeviceSimulator] = None,
+        device: Any = None,
         scheduler: Optional[str] = None,
         *,
-        devices: Any = None,
         placement: Any = None,
         placement_args: Optional[Dict[str, Any]] = None,
         interconnect: Any = None,
@@ -145,10 +144,13 @@ class CompiledModel(EngineModel):
         entry point so it cannot be confused with the serving layer's flush
         policies); the default derives from the compiler options.
 
-        ``devices`` turns on multi-device execution: an integer count, a
-        list of :class:`~repro.runtime.device.GPUSpec`/preset names
-        (heterogeneous groups), or a ready
-        :class:`~repro.devices.group.DeviceGroup`.  ``placement`` selects
+        ``device`` is what the engine charges, always held as a
+        :class:`~repro.devices.group.DeviceGroup`: a
+        :class:`~repro.runtime.device.DeviceSimulator` (adopted as the
+        one-member group), a ready group, an integer member count or a list
+        of :class:`~repro.runtime.device.GPUSpec`/preset names
+        (heterogeneous groups); more than one member turns on multi-device
+        execution.  ``placement`` selects
         the placement policy by registry name or instance (default
         ``round_robin`` for multi-device groups); ``interconnect`` prices
         cross-device transfers (preset name or
@@ -162,7 +164,6 @@ class CompiledModel(EngineModel):
             gpu_spec=self.gpu_spec,
             schedule_table=self.schedule_table,
             default_schedule_quality=self.options.default_schedule_quality,
-            devices=devices,
             placement=placement,
             placement_args=placement_args,
             interconnect=interconnect,

@@ -1,31 +1,29 @@
 """Multi-device execution: device groups, interconnects and placement.
 
-A single-accelerator runtime has one
-:class:`~repro.runtime.device.DeviceSimulator`, one arena space and one
-block of counters.  This package lifts that to a group of devices:
+A :class:`~repro.runtime.device.DeviceSimulator` charges one accelerator.
+Every layer above it — runtime, memory planner, serving — charges a
+:class:`DeviceGroup` instead, and a single accelerator is the one-member
+group:
 
-* :mod:`repro.devices.device` — the :class:`Device` protocol: the narrow
-  surface the runtime, memory planner and serving layer require of an
-  accelerator (a standalone simulator satisfies it as the one-member
-  degenerate case);
+* :mod:`repro.devices.group` — :class:`DeviceGroup`: N simulators with
+  per-device counters/residency, group aggregation, and elapsed-vs-total
+  device-time accounting (members run concurrently).
+  :meth:`DeviceGroup.coerce` turns anything a ``device=`` argument takes (a
+  simulator, a group, a member count or a spec list) into a group;
 * :mod:`repro.devices.interconnect` — the :class:`Interconnect` cost model
   pricing device-to-device transfers (``pcie`` / ``nvlink`` presets), so
   cross-device gathers are charged rather than free;
-* :mod:`repro.devices.group` — :class:`DeviceGroup`: N simulators with
-  per-device counters/residency, group aggregation, and elapsed-vs-total
-  device-time accounting (members run concurrently);
 * :mod:`repro.devices.placement` — :class:`PlacementPolicy` and its
   string-keyed registry (``single``, ``round_robin``, ``data_parallel``):
   *where* each scheduled batch executes, mirroring the scheduler-policy
   and flush-policy registries.
 
-Entry points: ``compile_model(...).serve(policy, devices=4,
+Entry points: ``compile_model(...).serve(policy, device=4,
 placement="round_robin")`` opens a sharded serving session;
-``Server(devices=4, placement="data_parallel")`` shards a whole multi-model
+``Server(device=4, placement="data_parallel")`` shards a whole multi-model
 deployment over one group.
 """
 
-from .device import Device
 from .group import DeviceGroup
 from .interconnect import INTERCONNECT_PRESETS, Interconnect
 from .placement import (
@@ -40,7 +38,6 @@ from .placement import (
 )
 
 __all__ = [
-    "Device",
     "DeviceGroup",
     "Interconnect",
     "INTERCONNECT_PRESETS",

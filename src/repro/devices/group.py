@@ -1,10 +1,10 @@
 """A group of simulated devices behind one runtime.
 
 :class:`DeviceGroup` owns N :class:`~repro.runtime.device.DeviceSimulator`\\ s
-plus an :class:`~repro.devices.interconnect.Interconnect` cost model, and
-implements the same :class:`~repro.devices.device.Device` surface a single
-simulator does — so the runtime, memory planner and serving layer are
-indifferent to whether they charge one accelerator or a sharded group.
+plus an :class:`~repro.devices.interconnect.Interconnect` cost model.  It
+is the only device surface the runtime, memory planner and serving layer
+know: one accelerator is the one-member group, so they are indifferent to
+whether they charge one accelerator or a sharded group.
 
 Semantics the group pins down:
 
@@ -39,14 +39,8 @@ from .interconnect import Interconnect
 SpecLike = Union[GPUSpec, str]
 
 
-def _resolve_spec(spec: Optional[SpecLike]) -> Optional[GPUSpec]:
-    if isinstance(spec, str):
-        return GPUSpec.preset(spec)
-    return spec
-
-
 class DeviceGroup:
-    """N simulated devices plus an interconnect, behind one Device surface.
+    """N simulated devices plus an interconnect, behind one device surface.
 
     Parameters
     ----------
@@ -78,67 +72,60 @@ class DeviceGroup:
             interconnect = Interconnect.preset(interconnect)
         self.interconnect = interconnect
 
-        members: List[DeviceSimulator]
         if isinstance(devices, int):
-            if devices < 1:
-                raise ValueError("a device group needs at least one device")
             if isinstance(spec, (list, tuple)):
                 if len(spec) != devices:
                     raise ValueError(
                         f"got {len(spec)} specs for {devices} devices; "
                         f"heterogeneous groups need exactly one spec per device"
                     )
-                specs = [_resolve_spec(s) for s in spec]
+                devices = spec
             else:
-                specs = [_resolve_spec(spec)] * devices
+                devices = [spec] * devices
+        items = list(devices)
+        if not items:
+            raise ValueError("a device group needs at least one device")
+        members: List[DeviceSimulator]
+        if any(isinstance(d, DeviceSimulator) for d in items):
+            if not all(isinstance(d, DeviceSimulator) for d in items):
+                raise TypeError(
+                    "a device group takes either DeviceSimulators or "
+                    "specs/preset names, not a mixture"
+                )
+            # adopted simulators are NOT mutated (their owner may still
+            # read their counters or adopt them elsewhere); the group
+            # addresses members by position
+            members = items
+        else:
+            # DeviceSimulator resolves preset names itself
             members = [
                 DeviceSimulator(
                     spec=s,
                     schedule_table=schedule_table,
                     default_schedule_quality=default_schedule_quality,
-                    device_id=i,
                 )
-                for i, s in enumerate(specs)
+                for s in items
             ]
-        else:
-            items = list(devices)
-            if not items:
-                raise ValueError("a device group needs at least one device")
-            if any(isinstance(d, DeviceSimulator) for d in items):
-                if not all(isinstance(d, DeviceSimulator) for d in items):
-                    raise TypeError(
-                        "a device group takes either DeviceSimulators or "
-                        "specs/preset names, not a mixture"
-                    )
-                # adopted simulators are NOT mutated (they may still back a
-                # standalone runtime elsewhere); the group addresses members
-                # by position, so their own device_id is irrelevant here
-                members = items
-            else:
-                members = [
-                    DeviceSimulator(
-                        spec=_resolve_spec(s),
-                        schedule_table=schedule_table,
-                        default_schedule_quality=default_schedule_quality,
-                        device_id=i,
-                    )
-                    for i, s in enumerate(items)
-                ]
         self.devices: List[DeviceSimulator] = members
 
     @classmethod
     def coerce(
         cls,
-        devices: Union[int, Sequence[SpecLike], Sequence[DeviceSimulator], "DeviceGroup"],
+        devices: Union[
+            None, int, Sequence[SpecLike], Sequence[DeviceSimulator], DeviceSimulator, "DeviceGroup"
+        ] = None,
         *,
         spec: Union[SpecLike, Sequence[SpecLike], None] = None,
         interconnect: Union[Interconnect, str, None] = None,
         schedule_table: Optional[Dict[str, float]] = None,
         default_schedule_quality: float = 0.9,
     ) -> "DeviceGroup":
-        """Normalize a ``devices=`` argument into a group: an existing group
-        is adopted as-is, anything else goes through the constructor.  The
-        single coercion point for every layer accepting ``devices=``.
+        """Normalize a ``device=`` argument into a group: an existing group
+        is adopted as-is, a bare :class:`DeviceSimulator` becomes the
+        one-member group adopting it (unmutated: the caller keeps reading
+        its counters), ``None`` a fresh one-member group, and anything else
+        goes through the constructor.  The single coercion point for every
+        layer accepting ``device=``.
 
         ``interconnect=None`` means "the pcie default" when building a new
         group; an *explicit* interconnect combined with an already built
@@ -167,9 +154,13 @@ class DeviceGroup:
                     "so its kernels would silently run at "
                     "default_schedule_quality); build the group with "
                     "DeviceGroup(n, schedule_table=model.schedule_table) or "
-                    "pass devices as an int / spec list instead"
+                    "pass device as an int / spec list instead"
                 )
             return devices
+        if devices is None:
+            devices = 1
+        elif isinstance(devices, DeviceSimulator):
+            devices = [devices]
         return cls(
             devices,
             spec=spec,
@@ -188,7 +179,7 @@ class DeviceGroup:
     def __iter__(self) -> Iterator[DeviceSimulator]:
         return iter(self.devices)
 
-    # -- Device protocol -------------------------------------------------------
+    # -- device surface --------------------------------------------------------
     @property
     def num_devices(self) -> int:
         return len(self.devices)
@@ -198,10 +189,6 @@ class DeviceGroup:
         """The primary (device-0) spec; placement heuristics read cost-model
         parameters here."""
         return self.devices[0].spec
-
-    @property
-    def schedule_table(self) -> Dict[str, float]:
-        return self.devices[0].schedule_table
 
     def device_for(self, index: int) -> DeviceSimulator:
         try:
@@ -246,8 +233,7 @@ class DeviceGroup:
         return merged
 
     def per_device_dicts(self) -> List[Dict[str, float]]:
-        # keyed by position in the group: adopted simulators keep their own
-        # device_id untouched, and placement indices are positional anyway
+        # keyed by position in the group, as placement indices are
         return [
             {"device": float(i), **d.counters.as_dict()}
             for i, d in enumerate(self.devices)

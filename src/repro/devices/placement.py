@@ -46,7 +46,7 @@ from ..utils import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernels.batched import BlockKernel
-    from .device import Device
+    from .group import DeviceGroup
 
 PlacementFactory = Callable[..., "PlacementPolicy"]
 
@@ -62,7 +62,7 @@ class PlacementPolicy:
     def place_round(
         self,
         batches: List[ScheduledBatch],
-        group: "Device",
+        group: "DeviceGroup",
         kernels: Dict[int, "BlockKernel"],
     ) -> List[ScheduledBatch]:
         """Return the round's batches with device indices assigned.
@@ -155,7 +155,7 @@ class RoundRobinPlacement(PlacementPolicy):
     def place_round(
         self,
         batches: List[ScheduledBatch],
-        group: "Device",
+        group: "DeviceGroup",
         kernels: Dict[int, "BlockKernel"],
     ) -> List[ScheduledBatch]:
         n = group.num_devices
@@ -244,7 +244,7 @@ class DataParallelPlacement(PlacementPolicy):
     def place_round(
         self,
         batches: List[ScheduledBatch],
-        group: "Device",
+        group: "DeviceGroup",
         kernels: Dict[int, "BlockKernel"],
     ) -> List[ScheduledBatch]:
         n = group.num_devices
@@ -303,7 +303,7 @@ class DataParallelPlacement(PlacementPolicy):
     def _num_shards(
         self,
         batch: ScheduledBatch,
-        group: "Device",
+        group: "DeviceGroup",
         kernels: Dict[int, "BlockKernel"],
     ) -> int:
         size = batch.size

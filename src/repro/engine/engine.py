@@ -16,9 +16,10 @@ Front-ends supply a :class:`ProgramBinding` that knows how to wire a runtime
 into the program and return a per-instance entry callable; they shrink to
 thin adapters.  :meth:`ExecutionEngine.session` opens a persistent
 :class:`~repro.serve.session.InferenceSession` that batches *across*
-independently submitted requests.  ``devices=``/``placement=`` back the
-engine with a :class:`~repro.devices.group.DeviceGroup` instead of a single
-simulator and shard each scheduled round across it.
+independently submitted requests.  Every engine charges a
+:class:`~repro.devices.group.DeviceGroup` (one simulator is the one-member
+group); ``device=N``/``placement=`` shard each scheduled round across N
+members.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import time
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..runtime.device import DeviceSimulator, GPUSpec
+from ..devices.group import DeviceGroup
+from ..runtime.device import GPUSpec
 from ..runtime.executor import AcrobatRuntime, ExecutionOptions, RunStats
 from ..runtime.fibers import FiberScheduler
 from ..runtime.profiler import ActivityProfiler
@@ -96,12 +98,11 @@ class ExecutionEngine:
         options: Optional[ExecutionOptions] = None,
         *,
         policy: Optional[str] = None,
-        device: Optional[DeviceSimulator] = None,
+        device: Any = None,
         gpu_spec: Optional[GPUSpec] = None,
         schedule_table: Optional[Dict[str, float]] = None,
         default_schedule_quality: float = 0.9,
         profiler: Optional[ActivityProfiler] = None,
-        devices: Any = None,
         placement: Any = None,
         placement_args: Optional[Dict[str, Any]] = None,
         interconnect: Any = None,
@@ -114,25 +115,11 @@ class ExecutionEngine:
         if placement is not None and isinstance(placement, str):
             options = replace(options, placement=placement)
         self.options = options
-        if devices is not None:
-            # multi-device execution: build (or adopt) a device group
-            from ..devices.group import DeviceGroup
-
-            if device is not None:
-                raise ValueError(
-                    "pass either an explicit device or a devices= count/spec "
-                    "list, not both (wrap your devices in a DeviceGroup and "
-                    "pass it as device= instead)"
-                )
-            device = DeviceGroup.coerce(
-                devices,
-                spec=gpu_spec,
-                interconnect=interconnect,
-                schedule_table=schedule_table,
-                default_schedule_quality=default_schedule_quality,
-            )
-        self.device = device or DeviceSimulator(
+        #: the device group this engine charges (see DeviceGroup.coerce)
+        self.device = DeviceGroup.coerce(
+            device,
             spec=gpu_spec,
+            interconnect=interconnect,
             schedule_table=schedule_table,
             default_schedule_quality=default_schedule_quality,
         )
@@ -189,8 +176,8 @@ class ExecutionEngine:
 
     @property
     def num_devices(self) -> int:
-        """How many devices back this engine (1 for a standalone simulator)."""
-        return getattr(self.device, "num_devices", 1)
+        """How many members the engine's device group has."""
+        return self.device.num_devices
 
     @property
     def placement(self) -> Optional[Any]:
@@ -301,13 +288,12 @@ class EngineModel:
 
     def session(
         self,
-        device: Optional[DeviceSimulator] = None,
+        device: Any = None,
         scheduler: Optional[str] = None,
         *,
         flush_policy: Any = None,
         flush_args: Optional[Dict[str, Any]] = None,
         clock: Any = None,
-        devices: Any = None,
         placement: Any = None,
         placement_args: Optional[Dict[str, Any]] = None,
         interconnect: Any = None,
@@ -320,13 +306,12 @@ class EngineModel:
         with the flush-policy registry); ``flush_policy``/``flush_args``
         select the session's *flush* policy (see :mod:`repro.serve.policy`),
         e.g. ``flush_policy="size", flush_args={"n": 8}``.
-        ``devices``/``placement``/``placement_args``/``interconnect`` shard
+        ``device``/``placement``/``placement_args``/``interconnect`` shard
         the session over a device group (see :meth:`make_engine`).
         """
         return self.make_engine(
             device,
             scheduler,
-            devices=devices,
             placement=placement,
             placement_args=placement_args,
             interconnect=interconnect,
@@ -337,9 +322,8 @@ class EngineModel:
         policy: Any = "adaptive",
         *,
         clock: Any = None,
-        device: Optional[DeviceSimulator] = None,
+        device: Any = None,
         scheduler: Optional[str] = None,
-        devices: Any = None,
         placement: Any = None,
         placement_args: Optional[Dict[str, Any]] = None,
         interconnect: Any = None,
@@ -352,16 +336,15 @@ class EngineModel:
         flush policy (by registry name or instance, with ``policy_args``)
         decides when the accumulated requests execute as one batched round.
         ``scheduler`` optionally overrides the scheduler-policy name and
-        ``clock`` the session's time source; ``devices``/``placement``/
+        ``clock`` the session's time source; ``device``/``placement``/
         ``placement_args``/``interconnect`` shard the session over a device
-        group (see :meth:`make_engine`) — ``serve("adaptive", devices=4,
+        group (see :meth:`make_engine`) — ``serve("adaptive", device=4,
         placement="round_robin")`` serves one model across four simulated
         GPUs.
         """
         return self.make_engine(
             device,
             scheduler,
-            devices=devices,
             placement=placement,
             placement_args=placement_args,
             interconnect=interconnect,
@@ -370,7 +353,7 @@ class EngineModel:
     def run(
         self,
         instances: Sequence[Any],
-        device: Optional[DeviceSimulator] = None,
+        device: Any = None,
     ) -> Tuple[List[Any], RunStats]:
         """Run one mini-batch.
 
@@ -381,8 +364,9 @@ class EngineModel:
             name to value, or the bare value when ``main`` has a single
             per-instance input.
         device:
-            Optional externally constructed device simulator (lets callers
-            share schedule tables across runs).
+            Optional externally constructed device simulator or group (lets
+            callers share schedule tables across runs and read the
+            simulator's own counters afterwards).
 
         Returns
         -------

@@ -118,7 +118,7 @@ def run(
             "adaptive",
             host_model=HOST_MODEL,
             server_args={
-                "devices": DEVICES,
+                "device": DEVICES,
                 "topology": topology,
                 "topology_args": topology_args,
                 "max_pending": MAX_PENDING,

@@ -44,8 +44,8 @@ class Row:
     #: continuous batching (True) or the caller-driven choreography
     continuous: bool = True
     host_model: Optional[Tuple[float, float]] = None
-    #: keyword arguments of ``Server`` (never device instances: every
-    #: replay builds its own devices)
+    #: keyword arguments of ``Server`` (a device member count, never device
+    #: instances: every replay builds its own devices)
     server_args: Dict[str, Any] = field(default_factory=dict)
 
 

@@ -103,8 +103,6 @@ HOST_MODEL = (2.0, 0.75)
 def _counters_sum_ok(history) -> bool:
     """Every flush's per-device counters must sum to the group totals."""
     for stats in history:
-        if not stats.per_device:
-            continue
         total = sum(d.get("total_device_us", 0.0) for d in stats.per_device)
         launches = sum(d.get("num_kernel_launches", 0) for d in stats.per_device)
         if abs(total - stats.device.get("total_device_us", 0.0)) > 1e-6:
@@ -129,9 +127,6 @@ def _busy_balance(history) -> Tuple[float, int]:
         for d in stats.per_device:
             idx = int(d.get("device", 0))
             busy[idx] = busy.get(idx, 0.0) + d.get("total_device_us", 0.0)
-    if not busy:
-        # single-simulator session: no per-device breakdown, one device busy
-        return 1.0, 1
     active = [b for b in busy.values() if b > 0.0]
     if len(active) <= 1:
         return 1.0, len(active)
@@ -169,7 +164,7 @@ def run(
                     continuous=False,
                     host_model=HOST_MODEL,
                     server_args={
-                        "devices": devices,
+                        "device": devices,
                         "gpu_spec": EDGE_SPEC,
                         "interconnect": INTERCONNECT,
                         "placement": placement,

@@ -95,7 +95,7 @@ from .arena import StorageArena, next_arena_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernels.batched import BlockKernel
-    from ..runtime.device import DeviceSimulator
+    from ..devices.group import DeviceGroup
     from ..runtime.scheduler import ScheduledBatch
 
 
@@ -336,7 +336,7 @@ class MemoryPlanner:
         self,
         plan: BatchPlan,
         kernel: "BlockKernel",
-        device: "DeviceSimulator",
+        device: "DeviceGroup",
         options: Any,
     ) -> List[BatchedOperand]:
         """Turn a batch plan into kernel operands, charging the device.
@@ -551,7 +551,7 @@ class MemoryPlanner:
         self,
         plan: BatchPlan,
         outputs: List[BatchedOutput],
-        device: "DeviceSimulator",
+        device: "DeviceGroup",
     ) -> List[StorageArena]:
         """Store a batch's outputs into arenas under the planned ids and
         point every row's output at its arena instance (two attribute stores

@@ -19,12 +19,12 @@ hinges on:
 Host-side time (DFG construction, scheduling) is *not* simulated — it is
 measured as real Python wall-clock by :mod:`repro.runtime.profiler`.
 
-A standalone :class:`DeviceSimulator` is also the degenerate one-member
-case of the multi-device surface in :mod:`repro.devices`: it exposes the
-same :class:`~repro.devices.device.Device` protocol a
-:class:`~repro.devices.group.DeviceGroup` does (``device_for``,
-``peer_transfer``, ``counters_dict``...), so every layer above charges
-devices uniformly whether there is one or many.
+A :class:`DeviceSimulator` charges one accelerator and nothing more.  The
+runtime, memory planner and serving layer never hold one directly: they
+hold a :class:`~repro.devices.group.DeviceGroup`, and a bare simulator
+handed to them is adopted, unmutated, as a one-member group
+(:meth:`~repro.devices.group.DeviceGroup.coerce`), so its own counters
+still show everything charged to it.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class DeviceCounters:
     memcpy_time_us: float = 0.0
     api_time_us: float = 0.0
     #: time spent receiving peer (device-to-device) transfers over the
-    #: group's interconnect; zero on a standalone single device
+    #: group's interconnect; zero in a one-member group
     peer_time_us: float = 0.0
     num_kernel_launches: int = 0
     num_gather_launches: int = 0
@@ -196,17 +196,20 @@ class DeviceCounters:
         per-kernel launch tally) merge by key.
         """
         merged = cls()
-        numeric = [
-            f.name for f in fields(cls) if f.type in ("float", "int", float, int)
-        ]
         for c in parts:
-            for name in numeric:
+            for name in _NUMERIC_COUNTERS:
                 setattr(merged, name, getattr(merged, name) + getattr(c, name))
             for kernel_name, n in c.launches_by_kernel.items():
                 merged.launches_by_kernel[kernel_name] = (
                     merged.launches_by_kernel.get(kernel_name, 0) + n
                 )
         return merged
+
+
+#: the summed (numeric) fields of :class:`DeviceCounters`, resolved once
+_NUMERIC_COUNTERS = tuple(
+    f.name for f in fields(DeviceCounters) if f.type in ("float", "int", float, int)
+)
 
 
 class DeviceSimulator:
@@ -217,14 +220,10 @@ class DeviceSimulator:
         spec: Optional[GPUSpec] = None,
         schedule_table: Optional[Dict[str, float]] = None,
         default_schedule_quality: float = 0.9,
-        device_id: int = 0,
     ) -> None:
         if isinstance(spec, str):
             spec = GPUSpec.preset(spec)
         self.spec = spec or GPUSpec()
-        #: index of this device within its :class:`~repro.devices.DeviceGroup`
-        #: (0 for a standalone device)
-        self.device_id = device_id
         #: per-kernel schedule quality in (0, 1]; produced by the
         #: auto-scheduler (§C.1), higher is better.
         self.schedule_table: Dict[str, float] = dict(schedule_table or {})
@@ -245,55 +244,6 @@ class DeviceSimulator:
         #: several times the lookup they protect.
         self._host_resident: Dict[int, "weakref.ref"] = {}
         self._host_sweep_at = _HOST_SWEEP_MIN
-
-    # -- device-protocol surface ----------------------------------------------
-    # A standalone simulator is the degenerate one-member device group; these
-    # methods let the runtime, planner and serving layer treat a single
-    # DeviceSimulator and a DeviceGroup uniformly (repro.devices.Device).
-    @property
-    def num_devices(self) -> int:
-        return 1
-
-    def device_for(self, index: int) -> "DeviceSimulator":
-        """The member device a batch placed on ``index`` executes on."""
-        if index != self.device_id:
-            raise IndexError(
-                f"batch placed on device {index}, but this runtime owns only "
-                f"device {self.device_id}; pass a DeviceGroup for multi-device "
-                f"placement"
-            )
-        return self
-
-    def peer_transfer(self, src: int, dst: int, nbytes: float) -> float:
-        """Charge a device-to-device transfer; free when src == dst (a
-        standalone device has no peers to transfer from)."""
-        if src == dst:
-            return 0.0
-        raise RuntimeError(
-            f"cross-device transfer {src}->{dst} requested on a standalone "
-            f"DeviceSimulator; multi-device placement needs a DeviceGroup"
-        )
-
-    def counters_dict(self) -> Dict[str, float]:
-        """Aggregate counters as reported in ``RunStats.device``."""
-        return self.counters.as_dict()
-
-    def per_device_dicts(self) -> "List[Dict[str, float]]":
-        """Per-member counter breakdown; empty for a standalone device (the
-        aggregate *is* the single device)."""
-        return []
-
-    def device_summary(self) -> Dict[str, object]:
-        """Utilization summary in the shape :meth:`DeviceGroup.device_summary`
-        reports for groups."""
-        busy = self.counters.total_device_us
-        return {
-            "count": 1,
-            "active_devices": 1 if busy > 0 else 0,
-            "busy_us": [busy],
-            "utilization": [1.0 if busy > 0 else 0.0],
-            "balance": 1.0,
-        }
 
     # -- configuration --------------------------------------------------------
     def set_schedule_quality(self, kernel_name: str, quality: float) -> None:

@@ -33,8 +33,8 @@ prefix, and its remaining rows move to a fresh column that stays pending.
 
 Host-side work (graph construction, scheduling, memory planning, operand
 dispatch, output materialization) is measured as real wall-clock time;
-device-side work is charged to the
-:class:`~repro.runtime.device.DeviceSimulator`.
+device-side work is charged to the runtime's
+:class:`~repro.devices.group.DeviceGroup`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import numpy as np
 
 from ..kernels.batched import BlockKernel
 from ..memory.planner import BatchPlan, MemoryPlanner, OperandKind
-from .device import DeviceSimulator
 from .profiler import ActivityProfiler
 from .scheduler import ScheduledBatch, Span
 from .tensor import Column, LazyTensor
@@ -78,8 +77,8 @@ class ExecutionOptions:
     #: placement-policy name, resolved through the registry in
     #: :mod:`repro.devices.placement` ("single", "round_robin",
     #: "data_parallel"); None keeps every batch on the primary device.
-    #: Only meaningful when the runtime's device is a
-    #: :class:`~repro.devices.group.DeviceGroup` with more than one member.
+    #: Only meaningful when the runtime's
+    #: :class:`~repro.devices.group.DeviceGroup` has more than one member.
     placement: Optional[str] = None
     #: extra keyword arguments forwarded to the placement-policy factory
     placement_args: Dict[str, Any] = field(default_factory=dict)
@@ -103,10 +102,10 @@ class RunStats:
     #: always empty; kept only because the wall-clock benchmark (``bench/``)
     #: still reads it
     specialize: Dict[str, float] = field(default_factory=dict)
-    #: per-device counter breakdown when the runtime drives a
-    #: :class:`~repro.devices.group.DeviceGroup` (one dict per member, with
-    #: a ``device`` index key); empty for a standalone device, whose
-    #: aggregate ``device`` dict *is* the single device's counters
+    #: per-device counter breakdown of the runtime's
+    #: :class:`~repro.devices.group.DeviceGroup`: one dict per member, with
+    #: a ``device`` index key, always (a one-member group has one entry);
+    #: empty only for stats no runtime produced (the Cortex baseline)
     per_device: List[Dict[str, float]] = field(default_factory=list)
     num_dfg_nodes: int = 0
     num_batches: int = 0
@@ -185,18 +184,20 @@ class AcrobatRuntime:
         self,
         kernels: Dict[int, BlockKernel],
         options: Optional[ExecutionOptions] = None,
-        device: Optional[DeviceSimulator] = None,
+        device: Any = None,
         profiler: Optional[ActivityProfiler] = None,
         scheduler: Optional[Any] = None,
         placement: Optional[Any] = None,
     ) -> None:
+        from ..devices.group import DeviceGroup
+
         self.kernels = kernels
         self.options = options or ExecutionOptions()
-        #: the accelerator this runtime charges: a single
-        #: :class:`~repro.runtime.device.DeviceSimulator` or a
-        #: :class:`~repro.devices.group.DeviceGroup` (both satisfy the
-        #: :class:`~repro.devices.device.Device` protocol)
-        self.device = device or DeviceSimulator()
+        #: the accelerators this runtime charges, always a
+        #: :class:`~repro.devices.group.DeviceGroup` (anything
+        #: :meth:`~repro.devices.group.DeviceGroup.coerce` takes is adopted
+        #: as one; a single simulator is the one-member group)
+        self.device = DeviceGroup.coerce(device)
         self.profiler = profiler or ActivityProfiler()
         self.planner = MemoryPlanner(gather_fusion=self.options.gather_fusion)
         #: the pending graph: ``(phase, depth, block_id) -> Column`` (see the

@@ -348,7 +348,10 @@ class ServeLoop:
     def drain(self) -> None:
         """Flush every backlog and wait until all requests admitted so far
         have completed.  Without a running loop there is nothing admitted
-        to wait for: it returns at once (re-raising a dead loop's error)."""
+        to wait for: it returns at once (re-raising a dead loop's error).
+        Raises :class:`RuntimeError` on the loop's own thread (a done
+        callback, say), which would wait for itself."""
+        self.refuse_own_thread("drain")
         with self._cond:
             target = self._admit_seq
             entry_pass = self._pass_count
@@ -370,7 +373,10 @@ class ServeLoop:
     def shutdown(self) -> None:
         """Graceful stop: drain, then stop and join the loop thread.  A
         no-op when the loop never started; after a shutdown, ``submit``
-        raises :class:`LoopStopped` until the loop is started again."""
+        raises :class:`LoopStopped` until the loop is started again.
+        Raises :class:`RuntimeError`, changing nothing, on the loop's own
+        thread: the loop cannot join itself."""
+        self.refuse_own_thread("shutdown")
         if self.running:
             try:
                 self.drain()
@@ -381,6 +387,15 @@ class ServeLoop:
                 self._thread.join()
         self._fail_queued(LoopStopped("serve loop shut down"))
         self._raise_if_dead()
+
+    def refuse_own_thread(self, what: str) -> None:
+        """Raise :class:`RuntimeError` when called on this loop's thread."""
+        if threading.current_thread() is self._thread:
+            raise RuntimeError(
+                f"{what}() called on the serve loop's own thread (from a done "
+                "callback?) would wait for the loop it blocks; call it from "
+                "another thread"
+            )
 
     def _raise_if_dead(self) -> None:
         if self._error is not None:

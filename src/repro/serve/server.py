@@ -2,9 +2,8 @@
 
 A production deployment rarely serves a single model.  :class:`Server`
 multiplexes several compiled models behind named :class:`Endpoint`\\ s that
-share one accelerator — a single
-:class:`~repro.runtime.device.DeviceSimulator` or, with ``devices=N``, a
-:class:`~repro.devices.group.DeviceGroup` sharded by a placement policy —
+share one :class:`~repro.devices.group.DeviceGroup` — one accelerator by
+default, or with ``device=N`` N members sharded by a placement policy —
 and one :class:`~repro.serve.clock.Clock`: each endpoint owns a
 policy-driven :class:`~repro.serve.session.InferenceSession` over its
 model, and requests are routed by endpoint name.
@@ -35,7 +34,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..runtime.device import DeviceSimulator, GPUSpec
+from ..devices.group import DeviceGroup
+from ..runtime.device import GPUSpec
 from .clock import Clock, WallClock
 from .loop import ServeLoop
 from .policy import FlushPolicy
@@ -109,12 +109,12 @@ class Endpoint:
                 )
         replicas = []
         for dev in complements:
-            multi = getattr(dev, "num_devices", 1) > 1
+            multi = dev.num_devices > 1
             engine = self.model.make_engine(
                 device=dev,
                 scheduler=self._scheduler,
                 # a single-member slice has nothing to shard: placement only
-                # rides along when the complement is itself a group
+                # rides along when the complement has several members
                 placement=self._placement if multi else None,
             )
             replicas.append(
@@ -206,10 +206,13 @@ class Server:
     """Routes requests to named endpoints sharing one device (group) and
     clock.
 
-    ``devices`` turns on multi-device serving: an integer count, a list of
-    :class:`GPUSpec`/preset names (heterogeneous groups), or a ready
-    :class:`~repro.devices.group.DeviceGroup`; endpoints then shard their
-    flush batches across the group under ``placement`` (a
+    ``device`` is anything :meth:`DeviceGroup.coerce
+    <repro.devices.group.DeviceGroup.coerce>` takes: a
+    :class:`~repro.runtime.device.DeviceSimulator` (the one-member group
+    adopting it), a ready :class:`~repro.devices.group.DeviceGroup`, an
+    integer member count or a list of :class:`GPUSpec`/preset names
+    (heterogeneous groups).  With more than one member, endpoints shard
+    their flush batches across the group under ``placement`` (a
     :mod:`repro.devices.placement` registry name or instance, default
     ``round_robin``), and cross-device operand traffic is priced by
     ``interconnect`` (``"pcie"``/``"nvlink"`` or an
@@ -230,11 +233,10 @@ class Server:
 
     def __init__(
         self,
-        device: Optional[DeviceSimulator] = None,
+        device: Any = None,
         clock: Optional[Clock] = None,
         gpu_spec: Optional[GPUSpec] = None,
         *,
-        devices: Any = None,
         placement: Any = None,
         interconnect: Union[str, Any, None] = None,
         max_pending: Optional[int] = None,
@@ -242,17 +244,7 @@ class Server:
         topology: Union[str, LoopTopology] = "single",
         topology_args: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if devices is not None:
-            from ..devices.group import DeviceGroup
-
-            if device is not None:
-                raise ValueError(
-                    "pass either an explicit device or devices=, not both "
-                    "(wrap your devices in a DeviceGroup and pass it as "
-                    "device= instead)"
-                )
-            device = DeviceGroup.coerce(devices, spec=gpu_spec, interconnect=interconnect)
-        self.device = device or DeviceSimulator(spec=gpu_spec)
+        self.device = DeviceGroup.coerce(device, spec=gpu_spec, interconnect=interconnect)
         if placement is not None and not isinstance(placement, str):
             # placement instances are stateful (e.g. data_parallel's learned
             # per-block work keyed by block id) and belong to exactly one
@@ -285,7 +277,7 @@ class Server:
 
     @property
     def num_devices(self) -> int:
-        return getattr(self.device, "num_devices", 1)
+        return self.device.num_devices
 
     def _loops(self) -> List[ServeLoop]:
         """Every serve loop of the (materialized) topology; just the
@@ -497,13 +489,20 @@ class Server:
         """Flush every backlog and wait for all admitted requests to
         complete; returns at once when no loop is running (nothing can be
         admitted then)."""
-        for loop in self._loops():
+        loops = self._loops()
+        for loop in loops:
+            loop.refuse_own_thread("drain")
+        for loop in loops:
             loop.drain()
 
     def shutdown(self) -> None:
-        """Drain, then stop the serving loop(s) (no-op if never run)."""
+        """Drain, then stop the serving loop(s) (no-op if never run).
+        Refused, stopping nothing, on any loop's own thread."""
+        loops = self._loops()
+        for loop in loops:
+            loop.refuse_own_thread("shutdown")
         first: Optional[BaseException] = None
-        for loop in self._loops():
+        for loop in loops:
             try:
                 loop.shutdown()
             except BaseException as exc:

@@ -409,20 +409,21 @@ class InferenceSession:
             return None
         # a capping policy flushes the *oldest-cap* prefix and leaves the
         # overflow pending as the next round's prefix — request boundaries
-        # are sequence boundaries, so the prefix is one sequence cut
+        # are sequence boundaries, so the prefix is one sequence cut (a
+        # fiber session records no rows before its flush: its prefix is
+        # just the oldest-cap instances)
         cap: Optional[int] = None
         seq_cut: Optional[int] = None
-        if not self._deferred:
-            requested = self.policy.round_cap(self)
-            if requested is not None and 0 < requested < len(self._pending):
-                cap = requested
+        requested = self.policy.round_cap(self)
+        if requested is not None and 0 < requested < len(self._pending):
+            cap = requested
+            if not self._deferred:
                 seq_cut = self._seq_ends[cap - 1]
         saved_ends = self._seq_ends
         if cap is not None:
             pending = self._pending[:cap]
             self._pending = self._pending[cap:]
-            if not self._deferred:
-                self._pending_instances = self._pending_instances[cap:]
+            self._pending_instances = self._pending_instances[cap:]
             # leftover rows keep their sequence numbers across the cut
             self._seq_ends = saved_ends[cap:]
             # the leftover prefix anchors the next round's deadline at its
@@ -564,7 +565,7 @@ class InferenceSession:
         """Per-member device shares of the flushed round, in device order —
         what :meth:`DeviceTimeline.launch_round` occupies lane by lane.
         None (meaning: use the aggregate :meth:`DeviceTimeline.launch`) for
-        standalone devices and single-lane timelines, which keeps
+        one-member groups and single-lane timelines, which keeps
         single-device traces bit-identical to the aggregate-timeline era.
         Valid because the flush reset the device counters at its start, so
         ``stats.per_device`` is exactly this round's breakdown."""

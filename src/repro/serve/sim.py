@@ -98,7 +98,7 @@ class _LoopState:
         # rounds overlap lane-wise (single-device traces keep one lane)
         lanes = 1
         for session in self.sessions.values():
-            lanes = max(lanes, getattr(session.engine, "num_devices", 1))
+            lanes = max(lanes, session.engine.num_devices)
         self.timeline = DeviceTimeline(start=start, num_devices=lanes)
         #: the host lane: when this loop's host finishes its flush work
         self.busy_until = float(start)

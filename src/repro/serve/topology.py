@@ -140,30 +140,23 @@ class SingleTopology(LoopTopology):
 
 
 def _fresh_complement(server: Any, width: int) -> Any:
-    """A fresh device (group) mirroring the server's members: same specs
-    and schedule table, its *own* simulators — so loops running in their
-    own threads never race a shared simulator's counters."""
+    """A fresh device group mirroring the server's members: same specs,
+    schedule table and interconnect, its *own* simulators — so loops
+    running in their own threads never race a shared simulator's
+    counters."""
     from ..devices.group import DeviceGroup
-    from ..runtime.device import DeviceSimulator
 
-    device = server.device
-    members = list(device.devices) if hasattr(device, "devices") else [device]
-    specs = [m.spec for m in members]
+    group = server.device
+    specs = [m.spec for m in group.devices]
     if len(specs) != width:
         specs = [specs[0]] * width
-    table = members[0].schedule_table or None
-    quality = getattr(members[0], "default_schedule_quality", 0.9)
-    if width == 1:
-        return DeviceSimulator(
-            spec=specs[0], schedule_table=table, default_schedule_quality=quality
-        )
-    interconnect = getattr(device, "interconnect", "pcie")
+    primary = group.devices[0]
     return DeviceGroup(
         width,
         spec=specs,
-        interconnect=interconnect,
-        schedule_table=table,
-        default_schedule_quality=quality,
+        interconnect=group.interconnect,
+        schedule_table=primary.schedule_table or None,
+        default_schedule_quality=primary.default_schedule_quality,
     )
 
 
@@ -187,7 +180,7 @@ class PerDeviceTopology(LoopTopology):
         from ..devices.group import DeviceGroup
 
         group = server.device
-        n = getattr(group, "num_devices", 1)
+        n = group.num_devices
         k = self.members_per_loop
         if n % k:
             raise ValueError(

@@ -41,7 +41,7 @@ from ..ir.module import IRModule
 from ..kernels.batched import BlockKernel
 from ..kernels.block import single_op_block
 from ..kernels.registry import get_op
-from ..runtime.device import DeviceSimulator, GPUSpec
+from ..runtime.device import GPUSpec
 from ..runtime.executor import AcrobatRuntime, ExecutionOptions, RunStats
 from ..runtime.fibers import FiberScheduler
 from ..runtime.tensor import LazyTensor, materialize_value
@@ -236,10 +236,9 @@ class VMModel(EngineModel):
 
     def make_engine(
         self,
-        device: Optional[DeviceSimulator] = None,
+        device: Any = None,
         scheduler: Optional[str] = None,
         *,
-        devices: Any = None,
         placement: Any = None,
         placement_args: Optional[Dict[str, Any]] = None,
         interconnect: Any = None,
@@ -248,7 +247,7 @@ class VMModel(EngineModel):
 
         Kernels start empty: the interpreter creates single-operator blocks
         on demand and installs them into the engine's runtime.
-        ``devices``/``placement``/``interconnect`` shard execution over a
+        ``device``/``placement``/``interconnect`` shard execution over a
         device group exactly as :meth:`CompiledModel.make_engine` does.
         """
         return ExecutionEngine(
@@ -261,7 +260,6 @@ class VMModel(EngineModel):
             ),
             device=device,
             gpu_spec=self.gpu_spec,
-            devices=devices,
             placement=placement,
             placement_args=placement_args,
             interconnect=interconnect,

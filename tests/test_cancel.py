@@ -71,7 +71,7 @@ class TestSessionCancel:
         classification all match a session that never admitted it."""
         _, _, instances, _ = treelstm_setup
         kwargs = (
-            {"devices": 4, "placement": "data_parallel"} if devices == 4 else {}
+            {"device": 4, "placement": "data_parallel"} if devices == 4 else {}
         )
 
         def drive(cancel):

@@ -152,7 +152,8 @@ class TestDeviceGroup:
         group = DeviceGroup(3, spec="laptop")
         assert len(group) == 3
         assert group.num_devices == 3
-        assert [d.device_id for d in group] == [0, 1, 2]
+        # members are addressed by position
+        assert [group.device_for(i) for i in range(3)] == list(group)
         assert group.device_for(2) is group[2]
         assert group.spec.name == "simulated-laptop"
 
@@ -170,13 +171,15 @@ class TestDeviceGroup:
 
     def test_adopts_existing_simulators_without_mutating(self):
         sims = [DeviceSimulator(), DeviceSimulator()]
+        before = [dict(vars(sim)) for sim in sims]
         group = DeviceGroup(sims)
         assert group[0] is sims[0]
-        # adoption must not touch the simulators: they may still back a
-        # standalone runtime that addresses them as device 0
-        assert sims[1].device_id == 0
-        assert sims[1].device_for(0) is sims[1]
-        # the group reports members by position regardless
+        # adoption must not touch the simulators: their owner still reads
+        # their own counters and may adopt them elsewhere
+        for sim, attrs in zip(sims, before):
+            assert vars(sim).keys() == attrs.keys()
+            assert all(vars(sim)[k] is v for k, v in attrs.items())
+        # the group reports members by position
         assert [d["device"] for d in group.per_device_dicts()] == [0.0, 1.0]
 
     def test_mixed_simulators_and_specs_rejected(self):
@@ -211,10 +214,18 @@ class TestDeviceGroup:
         assert group.counters.num_peer_transfers == 0
 
     def test_single_simulator_rejects_peers(self):
+        """A bare simulator is the one-member group: it owns device 0 only,
+        so it has no peer to transfer from or to."""
         sim = DeviceSimulator()
-        assert sim.peer_transfer(0, 0, 100.0) == 0.0
-        with pytest.raises(RuntimeError, match="DeviceGroup"):
-            sim.peer_transfer(0, 1, 100.0)
+        group = DeviceGroup.coerce(sim)
+        assert group.devices == [sim]
+        assert group.peer_transfer(0, 0, 100.0) == 0.0
+        with pytest.raises(IndexError, match="owns 1 devices"):
+            group.device_for(1)
+        for src, dst in ((0, 1), (1, 0)):
+            with pytest.raises(IndexError, match="owns 1 devices"):
+                group.peer_transfer(src, dst, 100.0)
+        assert sim.counters.num_peer_transfers == 0
 
     def test_counters_aggregate_and_elapsed(self):
         group = DeviceGroup(2)
@@ -519,7 +530,7 @@ class TestMultiDeviceEquivalence:
     @pytest.mark.parametrize("devices", [2, 4])
     def test_reference_identical(self, model_name, placement, devices, request):
         compiled, instances, reference = request.getfixturevalue(model_name)
-        engine = compiled.make_engine(devices=devices, placement=placement)
+        engine = compiled.make_engine(device=devices, placement=placement)
         outputs, stats = engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
         _assert_counters_sum(stats)
@@ -531,7 +542,7 @@ class TestMultiDeviceEquivalence:
         """Every scheduler policy's batches shard over the whole group with
         reference-identical results."""
         compiled, instances, reference = build("treelstm", scheduler=scheduler)
-        engine = compiled.make_engine(devices=devices, placement=placement)
+        engine = compiled.make_engine(device=devices, placement=placement)
         # two runs: the first seeds data_parallel's cost observer, the
         # second splits on learned per-block costs
         for _ in range(2):
@@ -551,7 +562,7 @@ class TestMultiDeviceEquivalence:
         """The rest of the zoo (fiber programs and generative decoders
         included) runs reference-identical on a sharded group, twice."""
         compiled, instances, reference = build(model_name, batch=4)
-        engine = compiled.make_engine(devices=2, placement=placement)
+        engine = compiled.make_engine(device=2, placement=placement)
         for _ in range(2):
             outputs, stats = engine.run(instances)
             assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
@@ -574,7 +585,7 @@ class TestMultiDeviceEquivalence:
         )
         compiled, instances, reference = build("treelstm")
         engine = compiled.make_engine(
-            devices=DeviceGroup(2, spec=slow, interconnect="nvlink"),
+            device=DeviceGroup(2, spec=slow, interconnect="nvlink"),
             placement="data_parallel",
         )
         _, first = engine.run(instances)
@@ -590,7 +601,7 @@ class TestMultiDeviceEquivalence:
     def test_single_placement_matches_single_device_totals(self, treelstm):
         compiled, instances, reference = treelstm
         solo_outputs, solo_stats = compiled.make_engine().run(instances)
-        engine = compiled.make_engine(devices=4, placement="single")
+        engine = compiled.make_engine(device=4, placement="single")
         outputs, stats = engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
         # all work on device 0; other members idle
@@ -609,7 +620,7 @@ class TestMultiDeviceEquivalence:
 
     def test_elapsed_is_busiest_member(self, treelstm):
         compiled, instances, _ = treelstm
-        _, stats = compiled.make_engine(devices=2, placement="round_robin").run(
+        _, stats = compiled.make_engine(device=2, placement="round_robin").run(
             instances
         )
         busiest = max(d["total_device_us"] for d in stats.per_device)
@@ -621,7 +632,7 @@ class TestMultiDeviceEquivalence:
 
     def test_round_robin_keeps_chains_device_local(self, treelstm):
         compiled, instances, _ = treelstm
-        engine = compiled.make_engine(devices=2, placement="round_robin")
+        engine = compiled.make_engine(device=2, placement="round_robin")
         _, stats = engine.run(instances)
         # independent requests shard along instance boundaries: no
         # cross-device operand traffic
@@ -642,7 +653,7 @@ class TestMultiDeviceEquivalence:
                     batch.device = i % group.num_devices
                 return batches
 
-        engine = compiled.make_engine(devices=2, placement=Alternate())
+        engine = compiled.make_engine(device=2, placement=Alternate())
         outputs, stats = engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
         assert stats.device["num_peer_transfers"] > 0
@@ -654,7 +665,7 @@ class TestMultiDeviceEquivalence:
         # fast path but must still report their remote reads as peer
         # operands, in agreement with the device transfer counters
         solo_engine = compiled.make_engine(
-            devices=2, placement=Alternate(), scheduler="nobatch"
+            device=2, placement=Alternate(), scheduler="nobatch"
         )
         solo_outputs, solo_stats = solo_engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, solo_outputs))
@@ -781,7 +792,7 @@ class TestMultiDeviceEquivalence:
         """Tensor-dependent control flow (fiber scheduling) composes with
         placement: nestedrnn runs reference-identical on a sharded group."""
         compiled, instances, reference = build("nestedrnn", batch=4)
-        engine = compiled.make_engine(devices=2, placement="round_robin")
+        engine = compiled.make_engine(device=2, placement="round_robin")
         outputs, _ = engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
 
@@ -792,7 +803,7 @@ class TestMultiDeviceEquivalence:
         (or its root, for a spawned child) belongs to, so round_robin puts
         instances 0 and 2 on device 0 and 1 and 3 on device 1."""
         compiled, instances, reference = build(name, batch=4)
-        engine = compiled.make_engine(devices=2, placement="round_robin")
+        engine = compiled.make_engine(device=2, placement="round_robin")
         seen = []
         rt = engine.runtime
         real_invoke = rt.invoke
@@ -817,7 +828,7 @@ class TestMultiDeviceEquivalence:
 class TestEngineWiring:
     def test_devices_count_builds_group(self, treelstm):
         compiled, _, _ = treelstm
-        engine = compiled.make_engine(devices=3)
+        engine = compiled.make_engine(device=3)
         assert engine.num_devices == 3
         assert isinstance(engine.device, DeviceGroup)
         # multi-device default placement is request-level sharding
@@ -828,17 +839,43 @@ class TestEngineWiring:
         engine = compiled.make_engine()
         assert engine.num_devices == 1
         assert engine.placement is None
-        assert isinstance(engine.device, DeviceSimulator)
+        assert type(engine.device) is DeviceGroup
+        assert len(engine.device) == 1
+
+    def test_bare_simulator_adopted_as_one_member_group(self, treelstm):
+        """Whatever ``device=`` names, the engine holds a DeviceGroup; a
+        bare simulator is adopted as its only member and keeps showing
+        everything charged to it."""
+        compiled, instances, _ = treelstm
+        for device in (None, DeviceSimulator(), DeviceGroup(2), 2, ["a100", "laptop"]):
+            assert type(compiled.make_engine(device).device) is DeviceGroup
+        sim = DeviceSimulator()
+        engine = compiled.make_engine(sim)
+        assert engine.device.devices[0] is sim
+        _, stats = engine.run(instances)
+        assert stats.device["num_kernel_launches"] > 0
+        assert sim.counters.num_kernel_launches == stats.device["num_kernel_launches"]
+        assert len(stats.per_device) == 1
+        # a member count builds the 2-member round_robin group devices=2 built
+        server = Server(device=2, clock=SimulatedClock())
+        assert type(server.device) is DeviceGroup
+        assert server.num_devices == 2
+        assert server.device.interconnect.name == "pcie"
+        endpoint = server.add_endpoint("m", compiled)
+        assert endpoint.session.engine.device is server.device
+        assert isinstance(endpoint.session.engine.placement, RoundRobinPlacement)
 
     def test_devices_and_device_conflict(self, treelstm):
+        """``device=`` is the one way to name the device: the retired
+        ``device=`` keyword is refused rather than a second spelling."""
         compiled, _, _ = treelstm
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="devices"):
             compiled.make_engine(device=DeviceSimulator(), devices=2)
 
     def test_placement_instance_and_args(self, treelstm):
         compiled, _, _ = treelstm
         engine = compiled.make_engine(
-            devices=2, placement="data_parallel", placement_args={"min_shard": 3}
+            device=2, placement="data_parallel", placement_args={"min_shard": 3}
         )
         assert isinstance(engine.placement, DataParallelPlacement)
         assert engine.placement.min_shard == 3
@@ -849,15 +886,15 @@ class TestEngineWiring:
         rotate the first runtime's split base mid-run)."""
         compiled, _, _ = treelstm
         policy = DataParallelPlacement()
-        compiled.make_engine(devices=2, placement=policy)
+        compiled.make_engine(device=2, placement=policy)
         with pytest.raises(ValueError, match="exactly one runtime"):
-            compiled.make_engine(devices=2, placement=policy)
+            compiled.make_engine(device=2, placement=policy)
 
     def test_placement_args_with_instance_rejected(self, treelstm):
         compiled, _, _ = treelstm
         with pytest.raises(ValueError, match="by name"):
             compiled.make_engine(
-                devices=2,
+                device=2,
                 placement=DataParallelPlacement(),
                 placement_args={"min_shard": 3},
             )
@@ -870,7 +907,7 @@ class TestEngineWiring:
     def test_group_passthrough(self, treelstm):
         compiled, _, _ = treelstm
         group = DeviceGroup(2, spec="laptop", interconnect="nvlink")
-        engine = compiled.make_engine(devices=group)
+        engine = compiled.make_engine(device=group)
         assert engine.device is group
 
     def test_explicit_interconnect_with_ready_group_rejected(self, treelstm):
@@ -879,7 +916,7 @@ class TestEngineWiring:
         compiled, _, _ = treelstm
         group = DeviceGroup(2, interconnect="pcie")
         with pytest.raises(ValueError, match="own interconnect"):
-            compiled.make_engine(devices=group, interconnect="nvlink")
+            compiled.make_engine(device=group, interconnect="nvlink")
 
     def test_tuned_schedule_table_with_ready_group_rejected(self, treelstm):
         # a tuned model's schedule table must not silently vanish into an
@@ -888,13 +925,13 @@ class TestEngineWiring:
         # an untuned model with any group) still adopts as-is
         compiled, _, _ = treelstm
         assert not compiled.schedule_table  # untuned: adoption is fine
-        assert compiled.make_engine(devices=DeviceGroup(2)) is not None
+        assert compiled.make_engine(device=DeviceGroup(2)) is not None
         compiled.schedule_table.update({"fused_node_block_0": 0.97})
         try:
             with pytest.raises(ValueError, match="schedule_table"):
-                compiled.make_engine(devices=DeviceGroup(2))
+                compiled.make_engine(device=DeviceGroup(2))
             tuned = DeviceGroup(2, schedule_table=compiled.schedule_table)
-            assert compiled.make_engine(devices=tuned).device is tuned
+            assert compiled.make_engine(device=tuned).device is tuned
         finally:
             compiled.schedule_table.clear()
 
@@ -905,7 +942,7 @@ class TestEngineWiring:
         session = compiled.session(
             flush_policy="size",
             flush_args={"n": len(instances)},
-            devices=2,
+            device=2,
             placement="round_robin",
         )
         for _ in range(3):
@@ -922,7 +959,7 @@ class TestEngineWiring:
         session = compiled.session(
             flush_policy="size",
             flush_args={"n": len(instances)},
-            devices=2,
+            device=2,
             placement="data_parallel",
         )
         for _ in range(4):
@@ -936,7 +973,7 @@ class TestEngineWiring:
 class TestServerSharding:
     def test_server_devices(self, treelstm):
         compiled, instances, reference = treelstm
-        server = Server(devices=2, clock=SimulatedClock(), interconnect="nvlink")
+        server = Server(device=2, clock=SimulatedClock(), interconnect="nvlink")
         assert server.num_devices == 2
         server.add_endpoint("m", compiled, policy="manual")
         report = server.replay([(0.0, "m", i) for i in instances])["m"]
@@ -957,14 +994,14 @@ class TestServerSharding:
         assert server.summary()["devices"]["count"] == 1
 
     def test_server_device_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="devices"):
             Server(device=DeviceSimulator(), devices=2)
 
     def test_server_wide_placement_instance_rejected(self):
         # a stateful instance shared across endpoints would mix per-block
         # cost observations between models; names resolve fresh per engine
         with pytest.raises(TypeError, match="registry name"):
-            Server(devices=2, placement=RoundRobinPlacement())
+            Server(device=2, placement=RoundRobinPlacement())
 
     def test_devices_endpoint_name_reserved(self, treelstm):
         compiled, _, _ = treelstm
@@ -980,7 +1017,7 @@ class TestServerSharding:
             "size",
             n=len(instances),
             clock=SimulatedClock(),
-            devices=2,
+            device=2,
             placement="data_parallel",
             placement_args={"min_shard": 3},
             interconnect="nvlink",

@@ -610,7 +610,7 @@ class TestGenerativeDecode:
         module, _, _, size, compiled = _setup("declm")
         name, args = DECODE_POLICIES[policy]
         if devices > 1:
-            args = dict(args, devices=devices, placement="round_robin")
+            args = dict(args, device=devices, placement="round_robin")
 
         def replay():
             session = compiled.serve(name, clock=SimulatedClock(), **args)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import CompilerOptions, compile_model, reference_run
+from repro.devices import DeviceGroup
 from repro.kernels import BlockKernel, single_op_block
 from repro.memory import MemoryPlanner, OperandKind, StorageArena
 from repro.models import MODEL_MODULES
@@ -110,7 +111,9 @@ class TestMemoryPlanner:
         (col, stop), = rt._spans(rt.next_seq)
         batch = ScheduledBatch(0, ((col, range(stop)),))
         plans = rt.planner.plan_round([batch], rt.kernels)
-        operands = rt.planner.resolve(plans[0], rt.kernels[0], DeviceSimulator(), rt.options)
+        operands = rt.planner.resolve(
+            plans[0], rt.kernels[0], DeviceGroup.coerce(DeviceSimulator()), rt.options
+        )
         assert operands[0].array is not None and not operands[0].scattered
         assert np.shares_memory(operands[0].array, arena.data)
 
@@ -275,7 +278,7 @@ class TestArenaResidency:
         rt = make_runtime()
         out = rt.invoke(0, 0, 0, [np.ones((1, 4), np.float32)])
         rt.trigger()
-        assert rt.device.is_resident(out.arena)
+        assert rt.device[0].is_resident(out.arena)
 
     def test_session_reuses_resident_parameters_across_rounds(self):
         """Round two of a persistent session does not re-upload parameters:

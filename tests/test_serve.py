@@ -595,7 +595,7 @@ class TestRepeatedRounds:
         reference = reference_run(mod, params, instances)
         model = compile_model(mod, params, CompilerOptions(scheduler=policy))
         kwargs = (
-            {"devices": 4, "placement": "round_robin"} if devices == 4 else {}
+            {"device": 4, "placement": "round_robin"} if devices == 4 else {}
         )
         session = model.session(
             flush_policy="size", flush_args={"n": len(instances)}, **kwargs
@@ -814,7 +814,7 @@ class TestCappedFlush:
         over four, stays bitwise equal to the eager reference."""
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions(scheduler=scheduler))
-        kwargs = {"devices": 4, "placement": "round_robin"} if devices == 4 else {}
+        kwargs = {"device": 4, "placement": "round_robin"} if devices == 4 else {}
         clock = SimulatedClock()
         session = model.serve("adaptive", clock=clock, max_batch=2, **kwargs)
         clock.advance(1.0)
@@ -829,9 +829,10 @@ class TestCappedFlush:
 
     @pytest.mark.parametrize("model_name", ZOO)
     def test_capped_rounds_match_reference_across_the_zoo(self, model_name):
-        """Capped flushes cut the pending rows of every zoo model without
-        changing a result.  Fiber programs defer their whole backlog to one
-        fiber-interleaved batch, so they ignore the cap."""
+        """Capped flushes cut the pending requests of every zoo model
+        without changing a result: the oldest two per round, whether the
+        model records rows at submit or defers its instances to one
+        fiber-interleaved batch per flush."""
         module = MODEL_MODULES[model_name]
         mod, params, size = module.build_for("test")
         instances = module.make_batch(mod, size, 5, seed=7)
@@ -844,7 +845,7 @@ class TestCappedFlush:
         sizes = []
         while session.pending_requests:
             sizes.append(len(session.flush()))
-        assert sizes == ([5] if session.engine.program.uses_fibers else [2, 2, 1])
+        assert sizes == [2, 2, 1]
         assert all(exact_equal(a, h.result()) for a, h in zip(reference, handles))
 
     def test_uncapped_policies_flush_everything(self, treelstm_setup):

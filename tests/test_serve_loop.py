@@ -311,6 +311,41 @@ class TestServerLifecycle:
             assert values_allclose(reference[0], handle.result(timeout=10.0))
         assert not server.loop.running
 
+    def test_drain_and_shutdown_on_the_loop_thread_raise(self, treelstm_setup):
+        """A done callback runs on the loop thread, where drain() or
+        shutdown() would wait for the loop they block.  Both raise there,
+        on the server as on the loop, and the loop keeps serving."""
+        mod, params, instances, reference = treelstm_setup
+        server = Server()
+        server.add_endpoint(
+            "m", compile_model(mod, params, CompilerOptions()), policy="manual"
+        )
+        errors = []
+        finished = threading.Event()
+
+        def on_done(_handle):
+            assert threading.current_thread() is server.loop._thread
+            for call in (server.drain, server.shutdown, server.loop.drain, server.loop.shutdown):
+                try:
+                    call()
+                except RuntimeError as exc:
+                    errors.append(exc)
+            finished.set()
+
+        with server.run():
+            first = server.submit("m", instances[0])
+            first.add_done_callback(on_done)  # manual: not flushed yet
+            server.drain()
+            assert finished.wait(10.0)
+            assert [str(e).split("(")[0] for e in errors] == [
+                "drain", "shutdown", "drain", "shutdown"
+            ]
+            assert server.loop.running
+            second = server.submit("m", instances[1])
+            server.drain()
+            assert values_allclose(reference[1], second.result(timeout=10.0))
+        assert values_allclose(reference[0], first.result())
+
     @pytest.mark.parametrize("history", ["never_started", "shut_down"])
     def test_submit_after_shutdown_raises_until_rerun(self, treelstm_setup, history):
         """Without a running loop thread — before the first run() as after
@@ -535,7 +570,7 @@ class TestContinuousReferenceIdentity:
             "deadline",
             ms=2.0,
             scheduler=scheduler,
-            server_args={"devices": 2, "placement": placement},
+            server_args={"device": 2, "placement": placement},
         )
         arrivals = bursty_arrivals(3000.0, len(instances), burst=3, seed=9)
         report = server.replay(trace_of(arrivals, instances))["m"]
@@ -671,7 +706,7 @@ class TestDeterministicReplay:
         ]
 
         def server():
-            kwargs = {"devices": 2, "placement": "data_parallel"} if devices == 2 else {}
+            kwargs = {"device": 2, "placement": "data_parallel"} if devices == 2 else {}
             srv = Server(clock=SimulatedClock(), **kwargs)
             for name, model in models.items():
                 srv.add_endpoint(name, model, policy=policy, **policy_args)
@@ -761,7 +796,7 @@ class TestDeterministicReplay:
                 "size",
                 n=4,
                 server_args={
-                    "devices": DeviceGroup(2, interconnect="nvlink"),
+                    "device": DeviceGroup(2, interconnect="nvlink"),
                     "placement": placement,
                 },
             )

@@ -32,7 +32,7 @@ POLICIES = {
     "size": ("size", {"n": 3}),
     "adaptive-cap2-round_robin": (
         "adaptive",
-        {"max_batch": 2, "max_wait_ms": 4.0, "devices": 2, "placement": "round_robin"},
+        {"max_batch": 2, "max_wait_ms": 4.0, "device": 2, "placement": "round_robin"},
     ),
 }
 

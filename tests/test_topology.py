@@ -24,7 +24,7 @@ def rnn_setup():
 
 def _serve(model, instances, topology="single", gap=0.001, meta=None, **kw):
     """One fresh server, one endpoint, one deterministic trace replay."""
-    srv = Server(clock=SimulatedClock(), devices=4, topology=topology, **kw)
+    srv = Server(clock=SimulatedClock(), device=4, topology=topology, **kw)
     srv.add_endpoint("m", model, policy="adaptive")
     workload = []
     for i, inst in enumerate(instances):
@@ -49,7 +49,7 @@ class TestRegistry:
         model, instances, _ = rnn_setup
         srv = Server(
             clock=SimulatedClock(),
-            devices=4,
+            device=4,
             topology="per_device",
             topology_args={"members_per_loop": 3},
         )
@@ -59,7 +59,7 @@ class TestRegistry:
 
     def test_reserved_endpoint_names(self, rnn_setup):
         model, _, _ = rnn_setup
-        srv = Server(clock=SimulatedClock(), devices=2)
+        srv = Server(clock=SimulatedClock(), device=2)
         for name in ("devices", "loops"):
             with pytest.raises(ValueError, match="reserved"):
                 srv.add_endpoint(name, model)
@@ -103,7 +103,7 @@ class TestTraceTopologies:
 
     def test_per_endpoint_one_loop_per_model(self, rnn_setup):
         model, instances, reference = rnn_setup
-        srv = Server(clock=SimulatedClock(), devices=4, topology="per_endpoint")
+        srv = Server(clock=SimulatedClock(), device=4, topology="per_endpoint")
         srv.add_endpoint("a", model, policy="adaptive")
         srv.add_endpoint("b", model, policy="adaptive")
         workload = [
@@ -206,7 +206,7 @@ class TestLoopPins:
         """Under per_endpoint each loop serves one model: pinning "a" to
         "b"'s loop is an in-range index that still names the wrong loop."""
         model, instances, _ = rnn_setup
-        srv = Server(clock=SimulatedClock(), devices=2, topology="per_endpoint")
+        srv = Server(clock=SimulatedClock(), device=2, topology="per_endpoint")
         srv.add_endpoint("a", model, policy="adaptive")
         srv.add_endpoint("b", model, policy="adaptive")
         trace = [(0.0, "a", instances[0]), (0.001, "a", instances[1], {"loop": 1})]
@@ -261,7 +261,7 @@ class TestSummarySchema:
 class TestWallClockTopology:
     def test_multi_loop_wall_run(self, rnn_setup):
         model, instances, reference = rnn_setup
-        srv = Server(devices=4, topology="per_device")
+        srv = Server(device=4, topology="per_device")
         srv.add_endpoint("m", model, policy="adaptive")
         with srv.run():
             handles = [srv.submit("m", inst) for inst in instances]
