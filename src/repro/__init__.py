@@ -9,7 +9,7 @@ Package map:
 * :mod:`repro.kernels` -- operator registry, static blocks, fusion, batched
   kernels, auto-scheduling.
 * :mod:`repro.runtime` -- lazy DFGs, schedulers, batched executor, fibers,
-  GPU simulator, profiler.
+  GPU simulator, and the round trace every run statistic is folded from.
 * :mod:`repro.memory` -- arena-backed batched tensor storage and the
   ahead-of-execution memory planner (contiguity / gather classification).
 * :mod:`repro.devices` -- multi-device execution: device groups (a single

@@ -9,10 +9,9 @@ whether they charge one accelerator or a sharded group.
 Semantics the group pins down:
 
 * **per-device counters, group aggregation** — every member keeps its own
-  :class:`~repro.runtime.device.DeviceCounters`; :attr:`counters` /
-  :meth:`counters_dict` report the element-wise sum, and
-  :meth:`per_device_dicts` the per-member breakdown, so per-device counter
-  sums always equal the group totals.
+  :class:`~repro.runtime.device.DeviceCounters`; the group keeps none.  A
+  run's ``RunStats.per_device`` reads each member's, and ``RunStats.device``
+  is their fold, so per-device counter sums always equal the group totals.
 * **elapsed vs total device time** — members execute a round concurrently,
   so the group's *elapsed* device time is the busiest member's total
   (``elapsed_device_us``), while ``total_device_us`` stays the sum of work
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from ..runtime.device import DeviceCounters, DeviceSimulator, GPUSpec
+from ..runtime.device import DeviceSimulator, GPUSpec
 from .interconnect import Interconnect
 
 SpecLike = Union[GPUSpec, str]
@@ -217,27 +216,6 @@ class DeviceGroup:
         counters.bytes_peer += float(nbytes)
         counters.api_time_us += dst_dev.spec.api_overhead_us
         return t
-
-    @property
-    def counters(self) -> DeviceCounters:
-        """Element-wise sum of every member's counters."""
-        return DeviceCounters.merge([d.counters for d in self.devices])
-
-    def counters_dict(self) -> Dict[str, float]:
-        """Aggregate counters plus the group-only ``elapsed_device_us`` (the
-        busiest member — members run a round concurrently)."""
-        merged = self.counters.as_dict()
-        merged["elapsed_device_us"] = max(
-            d.counters.total_device_us for d in self.devices
-        )
-        return merged
-
-    def per_device_dicts(self) -> List[Dict[str, float]]:
-        # keyed by position in the group, as placement indices are
-        return [
-            {"device": float(i), **d.counters.as_dict()}
-            for i, d in enumerate(self.devices)
-        ]
 
     def device_summary(self) -> Dict[str, object]:
         """Busy time, utilization and balance across the group.

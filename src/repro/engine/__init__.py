@@ -3,8 +3,8 @@
 Sits between the front-ends (AOT-compiled programs, the Relay-VM
 interpreter, the DyNet baseline) and :mod:`repro.runtime`:
 
-* :class:`ExecutionEngine` — owns runtime construction, device/profiler
-  wiring, instance-argument binding and statistics assembly;
+* :class:`ExecutionEngine` — owns runtime construction, device wiring,
+  instance-argument binding and the timed run the statistics fold reads;
 * the scheduler-policy registry — string-keyed scheduling strategies
   (``inline_depth``, ``dynamic_depth``, ``agenda``, ``nobatch``,
   ``dynet``), extensible via :func:`register_scheduler`;

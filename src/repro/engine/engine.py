@@ -6,11 +6,11 @@ and the DyNet baseline — used to hand-build an
 arguments, drive fibers and assemble :class:`~repro.runtime.executor.RunStats`
 on its own.  :class:`ExecutionEngine` owns that machinery once:
 
-* runtime construction (device simulator wiring, profiler, scheduler-policy
-  resolution through :mod:`repro.engine.registry`);
+* runtime construction (device group wiring, scheduler-policy resolution
+  through :mod:`repro.engine.registry`);
 * the per-instance execution loop, including the fiber scheduler for
-  programs with tensor-dependent control flow;
-* statistics assembly (wall-clock DFG-construction accounting).
+  programs with tensor-dependent control flow, timed so the runtime's
+  statistics fold can charge DFG construction the unaccounted wall time.
 
 Front-ends supply a :class:`ProgramBinding` that knows how to wire a runtime
 into the program and return a per-instance entry callable; they shrink to
@@ -32,7 +32,6 @@ from ..devices.group import DeviceGroup
 from ..runtime.device import GPUSpec
 from ..runtime.executor import AcrobatRuntime, ExecutionOptions, RunStats
 from ..runtime.fibers import FiberScheduler
-from ..runtime.profiler import ActivityProfiler
 from ..runtime.tensor import materialize_value
 from ..utils import ensure_recursion_limit
 from .registry import make_scheduler
@@ -102,7 +101,6 @@ class ExecutionEngine:
         gpu_spec: Optional[GPUSpec] = None,
         schedule_table: Optional[Dict[str, float]] = None,
         default_schedule_quality: float = 0.9,
-        profiler: Optional[ActivityProfiler] = None,
         placement: Any = None,
         placement_args: Optional[Dict[str, Any]] = None,
         interconnect: Any = None,
@@ -157,12 +155,7 @@ class ExecutionEngine:
             **options.scheduler_args,
         )
         self.runtime = AcrobatRuntime(
-            kernels,
-            options,
-            self.device,
-            profiler or ActivityProfiler(),
-            scheduler,
-            placement=placement,
+            kernels, options, self.device, scheduler, placement=placement
         )
         # deep model recursion (trees, long sequences) needs a high recursion
         # limit; raised once here rather than on every call
@@ -217,32 +210,9 @@ class ExecutionEngine:
         outputs = [materialize_value(r) for r in raw_results]
         total_s = time.perf_counter() - run_start
 
-        stats = self.collect_stats(len(instances), total_s)
+        stats = rt.collect_stats(len(instances), total_s)
         self.last_stats = stats
         return outputs, stats
-
-    # -- statistics ------------------------------------------------------------
-    def collect_stats(self, batch_size: int, wall_s: float) -> RunStats:
-        """Snapshot runtime counters into a :class:`RunStats`.
-
-        Host time not attributed to scheduling, memory planning, dispatch,
-        output materialization or kernel compute is charged to DFG
-        construction (graph building is interleaved with the front-end's own
-        program execution, so it is measured as the remainder of the
-        wall-clock time).
-        """
-        rt = self.runtime
-        stats = rt.collect_stats(batch_size)
-        accounted = (
-            stats.host_ms.get("scheduling", 0.0)
-            + stats.host_ms.get("placement", 0.0)
-            + stats.host_ms.get("memory_planning", 0.0)
-            + stats.host_ms.get("dispatch", 0.0)
-            + stats.host_ms.get("materialize", 0.0)
-            + rt.profiler.ms("numpy_compute")
-        )
-        stats.host_ms["dfg_construction"] = max(0.0, wall_s * 1e3 - accounted)
-        return stats
 
     # -- sessions --------------------------------------------------------------
     def session(

@@ -60,13 +60,14 @@ def static_frequency_estimate(kernel_names: Sequence[str]) -> Dict[str, float]:
 
 def profile_frequencies(compiled_model, instances: Sequence[Any]) -> Dict[str, float]:
     """Profile-guided frequency estimate: run one mini-batch and count how
-    many times each generated kernel is launched."""
-    device_counts: Dict[str, float] = {}
+    many times each generated kernel is launched (the launch records of the
+    run's trace)."""
     engine = compiled_model.make_engine()  # a private device simulator
     engine.run(instances)
-    for name, count in engine.device.counters.launches_by_kernel.items():
-        device_counts[name] = float(count)
-    return device_counts
+    return {
+        name: float(count)
+        for name, count in engine.runtime.trace.kernel_launches().items()
+    }
 
 
 def allocate_trials(

@@ -65,8 +65,8 @@ per instance per layer:
   back to a per-part walk;
 * **the kernel** (:func:`~repro.kernels.batched.index_gather`) moves an
   index gather's rows with one ``take`` per segment, so what a gather costs
-  is its segment count (``gather_segments`` in ``RunStats.memory``), not its
-  row count;
+  is its segment count (the ``segments`` of the operand's trace record,
+  summed as ``gather_segments`` in ``RunStats.memory``), not its row count;
 * **commit** stores ``arena`` and ``offset`` on each output tensor — the
   tensor is its own storage reference.  (Once the round has run, the
   runtime drops each column's ``outs``, the graph's only back edge, so a
@@ -137,7 +137,7 @@ def _out_of_order(tensor: LazyTensor) -> RuntimeError:
 class OperandPlan:
     """The planner's verdict for one block input of one batch."""
 
-    __slots__ = ("index", "kind", "arena_id", "start")
+    __slots__ = ("index", "kind", "arena_id", "start", "segments")
 
     def __init__(
         self,
@@ -153,6 +153,10 @@ class OperandPlan:
         #: shared)
         self.arena_id = arena_id
         self.start = start
+        #: source arenas a gathered column of arena tensors was resolved
+        #: from (set by :meth:`MemoryPlanner.resolve`; 0 for every other
+        #: operand)
+        self.segments = 0
 
     def __repr__(self) -> str:
         return f"OperandPlan(input={self.index}, kind={self.kind.value})"
@@ -163,7 +167,7 @@ class BatchPlan:
     """Everything the executor needs to know about one batch's memory.
 
     ``batch`` is released (set to ``None``) by :meth:`MemoryPlanner.commit`
-    once the batch has executed, so retained plans (``last_plans``) keep only
+    once the batch has executed, so a plan outliving its round keeps only
     the lightweight classification — not the round's graph and arenas.
     """
 
@@ -177,29 +181,12 @@ class BatchPlan:
     #: on; its output arenas are born on that device
     device: int = 0
 
-    def count(self, kind: OperandKind) -> int:
-        return sum(1 for op in self.operands if op.kind is kind)
-
 
 class MemoryPlanner:
     """Plans arena placement and operand contiguity for scheduled batches."""
 
     def __init__(self, gather_fusion: bool = True) -> None:
         self.gather_fusion = gather_fusion
-        #: plans of the most recent round (introspection / tests)
-        self.last_plans: List[BatchPlan] = []
-        #: cumulative per-kind operand counts since the last reset
-        self.operand_counts: Dict[str, int] = {k.value: 0 for k in OperandKind}
-        #: source arenas summed over the gathered columns resolved since the
-        #: last reset: an index gather costs one take per segment, so this —
-        #: not the row count — is what a gather-free layout would save
-        self.gather_segments = 0
-
-    def reset(self) -> None:
-        """Clear per-run state."""
-        self.last_plans = []
-        self.operand_counts = {k.value: 0 for k in OperandKind}
-        self.gather_segments = 0
 
     # -- planning --------------------------------------------------------------
     def plan_round(
@@ -217,7 +204,6 @@ class MemoryPlanner:
         #: arenas carry their device on the concrete StorageArena)
         arena_devices: Dict[int, int] = {}
         plans: List[BatchPlan] = []
-        counts = self.operand_counts
 
         for batch in batches:
             block = kernels[batch.block_id].block
@@ -262,8 +248,6 @@ class MemoryPlanner:
                     for b, row in enumerate(rows, base):
                         rows_by_seq[seqs[row]] = (output_ids, b)
                 base += len(rows)
-            for op in operands:
-                counts[op.kind.value] += 1
             plans.append(
                 BatchPlan(
                     batch=batch,
@@ -274,7 +258,6 @@ class MemoryPlanner:
                 )
             )
 
-        self.last_plans = plans
         return plans
 
     def _plan_operand(
@@ -399,11 +382,12 @@ class MemoryPlanner:
             segments = parts = None
             if kinds == _ARENA_COLUMN:
                 segments, gathered = self._arena_segments(args, device, batch_device)
+                op.segments = len(segments)
             elif kinds == _HOST_COLUMN:
                 local.ensure_resident_many(args, batch_memcpy)
                 parts = args
             else:
-                parts = self._mixed_parts(args, device, batch_device, options)
+                parts, op.segments = self._mixed_parts(args, device, batch_device, options)
             if kind is _GATHER:
                 # one explicit gather launch copies the scattered operand into
                 # a contiguous buffer; downstream the operand is dense, so the
@@ -442,7 +426,6 @@ class MemoryPlanner:
             # planning stops at a column's first break, so this walk is the
             # one that sees the rest of the column
             raise _out_of_order(args[groups[None][0][0]])
-        self.gather_segments += len(groups)
         whole = len(groups) == 1
         segments: List[Segment] = []
         remote_bytes: Dict[int, float] = {}
@@ -470,11 +453,12 @@ class MemoryPlanner:
 
     def _mixed_parts(
         self, args: Sequence[Any], device, batch_device: int, options
-    ) -> List[np.ndarray]:
+    ) -> Tuple[List[np.ndarray], int]:
         """The per-part fallback for a column mixing host arrays and arena
         tensors (no zoo model produces one): host arrays upload one by one,
         arena instances are realized as views, remote ones peer-charged
-        exactly as :meth:`_arena_segments` charges them."""
+        exactly as :meth:`_arena_segments` charges them.  Returns the parts
+        and the number of source arenas."""
         ensure_resident = device.device_for(batch_device).ensure_resident
         parts: List[np.ndarray] = []
         remote_bytes: Dict[int, float] = {}
@@ -495,10 +479,9 @@ class MemoryPlanner:
                 arr = np.asarray(arg)
                 ensure_resident(arr, options.batch_memcpy)
                 parts.append(arr)
-        self.gather_segments += len(sources)
         for src, nbytes in remote_bytes.items():
             device.peer_transfer(src, batch_device, nbytes)
-        return parts
+        return parts, len(sources)
 
     def _resolve_contiguous(
         self, op: OperandPlan, first, batch_size: int, device, batch_device: int, options
@@ -519,9 +502,7 @@ class MemoryPlanner:
                     # charged and re-classified here — the peer operand count
                     # must agree with the device's transfer counters
                     device.peer_transfer(src, batch_device, arena.instance_nbytes)
-                    counts = self.operand_counts
-                    counts[_PEER.value] += 1
-                    counts[_CONTIGUOUS.value] -= 1
+                    op.kind = _PEER
                 arr = arena.view(arg.offset)
             else:
                 arr = np.asarray(arg)

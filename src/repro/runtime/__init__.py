@@ -4,7 +4,6 @@ simulator."""
 from .device import DeviceCounters, DeviceSimulator, GPUSpec
 from .executor import AcrobatRuntime, ExecutionOptions, RunStats
 from .fibers import FiberHandle, FiberScheduler, FiberYield, run_sequential
-from .profiler import ActivityProfiler
 from .scheduler import (
     AgendaScheduler,
     DynamicDepthScheduler,
@@ -15,6 +14,7 @@ from .scheduler import (
     dynamic_depth_schedule,
 )
 from .tensor import Column, LazyTensor, materialize_value
+from .trace import RoundTrace
 
 __all__ = [
     "AcrobatRuntime",
@@ -23,7 +23,7 @@ __all__ = [
     "DeviceSimulator",
     "DeviceCounters",
     "GPUSpec",
-    "ActivityProfiler",
+    "RoundTrace",
     "FiberScheduler",
     "FiberHandle",
     "FiberYield",

@@ -17,7 +17,9 @@ hinges on:
   in Table 6.
 
 Host-side time (DFG construction, scheduling) is *not* simulated — it is
-measured as real Python wall-clock by :mod:`repro.runtime.profiler`.
+measured as real Python wall-clock into the host buckets of the runtime's
+:class:`~repro.runtime.trace.RoundTrace`, which also records every charged
+kernel launch (per-kernel launch counts are a fold over it).
 
 A :class:`DeviceSimulator` charges one accelerator and nothing more.  The
 runtime, memory planner and serving layer never hold one directly: they
@@ -30,8 +32,8 @@ still show everything charged to it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..kernels.batched import LaunchRecord
 from ..memory.arena import StorageArena
@@ -156,8 +158,6 @@ class DeviceCounters:
     bytes_gathered: float = 0.0
     bytes_copied: float = 0.0
     bytes_peer: float = 0.0
-    #: launches per kernel name (used by PGO to derive operator priorities)
-    launches_by_kernel: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total_device_us(self) -> float:
@@ -168,10 +168,6 @@ class DeviceCounters:
             + self.memcpy_time_us
             + self.peer_time_us
         )
-
-    @property
-    def total_launches(self) -> int:
-        return self.num_kernel_launches + self.num_gather_launches
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -186,30 +182,6 @@ class DeviceCounters:
             "num_peer_transfers": self.num_peer_transfers,
             "total_device_us": self.total_device_us,
         }
-
-    @classmethod
-    def merge(cls, parts: "List[DeviceCounters]") -> "DeviceCounters":
-        """Element-wise sum of several devices' counters (group aggregation).
-
-        Driven by the dataclass fields so new counters aggregate without
-        touching this method: numeric fields sum, dict fields (the
-        per-kernel launch tally) merge by key.
-        """
-        merged = cls()
-        for c in parts:
-            for name in _NUMERIC_COUNTERS:
-                setattr(merged, name, getattr(merged, name) + getattr(c, name))
-            for kernel_name, n in c.launches_by_kernel.items():
-                merged.launches_by_kernel[kernel_name] = (
-                    merged.launches_by_kernel.get(kernel_name, 0) + n
-                )
-        return merged
-
-
-#: the summed (numeric) fields of :class:`DeviceCounters`, resolved once
-_NUMERIC_COUNTERS = tuple(
-    f.name for f in fields(DeviceCounters) if f.type in ("float", "int", float, int)
-)
 
 
 class DeviceSimulator:
@@ -286,8 +258,6 @@ class DeviceSimulator:
         self.counters.kernel_time_us += t
         self.counters.num_kernel_launches += 1
         self.counters.api_time_us += self.spec.api_overhead_us
-        by_kernel = self.counters.launches_by_kernel
-        by_kernel[record.kernel_name] = by_kernel.get(record.kernel_name, 0) + 1
         return t
 
     def gather(self, nbytes: float) -> float:

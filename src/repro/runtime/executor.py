@@ -31,10 +31,15 @@ cancelled request is withdrawn by range
 (``trigger(limit=)``): a column the cut falls inside keeps its executed
 prefix, and its remaining rows move to a fresh column that stays pending.
 
-Host-side work (graph construction, scheduling, memory planning, operand
-dispatch, output materialization) is measured as real wall-clock time;
-device-side work is charged to the runtime's
-:class:`~repro.devices.group.DeviceGroup`.
+What a round did
+----------------
+The executor appends every decision to its
+:class:`~repro.runtime.trace.RoundTrace` (a ``sync`` record per trigger, a
+``batch`` per scheduled batch, an ``operand`` per planned operand, a
+``launch`` per charged kernel launch) and times its host work into the
+trace's buckets; device work is charged to the runtime's
+:class:`~repro.devices.group.DeviceGroup`.  :meth:`AcrobatRuntime.collect_stats`
+folds the trace and the members' counters into :class:`RunStats` once.
 """
 
 from __future__ import annotations
@@ -48,13 +53,9 @@ import numpy as np
 
 from ..kernels.batched import BlockKernel
 from ..memory.planner import BatchPlan, MemoryPlanner, OperandKind
-from .profiler import ActivityProfiler
-from .scheduler import ScheduledBatch, Span
+from .scheduler import Span
 from .tensor import Column, LazyTensor
-
-
-#: the ``RunStats.memory`` keys that count operands (one per classification)
-_OPERAND_KINDS = frozenset(kind.value for kind in OperandKind)
+from .trace import RoundTrace
 
 
 @dataclass
@@ -93,11 +94,10 @@ class RunStats:
     """Per-run breakdown used by the experiment harness (Table 6 et al.)."""
 
     host_ms: Dict[str, float] = field(default_factory=dict)
+    #: the fold of ``per_device`` (``elapsed_device_us``: the busiest member)
     device: Dict[str, float] = field(default_factory=dict)
-    #: memory-planner operand classification counts (contiguous / gather /
-    #: fused_gather / peer / shared), ``gather_segments`` (source arenas
-    #: summed over the gathered columns — an index gather costs one take per
-    #: segment)
+    #: the trace's operand records counted by form, and their summed
+    #: ``gather_segments`` (an index gather costs one take per segment)
     memory: Dict[str, int] = field(default_factory=dict)
     #: always empty; kept only because the wall-clock benchmark (``bench/``)
     #: still reads it
@@ -107,6 +107,7 @@ class RunStats:
     #: a ``device`` index key, always (a one-member group has one entry);
     #: empty only for stats no runtime produced (the Cortex baseline)
     per_device: List[Dict[str, float]] = field(default_factory=list)
+    #: rows the run's batches executed (a capped flush counts only its own)
     num_dfg_nodes: int = 0
     num_batches: int = 0
     batch_size: int = 0
@@ -154,28 +155,6 @@ class RunStats:
             + self.device.get("num_gather_launches", 0)
         )
 
-    def summary(self) -> Dict[str, float]:
-        out = {
-            "latency_ms": self.latency_ms,
-            "host_ms": self.host_total_ms,
-            "device_ms": self.device_total_ms,
-            "api_ms": self.api_time_ms,
-            "dfg_nodes": self.num_dfg_nodes,
-            "kernel_calls": self.kernel_calls,
-            "batches": self.num_batches,
-        }
-        out.update({f"host_{k}_ms": v for k, v in self.host_ms.items()})
-        out.update(
-            {
-                (f"mem_{k}_operands" if k in _OPERAND_KINDS else f"mem_{k}"): v
-                for k, v in self.memory.items()
-            }
-        )
-        out.update(self.device)
-        if self.per_device:
-            out["num_devices"] = len(self.per_device)
-        return out
-
 
 class AcrobatRuntime:
     """Lazy auto-batching runtime driving batched block kernels."""
@@ -185,7 +164,6 @@ class AcrobatRuntime:
         kernels: Dict[int, BlockKernel],
         options: Optional[ExecutionOptions] = None,
         device: Any = None,
-        profiler: Optional[ActivityProfiler] = None,
         scheduler: Optional[Any] = None,
         placement: Optional[Any] = None,
     ) -> None:
@@ -198,7 +176,8 @@ class AcrobatRuntime:
         #: :meth:`~repro.devices.group.DeviceGroup.coerce` takes is adopted
         #: as one; a single simulator is the one-member group)
         self.device = DeviceGroup.coerce(device)
-        self.profiler = profiler or ActivityProfiler()
+        #: what the current round did (see the module docstring)
+        self.trace = RoundTrace()
         self.planner = MemoryPlanner(gather_fusion=self.options.gather_fusion)
         #: the pending graph: ``(phase, depth, block_id) -> Column`` (see the
         #: module docstring)
@@ -239,9 +218,6 @@ class AcrobatRuntime:
         #: (None: every batch stays on the primary device)
         self._placement = placement
         self.current_instance = 0
-        self.num_nodes_total = 0
-        self.num_batches_total = 0
-        self.sync_rounds = 0
         self._round_seq = 0
 
     # -- API called by generated code / VM ------------------------------------
@@ -261,7 +237,6 @@ class AcrobatRuntime:
         col.instances.append(self.current_instance)
         col.seqs.append(self._round_seq)
         self._round_seq += 1
-        self.num_nodes_total += 1
         n = col.num_outputs
         if n == 1:
             out = LazyTensor(col, row, 0)
@@ -347,9 +322,8 @@ class AcrobatRuntime:
     def trigger(self, limit: Optional[int] = None) -> None:
         """Schedule, memory-plan and execute pending rows.
 
-        Every non-empty trigger is one synchronization round (a DFG flush);
-        the count is reported in :attr:`RunStats.sync_rounds`, so callers no
-        longer thread fiber-round counts through :meth:`collect_stats`.
+        Every non-empty trigger is one synchronization round (a DFG flush)
+        and appends one ``sync`` record to the trace.
 
         ``limit`` executes only the rows whose sequence number is below it
         (the caller cuts at a request boundary — see the flush policies'
@@ -361,23 +335,25 @@ class AcrobatRuntime:
         if not spans:
             return
         self._take(spans, cut)
-        self.sync_rounds += 1
+        trace = self.trace
+        host = trace.host_s
 
-        sched_start = time.perf_counter()
+        start = time.perf_counter()
         batches = self._scheduler.schedule(spans)
-        self.profiler.add("scheduling", time.perf_counter() - sched_start)
+        host["scheduling"] += time.perf_counter() - start
 
         if self._placement is not None:
-            place_start = time.perf_counter()
+            start = time.perf_counter()
             batches = self._placement.place_round(batches, self.device, self.kernels)
-            self.profiler.add("placement", time.perf_counter() - place_start)
+            host["placement"] += time.perf_counter() - start
+        trace.sync(len(batches))
 
-        plan_start = time.perf_counter()
+        start = time.perf_counter()
         plans = self.planner.plan_round(batches, self.kernels)
-        self.profiler.add("memory_planning", time.perf_counter() - plan_start)
+        host["memory_planning"] += time.perf_counter() - start
 
         for plan in plans:
-            self._execute_batch(plan)
+            self._execute_batch(plan, trace)
         # every row of the round's columns has executed (a column the cut
         # fell inside kept only its executed prefix): drop the graph's one
         # back edge, so the round is freed by reference counting, and the
@@ -385,8 +361,6 @@ class AcrobatRuntime:
         # the history of every row its column shared
         for col, _stop in spans:
             col.outs = col.args = None
-        self.num_batches_total += len(batches)
-        self.profiler.bump("num_batches", len(batches))
 
     def drop_pending_slice(self, start: int, end: int) -> None:
         """Withdraw the pending rows with sequence numbers in ``[start,
@@ -408,39 +382,44 @@ class AcrobatRuntime:
                 _renumber(col, a)
             else:
                 del self._columns[key]
-        self.num_nodes_total = self.pending_count
 
     def finish_partial_round(self) -> None:
-        """Round boundary after a capped trigger left rows pending: reset
-        the per-round collectors exactly as the next round's
-        :meth:`reset` would, but keep the live lazy graph — the leftover
-        rows are the next round's oldest requests."""
-        self.num_nodes_total = self.pending_count
-        self.num_batches_total = 0
-        self.sync_rounds = 0
-        self.profiler.reset()
-        self.planner.reset()
+        """Round boundary after a capped trigger left rows pending: start a
+        fresh trace exactly as the next round's :meth:`reset` would, but
+        keep the live lazy graph — the leftover rows are the next round's
+        oldest requests."""
+        self.trace = RoundTrace()
         if self._placement is not None:
             self._placement.note_reset()
 
-    def _execute_batch(self, plan: BatchPlan) -> None:
-        batch: ScheduledBatch = plan.batch
+    def _execute_batch(self, plan: BatchPlan, trace: RoundTrace) -> None:
+        batch = plan.batch
         kernel = self.kernels[batch.block_id]
         batch_size = batch.size
+        first = batch.segments[0][0]
+        k = trace.batch(kernel.block.name, first.phase, first.depth, batch_size, plan.device)
+        host = trace.host_s
 
-        dispatch_start = time.perf_counter()
+        start = time.perf_counter()
         operands = self.planner.resolve(plan, kernel, self.device, self.options)
-        self.profiler.add("dispatch", time.perf_counter() - dispatch_start)
+        host["dispatch"] += time.perf_counter() - start
+        # resolution settles each operand's form (a remote singleton turns
+        # peer) and counts a gathered column's source arenas
+        for op in plan.operands:
+            trace.operand(k, op.index, op.kind.value, op.segments)
 
-        compute_start = time.perf_counter()
+        start = time.perf_counter()
         outputs, launches = kernel.execute_batched(operands, batch_size)
-        self.profiler.add("numpy_compute", time.perf_counter() - compute_start)
+        host["numpy_compute"] += time.perf_counter() - start
 
         # launches land on the member device the placement policy chose
         local = self.device.device_for(plan.device)
+        gather_fused = self.options.gather_fusion
         launch_us = 0.0
         for record in launches:
-            launch_us += local.launch(record, gather_fused=self.options.gather_fusion)
+            us = local.launch(record, gather_fused=gather_fused)
+            trace.launch(k, record.kernel_name, us)
+            launch_us += us
         if self._placement is not None:
             # feed observed device cost back so adaptive placements learn
             # per-block work (static byte estimates miss compute-bound time)
@@ -448,40 +427,43 @@ class AcrobatRuntime:
                 batch.block_id, batch_size, launch_us, len(launches), local.spec
             )
 
-        store_start = time.perf_counter()
+        start = time.perf_counter()
         self.planner.commit(plan, outputs, self.device)
-        self.profiler.add("materialize", time.perf_counter() - store_start)
+        host["materialize"] += time.perf_counter() - start
 
     # -- bookkeeping -------------------------------------------------------------
-    def collect_stats(self, batch_size: int) -> RunStats:
-        """Snapshot the profiler and device counters into a :class:`RunStats`.
+    def collect_stats(self, batch_size: int, wall_s: float = 0.0) -> RunStats:
+        """Fold the trace and the device group's counters into a
+        :class:`RunStats`.
 
-        Synchronization rounds are accounted by :meth:`trigger` itself.
+        Host time not attributed to scheduling, placement, memory planning,
+        dispatch, kernel compute or output materialization is charged to DFG
+        construction: graph building is interleaved with the front-end's own
+        program execution, so it is measured as the remainder of the run's
+        ``wall_s`` (0 when no wall time is given).
         """
-        host_ms = {
-            "dfg_construction": self.profiler.ms("dfg_construction"),
-            "scheduling": self.profiler.ms("scheduling"),
-            "memory_planning": self.profiler.ms("memory_planning"),
-            "dispatch": self.profiler.ms("dispatch"),
-            "materialize": self.profiler.ms("materialize"),
-        }
+        counts = self.trace.counts()
+        host_s = self.trace.host_s
+        host_ms = {"dfg_construction": max(0.0, 1e3 * (wall_s - sum(host_s.values())))}
+        for bucket in ("scheduling", "memory_planning", "dispatch", "materialize"):
+            host_ms[bucket] = 1e3 * host_s[bucket]
         if self._placement is not None:
             # the placement bucket exists only when a policy is active, so
             # single-device breakdowns keep their historical shape
-            host_ms["placement"] = self.profiler.ms("placement")
-        memory = dict(self.planner.operand_counts)
-        memory["gather_segments"] = self.planner.gather_segments
-        device = self.device.counters_dict()
-        per_device = self.device.per_device_dicts()
+            host_ms["placement"] = 1e3 * host_s["placement"]
+        memory = {kind.value: counts.get(kind.value, 0) for kind in OperandKind}
+        memory["gather_segments"] = counts["gather_segments"]
+        # keyed by position in the group, as placement indices are
+        per_device = [{"device": float(i), **member.counters.as_dict()} for i, member in enumerate(self.device)]
         return RunStats(
             host_ms=host_ms,
-            device=device,
+            device=_fold_devices(per_device),
             per_device=per_device,
             memory=memory,
-            num_dfg_nodes=self.num_nodes_total,
-            num_batches=self.num_batches_total,
+            num_dfg_nodes=counts["rows"],
+            num_batches=counts["batch"],
             batch_size=batch_size,
-            sync_rounds=self.sync_rounds,
+            sync_rounds=counts["sync"],
         )
 
     def reset(self, release_residency: bool = True) -> None:
@@ -494,11 +476,7 @@ class AcrobatRuntime:
         self._columns = {}
         self._round_seq = 0
         self.current_instance = 0
-        self.num_nodes_total = 0
-        self.num_batches_total = 0
-        self.sync_rounds = 0
-        self.profiler.reset()
-        self.planner.reset()
+        self.trace = RoundTrace()
         self.device.reset()
         if self._placement is not None:
             # run boundary: placement policies rotate here, not between a
@@ -506,6 +484,19 @@ class AcrobatRuntime:
             self._placement.note_reset()
         if release_residency:
             self.device.reset_residency()
+
+
+def _fold_devices(per_device: List[Dict[str, float]]) -> Dict[str, float]:
+    """The group's counters: every member component summed in member order,
+    ``total_device_us`` recomputed from the sums, and ``elapsed_device_us``
+    the busiest member's total (members run a round concurrently)."""
+    skip = ("device", "total_device_us")
+    device = {key: sum(m[key] for m in per_device) for key in per_device[0] if key not in skip}
+    device["total_device_us"] = (
+        device["kernel_time_us"] + device["gather_time_us"] + device["memcpy_time_us"] + device["peer_time_us"]
+    )
+    device["elapsed_device_us"] = max(m["total_device_us"] for m in per_device)
+    return device
 
 
 def _renumber(col: Column, first: int) -> None:

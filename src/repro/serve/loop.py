@@ -88,18 +88,13 @@ class DeviceTimeline:
 
     A real accelerator executes rounds asynchronously — launching returns
     immediately and rounds queue on the device.  The timeline captures just
-    enough of that for continuous batching on the simulated clock: each
-    :meth:`launch` begins at ``max(now, busy_until)`` (the device finishes
-    earlier rounds first), completes ``duration`` later, and pushes the
-    horizon out.  Sessions consult :meth:`in_flight` for the adaptive
-    policy; the loop consults :meth:`next_completion` to wake exactly when
-    the device frees.
-
-    With ``num_devices > 1`` the timeline keeps one busy horizon per group
-    member (a *lane*), and :meth:`launch_round` occupies only the lanes a
-    round actually uses, so different members' rounds overlap.
-    :meth:`launch` (the aggregate path) occupies every lane, so
-    single-device traces behave exactly as they always have.
+    enough of that for continuous batching on the simulated clock: the
+    timeline keeps one busy horizon per group member (a *lane*), and
+    :meth:`launch_round` queues each of a round's per-device shares behind
+    its lane's backlog (the device finishes earlier rounds first), so
+    different members' rounds overlap.  Sessions consult :meth:`in_flight`
+    for the adaptive policy; the loop consults :meth:`next_completion` to
+    wake exactly when the device frees.
     """
 
     def __init__(self, start: float = 0.0, num_devices: int = 1) -> None:
@@ -120,25 +115,13 @@ class DeviceTimeline:
         lanes = self._lanes
         return lanes[0] if len(lanes) == 1 else max(lanes)
 
-    def launch(self, now: float, duration_s: float) -> float:
-        """Queue one round of ``duration_s`` device seconds across the whole
-        group; returns its completion timestamp."""
-        begin = max(float(now), self.busy_until)
-        completion = begin + max(0.0, float(duration_s))
-        for i in range(len(self._lanes)):
-            self._lanes[i] = completion
-        self.rounds_launched += 1
-        heapq.heappush(self._completions, completion)
-        return completion
-
     def launch_round(self, now: float, shares: List[Tuple[int, float]]) -> float:
         """Queue one round given its per-device shares — ``(device_index,
         duration_s)`` pairs — occupying only the lanes the round uses.  The
         members execute their shares concurrently, each behind its own
         lane's backlog; the round completes when the slowest member
-        finishes.  Returns the round's completion timestamp."""
-        if not shares:
-            return self.launch(now, 0.0)
+        finishes (a round with no shares completes at ``now``).  Returns the
+        round's completion timestamp."""
         now = float(now)
         lanes = self._lanes
         n = len(lanes)

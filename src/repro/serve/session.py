@@ -458,7 +458,7 @@ class InferenceSession:
                 rt.trigger(limit=seq_cut)
                 outputs = [materialize_value(raw) for _, raw in pending]
                 wall_s = self._build_s + (time.perf_counter() - exec_start)
-                stats = self.engine.collect_stats(len(pending), wall_s)
+                stats = rt.collect_stats(len(pending), wall_s)
                 self._build_s = 0.0
                 if self._pending:
                     # the overflow's DFG rows live on in the runtime as the
@@ -497,19 +497,19 @@ class InferenceSession:
             # continuous batching: charge only the host share to the clock,
             # then *launch* the round — it completes at the device's busy
             # horizon plus its own device time, while intake keeps running.
-            # On a multi-lane timeline the round occupies only the lanes its
-            # per-device shares use, so different members' rounds overlap;
-            # the aggregate launch is the single-device path.  The host
-            # share occupies this loop's host lane only: the trace driver
-            # delays the loop's next event until the lane frees instead of
-            # advancing the shared clock
+            # The round occupies only the lanes its per-device shares use
+            # (one share per group member; the flush reset the device
+            # counters at its start, so ``stats.per_device`` is exactly this
+            # round's breakdown), so different members' rounds overlap.  The
+            # host share occupies this loop's host lane only: the trace
+            # driver delays the loop's next event until the lane frees
+            # instead of advancing the shared clock
             launch_at = flush_start + host_ms / 1e3
             self.host_lane.busy_until = launch_at
-            shares = self._device_shares(stats)
-            if shares is None:
-                completed_at = self.timeline.launch(launch_at, device_ms / 1e3)
-            else:
-                completed_at = self.timeline.launch_round(launch_at, shares)
+            completed_at = self.timeline.launch_round(
+                launch_at,
+                [(int(d["device"]), d["total_device_us"] / 1e6) for d in stats.per_device],
+            )
             execute_ms = (completed_at - flush_start) * 1e3
         else:
             # caller-driven: the round's execution latency blocks the clock
@@ -561,22 +561,6 @@ class InferenceSession:
                 self.flush()
 
     # -- internals -------------------------------------------------------------
-    def _device_shares(self, stats: RunStats) -> Optional[List[Tuple[int, float]]]:
-        """Per-member device shares of the flushed round, in device order —
-        what :meth:`DeviceTimeline.launch_round` occupies lane by lane.
-        None (meaning: use the aggregate :meth:`DeviceTimeline.launch`) for
-        one-member groups and single-lane timelines, which keeps
-        single-device traces bit-identical to the aggregate-timeline era.
-        Valid because the flush reset the device counters at its start, so
-        ``stats.per_device`` is exactly this round's breakdown."""
-        per_device = stats.per_device
-        if len(per_device) <= 1 or self.timeline.num_devices <= 1:
-            return None
-        return [
-            (int(d.get("device", i)), d.get("total_device_us", 0.0) / 1e6)
-            for i, d in enumerate(per_device)
-        ]
-
     def _abort_round(self, cause: BaseException) -> None:
         """Fail the current round's pending handles and reset the session
         to a clean empty round (the runtime's lazy graph is discarded, the

@@ -22,6 +22,7 @@ from repro.devices import (
 from repro.kernels.batched import LaunchRecord
 from repro.models import MODEL_MODULES
 from repro.runtime.device import DeviceCounters, DeviceSimulator, GPUSpec
+from repro.runtime.executor import AcrobatRuntime
 from repro.runtime.scheduler import ScheduledBatch
 from repro.serve import Server, SimulatedClock
 from repro.utils import values_allclose
@@ -179,8 +180,8 @@ class TestDeviceGroup:
         for sim, attrs in zip(sims, before):
             assert vars(sim).keys() == attrs.keys()
             assert all(vars(sim)[k] is v for k, v in attrs.items())
-        # the group reports members by position
-        assert [d["device"] for d in group.per_device_dicts()] == [0.0, 1.0]
+        # the group addresses members by position
+        assert list(group) == sims
 
     def test_mixed_simulators_and_specs_rejected(self):
         with pytest.raises(TypeError, match="not a mixture"):
@@ -211,7 +212,7 @@ class TestDeviceGroup:
     def test_same_device_transfer_is_free(self):
         group = DeviceGroup(2)
         assert group.peer_transfer(1, 1, 1e9) == 0.0
-        assert group.counters.num_peer_transfers == 0
+        assert all(d.counters.num_peer_transfers == 0 for d in group)
 
     def test_single_simulator_rejects_peers(self):
         """A bare simulator is the one-member group: it owns device 0 only,
@@ -235,17 +236,13 @@ class TestDeviceGroup:
         group[0].launch(record)
         group[0].launch(record)
         group[1].launch(record)
-        merged = group.counters
-        assert merged.num_kernel_launches == 3
-        assert merged.launches_by_kernel == {"k": 3}
-        assert merged.total_device_us == pytest.approx(
+        stats = AcrobatRuntime({}, device=group).collect_stats(batch_size=0)
+        assert stats.device["num_kernel_launches"] == 3
+        assert stats.device["total_device_us"] == pytest.approx(
             group[0].counters.total_device_us + group[1].counters.total_device_us
         )
-        d = group.counters_dict()
-        assert d["elapsed_device_us"] == pytest.approx(
-            group[0].counters.total_device_us
-        )
-        per = group.per_device_dicts()
+        assert stats.device["elapsed_device_us"] == group[0].counters.total_device_us
+        per = stats.per_device
         assert [p["device"] for p in per] == [0.0, 1.0]
         assert sum(p["num_kernel_launches"] for p in per) == 3
 
@@ -276,7 +273,7 @@ class TestDeviceGroup:
         )
         group[1].launch(record)
         group.reset()
-        assert group.counters.num_kernel_launches == 0
+        assert all(d.counters.num_kernel_launches == 0 for d in group)
 
     def test_per_device_residency(self):
         group = DeviceGroup(2)
@@ -705,8 +702,8 @@ class TestMultiDeviceEquivalence:
                 inputs = ()
 
         MemoryPlanner().resolve(plan, _Kernel, group, ExecutionOptions())
-        assert group.counters.num_peer_transfers == 1
-        assert group.counters.bytes_peer == arena.nbytes  # once, not x4
+        assert sum(d.counters.num_peer_transfers for d in group) == 1
+        assert sum(d.counters.bytes_peer for d in group) == arena.nbytes  # once, not x4
 
     def test_gathered_segments_peer_charge_like_the_per_part_walk(self):
         """A scattered column whose source arenas live on two remote members
@@ -777,7 +774,7 @@ class TestMultiDeviceEquivalence:
             assert calls == [(src, 0, nbytes) for src, nbytes in expected.items()]
             assert list(expected) == [2, 1]  # first-appearance order of the sources
             assert group[0].counters.bytes_peer == sum(expected.values())
-            assert planner.gather_segments == len(arenas)
+            assert plan.operands[0].segments == len(arenas)
             assert operand.scattered is (kind is OperandKind.FUSED_GATHER)
             views = [arenas[a].view(offset) for a, offset in column]
             gathered = index_gather(operand.segments)
@@ -1037,14 +1034,19 @@ class TestServerSharding:
 
 class TestCountersMerge:
     def test_merge_sums_everything(self):
-        a = DeviceCounters(kernel_time_us=1.0, num_kernel_launches=2)
-        a.launches_by_kernel["x"] = 2
-        b = DeviceCounters(kernel_time_us=3.0, num_kernel_launches=1, peer_time_us=4.0)
-        b.launches_by_kernel["x"] = 1
-        b.launches_by_kernel["y"] = 5
-        merged = DeviceCounters.merge([a, b])
-        assert merged.kernel_time_us == 4.0
-        assert merged.num_kernel_launches == 3
-        assert merged.peer_time_us == 4.0
-        assert merged.launches_by_kernel == {"x": 3, "y": 5}
-        assert merged.total_device_us == pytest.approx(8.0)
+        """``RunStats.device`` is the fold of ``per_device``: every
+        component summed in member order, the total recomputed from the
+        sums, elapsed the busiest member's total."""
+        group = DeviceGroup(2)
+        group[0].counters = DeviceCounters(kernel_time_us=1.0, num_kernel_launches=2)
+        group[1].counters = DeviceCounters(
+            kernel_time_us=3.0, num_kernel_launches=1, peer_time_us=4.0
+        )
+        stats = AcrobatRuntime({}, device=group).collect_stats(batch_size=0)
+        merged = stats.device
+        assert merged["kernel_time_us"] == 4.0
+        assert merged["num_kernel_launches"] == 3
+        assert merged["peer_time_us"] == 4.0
+        assert merged["total_device_us"] == 8.0
+        assert merged["elapsed_device_us"] == 7.0
+        assert set(merged) == set(stats.per_device[0]) - {"device"} | {"elapsed_device_us"}

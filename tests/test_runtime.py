@@ -9,7 +9,6 @@ import pytest
 from repro.kernels import BlockKernel, LaunchRecord, single_op_block
 from repro.runtime import (
     AcrobatRuntime,
-    ActivityProfiler,
     DeviceSimulator,
     DynamicDepthScheduler,
     ExecutionOptions,
@@ -22,6 +21,7 @@ from repro.runtime import (
     materialize_value,
 )
 from repro.runtime.scheduler import NoBatchScheduler, NumberedRows
+from repro.runtime.trace import RoundTrace
 
 
 def record(flops=1e5, bytes_read=1e4, bytes_written=1e4, name="k", scattered=0.0):
@@ -76,11 +76,15 @@ class TestDeviceSimulator:
         assert dev.schedule_table["k"] == 0.7
 
     def test_launch_counts_by_kernel(self):
+        """Per-kernel launch counts (what PGO weighs kernels by) are a fold
+        over the runtime trace's launch records, which the executor appends
+        as it charges each launch."""
+        trace = RoundTrace()
         dev = DeviceSimulator()
-        dev.launch(record(name="a"))
-        dev.launch(record(name="a"))
-        dev.launch(record(name="b"))
-        assert dev.counters.launches_by_kernel == {"a": 2, "b": 1}
+        for name in ("a", "a", "b"):
+            trace.launch(0, name, dev.launch(record(name=name)))
+        assert trace.kernel_launches() == {"a": 2, "b": 1}
+        assert dev.counters.num_kernel_launches == 3
 
     def test_gather_charges_api_and_bytes_per_call(self):
         dev = DeviceSimulator()
@@ -219,29 +223,6 @@ class TestDeviceSimulator:
         alive = weakref.ref(arr)
         del arr
         assert alive() is None  # the table holds its arrays weakly
-
-
-class TestProfiler:
-    def test_track_accumulates(self):
-        prof = ActivityProfiler()
-        with prof.track("x"):
-            pass
-        with prof.track("x"):
-            pass
-        assert prof.counts["x"] == 2 and prof.ms("x") >= 0.0
-
-    def test_add_and_bump(self):
-        prof = ActivityProfiler()
-        prof.add("sched", 0.002)
-        prof.bump("nodes", 5)
-        assert prof.ms("sched") == pytest.approx(2.0)
-        assert prof.counts["nodes"] == 5
-
-    def test_reset(self):
-        prof = ActivityProfiler()
-        prof.add("a", 1.0)
-        prof.reset()
-        assert prof.total_ms() == 0.0
 
 
 def _recording_runtime(num_blocks=2):
@@ -405,7 +386,7 @@ class TestExecutor:
         rt = self._runtime()
         outs = [rt.invoke(0, 0, 0, [np.full((1, 2), i, np.float32)]) for i in range(5)]
         rt.trigger()
-        assert rt.num_batches_total == 1
+        assert rt.collect_stats(batch_size=5).num_batches == 1
         assert all(o.is_materialized for o in outs)
 
     def test_chained_dependencies_execute_in_order(self):
@@ -436,7 +417,7 @@ class TestExecutor:
         rt.invoke(0, 1, 0, [a])
         rt.invoke(0, 1, 0, [b])
         rt.trigger()
-        assert rt.device.counters.num_gather_launches >= 1
+        assert rt.device[0].counters.num_gather_launches >= 1
 
     def test_gather_fusion_avoids_gather_launches(self):
         rt = self._runtime(gather_fusion=True)
@@ -448,7 +429,7 @@ class TestExecutor:
         rt.invoke(0, 1, 0, [a])
         rt.invoke(0, 1, 0, [b])
         rt.trigger()
-        assert rt.device.counters.num_gather_launches == 0
+        assert rt.device[0].counters.num_gather_launches == 0
 
     def test_stats_collection(self):
         rt = self._runtime()
@@ -457,15 +438,15 @@ class TestExecutor:
         stats = rt.collect_stats(batch_size=1)
         assert stats.kernel_calls >= 1
         assert stats.latency_ms > 0
-        assert "kernel_time_us" in stats.summary()
+        assert "kernel_time_us" in stats.device
 
     def test_reset_clears_state(self):
         rt = self._runtime()
         rt.invoke(0, 0, 0, [np.ones((1, 2), np.float32)])
         rt.trigger()
         rt.reset()
-        assert rt.pending_count == 0 and rt.num_nodes_total == 0
-        assert rt.device.counters.num_kernel_launches == 0
+        assert rt.pending_count == 0 and rt.trace == RoundTrace()
+        assert rt.device[0].counters.num_kernel_launches == 0
 
     def test_materialize_value_handles_nested_structures(self):
         rt = self._runtime()

@@ -828,6 +828,30 @@ class TestCappedFlush:
         ), f"{scheduler}/dev{devices}"
 
     @pytest.mark.parametrize("model_name", ZOO)
+    def test_capped_rounds_count_each_node_once(self, model_name):
+        """A capped round counts only the DFG nodes it executed: the rows it
+        leaves pending are the next round's, so the capped rounds' node
+        counts sum to the one uncapped round's."""
+        module = MODEL_MODULES[model_name]
+        mod, params, size = module.build_for("test")
+        instances = module.make_batch(mod, size, 5, seed=7)
+        model = compile_model(mod, params, CompilerOptions())
+
+        def node_counts(**policy_args):
+            clock = SimulatedClock()
+            session = model.serve("adaptive", clock=clock, **policy_args)
+            clock.advance(1.0)
+            for inst in instances:
+                session.submit(inst, at=0.0)
+            while session.pending_requests:
+                session.flush()
+            return [stats.num_dfg_nodes for stats in session.history]
+
+        (uncapped,) = node_counts()
+        capped = node_counts(max_batch=2)
+        assert len(capped) == 3 and sum(capped) == uncapped
+
+    @pytest.mark.parametrize("model_name", ZOO)
     def test_capped_rounds_match_reference_across_the_zoo(self, model_name):
         """Capped flushes cut the pending requests of every zoo model
         without changing a result: the oldest two per round, whether the

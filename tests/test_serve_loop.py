@@ -54,7 +54,7 @@ def birnn_setup():
 class TestDeviceTimeline:
     def test_idle_launch_runs_immediately(self):
         tl = DeviceTimeline()
-        assert tl.launch(1.0, 0.5) == pytest.approx(1.5)
+        assert tl.launch_round(1.0, [(0, 0.5)]) == pytest.approx(1.5)
         assert tl.busy_until == pytest.approx(1.5)
         assert tl.in_flight(1.2) == 1
         # completing exactly now: in flight until the wakeup drains it
@@ -64,16 +64,16 @@ class TestDeviceTimeline:
 
     def test_busy_launch_queues_behind(self):
         tl = DeviceTimeline()
-        tl.launch(0.0, 1.0)
+        tl.launch_round(0.0, [(0, 1.0)])
         # launched while busy: begins at the horizon, not at `now`
-        assert tl.launch(0.2, 0.5) == pytest.approx(1.5)
+        assert tl.launch_round(0.2, [(0, 0.5)]) == pytest.approx(1.5)
         assert tl.in_flight(0.3) == 2
         assert tl.rounds_launched == 2
 
     def test_pop_completions(self):
         tl = DeviceTimeline()
-        tl.launch(0.0, 1.0)
-        tl.launch(0.0, 1.0)  # completes at 2.0
+        tl.launch_round(0.0, [(0, 1.0)])
+        tl.launch_round(0.0, [(0, 1.0)])  # completes at 2.0
         assert tl.next_completion() == pytest.approx(1.0)
         assert tl.pop_completions(1.0) == 1
         assert tl.next_completion() == pytest.approx(2.0)
@@ -95,10 +95,14 @@ class TestDeviceTimeline:
         assert done == pytest.approx(1.0)
         assert tl.rounds_launched == 1
 
-    def test_aggregate_launch_occupies_every_lane(self):
+    def test_one_share_occupies_only_its_lane(self):
+        """A one-member session on a wider loop's timeline (a multi-endpoint
+        server mixing group sizes) holds only lane 0: the other members'
+        rounds do not queue behind it."""
         tl = DeviceTimeline(start=0.0, num_devices=3)
-        tl.launch(0.0, 2.0)
-        assert all(lane == pytest.approx(2.0) for lane in tl._lanes)
+        assert tl.launch_round(0.0, [(0, 2.0)]) == pytest.approx(2.0)
+        assert tl._lanes == [pytest.approx(2.0), 0.0, 0.0]
+        assert tl.launch_round(0.5, [(1, 1.0)]) == pytest.approx(1.5)
 
 
 class TestMonotonicArrivals:
@@ -1037,7 +1041,7 @@ class TestInFlightVisibility:
         session.charge_host = False
         try:
             # a long round is executing on the device
-            session.timeline.launch(clock.now(), 10.0)
+            session.timeline.launch_round(clock.now(), [(0, 10.0)])
             assert session.in_flight_rounds == 1
             # while the device is busy, waiting is free: even arrival gaps
             # that would normally flush must keep accumulating

@@ -193,4 +193,3 @@ class TestUnwired:
             session.flush()
             stats = session.last_stats
             assert stats.specialize == {}
-            assert not any(key.startswith("spec_") for key in stats.summary())
