@@ -73,7 +73,7 @@ def main() -> None:
     # inside one flush, the memory planner decides per batched operand
     # whether it already sits contiguously in a device arena (zero-copy) or
     # is gathered by the kernel itself (gather fusion, section 5.2)
-    session = model.session(flush_policy="size", flush_args={"n": 8})
+    session = model.serve("size", n=8)
     for request in requests[:8]:
         session.submit(request)
     memory = session.last_stats.memory

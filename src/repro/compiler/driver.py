@@ -32,7 +32,7 @@ from ..engine.engine import EngineModel, ExecutionEngine, ProgramBinding
 from ..ir.module import IRModule
 from ..kernels.batched import BlockKernel
 from ..runtime.device import GPUSpec
-from ..runtime.executor import AcrobatRuntime, ExecutionOptions, RunStats
+from ..runtime.executor import AcrobatRuntime, ExecutionOptions
 from ..runtime.fibers import FiberScheduler
 from .codegen import GeneratedProgram, PythonCodegen, py_func_name
 from .options import CompilerOptions
@@ -95,8 +95,6 @@ class CompiledModel(EngineModel):
     gpu_spec: Optional[GPUSpec] = None
     #: per-kernel schedule qualities from the auto-scheduler (kernel name -> quality)
     schedule_table: Dict[str, float] = field(default_factory=dict)
-    #: statistics of the most recent run
-    last_stats: Optional[RunStats] = None
 
     # -- introspection -----------------------------------------------------------
     @property
@@ -134,8 +132,6 @@ class CompiledModel(EngineModel):
         scheduler: Optional[str] = None,
         *,
         placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
     ) -> ExecutionEngine:
         """Create an execution engine bound to this model.
 
@@ -150,11 +146,12 @@ class CompiledModel(EngineModel):
         one-member group), a ready group, an integer member count or a list
         of :class:`~repro.runtime.device.GPUSpec`/preset names
         (heterogeneous groups); more than one member turns on multi-device
-        execution.  ``placement`` selects
-        the placement policy by registry name or instance (default
-        ``round_robin`` for multi-device groups); ``interconnect`` prices
-        cross-device transfers (preset name or
-        :class:`~repro.devices.interconnect.Interconnect`).
+        execution, and a group built as ``DeviceGroup(n,
+        interconnect="nvlink")`` prices cross-device transfers over its
+        interconnect (pcie otherwise).  ``placement`` selects the placement
+        policy by registry name or by instance, the way to pass a
+        non-default setting such as ``DataParallelPlacement(min_shard=3)``
+        (default ``round_robin`` for multi-device groups).
         """
         return ExecutionEngine(
             program=CompiledProgramBinding(self),
@@ -165,8 +162,6 @@ class CompiledModel(EngineModel):
             schedule_table=self.schedule_table,
             default_schedule_quality=self.options.default_schedule_quality,
             placement=placement,
-            placement_args=placement_args,
-            interconnect=interconnect,
         )
 
 

@@ -130,11 +130,13 @@ class DeviceGroup:
         group; an *explicit* interconnect combined with an already built
         group is rejected rather than silently ignored (the group keeps its
         own interconnect).  Likewise a non-empty ``schedule_table`` (a tuned
-        model's per-kernel qualities) is rejected when the adopted group's
-        members were not built with the same table: adoption never mutates
-        the group, so accepting it would silently simulate every kernel at
+        model's per-kernel qualities) is rejected when an adopted simulator
+        or group was not built with the same table: adoption never mutates
+        it, so accepting it would silently simulate every kernel at
         ``default_schedule_quality`` instead of its tuned quality."""
-        if isinstance(devices, cls):
+        if isinstance(devices, DeviceSimulator):
+            devices = cls([devices], interconnect="pcie" if interconnect is None else interconnect)
+        elif isinstance(devices, cls):
             if interconnect is not None:
                 raise ValueError(
                     "interconnect= cannot be combined with an already built "
@@ -142,31 +144,28 @@ class DeviceGroup:
                     f"{devices.interconnect.name!r}); construct the group "
                     "with the desired interconnect instead"
                 )
-            if schedule_table and any(
-                member.schedule_table != dict(schedule_table)
-                for member in devices.devices
-            ):
-                raise ValueError(
-                    "a tuned schedule_table cannot be combined with an "
-                    "already built DeviceGroup whose members were not "
-                    "constructed with it (adoption never mutates the group, "
-                    "so its kernels would silently run at "
-                    "default_schedule_quality); build the group with "
-                    "DeviceGroup(n, schedule_table=model.schedule_table) or "
-                    "pass device as an int / spec list instead"
-                )
-            return devices
-        if devices is None:
-            devices = 1
-        elif isinstance(devices, DeviceSimulator):
-            devices = [devices]
-        return cls(
-            devices,
-            spec=spec,
-            interconnect="pcie" if interconnect is None else interconnect,
-            schedule_table=schedule_table,
-            default_schedule_quality=default_schedule_quality,
-        )
+        else:
+            return cls(
+                1 if devices is None else devices,
+                spec=spec,
+                interconnect="pcie" if interconnect is None else interconnect,
+                schedule_table=schedule_table,
+                default_schedule_quality=default_schedule_quality,
+            )
+        if schedule_table and any(
+            member.schedule_table != dict(schedule_table) for member in devices.devices
+        ):
+            raise ValueError(
+                "a tuned schedule_table cannot be combined with an already "
+                "built DeviceSimulator or DeviceGroup that was not "
+                "constructed with it (adoption never mutates it, so its "
+                "kernels would silently run at default_schedule_quality); "
+                "build it with DeviceSimulator(schedule_table="
+                "model.schedule_table) or DeviceGroup(n, schedule_table="
+                "model.schedule_table), or pass device as an int / spec "
+                "list instead"
+            )
+        return devices
 
     # -- container surface -----------------------------------------------------
     def __len__(self) -> int:

@@ -6,26 +6,27 @@ and the DyNet baseline — used to hand-build an
 arguments, drive fibers and assemble :class:`~repro.runtime.executor.RunStats`
 on its own.  :class:`ExecutionEngine` owns that machinery once:
 
-* runtime construction (device group wiring, scheduler-policy resolution
-  through :mod:`repro.engine.registry`);
+* runtime construction: the device group the engine charges, handed to an
+  :class:`~repro.runtime.executor.AcrobatRuntime`, which resolves the
+  scheduler (``options.scheduler``) and the placement (``placement=``, a
+  registry name or an instance) in one place;
 * the per-instance execution loop, including the fiber scheduler for
   programs with tensor-dependent control flow, timed so the runtime's
   statistics fold can charge DFG construction the unaccounted wall time.
 
 Front-ends supply a :class:`ProgramBinding` that knows how to wire a runtime
 into the program and return a per-instance entry callable; they shrink to
-thin adapters.  :meth:`ExecutionEngine.session` opens a persistent
-:class:`~repro.serve.session.InferenceSession` that batches *across*
-independently submitted requests.  Every engine charges a
+thin adapters.  :meth:`EngineModel.serve` opens a persistent
+:class:`~repro.serve.session.InferenceSession` over a fresh engine that
+batches *across* independently submitted requests (over an engine already
+built, construct ``InferenceSession(engine, ...)``).  Every engine charges a
 :class:`~repro.devices.group.DeviceGroup` (one simulator is the one-member
-group); ``device=N``/``placement=`` shard each scheduled round across N
-members.
+group); ``device=N`` shards each scheduled round across N members.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..devices.group import DeviceGroup
@@ -34,7 +35,6 @@ from ..runtime.executor import AcrobatRuntime, ExecutionOptions, RunStats
 from ..runtime.fibers import FiberScheduler
 from ..runtime.tensor import materialize_value
 from ..utils import ensure_recursion_limit
-from .registry import make_scheduler
 
 
 class ProgramBinding:
@@ -94,73 +94,28 @@ class ExecutionEngine:
         self,
         program: ProgramBinding,
         kernels: Dict[int, Any],
-        options: Optional[ExecutionOptions] = None,
+        options: ExecutionOptions,
         *,
-        policy: Optional[str] = None,
         device: Any = None,
         gpu_spec: Optional[GPUSpec] = None,
         schedule_table: Optional[Dict[str, float]] = None,
         default_schedule_quality: float = 0.9,
         placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
     ) -> None:
         self.program = program
         self.kernels = kernels
-        options = options or ExecutionOptions()
-        if policy is not None:
-            options = replace(options, scheduler=policy)
-        if placement is not None and isinstance(placement, str):
-            options = replace(options, placement=placement)
         self.options = options
         #: the device group this engine charges (see DeviceGroup.coerce)
         self.device = DeviceGroup.coerce(
             device,
             spec=gpu_spec,
-            interconnect=interconnect,
             schedule_table=schedule_table,
             default_schedule_quality=default_schedule_quality,
         )
-        # placement: an instance is used as-is; a name (possibly from
-        # options.placement) resolves through the registry; a multi-device
-        # group with no explicit choice shards requests round-robin
-        if placement is None or isinstance(placement, str):
-            name = self.options.placement
-            if name is None and self.num_devices > 1:
-                name = "round_robin"
-            if name is not None:
-                from ..devices.placement import make_placement
-
-                merged_placement_args = {
-                    **self.options.placement_args,
-                    **(placement_args or {}),
-                }
-                placement = make_placement(name, **merged_placement_args)
-            elif placement_args:
-                raise ValueError(
-                    "placement_args were given but no placement policy "
-                    "resolves (single-device engine with no placement name)"
-                )
-        elif placement_args:
-            # mirror InferenceSession's policy_args contract: arguments only
-            # make sense when the policy is resolved by name here, and
-            # silently ignoring them would hide misconfiguration
-            raise ValueError(
-                "placement_args only apply when placement is given by name"
-            )
-        scheduler = make_scheduler(
-            options.scheduler,
-            kernels=kernels,
-            options=options,
-            **options.scheduler_args,
-        )
-        self.runtime = AcrobatRuntime(
-            kernels, options, self.device, scheduler, placement=placement
-        )
+        self.runtime = AcrobatRuntime(kernels, options, self.device, placement=placement)
         # deep model recursion (trees, long sequences) needs a high recursion
         # limit; raised once here rather than on every call
         ensure_recursion_limit()
-        self.last_stats: Optional[RunStats] = None
 
     @property
     def policy(self) -> str:
@@ -209,41 +164,16 @@ class ExecutionEngine:
 
         outputs = [materialize_value(r) for r in raw_results]
         total_s = time.perf_counter() - run_start
-
-        stats = rt.collect_stats(len(instances), total_s)
-        self.last_stats = stats
-        return outputs, stats
-
-    # -- sessions --------------------------------------------------------------
-    def session(
-        self,
-        *,
-        policy: Any = None,
-        policy_args: Optional[Dict[str, Any]] = None,
-        clock: Any = None,
-    ):
-        """Open a persistent :class:`~repro.serve.session.InferenceSession`
-        that batches across independently submitted requests.
-
-        ``policy`` selects a flush policy from the registry in
-        :mod:`repro.serve.policy` (with ``policy_args``, e.g. ``policy="size",
-        policy_args={"n": 8}``).  ``clock`` overrides the session's time
-        source (e.g. a :class:`~repro.serve.clock.SimulatedClock`).
-        """
-        from ..serve.session import InferenceSession
-
-        return InferenceSession(
-            self, policy=policy, policy_args=policy_args, clock=clock
-        )
+        return outputs, rt.collect_stats(len(instances), total_s)
 
 
 class EngineModel:
     """What every executable model front-end shares: instance-argument
-    binding plus the ``session``/``serve``/``run`` entry points, all
-    expressed over the subclass's ``make_engine``.  Subclasses
+    binding plus the ``serve``/``run`` entry points, both expressed over the
+    subclass's ``make_engine``.  Subclasses
     (:class:`~repro.compiler.driver.CompiledModel`,
-    :class:`~repro.vm.interpreter.VMModel`) provide ``module``, ``params``,
-    ``last_stats`` and ``make_engine``."""
+    :class:`~repro.vm.interpreter.VMModel`) provide ``module``, ``params``
+    and ``make_engine``."""
 
     @property
     def instance_binder(self) -> InstanceArgBinder:
@@ -256,37 +186,6 @@ class EngineModel:
         """Assemble the argument list of ``main`` for one instance."""
         return self.instance_binder(instance)
 
-    def session(
-        self,
-        device: Any = None,
-        scheduler: Optional[str] = None,
-        *,
-        flush_policy: Any = None,
-        flush_args: Optional[Dict[str, Any]] = None,
-        clock: Any = None,
-        placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
-    ):
-        """Open a persistent :class:`~repro.serve.session.InferenceSession`
-        that batches across independently submitted requests.
-
-        ``scheduler`` selects the *scheduler* policy (registry name — named
-        ``scheduler`` here and in :meth:`serve` so it can never be confused
-        with the flush-policy registry); ``flush_policy``/``flush_args``
-        select the session's *flush* policy (see :mod:`repro.serve.policy`),
-        e.g. ``flush_policy="size", flush_args={"n": 8}``.
-        ``device``/``placement``/``placement_args``/``interconnect`` shard
-        the session over a device group (see :meth:`make_engine`).
-        """
-        return self.make_engine(
-            device,
-            scheduler,
-            placement=placement,
-            placement_args=placement_args,
-            interconnect=interconnect,
-        ).session(policy=flush_policy, policy_args=flush_args, clock=clock)
-
     def serve(
         self,
         policy: Any = "adaptive",
@@ -295,8 +194,6 @@ class EngineModel:
         device: Any = None,
         scheduler: Optional[str] = None,
         placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
         **policy_args: Any,
     ):
         """Open a policy-driven serving session over this model.
@@ -304,21 +201,20 @@ class EngineModel:
         The serving facade: ``compile_model(...).serve("deadline", ms=5)``
         returns an :class:`~repro.serve.session.InferenceSession` whose
         flush policy (by registry name or instance, with ``policy_args``)
-        decides when the accumulated requests execute as one batched round.
+        decides when the accumulated requests execute as one batched round
+        (``serve("manual")`` flushes only when asked).
         ``scheduler`` optionally overrides the scheduler-policy name and
-        ``clock`` the session's time source; ``device``/``placement``/
-        ``placement_args``/``interconnect`` shard the session over a device
-        group (see :meth:`make_engine`) — ``serve("adaptive", device=4,
-        placement="round_robin")`` serves one model across four simulated
-        GPUs.
+        ``clock`` the session's time source; ``device``/``placement`` shard
+        the session over a device group (see :meth:`make_engine`) —
+        ``serve("adaptive", device=4)`` serves one model across four
+        simulated GPUs, request by request.
         """
-        return self.make_engine(
-            device,
-            scheduler,
-            placement=placement,
-            placement_args=placement_args,
-            interconnect=interconnect,
-        ).session(policy=policy, policy_args=policy_args or None, clock=clock)
+        from ..serve.session import InferenceSession
+
+        engine = self.make_engine(device, scheduler, placement=placement)
+        return InferenceSession(
+            engine, policy=policy, policy_args=policy_args or None, clock=clock
+        )
 
     def run(
         self,
@@ -344,6 +240,4 @@ class EngineModel:
             Per-instance outputs (fully materialized NumPy / ADT values) and
             the host/device breakdown of the run.
         """
-        outputs, stats = self.make_engine(device).run(instances)
-        self.last_stats = stats
-        return outputs, stats
+        return self.make_engine(device).run(instances)

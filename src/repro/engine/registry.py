@@ -5,10 +5,10 @@ strategies that differ only in *where the schedule information comes from*
 (static phase/depth annotations, runtime DFG traversals, DyNet-style
 agendas).  The registry makes that pluggable: every scheduling strategy is a
 named *policy* whose factory builds a scheduler object with a
-``schedule(nodes) -> List[ScheduledBatch]`` method, and every layer that
-needs a scheduler — :class:`~repro.engine.engine.ExecutionEngine`, the
-runtime, the experiment harness — resolves it by name through
-:func:`make_scheduler`.
+``schedule(nodes) -> List[ScheduledBatch]`` method, resolved by name
+through :func:`make_scheduler` in one place: the runtime
+(:class:`~repro.runtime.executor.AcrobatRuntime`) builds its scheduler from
+``options.scheduler`` and ``options.scheduler_args``.
 
 Built-in policies:
 

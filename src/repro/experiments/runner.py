@@ -88,10 +88,7 @@ def replay_row(row: Row) -> Replayed:
         for name in dict.fromkeys(item[1] for item in row.trace):
             server.add_endpoint(name, row.model, policy=row.policy, **row.policy_args)
         reports = server.replay(
-            row.trace,
-            continuous=row.continuous,
-            deterministic=True,
-            host_model=row.host_model,
+            row.trace, continuous=row.continuous, host_model=row.host_model
         )
         return server, reports
 

@@ -28,9 +28,8 @@ Reported per configuration: throughput, p50/p99 end-to-end latency on the
 simulated clock, mean batch size, kernel launches, peer transfers, the
 group's busy-time balance, and the throughput speedup vs the same policy's
 single-device run.  Every configuration's outputs are checked against the
-eager reference, and every flush's per-device counters are checked to sum
-to the group totals — sharding must change where work runs and what
-transfers cost, never results or accounting identities.
+eager reference — sharding must change where work runs and what transfers
+cost, never results.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ HEADERS = (
     "balance",
     "active_devices",
     "matches_ref",
-    "counters_sum",
 )
 
 PLACEMENTS = ("single", "round_robin", "data_parallel")
@@ -98,18 +96,6 @@ FLUSH_SIZE = 16
 #: ``EDGE_SPEC``, same "small" sizes) — so the table is a pure function of
 #: the trace and the device cost model and reproduces byte-for-byte
 HOST_MODEL = (2.0, 0.75)
-
-
-def _counters_sum_ok(history) -> bool:
-    """Every flush's per-device counters must sum to the group totals."""
-    for stats in history:
-        total = sum(d.get("total_device_us", 0.0) for d in stats.per_device)
-        launches = sum(d.get("num_kernel_launches", 0) for d in stats.per_device)
-        if abs(total - stats.device.get("total_device_us", 0.0)) > 1e-6:
-            return False
-        if launches != stats.device.get("num_kernel_launches", 0):
-            return False
-    return True
 
 
 def _busy_balance(history) -> Tuple[float, int]:
@@ -192,7 +178,6 @@ def run(
                     balance,
                     active,
                     yes(result.matches_ref),
-                    yes(_counters_sum_ok(history)),
                 ]
             )
     return HEADERS, rows

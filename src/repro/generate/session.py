@@ -266,7 +266,6 @@ class GenerationSession:
         self,
         requests: Sequence[GenerationRequest],
         *,
-        deterministic: bool = True,
         host_model: Optional[Tuple[float, float]] = None,
     ) -> List[GenerationHandle]:
         """Deterministically generate every request on the simulated clock.
@@ -276,11 +275,11 @@ class GenerationSession:
         :class:`~repro.serve.loop.ServeLoop`: flushed rounds execute on the
         loop's device timeline (device time pipelines, host time occupies
         the host lane), each step is admitted like any request (deadline
-        checks, host-gated dispatch), and with ``deterministic`` (default)
-        the measured host wall time is excluded — the same request list
-        replays bit-for-bit.  ``host_model`` is the deterministic
-        ``(per_round_ms, per_request_ms)`` flush-cost model; a decode step
-        is one request, so ``per_request_ms`` prices its host work.
+        checks, host-gated dispatch), and measured host wall time never
+        enters — the same request list replays bit-for-bit.  ``host_model``
+        is the ``(per_round_ms, per_request_ms)`` flush-cost model priced on
+        top of the simulated API time; a decode step is one request, so
+        ``per_request_ms`` prices its host work.
 
         Returns one :class:`GenerationHandle` per request, in input order,
         all finished.
@@ -322,7 +321,7 @@ class GenerationSession:
         handles = [GenerationHandle(req) for req in requests]
         for handle in handles:
             driver.call_at(handle.request.arrival, lambda h=handle: arrive(h))
-        driver.run((), deterministic=deterministic, host_model=host_model)
+        driver.run((), host_model=host_model)
         return handles
 
     # ==========================================================================

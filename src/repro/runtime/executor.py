@@ -60,7 +60,11 @@ from .trace import RoundTrace
 
 @dataclass
 class ExecutionOptions:
-    """Runtime-facing switches (a subset of the compiler options)."""
+    """Runtime-facing switches (a subset of the compiler options).
+
+    The scheduler is named here and resolved once, by the runtime; the
+    placement is not an option but the runtime's ``placement=`` argument
+    (a registry name or an instance)."""
 
     #: fuse the memory gather into batched kernels (§5.2); when off, scattered
     #: operands are first copied into contiguous buffers by explicit gather
@@ -72,17 +76,8 @@ class ExecutionOptions:
     #: depths by traversing the DFG at runtime)
     scheduler: str = "inline_depth"
     #: extra keyword arguments forwarded to the scheduler-policy factory
-    #: (e.g. ``{"kind": "depth"}`` for the "dynet" policy), so parameterized
-    #: policies work even when the runtime resolves its own scheduler
+    #: (e.g. ``{"kind": "depth"}`` for the "dynet" policy)
     scheduler_args: Dict[str, Any] = field(default_factory=dict)
-    #: placement-policy name, resolved through the registry in
-    #: :mod:`repro.devices.placement` ("single", "round_robin",
-    #: "data_parallel"); None keeps every batch on the primary device.
-    #: Only meaningful when the runtime's
-    #: :class:`~repro.devices.group.DeviceGroup` has more than one member.
-    placement: Optional[str] = None
-    #: extra keyword arguments forwarded to the placement-policy factory
-    placement_args: Dict[str, Any] = field(default_factory=dict)
     #: coalesce host->device parameter/input transfers
     batch_memcpy: bool = True
     #: extra consistency checks (shared-argument equality, dependency order)
@@ -164,10 +159,11 @@ class AcrobatRuntime:
         kernels: Dict[int, BlockKernel],
         options: Optional[ExecutionOptions] = None,
         device: Any = None,
-        scheduler: Optional[Any] = None,
-        placement: Optional[Any] = None,
+        placement: Any = None,
     ) -> None:
         from ..devices.group import DeviceGroup
+        from ..devices.placement import make_placement
+        from ..engine.registry import make_scheduler
 
         self.kernels = kernels
         self.options = options or ExecutionOptions()
@@ -182,25 +178,18 @@ class AcrobatRuntime:
         #: the pending graph: ``(phase, depth, block_id) -> Column`` (see the
         #: module docstring)
         self._columns: Dict[Tuple[int, int, int], Column] = {}
-        if scheduler is None:
-            # resolved through the engine-layer policy registry so that even
-            # directly constructed runtimes select schedulers by name;
-            # policy-specific arguments come from options.scheduler_args
-            from ..engine.registry import make_scheduler
-
-            scheduler = make_scheduler(
-                self.options.scheduler,
-                kernels=kernels,
-                options=self.options,
-                **self.options.scheduler_args,
-            )
-        self._scheduler = scheduler
-        if placement is None and self.options.placement is not None:
-            from ..devices.placement import make_placement
-
-            placement = make_placement(
-                self.options.placement, **self.options.placement_args
-            )
+        self._scheduler = make_scheduler(
+            self.options.scheduler,
+            kernels=kernels,
+            options=self.options,
+            **self.options.scheduler_args,
+        )
+        # placement: a registry name or an instance; none given shards a
+        # multi-member group request by request and leaves one member alone
+        if placement is None and self.device.num_devices > 1:
+            placement = "round_robin"
+        if isinstance(placement, str):
+            placement = make_placement(placement)
         elif placement is not None:
             # placement instances carry per-runtime rotation/EWMA state: a
             # second runtime sharing one would rotate the first's split

@@ -22,7 +22,8 @@ setting, where independent requests arrive continuously and must be batched
 * :mod:`repro.serve.sim` — :class:`~repro.serve.sim.TraceDriver`, the one
   deterministic discrete-event driver under every simulated replay
   (``Server.replay`` and ``GenerationSession.generate``; caller-driven
-  replay is the same driver without a device timeline/host lane);
+  replay is the same driver on lanes that block the clock instead of
+  launching onto the device timeline);
 * :mod:`repro.serve.server` — :class:`Server`/:class:`Endpoint`
   multiplexing multiple compiled models over one shared device simulator,
   with exactly two drivers, one per clock: ``run()`` starts the loop

@@ -46,9 +46,9 @@ raises :class:`LoopStopped`:
   :class:`DeviceTimeline`: a flushed round's *host* share occupies the
   loop's host lane (intake is serial with host work) and its *device*
   share queues on the timeline — rounds pipeline back-to-back on the
-  device while intake streams on.  With ``deterministic=True`` the
-  measured wall-clock host share is dropped, so replaying the same trace
-  is bit-for-bit identical across runs and hosts.
+  device while intake streams on.  The measured wall-clock host share
+  never enters (a host model prices it), so replaying the same trace is
+  bit-for-bit identical across runs and hosts.
 """
 
 from __future__ import annotations

@@ -309,7 +309,7 @@ class Server:
         """Register ``model`` under ``name``.
 
         ``model`` is any executable model exposing ``make_engine(device,
-        policy)`` (:class:`~repro.compiler.driver.CompiledModel` or
+        scheduler, placement=)`` (:class:`~repro.compiler.driver.CompiledModel` or
         :class:`~repro.vm.interpreter.VMModel`); ``policy`` selects the
         endpoint's flush policy by name (with ``policy_args``) or instance,
         and ``scheduler`` optionally overrides the model's scheduler-policy
@@ -439,7 +439,6 @@ class Server:
         trace: Iterable[Tuple],
         *,
         continuous: bool = True,
-        deterministic: bool = True,
         host_model: Optional[Tuple[float, float]] = None,
     ) -> Dict[str, TrafficReport]:
         """Replay a tagged open-loop trace on the simulated clock through
@@ -460,9 +459,10 @@ class Server:
         ``continuous=True`` runs rounds on each loop's device timeline
         while intake streams on; ``continuous=False`` is the caller-driven
         choreography, where each flush blocks the clock for the round's
-        full latency.  ``deterministic=True`` excludes measured host wall
-        time, so the same trace replays bit-for-bit; ``host_model`` stands
-        in for it as ``(per_round_ms, per_request_ms)``.
+        full latency.  Measured host wall time never enters a replay, so the
+        same trace replays bit-for-bit; ``host_model`` prices each flush's
+        host work as ``(per_round_ms, per_request_ms)`` on top of the
+        simulated API time.
         """
         items = sorted(trace, key=lambda item: item[0])
         self._materialize_topology()
@@ -474,7 +474,7 @@ class Server:
         first_arrival: Dict[str, float] = {}
         for t, name, *_ in items:
             first_arrival.setdefault(name, t)
-        handles = driver.run(items, deterministic=deterministic, host_model=host_model)
+        handles = driver.run(items, host_model=host_model)
         reports = {}
         for name, hs in handles.items():
             after = _counters(self._endpoints[name])

@@ -30,8 +30,9 @@ a clock timestamp rather than a submit event).  All timing runs on the
 session's pluggable :class:`~repro.serve.clock.Clock`, so tests and the
 open-loop traffic benchmark use a simulated clock.
 
-Under a :class:`~repro.serve.loop.ServeLoop` the session additionally
-carries a :class:`~repro.serve.loop.DeviceTimeline`: instead of blocking
+Under a simulated replay the session holds its loop's lane
+(:mod:`repro.serve.sim`), and on a continuous lane its
+:class:`~repro.serve.loop.DeviceTimeline`: instead of blocking
 the clock for a round's device time, :meth:`flush` *launches* the round
 onto the timeline (completion = the device's busy horizon plus the round's
 device time) and only the host-side share serializes with intake — the
@@ -136,31 +137,15 @@ class InferenceSession:
         self._round_started_at: Optional[float] = None
         self._last_submit_backdated = False
         self._last_arrival: Optional[float] = None
-        #: device timeline for continuous batching (set by a
-        #: :class:`~repro.serve.loop.ServeLoop`): when present, flushed
-        #: rounds launch asynchronously — completion lands on the timeline
-        #: instead of blocking the clock for the round's device time
-        self.timeline = None
-        #: the owning loop's host lane (set together with ``timeline`` by
-        #: the simulated trace driver, see :mod:`repro.serve.sim`): a flush
-        #: serializes its host share against *this loop only* — the lane's
-        #: ``busy_until`` advances instead of the shared clock, so sibling
-        #: loops' host work proceeds in parallel (the whole point of the
-        #: sharded front door) and the driver delays this loop's next event
-        #: until the lane frees
-        self.host_lane = None
-        #: charge measured host wall time to the clock at each flush (the
-        #: default).  Deterministic replays switch this off so the simulated
-        #: timeline depends only on simulated device quantities and the
-        #: same trace reproduces bit-for-bit across runs/hosts.
-        self.charge_host = True
-        #: deterministic stand-in for the measured host share when
-        #: ``charge_host`` is off: ``(per_round_ms, per_request_ms)`` —
-        #: a flush of B requests charges ``per_round + B * per_request``
-        #: milliseconds of modelled host time.  None charges only the
-        #: simulated CPU-side API time.  Replay drivers set this so
-        #: deterministic experiments still exhibit host-blocked intake.
-        self.host_cost_model: Optional[Tuple[float, float]] = None
+        #: the simulated trace driver's per-loop lane state while a replay
+        #: runs, else None (see :mod:`repro.serve.sim`).  Inside a replay a
+        #: flush prices host work as the simulated API time plus the lane's
+        #: ``host_model`` — never measured wall time, so the same trace
+        #: replays bit-for-bit — and, on a continuous lane, *launches* the
+        #: round onto ``lane.timeline`` and occupies only ``lane`` (its
+        #: ``busy_until``) instead of blocking the shared clock.  Outside a
+        #: replay a flush charges measured host time to the clock.
+        self.lane = None
         #: statistics of the most recent flush
         self.last_stats: Optional[RunStats] = None
         #: statistics of recent flushes (bounded — long-lived sessions use
@@ -208,9 +193,9 @@ class InferenceSession:
         timeline (always 0 outside a continuous-batching loop).  While
         rounds are in flight, waiting costs pending requests nothing —
         the device is busy anyway — which the adaptive policy exploits."""
-        if self.timeline is None:
+        if self.lane is None:
             return 0
-        return self.timeline.in_flight(self.clock.now())
+        return self.lane.timeline.in_flight(self.clock.now())
 
     def next_deadline(self) -> Optional[float]:
         """Clock timestamp by which the pending round must flush, or None
@@ -482,18 +467,19 @@ class InferenceSession:
         # split the round's latency into the host share (serial with intake:
         # DFG building, scheduling, dispatch and the CPU-side API time all
         # happen on the serving thread) and the device share (what a real
-        # accelerator executes asynchronously).  Deterministic replays drop
-        # the measured wall-clock host share so the simulated timeline is a
-        # pure function of the trace.
-        if self.charge_host:
+        # accelerator executes asynchronously).  A replay prices the host
+        # share by its lane's model instead of measured wall time, so the
+        # simulated timeline is a pure function of the trace.
+        lane = self.lane
+        if lane is None:
             host_ms = stats.host_total_ms + stats.api_time_ms
         else:
             host_ms = stats.api_time_ms
-            if self.host_cost_model is not None:
-                per_round, per_request = self.host_cost_model
+            if lane.host_model is not None:
+                per_round, per_request = lane.host_model
                 host_ms += per_round + per_request * len(pending)
         device_ms = stats.device_total_ms
-        if self.timeline is not None:
+        if lane is not None and lane.continuous:
             # continuous batching: charge only the host share to the clock,
             # then *launch* the round — it completes at the device's busy
             # horizon plus its own device time, while intake keeps running.
@@ -505,8 +491,8 @@ class InferenceSession:
             # driver delays the loop's next event until the lane frees
             # instead of advancing the shared clock
             launch_at = flush_start + host_ms / 1e3
-            self.host_lane.busy_until = launch_at
-            completed_at = self.timeline.launch_round(
+            lane.busy_until = launch_at
+            completed_at = lane.timeline.launch_round(
                 launch_at,
                 [(int(d["device"]), d["total_device_us"] / 1e6) for d in stats.per_device],
             )
@@ -539,7 +525,6 @@ class InferenceSession:
                 ),
             )
         self.last_stats = stats
-        self.engine.last_stats = stats
         self.history.append(stats)
         self.num_flushes += 1
         self.requests_flushed += len(pending)

@@ -27,70 +27,43 @@ exist exactly once:
   and no call is scheduled, force-flushing only policies that would wait
   forever (``manual``).
 
-**Caller-driven** replays (``Server.replay(continuous=False)``) are the
-same driver with the :class:`~repro.serve.loop.DeviceTimeline` / host
-lane *assignment* skipped: sessions keep ``timeline=None``,
-so each flush blocks the shared clock for the round's full latency — the
-historical single-threaded choreography — while admission, deadline
-firing and drain run through the identical code.
+Every replay is deterministic: while it runs, each session holds its
+loop's state as ``session.lane``, and a flush prices host work as the
+simulated API time plus the replay's ``host_model``, never as measured
+wall time.  **Caller-driven** replays (``Server.replay(continuous=False)``)
+are the same driver on lanes marked not continuous: each flush blocks the
+shared clock for the round's full latency — the historical
+single-threaded choreography — while admission, deadline firing and
+drain run through the identical code.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .clock import SimulatedClock
 from .loop import BackpressureFull, DeviceTimeline, ServeLoop, _Admission
 from .request import RequestExpired, RequestHandle
 
 
-@contextlib.contextmanager
-def replay_state(
-    sessions: Iterable[Any],
-    *,
-    deterministic: bool,
-    host_model: Optional[Tuple[float, float]],
-) -> Iterator[None]:
-    """Apply a replay's session configuration — no device timeline or host
-    lane (the driver assigns both for continuous replays), host charging
-    mode and deterministic host-cost model — and restore each session's
-    prior values on exit, so replays never clobber a caller's own
-    settings."""
-    sessions = list(sessions)
-    prior = [
-        (s.timeline, s.host_lane, s.charge_host, s.host_cost_model) for s in sessions
-    ]
-    for session in sessions:
-        session.timeline = None
-        session.host_lane = None
-        session.charge_host = not deterministic
-        session.host_cost_model = host_model
-    try:
-        yield
-    finally:
-        for session, state in zip(sessions, prior):
-            (
-                session.timeline,
-                session.host_lane,
-                session.charge_host,
-                session.host_cost_model,
-            ) = state
-
-
 class _LoopState:
     """One loop's simulated-mode machinery: its sessions, device timeline
-    and host lane.  The state *is* the lane its sessions' flushes charge
-    (``session.host_lane.busy_until``): charging the shared clock instead
-    would serialize host work *across* loops — exactly the scaling ceiling
-    the sharded front door removes.  Admissions waiting for the lane to
-    free sit in the loop's own admission queue (``loop._queue``)."""
+    and host lane, plus the replay's host model and mode.  Each of the
+    loop's sessions holds the state as its ``lane`` while the replay runs,
+    and its flushes read everything they price from it: a continuous flush
+    launches onto ``timeline`` and pushes ``busy_until`` (the host lane)
+    out.  Charging the shared clock instead would serialize host work
+    *across* loops — exactly the scaling ceiling the sharded front door
+    removes.  Admissions waiting for the lane to free sit in the loop's own
+    admission queue (``loop._queue``)."""
 
-    __slots__ = ("loop", "index", "sessions", "timeline", "busy_until")
+    __slots__ = (
+        "loop", "index", "sessions", "timeline", "busy_until", "continuous", "host_model"
+    )
 
-    def __init__(self, loop: ServeLoop, index: int, start: float) -> None:
+    def __init__(self, loop: ServeLoop, index: int, start: float, continuous: bool) -> None:
         self.loop = loop
         self.index = index
         self.sessions: Dict[str, Any] = loop.sessions()
@@ -102,6 +75,13 @@ class _LoopState:
         self.timeline = DeviceTimeline(start=start, num_devices=lanes)
         #: the host lane: when this loop's host finishes its flush work
         self.busy_until = float(start)
+        #: rounds launch onto the timeline (False: caller-driven, each
+        #: flush blocks the shared clock for the round's full latency)
+        self.continuous = continuous
+        #: ``(per_round_ms, per_request_ms)``: a flush of B requests charges
+        #: ``per_round + B * per_request`` ms of modelled host time on top
+        #: of the simulated API time (None: the API time alone)
+        self.host_model: Optional[Tuple[float, float]] = None
 
     def idle(self, now: float) -> bool:
         """Fully quiescent: nothing queued, pending, in flight, and the
@@ -127,8 +107,8 @@ class TraceDriver:
     Internal: built by ``Server.replay`` and ``GenerationSession.generate``,
     never by user code.  ``route`` maps an endpoint name to its home loop
     (``LoopTopology.route``; None means the single loop).
-    ``continuous=False`` is the caller-driven mode: no timeline or host
-    lane is assigned to the sessions.
+    ``continuous=False`` is the caller-driven mode: flushes block the
+    shared clock instead of launching onto the loops' timelines.
     """
 
     def __init__(
@@ -148,9 +128,10 @@ class TraceDriver:
             )
         self.clock = clock
         self.route = route
-        self.continuous = continuous
         start = clock.now()
-        self.states = [_LoopState(loop, i, start) for i, loop in enumerate(loops)]
+        self.states = [
+            _LoopState(loop, i, start, continuous) for i, loop in enumerate(loops)
+        ]
         self._by_loop = {st.loop: st for st in self.states}
         #: scheduled calls, a min-heap of ``(time, seq, fn)``
         self._calls: List[Tuple[float, int, Callable[[], Any]]] = []
@@ -161,29 +142,25 @@ class TraceDriver:
         self,
         workload: Iterable[Tuple],
         *,
-        deterministic: bool = True,
         host_model: Optional[Tuple[float, float]] = None,
     ) -> Dict[str, List[RequestHandle]]:
         """Replay ``workload`` — ``(arrival_time, endpoint, request)`` or
         ``(..., meta)`` items — and return every request's handle per
         endpoint, in arrival order (failed admissions included).  An item
-        no loop could admit is refused before the first admission."""
+        no loop could admit is refused before the first admission.
+        ``host_model`` prices each flush's host work (see
+        :class:`_LoopState`); measured wall time never enters a replay."""
         clock = self.clock
         states = self.states
         items = [_unpack(item) for item in sorted(workload, key=lambda it: it[0])]
         for _, name, _, meta in items:
             self._check_home(name, meta.get("loop"))
         handles: Dict[str, List[RequestHandle]] = {}
-        with replay_state(
-            [s for st in states for s in st.sessions.values()],
-            deterministic=deterministic,
-            host_model=host_model,
-        ):
-            if self.continuous:
-                for st in states:
-                    for session in st.sessions.values():
-                        session.timeline = st.timeline
-                        session.host_lane = st
+        for st in states:
+            st.host_model = host_model
+            for session in st.sessions.values():
+                session.lane = st
+        try:
             last = len(items) - 1
             for i, (t, name, instance, meta) in enumerate(items):
                 self.advance_until(t)
@@ -203,6 +180,10 @@ class TraceDriver:
             clock.advance_to(horizon)
             for st in states:
                 st.timeline.pop_completions(clock.now())
+        finally:
+            for st in states:
+                for session in st.sessions.values():
+                    session.lane = None
         return handles
 
     # -- admission -------------------------------------------------------------

@@ -42,7 +42,7 @@ from ..kernels.batched import BlockKernel
 from ..kernels.block import single_op_block
 from ..kernels.registry import get_op
 from ..runtime.device import GPUSpec
-from ..runtime.executor import AcrobatRuntime, ExecutionOptions, RunStats
+from ..runtime.executor import AcrobatRuntime, ExecutionOptions
 from ..runtime.fibers import FiberScheduler
 from ..runtime.tensor import LazyTensor, materialize_value
 from ..utils import ensure_recursion_limit
@@ -232,7 +232,6 @@ class VMModel(EngineModel):
     #: when False, every operator executes as its own batch of one (eager,
     #: no-auto-batching execution — the PyTorch baseline of Fig. 5)
     batching: bool = True
-    last_stats: Optional[RunStats] = None
 
     def make_engine(
         self,
@@ -240,15 +239,13 @@ class VMModel(EngineModel):
         scheduler: Optional[str] = None,
         *,
         placement: Any = None,
-        placement_args: Optional[Dict[str, Any]] = None,
-        interconnect: Any = None,
     ) -> ExecutionEngine:
         """Engine interpreting the program with runtime-only batching.
 
         Kernels start empty: the interpreter creates single-operator blocks
         on demand and installs them into the engine's runtime.
-        ``device``/``placement``/``interconnect`` shard execution over a
-        device group exactly as :meth:`CompiledModel.make_engine` does.
+        ``device``/``placement`` shard execution over a device group
+        exactly as :meth:`CompiledModel.make_engine` does.
         """
         return ExecutionEngine(
             program=VMProgramBinding(self),
@@ -261,8 +258,6 @@ class VMModel(EngineModel):
             device=device,
             gpu_spec=self.gpu_spec,
             placement=placement,
-            placement_args=placement_args,
-            interconnect=interconnect,
         )
 
 

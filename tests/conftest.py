@@ -88,6 +88,22 @@ def trace_of(arrivals, requests, endpoint="m"):
     return [(t, endpoint, request) for t, request in zip(arrivals, requests)]
 
 
+def assert_members_match_trace(trace, stats):
+    """Each group member's charged kernel launches, counted and summed
+    independently from the trace's ``launch`` records on the batches placed
+    on it, equal that member's ``per_device`` counters (and so, through
+    the fold, the group totals)."""
+    placed = {r[1]: r[6] for r in trace.records if r[0] == "batch"}
+    counts = [0] * len(stats.per_device)
+    micros = [0.0] * len(stats.per_device)
+    for r in trace.records:
+        if r[0] == "launch":
+            counts[placed[r[1]]] += 1
+            micros[placed[r[1]]] += r[3]
+    assert counts == [d["num_kernel_launches"] for d in stats.per_device]
+    assert micros == pytest.approx([d["kernel_time_us"] for d in stats.per_device])
+
+
 @pytest.fixture(scope="session")
 def rnn_module_and_params():
     return build_listing1_rnn()

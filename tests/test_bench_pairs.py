@@ -121,15 +121,28 @@ def test_traced_pairs_record_the_per_layer_metrics(bench_pairs, monkeypatch):
     assert (nodes["wins"], nodes["unit"]) == (0, "count")  # 21 == 21, 21 < 22
 
 
-def summary(better, parent, change, wins, pairs=10):
-    """A metric of a record: ``parent`` / ``change`` are (q1, median, q3)."""
+def summary(better, parent, change, wins, pairs=10, runs=None):
+    """A metric of a record: ``parent`` / ``change`` are (q1, median, q3).
+    Unless given, each side's ``runs`` are five values with exactly those
+    quartiles."""
+    if runs is None:
+        runs = {side: [q1, q1, m, q3, q3] for side, (q1, m, q3) in (("parent", parent), ("change", change))}
     return {
         "better": better,
         "parent": dict(zip(("q1", "median", "q3"), parent)),
         "change": dict(zip(("q1", "median", "q3"), change)),
         "wins": wins,
         "pairs": pairs,
+        "runs": runs,
     }
+
+
+#: ``tree_batch`` ``setup_s`` of record ``3a2df3f+worktree``: the parent's
+#: IQR is 34.5% of its median against a 25% bound
+WIDE_SETUP_RUNS = {
+    "parent": [0.2508, 0.2522, 0.2343, 0.3823, 0.3720, 0.4282, 0.3668, 0.3566, 0.2629, 0.4117],
+    "change": [0.2303, 0.2612, 0.3477, 0.2379, 0.3376, 0.3223, 0.3466, 0.3907, 0.2696, 0.3157],
+}
 
 
 @pytest.mark.parametrize(
@@ -152,10 +165,30 @@ def summary(better, parent, change, wins, pairs=10):
         (summary("higher", (96, 100, 104), (74, 76, 78), 0), 0.25, "flat"),
         # a metric without a bound is never judged worse
         (summary("lower", (96, 100, 104), (190, 200, 210), 0), None, "flat"),
+        # either side's spread wider than the bound's share of the parent's
+        # median: neither side can be told from the other
+        (summary("lower", (80, 100, 130), (85, 102, 120), 5), 0.25, "unresolved"),
+        (summary("higher", (98, 100, 102), (70, 101, 130), 5), 0.25, "unresolved"),
+        # ... unless every change run beats every parent run
+        (summary("lower", (90, 100, 126), (60, 70, 85), 10, pairs=5), 0.25, "flat"),
+        # worse beyond the bound is worse, however wide the spread
+        (summary("lower", (80, 100, 130), (125, 130, 160), 0), 0.25, "worse"),
+        # a wide spread without a bound stays flat
+        (summary("lower", (80, 100, 130), (85, 102, 120), 5), None, "flat"),
     ],
 )
 def test_verdict(bench_pairs, metric, bound, expected):
     assert bench_pairs.verdict(metric, bound) == expected
+
+
+def test_a_recorded_spread_wider_than_its_bound_is_unresolved(bench_pairs):
+    setup = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    parent = [{"setup_s": v} for v in WIDE_SETUP_RUNS["parent"]]
+    change = [{"setup_s": v} for v in WIDE_SETUP_RUNS["change"]]
+    record = bench_pairs.make_record(
+        "3a2df3f+worktree", "3a2df3f", "tree_batch", range(1200, 1210), 24, parent, change, setup
+    )
+    assert record["metrics"]["setup_s"]["verdict"] == "unresolved"
 
 
 def test_the_record_carries_each_metrics_verdict(bench_pairs):

@@ -352,7 +352,7 @@ def test_random_programs_batch_as_the_per_node_schedule(step, base_pick, coin_li
 def capped_session(zoo, requests):
     mod, params, batch, reference = zoo["treelstm"]
     model = compile_model(mod, params, CompilerOptions())
-    session = model.session(flush_policy="manual")
+    session = model.serve("manual")
     rec = Recorder(session.engine.runtime, inline_depth)
     handles = [session.submit(batch[i]) for i in requests]
     # flush the two oldest requests per round

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import CompilerOptions, compile_model, reference_run
+from repro.compiler.driver import CompiledProgramBinding
 from repro.devices import (
     DataParallelPlacement,
     DeviceGroup,
@@ -26,6 +27,7 @@ from repro.runtime.executor import AcrobatRuntime
 from repro.runtime.scheduler import ScheduledBatch
 from repro.serve import Server, SimulatedClock
 from repro.utils import values_allclose
+from tests.conftest import assert_members_match_trace
 
 BATCH = 8
 
@@ -46,13 +48,10 @@ def build(model_name, batch=BATCH, seed=11, scheduler=None):
     return compiled, instances, reference
 
 
-def _assert_counters_sum(stats):
-    """Per-device counters sum to the group totals."""
+def _assert_counters_sum(engine, stats):
+    """Per-device counters are what the trace placed on each member."""
     assert stats.per_device
-    total = sum(d["total_device_us"] for d in stats.per_device)
-    assert total == pytest.approx(stats.device["total_device_us"])
-    launches = sum(d["num_kernel_launches"] for d in stats.per_device)
-    assert launches == stats.device["num_kernel_launches"]
+    assert_members_match_trace(engine.runtime.trace, stats)
 
 
 @pytest.fixture(scope="module")
@@ -530,7 +529,7 @@ class TestMultiDeviceEquivalence:
         engine = compiled.make_engine(device=devices, placement=placement)
         outputs, stats = engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
-        _assert_counters_sum(stats)
+        _assert_counters_sum(engine, stats)
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("placement", SHARDING_PLACEMENTS)
@@ -545,7 +544,7 @@ class TestMultiDeviceEquivalence:
         for _ in range(2):
             outputs, stats = engine.run(instances)
             assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
-            _assert_counters_sum(stats)
+            _assert_counters_sum(engine, stats)
             assert all(d["total_device_us"] > 0 for d in stats.per_device)
             if placement == "round_robin":
                 assert stats.device["num_peer_transfers"] == 0
@@ -563,7 +562,7 @@ class TestMultiDeviceEquivalence:
         for _ in range(2):
             outputs, stats = engine.run(instances)
             assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
-            _assert_counters_sum(stats)
+            _assert_counters_sum(engine, stats)
 
     def test_observed_costs_split_on_compute_starved_spec(self):
         """On a spec whose per-block work dwarfs the API overhead, the
@@ -588,7 +587,7 @@ class TestMultiDeviceEquivalence:
         _, first = engine.run(instances)
         outputs, second = engine.run(instances)
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
-        _assert_counters_sum(second)
+        _assert_counters_sum(engine, second)
         assert all(d["total_device_us"] > 0 for d in second.per_device)
         assert (
             second.device["num_kernel_launches"]
@@ -814,7 +813,7 @@ class TestMultiDeviceEquivalence:
         assert all(values_allclose(a, b, atol=0, rtol=0) for a, b in zip(reference, outputs))
         assert set(seen) == {0, 1, 2, 3}
         assert all(d["num_kernel_launches"] > 0 for d in stats.per_device)
-        _assert_counters_sum(stats)
+        _assert_counters_sum(engine, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -872,10 +871,33 @@ class TestEngineWiring:
     def test_placement_instance_and_args(self, treelstm):
         compiled, _, _ = treelstm
         engine = compiled.make_engine(
-            device=2, placement="data_parallel", placement_args={"min_shard": 3}
+            device=2, placement=DataParallelPlacement(min_shard=3)
         )
         assert isinstance(engine.placement, DataParallelPlacement)
         assert engine.placement.min_shard == 3
+
+    def test_runtime_resolves_placement_as_an_engine_does(self, treelstm):
+        """The runtime is the one placement resolver: one built directly
+        with a registry name places every batch exactly as an engine-built
+        one does, and a two-member group with none named shards
+        round-robin while one member gets no placement."""
+        compiled, instances, _ = treelstm
+        engine = compiled.make_engine(device=2, placement="round_robin")
+        engine.run(instances)
+        rt = AcrobatRuntime(
+            compiled.kernels, engine.options, DeviceGroup(2), placement="round_robin"
+        )
+        binding = CompiledProgramBinding(compiled)  # owns the program's namespace
+        entry = binding.bind(rt, None)
+        for i, instance in enumerate(instances):
+            rt.current_instance = i
+            entry(instance)
+        rt.trigger()
+        assert isinstance(rt._placement, RoundRobinPlacement)
+        assert rt.trace == engine.runtime.trace
+        assert {r[6] for r in rt.trace.records if r[0] == "batch"} == {0, 1}
+        assert isinstance(AcrobatRuntime({}, device=2)._placement, RoundRobinPlacement)
+        assert AcrobatRuntime({}, device=1)._placement is None
 
     def test_placement_instance_shared_across_engines_rejected(self, treelstm):
         """Placement instances carry per-runtime rotation/EWMA state: a
@@ -887,20 +909,6 @@ class TestEngineWiring:
         with pytest.raises(ValueError, match="exactly one runtime"):
             compiled.make_engine(device=2, placement=policy)
 
-    def test_placement_args_with_instance_rejected(self, treelstm):
-        compiled, _, _ = treelstm
-        with pytest.raises(ValueError, match="by name"):
-            compiled.make_engine(
-                device=2,
-                placement=DataParallelPlacement(),
-                placement_args={"min_shard": 3},
-            )
-
-    def test_placement_args_without_placement_rejected(self, treelstm):
-        compiled, _, _ = treelstm
-        with pytest.raises(ValueError, match="no placement"):
-            compiled.make_engine(placement_args={"min_shard": 3})
-
     def test_group_passthrough(self, treelstm):
         compiled, _, _ = treelstm
         group = DeviceGroup(2, spec="laptop", interconnect="nvlink")
@@ -909,26 +917,33 @@ class TestEngineWiring:
 
     def test_explicit_interconnect_with_ready_group_rejected(self, treelstm):
         # an adopted group keeps its own interconnect; silently ignoring a
-        # contradictory interconnect= would fake e.g. an interconnect sweep
+        # contradictory interconnect= would fake e.g. an interconnect sweep.
+        # The engine entry points take no interconnect: the group names it
         compiled, _, _ = treelstm
         group = DeviceGroup(2, interconnect="pcie")
         with pytest.raises(ValueError, match="own interconnect"):
+            Server(device=group, interconnect="nvlink")
+        with pytest.raises(TypeError, match="interconnect"):
             compiled.make_engine(device=group, interconnect="nvlink")
 
     def test_tuned_schedule_table_with_ready_group_rejected(self, treelstm):
         # a tuned model's schedule table must not silently vanish into an
-        # adopted group built without it — the kernels would simulate at
-        # default_schedule_quality; a group built WITH the same table (and
-        # an untuned model with any group) still adopts as-is
-        compiled, _, _ = treelstm
+        # adopted group or bare simulator built without it — the kernels
+        # would simulate at default_schedule_quality; one built WITH the
+        # same table (and an untuned model with any device) still adopts
+        compiled, instances, _ = treelstm
         assert not compiled.schedule_table  # untuned: adoption is fine
         assert compiled.make_engine(device=DeviceGroup(2)) is not None
         compiled.schedule_table.update({"fused_node_block_0": 0.97})
         try:
             with pytest.raises(ValueError, match="schedule_table"):
                 compiled.make_engine(device=DeviceGroup(2))
+            with pytest.raises(ValueError, match="schedule_table"):
+                compiled.run(instances, device=DeviceSimulator())
             tuned = DeviceGroup(2, schedule_table=compiled.schedule_table)
             assert compiled.make_engine(device=tuned).device is tuned
+            sim = DeviceSimulator(schedule_table=compiled.schedule_table)
+            assert compiled.make_engine(device=sim).device[0] is sim
         finally:
             compiled.schedule_table.clear()
 
@@ -936,11 +951,8 @@ class TestEngineWiring:
         """Structurally identical sharded flushes stay reference-identical
         round after round."""
         compiled, instances, reference = treelstm
-        session = compiled.session(
-            flush_policy="size",
-            flush_args={"n": len(instances)},
-            device=2,
-            placement="round_robin",
+        session = compiled.serve(
+            "size", n=len(instances), device=2, placement="round_robin"
         )
         for _ in range(3):
             handles = [session.submit(i) for i in instances]
@@ -953,11 +965,8 @@ class TestEngineWiring:
         """data_parallel rotates its split base per flush; identical flushes
         stay reference-identical under every base."""
         compiled, instances, reference = treelstm
-        session = compiled.session(
-            flush_policy="size",
-            flush_args={"n": len(instances)},
-            device=2,
-            placement="data_parallel",
+        session = compiled.serve(
+            "size", n=len(instances), device=2, placement="data_parallel"
         )
         for _ in range(4):
             handles = [session.submit(i) for i in instances]
@@ -1014,10 +1023,8 @@ class TestServerSharding:
             "size",
             n=len(instances),
             clock=SimulatedClock(),
-            device=2,
-            placement="data_parallel",
-            placement_args={"min_shard": 3},
-            interconnect="nvlink",
+            device=DeviceGroup(2, interconnect="nvlink"),
+            placement=DataParallelPlacement(min_shard=3),
         )
         assert session.engine.device.interconnect.name == "nvlink"
         assert session.engine.placement.min_shard == 3

@@ -109,7 +109,7 @@ def test_executed_columns_drop_their_back_edges(monkeypatch, name):
 
 def test_a_flushed_session_round_leaves_nothing_for_the_collector(collector_off):
     model, batch = build("treelstm")
-    session = model.session(flush_policy="size", flush_args={"n": len(batch)})
+    session = model.serve("size", n=len(batch))
     for _ in range(2):  # the second round also drops the first's arenas
         handles = [session.submit(instance) for instance in batch]
         session.flush()
@@ -152,7 +152,7 @@ def test_withdrawn_rows_are_freed_by_reference_counting(collector_off):
     """A withdrawn request's rows never reach commit: they leave their
     columns with their outputs, so nothing of them is cyclic."""
     model, batch = build("treelstm")
-    session = model.session(flush_policy="manual")
+    session = model.serve("manual")
     kept = session.submit(batch[0])
     handle = session.submit(batch[1])
     pending = live_graph_objects()
@@ -170,7 +170,7 @@ def test_a_capped_flush_leaves_nothing_for_the_collector(collector_off):
     """A round cap that falls inside columns: the executed prefix keeps its
     columns, the rest moves to fresh ones, and both are freed once run."""
     model, batch = build("treelstm")
-    session = model.session(flush_policy="manual")
+    session = model.serve("manual")
     handles = [session.submit(instance) for instance in batch[:3]]
     session.policy.round_cap = lambda _session: 2
     session.flush()

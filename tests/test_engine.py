@@ -155,7 +155,7 @@ class TestInferenceSession:
         model = compile_model(mod, params, CompilerOptions())
         batch_outs, _ = model.run(instances)
 
-        session = model.session()
+        session = model.serve("manual")
         handles = [session.submit(instance) for instance in instances]
         assert all(not h.done for h in handles)
         outs = session.flush()
@@ -176,7 +176,7 @@ class TestInferenceSession:
             _, stats = model.run([instance])
             per_request_calls += stats.kernel_calls
 
-        session = model.session()
+        session = model.serve("manual")
         for instance in instances:
             session.submit(instance)
         session.flush()
@@ -186,7 +186,7 @@ class TestInferenceSession:
     def test_max_batch_autoflushes(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="size", flush_args={"n": 2})
+        session = model.serve("size", n=2)
         h1 = session.submit(instances[0])
         assert session.pending_requests == 1 and not h1.done
         h2 = session.submit(instances[1])
@@ -197,7 +197,7 @@ class TestInferenceSession:
 
     def test_result_before_flush_raises(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
-        session = compile_model(mod, params, CompilerOptions()).session()
+        session = compile_model(mod, params, CompilerOptions()).serve("manual")
         handle = session.submit(instances[0])
         with pytest.raises(RuntimeError, match="flush"):
             handle.result()
@@ -208,7 +208,7 @@ class TestInferenceSession:
         does not count as a flush), so periodic policy-driven flushing is
         safe."""
         mod, params, _, _ = treelstm_setup
-        session = compile_model(mod, params, CompilerOptions()).session()
+        session = compile_model(mod, params, CompilerOptions()).serve("manual")
         assert session.flush() is None
         assert session.num_flushes == 0
         assert session.poll() is None
@@ -216,7 +216,7 @@ class TestInferenceSession:
 
     def test_multiple_rounds(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
-        session = compile_model(mod, params, CompilerOptions()).session()
+        session = compile_model(mod, params, CompilerOptions()).serve("manual")
         for round_instances in (instances[:2], instances[2:]):
             outs = [session.submit(i) for i in round_instances] and session.flush()
             assert len(outs) == len(round_instances)
@@ -237,7 +237,7 @@ class TestInferenceSession:
     def test_context_manager_flushes(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        with model.session() as session:
+        with model.serve("manual") as session:
             handle = session.submit(instances[0])
         assert handle.done
 
@@ -252,7 +252,7 @@ class TestInferenceSession:
         assert model.uses_tdc
 
         batch_outs, _ = model.run(instances)
-        session = model.session()
+        session = model.serve("manual")
         handles = [session.submit(i) for i in instances]
         outs = session.flush()
         assert all(h.done for h in handles)
@@ -266,12 +266,12 @@ class TestInferenceSession:
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
 
-        session = model.session()
+        session = model.serve("manual")
         h1 = session.submit(instances[0])
         model.run(instances)  # unrelated batch on the same model
         h2 = session.submit(instances[1])
 
-        other = model.session()  # second concurrent session
+        other = model.serve("manual")  # second concurrent session
         h3 = other.submit(instances[2])
 
         outs = session.flush()
@@ -284,7 +284,7 @@ class TestInferenceSession:
     def test_vm_model_session(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
         vm = compile_model(mod, params, CompilerOptions(aot=False))
-        session = vm.session()
+        session = vm.serve("manual")
         for instance in instances:
             session.submit(instance)
         outs = session.flush()

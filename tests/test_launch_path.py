@@ -81,7 +81,7 @@ def test_missized_operand_raises_the_batch_dimension_error(monkeypatch):
     from repro.kernels import BatchedOperand, BlockKernel
 
     _, _, _, _, instances, _, compiled = _setup("treelstm", batch=4, seed=3)
-    session = compiled.session(flush_policy="size", flush_args={"n": len(instances)})
+    session = compiled.serve("size", n=len(instances))
     launched = []
     real = BlockKernel.execute_batched
     monkeypatch.setattr(

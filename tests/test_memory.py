@@ -280,7 +280,7 @@ class TestArenaResidency:
         instances = module.make_batch(mod, size, 4, seed=7)
         model = compile_model(mod, params, CompilerOptions())
 
-        session = model.session()
+        session = model.serve("manual")
         session.submit(instances[0])
         session.submit(instances[1])
         session.flush()

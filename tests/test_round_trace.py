@@ -95,6 +95,22 @@ def test_run_stats_are_folds_of_the_trace(monkeypatch, name, scheduler, device):
     assert traced_run(name, scheduler, **device)[1] == trace
 
 
+@pytest.mark.parametrize("placement", ["round_robin", "data_parallel"])
+def test_each_members_counters_are_its_launch_records(placement):
+    """Per member, the launch records of the batches placed on it count and
+    sum to its ``per_device`` counters — a check the group fold cannot
+    satisfy by construction (it only adds the members up)."""
+    # imported here: the module also runs as the golden-regenerating script
+    from tests.conftest import assert_members_match_trace
+
+    model, batch = compiled("treelstm")
+    engine = model.make_engine(device=2, placement=placement)
+    for _ in range(2):  # the second data_parallel run splits on learned costs
+        _, stats = engine.run(batch)
+        assert_members_match_trace(engine.runtime.trace, stats)
+        assert all(d["num_kernel_launches"] > 0 for d in stats.per_device)
+
+
 @pytest.mark.parametrize("name", sorted(MODEL_MODULES))
 def test_gather_fusion_off_turns_fused_gathers_into_gathers(name):
     _, fused = traced_run(name)

@@ -231,7 +231,7 @@ def _recording_runtime(num_blocks=2):
     kernels = {
         k: SimpleNamespace(block=SimpleNamespace(num_outputs=1)) for k in range(num_blocks)
     }
-    return AcrobatRuntime(kernels, scheduler=NoBatchScheduler())
+    return AcrobatRuntime(kernels, ExecutionOptions(scheduler="nobatch"))
 
 
 def _record(kernel_ids, depths, phases=None):

@@ -10,6 +10,7 @@ from repro.serve import (
     AdaptivePolicy,
     DeadlinePolicy,
     FlushPolicy,
+    InferenceSession,
     ManualPolicy,
     Server,
     SimulatedClock,
@@ -159,7 +160,7 @@ class TestPolicyMatrix:
         server = one_endpoint(model, policy, **policy_args)
         arrivals = poisson_arrivals(2000.0, len(instances), seed=3)
         report = server.replay(
-            trace_of(arrivals, instances), continuous=False, deterministic=False
+            trace_of(arrivals, instances), continuous=False
         )["m"]
         assert all(
             values_allclose(a, b) for a, b in zip(reference, report.outputs)
@@ -180,18 +181,16 @@ class TestPolicyMatrix:
         mod, params, _, _ = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
         with pytest.raises(ValueError, match="policy_args"):
-            model.make_engine().session(policy=SizePolicy(2), policy_args={"n": 3})
+            InferenceSession(model.make_engine(), policy=SizePolicy(2), policy_args={"n": 3})
 
     def test_max_batch_is_size_sugar(self, treelstm_setup):
         """The removed ``max_batch=n`` sugar is spelled as the ``size``
-        policy; the old keyword is rejected, not silently ignored."""
+        policy."""
         mod, params, _, _ = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="size", flush_args={"n": 3})
+        session = model.serve("size", n=3)
         assert isinstance(session.policy, SizePolicy)
         assert session.policy.n == 3
-        with pytest.raises(TypeError):
-            model.session(max_batch=3)
 
 
 class TestDeadlineSemantics:
@@ -259,7 +258,7 @@ class TestAdaptivePolicy:
         server = one_endpoint(model, "adaptive")
         arrivals = [i * 10.0 for i in range(len(instances))]  # one per 10s
         report = server.replay(
-            trace_of(arrivals, instances), continuous=False, deterministic=False
+            trace_of(arrivals, instances), continuous=False
         )["m"]
         assert report.mean_batch < 2.0
 
@@ -326,7 +325,7 @@ class TestRequestStats:
         mod, params, instances, _ = treelstm_setup
         clock = SimulatedClock()
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="manual", clock=clock)
+        session = model.serve("manual", clock=clock)
         handles = []
         for inst in instances:
             handles.append(session.submit(inst))
@@ -354,7 +353,7 @@ class TestRequestStats:
         mod, params, instances, _ = treelstm_setup
         clock = SimulatedClock(start=5.0)
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session(flush_policy="size", flush_args={"n": len(instances)}, clock=clock)
+        session = model.serve("size", n=len(instances), clock=clock)
         for inst in instances:
             session.submit(inst)
         assert session.last_stats.flushed_at == pytest.approx(5.0)
@@ -465,7 +464,7 @@ class TestServer:
         assert summary["trees"]["requests"] == len(t_instances)
         assert summary["seqs"]["requests"] == len(b_instances)
         # per-flush device counters are isolated despite the shared device
-        solo = compile_model(t_mod, t_params, CompilerOptions()).session()
+        solo = compile_model(t_mod, t_params, CompilerOptions()).serve("manual")
         for inst in t_instances:
             solo.submit(inst)
         solo.flush()
@@ -516,7 +515,7 @@ class TestServer:
             (t, "seqs", inst)
             for t, inst in zip(poisson_arrivals(2000.0, len(b_instances), seed=2), b_instances)
         ]
-        reports = server.replay(workload, continuous=False, deterministic=False)
+        reports = server.replay(workload, continuous=False)
         assert all(
             values_allclose(a, b)
             for a, b in zip(t_reference, reports["trees"].outputs)
@@ -554,7 +553,7 @@ class TestTraffic:
         server = one_endpoint(model, "size", n=2)
         arrivals = poisson_arrivals(1000.0, len(instances), seed=4)
         report = server.replay(
-            trace_of(arrivals, instances), continuous=False, deterministic=False
+            trace_of(arrivals, instances), continuous=False
         )["m"]
         assert report.num_requests == len(instances)
         assert report.throughput_rps > 0
@@ -572,7 +571,7 @@ class TestTraffic:
         server = one_endpoint(model, "deadline", ms=2.0)
         arrivals = bursty_arrivals(5000.0, len(instances), burst=3, seed=7)
         report = server.replay(
-            trace_of(arrivals, instances), continuous=False, deterministic=False
+            trace_of(arrivals, instances), continuous=False
         )["m"]
         assert report.mean_batch >= 2.0  # whole bursts flush together
         assert all(
@@ -597,9 +596,7 @@ class TestRepeatedRounds:
         kwargs = (
             {"device": 4, "placement": "round_robin"} if devices == 4 else {}
         )
-        session = model.session(
-            flush_policy="size", flush_args={"n": len(instances)}, **kwargs
-        )
+        session = model.serve("size", n=len(instances), **kwargs)
         for round_no in range(5):
             handles = [session.submit(i) for i in instances]
             session.flush()
@@ -616,7 +613,7 @@ class TestRepeatedRounds:
         instances = module.make_batch(mod, size, 2, seed=3)
         reference = reference_run(mod, params, instances)
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session()
+        session = model.serve("manual")
         assert model.uses_tdc
         per_round_bytes = []
         for _ in range(2):
@@ -642,7 +639,7 @@ class TestRepeatedRounds:
             id(second): reference_run(mod, params, second),
         }
         model = compile_model(mod, params, CompilerOptions())
-        session = model.session()
+        session = model.serve("manual")
         stats = []
         for round_no, batch in enumerate((first, second, first)):
             handles = [session.submit(i) for i in batch]
@@ -668,7 +665,7 @@ class TestRepeatedRounds:
             mod, params,
             CompilerOptions(scheduler=policy, gather_fusion=gather_fusion),
         )
-        session = model.session()
+        session = model.serve("manual")
         seen = []
         for round_no in range(3):
             handles = [session.submit(i) for i in instances]

@@ -737,9 +737,12 @@ class TestDeterministicReplay:
             — the reference the caller-driven Server.replay must match."""
             # registration order: the order a loop polls and drains them
             sessions = [srv.endpoint(n).session for n in models]
+            # a caller-driven lane: each flush blocks the clock, priced by
+            # the host model
+            (lane,) = TraceDriver([srv.loop], srv.clock, continuous=False).states
+            lane.host_model = host_model
             for session in sessions:
-                session.charge_host = False
-                session.host_cost_model = host_model
+                session.lane = lane
 
             def next_deadline():
                 due = [d for d in (s.next_deadline() for s in sessions) if d is not None]
@@ -819,10 +822,17 @@ class TestDeterministicReplay:
         server = one_endpoint(model, "manual")
         server.replay(trace_of([0.0, 0.0], instances[:2]))
         session = server.endpoint("m").session
-        assert session.charge_host is True
-        assert session.timeline is None
-        assert session.host_lane is None
-        assert session.host_cost_model is None
+        # the trace driver's lane reference lasts exactly as long as the replay:
+        # outside it, a flush charges measured host time again
+        assert session.lane is None
+        before = server.clock.now()
+        session.submit(instances[0])
+        session.flush()
+        stats = session.last_stats
+        assert stats.host_total_ms > 0
+        assert server.clock.now() - before == pytest.approx(
+            (stats.host_total_ms + stats.api_time_ms + stats.device_total_ms) / 1e3
+        )
 
 
 class TestReplayReportWithFailures:
@@ -1007,12 +1017,11 @@ class TestInFlightVisibility:
         clock = SimulatedClock()
         model = compile_model(mod, params, CompilerOptions())
         session = model.serve("manual", clock=clock)
-        # the timeline and host lane a one-loop trace driver assigns
+        # the lane a one-loop continuous trace driver assigns
         (lane,) = TraceDriver(
             [ServeLoop(sessions={"_": session}, clock=clock)], clock
         ).states
-        session.timeline, session.host_lane = lane.timeline, lane
-        session.charge_host = False
+        session.lane = lane
         try:
             session.submit(instances[0])
             assert session.in_flight_rounds == 0
@@ -1022,26 +1031,27 @@ class TestInFlightVisibility:
             # only the loop's lane
             assert session.in_flight_rounds == 1
             assert clock.now() == 0.0 < lane.busy_until
-            clock.advance_to(session.timeline.busy_until)
+            clock.advance_to(lane.timeline.busy_until)
             # a round completing now counts until its completion wakeup
             # drains it
             assert session.in_flight_rounds == 1
-            session.timeline.pop_completions(clock.now())
+            lane.timeline.pop_completions(clock.now())
             assert session.in_flight_rounds == 0
         finally:
-            session.timeline = session.host_lane = None
-            session.charge_host = True
+            session.lane = None
 
     def test_adaptive_defers_to_in_flight_round(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup
         clock = SimulatedClock()
         model = compile_model(mod, params, CompilerOptions())
         session = model.serve("adaptive", clock=clock)
-        session.timeline = DeviceTimeline()
-        session.charge_host = False
+        (lane,) = TraceDriver(
+            [ServeLoop(sessions={"_": session}, clock=clock)], clock
+        ).states
+        session.lane = lane
         try:
             # a long round is executing on the device
-            session.timeline.launch_round(clock.now(), [(0, 10.0)])
+            lane.timeline.launch_round(clock.now(), [(0, 10.0)])
             assert session.in_flight_rounds == 1
             # while the device is busy, waiting is free: even arrival gaps
             # that would normally flush must keep accumulating
@@ -1054,10 +1064,9 @@ class TestInFlightVisibility:
             assert session.pending_requests == 3
             # device idle again once the completion wakeup drains the round:
             # the policy launches the backlog
-            clock.advance_to(session.timeline.busy_until)
-            session.timeline.pop_completions(clock.now())
+            clock.advance_to(lane.timeline.busy_until)
+            lane.timeline.pop_completions(clock.now())
             assert session.in_flight_rounds == 0
             assert session.policy.on_idle(session, clock.now())
         finally:
-            session.timeline = None
-            session.charge_host = True
+            session.lane = None

@@ -186,7 +186,7 @@ class TestUnwired:
         module = MODEL_MODULES["treelstm"]
         mod, params, size = module.build_for("test")
         instances = module.make_batch(mod, size, 4, seed=3)
-        session = compile_model(mod, params, CompilerOptions()).session()
+        session = compile_model(mod, params, CompilerOptions()).serve("manual")
         for _ in range(3):
             for inst in instances:
                 session.submit(inst)

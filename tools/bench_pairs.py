@@ -10,12 +10,14 @@ their quartiles, the pairs the change won and a verdict) to the root
 record holds the same statistics for every per-layer metric of
 ``BENCHMARK.json`` instead.
 
-The verdict (:func:`verdict`) is ``gain`` when at least ten pairs ran, the
-change won at least 9 of every 10 and its median beats the parent's by more
-than the parent's interquartile range; ``worse`` when its median is worse
-than the parent's by more than the metric's ``bound`` (a share of the
-parent's median; a metric without one is never ``worse``); and ``flat``
-otherwise.
+The verdict (:func:`verdict`) is, in this order: ``gain`` when at least ten
+pairs ran, the change won at least 9 of every 10 and its median beats the
+parent's by more than the parent's interquartile range; ``worse`` when its
+median is worse than the parent's by more than the metric's ``bound`` (a
+share of the parent's median); ``unresolved`` when either side's runs spread
+wider than that bound (interquartile range against bound × the parent's
+median), unless every change run beats every parent run; and ``flat``
+otherwise.  A metric without a bound is only ever ``gain`` or ``flat``.
 """
 
 import argparse
@@ -53,17 +55,26 @@ def spread(values):
 
 
 def verdict(metric, bound=None):
-    """``gain``, ``worse`` or ``flat`` for one metric of a record (see the
-    module docstring); ``bound`` is the metric's ``bound`` in
-    ``BENCHMARK.json``, if it has one."""
+    """``gain``, ``worse``, ``unresolved`` or ``flat`` for one metric of a
+    record (see the module docstring); ``bound`` is the metric's ``bound``
+    in ``BENCHMARK.json``, if it has one.  The spreads are judged from the
+    metric's ``runs``."""
     sign = 1 if metric["better"] == "higher" else -1
     parent, change = metric["parent"], metric["change"]
     gained = sign * (change["median"] - parent["median"])
     pairs = metric["pairs"]
     if pairs >= 10 and 10 * metric["wins"] >= 9 * pairs and gained > parent["q3"] - parent["q1"]:
         return "gain"
-    if bound is not None and -gained > bound * abs(parent["median"]):
+    if bound is None:
+        return "flat"
+    allowed = bound * abs(parent["median"])
+    if -gained > allowed:
         return "worse"
+    runs = metric["runs"]
+    wide = any(side["q3"] - side["q1"] > allowed for side in map(spread, runs.values()))
+    every_run_better = min(sign * v for v in runs["change"]) > max(sign * v for v in runs["parent"])
+    if wide and not every_run_better:
+        return "unresolved"
     return "flat"
 
 
