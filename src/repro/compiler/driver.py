@@ -38,21 +38,44 @@ from .codegen import GeneratedProgram, PythonCodegen, py_func_name
 from .options import CompilerOptions
 
 
+class _ProgramEntry:
+    """The per-instance entry of one instance of a generated program.
+
+    It owns the namespace the generated functions live in: those functions
+    read ``__rt`` / ``__fibers`` as globals, so namespace and functions
+    reference each other.  Emptying the namespace when the last holder of
+    the entry lets go frees both, and the runtime (with its arenas) they
+    hold, by reference counting, not at the next cyclic collection — and
+    not while a caller can still run the program.
+    """
+
+    __slots__ = ("namespace", "_main", "_binder")
+
+    def __init__(self, namespace: Dict[str, Any], binder: Callable[[Any], List[Any]]) -> None:
+        self.namespace = namespace
+        self._main = namespace[py_func_name("main")]
+        self._binder = binder
+
+    def __call__(self, instance: Any) -> Any:
+        return self._main(*self._binder(instance), [0], 0)
+
+    def __del__(self) -> None:
+        self.namespace.clear()
+
+
 class CompiledProgramBinding(ProgramBinding):
     """Engine adapter for an AOT-generated program.
 
-    The generated functions read ``__rt`` / ``__fibers`` as globals, so each
-    runtime gets a namespace of its own (:meth:`GeneratedProgram.instantiate`),
-    built on the first bind and kept for the engine's life: engines of one
-    model — other sessions, other threads — never route each other's
-    ``invoke`` calls.  A later bind only stores the run's fiber scheduler.
+    Each runtime gets an instance of the program of its own
+    (:meth:`GeneratedProgram.instantiate`), built on the first bind and kept
+    for the engine's life: engines of one model — other sessions, other
+    threads — never route each other's ``invoke`` calls.  A later bind only
+    stores the run's fiber scheduler.
     """
 
     def __init__(self, model: "CompiledModel") -> None:
         self.model = model
-        self._runtime: Optional[AcrobatRuntime] = None
-        self._namespace: Dict[str, Any] = {}
-        self._run_instance: Optional[Callable[[Any], Any]] = None
+        self._entry: Optional[_ProgramEntry] = None
 
     @property
     def uses_fibers(self) -> bool:
@@ -61,25 +84,13 @@ class CompiledProgramBinding(ProgramBinding):
     def bind(
         self, runtime: AcrobatRuntime, fibers: Optional[FiberScheduler]
     ) -> Callable[[Any], Any]:
-        if self._runtime is not runtime:
-            namespace = self.model.program.instantiate(runtime)
-            entry = namespace[py_func_name("main")]
-            binder = self.model.instance_binder
-
-            def run_instance(instance: Any) -> Any:
-                return entry(*binder(instance), [0], 0)
-
-            self._runtime, self._namespace = runtime, namespace
-            self._run_instance = run_instance
-        self._namespace["__fibers"] = fibers
-        return self._run_instance
-
-    def __del__(self) -> None:
-        # the generated functions and their namespace reference each other:
-        # emptying it lets refcounting free both, and the runtime (with its
-        # arenas) they hold, as soon as the engine goes, not at the next
-        # cyclic collection
-        self._namespace.clear()
+        entry = self._entry
+        if entry is None or entry.namespace["__rt"] is not runtime:
+            entry = self._entry = _ProgramEntry(
+                self.model.program.instantiate(runtime), self.model.instance_binder
+            )
+        entry.namespace["__fibers"] = fibers
+        return entry
 
 
 @dataclass

@@ -3,12 +3,15 @@
 Generation stresses exactly the regime ACROBAT's cross-request batching is
 for: every live sequence re-enters the round former once per token, so a
 cohort of live sequences offers a fresh batching opportunity *every step*.
+A prompt is one step too: the decoder folds over its tokens, so its prefill
+chain runs inside one round, batched by depth with the round's other
+chains (one launch per depth, where a decode step is depth 0 alone).
 This table drives the same open-loop prompt trace through
 :class:`repro.generate.GenerationSession` in two modes:
 
-* ``per_request`` — a ``size(1)`` flush policy: every decode step is its
-  own round, serialized on the device (the no-cross-request baseline —
-  what a naive serving stack does to autoregressive traffic);
+* ``per_request`` — a ``size(1)`` flush policy: every step is its own
+  round, serialized on the device (the no-cross-request baseline — what a
+  naive serving stack does to autoregressive traffic);
 * ``continuous`` — the ``adaptive`` policy under the generation driver's
   iteration-level scheduling: decode steps of all live sequences (and any
   fresh prefills) land in one round per step cohort.
@@ -20,7 +23,9 @@ Every row is **bitwise reference-identical** — each sequence's token
 trajectory equals the eager unbatched :func:`repro.generate.reference_generate`
 loop exactly — and **replay-deterministic**: the same trace re-run must
 reproduce every token and every timestamp bit-for-bit on the simulated
-clock.
+clock.  :func:`run` also asserts that every sequence rode exactly one round
+per emitted token (``GenerationStats.steps == tokens``): a prompt adds no
+round of its own.
 """
 
 from __future__ import annotations
@@ -150,6 +155,12 @@ def run(
                 lambda run: _snapshot(run[0]),
             )
             matches = [h.result() for h in handles] == reference
+            extra = [
+                (h.request.prompt, h.stats.steps, h.stats.tokens)
+                for h in handles
+                if h.stats.steps != h.stats.tokens
+            ]
+            assert not extra, f"{model_name}/{label}: rounds beyond one per token: {extra}"
 
             tokens = sum(len(h.tokens) for h in handles)
             makespan = max(h.stats.finished_at for h in handles) - min(
@@ -196,9 +207,9 @@ def main(argv: Optional[List[str]] = None) -> str:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: one decoder cell, asserts reference identity, "
-        "bitwise replay determinism and the continuous TTFS win; no "
-        "result file",
+        help="CI smoke: one decoder cell, asserts reference identity, one "
+        "round per emitted token, bitwise replay determinism and the "
+        "continuous TTFS win; no result file",
     )
     args = parser.parse_args(list(argv) if argv is not None else [])
     if args.quick:

@@ -3,7 +3,9 @@
 Generation turns ACROBAT's cross-request batching into a loop: every live
 sequence re-enters the round former once per token, so decode steps of many
 sequences — and fresh prefills — batch into the same rounds through the
-normal scheduler → placement → memory-planner path.
+normal scheduler → placement → memory-planner path.  A prefill is one step:
+the decoder folds over the prompt's tokens inside the round, its chain
+batched by depth with the other prompts'.
 
 * :class:`GenerationSession` — the step driver: decode steps as events of
   the one simulated driver, :class:`~repro.serve.sim.TraceDriver`

@@ -48,8 +48,9 @@ class GenerationExpired(RequestExpired):
 class GenerationRequest:
     """One autoregressive sequence to generate.
 
-    ``prompt`` must be non-empty: the step consuming its last token emits
-    the first generated token (that step's completion is the TTFS mark).
+    ``prompt`` must be non-empty: the first step folds over all of it and
+    emits the first generated token (that step's completion is the TTFS
+    mark).
     ``deadline`` is an absolute clock timestamp; a sequence still live when
     it passes is dropped at the next round boundary.  ``on_token(handle,
     token, index, at)`` streams each emitted token as its round completes
@@ -79,7 +80,9 @@ class GenerationStats:
     first_token_at: Optional[float] = None
     #: timestamp at which the sequence left the system (done or dropped)
     finished_at: Optional[float] = None
-    #: serving rounds this sequence rode (prefill + decode steps)
+    #: serving rounds this sequence rode: one per emitted token (the first
+    #: also folded the whole prompt), plus the step a dropped sequence was
+    #: dropped at, when that step completed
     steps: int = 0
     #: generated tokens emitted (includes EOS when generation hit it)
     tokens: int = 0

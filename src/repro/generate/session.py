@@ -3,16 +3,18 @@
 ACROBAT batches *within* one round of independent requests; autoregressive
 decoding adds a loop around it: each live sequence re-enters the round
 former once per generated token.  :class:`GenerationSession` is that loop.
-Each decode step is one ordinary
-:meth:`~repro.serve.session.InferenceSession.submit` — a single cell
-application ``(state, token) -> (state', logits)`` recorded into the shared
-lazy DFG — so decode steps of many live sequences *and fresh prefills*
-batch into the same rounds through the normal scheduler → placement →
-memory-planner path.  Nothing below the session knows
-generation exists.
+Each step is one ordinary
+:meth:`~repro.serve.session.InferenceSession.submit` of the decoder's fold
+``(state, tokens) -> (state', logits)``: the first step folds over the
+whole prompt, every later one over the single token it feeds back.  The
+fold's cell invokes sit at depths 0, 1, 2, ... of one round, so the
+prefill chains of concurrent prompts batch by depth with each other and
+with the round's decode steps through the normal scheduler → placement →
+memory-planner path, and a prompt costs one round, not one per token.
+Nothing below the session knows generation exists.
 
 Both drivers run one per-step handler (:meth:`GenerationSession._step_done`:
-map a failed step to the sequence's status, or consume the result and
+map a failed step to the sequence's status, or emit the step's token and
 resubmit the successor step):
 
 * **simulated** (:meth:`GenerationSession.generate`): the steps run
@@ -41,9 +43,10 @@ once per vocabulary entry, giving them stable identities in the residency
 cache — a device-resident embedding table.
 
 Token selection (greedy argmax) and EOS/max-token stopping are host-side
-and data-dependent, which is exactly why the cell itself carries no
-tensor-dependent control flow: the sequential structure lives in this
-driver, outside the DFG, keeping decode rounds on the non-fiber path.
+and data-dependent, which is exactly why the decoder carries no
+tensor-dependent control flow: its fold recurses on the token list's
+structure only, and the generation loop lives in this driver, outside the
+DFG, keeping decode rounds on the non-fiber path.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .request import (
 class _Sequence:
     """Driver-internal state of one generating sequence."""
 
-    __slots__ = ("handle", "req", "state", "pos", "step")
+    __slots__ = ("handle", "req", "state", "step")
 
     def __init__(self, handle: GenerationHandle, state: np.ndarray) -> None:
         self.handle = handle
@@ -79,8 +82,6 @@ class _Sequence:
         #: recurrent state fed into the next step (device-resident view
         #: after the first step)
         self.state = state
-        #: index of the last prompt token consumed so far
-        self.pos = 0
         #: the in-flight step's serving handle (None between steps)
         self.step: Optional[RequestHandle] = None
 
@@ -92,7 +93,7 @@ class GenerationSession:
     ----------
     session:
         The :class:`~repro.serve.session.InferenceSession` compiled over a
-        decoder-step model (``main(state, inp) -> (new_state, logits)``).
+        decoder model (``main(state, tokens) -> (new_state, logits)``).
         Simulated driving (:meth:`generate`) requires its clock to be a
         :class:`~repro.serve.clock.SimulatedClock`.  Mutually exclusive
         with ``server``.
@@ -162,13 +163,12 @@ class GenerationSession:
         self._wall_cond = threading.Condition()
 
     # -- shared per-step logic -------------------------------------------------
-    def _first_instance(self, seq: _Sequence) -> Any:
+    def _instance(self, seq: _Sequence, tokens: Sequence[int]) -> Any:
+        """The step folding ``tokens`` into ``seq``'s state: the whole
+        prompt first, then the one token each step emitted."""
         return self.model.instance_input(
-            None, (seq.state, self._emb_rows[seq.req.prompt[0]])
+            None, (seq.state, [self._emb_rows[t] for t in tokens])
         )
-
-    def _next_instance(self, seq: _Sequence, token: int) -> Any:
-        return self.model.instance_input(None, (seq.state, self._emb_rows[token]))
 
     def _retire(
         self,
@@ -183,7 +183,7 @@ class GenerationSession:
     def _consume_result(self, seq: _Sequence, result: Any, at: float) -> Any:
         """Apply one completed step's ``(new_state, logits)`` to ``seq``.
 
-        Emits a token when the prompt is exhausted, applies EOS /
+        Emits the step's token, applies EOS /
         ``max_new_tokens`` / cancellation / deadline stopping, and returns
         the next step's instance — or None when the sequence retired.
         """
@@ -211,10 +211,6 @@ class GenerationSession:
             # feeding it back costs no host→device transfer, and the arena id
             # is never recycled so later rounds cannot overwrite it
             self._session.engine.device.note_resident(state)
-        if seq.pos < len(req.prompt) - 1:
-            # still prefilling: consume the next prompt token, emit nothing
-            seq.pos += 1
-            return self._next_instance(seq, req.prompt[seq.pos])
         token = self.model.select_token(logits)
         try:
             handle._emit(token, at)
@@ -227,7 +223,7 @@ class GenerationSession:
         ) >= req.max_new_tokens:
             self._retire(seq, at, "done")
             return None
-        return self._next_instance(seq, token)
+        return self._instance(seq, [token])
 
     def _step_done(
         self, seq: _Sequence, submit: Callable[[_Sequence, Any], None]
@@ -316,7 +312,7 @@ class GenerationSession:
 
         def arrive(handle: GenerationHandle) -> None:
             seq = _Sequence(handle, self.model.initial_state(self.size))
-            submit(seq, self._first_instance(seq))
+            submit(seq, self._instance(seq, seq.req.prompt))
 
         handles = [GenerationHandle(req) for req in requests]
         for handle in handles:
@@ -405,7 +401,9 @@ class GenerationSession:
                         )
                         self._wall_retired()
                     else:
-                        self._wall_submit_step(seq, self._first_instance(seq))
+                        self._wall_submit_step(
+                            seq, self._instance(seq, seq.req.prompt)
+                        )
                 elif not self._step_done(seq, self._wall_submit_step):
                     self._wall_retired()
             except BaseException as exc:  # pump must survive any sequence
@@ -427,31 +425,25 @@ def reference_generate(
 ) -> List[int]:
     """Eager unbatched ground truth for one sequence.
 
-    Runs the decoder cell step by step through
-    :func:`~repro.core.api.reference_run`, sharing the embedding table,
-    state initialization, output unpacking and greedy selection rule with
-    the batched driver — so a batched trajectory that matches this one
-    bitwise proves the whole per-step re-batching path changed nothing.
+    Runs the decoder through :func:`~repro.core.api.reference_run` the way
+    the batched driver steps it — one fold over the whole prompt, then one
+    over each emitted token — sharing the embedding table, state
+    initialization, output unpacking and greedy selection rule, so a
+    batched trajectory that matches this one bitwise proves the whole
+    per-step re-batching path changed nothing.
     """
     from ..core.api import reference_run
 
     emb = model.embedding(size, seed=seed)
     state = model.initial_state(size)
     tokens: List[int] = []
-    pos = 0
-    inp_token = prompt[0]
+    fed = list(prompt)
     while True:
-        out = reference_run(
-            module, params,
-            [model.instance_input(module, (state, emb[inp_token : inp_token + 1]))],
-        )[0]
+        rows = [emb[t : t + 1] for t in fed]
+        out = reference_run(module, params, [model.instance_input(module, (state, rows))])[0]
         state, logits = flatten_arrays(out)
-        if pos < len(prompt) - 1:
-            pos += 1
-            inp_token = prompt[pos]
-            continue
         token = model.select_token(logits)
         tokens.append(token)
         if (eos_id is not None and token == eos_id) or len(tokens) >= max_new_tokens:
             return tokens
-        inp_token = token
+        fed = [token]

@@ -1,16 +1,20 @@
-"""Autoregressive decoder cell (single-step RNN/GRU language-model head).
+"""Autoregressive decoder (RNN/GRU language-model head folded over tokens).
 
 Unlike the seven single-shot encoders from the paper's Table 3, this model
-is one *step* of a generation loop: ``main(weights..., state, inp)`` maps a
-recurrent state and an embedded token to ``(new_state, logits)``.  The
-generation driver (``repro.generate``) feeds the returned state back in at
-the next step, so the sequential structure lives *outside* the DFG and each
-step's nodes batch freely with round-mates — decode steps of live sequences
-and fresh prefills land in the same rounds.
+is one *step* of a generation loop: ``main(weights..., state, tokens)``
+folds a cell over the embedded rows of the ``tokens`` list through the
+self-tail-recursive ``decode_fold`` and returns the last step's
+``(new_state, logits)``.  The generation driver (``repro.generate``) passes
+a whole prompt as the first step's list and a one-token list at every later
+step, feeding the returned state back in.  ``decode_fold`` compiles to one
+loop whose cell invokes sit at depths 0, 1, 2, ..., so the prefill chains
+of concurrent prompts batch by depth inside one round, next to the round's
+decode steps (depth 0), while the generation loop itself stays *outside*
+the DFG.
 
-The cell is deliberately pure feedforward (no tensor-dependent control
-flow): token selection (argmax / EOS) happens host-side in the driver, which
-keeps the model on the non-fiber path.
+The fold recurses on the list's structure only (no tensor-dependent
+control flow): token selection (argmax / EOS) happens host-side in the
+driver, which keeps the model on the non-fiber path.
 
 Two cells share this module:
 
@@ -26,49 +30,50 @@ them like any encoder.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..ir import IRModule, ScopeBuilder, function, op, prelude_module, tuple_expr, var
+from ..ir import (
+    IRModule,
+    ScopeBuilder,
+    Var,
+    call,
+    function,
+    match,
+    op,
+    pat_ctor,
+    prelude_module,
+    tuple_expr,
+    var,
+)
 from .common import glorot, zeros
 from .configs import ModelSize, get_size
 
 
-def _rnn_main(mod: IRModule) -> List[str]:
-    """tanh-RNN step: ``h' = tanh(b + x@Wi + h@Wh)``; logits off ``h'``."""
-    in_wt, rec_wt, rec_bias = var("in_wt"), var("rec_wt"), var("rec_bias")
-    out_wt, out_bias = var("out_wt"), var("out_bias")
-    state, inp = var("state"), var("inp")
-
-    sb = ScopeBuilder()
-    pre = sb.let(
-        "pre", op.add(op.add(rec_bias, op.dense(inp, in_wt)), op.dense(state, rec_wt))
-    )
-    new_state = sb.let("new_state", op.tanh(pre))
-    logits = sb.let("logits", op.add(op.dense(new_state, out_wt), out_bias))
-    sb.ret(tuple_expr(new_state, logits))
-    mod.add_function(
-        "main",
-        function(
-            [in_wt, rec_wt, rec_bias, out_wt, out_bias, state, inp],
-            sb.get(),
-            name="main",
-        ),
-    )
-    return ["in_wt", "rec_wt", "rec_bias", "out_wt", "out_bias"]
-
-
-def _gru_main(mod: IRModule) -> List[str]:
-    """GRU step: update gate ``z``, reset gate ``r``, candidate ``c``."""
-    names = [
+#: weight names of each cell, in ``main``'s (and ``decode_fold``'s) order
+CELL_WEIGHTS = {
+    "rnn": ["in_wt", "rec_wt", "rec_bias", "out_wt", "out_bias"],
+    "gru": [
         "z_in", "z_rec", "z_bias",
         "r_in", "r_rec", "r_bias",
         "c_in", "c_rec", "c_bias",
         "out_wt", "out_bias",
-    ]
-    v = {n: var(n) for n in names}
-    state, inp = var("state"), var("inp")
+    ],
+}
+
+
+def _rnn_cell(sb: ScopeBuilder, v: Dict[str, Var], state: Var, inp: Var) -> Var:
+    """tanh-RNN step: ``h' = tanh(b + x@Wi + h@Wh)``."""
+    pre = sb.let(
+        "pre",
+        op.add(op.add(v["rec_bias"], op.dense(inp, v["in_wt"])), op.dense(state, v["rec_wt"])),
+    )
+    return sb.let("new_state", op.tanh(pre))
+
+
+def _gru_cell(sb: ScopeBuilder, v: Dict[str, Var], state: Var, inp: Var) -> Var:
+    """GRU step: update gate ``z``, reset gate ``r``, candidate ``c``."""
 
     def gate(prefix: str, act, hidden):
         return act(
@@ -78,31 +83,67 @@ def _gru_main(mod: IRModule) -> List[str]:
             )
         )
 
-    sb = ScopeBuilder()
     z = sb.let("z", gate("z", op.sigmoid, state))
     r = sb.let("r", gate("r", op.sigmoid, state))
     c = sb.let("c", gate("c", op.tanh, op.mul(r, state)))
     # h' = z*h + (1-z)*c, written without a ones-constant: z*h + (c - z*c)
-    new_state = sb.let("new_state", op.add(op.mul(z, state), op.sub(c, op.mul(z, c))))
+    return sb.let("new_state", op.add(op.mul(z, state), op.sub(c, op.mul(z, c))))
+
+
+def _define_decoder(mod: IRModule, cell: str) -> None:
+    """``@decode_fold(tokens, state, weights...) -> (new_state, logits)``:
+    one cell step per row of ``tokens``, the state threaded through; the
+    last step's pair is the result.  A self tail call, so it compiles to
+    one loop whose invokes sit at depths 0, 1, 2, ... (an empty list is a
+    match failure).  ``@main(weights..., state, tokens)`` calls it."""
+    nil = mod.get_constructor("Nil")
+    cons = mod.get_constructor("Cons")
+    fold_gv = mod.get_global_var("decode_fold")
+    names = CELL_WEIGHTS[cell]
+    v = {n: var(n) for n in names}
+    weights = [v[n] for n in names]
+    tokens, state, inp, rest = var("tokens"), var("state"), var("inp"), var("rest")
+
+    sb = ScopeBuilder()
+    new_state = (_rnn_cell if cell == "rnn" else _gru_cell)(sb, v, state, inp)
     logits = sb.let("logits", op.add(op.dense(new_state, v["out_wt"]), v["out_bias"]))
-    sb.ret(tuple_expr(new_state, logits))
+    sb.ret(
+        match(
+            rest,
+            [
+                (pat_ctor(nil), tuple_expr(new_state, logits)),
+                (pat_ctor(cons, None, None), call(fold_gv, rest, new_state, *weights)),
+            ],
+        )
+    )
+    body = match(tokens, [(pat_ctor(cons, inp, rest), sb.get())])
+    mod.add_function(
+        "decode_fold", function([tokens, state] + weights, body, name="decode_fold")
+    )
+
+    m_weights = [var(n) for n in names]
+    m_state, m_tokens = var("state"), var("tokens")
     mod.add_function(
         "main",
-        function([v[n] for n in names] + [state, inp], sb.get(), name="main"),
+        function(
+            m_weights + [m_state, m_tokens],
+            call(fold_gv, m_tokens, m_state, *m_weights),
+            name="main",
+        ),
     )
-    return names
 
 
 def build(
     size: ModelSize, seed: int = 0, cell: str = "rnn"
 ) -> Tuple[IRModule, Dict[str, np.ndarray]]:
-    """Build one decoder step.  ``main``'s unbound inputs are ``state``
-    (1, hidden) and ``inp`` (1, embed); it returns ``(new_state, logits)``
-    with ``logits`` shaped (1, classes) — ``classes`` doubles as the
-    vocabulary size."""
+    """Build the decoder.  ``main``'s unbound inputs are ``state``
+    (1, hidden) and ``tokens``, a non-empty ``List`` of (1, embed) rows; it
+    returns ``(new_state, logits)`` after the last row, with ``logits``
+    shaped (1, classes) — ``classes`` doubles as the vocabulary size."""
     H, E, C = size.hidden, size.embed, size.classes
     mod = prelude_module()
-    names = _rnn_main(mod) if cell == "rnn" else _gru_main(mod)
+    _define_decoder(mod, cell)
+    names = CELL_WEIGHTS[cell]
 
     rng = np.random.default_rng(seed)
     params: Dict[str, np.ndarray] = {}
@@ -144,23 +185,34 @@ def select_token(logits: np.ndarray) -> int:
     return int(np.argmax(np.asarray(logits), axis=-1).ravel()[0])
 
 
-def instance_input(module: IRModule, raw: Tuple[np.ndarray, np.ndarray]) -> Dict[str, Any]:
-    """``raw`` is a ``(state, embedded_token)`` pair."""
-    state, inp = raw
-    return {"state": state, "inp": inp}
+#: builds the ``tokens`` list of an instance without the caller's module:
+#: compiled code matches a constructor by tag, the reference interpreter by
+#: name, and every prelude agrees on both
+_LISTS = prelude_module()
+
+
+def instance_input(
+    module: IRModule, raw: Tuple[np.ndarray, Sequence[np.ndarray]]
+) -> Dict[str, Any]:
+    """``raw`` is ``(state, rows)``: the recurrent state and the embedded
+    tokens to fold over, one (1, embed) row each — a whole prompt, or the
+    one token a decode step feeds back."""
+    state, rows = raw
+    return {"state": state, "tokens": _LISTS.make_list(rows)}
 
 
 def make_batch(
     module: IRModule, size: ModelSize, batch_size: int, seed: int = 0
 ) -> List[Dict[str, Any]]:
-    """Random mid-generation decode steps (random states, random tokens)."""
+    """Random mid-generation decode steps (random states, one random token
+    each)."""
     rng = np.random.default_rng(seed)
     emb = embedding(size, seed=0)
     out = []
     for _ in range(batch_size):
         state = np.tanh(rng.standard_normal((1, size.hidden))).astype(np.float32)
         tok = int(rng.integers(0, size.classes))
-        out.append(instance_input(module, (state, emb[tok : tok + 1])))
+        out.append(instance_input(module, (state, [emb[tok : tok + 1]])))
     return out
 
 

@@ -1,8 +1,9 @@
 """What the compiler emits for the unbatched program.
 
-Golden sources pin the generated Python of the three models whose recursion
-is a self tail call (emitted as a loop) and of TreeLSTM, whose child calls
-are not in tail position (emitted as calls).  A profile of one long StackRNN
+Golden sources pin the generated Python of the four models whose recursion
+is a self tail call (emitted as a loop; the GRU decoder's token fold among
+them) and of TreeLSTM, whose child calls are not in tail position (emitted
+as calls).  A profile of one long StackRNN
 instance pins what the loop form is for: the generated frames entered per
 fiber resume do not grow with the sequence.
 
@@ -24,7 +25,13 @@ from repro.models import MODEL_MODULES
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 REGENERATE = "PYTHONPATH=src python tests/test_codegen_golden.py"
 #: model -> (``while True:`` loops, recursive self calls) in its source
-GOLDEN_MODELS = {"stackrnn": (1, 0), "nestedrnn": (2, 0), "berxit": (1, 0), "treelstm": (0, 2)}
+GOLDEN_MODELS = {
+    "stackrnn": (1, 0),
+    "nestedrnn": (2, 0),
+    "berxit": (1, 0),
+    "declm_gru": (1, 0),
+    "treelstm": (0, 2),
+}
 
 
 @functools.lru_cache(maxsize=None)

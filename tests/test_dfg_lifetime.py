@@ -181,3 +181,24 @@ def test_a_capped_flush_leaves_nothing_for_the_collector(collector_off):
     assert len(results) == 3
     del handles, results
     assert assert_collector_reclaims_no_graph() == (0, 0)
+
+
+def test_a_bound_entry_outlives_its_binding(collector_off):
+    """The entry ``bind()`` returns owns the generated program's namespace:
+    a caller that keeps only the entry can still run nested calls
+    (treelstm's ``treelstm_cell``), and dropping the entry then frees the
+    runtime by reference counting."""
+    from repro import reference_run
+    from repro.compiler.driver import CompiledProgramBinding
+    from repro.runtime.tensor import materialize_value
+    from repro.utils import bitwise_equal
+
+    model, batch = build("treelstm", batch=2)
+    runtime = model.make_engine().runtime
+    entry = CompiledProgramBinding(model).bind(runtime, None)
+    raw = [entry(instance) for instance in batch]
+    runtime.trigger()
+    outputs = [materialize_value(r) for r in raw]
+    assert bitwise_equal(outputs, reference_run(model.module, model.params, batch))
+    del raw, outputs, runtime, entry
+    assert sum(type(obj) is AcrobatRuntime for obj in gc.get_objects()) == 0

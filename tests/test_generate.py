@@ -212,9 +212,9 @@ class TestStreamingAndStats:
             s = h.stats
             assert s.status == "done"
             assert s.tokens == len(h.tokens) == h.request.max_new_tokens
-            # one step per consumed prompt token beyond the first, plus one
-            # per emitted token
-            assert s.steps == len(h.request.prompt) - 1 + s.tokens
+            # one step per emitted token: the first folds the whole prompt
+            # in one round, so prefill adds none
+            assert s.steps == s.tokens
             assert s.ttfs_ms is not None and s.ttfs_ms > 0
             assert len(s.inter_step_ms) == s.tokens - 1
             assert s.finished_at >= s.first_token_at >= s.submitted_at
@@ -560,6 +560,133 @@ class TestModes:
                 if h.stats.status == "cancelled":
                     with pytest.raises(GenerationCancelled):
                         h.result(timeout=1.0)
+
+
+class TestPrefillFold:
+    """A prompt is one request: the decoder folds over its tokens, so the
+    prefill chain of each prompt runs inside one round, batched by depth
+    with every other chain in it."""
+
+    PROMPT_LENGTHS = (1, 2, 3, 4, 5, 6, 7)
+
+    def _requests(self, size):
+        rng = np.random.default_rng(29)
+        return [
+            GenerationRequest(
+                [int(t) for t in rng.integers(0, size.classes, k)],
+                max_new_tokens=3,
+                arrival=0.0002 * i,
+            )
+            for i, k in enumerate(self.PROMPT_LENGTHS)
+        ]
+
+    @pytest.mark.parametrize("name", ["declm", "declm_gru"])
+    def test_simulated_prompts_match_reference(self, name):
+        _, _, _, size, _ = _setup(name)
+        requests = self._requests(size)
+        reference = _references(name, requests)
+        handles, _, _ = _generate(name, requests, host_model=HOST_MODEL)
+        assert [h.result() for h in handles] == reference
+        assert all(h.stats.steps == h.stats.tokens == 3 for h in handles)
+
+    @pytest.mark.parametrize("name", ["declm", "declm_gru"])
+    def test_wall_prompts_match_reference_with_one_admission_per_prompt(self, name):
+        """Each prompt enters the server once, as the whole token list;
+        every later admission is one fed-back token."""
+        module, mod, params, size, compiled = _setup(name)
+        requests = self._requests(size)
+        reference = _references(name, requests)
+        server = Server()
+        server.add_endpoint("dec", compiled, policy="size", n=1)
+        admitted = []
+        submit = server.submit
+
+        def counting_submit(endpoint, instance, **kwargs):
+            admitted.append(len(mod.from_list(instance["tokens"])))
+            return submit(endpoint, instance, **kwargs)
+
+        server.submit = counting_submit
+        with server.run():
+            with GenerationSession(
+                server=server, endpoint="dec", model=module, size=size
+            ) as gen:
+                handles = [gen.submit(r) for r in requests]
+                assert [h.result(timeout=30.0) for h in handles] == reference
+        decode_steps = sum(r.max_new_tokens - 1 for r in requests)
+        assert sorted(admitted) == sorted([1] * decode_steps + list(self.PROMPT_LENGTHS))
+        assert all(h.stats.steps == h.stats.tokens for h in handles)
+
+    def test_mixed_round_batches_the_chains_by_depth(self):
+        """Prefills of several lengths and a decode step in one round: the
+        longest chain's batches sit at depths 0..k-1, and the batch at depth
+        d holds one row per prompt longer than d."""
+        from repro import reference_run
+        from repro.utils import bitwise_equal
+
+        module, mod, params, size, compiled = _setup("declm_gru")
+        emb = module.embedding(size)
+        rng = np.random.default_rng(31)
+        lengths = [3, 1, 5, 2, 5]
+        batch = [
+            module.instance_input(
+                mod,
+                (
+                    module.initial_state(size),
+                    [emb[t : t + 1] for t in rng.integers(0, size.classes, k)],
+                ),
+            )
+            for k in lengths
+        ]
+        session = compiled.serve("manual")
+        handles = [session.submit(instance) for instance in batch]
+        session.flush()
+        assert bitwise_equal(
+            [h.result() for h in handles], reference_run(mod, params, batch)
+        )
+        trace = session.engine.runtime.trace
+        batches = [r for r in trace.records if r[0] == "batch"]
+        assert [(r[2], r[4], r[5]) for r in batches] == [
+            ("decode_fold_b0", d, sum(1 for k in lengths if k > d))
+            for d in range(max(lengths))
+        ]
+
+    def test_cancel_and_deadline_act_at_round_boundaries(self):
+        """A long prompt's prefill is one round: a deadline that passes
+        during it drops the sequence before its first token, and a cancel or
+        deadline after the first token keeps exactly that token; the
+        round-mate is untouched."""
+        _, _, _, size, _ = _setup("declm")
+
+        def pair():
+            rng = np.random.default_rng(37)
+            return [
+                GenerationRequest([int(rng.integers(0, size.classes))], max_new_tokens=4),
+                GenerationRequest(
+                    [int(t) for t in rng.integers(0, size.classes, 6)], max_new_tokens=4
+                ),
+            ]
+
+        reference = _references("declm", pair())
+        baseline, _, _ = _generate("declm", pair())
+        first_at = baseline[1].stats.first_token_at
+        second_at = first_at + baseline[1].stats.inter_step_ms[0] / 1e3
+
+        requests = pair()
+        requests[1].on_token = lambda h, tok, i, at: h.cancel()
+        handles, session, gen = _generate("declm", requests)
+        assert handles[1].stats.status == "cancelled"
+        assert handles[1].tokens == reference[1][:1] and handles[1].stats.steps == 1
+        assert session.num_cancelled == 1  # the successor step was withdrawn
+        assert handles[0].result() == reference[0]
+
+        for deadline, kept in ((first_at / 2, 0), ((first_at + second_at) / 2, 1)):
+            requests = pair()
+            requests[1].deadline = deadline
+            handles, _, gen = _generate("declm", requests)
+            assert handles[1].stats.status == "expired"
+            assert handles[1].tokens == reference[1][:kept]
+            assert handles[0].result() == reference[0]
+            assert gen.metrics.expired == 1
 
 
 #: flush policies the generative decode test draws from: ``size(3)`` and
