@@ -24,12 +24,10 @@ spans in that order (:mod:`repro.runtime.scheduler`); the inline-depth
 schedule is those columns sorted by ``(phase, depth, first sequence
 number)``, which is exactly the bucket order of a per-node schedule.
 
-Serving cuts the store by sequence number.  A request's rows are one
-contiguous sequence range (requests are recorded one after another), so a
-cancelled request is withdrawn by range
-(:meth:`AcrobatRuntime.drop_pending_slice`) and a capped flush executes the rows below a sequence number
-(``trigger(limit=)``): a column the cut falls inside keeps its executed
-prefix, and its remaining rows move to a fresh column that stays pending.
+A trigger executes every pending row.  Serving removes rows only by
+sequence number: a request's rows are one contiguous sequence range
+(requests are recorded one after another), so a cancelled request is
+withdrawn by range (:meth:`AcrobatRuntime.drop_pending_slice`).
 
 What a round did
 ----------------
@@ -102,7 +100,7 @@ class RunStats:
     #: a ``device`` index key, always (a one-member group has one entry);
     #: empty only for stats no runtime produced (the Cortex baseline)
     per_device: List[Dict[str, float]] = field(default_factory=list)
-    #: rows the run's batches executed (a capped flush counts only its own)
+    #: rows the run's batches executed
     num_dfg_nodes: int = 0
     num_batches: int = 0
     batch_size: int = 0
@@ -267,63 +265,23 @@ class AcrobatRuntime:
         sequence range."""
         return self._round_seq
 
-    # -- the store's cuts --------------------------------------------------------
-    def _cut(self, limit: Optional[int]) -> int:
-        """The sequence number a trigger with ``limit`` cuts at."""
-        if limit is not None and 0 < limit < self._round_seq:
-            return limit
-        return self._round_seq
-
-    def _spans(self, cut: int) -> List[Span]:
-        """The pending rows below ``cut``, as ``(column, stop)`` spans in
-        column first-appearance order (a column's rows are in sequence
-        order, so the rows below a cut are a prefix)."""
-        spans: List[Span] = []
-        for col in self._columns.values():
-            seqs = col.seqs
-            if seqs[-1] < cut:
-                spans.append((col, len(seqs)))
-            elif seqs[0] < cut:
-                spans.append((col, bisect_left(seqs, cut)))
-        return spans
-
-    def _take(self, spans: List[Span], cut: int) -> None:
-        """Remove the round ``spans`` from the store: a column the cut falls
-        inside keeps its first ``stop`` rows (they execute now), and the
-        rest move to a fresh column under the same key."""
-        if cut >= self._round_seq:
-            self._columns = {}
-            self._round_seq = 0
-            return
-        # leftover rows keep their sequence numbers; new invokes keep
-        # appending after them
-        stops = dict(spans)
-        rest: Dict[Tuple[int, int, int], Column] = {}
-        for key, col in self._columns.items():
-            stop = stops.get(col)
-            if stop is None:
-                rest[key] = col
-            elif stop < len(col.seqs):
-                rest[key] = _split_column(col, stop)
-        self._columns = rest
-
     # -- execution -------------------------------------------------------------
-    def trigger(self, limit: Optional[int] = None) -> None:
-        """Schedule, memory-plan and execute pending rows.
+    def _spans(self) -> List[Span]:
+        """Every pending row, as ``(column, stop)`` spans in column
+        first-appearance order (``stop`` is the column's length)."""
+        return [(col, len(col.seqs)) for col in self._columns.values()]
+
+    def trigger(self) -> None:
+        """Schedule, memory-plan and execute every pending row.
 
         Every non-empty trigger is one synchronization round (a DFG flush)
         and appends one ``sync`` record to the trace.
-
-        ``limit`` executes only the rows whose sequence number is below it
-        (the caller cuts at a request boundary — see the flush policies'
-        round cap); the rows at or above it stay pending as the next
-        round's prefix, their lazy outputs untouched.
         """
-        cut = self._cut(limit)
-        spans = self._spans(cut)
+        spans = self._spans()
         if not spans:
             return
-        self._take(spans, cut)
+        self._columns = {}
+        self._round_seq = 0
         trace = self.trace
         host = trace.host_s
 
@@ -343,11 +301,10 @@ class AcrobatRuntime:
 
         for plan in plans:
             self._execute_batch(plan, trace)
-        # every row of the round's columns has executed (a column the cut
-        # fell inside kept only its executed prefix): drop the graph's one
-        # back edge, so the round is freed by reference counting, and the
-        # rows' arguments, so a live tensor keeps only its own column, not
-        # the history of every row its column shared
+        # every row of the round's columns has executed: drop the graph's
+        # one back edge, so the round is freed by reference counting, and
+        # the rows' arguments, so a live tensor keeps only its own column,
+        # not the history of every row its column shared
         for col, _stop in spans:
             col.outs = col.args = None
 
@@ -371,15 +328,6 @@ class AcrobatRuntime:
                 _renumber(col, a)
             else:
                 del self._columns[key]
-
-    def finish_partial_round(self) -> None:
-        """Round boundary after a capped trigger left rows pending: start a
-        fresh trace exactly as the next round's :meth:`reset` would, but
-        keep the live lazy graph — the leftover rows are the next round's
-        oldest requests."""
-        self.trace = RoundTrace()
-        if self._placement is not None:
-            self._placement.note_reset()
 
     def _execute_batch(self, plan: BatchPlan, trace: RoundTrace) -> None:
         batch = plan.batch
@@ -494,24 +442,5 @@ def _renumber(col: Column, first: int) -> None:
     n = col.num_outputs
     outs = col.outs
     for i in range(first * n, len(outs)):
-        tensor = outs[i]
-        tensor.column = col
-        tensor.row = i // n
+        outs[i].row = i // n
 
-
-def _split_column(col: Column, stop: int) -> Column:
-    """Move ``col``'s rows from ``stop`` on to a fresh column under the same
-    key, which the returned column is."""
-    n = col.num_outputs
-    rest = Column(col.block_id, col.phase, col.depth, n)
-    rest.args, rest.instances, rest.seqs, rest.outs = (
-        col.args[stop:],
-        col.instances[stop:],
-        col.seqs[stop:],
-        col.outs[stop * n:],
-    )
-    for rows in (col.args, col.instances, col.seqs):
-        del rows[stop:]
-    del col.outs[stop * n:]
-    _renumber(rest, 0)
-    return rest

@@ -18,8 +18,7 @@ Three scheduling strategies appear in the paper:
 
 Every scheduler receives the round as *spans*: ``(column, stop)`` pairs in
 column first-appearance order, each naming the column's rows ``[0, stop)``
-(a capped flush cuts a column at a sequence number; otherwise ``stop`` is
-the column's length).  The runtime-analysis schedulers number the round's
+(the runtime passes whole columns: ``stop`` is the column's length).  The runtime-analysis schedulers number the round's
 rows in invoke order (:class:`NumberedRows`) and follow a lazy argument's
 ``(column, row)`` edge to its producer's number.
 

@@ -17,9 +17,9 @@ rows in invoke order** — a column's rows are appended as they are invoked,
 so its ``seqs`` are increasing, and a column is created by its first row.
 
 A lazy tensor names its producer as ``(column, row, output_index)``: the
-column, the row within it, and which of the block's outputs it is (a capped
-flush or a withdrawal that moves pending rows points their outputs at the
-new place).  That is the graph's producer edge; schedulers that analyse
+column, the row within it, and which of the block's outputs it is (a
+withdrawal that moves pending rows up points their outputs at the new
+row).  That is the graph's producer edge; schedulers that analyse
 dependencies at run time follow it through ``column.args[row]``.
 
 A materialized tensor does not own its array: it is a zero-copy *view* into

@@ -567,15 +567,10 @@ class ServeLoop:
                     # completed but before _stop was set): they were just
                     # dispatched above and must not be left pending forever
                     for session in self.sessions().values():
-                        # capping policies bound each flush at round_cap
-                        # requests: draining means flushing until empty (a
-                        # failed flush aborts the whole backlog, so either
-                        # way the loop terminates)
-                        while session.pending_requests:
-                            try:
-                                session.flush()
-                            except BaseException:
-                                pass  # round's handles already failed
+                        try:
+                            session.flush()
+                        except BaseException:
+                            pass  # round's handles already failed
                     with self._cond:
                         # this pass covered everything dispatched before it
                         self._flushed_seq = self._dispatched_seq

@@ -20,13 +20,14 @@ Built-in policies:
     measured on the session's pluggable :class:`~repro.serve.clock.Clock`.
     Bounds worst-case queueing delay regardless of traffic.
 ``adaptive``
-    Flush when the *marginal benefit of waiting* — the kernel-launch
-    overhead the next arrival would amortize, estimated from the device
-    cost model and the observed launches-per-round — drops below the
-    *waiting cost* — the expected inter-arrival gap times the number of
-    pending requests whose latency that wait inflates.  While the session
-    drains a backlog (arrivals time-stamped in the past piled up during
-    execution) waiting is free, so the whole backlog batches — continuous
+    Flush the moment ``max_batch`` requests are pending; otherwise flush
+    when the *marginal benefit of waiting* — the kernel-launch overhead
+    the next arrival would amortize, estimated from the device cost model
+    and the observed launches-per-round — drops below the *waiting cost*
+    — the expected inter-arrival gap times the number of pending requests
+    whose latency that wait inflates.  While the session drains a backlog
+    (arrivals time-stamped in the past piled up during execution) waiting
+    is free, so the backlog batches up to a full round — continuous
     batching.  Approximates the right batch size for the offered load
     without tuning.
 
@@ -79,18 +80,6 @@ class FlushPolicy:
     def note_flush(self, session: "InferenceSession", stats: Any) -> None:
         """Observation hook: called with the round's ``RunStats`` after
         every flush (adaptive policies update their estimates here)."""
-
-    def round_cap(self, session: "InferenceSession") -> Optional[int]:
-        """Maximum number of requests one flush may take, or None for no
-        cap (the flush drains everything pending).
-
-        A capped flush executes the *oldest* pending requests and leaves
-        the rest as the next round's prefix — continuous batching with
-        bounded rounds.  Requests record their rows one after another, so
-        the capped prefix is a prefix of the runtime's round sequence and
-        admissions append behind it.
-        """
-        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -202,21 +191,27 @@ class AdaptivePolicy(FlushPolicy):
     ``launches_per_round * (launch + API overhead)`` microseconds of device
     cost.  Waiting costs ``expected_gap * pending`` — every queued request's
     latency grows by the expected inter-arrival gap.  The policy flushes
-    when the cost exceeds the benefit, with two safety valves: a hard
-    ``max_batch`` cap and a ``max_wait_ms`` deadline so p99 latency stays
-    finite when traffic stalls.
+    when the cost exceeds the benefit, with two safety valves: a full
+    round (``max_batch`` pending) flushes on the submit that fills it, and
+    a ``max_wait_ms`` deadline keeps p99 latency finite when traffic
+    stalls.  The full-round check runs first, so no round ever holds more
+    than ``max_batch`` requests.
 
     One asymmetry matters under load: a request submitted with an explicit
     arrival timestamp *behind* the clock
     (:attr:`~repro.serve.session.InferenceSession.last_submit_backdated`)
     was queued while the session executed an earlier round (open-loop
     traffic does not pause).  Waiting costs those requests nothing — they
-    are already late and more backlog is draining — so the policy keeps
-    accumulating until arrivals catch up with the clock, which is exactly
-    continuous batching: each round absorbs everything that arrived during
-    the previous round's execution.  Only explicitly backdated submits
-    count as backlog; wall-clock submits (no ``at=``) always run the
-    cost/benefit rule.
+    are already late and more backlog is draining — so short of a full
+    round the policy keeps accumulating until arrivals catch up with the
+    clock, which is exactly continuous batching: each round absorbs what
+    arrived during the previous round's execution.  Only explicitly
+    backdated submits count as backlog, but under a
+    :class:`~repro.serve.loop.ServeLoop` every dispatch passes its
+    admission time as ``at=`` and lands backdated, so on the wall clock
+    only the full-round check and the ``max_wait_ms`` timer close a round;
+    the cost/benefit rule decides only for submits that are not backdated
+    (a caller-driven session's, say).
 
     The launches-per-round estimate is an EWMA over observed flushes
     (seeded with ``launch_prior``); the inter-arrival gap is an EWMA over
@@ -274,17 +269,18 @@ class AdaptivePolicy(FlushPolicy):
     # -- policy hooks ---------------------------------------------------------
     def on_submit(self, session: "InferenceSession", now: float) -> bool:
         self._observe_arrival(now)
+        if session.pending_requests >= self.max_batch:
+            # a full round launches now, on every clock: waiting cannot
+            # grow it
+            return True
         if session.last_submit_backdated or session.in_flight_rounds:
             # draining a backlog, or earlier rounds still executing on the
             # device (continuous batching under a serve loop): waiting is
             # free — flushing now would only queue host work serially.
-            # Keep accumulating; rounds stay bounded anyway because the
-            # flush itself caps at max_batch (:meth:`round_cap`), and the
-            # loop's device-idle wakeup (:meth:`on_idle`) launches the next
-            # capped round the moment the device frees.
+            # Keep accumulating; the loop's device-idle wakeup
+            # (:meth:`on_idle`) launches the round the moment the device
+            # frees.
             return False
-        if session.pending_requests >= self.max_batch:
-            return True
         return self.waiting_cost_us(session) > self.marginal_benefit_us(session)
 
     def next_deadline(self, session: "InferenceSession") -> Optional[float]:
@@ -299,12 +295,6 @@ class AdaptivePolicy(FlushPolicy):
         # another session's idle-launch already re-busied the shared
         # device, keep accumulating instead: waiting is free again.)
         return session.pending_requests > 0 and not session.in_flight_rounds
-
-    def round_cap(self, session: "InferenceSession") -> Optional[int]:
-        # max_batch bounds the round wherever the flush comes from (idle
-        # launch, max_wait deadline, drain) — the overflow stays pending as
-        # the next round's prefix
-        return self.max_batch
 
     def note_flush(self, session: "InferenceSession", stats: Any) -> None:
         launches = float(stats.kernel_calls)

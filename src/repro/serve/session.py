@@ -123,14 +123,12 @@ class InferenceSession:
         #: (DFG-accumulation mode): ``_seq_ends[i]`` is the sequence number
         #: right after pending request ``i`` recorded its DFG, so request
         #: ``i`` owns the pending rows in ``[_seq_ends[i-1], _seq_ends[i])``
-        #: and a capped flush of the oldest ``k`` requests executes exactly
-        #: the rows below ``_seq_ends[k-1]`` — requests are recorded one
-        #: after another, so a request prefix is a sequence prefix
+        #: — requests are recorded one after another — which is the range
+        #: :meth:`withdraw` drops
         self._seq_ends: List[int] = []
-        #: monotonically increasing instance id for node tagging: a capped
-        #: flush leaves the overflow pending, so per-submit indices cannot
-        #: restart at ``len(_pending)`` without colliding with leftover
-        #: requests' ids (resets only when the backlog fully drains)
+        #: instance id for node tagging: counts the round's submits, and
+        #: keeps counting past a withdrawn request so a later submit never
+        #: reuses a pending request's id (resets at every flush)
         self._instance_seq = 0
         self._entry = None
         self._build_s = 0.0
@@ -392,37 +390,7 @@ class InferenceSession:
         """
         if not self._pending:
             return None
-        # a capping policy flushes the *oldest-cap* prefix and leaves the
-        # overflow pending as the next round's prefix — request boundaries
-        # are sequence boundaries, so the prefix is one sequence cut (a
-        # fiber session records no rows before its flush: its prefix is
-        # just the oldest-cap instances)
-        cap: Optional[int] = None
-        seq_cut: Optional[int] = None
-        requested = self.policy.round_cap(self)
-        if requested is not None and 0 < requested < len(self._pending):
-            cap = requested
-            if not self._deferred:
-                seq_cut = self._seq_ends[cap - 1]
-        saved_ends = self._seq_ends
-        if cap is not None:
-            pending = self._pending[:cap]
-            self._pending = self._pending[cap:]
-            self._pending_instances = self._pending_instances[cap:]
-            # leftover rows keep their sequence numbers across the cut
-            self._seq_ends = saved_ends[cap:]
-            # the leftover prefix anchors the next round's deadline at its
-            # own oldest arrival; the monotonic-arrival tracker and the
-            # instance-id sequence keep running (requests are still pending)
-            self._round_started_at = self._pending[0][0].submitted_at
-        else:
-            pending, self._pending = self._pending, []
-            self._pending_instances = []
-            self._seq_ends = []
-            self._round_started_at = None
-            # a fresh trace may legally restart its timestamps next round
-            self._last_arrival = None
-            self._instance_seq = 0
+        pending = self._take_round()
         flush_start = self.clock.now()
         # per-flush device accounting: sessions may share one device
         # simulator (multi-endpoint servers), so each round's counters start
@@ -440,24 +408,16 @@ class InferenceSession:
             else:
                 rt = self.engine.runtime
                 exec_start = time.perf_counter()
-                rt.trigger(limit=seq_cut)
+                rt.trigger()
                 outputs = [materialize_value(raw) for _, raw in pending]
                 wall_s = self._build_s + (time.perf_counter() - exec_start)
                 stats = rt.collect_stats(len(pending), wall_s)
                 self._build_s = 0.0
-                if self._pending:
-                    # the overflow's DFG rows live on in the runtime as the
-                    # next round's prefix: a full reset would wipe them, so
-                    # take a light per-round boundary and keep the bound
-                    # entry for further submits
-                    rt.finish_partial_round()
-                else:
-                    self._entry = None
+                self._entry = None
         except BaseException as exc:
             # the popped handles would otherwise be lost (pending forever):
             # fail them, reset the round, and re-raise for the caller
-            self._pending = pending + self._pending
-            self._seq_ends = saved_ends
+            self._pending = pending
             self._abort_round(exc)
             raise
 
@@ -539,11 +499,7 @@ class InferenceSession:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
-            # a capping policy flushes at most round_cap requests per call:
-            # drain means flushing until the backlog is empty (each round
-            # retires at least one request, so this terminates)
-            while self._pending:
-                self.flush()
+            self.flush()
 
     # -- internals -------------------------------------------------------------
     def _abort_round(self, cause: BaseException) -> None:
@@ -553,12 +509,7 @@ class InferenceSession:
         build or the round's execution raised: the shared graph is
         unrecoverable, but the session — and everything else behind the
         same server — keeps serving."""
-        pending, self._pending = self._pending, []
-        self._pending_instances = []
-        self._seq_ends = []
-        self._instance_seq = 0
-        self._round_started_at = None
-        self._last_arrival = None
+        pending = self._take_round()
         self._entry = None
         self._build_s = 0.0
         self.engine.runtime.reset(release_residency=False)
@@ -569,6 +520,18 @@ class InferenceSession:
                 )
                 error.__cause__ = cause
                 handle._fail(error)
+
+    def _take_round(self) -> List[Tuple[RequestHandle, Any]]:
+        """Empty the session's round bookkeeping and return its pending
+        requests."""
+        pending, self._pending = self._pending, []
+        self._pending_instances = []
+        self._seq_ends = []
+        self._instance_seq = 0
+        self._round_started_at = None
+        # a fresh trace may legally restart its timestamps next round
+        self._last_arrival = None
+        return pending
 
     def _ensure_round(self):
         """Bind the program for a new batching round (first submit after a

@@ -101,20 +101,23 @@ class TestSessionCancel:
         assert control.last_stats.memory == tested.last_stats.memory
         assert control.engine.runtime.trace == tested.engine.runtime.trace
 
-    def test_cancel_in_capped_overflow(self, treelstm_setup):
-        """A request a capped flush left pending can still be withdrawn:
-        the next capped round takes the requests behind it."""
+    def test_cancel_behind_a_full_round(self, treelstm_setup):
+        """A request queued behind a full round can be withdrawn, and it no
+        longer counts toward the next round: that round fills with the two
+        requests after it."""
         _, _, instances, reference = treelstm_setup
         sess = _session(
             treelstm_setup, policy="adaptive", max_batch=2, max_wait_ms=10_000.0
         )
         sess.clock.advance(1.0)
-        handles = [sess.submit(inst, at=0.0) for inst in instances]
-        assert len(sess.flush()) == 2
+        handles = [sess.submit(inst, at=0.0) for inst in instances[:3]]
+        assert [h.done for h in handles] == [True, True, False]
         assert sess.cancel(handles[2]) is True
-        assert sess.pending_requests == BATCH - 3
-        assert len(sess.flush()) == 2
+        handles.append(sess.submit(instances[3], at=0.0))
+        assert sess.pending_requests == 1
+        handles.append(sess.submit(instances[4], at=0.0))
         assert sess.pending_requests == 0
+        assert [st.batch_size for st in sess.history] == [2, 2]
         with pytest.raises(RequestCancelled):
             handles[2].result()
         for i in (0, 1, 3, 4):

@@ -7,9 +7,9 @@ kept as they were: they bucket, traverse and agenda-sort a list of node
 records the tests build from the invocations the runtime saw.  For every
 round of a run, each policy's batch sequence — ``(block_id, [(instance,
 round_seq), ...])`` per launch — must equal its oracle's, over the model zoo
-and over random tail-recursive programs; a capped flush and a cancellation
-whose cuts fall inside columns execute exactly the rows below the cut and
-stay bitwise equal to the reference.
+and over random tail-recursive programs; a cancellation whose rows sit
+inside columns leaves the round exactly the other requests' rows, bitwise
+equal to the reference.
 """
 
 from collections import defaultdict
@@ -346,17 +346,15 @@ def test_random_programs_batch_as_the_per_node_schedule(step, base_pick, coin_li
     assert_bitwise(outputs, reference_run(mod, params, batch))
 
 
-# -- serving cuts inside columns -------------------------------------------------
+# -- a cancellation inside columns ----------------------------------------------
 
 
-def capped_session(zoo, requests):
+def serving_session(zoo, requests):
     mod, params, batch, reference = zoo["treelstm"]
     model = compile_model(mod, params, CompilerOptions())
     session = model.serve("manual")
     rec = Recorder(session.engine.runtime, inline_depth)
     handles = [session.submit(batch[i]) for i in requests]
-    # flush the two oldest requests per round
-    session.policy.round_cap = lambda _session: 2
     return session, rec, handles, [reference[i] for i in requests]
 
 
@@ -371,43 +369,18 @@ def assert_outputs_name_their_rows(runtime):
         assert all(t.column is col and t.row == i // n for i, t in enumerate(col.outs))
 
 
-def test_capped_flush_across_a_column_cut(zoo):
-    session, rec, handles, reference = capped_session(zoo, [0, 1, 2, 3])
-    runtime = session.engine.runtime
-    cut = session._seq_ends[1]
-    assert straddled(runtime, cut)
-
-    # an arrival appends behind the cut
-    _mod, _params, batch, batch_reference = zoo["treelstm"]
-    handles.append(session.submit(batch[0]))
-    reference.append(batch_reference[0])
-    session.flush()
-    # exactly the two oldest requests' rows went into the round
-    assert sorted(n.round_seq for n in rec.last_round) == list(range(cut))
-    assert [h.done for h in handles] == [True, True, False, False, False]
-
-    # the rows the cut left behind moved to fresh columns, renumbered
-    assert all(col.seqs[0] >= cut for col in runtime._columns.values())
-    assert_outputs_name_their_rows(runtime)
-    while session.pending_requests:
-        session.flush()
-    assert_bitwise([h.result() for h in handles], reference)
-
-
 def test_cancel_inside_a_column(zoo):
-    session, rec, handles, reference = capped_session(zoo, [0, 1, 2, 3])
+    session, rec, handles, reference = serving_session(zoo, [0, 1, 2, 3])
     runtime = session.engine.runtime
     first, second = session._seq_ends[0], session._seq_ends[1]
     assert straddled(runtime, first) and straddled(runtime, second)
 
-    assert handles[1].cancel()  # its rows sit inside columns, below the cut
+    assert handles[1].cancel()  # its rows sit inside columns
     assert not any(first <= s < second for c in runtime._columns.values() for s in c.seqs)
     assert_outputs_name_their_rows(runtime)
 
-    # the new prefix is requests 0 and 2
+    # the round is the other three requests
     session.flush()
-    assert {n.instance_id for n in rec.last_round} == {handles[0].index, handles[2].index}
-    while session.pending_requests:
-        session.flush()
     kept = [0, 2, 3]
+    assert {n.instance_id for n in rec.last_round} == {handles[i].index for i in kept}
     assert_bitwise([handles[i].result() for i in kept], [reference[i] for i in kept])

@@ -166,23 +166,6 @@ def test_withdrawn_rows_are_freed_by_reference_counting(collector_off):
     assert live_graph_objects() == (0, 0)
 
 
-def test_a_capped_flush_leaves_nothing_for_the_collector(collector_off):
-    """A round cap that falls inside columns: the executed prefix keeps its
-    columns, the rest moves to fresh ones, and both are freed once run."""
-    model, batch = build("treelstm")
-    session = model.serve("manual")
-    handles = [session.submit(instance) for instance in batch[:3]]
-    session.policy.round_cap = lambda _session: 2
-    session.flush()
-    assert [h.done for h in handles] == [True, True, False]
-    session.policy.round_cap = lambda _session: None
-    session.flush()
-    results = [h.result() for h in handles]
-    assert len(results) == 3
-    del handles, results
-    assert assert_collector_reclaims_no_graph() == (0, 0)
-
-
 def test_a_bound_entry_outlives_its_binding(collector_off):
     """The entry ``bind()`` returns owns the generated program's namespace:
     a caller that keeps only the entry can still run nested calls

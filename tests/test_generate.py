@@ -108,14 +108,14 @@ class TestReferenceIdentity:
 
     @pytest.mark.parametrize("name", ["declm", "declm_gru"])
     def test_capped_decode_rounds_match_eager_reference(self, name):
-        """Decode steps beyond the adaptive cap wait for the next capped
+        """Decode steps beyond a full adaptive round wait for the next
         round; every trajectory still equals the eager loop bitwise."""
         _, _, _, size, _ = _setup(name)
         requests = _make_requests(size.classes, 6, 6, seed=5)
         reference = _references(name, requests)
         handles, session, _ = _generate(name, requests, max_batch=2)
         assert [h.result() for h in handles] == reference
-        assert session.policy.round_cap(session) == 2
+        assert session.policy.max_batch == 2
         assert 1.0 < session.requests_flushed / session.num_flushes <= 2.0
 
     def test_eos_early_stop(self):

@@ -115,7 +115,7 @@ class TestMemoryPlanner:
 
         for p in producers:
             rt.invoke(0, 1, 0, [p])
-        (col, stop), = rt._spans(rt.next_seq)
+        (col, stop), = rt._spans()
         batch = ScheduledBatch(0, ((col, range(stop)),))
         plans = rt.planner.plan_round([batch], rt.kernels)
         operands = rt.planner.resolve(
@@ -205,7 +205,7 @@ class TestMemoryPlanner:
         pending = [rt.invoke(0, 0, 0, [np.ones((1, 2), np.float32)]) for _ in range(2)]
         for p in pending:
             rt.invoke(0, 1, 0, [p])
-        (producers, _), (consumers, stop) = rt._spans(rt.next_seq)
+        (producers, _), (consumers, stop) = rt._spans()
         planner = MemoryPlanner()
         with pytest.raises(RuntimeError, match="dependency order"):
             planner.plan_round([ScheduledBatch(0, ((consumers, range(stop)),))], rt.kernels)

@@ -240,7 +240,7 @@ def _record(kernel_ids, depths, phases=None):
     for i, (k, d) in enumerate(zip(kernel_ids, depths)):
         rt.current_instance = i
         rt.invoke(k, d, phases[i] if phases else 0, ())
-    return rt._spans(rt.next_seq)
+    return rt._spans()
 
 
 class TestSchedulers:
@@ -266,7 +266,7 @@ class TestSchedulers:
         rt = _recording_runtime()
         produced = rt.invoke(0, 0, 0, ())
         rt.invoke(1, 0, 0, (produced,))  # same inline depth: only the edge orders them
-        batches = DynamicDepthScheduler().schedule(rt._spans(rt.next_seq))
+        batches = DynamicDepthScheduler().schedule(rt._spans())
         order = [b.block_id for b in batches]
         assert order.index(0) < order.index(1)
 

@@ -1,6 +1,6 @@
 """Tests for the serving subsystem: clocks, flush policies and their
-registry, request futures, policy-driven sessions, repeated rounds, capped
-flushes, multi-model servers and open-loop traffic."""
+registry, request futures, policy-driven sessions, repeated rounds, full
+rounds, multi-model servers and open-loop traffic."""
 
 import numpy as np
 import pytest
@@ -755,80 +755,58 @@ class TestServeFacade:
         assert session.num_flushes >= len(instances) // 2
 
 
-class TestCappedFlush:
-    """The ``round_cap`` policy hook: a capped flush takes the oldest-cap
-    request prefix (which is a sequence prefix — requests record their rows
-    one after another) and leaves the overflow pending as the next round's
-    prefix."""
+class TestFullRounds:
+    """The ``adaptive`` policy flushes the submit that fills a round of
+    ``max_batch`` requests — also a backdated one, which otherwise keeps
+    accumulating — so no round ever holds more than ``max_batch``."""
 
-    def test_prefix_flush_leaves_overflow_pending(self, treelstm_setup):
+    def test_a_backdated_backlog_flushes_each_full_round(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
         clock = SimulatedClock()
         session = model.serve("adaptive", clock=clock, max_batch=4)
-        clock.advance(1.0)  # arrivals at t=0 are backdated: no submit flush
-        handles = [session.submit(inst, at=0.0) for inst in instances]
-        assert session.pending_requests == len(instances)
-        first = session.flush()
-        assert len(first) == 4
-        assert session.pending_requests == len(instances) - 4
-        second = session.flush()
-        assert len(second) == len(instances) - 4
-        assert session.pending_requests == 0
-        assert session.num_flushes == 2
-        # submission order preserved across the split, results identical
+        clock.advance(1.0)  # arrivals at t=0 are backdated
+        handles = []
+        for inst in instances:
+            handles.append(session.submit(inst, at=0.0))
+            assert session.pending_requests < 4
+        assert [h.done for h in handles] == [True] * 4 + [False] * (BATCH - 4)
+        assert len(session.flush()) == BATCH - 4
+        assert [(st.batch_size, st.flush_reason) for st in session.history] == [
+            (4, "adaptive"),
+            (BATCH - 4, "manual"),
+        ]
         outputs = [h.result() for h in handles]
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
 
-    def test_later_arrival_appends_behind_capped_prefix(self, treelstm_setup):
-        """An arrival before the flush lands behind the capped prefix: the
-        round takes the same oldest requests it would have taken without
-        it."""
-        mod, params, instances, reference = treelstm_setup
-        model = compile_model(mod, params, CompilerOptions())
-        clock = SimulatedClock()
-        session = model.serve(
-            "adaptive", clock=clock, max_batch=3, max_wait_ms=10_000.0
-        )
-        clock.advance(1.0)
-        handles = [session.submit(inst, at=0.0) for inst in instances[:4]]
-        cut = session._seq_ends[2]
-        handles.append(session.submit(instances[4], at=0.0))
-        assert session._seq_ends[2] == cut
-        first = session.flush()
-        assert len(first) == 3
-        assert [h.done for h in handles] == [True, True, True, False, False]
-        second = session.flush()
-        assert len(second) == 2
-        outputs = first + second
-        assert all(exact_equal(a, b) for a, b in zip(reference[:5], outputs))
-
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("max_batch", [1, 4])
     @pytest.mark.parametrize("devices", [1, 4])
-    def test_capped_rounds_match_reference(self, treelstm_setup, scheduler, devices):
-        """Every scheduler's pending rows cut cleanly at the capped prefix:
-        a backlog drained two requests per round, on one device or sharded
-        over four, stays bitwise equal to the eager reference."""
+    def test_full_rounds_match_reference(
+        self, treelstm_setup, scheduler, max_batch, devices
+    ):
+        """Every scheduler runs a backlog in full rounds, on one device or
+        sharded over four, bitwise equal to the eager reference."""
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions(scheduler=scheduler))
         kwargs = {"device": 4, "placement": "round_robin"} if devices == 4 else {}
         clock = SimulatedClock()
-        session = model.serve("adaptive", clock=clock, max_batch=2, **kwargs)
+        session = model.serve("adaptive", clock=clock, max_batch=max_batch, **kwargs)
         clock.advance(1.0)
         handles = [session.submit(inst, at=0.0) for inst in instances]
-        sizes = []
-        while session.pending_requests:
-            sizes.append(len(session.flush()))
-        assert sizes == [2] * (len(instances) // 2)
+        session.flush()
+        full, rest = divmod(BATCH, max_batch)
+        assert [st.batch_size for st in session.history] == [max_batch] * full + (
+            [rest] if rest else []
+        )
         assert all(
             exact_equal(a, h.result()) for a, h in zip(reference, handles)
-        ), f"{scheduler}/dev{devices}"
+        ), f"{scheduler}/max_batch{max_batch}/dev{devices}"
 
     @pytest.mark.parametrize("model_name", ZOO)
-    def test_capped_rounds_count_each_node_once(self, model_name):
-        """A capped round counts only the DFG nodes it executed: the rows it
-        leaves pending are the next round's, so the capped rounds' node
-        counts sum to the one uncapped round's."""
+    def test_full_rounds_count_each_node_once(self, model_name):
+        """A round counts only the DFG nodes it executed, so the rounds of
+        two sum to the one round of all five."""
         module = MODEL_MODULES[model_name]
         mod, params, size = module.build_for("test")
         instances = module.make_batch(mod, size, 5, seed=7)
@@ -840,19 +818,17 @@ class TestCappedFlush:
             clock.advance(1.0)
             for inst in instances:
                 session.submit(inst, at=0.0)
-            while session.pending_requests:
-                session.flush()
+            session.flush()
             return [stats.num_dfg_nodes for stats in session.history]
 
-        (uncapped,) = node_counts()
-        capped = node_counts(max_batch=2)
-        assert len(capped) == 3 and sum(capped) == uncapped
+        (whole,) = node_counts()
+        rounds = node_counts(max_batch=2)
+        assert len(rounds) == 3 and sum(rounds) == whole
 
     @pytest.mark.parametrize("model_name", ZOO)
-    def test_capped_rounds_match_reference_across_the_zoo(self, model_name):
-        """Capped flushes cut the pending requests of every zoo model
-        without changing a result: the oldest two per round, whether the
-        model records rows at submit or defers its instances to one
+    def test_full_rounds_match_reference_across_the_zoo(self, model_name):
+        """Full rounds leave every zoo model's results unchanged, whether
+        the model records rows at submit or defers its instances to one
         fiber-interleaved batch per flush."""
         module = MODEL_MODULES[model_name]
         mod, params, size = module.build_for("test")
@@ -863,25 +839,11 @@ class TestCappedFlush:
         session = model.serve("adaptive", clock=clock, max_batch=2)
         clock.advance(1.0)
         handles = [session.submit(inst, at=0.0) for inst in instances]
-        sizes = []
-        while session.pending_requests:
-            sizes.append(len(session.flush()))
-        assert sizes == [2, 2, 1]
+        session.flush()
+        assert [st.batch_size for st in session.history] == [2, 2, 1]
         assert all(exact_equal(a, h.result()) for a, h in zip(reference, handles))
 
-    def test_uncapped_policies_flush_everything(self, treelstm_setup):
-        """round_cap is adaptive-only: deadline/size/manual keep the
-        flush-takes-all semantics."""
-        mod, params, instances, _ = treelstm_setup
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.serve("manual", clock=SimulatedClock())
-        for inst in instances:
-            session.submit(inst)
-        outs = session.flush()
-        assert len(outs) == len(instances)
-        assert session.pending_requests == 0
-
-    def test_context_exit_drains_capped_backlog(self, treelstm_setup):
+    def test_context_exit_flushes_the_last_partial_round(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
         clock = SimulatedClock()
@@ -889,16 +851,16 @@ class TestCappedFlush:
             clock.advance(1.0)
             handles = [session.submit(inst, at=0.0) for inst in instances]
         assert session.pending_requests == 0
-        assert session.num_flushes == 2
+        assert [st.batch_size for st in session.history] == [4, BATCH - 4]
         outputs = [h.result() for h in handles]
         assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
 
-    def test_submission_between_capped_flushes_appends_behind(
-        self, treelstm_setup
-    ):
-        """Submissions landing mid-drain (between the capped flushes of one
-        backlog) append *behind* the leftover prefix, preserving submission
-        order."""
+    def test_done_callback_fills_a_round_mid_flush(self, treelstm_setup):
+        """A handle's done callback submits while the round that resolves
+        it is still completing its handles, and fills the next round: the
+        nested flush runs there and then.  Both rounds land in ``history``,
+        the session's counters are their sums, and every output stays
+        bitwise equal to the reference."""
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
         clock = SimulatedClock()
@@ -906,61 +868,43 @@ class TestCappedFlush:
             "adaptive", clock=clock, max_batch=3, max_wait_ms=10_000.0
         )
         clock.advance(1.0)
-        handles = [session.submit(inst, at=0.0) for inst in instances[:4]]
-        first = session.flush()
-        assert len(first) == 3
-        handles += [session.submit(inst, at=0.0) for inst in instances[4:6]]
-        assert session.pending_requests == 3
-        second = session.flush()
-        assert len(second) == 3
-        assert session.pending_requests == 0
-        outputs = [h.result() for h in handles]
-        assert all(exact_equal(a, b) for a, b in zip(reference[:6], outputs))
-
-    def test_reentrant_submission_from_done_callback(self, treelstm_setup):
-        """A handle's done callback submits a new request *while the capped
-        flush that resolves it is still running*.  The submission must
-        append behind the overflow prefix without corrupting sequence
-        ranges or arrival tracking."""
-        mod, params, instances, reference = treelstm_setup
-        model = compile_model(mod, params, CompilerOptions())
-        clock = SimulatedClock()
-        session = model.serve(
-            "adaptive", clock=clock, max_batch=3, max_wait_ms=10_000.0
-        )
-        clock.advance(1.0)
-        handles = [session.submit(inst, at=0.0) for inst in instances[:4]]
         late = []
+        handles = [session.submit(inst, at=0.0) for inst in instances[:2]]
         handles[0].add_done_callback(
-            lambda h: late.append(session.submit(instances[4], at=0.0))
+            lambda h: late.extend(session.submit(inst, at=0.0) for inst in instances[3:6])
         )
-        first = session.flush()
-        assert len(first) == 3
-        # the callback fired mid-flush: its submission queued behind the
-        # leftover prefix
-        assert session.pending_requests == 2
-        second = session.flush()
-        assert len(second) == 2
-        outputs = [h.result() for h in handles] + [late[0].result()]
-        assert all(exact_equal(a, b) for a, b in zip(reference[:5], outputs))
+        handles.append(session.submit(instances[2], at=0.0))  # fills round 1
+        assert len(late) == 3 and all(h.done for h in handles + late)
+        assert session.pending_requests == 0
+        history = list(session.history)
+        assert sorted(st.batch_size for st in history) == [3, 3]
+        assert session.num_flushes == 2 and session.requests_flushed == 6
+        assert session.total_kernel_calls == sum(st.kernel_calls for st in history)
+        assert session.total_device_ms == pytest.approx(
+            sum(st.device_total_ms for st in history)
+        )
+        outputs = [h.result() for h in handles + late]
+        assert all(exact_equal(a, b) for a, b in zip(reference, outputs))
 
-    def test_capped_replay_is_deterministic_and_reference_identical(
+    def test_full_round_replay_is_deterministic_and_reference_identical(
         self, treelstm_setup
     ):
-        """End to end through the trace driver: capped rounds replay
-        bit-for-bit and match the eager reference."""
+        """End to end through the trace driver: rounds of at most
+        ``max_batch`` replay bit-for-bit and match the eager reference."""
         mod, params, instances, reference = treelstm_setup
         model = compile_model(mod, params, CompilerOptions())
         arrivals = poisson_arrivals(2000.0, len(instances), seed=33)
 
         def run():
             server = one_endpoint(model, "adaptive", max_batch=2, max_wait_ms=300.0)
-            return server.replay(
+            report = server.replay(
                 trace_of(arrivals, instances), host_model=(6.0, 1.0)
             )["m"]
+            return report, server.endpoint("m").session
 
-        r1, r2 = run(), run()
+        (r1, s1), (r2, _) = run(), run()
         assert r1.latencies_ms == r2.latencies_ms
         assert exact_equal(r1.outputs, r2.outputs)
         assert all(exact_equal(a, b) for a, b in zip(reference, r1.outputs))
-        assert r1.num_flushes >= len(instances) // 2  # the cap bound rounds
+        assert all(st.batch_size <= 2 for st in s1.history)
+        assert r1.num_flushes >= len(instances) // 2

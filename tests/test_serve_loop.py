@@ -1,8 +1,8 @@
 """Tests for the event-loop serving core: the device timeline, monotonic
 arrival validation, backpressure, Server.run()/drain()/shutdown(), awaitable
-request handles, multi-producer thread safety, continuous-batching
-reference identity across scheduler policies, and bit-for-bit deterministic
-replay."""
+request handles, multi-producer thread safety, full rounds on both clocks,
+continuous-batching reference identity across scheduler policies, and
+bit-for-bit deterministic replay."""
 
 import asyncio
 import threading
@@ -27,6 +27,13 @@ from repro.utils import bitwise_equal, values_allclose
 from tests.conftest import one_endpoint, trace_of
 
 BATCH = 6
+
+#: what a burst of nine requests at once does under ``adaptive`` with
+#: ``max_batch=4`` and a timer too long to fire: each submit that fills a
+#: round flushes it, on the wall clock as on the simulated one, and the ninth
+#: request waits
+BURST = 9
+BURST_ROUNDS = [(4, "adaptive"), (4, "adaptive")]
 
 #: every scheduler policy the engine registry ships; continuous batching
 #: must be reference-identical under all of them
@@ -259,14 +266,14 @@ class TestServerLifecycle:
         # shutdown is idempotent
         server.shutdown()
 
-    def test_drain_flushes_a_capped_backlog_until_empty(self, treelstm_setup):
-        """drain() under a capping policy runs capped rounds until the
-        backlog is empty; no round exceeds the cap."""
+    def test_drain_flushes_the_last_partial_round(self, treelstm_setup):
+        """A backlog in one dispatch pass flushes its full round at once;
+        drain() flushes the partial round behind it."""
         mod, params, instances, reference = treelstm_setup
         server = Server()
         endpoint = server.add_endpoint(
             "m", compile_model(mod, params, CompilerOptions()),
-            policy="adaptive", max_batch=2, max_wait_ms=60_000.0,
+            policy="adaptive", max_batch=4, max_wait_ms=60_000.0,
         )
         server.run()
         loop = server.loop
@@ -280,8 +287,79 @@ class TestServerLifecycle:
         assert all(
             values_allclose(a, h.result()) for a, h in zip(reference, handles)
         )
-        assert all(h.stats.batch_size <= 2 for h in handles)
-        assert endpoint.session.num_flushes == len(instances) // 2
+        rounds = [(st.batch_size, st.flush_reason) for st in endpoint.session.history]
+        assert rounds == [(4, "adaptive"), (BATCH - 4, "manual")]
+
+    def test_a_full_round_flushes_without_waiting_for_the_timer(
+        self, treelstm_setup
+    ):
+        """The submit that fills a round flushes it on the wall clock too,
+        although every dispatch there is backdated: four requests resolve
+        long before the 60 s timer."""
+        mod, params, instances, reference = treelstm_setup
+        server = Server()
+        endpoint = server.add_endpoint(
+            "m", compile_model(mod, params, CompilerOptions()),
+            policy="adaptive", max_batch=4, max_wait_ms=60_000.0,
+        )
+        with server.run():
+            handles = [server.submit("m", inst) for inst in instances[:4]]
+            outputs = [h.result(timeout=5.0) for h in handles]
+        assert all(values_allclose(a, b) for a, b in zip(reference, outputs))
+        assert [(st.batch_size, st.flush_reason) for st in endpoint.session.history] == [
+            (4, "adaptive")
+        ]
+
+    def test_one_dispatch_pass_flushes_every_full_round(self, treelstm_setup):
+        """Nine submits in one dispatch pass flush two full rounds with no
+        drain() and leave the ninth pending behind them."""
+        mod, params, instances, reference = treelstm_setup
+        server = Server()
+        endpoint = server.add_endpoint(
+            "m", compile_model(mod, params, CompilerOptions()),
+            policy="adaptive", max_batch=4, max_wait_ms=60_000.0,
+        )
+        server.run()
+        loop = server.loop
+        try:
+            with loop._cond:
+                handles = [
+                    server.submit("m", instances[i % BATCH]) for i in range(BURST)
+                ]
+            for h in handles[:8]:
+                h.result(timeout=5.0)
+            with loop._cond:
+                assert loop._cond.wait_for(
+                    lambda: loop._dispatched_seq == BURST, timeout=5.0
+                )
+            session = endpoint.session
+            assert [(st.batch_size, st.flush_reason) for st in session.history] == BURST_ROUNDS
+            assert session.pending_requests == 1 and not handles[8].done
+        finally:
+            server.shutdown()
+        assert all(
+            values_allclose(reference[i % BATCH], h.result())
+            for i, h in enumerate(handles)
+        )
+
+    def test_a_replayed_burst_forms_the_same_rounds(self, treelstm_setup):
+        """The simulated twin of the burst above: the same nine arrivals at
+        once form the same full rounds, and the ninth request runs alone
+        after them."""
+        mod, params, instances, reference = treelstm_setup
+        model = compile_model(mod, params, CompilerOptions())
+        server = one_endpoint(model, "adaptive", max_batch=4, max_wait_ms=60_000.0)
+        burst = [instances[i % BATCH] for i in range(BURST)]
+        report = server.replay(trace_of([0.0] * BURST, burst))["m"]
+        rounds = [
+            (st.batch_size, st.flush_reason)
+            for st in server.endpoint("m").session.history
+        ]
+        assert rounds[:-1] == BURST_ROUNDS and rounds[-1][0] == 1
+        assert all(
+            bitwise_equal(reference[i % BATCH], out)
+            for i, out in enumerate(report.outputs)
+        )
 
     def test_result_timeout_blocks_until_loop_flushes(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup

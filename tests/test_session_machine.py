@@ -1,11 +1,12 @@
 """A generative check of one :class:`~repro.serve.session.InferenceSession`.
 
 A hypothesis state machine submits requests (some backdated, so the
-``adaptive`` policy lets the backlog outgrow its round cap), cancels pending
-ones, flushes and polls — under the capped ``adaptive`` policy (also on a
-two-device group) and the uncapped ``size`` policy.  After every step it checks the session's request
-bookkeeping against the runtime's pending column store, and every resolved
-handle against the eager reference."""
+``adaptive`` policy batches them as a backlog), cancels pending ones,
+flushes and polls — under the ``adaptive`` policy (also on a two-device
+group) and the ``size`` policy.  After every step it checks the session's
+request bookkeeping against the runtime's pending column store, that an
+adaptive round never holds more than ``max_batch`` requests, and every
+resolved handle against the eager reference."""
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,7 +22,7 @@ from hypothesis.stateful import (
 
 from repro import CompilerOptions, compile_model, reference_run
 from repro.models import MODEL_MODULES
-from repro.serve import RequestCancelled, SimulatedClock
+from repro.serve import AdaptivePolicy, RequestCancelled, SimulatedClock
 from repro.utils import bitwise_equal
 
 NUM_INSTANCES = 5
@@ -71,7 +72,7 @@ class SessionMachine(RuleBasedStateMachine):
     )
     def submit(self, indices, backdated):
         # a backdated burst queued while the session was busy: the adaptive
-        # policy keeps batching it past max_batch
+        # policy keeps batching it until the round is full
         at = self.last_at if backdated else None
         for index in indices:
             start = self.runtime.next_seq
@@ -90,11 +91,9 @@ class SessionMachine(RuleBasedStateMachine):
     @rule()
     def flush(self):
         pending = self.session.pending_requests
-        cap = self.session.policy.round_cap(self.session)
         outputs = self.session.flush()
-        expected = pending if cap is None else min(pending, cap)
-        assert (outputs is None and not pending) or len(outputs) == expected
-        assert self.session.pending_requests == pending - expected
+        assert (outputs is None and not pending) or len(outputs) == pending
+        assert self.session.pending_requests == 0
 
     @rule(ms=st.floats(0.0, 6.0))
     def advance_and_poll(self, ms):
@@ -111,6 +110,12 @@ class SessionMachine(RuleBasedStateMachine):
                 assert bitwise_equal(handle.result(), self.reference[index])
             else:
                 assert isinstance(error, RequestCancelled)
+
+    @invariant()
+    def an_adaptive_round_never_outgrows_max_batch(self):
+        policy = self.session.policy
+        if isinstance(policy, AdaptivePolicy):
+            assert self.session.pending_requests <= policy.max_batch
 
     @invariant()
     def one_sequence_end_per_pending_request(self):
