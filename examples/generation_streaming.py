@@ -2,15 +2,19 @@
 
 Every live sequence re-enters the round former once per token, so decode
 steps of many sequences batch into the same rounds (continuous batching).
-This example shows both :class:`repro.generate.GenerationSession` drivers:
+This example drives :class:`repro.generate.GenerationSession` over a
+`Server` endpoint on both clocks:
 
-* the **simulated** event loop (`generate()`): an open-loop prompt trace
-  decoded deterministically, with per-sequence streaming callbacks, a
-  mid-generation cancellation, and the per-step SLO metrics (TTFS,
-  inter-step p99) the serving dashboards watch;
-* the **wall-clock** pump (`submit()` behind a running `Server`): tokens
-  consumed live off `handle.stream()` while the serve loop flushes rounds
-  on real time.
+* **simulated** (`generate()` on a `SimulatedClock` server): an open-loop
+  prompt trace decoded deterministically through the server's trace
+  replay, with per-sequence streaming callbacks, a mid-generation
+  cancellation, and the per-step SLO metrics (TTFS, inter-step p99) the
+  serving dashboards watch;
+* **wall clock** (`submit()` behind `Server.run()`): tokens consumed live
+  off `handle.stream()` while the serve loop flushes rounds on real time.
+  The loop thread admits each sequence's next step from the done callback
+  of the step before, and runs `on_token` callbacks there too, so a
+  blocking callback delays the loop.
 
 Every trajectory is bitwise-identical to the eager unbatched reference
 loop — batching the decode cohort changes no token.
@@ -72,8 +76,9 @@ def simulated_demo(module, mod, params, size, compiled):
         lambda h, tok, i, at: h.cancel() if i == 1 else None
     )
 
-    session = compiled.serve("adaptive", clock=SimulatedClock())
-    gen = GenerationSession(session, module, size)
+    server = Server(clock=SimulatedClock())
+    session = server.add_endpoint("decoder", compiled, policy="adaptive").session
+    gen = GenerationSession(server=server, endpoint="decoder", model=module, size=size)
     handles = gen.generate(requests, host_model=(0.2, 0.05))
 
     for i, (h, ref) in enumerate(zip(handles, reference)):

@@ -40,6 +40,7 @@ from ..core.api import compile_model
 from ..generate import GenerationRequest, GenerationSession, reference_generate
 from ..models import MODEL_MODULES
 from ..serve.clock import SimulatedClock
+from ..serve.server import Server
 from .harness import (
     ExperimentScale,
     build_model,
@@ -116,8 +117,9 @@ def _snapshot(handles) -> List[Tuple]:
 
 
 def _generate(compiled, model_module, size, requests_spec, policy, policy_args):
-    session = compiled.serve(policy, clock=SimulatedClock(), **policy_args)
-    gen = GenerationSession(session, model_module, size)
+    server = Server(clock=SimulatedClock())
+    session = server.add_endpoint("decoder", compiled, policy, **policy_args).session
+    gen = GenerationSession(server=server, endpoint="decoder", model=model_module, size=size)
     # fresh GenerationRequest objects per run: handles and stream state are
     # single-use
     requests = [

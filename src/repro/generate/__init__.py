@@ -7,11 +7,13 @@ normal scheduler → placement → memory-planner path.  A prefill is one step:
 the decoder folds over the prompt's tokens inside the round, its chain
 batched by depth with the other prompts'.
 
-* :class:`GenerationSession` — the step driver: decode steps as events of
-  the one simulated driver, :class:`~repro.serve.sim.TraceDriver`
-  (:meth:`~GenerationSession.generate`), or a wall-clock pump behind a
-  running :class:`~repro.serve.server.Server`
-  (:meth:`~GenerationSession.submit`), both running one per-step handler;
+* :class:`GenerationSession` — the step driver over one
+  :class:`~repro.serve.server.Server` endpoint, one per-step handler on
+  both clocks: decode steps as scheduled calls of ``Server.replay``
+  (:meth:`~GenerationSession.generate`), or admitted by the running
+  serve loop's thread from each predecessor's done callback
+  (:meth:`~GenerationSession.submit`, where ``on_token`` runs on that
+  thread too);
 * :class:`GenerationRequest` / :class:`GenerationHandle` — prompt,
   stopping rules (EOS / ``max_new_tokens``), streaming (``stream()`` /
   ``on_token``), cancellation and deadlines at round-boundary granularity;

@@ -110,8 +110,8 @@ class GenerationHandle:
 
     Tokens accumulate in :attr:`tokens` as their rounds complete;
     :meth:`result` waits for the full sequence, :meth:`stream` iterates
-    tokens as they arrive (both thread-safe — in wall-clock mode the pump
-    thread emits while consumers wait)."""
+    tokens as they arrive (both thread-safe — on the wall clock the serve
+    loop's thread emits while consumers wait)."""
 
     def __init__(self, request: GenerationRequest) -> None:
         self.request = request
@@ -126,8 +126,8 @@ class GenerationHandle:
         self._last_emit_at: Optional[float] = None
         #: the pending step :meth:`cancel` withdraws from its round — set
         #: only by the simulated driver, whose thread runs every callback
-        #: (on the wall clock the loop thread owns the session, and the
-        #: pump drops a cancelled sequence when its step completes)
+        #: (on the wall clock the loop thread owns the session, and drops a
+        #: cancelled sequence when its step completes)
         self._step: Optional[RequestHandle] = None
 
     # -- consumption -----------------------------------------------------------

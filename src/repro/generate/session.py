@@ -1,66 +1,49 @@
-"""Autoregressive generation over a cross-request batching session.
+"""Autoregressive generation over one endpoint of a serving server.
 
-ACROBAT batches *within* one round of independent requests; autoregressive
-decoding adds a loop around it: each live sequence re-enters the round
-former once per generated token.  :class:`GenerationSession` is that loop.
-Each step is one ordinary
-:meth:`~repro.serve.session.InferenceSession.submit` of the decoder's fold
+Each live sequence re-enters the round former once per generated token.
+A step is one ordinary request to the decoder endpoint, the fold
 ``(state, tokens) -> (state', logits)``: the first step folds over the
-whole prompt, every later one over the single token it feeds back.  The
-fold's cell invokes sit at depths 0, 1, 2, ... of one round, so the
-prefill chains of concurrent prompts batch by depth with each other and
-with the round's decode steps through the normal scheduler → placement →
-memory-planner path, and a prompt costs one round, not one per token.
-Nothing below the session knows generation exists.
+whole prompt (its chain batched by depth with the round's other chains),
+every later one over the single token it feeds back.  Nothing below the
+session knows generation exists.
 
-Both drivers run one per-step handler (:meth:`GenerationSession._step_done`:
-map a failed step to the sequence's status, or emit the step's token and
-resubmit the successor step):
+Both clocks run one per-step handler (:meth:`GenerationSession._step_done`)
+when a step resolves: a failed step retires its sequence, a completed one
+emits its token and admits the successor step.
 
-* **simulated** (:meth:`GenerationSession.generate`): the steps run
-  through the one simulated event driver,
-  :class:`~repro.serve.sim.TraceDriver`, over a one-session
-  :class:`~repro.serve.loop.ServeLoop` — the machinery under
-  ``Server.replay``.  A step's completion is a driver event at its
-  round's completion timestamp; the handler admits the successor there,
-  before the same-instant device-idle wakeup, so that launch takes the
-  whole cohort as one round (iteration-level scheduling).  The flush
-  policy decides composition exactly as for single-shot traffic, and
-  replaying the same request list is bit-for-bit identical.
-* **wall-clock** (:meth:`GenerationSession.submit` behind a running
-  :class:`~repro.serve.server.Server`): a pump thread runs the handler on
-  completed step handles and resubmits through ``Server.submit``, so
-  generation streams through the live serve loop.
+* **simulated** (:meth:`GenerationSession.generate`): arrivals and step
+  completions are scheduled calls of the trace driver
+  :meth:`Server.replay <repro.serve.server.Server.replay>` runs.  A
+  completion fires at its round's completion timestamp, before the
+  same-instant device-idle wakeup, so that launch takes the whole cohort
+  as one round; replaying a request list is bit-for-bit identical.
+* **wall clock** (:meth:`GenerationSession.submit` behind
+  :meth:`Server.run <repro.serve.server.Server.run>`): the step handle's
+  done callback runs the handler on the serve-loop thread, which admits
+  the successor into its own queue.  The session starts no thread, and
+  ``on_token`` runs on the loop thread, so a blocking callback delays the
+  loop.  A loop-thread admission never waits on ``block`` backpressure;
+  ``reject`` and ``shed-oldest`` fail only the refused or shed sequence.
 
-Per-sequence recurrent state stays **arena-resident** across steps: a
-step's output state is a zero-copy view into a device-born output arena
-(arena ids are never recycled, so later rounds cannot overwrite it), and
-the driver marks it resident
+Recurrent state stays **arena-resident** across steps: a step's output
+state is a zero-copy view into a device-born output arena (arena ids are
+never recycled), and the simulated driver marks it resident
 (:meth:`~repro.runtime.device.DeviceSimulator.note_resident`) before
-feeding it back, so the next step's planner sees the bytes already on the
-device and charges no host→device transfer.  Embedding rows are pre-sliced
-once per vocabulary entry, giving them stable identities in the residency
-cache — a device-resident embedding table.
-
-Token selection (greedy argmax) and EOS/max-token stopping are host-side
-and data-dependent, which is exactly why the decoder carries no
-tensor-dependent control flow: its fold recurses on the token list's
-structure only, and the generation loop lives in this driver, outside the
-DFG, keeping decode rounds on the non-fiber path.
+feeding it back, so the next step is charged no host→device transfer.
+Embedding rows are pre-sliced once per vocabulary entry, so the residency
+cache sees a device-resident table.  Token selection (greedy argmax) and
+stopping are host-side, which keeps the decoder free of tensor-dependent
+control flow and decode rounds on the non-fiber path.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..serve.clock import SimulatedClock
-from ..serve.loop import ServeLoop
 from ..serve.request import RequestCancelled, RequestExpired, RequestHandle
-from ..serve.sim import TraceDriver
 from ..utils import flatten_arrays
 from .request import (
     GenerationCancelled,
@@ -87,21 +70,17 @@ class _Sequence:
 
 
 class GenerationSession:
-    """Drives autoregressive sequences through a batching session.
+    """Drives autoregressive sequences through one endpoint of a server.
 
     Parameters
     ----------
-    session:
-        The :class:`~repro.serve.session.InferenceSession` compiled over a
-        decoder model (``main(state, tokens) -> (new_state, logits)``).
-        Simulated driving (:meth:`generate`) requires its clock to be a
-        :class:`~repro.serve.clock.SimulatedClock`.  Mutually exclusive
-        with ``server``.
     server / endpoint:
-        Wall-clock mode: the running :class:`~repro.serve.server.Server`
-        and the name of the decoder endpoint on it.  Steps are resubmitted
-        through ``server.submit`` from a pump thread (:meth:`submit` /
-        :meth:`close`).
+        The :class:`~repro.serve.server.Server` and the name of its decoder
+        endpoint (a model with ``main(state, tokens) -> (new_state,
+        logits)``).  On a :class:`~repro.serve.clock.SimulatedClock` server
+        :meth:`generate` replays a request list; behind a running server
+        (:meth:`Server.run <repro.serve.server.Server.run>`) :meth:`submit`
+        streams sequences on the wall clock.
     model:
         The decoder model module (e.g. ``repro.models.declm`` or
         ``repro.models.declm.gru``): supplies ``embedding`` /
@@ -119,35 +98,22 @@ class GenerationSession:
 
     def __init__(
         self,
-        session: Any = None,
-        model: Any = None,
-        size: Any = None,
         *,
-        server: Any = None,
-        endpoint: Optional[str] = None,
+        server: Any,
+        endpoint: str,
+        model: Any,
+        size: Any,
         seed: int = 0,
         eos_id: Optional[int] = None,
     ) -> None:
-        if (session is None) == (server is None):
-            raise ValueError("pass exactly one of session= or server=")
-        if model is None or size is None:
-            raise ValueError("GenerationSession needs model= and size=")
-        if server is not None and endpoint is None:
-            raise ValueError("wall-clock mode needs endpoint= (the name)")
         self._server = server
         self._endpoint = endpoint
-        if server is not None:
-            session = server.endpoint(endpoint).session
-        self._session = session
         self.model = model
         self.size = size
         self.eos_id = eos_id
         self.metrics = GenerationMetrics()
         # surface the decode SLO view in Endpoint.summary()/Server.summary()
-        session.generation_metrics = self.metrics
-        # state feedback is marked device-resident only on the simulated
-        # driver: the wall loop thread owns the residency cache mid-flush
-        self._mark_resident = server is None
+        server.endpoint(endpoint).session.generation_metrics = self.metrics
         # pre-slice the embedding rows once: each row is then a *stable*
         # object across every step that consumes that token, so the device
         # residency cache treats the table as uploaded-once (a real serving
@@ -156,13 +122,19 @@ class GenerationSession:
         self._emb_rows = [
             self._embedding[i : i + 1] for i in range(self._embedding.shape[0])
         ]
-        # wall-clock pump state (started lazily by the first submit)
-        self._pump: Optional[threading.Thread] = None
-        self._events: "queue.Queue" = queue.Queue()
-        self._wall_live = 0
-        self._wall_cond = threading.Condition()
+        # sequences started and not yet retired: a wall-clock sequence
+        # retires on whichever thread resolves its last step (a serve loop,
+        # or a producer whose admission shed it), so the count and the
+        # metrics it records change under this lock
+        self._live = 0
+        self._cond = threading.Condition()
 
     # -- shared per-step logic -------------------------------------------------
+    def _start(self, handle: GenerationHandle) -> _Sequence:
+        with self._cond:
+            self._live += 1
+        return _Sequence(handle, self.model.initial_state(self.size))
+
     def _instance(self, seq: _Sequence, tokens: Sequence[int]) -> Any:
         """The step folding ``tokens`` into ``seq``'s state: the whole
         prompt first, then the one token each step emitted."""
@@ -171,72 +143,25 @@ class GenerationSession:
         )
 
     def _retire(
-        self,
-        seq: _Sequence,
-        at: float,
-        status: str,
-        error: Optional[BaseException] = None,
+        self, seq: _Sequence, at: float, status: str, error: Optional[BaseException] = None
     ) -> None:
         seq.handle._finish(status, at, error)
-        self.metrics.record(seq.handle.stats)
+        with self._cond:
+            self.metrics.record(seq.handle.stats)
+            self._live -= 1
+            self._cond.notify_all()
 
-    def _consume_result(self, seq: _Sequence, result: Any, at: float) -> Any:
-        """Apply one completed step's ``(new_state, logits)`` to ``seq``.
-
-        Emits the step's token, applies EOS /
-        ``max_new_tokens`` / cancellation / deadline stopping, and returns
-        the next step's instance — or None when the sequence retired.
-        """
-        handle = seq.handle
-        req = seq.req
-        handle.stats.steps += 1
-        if handle.cancel_requested:
-            self._retire(
-                seq, at, "cancelled",
-                GenerationCancelled("generation cancelled mid-sequence"),
-            )
-            return None
-        if req.deadline is not None and at > req.deadline:
-            self._retire(
-                seq, at, "expired",
-                GenerationExpired(
-                    f"deadline {req.deadline!r} passed at step completion {at!r}"
-                ),
-            )
-            return None
-        state, logits = flatten_arrays(result)
-        seq.state = state
-        if self._mark_resident:
-            # the state is a zero-copy view into a device-born output arena:
-            # feeding it back costs no host→device transfer, and the arena id
-            # is never recycled so later rounds cannot overwrite it
-            self._session.engine.device.note_resident(state)
-        token = self.model.select_token(logits)
-        try:
-            handle._emit(token, at)
-        except BaseException as exc:
-            # a raising on_token callback kills only this sequence
-            self._retire(seq, at, "failed", exc)
-            return None
-        if (self.eos_id is not None and token == self.eos_id) or len(
-            handle.tokens
-        ) >= req.max_new_tokens:
-            self._retire(seq, at, "done")
-            return None
-        return self._instance(seq, [token])
-
-    def _step_done(
-        self, seq: _Sequence, submit: Callable[[_Sequence, Any], None]
-    ) -> bool:
-        """The per-step handler both drivers run once ``seq``'s step has
-        resolved: a failed step retires the sequence with the matching
-        status, a completed one is consumed and its successor resubmitted
-        through ``submit(seq, instance)``.  Returns whether the sequence is
-        still live."""
+    def _step_done(self, seq: _Sequence, submit: Callable[[_Sequence, Any], None]) -> None:
+        """The per-step handler both clocks run once ``seq``'s step has
+        resolved.  A failed step retires the sequence with the matching
+        status; a completed one emits its token, applies cancellation /
+        deadline / EOS / ``max_new_tokens`` stopping, and admits the
+        successor step through ``submit(seq, instance)``."""
         step, seq.step = seq.step, None
+        handle, req = seq.handle, seq.req
         at = (
             step.stats.completed_at if step.stats is not None
-            else self._session.clock.now()
+            else self._server.clock.now()
         )
         err = step.exception(0)
         if err is not None:
@@ -247,123 +172,133 @@ class GenerationSession:
                 status, error = "expired", GenerationExpired(str(err))
             if error is not err:
                 error.__cause__ = err
-            self._retire(seq, at, status, error)
-            return False
-        instance = self._consume_result(seq, step.result(), at)
-        if instance is None:
-            return False
-        submit(seq, instance)
-        return True
+            return self._retire(seq, at, status, error)
+        handle.stats.steps += 1
+        if handle.cancel_requested:
+            return self._retire(
+                seq, at, "cancelled",
+                GenerationCancelled("generation cancelled mid-sequence"),
+            )
+        if req.deadline is not None and at > req.deadline:
+            return self._retire(
+                seq, at, "expired",
+                GenerationExpired(
+                    f"deadline {req.deadline!r} passed at step completion {at!r}"
+                ),
+            )
+        seq.state, logits = flatten_arrays(step.result())
+        token = self.model.select_token(logits)
+        try:
+            handle._emit(token, at)
+        except BaseException as exc:
+            # a raising on_token callback kills only this sequence
+            return self._retire(seq, at, "failed", exc)
+        if (self.eos_id is not None and token == self.eos_id) or len(
+            handle.tokens
+        ) >= req.max_new_tokens:
+            return self._retire(seq, at, "done")
+        submit(seq, self._instance(seq, [token]))
 
-    # ==========================================================================
-    # simulated mode
-    # ==========================================================================
+    # -- simulated clock -------------------------------------------------------
     def generate(
         self,
         requests: Sequence[GenerationRequest],
         *,
         host_model: Optional[Tuple[float, float]] = None,
     ) -> List[GenerationHandle]:
-        """Deterministically generate every request on the simulated clock.
+        """Deterministically generate every request on the server's
+        simulated clock: one :meth:`Server.replay
+        <repro.serve.server.Server.replay>` without a trace, in which each
+        arrival and each step completion is a scheduled call.  Each step is
+        admitted like any request (deadline checks, backpressure,
+        host-gated dispatch), and measured host time never enters: the same
+        request list replays bit-for-bit.  ``host_model`` is the replay's
+        ``(per_round_ms, per_request_ms)`` flush-cost model; a decode step
+        is one request.  Returns one finished :class:`GenerationHandle` per
+        request, in input order."""
+        name = self._endpoint
+        device = self._server.endpoint(name).session.engine.device
 
-        Arrivals and step completions are events of one
-        :class:`~repro.serve.sim.TraceDriver` over a one-session
-        :class:`~repro.serve.loop.ServeLoop`: flushed rounds execute on the
-        loop's device timeline (device time pipelines, host time occupies
-        the host lane), each step is admitted like any request (deadline
-        checks, host-gated dispatch), and measured host wall time never
-        enters — the same request list replays bit-for-bit.  ``host_model``
-        is the ``(per_round_ms, per_request_ms)`` flush-cost model priced on
-        top of the simulated API time; a decode step is one request, so
-        ``per_request_ms`` prices its host work.
-
-        Returns one :class:`GenerationHandle` per request, in input order,
-        all finished.
-        """
-        if self._server is not None:
-            raise RuntimeError(
-                "generate() drives the simulated clock; this GenerationSession "
-                "is in wall-clock server mode — use submit()"
-            )
-        clock = self._session.clock
-        if not isinstance(clock, SimulatedClock):
-            raise RuntimeError(
-                "generate() needs the session on a SimulatedClock; for "
-                "wall-clock generation put the model behind a Server and use "
-                "GenerationSession(server=..., endpoint=...)"
-            )
-        driver = TraceDriver(
-            [ServeLoop(sessions={"_": self._session}, clock=clock)], clock
-        )
-
-        def submit(seq: _Sequence, instance: Any) -> None:
-            seq.step = step = driver.admit(
-                clock.now(), "_", instance, {"deadline": seq.req.deadline}
-            )
-            # the step's completion is a driver event at its round's
-            # completion timestamp (a withdrawn or expired step: now)
-            step.add_done_callback(
-                lambda h: driver.call_at(
-                    h.stats.completed_at if h.stats is not None else clock.now(),
-                    lambda: self._step_done(seq, submit),
+        def arrive(handle: GenerationHandle, driver: Any) -> None:
+            def submit(seq: _Sequence, instance: Any) -> None:
+                seq.step = step = driver.admit(
+                    driver.clock.now(), name, instance, {"deadline": seq.req.deadline}
                 )
-            )
-            seq.handle._track_step(step)
+                # the step's completion is a driver call at its round's
+                # completion timestamp (a withdrawn or expired step: now)
+                step.add_done_callback(
+                    lambda h: driver.call_at(
+                        h.stats.completed_at if h.stats is not None
+                        else driver.clock.now(),
+                        lambda: self._step_done(seq, resubmit),
+                    )
+                )
+                seq.handle._track_step(step)
 
-        def arrive(handle: GenerationHandle) -> None:
-            seq = _Sequence(handle, self.model.initial_state(self.size))
+            def resubmit(seq: _Sequence, instance: Any) -> None:
+                # the fed-back state is a zero-copy view into a device-born
+                # output arena: it costs no host→device transfer, and the
+                # arena id is never recycled so later rounds cannot
+                # overwrite it
+                device.note_resident(seq.state)
+                submit(seq, instance)
+
+            seq = self._start(handle)
             submit(seq, self._instance(seq, seq.req.prompt))
 
         handles = [GenerationHandle(req) for req in requests]
-        for handle in handles:
-            driver.call_at(handle.request.arrival, lambda h=handle: arrive(h))
-        driver.run((), host_model=host_model)
+        self._server.replay(
+            (),
+            host_model=host_model,
+            calls=[(h.request.arrival, lambda d, h=h: arrive(h, d)) for h in handles],
+        )
         return handles
 
-    # ==========================================================================
-    # wall-clock mode
-    # ==========================================================================
+    # -- wall clock ------------------------------------------------------------
     def submit(self, request: GenerationRequest) -> GenerationHandle:
-        """Start generating one sequence through the running server's loop
-        (wall-clock mode); returns immediately with a streamable handle."""
-        if self._server is None:
-            raise RuntimeError(
-                "submit() is the wall-clock entry point; this "
-                "GenerationSession drives a simulated session — use generate()"
-            )
+        """Start generating one sequence behind the running server: its
+        prompt step is admitted now, and every later step from the serve
+        loop that completes the one before.  Returns a streamable handle at
+        once; a prompt the server refuses (``BackpressureFull``, or
+        ``LoopStopped`` with no loop running) fails it."""
         handle = GenerationHandle(request)
         now = self._server.clock.now()
         handle.submitted_at = now
         handle.stats.submitted_at = now
-        with self._wall_cond:
-            self._wall_live += 1
-            if self._pump is None:
-                self._pump = threading.Thread(
-                    target=self._pump_loop, name="generation-pump", daemon=True
-                )
-                self._pump.start()
-        self._events.put(("new", _Sequence(handle, self.model.initial_state(self.size))))
+        seq = self._start(handle)
+        self._admit(seq, self._instance(seq, request.prompt))
         return handle
+
+    def _admit(self, seq: _Sequence, instance: Any) -> None:
+        """Submit one wall-clock step; its done callback runs the per-step
+        handler on the thread that resolves it."""
+        try:
+            seq.step = self._server.submit(
+                self._endpoint, instance, deadline=seq.req.deadline
+            )
+        except BaseException as exc:  # refused: fails this sequence only
+            self._retire(seq, self._server.clock.now(), "failed", exc)
+            return
+        seq.step.add_done_callback(lambda _h, seq=seq: self._on_step(seq))
+
+    def _on_step(self, seq: _Sequence) -> None:
+        try:
+            self._step_done(seq, self._admit)
+        except BaseException as exc:  # the serve loop outlives any sequence
+            if not seq.handle.done:
+                self._retire(seq, self._server.clock.now(), "failed", exc)
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until every submitted sequence has finished."""
-        with self._wall_cond:
-            if not self._wall_cond.wait_for(
-                lambda: self._wall_live == 0, timeout=timeout
-            ):
+        with self._cond:
+            if not self._cond.wait_for(lambda: self._live == 0, timeout=timeout):
                 raise TimeoutError(
-                    f"{self._wall_live} sequences still generating after "
-                    f"{timeout}s"
+                    f"{self._live} sequences still generating after {timeout}s"
                 )
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Drain and stop the pump thread."""
+        """Drain: the session holds nothing else to release."""
         self.drain(timeout=timeout)
-        pump = self._pump
-        if pump is not None:
-            self._events.put(None)
-            pump.join(timeout=timeout)
-            self._pump = None
 
     def __enter__(self) -> "GenerationSession":
         return self
@@ -371,45 +306,6 @@ class GenerationSession:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.close()
-
-    def _wall_submit_step(self, seq: _Sequence, instance: Any) -> None:
-        seq.step = self._server.submit(
-            self._endpoint, instance, deadline=seq.req.deadline
-        )
-        seq.step.add_done_callback(
-            lambda _h, seq=seq: self._events.put(("step", seq))
-        )
-
-    def _wall_retired(self) -> None:
-        with self._wall_cond:
-            self._wall_live -= 1
-            self._wall_cond.notify_all()
-
-    def _pump_loop(self) -> None:
-        clock = self._server.clock
-        while True:
-            ev = self._events.get()
-            if ev is None:
-                return
-            kind, seq = ev
-            try:
-                if kind == "new":
-                    if seq.handle.cancel_requested:
-                        self._retire(
-                            seq, clock.now(), "cancelled",
-                            GenerationCancelled("cancelled before first step"),
-                        )
-                        self._wall_retired()
-                    else:
-                        self._wall_submit_step(
-                            seq, self._instance(seq, seq.req.prompt)
-                        )
-                elif not self._step_done(seq, self._wall_submit_step):
-                    self._wall_retired()
-            except BaseException as exc:  # pump must survive any sequence
-                if not seq.handle.done:
-                    self._retire(seq, clock.now(), "failed", exc)
-                    self._wall_retired()
 
 
 def reference_generate(

@@ -528,23 +528,17 @@ class MemoryPlanner:
         return BatchedOperand(shared=False, array=arena.slice(op.start, batch_size))
 
     # -- execution-time commit ---------------------------------------------------
-    def commit(
-        self,
-        plan: BatchPlan,
-        outputs: List[BatchedOutput],
-        device: "DeviceGroup",
-    ) -> List[StorageArena]:
+    def commit(self, plan: BatchPlan, outputs: List[BatchedOutput]) -> List[StorageArena]:
         """Store a batch's outputs into arenas under the planned ids and
         point every row's output at its arena instance (two attribute stores
         per tensor — the tensor is its own storage reference).
 
-        Arenas are born on the device the batch executed on (and enter that
-        member's residency cache), so later rounds price reads from them by
-        where they actually live."""
+        Arenas are born on the device the batch executed on
+        (``device_index``), so later rounds price reads from them by where
+        they actually live."""
         batch = plan.batch
         size = plan.batch_size
         segments = batch.segments
-        local = device.device_for(plan.device)
         arenas: List[StorageArena] = []
         for k, (out, arena_id) in enumerate(zip(outputs, plan.output_arena_ids)):
             if out.batched:
@@ -555,7 +549,6 @@ class MemoryPlanner:
                 arena = StorageArena.from_broadcast(
                     out.array, size, arena_id=arena_id, device_index=plan.device
                 )
-            local.note_arena(arena)
             b = 0
             for col, rows in segments:
                 outs = col.outs

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..kernels.batched import LaunchRecord
-from ..memory.arena import StorageArena
 
 
 #: smallest host-residency table size that triggers a sweep of dead entries
@@ -201,10 +200,6 @@ class DeviceSimulator:
         self.schedule_table: Dict[str, float] = dict(schedule_table or {})
         self.default_schedule_quality = default_schedule_quality
         self.counters = DeviceCounters()
-        #: arena residency, keyed by ``arena_id`` and held weakly — arena
-        #: buffers are written by batched launches, so they are born
-        #: on-device and never re-uploaded
-        self._resident: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
         #: host-array residency: ``id(array) -> weakref.ref(array)``.  A hit
         #: is *the same live object* (CPython recycles ids, so a dead or
         #: different referent is a miss and is charged again); arrays are
@@ -228,7 +223,6 @@ class DeviceSimulator:
 
     def reset_residency(self) -> None:
         """Forget which host arrays have been uploaded."""
-        self._resident = weakref.WeakValueDictionary()
         self._host_resident = {}
         self._host_sweep_at = _HOST_SWEEP_MIN
 
@@ -299,17 +293,16 @@ class DeviceSimulator:
             self._host_sweep_at = max(_HOST_SWEEP_MIN, 2 * len(table))
 
     def ensure_resident(self, array, batch_transfers: bool = True) -> float:
-        """Upload a host array (or arena) to the device once; subsequent
-        calls are free while the object stays alive.
+        """Upload a host array to the device once; subsequent calls are free
+        while the array stays alive.  (Arenas need no entry: batched
+        launches write them on the device, and the planner prices reads
+        from them by ``arena.device_index``.)
 
         Returns the charged transfer time (0 when already resident).
         """
         if self.is_resident(array):
             return 0.0
-        if isinstance(array, StorageArena):
-            self._resident[array.arena_id] = array
-        else:
-            self._note_host(array)
+        self._note_host(array)
         nbytes = float(getattr(array, "nbytes", 0))
         return self.memcpy(nbytes, batched_with=1 if batch_transfers else 0)
 
@@ -344,11 +337,6 @@ class DeviceSimulator:
             counters.num_memcpy += charged
             self._sweep_host_table()
 
-    def note_arena(self, arena) -> None:
-        """Mark a storage arena as device-resident without charging a copy
-        (batched launches write their outputs directly on the device)."""
-        self._resident[arena.arena_id] = arena
-
     def note_resident(self, array) -> None:
         """Mark a host array as device-resident without charging a transfer.
 
@@ -361,8 +349,6 @@ class DeviceSimulator:
         self._note_host(array)
 
     def is_resident(self, obj) -> bool:
-        """Whether a host array or arena is currently device-resident."""
-        if isinstance(obj, StorageArena):
-            return self._resident.get(obj.arena_id) is obj
+        """Whether a host array is currently device-resident."""
         ref = self._host_resident.get(id(obj))
         return ref is not None and ref() is obj

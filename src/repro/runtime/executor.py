@@ -365,7 +365,7 @@ class AcrobatRuntime:
             )
 
         start = time.perf_counter()
-        self.planner.commit(plan, outputs, self.device)
+        self.planner.commit(plan, outputs)
         host["materialize"] += time.perf_counter() - start
 
     # -- bookkeeping -------------------------------------------------------------

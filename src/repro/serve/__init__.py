@@ -21,7 +21,7 @@ setting, where independent requests arrive continuously and must be batched
   batching over a :class:`~repro.serve.loop.DeviceTimeline`;
 * :mod:`repro.serve.sim` — :class:`~repro.serve.sim.TraceDriver`, the one
   deterministic discrete-event driver under every simulated replay
-  (``Server.replay`` and ``GenerationSession.generate``; caller-driven
+  (``Server.replay``, which ``GenerationSession.generate`` runs; caller-driven
   replay is the same driver on lanes that block the clock instead of
   launching onto the device timeline);
 * :mod:`repro.serve.server` — :class:`Server`/:class:`Endpoint`

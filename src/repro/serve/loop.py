@@ -64,6 +64,12 @@ from .request import RequestCancelled, RequestExpired, RequestHandle
 #: admission-queue overflow policies
 BACKPRESSURE_POLICIES = ("block", "reject", "shed-oldest")
 
+#: ``active`` is set on every wall-clock loop thread.  An admission made
+#: there (a decode step's done callback admitting its successor) never waits
+#: on ``block`` backpressure: the thread that would make room is the one
+#: waiting, and two loops waiting on each other would deadlock too.
+_loop_thread = threading.local()
+
 
 class BackpressureFull(RuntimeError):
     """Raised by ``submit`` under ``backpressure="reject"`` when the
@@ -189,9 +195,8 @@ class ServeLoop:
     """Single-owner event loop over a server's endpoint sessions.
 
     Constructed from a :class:`~repro.serve.server.Server` (the server does
-    this itself — ``server.loop``) or from a plain ``sessions`` mapping for
-    single-session use (the decode driver of
-    :meth:`repro.generate.GenerationSession.generate`).
+    this itself — ``server.loop``) or from a plain ``sessions`` mapping
+    (the ``per_endpoint`` topology's one-endpoint loops).
     In wall-clock mode the loop thread is the only thread that touches the
     sessions: a round is scheduled, placed, planned and executed at its
     flush, on that thread.
@@ -209,7 +214,8 @@ class ServeLoop:
         What a full queue does to ``submit``: ``"block"`` waits for space,
         ``"reject"`` raises :class:`BackpressureFull`, ``"shed-oldest"``
         drops the oldest queued request (failing its handle with
-        :class:`RequestShed`) to admit the new one.
+        :class:`RequestShed`) to admit the new one.  On a serve-loop
+        thread ``"block"`` is inert: the admission goes in over the bound.
     """
 
     def __init__(
@@ -437,7 +443,12 @@ class ServeLoop:
                         self._shed(shed.handle)
                         break
                     # block: wait for the loop to make space
-                    if self._stop or self._error is not None or not self.running:
+                    if (
+                        self._stop
+                        or self._error is not None
+                        or not self.running
+                        or getattr(_loop_thread, "active", False)
+                    ):
                         break
                     self._cond.wait(timeout=0.05)
             if self._stop or self._error is not None or not self.running:
@@ -511,6 +522,7 @@ class ServeLoop:
 
     # -- wall-clock mode -------------------------------------------------------
     def _run_wall(self) -> None:
+        _loop_thread.active = True
         try:
             while True:
                 with self._cond:

@@ -32,7 +32,7 @@ model lives on :class:`~repro.serve.session.InferenceSession`
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..devices.group import DeviceGroup
 from ..runtime.device import GPUSpec
@@ -127,6 +127,9 @@ class Endpoint:
                     clock=clock,
                 )
             )
+        # a GenerationSession attached before the topology materialized
+        # keeps reporting through the replica that replaces the session
+        replicas[0].generation_metrics = self.session.generation_metrics
         self.replicas = replicas
         self.session = replicas[0]
         return replicas
@@ -222,7 +225,8 @@ class Server:
     :class:`~repro.serve.loop.ServeLoop` and ``backpressure`` picks the
     overflow policy (``"block"``/``"reject"``/``"shed-oldest"``), on the
     wall clock and in :meth:`replay` alike (a replay cannot block, so
-    ``"block"`` is inert there).
+    ``"block"`` is inert there, as it is for an admission made on a
+    serve-loop thread).
 
     ``topology`` shards the front door (see :mod:`repro.serve.topology`):
     a registry name (``"single"``/``"per_device"``/``"per_endpoint"``, with
@@ -440,6 +444,7 @@ class Server:
         *,
         continuous: bool = True,
         host_model: Optional[Tuple[float, float]] = None,
+        calls: Iterable[Tuple[float, Callable[[TraceDriver], Any]]] = (),
     ) -> Dict[str, TrafficReport]:
         """Replay a tagged open-loop trace on the simulated clock through
         the one simulated event driver (:class:`repro.serve.sim.TraceDriver`)
@@ -463,6 +468,14 @@ class Server:
         same trace replays bit-for-bit; ``host_model`` prices each flush's
         host work as ``(per_round_ms, per_request_ms)`` on top of the
         simulated API time.
+
+        ``calls`` are ``(time, fn)`` pairs: ``fn(driver)`` runs at ``time``
+        as a scheduled call of the replay's driver, before same-instant loop
+        events, and may admit requests (``driver.admit``) and schedule
+        further calls (``driver.call_at``).  This is how
+        :meth:`GenerationSession.generate
+        <repro.generate.GenerationSession.generate>` admits each sequence's
+        steps; their handles are not in the returned reports.
         """
         items = sorted(trace, key=lambda item: item[0])
         self._materialize_topology()
@@ -470,6 +483,8 @@ class Server:
         driver = TraceDriver(
             topology.loops, self.clock, route=topology.route, continuous=continuous
         )
+        for t, fn in calls:
+            driver.call_at(t, lambda fn=fn: fn(driver))
         before = {name: _counters(ep) for name, ep in self._endpoints.items()}
         first_arrival: Dict[str, float] = {}
         for t, name, *_ in items:

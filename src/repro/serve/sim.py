@@ -3,9 +3,9 @@ serve-side replay.
 
 :meth:`Server.replay <repro.serve.server.Server.replay>` — the one way to
 replay an open-loop trace on a :class:`~repro.serve.clock.SimulatedClock`
-— and the decode steps of :meth:`repro.generate.GenerationSession.generate`
-both run on :class:`TraceDriver`.  The event-ordering rules therefore
-exist exactly once:
+— runs on :class:`TraceDriver`, and so do the decode steps of
+:meth:`repro.generate.GenerationSession.generate`, which are scheduled calls
+of a replay.  The event-ordering rules therefore exist exactly once:
 
 * wakeups are ordered by ``(time, kind, loop)`` with kind 0 = scheduled
   call (:meth:`TraceDriver.call_at`: a decode step's completion, whose
@@ -104,8 +104,8 @@ class TraceDriver:
     one or more :class:`~repro.serve.loop.ServeLoop`\\ s sharing a
     :class:`~repro.serve.clock.SimulatedClock`.
 
-    Internal: built by ``Server.replay`` and ``GenerationSession.generate``,
-    never by user code.  ``route`` maps an endpoint name to its home loop
+    Internal: built by ``Server.replay`` alone, never by user code.
+    ``route`` maps an endpoint name to its home loop
     (``LoopTopology.route``; None means the single loop).
     ``continuous=False`` is the caller-driven mode: flushes block the
     shared clock instead of launching onto the loops' timelines.
@@ -288,8 +288,9 @@ class TraceDriver:
     def call_at(self, t: float, fn: Callable[[], Any]) -> None:
         """Schedule ``fn()`` at ``t``: the event source for work outside
         the loops — a decode step's completion, whose handler admits the
-        successor step while the driver runs.  No host lane delays it (the
-        wall-clock twin is a separate pump thread)."""
+        successor step while the driver runs.  No host lane delays it (on
+        the wall clock the handler runs on the loop thread, in the done
+        callback of the step's handle)."""
         heapq.heappush(self._calls, (float(t), next(self._call_seq), fn))
 
     def next_event(self) -> Optional[Tuple[float, int, int]]:

@@ -27,7 +27,7 @@ from repro.generate import GenerationRequest, GenerationSession, reference_gener
 from repro.kernels import registry
 from repro.kernels.registry import dense_rows, dense_tile, get_op
 from repro.models import MODEL_MODULES
-from repro.serve import SimulatedClock
+from repro.serve import Server, SimulatedClock
 from repro.utils import flatten_arrays
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -219,14 +219,14 @@ class TestAnyTile:
             )
             for i in range(7)
         ]
-        session = compile_model(mod, params, CompilerOptions()).serve(
-            "adaptive", clock=SimulatedClock()
-        )
+        server = Server(clock=SimulatedClock())
+        session = server.add_endpoint(
+            "dec", compile_model(mod, params, CompilerOptions()), "adaptive"
+        ).session
+        gen = GenerationSession(server=server, endpoint="dec", model=module, size=size)
         # the host model prices each step, so live sequences overlap and
         # rounds carry several rows
-        handles = GenerationSession(session, module, size).generate(
-            requests, host_model=(0.2, 0.05)
-        )
+        handles = gen.generate(requests, host_model=(0.2, 0.05))
         assert session.requests_flushed / session.num_flushes > 1.5
         assert [h.result() for h in handles] == [
             reference_generate(mod, params, module, size, r.prompt, r.max_new_tokens)

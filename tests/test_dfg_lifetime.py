@@ -93,10 +93,10 @@ def test_executed_columns_drop_their_back_edges(monkeypatch, name):
     committed = []
     real = MemoryPlanner.commit
 
-    def commit(self, plan, outputs, device):
+    def commit(self, plan, outputs):
         columns = [col for col, _rows in plan.batch.segments]
         assert all(len(col.outs) == len(col.seqs) * col.num_outputs for col in columns)
-        arenas = real(self, plan, outputs, device)
+        arenas = real(self, plan, outputs)
         committed.extend(columns)
         return arenas
 

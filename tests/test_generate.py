@@ -2,10 +2,13 @@
 through the serving stack, bitwise reference identity of batched
 trajectories, EOS/max-token stopping, streaming, cancellation and deadline
 expiry at round-boundary granularity (round-mates untouched), recurrent
-state residency, per-step SLO metrics, deterministic replay, and the
-wall-clock pump behind a running Server."""
+state residency, per-step SLO metrics, deterministic replay, and wall-clock
+decode behind a running Server, whose loop thread admits every successor
+step."""
 
 import sys
+import threading
+import time
 from collections import deque
 from functools import lru_cache
 
@@ -23,7 +26,8 @@ from repro.generate import (
     reference_generate,
 )
 from repro.models import MODEL_MODULES
-from repro.serve import Server, SimulatedClock
+from repro.serve import Server, SimulatedClock, WallClock
+from repro.serve.loop import BackpressureFull, LoopStopped
 from repro.serve.request import RequestCancelled, RequestExpired
 
 #: deterministic host cost model for flushes: (per_round_ms, per_request_ms)
@@ -62,11 +66,22 @@ def _references(name, requests, eos_id=None):
     ]
 
 
+def _decoder(name, policy="adaptive", clock=None, eos_id=None, device=None,
+             **endpoint_args):
+    """A ``GenerationSession`` over a one-endpoint server (simulated clock
+    unless ``clock`` is given), and the endpoint's serving session."""
+    module, _, _, size, compiled = _setup(name)
+    server = Server(device, clock=clock or SimulatedClock())
+    session = server.add_endpoint("dec", compiled, policy, **endpoint_args).session
+    gen = GenerationSession(
+        server=server, endpoint="dec", model=module, size=size, eos_id=eos_id
+    )
+    return gen, session
+
+
 def _generate(name, requests, policy="adaptive", eos_id=None, host_model=None,
               **policy_args):
-    module, _, _, size, compiled = _setup(name)
-    session = compiled.serve(policy, clock=SimulatedClock(), **policy_args)
-    gen = GenerationSession(session, module, size, eos_id=eos_id)
+    gen, session = _decoder(name, policy, eos_id=eos_id, **policy_args)
     handles = gen.generate(requests, host_model=host_model)
     return handles, session, gen
 
@@ -231,13 +246,25 @@ class TestStreamingAndStats:
         assert m["ttfs_p99_ms"] >= m["ttfs_p50_ms"]
         assert m["inter_step_p99_ms"] > 0
 
+    def test_summary_survives_a_multi_loop_topology(self):
+        """A ``per_device`` topology rebuilds the endpoint's session when it
+        materializes at the replay; the decode metrics attached before that
+        still reach ``Server.summary()``."""
+        module, _, _, size, compiled = _setup("declm")
+        requests = _make_requests(size.classes, 4, 3, seed=43)
+        server = Server(2, clock=SimulatedClock(), topology="per_device")
+        server.add_endpoint("dec", compiled, "adaptive")
+        gen = GenerationSession(server=server, endpoint="dec", model=module, size=size)
+        handles = gen.generate(requests)
+        assert [h.result() for h in handles] == _references("declm", requests)
+        assert server.summary()["dec"]["gen_requests"] == 4
+
     def test_metrics_stay_bounded_in_a_long_lived_session(self):
         """10^4 decode steps through one session: the aggregate metrics keep
         a fixed footprint (percentiles look back over a window), while the
         counters still cover the whole life."""
-        module, _, _, size, compiled = _setup("declm")
-        session = compiled.serve("adaptive", clock=SimulatedClock())
-        gen = GenerationSession(session, module, size)
+        _, _, _, size, _ = _setup("declm")
+        gen, session = _decoder("declm")
 
         def footprint(obj):
             if isinstance(obj, np.ndarray):
@@ -463,10 +490,9 @@ class TestStateResidency:
 
         def run(mark):
             requests = _make_requests(size.classes, 4, 6, seed=19)
-            module, _, _, _, compiled = _setup("declm")
-            session = compiled.serve("adaptive", clock=SimulatedClock())
-            gen = GenerationSession(session, module, size)
-            gen._mark_resident = mark
+            gen, session = _decoder("declm")
+            if not mark:
+                session.engine.device.note_resident = lambda array: None
             copies = []
             flush = session.flush
 
@@ -487,29 +513,35 @@ class TestStateResidency:
 
 
 class TestModes:
-    def test_exactly_one_driver(self):
-        module, mod, params, size, compiled = _setup("declm")
-        with pytest.raises(ValueError, match="exactly one"):
+    def test_needs_a_server_endpoint(self):
+        module, _, _, size, _ = _setup("declm")
+        with pytest.raises(TypeError, match="server"):
             GenerationSession(model=module, size=size)
+        with pytest.raises(KeyError, match="no-such"):
+            GenerationSession(
+                server=Server(), endpoint="no-such", model=module, size=size
+            )
 
     def test_generate_requires_simulated_clock(self):
-        module, _, _, size, compiled = _setup("declm")
-        session = compiled.serve("adaptive")  # wall clock
-        gen = GenerationSession(session, module, size)
-        with pytest.raises(RuntimeError, match="SimulatedClock"):
+        gen, _ = _decoder("declm", clock=WallClock())
+        with pytest.raises(TypeError, match="SimulatedClock"):
             gen.generate([GenerationRequest([1])])
 
-    def test_submit_requires_server_mode(self):
-        module, _, _, size, compiled = _setup("declm")
-        session = compiled.serve("adaptive", clock=SimulatedClock())
-        gen = GenerationSession(session, module, size)
-        with pytest.raises(RuntimeError, match="wall-clock"):
-            gen.submit(GenerationRequest([1]))
+    def test_submit_without_a_running_loop_fails_the_sequence(self):
+        """On a server whose loop is not running (a simulated clock never
+        runs one) the prompt is refused, and the handle fails with it."""
+        gen, _ = _decoder("declm")
+        handle = gen.submit(GenerationRequest([1]))
+        assert handle.stats.status == "failed"
+        with pytest.raises(LoopStopped):
+            handle.result(timeout=1.0)
+        gen.drain(timeout=1.0)
 
     def test_wall_clock_generation_through_server(self):
-        """End-to-end wall-clock mode: the pump thread resubmits steps
-        through a running Server's loop, streams tokens, and the endpoint
-        summary surfaces the decode SLO metrics."""
+        """End-to-end wall-clock mode: the loop thread admits each
+        successor step from its predecessor's done callback, tokens
+        stream, and the endpoint summary surfaces the decode SLO
+        metrics."""
         module, mod, params, size, _ = _setup("declm")
         requests = [
             GenerationRequest([3, 1], max_new_tokens=4),
@@ -539,7 +571,9 @@ class TestModes:
             assert summary["gen_tokens"] == 7
             assert summary["ttfs_p50_ms"] > 0
 
-    def test_wall_clock_cancel_before_first_step(self):
+    def test_wall_clock_cancel_before_first_token(self):
+        """A cancel right after submit drops the sequence when its prompt
+        step completes (a round boundary), or it finishes first."""
         module, mod, params, size, _ = _setup("declm")
         server = Server()
         server.add_endpoint(
@@ -560,6 +594,92 @@ class TestModes:
                 if h.stats.status == "cancelled":
                     with pytest.raises(GenerationCancelled):
                         h.result(timeout=1.0)
+
+
+class TestWallBackpressure:
+    """On the wall clock each successor step is admitted on the serve-loop
+    thread, from its predecessor's done callback."""
+
+    N = 8
+    MAX_NEW = 3
+
+    def _decoder(self, policy, **server_args):
+        module, _, _, size, compiled = _setup("declm_gru")
+        server = Server(**server_args)
+        name, args = policy
+        endpoint = server.add_endpoint("dec", compiled, name, **args)
+        gen = GenerationSession(server=server, endpoint="dec", model=module, size=size)
+        return server, endpoint, gen
+
+    def _requests(self, size):
+        rng = np.random.default_rng(41)
+        return [
+            GenerationRequest(
+                [int(t) for t in rng.integers(0, size.classes, 1 + i % 3)],
+                max_new_tokens=self.MAX_NEW,
+            )
+            for i in range(self.N)
+        ]
+
+    def test_block_never_waits_on_the_loop_thread(self):
+        """``size(8)`` flushes all eight steps in one round, whose done
+        callbacks admit eight successors into a queue bounded at two.  A
+        loop-thread admission waiting on ``block`` would wait for itself;
+        instead it goes in over the bound, and every sequence finishes."""
+        server, _, gen = self._decoder(
+            ("size", {"n": self.N}), max_pending=2, backpressure="block"
+        )
+        requests = self._requests(gen.size)
+        reference = _references("declm_gru", requests)
+        with server.run():
+            handles = [gen.submit(r) for r in requests]
+            assert [h.result(timeout=10.0) for h in handles] == reference
+
+    def test_reject_fails_only_the_refused_successors_sequence(self):
+        """``reject`` refuses a loop-thread admission over the bound: the
+        refused successor fails its own sequence with ``BackpressureFull``
+        after the token its predecessor emitted, and the others finish
+        bitwise equal to the reference."""
+        server, endpoint, gen = self._decoder(
+            ("manual", {}), max_pending=2, backpressure="reject"
+        )
+        requests = self._requests(gen.size)[:4]
+        reference = _references("declm_gru", requests)
+        with server.run():
+            handles = []
+            for i, r in enumerate(requests):
+                handles.append(gen.submit(r))
+                # one prompt at a time: each reaches the round before the
+                # next is admitted, so no prompt meets a full queue
+                while endpoint.pending_requests < i + 1 and not handles[i].done:
+                    time.sleep(0.001)
+            while not all(h.done for h in handles):
+                server.drain()  # flush the manual policy's round
+        # the first round's four done callbacks admit two successors and
+        # have two refused
+        refused = [h for h in handles if h.failed]
+        assert len(refused) == 2
+        for h in refused:
+            assert isinstance(h.error, BackpressureFull)
+            assert h.stats.status == "failed" and len(h.tokens) == 1
+        for h, ref in zip(handles, reference):
+            if h.failed:
+                assert h.tokens == ref[:1]
+            else:
+                assert h.result() == ref
+        assert server.loop.num_rejected == 2
+
+    def test_a_wall_run_starts_no_thread(self):
+        server, _, gen = self._decoder(("size", {"n": 1}))
+        requests = self._requests(gen.size)
+        with server.run():
+            before = sorted(t.name for t in threading.enumerate())
+            with gen:
+                handles = [gen.submit(r) for r in requests]
+                during = sorted(t.name for t in threading.enumerate())
+            assert all(h.stats.status == "done" for h in handles)
+            after = sorted(t.name for t in threading.enumerate())
+        assert before == during == after
 
 
 class TestPrefillFold:
@@ -734,18 +854,16 @@ class TestGenerativeDecode:
         """Random prompt traces x flush policies x 1-2 devices: every handle
         finishes, every trajectory equals the eager reference bitwise, and
         two replays of the trace produce identical tokens and timestamps."""
-        module, _, _, size, compiled = _setup("declm")
         name, args = DECODE_POLICIES[policy]
         if devices > 1:
             args = dict(args, device=devices, placement="round_robin")
 
         def replay():
-            session = compiled.serve(name, clock=SimulatedClock(), **args)
+            gen, _ = _decoder("declm", name, **args)
             requests = [
                 GenerationRequest(list(prompt), max_new_tokens=m, arrival=t)
                 for prompt, m, t in trace
             ]
-            gen = GenerationSession(session, module, size)
             return gen.generate(requests, host_model=HOST_MODEL)
 
         handles = replay()

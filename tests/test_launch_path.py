@@ -10,7 +10,7 @@ from repro import CompilerOptions, compile_model, reference_run
 from repro.generate import GenerationRequest, GenerationSession, reference_generate
 from repro.kernels import StaticBlock
 from repro.models import MODEL_MODULES
-from repro.serve import SimulatedClock
+from repro.serve import Server, SimulatedClock
 from repro.utils import values_allclose
 
 
@@ -69,8 +69,10 @@ def test_no_static_work_on_the_launch_path(monkeypatch):
     assert all(exact_equal(r, h.result()) for r, h in zip(reference, handles))
 
     # same-length prompts decode in lockstep: rounds repeat
-    session = declm.serve("adaptive", clock=SimulatedClock())
-    handles = GenerationSession(session, decl_module, decl_size).generate(requests)
+    server = Server(clock=SimulatedClock())
+    server.add_endpoint("dec", declm, "adaptive")
+    gen = GenerationSession(server=server, endpoint="dec", model=decl_module, size=decl_size)
+    handles = gen.generate(requests)
     assert [h.result() for h in handles] == decl_reference
 
 

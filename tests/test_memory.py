@@ -258,19 +258,37 @@ class TestGatherSegments:
 
 
 class TestArenaResidency:
-    def test_note_arena_marks_resident_without_copy(self):
-        dev = DeviceSimulator()
-        arena = StorageArena.from_batched(np.zeros((2, 4), np.float32))
-        dev.note_arena(arena)
-        assert dev.is_resident(arena)
-        assert dev.ensure_resident(arena) == 0.0  # no transfer charged
-        assert dev.counters.num_memcpy == 0
+    """Batched launches write their outputs on the device: a later batch
+    that reads them is charged no host->device copy."""
 
-    def test_output_arenas_are_resident_after_execution(self):
+    @staticmethod
+    def copies(rt):
+        counters = rt.device[0].counters
+        return counters.num_memcpy, counters.bytes_copied
+
+    def test_reading_an_earlier_batchs_output_charges_no_memcpy(self):
         rt = make_runtime()
         out = rt.invoke(0, 0, 0, [np.ones((1, 4), np.float32)])
         rt.trigger()
-        assert rt.device[0].is_resident(out.arena)
+        charged = self.copies(rt)
+        assert charged[0] > 0  # the host input was uploaded
+        total = rt.invoke(2, 0, 0, [out, out])
+        rt.trigger()
+        assert self.copies(rt) == charged
+        np.testing.assert_array_equal(total.value, np.full((1, 4), 2.0, np.float32))
+
+    def test_a_batch_over_earlier_outputs_charges_no_memcpy(self):
+        """Two rows reading one earlier batch's outputs in swapped order:
+        the operands are gathered on the device, never copied from the
+        host."""
+        rt = make_runtime()
+        a, b = (rt.invoke(0, 0, 0, [np.full((1, 4), v, np.float32)]) for v in (1, 2))
+        rt.trigger()
+        charged = self.copies(rt)
+        sums = [rt.invoke(2, 0, 0, [b, a]), rt.invoke(2, 0, 0, [a, a])]
+        rt.trigger()
+        assert self.copies(rt) == charged
+        assert [float(s.value[0, 0]) for s in sums] == [3.0, 2.0]
 
     def test_session_reuses_resident_parameters_across_rounds(self):
         """Round two of a persistent session does not re-upload parameters:
