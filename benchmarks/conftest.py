@@ -8,10 +8,12 @@ untouched.  Re-record on purpose with
 ``REPRO_RESULTS_DIR=benchmarks/results`` (or ``python -m repro.experiments
 NAME``, which writes there by default).
 
-Latency cells are the best of ``REPRO_BEST_OF`` measurements (default 3
-here): host time is real wall-clock time, and on a busy single-CPU machine
-a one-off scheduler preemption can inflate an individual measurement
-several-fold, flipping the tables' relative comparisons at random.
+A paper table's test renders and saves it through the same
+``PaperTable.publish`` as the CLI, so both write the same file.  Every
+latency cell is the best of ``harness.BEST_OF`` (3) runs, measured
+round-robin with the other columns of its row: host time is real
+wall-clock time, and on a busy machine a one-off preemption can inflate a
+single run several-fold.
 """
 
 import os
@@ -20,8 +22,6 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-os.environ.setdefault("REPRO_BEST_OF", "3")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -2,15 +2,12 @@
 
 from collections import defaultdict
 
-from repro.experiments import figure5
-from repro.experiments.harness import format_table, save_result
+from repro.experiments.tables import FIGURE5
 
 
 def test_figure5_speedup_over_eager(benchmark):
-    headers, rows = benchmark.pedantic(figure5.run, rounds=1, iterations=1)
-    text = format_table(headers, rows, title="Figure 5: speedup over eager execution")
-    save_result("figure5", text)
-    print("\n" + text)
+    headers, rows = benchmark.pedantic(FIGURE5.run, rounds=1, iterations=1)
+    FIGURE5.publish(rows)
     # shape check: auto-batching always wins, and larger batches expose more
     # batch parallelism (compared via the per-series peak to be robust to
     # single-run timing noise)

@@ -1,15 +1,11 @@
 """Benchmark regenerating Figure 6: the optimization ablation."""
 
-from repro.experiments import figure6
-from repro.experiments.harness import format_table, save_result
+from repro.experiments.tables import FIGURE6
 
 
 def test_figure6_ablation(benchmark):
-    headers, rows = benchmark.pedantic(figure6.run, rounds=1, iterations=1)
-    text = format_table(headers, rows, title="Figure 6: cumulative optimization levels (ms)")
-    text += "\n\n" + figure6.NOTE
-    save_result("figure6", text)
-    print("\n" + text)
+    headers, rows = benchmark.pedantic(FIGURE6.run, rounds=1, iterations=1)
+    FIGURE6.publish(rows)
     # shape check: the fully optimized configuration beats the unoptimized
     # one for every model/size
     for row in rows:

@@ -1,13 +1,10 @@
 """Benchmark regenerating Table 4: Relay-VM vs AOT compilation latency."""
 
-from repro.experiments import table4
-from repro.experiments.harness import format_table, save_result
+from repro.experiments.tables import TABLE4
 
 
 def test_table4_vm_vs_aot(benchmark):
-    headers, rows = benchmark.pedantic(table4.run, rounds=1, iterations=1)
-    text = format_table(headers, rows, title="Table 4: Relay VM vs ACROBAT AOT (ms)")
-    save_result("table4", text)
-    print("\n" + text)
+    headers, rows = benchmark.pedantic(TABLE4.run, rounds=1, iterations=1)
+    TABLE4.publish(rows)
     # shape check: AOT must beat the interpreter in every configuration
     assert all(row[-1] > 1.0 for row in rows)

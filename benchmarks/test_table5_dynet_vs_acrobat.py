@@ -1,17 +1,12 @@
 """Benchmark regenerating Table 5: DyNet vs ACROBAT latencies and speedups."""
 
-from repro.experiments import table5
-from repro.experiments.harness import format_table, save_result
+from repro.experiments.tables import TABLE5, geometric_mean_speedup
 
 
 def test_table5_dynet_vs_acrobat(benchmark):
-    headers, rows = benchmark.pedantic(table5.run, rounds=1, iterations=1)
-    text = format_table(headers, rows, title="Table 5: DyNet vs ACROBAT (ms)")
-    gm = table5.geometric_mean_speedup(rows)
-    text += f"\n\nGeometric-mean speedup over DyNet: {gm:.2f}x"
-    text += "\n\n" + table5.NOTE
-    save_result("table5", text)
-    print("\n" + text)
+    headers, rows = benchmark.pedantic(TABLE5.run, rounds=1, iterations=1)
+    TABLE5.publish(rows)
+    gm = geometric_mean_speedup(rows)
     # shape check: ACROBAT wins overall (paper: 2.3x geomean)
     assert gm > 1.0
     # ...and clearly on the control-flow-heavy recursive models

@@ -1,14 +1,11 @@
 """Benchmark regenerating Table 6: runtime activity breakdown."""
 
-from repro.experiments import table6
-from repro.experiments.harness import format_table, save_result
+from repro.experiments.tables import TABLE6
 
 
 def test_table6_breakdown(benchmark):
-    headers, rows = benchmark.pedantic(table6.run, rounds=1, iterations=1)
-    text = format_table(headers, rows, title="Table 6: runtime activity breakdown")
-    save_result("table6", text)
-    print("\n" + text)
+    headers, rows = benchmark.pedantic(TABLE6.run, rounds=1, iterations=1)
+    TABLE6.publish(rows)
     by_activity = {row[0]: row[1:] for row in rows}
     # ACROBAT's scheduling cost is a fraction of DyNet's (both configurations)
     sched = by_activity["Scheduling (ms)"]

@@ -1,14 +1,11 @@
 """Benchmark regenerating Table 7: DyNet vs DyNet++ vs ACROBAT."""
 
-from repro.experiments import table7
-from repro.experiments.harness import format_table, save_result
+from repro.experiments.tables import TABLE7
 
 
 def test_table7_dynet_improved(benchmark):
-    headers, rows = benchmark.pedantic(table7.run, rounds=1, iterations=1)
-    text = format_table(headers, rows, title="Table 7: DN vs DN++ vs AB (ms)")
-    save_result("table7", text)
-    print("\n" + text)
+    headers, rows = benchmark.pedantic(TABLE7.run, rounds=1, iterations=1)
+    TABLE7.publish(rows)
     # shape check: on MV-RNN the heuristic fix recovers a large part of the gap
     mv = [r for r in rows if r[0] == "mvrnn"]
     assert all(r[4] <= r[3] * 1.05 for r in mv)  # DN++ no slower than DN

@@ -1,14 +1,11 @@
 """Benchmark regenerating Table 8: Cortex vs ACROBAT."""
 
-from repro.experiments import table8
-from repro.experiments.harness import format_table, save_result
+from repro.experiments.tables import TABLE8
 
 
 def test_table8_cortex(benchmark):
-    headers, rows = benchmark.pedantic(table8.run, rounds=1, iterations=1)
-    text = format_table(headers, rows, title="Table 8: Cortex vs ACROBAT (ms)")
-    save_result("table8", text)
-    print("\n" + text)
+    headers, rows = benchmark.pedantic(TABLE8.run, rounds=1, iterations=1)
+    TABLE8.publish(rows)
     # shape check: Cortex (hand-specialized) is at least competitive on
     # TreeLSTM/BiRNN but loses on MV-RNN due to forced embedding copies
     mv = [r for r in rows if r[0] == "mvrnn"]

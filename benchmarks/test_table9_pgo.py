@@ -1,16 +1,13 @@
 """Benchmark regenerating Table 9: PGO-guided auto-scheduling."""
 
-from repro.experiments import table9
-from repro.experiments.harness import format_table, save_result
+from repro.experiments.tables import TABLE9
 
 
 def test_table9_pgo(benchmark):
     headers, rows = benchmark.pedantic(
-        table9.run, kwargs={"budgets": (100, 250, 500, 750, 1000)}, rounds=1, iterations=1
+        TABLE9.run, kwargs={"budgets": (100, 250, 500, 750, 1000)}, rounds=1, iterations=1
     )
-    text = format_table(headers, rows, title="Table 9: auto-scheduling with/without PGO (NestedRNN)")
-    save_result("table9", text)
-    print("\n" + text)
+    TABLE9.publish(rows)
     # shape check: at the smallest budget PGO is at least as good as the
     # uniform static allocation.  Auto-scheduling only writes the device
     # simulator's schedule table, so the claim lives in the simulated device

@@ -3,12 +3,12 @@
 from .cortex import SUPPORTED_MODELS as CORTEX_SUPPORTED_MODELS
 from .cortex import CortexModel
 from .dynet import (
+    DYNET_SCHEMES,
     DyNetImprovements,
     DyNetModel,
     DyNetScheduler,
     compile_dynet,
     dynet_compiler_options,
-    run_best_of_schedulers,
 )
 from .eager import compile_eager
 
@@ -20,6 +20,6 @@ __all__ = [
     "DyNetImprovements",
     "compile_dynet",
     "dynet_compiler_options",
-    "run_best_of_schedulers",
+    "DYNET_SCHEMES",
     "compile_eager",
 ]

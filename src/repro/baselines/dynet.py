@@ -27,7 +27,7 @@ still cannot exploit *instance* parallelism (no concurrent fibers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,10 @@ from ..runtime.scheduler import (
     dynamic_depth_schedule,
 )
 from ..runtime.tensor import Column, LazyTensor
+
+
+#: DyNet's two runtime scheduling schemes; the paper reports the faster one
+DYNET_SCHEMES = ("depth", "agenda")
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ class DyNetScheduler:
         improvements: Optional[DyNetImprovements] = None,
         kind: str = "agenda",
     ) -> None:
-        if kind not in ("agenda", "depth"):
+        if kind not in DYNET_SCHEMES:
             raise ValueError("scheduler kind must be 'agenda' or 'depth'")
         self.kernels = kernels
         self.improvements = improvements or DyNetImprovements.stock()
@@ -195,21 +199,3 @@ def compile_dynet(
         improvements=improvements or DyNetImprovements.stock(),
         scheduler_kind=scheduler_kind,
     )
-
-
-def run_best_of_schedulers(
-    module: IRModule,
-    params: Mapping[str, np.ndarray],
-    instances: Sequence[Any],
-    improvements: Optional[DyNetImprovements] = None,
-    gpu_spec: Optional[GPUSpec] = None,
-):
-    """Run both DyNet scheduling strategies and return the faster result, as
-    the paper does for Table 5 ("the best of the two scheduling schemes")."""
-    best = None
-    for kind in ("depth", "agenda"):
-        model = compile_dynet(module, params, improvements, kind, gpu_spec)
-        outputs, stats = model.run(instances)
-        if best is None or stats.latency_ms < best[1].latency_ms:
-            best = (outputs, stats, kind)
-    return best

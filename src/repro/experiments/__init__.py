@@ -1,9 +1,12 @@
 """Experiment drivers that regenerate every table and figure of the paper's
-evaluation (§7).  Each module exposes ``run()`` returning (headers, rows) and
-``main()`` printing the formatted table and saving it under
-``benchmarks/results/``; they can also be run directly, e.g.
-``python -m repro.experiments.table5``.  The deterministic serving
-experiments share one runner (:mod:`repro.experiments.runner`).
+evaluation (§7) and the serving benchmarks.
+
+The eight paper tables (``table4``–``table9``, ``figure5``, ``figure6``) are
+specs in :mod:`repro.experiments.tables` over one measured-row primitive
+(:func:`repro.experiments.harness.measure_row`); the deterministic serving
+experiments share one runner (:mod:`repro.experiments.runner`).  Every
+experiment has a ``main()`` that prints its table and saves it under
+``benchmarks/results/``; ``python -m repro.experiments table5`` runs one.
 
 Set ``REPRO_SCALE=paper`` to use the paper's model sizes and batch sizes
 (slower); the default ``reduced`` scale regenerates everything in minutes.
@@ -11,18 +14,10 @@ Set ``REPRO_SCALE=paper`` to use the paper's model sizes and batch sizes
 
 from . import (
     continuous,
-    figure5,
-    figure6,
     generation,
     multiloop,
     serving,
     sharding,
-    table4,
-    table5,
-    table6,
-    table7,
-    table8,
-    table9,
 )
 from .harness import (
     PAPER,
@@ -30,23 +25,13 @@ from .harness import (
     ExperimentScale,
     current_scale,
     format_table,
-    run_acrobat,
-    run_cortex,
-    run_dynet,
-    run_eager,
-    run_vm,
+    measure_row,
     save_result,
 )
+from .tables import TABLES, PaperTable
 
 ALL_EXPERIMENTS = {
-    "table4": table4,
-    "table5": table5,
-    "table6": table6,
-    "table7": table7,
-    "table8": table8,
-    "table9": table9,
-    "figure5": figure5,
-    "figure6": figure6,
+    **TABLES,
     "serving": serving,
     "sharding": sharding,
     "continuous": continuous,
@@ -55,11 +40,8 @@ ALL_EXPERIMENTS = {
 }
 
 __all__ = [
-    "table4", "table5", "table6", "table7", "table8", "table9",
-    "figure5", "figure6", "serving", "sharding", "continuous",
-    "generation", "multiloop",
-    "ALL_EXPERIMENTS",
+    "serving", "sharding", "continuous", "generation", "multiloop",
+    "ALL_EXPERIMENTS", "TABLES", "PaperTable",
     "ExperimentScale", "REDUCED", "PAPER", "current_scale",
-    "run_acrobat", "run_dynet", "run_eager", "run_vm", "run_cortex",
-    "format_table", "save_result",
+    "measure_row", "format_table", "save_result",
 ]

@@ -5,16 +5,15 @@ serving and sharding benchmarks) and each formatted table is written to
 ``benchmarks/results/`` (or ``REPRO_RESULTS_DIR``).  A subset can be
 regenerated by naming experiments either positionally or via ``--only``
 (``python -m repro.experiments --only serving sharding``); ``--list``
-prints the available experiment names and exits.  Set
-``REPRO_SCALE=paper`` for the paper's model sizes and ``REPRO_BEST_OF=N``
-for best-of-N latency measurements (default 3, matching the pytest
-benchmark suite).
+prints the available experiment names and exits.  The paper tables and the
+benchmark tests render through the same :class:`~repro.experiments.tables.PaperTable`,
+so both write the same files.  Set ``REPRO_SCALE=paper`` for the paper's
+model sizes.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -64,24 +63,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    # Manual regenerations share the pytest suite's best-of-3 default: host
-    # time is real wall-clock time, and a single-measurement run lets one
-    # scheduler preemption flip a table's relative comparisons — producing
-    # result files that contradict the benchmark tests' invariants.  The
-    # default is scoped to this invocation (main() is also called
-    # in-process) rather than left in the global environment.
-    defaulted = "REPRO_BEST_OF" not in os.environ
-    if defaulted:
-        os.environ["REPRO_BEST_OF"] = "3"
-    try:
-        for name in names:
-            # each experiment's main() prints and saves its own table
-            print(f"== {name} ==")
-            ALL_EXPERIMENTS[name].main()
-            print()
-    finally:
-        if defaulted:
-            del os.environ["REPRO_BEST_OF"]
+    for name in names:
+        # each experiment's main() prints and saves its own table
+        print(f"== {name} ==")
+        ALL_EXPERIMENTS[name].main()
+        print()
     return 0
 
 

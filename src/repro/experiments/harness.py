@@ -1,8 +1,9 @@
 """Shared experiment harness.
 
-Builds models at a configurable scale, runs them through every backend
-(ACROBAT, Relay-VM, DyNet / DyNet++, eager, Cortex) and formats result
-tables in the layout of the paper's tables.
+Builds models at a configurable scale, measures table rows through every
+backend (ACROBAT, Relay-VM, DyNet / DyNet++, eager, Cortex) with one
+primitive, :func:`measure_row`, and formats result tables in the layout of
+the paper's tables.
 
 Two scales are supported:
 
@@ -10,7 +11,7 @@ Two scales are supported:
   whole table/figure suite regenerates in minutes on a laptop CPU.  This is
   what the pytest benchmarks use.
 * ``paper``   — the paper's hidden sizes (§7.1) and batch sizes {8, 64}.
-  Slower, intended for manual runs of the ``repro.experiments`` modules.
+  Slower, intended for manual runs of ``python -m repro.experiments``.
 
 Absolute numbers are not expected to match the paper (the device is an
 analytical simulator and the host is Python); the comparisons of interest
@@ -21,12 +22,12 @@ crossovers are.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, List, Optional, Sequence, Tuple
-
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..baselines import (
+    DYNET_SCHEMES,
     CortexModel,
     DyNetImprovements,
     compile_dynet,
@@ -79,47 +80,48 @@ def make_instances(model_name: str, mod, size, batch_size: int, seed: int = 0) -
     return MODEL_MODULES[model_name].make_batch(mod, size, batch_size, seed=seed)
 
 
-def raw_inputs_for_cortex(model_name: str, size, batch_size: int, seed: int = 0):
-    """Cortex consumes the raw data structures rather than ADT values."""
-    if model_name == "treelstm":
-        return random_treebank(batch_size, size.embed, seed=seed)
-    if model_name == "mvrnn":
-        mod, _, _ = build_model("mvrnn", size.name if size.name != "test" else "test", 0)
-        trees = random_treebank(batch_size, size.hidden, seed=seed)
-        return [MODEL_MODULES["mvrnn"].instance_input(mod, t, seed=seed + i) for i, t in enumerate(trees)]
-    if model_name == "birnn":
-        return random_sequences(batch_size, size.embed, seed=seed)
-    raise ValueError(f"Cortex does not support {model_name}")
-
-
 # ---------------------------------------------------------------------------
-# Backend runners (each returns RunStats)
+# Measured rows
 # ---------------------------------------------------------------------------
 
-
-def best_stats(run_once: Callable[[], RunStats], repeats: Optional[int] = None) -> RunStats:
-    """Measure ``run_once`` up to ``repeats`` times and keep the
-    lowest-latency result.
-
-    Host time is real wall-clock time, so on a busy machine a one-off
-    scheduler preemption can inflate a single measurement several-fold;
-    best-of-N is the standard benchmark hygiene against that.  ``repeats``
-    defaults to the ``REPRO_BEST_OF`` environment variable (itself defaulting
-    to 1, i.e. single-run).
-    """
-    return best_stats_round_robin([run_once], repeats)[0]
+#: every measured cell is the best of this many runs
+BEST_OF = 3
 
 
-def best_stats_round_robin(
-    candidates: Sequence[Callable[[], RunStats]], repeats: Optional[int] = None
-) -> List[RunStats]:
-    """:func:`best_stats` for candidates whose latencies are compared with
-    each other: every round measures each candidate once, so a slow stretch
-    of the host (they last seconds to minutes) falls on all of them alike
-    instead of on whichever one was being measured."""
-    n = repeats if repeats is not None else int(os.environ.get("REPRO_BEST_OF", "1"))
+@dataclass(frozen=True)
+class Workload:
+    """One row's model and instances, built once and shared by its columns."""
+
+    model: str
+    batch: int
+    seed: int
+    mod: Any
+    params: Any
+    config: Any
+    instances: List[Any]
+
+
+#: a column builds its runnables once per row: scheme name -> one measured run
+Column = Callable[[Workload], Dict[str, Callable[[], RunStats]]]
+
+
+class Cell(NamedTuple):
+    """A column's measurement: the faster scheme's best run."""
+
+    scheme: str
+    stats: RunStats
+
+
+def best_of_round_robin(candidates: Sequence[Callable[[], RunStats]]) -> List[RunStats]:
+    """Run every candidate :data:`BEST_OF` times, one round measuring each
+    candidate once, and keep each one's lowest-latency run.
+
+    Host time is real wall-clock time: a one-off preemption can inflate a
+    single run several-fold, and a slow stretch of the host (seconds to
+    minutes) falls on all the candidates of a round alike instead of on
+    whichever one was being measured."""
     best: List[Optional[RunStats]] = [None] * len(candidates)
-    for _ in range(max(1, n)):
+    for _ in range(BEST_OF):
         for k, run_once in enumerate(candidates):
             stats = run_once()
             if best[k] is None or stats.latency_ms < best[k].latency_ms:
@@ -127,89 +129,73 @@ def best_stats_round_robin(
     return best
 
 
-def run_acrobat(
-    model_name: str,
-    size_name: str,
-    batch_size: int,
-    options: Optional[CompilerOptions] = None,
-    seed: int = 0,
-    scheduler: Optional[str] = None,
-    repeats: Optional[int] = None,
-) -> RunStats:
-    """Run the ACROBAT backend.
-
-    ``scheduler`` selects the runtime scheduling policy by registry name
-    (e.g. ``"inline_depth"``, ``"dynamic_depth"``, ``"agenda"``,
-    ``"nobatch"``); the default derives from the compiler options.
-    ``repeats`` takes the best of N measurements (see :func:`best_stats`).
-    """
-    mod, params, size = build_model(model_name, size_name, seed)
-    instances = make_instances(model_name, mod, size, batch_size, seed)
-    opts = options or CompilerOptions()
-    if scheduler is not None:
-        opts = replace(opts, scheduler=scheduler)
-    compiled = compile_model(mod, params, opts)
-    return best_stats(lambda: compiled.run(instances)[1], repeats)
+def measure_row(
+    model_name: str, size_name: str, batch_size: int, columns: Sequence[Column], seed: int = 0
+) -> List[Cell]:
+    """Measure one table row: build the model and draw the instances once,
+    build each column's runnables once, measure them all round-robin, and
+    keep each column's faster scheme."""
+    mod, params, config = build_model(model_name, size_name, seed)
+    instances = make_instances(model_name, mod, config, batch_size, seed)
+    workload = Workload(model_name, batch_size, seed, mod, params, config, instances)
+    built = [column(workload) for column in columns]
+    runs = iter(best_of_round_robin([run for schemes in built for run in schemes.values()]))
+    cells = []
+    for schemes in built:
+        measured = [Cell(scheme, next(runs)) for scheme in schemes]
+        cells.append(min(measured, key=lambda cell: cell.stats.latency_ms))
+    return cells
 
 
-def run_vm(
-    model_name: str,
-    size_name: str,
-    batch_size: int,
-    seed: int = 0,
-    repeats: Optional[int] = None,
-) -> RunStats:
-    mod, params, size = build_model(model_name, size_name, seed)
-    instances = make_instances(model_name, mod, size, batch_size, seed)
-    vm = compile_model(mod, params, CompilerOptions(aot=False))
-    return best_stats(lambda: vm.run(instances)[1], repeats)
+def acrobat(options: Optional[CompilerOptions] = None) -> Column:
+    """ACROBAT under ``options`` (whose ``scheduler`` names the runtime
+    scheduling policy)."""
+
+    def build(w: Workload):
+        compiled = compile_model(w.mod, w.params, options or CompilerOptions())
+        return {"acrobat": lambda: compiled.run(w.instances)[1]}
+
+    return build
 
 
-def run_dynet(
-    model_name: str,
-    size_name: str,
-    batch_size: int,
-    improvements: Optional[DyNetImprovements] = None,
-    best_of_schedulers: bool = True,
-    seed: int = 0,
-    repeats: Optional[int] = None,
-) -> RunStats:
-    mod, params, size = build_model(model_name, size_name, seed)
-    instances = make_instances(model_name, mod, size, batch_size, seed)
-    best: Optional[RunStats] = None
-    kinds = ("depth", "agenda") if best_of_schedulers else ("agenda",)
-    for kind in kinds:
-        model = compile_dynet(mod, params, improvements, scheduler_kind=kind)
-        stats = best_stats(lambda: model.run(instances)[1], repeats)
-        if best is None or stats.latency_ms < best.latency_ms:
-            best = stats
-    return best
+def vm(w: Workload):
+    """Column: the Relay-VM-style interpreter driving the same batching runtime."""
+    model = compile_model(w.mod, w.params, CompilerOptions(aot=False))
+    return {"vm": lambda: model.run(w.instances)[1]}
 
 
-def run_eager(
-    model_name: str,
-    size_name: str,
-    batch_size: int,
-    seed: int = 0,
-    repeats: Optional[int] = None,
-) -> RunStats:
-    mod, params, size = build_model(model_name, size_name, seed)
-    instances = make_instances(model_name, mod, size, batch_size, seed)
-    model = compile_eager(mod, params)
-    return best_stats(lambda: model.run(instances)[1], repeats)
+def eager(w: Workload):
+    """Column: eager (unbatched, PyTorch-style) execution."""
+    model = compile_eager(w.mod, w.params)
+    return {"eager": lambda: model.run(w.instances)[1]}
 
 
-def run_cortex(
-    model_name: str,
-    size_name: str,
-    batch_size: int,
-    seed: int = 0,
-    repeats: Optional[int] = None,
-) -> RunStats:
-    _, params, size = build_model(model_name, size_name, seed)
-    raw = raw_inputs_for_cortex(model_name, size, batch_size, seed)
-    model = CortexModel(model_name, params)
-    return best_stats(lambda: model.run(raw)[1], repeats)
+def dynet(improvements: Optional[DyNetImprovements] = None) -> Column:
+    """DyNet (or DN++ with ``improvements``): both of its scheduling schemes
+    are candidates and the faster one is kept, as in the paper."""
+
+    def build(w: Workload):
+        schemes = {}
+        for kind in DYNET_SCHEMES:
+            model = compile_dynet(w.mod, w.params, improvements, scheduler_kind=kind)
+            schemes[kind] = lambda model=model: model.run(w.instances)[1]
+        return schemes
+
+    return build
+
+
+def cortex(w: Workload):
+    """Column: Cortex, which consumes the raw data structures rather than ADT
+    values (and raises for a model it does not support)."""
+    model = CortexModel(w.model, w.params)
+    if w.model == "treelstm":
+        raw = random_treebank(w.batch, w.config.embed, seed=w.seed)
+    elif w.model == "mvrnn":
+        trees = random_treebank(w.batch, w.config.hidden, seed=w.seed)
+        raw = [MODEL_MODULES["mvrnn"].instance_input(w.mod, t, seed=w.seed + i) for i, t in enumerate(trees)]
+    else:
+        raw = random_sequences(w.batch, w.config.embed, seed=w.seed)
+    return {"cortex": lambda: model.run(raw)[1]}
 
 
 # ---------------------------------------------------------------------------

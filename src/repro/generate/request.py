@@ -98,12 +98,6 @@ class GenerationStats:
             return None
         return max(0.0, self.first_token_at - self.submitted_at) * 1e3
 
-    @property
-    def inter_step_p99_ms(self) -> float:
-        if not self.inter_step_ms:
-            return 0.0
-        return float(np.percentile(self.inter_step_ms, 99))
-
 
 class GenerationHandle:
     """Future-style handle for one generating sequence.

@@ -213,25 +213,119 @@ class TestUtils:
         assert len(arrays) == 3
 
 
+def _tiny_scale():
+    """One size at the test model sizes, batch 2."""
+    from repro.experiments.harness import ExperimentScale
+
+    return ExperimentScale(name="tiny", size_names=("small",), batch_sizes=(2,), size_override="test")
+
+
+class TestMeasureRow:
+    """The one measured-row primitive behind every paper table."""
+
+    @staticmethod
+    def _candidate(name, latencies, calls):
+        from types import SimpleNamespace
+
+        runs = iter(latencies)
+
+        def run_once():
+            calls.append(name)
+            return SimpleNamespace(latency_ms=next(runs), name=name)
+
+        return run_once
+
+    def test_candidates_interleave_and_keep_their_fastest_run(self):
+        from repro.experiments.harness import BEST_OF, best_of_round_robin
+
+        assert BEST_OF == 3
+        calls = []
+        best = best_of_round_robin([
+            self._candidate("a", [5.0, 3.0, 4.0], calls),
+            self._candidate("b", [1.0, 2.0, 9.0], calls),
+            self._candidate("c", [7.0, 7.0, 6.0], calls),
+        ])
+        assert calls == ["a", "b", "c"] * 3
+        assert [s.latency_ms for s in best] == [3.0, 1.0, 6.0]
+
+    def test_a_raising_candidate_propagates(self):
+        from repro.experiments.harness import best_of_round_robin
+
+        def broken():
+            raise RuntimeError("candidate failed")
+
+        calls = []
+        with pytest.raises(RuntimeError, match="candidate failed"):
+            best_of_round_robin([self._candidate("a", [1.0] * 3, calls), broken])
+        assert calls == ["a"]
+
+    def test_a_row_builds_once_and_keeps_each_columns_faster_scheme(self):
+        from repro.experiments.harness import measure_row
+
+        calls, built = [], []
+
+        def two_schemes(w):
+            built.append((w.model, w.batch, len(w.instances)))
+            return {
+                "slow": self._candidate("slow", [4.0, 5.0, 6.0], calls),
+                "fast": self._candidate("fast", [3.0, 2.0, 9.0], calls),
+            }
+
+        def one_scheme(w):
+            built.append((w.model, w.batch, len(w.instances)))
+            return {"only": self._candidate("only", [8.0, 1.0, 8.0], calls)}
+
+        cells = measure_row("treelstm", "test", 2, [two_schemes, one_scheme])
+        assert built == [("treelstm", 2, 2)] * 2
+        assert calls == ["slow", "fast", "only"] * 3
+        assert [(c.scheme, c.stats.latency_ms) for c in cells] == [("fast", 2.0), ("only", 1.0)]
+
+    def test_harness_columns_measure_real_runs(self):
+        from repro.experiments.harness import acrobat, cortex, dynet, eager, measure_row, vm
+
+        cells = measure_row("treelstm", "test", 2, [acrobat(), vm, eager, dynet(), cortex])
+        assert [c.scheme for c in cells[:3]] + [cells[4].scheme] == ["acrobat", "vm", "eager", "cortex"]
+        assert cells[3].scheme in ("depth", "agenda")
+        assert all(c.stats.latency_ms > 0 for c in cells)
+
+
 class TestExperimentsSmoke:
     def test_table5_rows_have_expected_shape(self):
-        from repro.experiments import table5
-        from repro.experiments.harness import ExperimentScale
+        from repro.experiments.tables import TABLES
 
-        scale = ExperimentScale(name="tiny", size_names=("small",), batch_sizes=(2,), size_override="test")
-        headers, rows = table5.run(scale, models=("treelstm",))
+        headers, rows = TABLES["table5"].run(_tiny_scale(), models=("treelstm",))
         assert headers[-1] == "speedup"
         assert len(rows) == 1 and rows[0][0] == "treelstm"
         assert rows[0][-1] > 0
 
     def test_figure6_levels_columns(self):
-        from repro.experiments import figure6
-        from repro.experiments.harness import ExperimentScale
+        from repro.experiments.tables import TABLES
 
-        scale = ExperimentScale(name="tiny", size_names=("small",), batch_sizes=(2,), size_override="test")
-        headers, rows = figure6.run(scale, models=("mvrnn",))
+        headers, rows = TABLES["figure6"].run(_tiny_scale(), models=("mvrnn",))
         assert len(headers) == 3 + 6
         assert len(rows) == 1 and all(v > 0 for v in rows[0][3:])
+
+    def test_table6_dynet_columns_are_the_scheme_they_name(self):
+        """A DyNet column reports whichever scheme won on wall time, so its
+        counted cells must be that scheme's: equal to a direct run of it."""
+        from repro.experiments.harness import build_model, make_instances
+        from repro.experiments.tables import TABLES, breakdown
+
+        # the activities counted on the simulated device, not timed on the host
+        counted = ("Memory copy time (ms)", "GPU kernel time (ms)", "#Kernel calls", "#Gather launches")
+
+        headers, rows = TABLES["table6"].run(_tiny_scale())
+        by_activity = {row[0]: row[1:] for row in rows}
+        assert rows[-1][0] == "DyNet scheme"
+        for column, model in ((0, "treelstm"), (2, "birnn")):
+            scheme = by_activity["DyNet scheme"][column]
+            assert scheme in ("depth", "agenda")
+            assert by_activity["DyNet scheme"][column + 1] == "-"
+            mod, params, size = build_model(model, "test", 0)
+            instances = make_instances(model, mod, size, 2, 0)
+            direct = breakdown(compile_dynet(mod, params, scheduler_kind=scheme).run(instances)[1])
+            for activity in counted:
+                assert by_activity[activity][column] == direct[activity], (model, activity)
 
     def test_format_table_renders(self):
         from repro.experiments.harness import format_table
@@ -249,6 +343,7 @@ class TestExperimentsCLI:
         listed = capsys.readouterr().out.split()
         assert listed == sorted(ALL_EXPERIMENTS)
         assert "sharding" in listed
+        assert {"table4", "table9", "figure5", "figure6"} <= set(listed)
 
     def test_unknown_experiment_errors(self, capsys):
         from repro.experiments.__main__ import main
@@ -258,56 +353,78 @@ class TestExperimentsCLI:
 
     @staticmethod
     def _stub(monkeypatch):
-        """Register a stub experiment that records the ``REPRO_BEST_OF`` it
-        sees and saves a one-line table, so the CLI is tested without
-        running a real one."""
-        import os
-        import types
+        """Register a stub paper table: one real treelstm row whose one
+        column is a stub, so the CLI runs the spec path end to end without
+        measuring a real backend."""
+        from types import SimpleNamespace
 
         from repro.experiments import ALL_EXPERIMENTS
-        from repro.experiments.harness import publish
+        from repro.experiments.tables import PaperTable, Row
 
         seen = []
 
-        def main():
-            seen.append(os.environ.get("REPRO_BEST_OF"))
-            return publish("stub", "stub table")
+        def column(w):
+            def run_once():
+                seen.append(w.model)
+                return SimpleNamespace(latency_ms=1.5)
 
-        monkeypatch.setitem(ALL_EXPERIMENTS, "stub", types.SimpleNamespace(main=main))
-        return seen
+            return {"stub": run_once}
+
+        table = PaperTable(
+            name="stub",
+            title="stub table",
+            headers=("model", "stub_ms"),
+            rows=lambda scale: [Row(("treelstm",), "treelstm", "test", 1, (column,))],
+        )
+        monkeypatch.setitem(ALL_EXPERIMENTS, "stub", table)
+        return table, seen
 
     def test_only_runs_named_experiment(self, capsys, tmp_path, monkeypatch):
         from repro.experiments.__main__ import main
 
-        seen = self._stub(monkeypatch)
+        table, seen = self._stub(monkeypatch)
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         assert main(["--only", "stub"]) == 0
         out = capsys.readouterr().out
         assert "== stub ==" in out
-        assert (tmp_path / "stub.txt").read_text() == "stub table\n"
-        # only the requested experiment ran
-        assert len(seen) == 1
+        assert (tmp_path / "stub.txt").read_text() == table.render([["treelstm", 1.5]]) + "\n"
+        # only the requested experiment ran: its one row, best of 3
+        assert seen == ["treelstm"] * 3
         assert "== table4 ==" not in out
 
-    def test_best_of_default_is_scoped_to_the_invocation(self, tmp_path, monkeypatch):
-        """main() measures best-of-3 by default but must not leave
-        REPRO_BEST_OF in the process environment (it is also called
-        in-process, where a leak would silently slow later callers 3x)."""
+    def test_cli_and_benchmark_test_write_the_same_file(self, tmp_path, monkeypatch):
+        """From the same measured rows, ``python -m repro.experiments
+        table5`` and ``benchmarks/test_table5_dynet_vs_acrobat.py`` write
+        byte-identical files."""
+        import importlib.util
         import os
+        from types import SimpleNamespace
 
+        from repro.experiments import tables
         from repro.experiments.__main__ import main
+        from repro.experiments.harness import Cell
 
-        seen = self._stub(monkeypatch)
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_BEST_OF", raising=False)
-        assert main(["--only", "stub"]) == 0
-        assert seen == ["3"]
-        assert "REPRO_BEST_OF" not in os.environ
-        # an explicit setting is respected and survives the invocation
-        monkeypatch.setenv("REPRO_BEST_OF", "1")
-        assert main(["--only", "stub"]) == 0
-        assert seen == ["3", "1"]
-        assert os.environ["REPRO_BEST_OF"] == "1"
+        def measure_row(model, size, batch, columns, seed=0):
+            return [Cell("stub", SimpleNamespace(latency_ms=float(batch * len(model)))),
+                    Cell("stub", SimpleNamespace(latency_ms=float(batch)))]
+
+        monkeypatch.setattr(tables, "measure_row", measure_row)
+        cli_dir, bench_dir = tmp_path / "cli", tmp_path / "bench"
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(cli_dir))
+        assert main(["table5"]) == 0
+
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "test_table5_dynet_vs_acrobat.py")
+        spec = importlib.util.spec_from_file_location("bench_table5", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(bench_dir))
+        stub = SimpleNamespace(pedantic=lambda fn, args=(), kwargs=None, **_: fn(*args, **(kwargs or {})))
+        bench.test_table5_dynet_vs_acrobat(stub)
+
+        cli_text = (cli_dir / "table5.txt").read_text()
+        assert cli_text == (bench_dir / "table5.txt").read_text()
+        assert cli_text.startswith("Table 5: DyNet vs ACROBAT (ms)\n")
+        assert "Geometric-mean speedup over DyNet" in cli_text
 
 
 def _leaves(tree):

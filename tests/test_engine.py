@@ -115,10 +115,10 @@ class TestPolicyEquivalence:
         assert batched_stats.num_batches < stats.num_batches
 
     def test_harness_selects_policy_by_name(self):
-        from repro.experiments.harness import run_acrobat
+        from repro.experiments.harness import acrobat, measure_row
 
-        stats = run_acrobat("treelstm", "small", 2, scheduler="agenda")
-        assert stats.num_dfg_nodes > 0
+        (cell,) = measure_row("treelstm", "small", 2, [acrobat(CompilerOptions(scheduler="agenda"))])
+        assert cell.stats.num_dfg_nodes > 0
 
 
 class TestExecutionEngine:
