@@ -22,7 +22,17 @@ ARRIVAL_RATE = 800.0  # requests/second on the simulated clock
 #: bandwidth/compute-starved edge device: the serving bottleneck is the
 #: simulated device, so device-count scaling is visible (see the sharding
 #: benchmark notes in the README)
-EDGE = GPUSpec.preset("laptop", peak_gflops=4.0, mem_bandwidth_gbps=4.0)
+EDGE = GPUSpec(
+    name="simulated-laptop",
+    launch_overhead_us=8.0,
+    api_overhead_us=6.0,
+    mem_bandwidth_gbps=4.0,
+    peak_gflops=4.0,
+    pcie_bandwidth_gbps=6.0,
+    memcpy_overhead_us=10.0,
+    saturation_flops=5.0e5,
+    min_utilization=0.05,
+)
 
 
 def main() -> None:

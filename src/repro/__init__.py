@@ -70,24 +70,18 @@ _SERVE_EXPORTS = (
     "RoundAborted",
     "SimulatedClock",
     "WallClock",
-    "available_flush_policies",
-    "make_flush_policy",
-    "register_flush_policy",
+    "FLUSH_POLICIES",
     "LoopTopology",
-    "available_topologies",
-    "make_topology",
-    "register_topology",
+    "TOPOLOGIES",
 )
 
 #: multi-device names importable from the top level (lazy):
-#: ``repro.DeviceGroup``, ``repro.Interconnect``, ``repro.make_placement``...
+#: ``repro.DeviceGroup``, ``repro.Interconnect``, ``repro.PLACEMENTS``...
 _DEVICES_EXPORTS = (
     "DeviceGroup",
     "Interconnect",
     "PlacementPolicy",
-    "available_placements",
-    "make_placement",
-    "register_placement",
+    "PLACEMENTS",
 )
 
 

@@ -47,15 +47,11 @@ def _call_signature(call: Call, main_param_names: Set[str]) -> Tuple:
     return tuple(sig)
 
 
-def specialize_functions(module: IRModule, enabled: bool = True) -> IRModule:
+def specialize_functions(module: IRModule) -> IRModule:
     """Duplicate callees of ``main`` per distinct parameter-binding signature.
 
-    Returns a new module (the input module is not mutated).  With
-    ``enabled=False`` the module is returned unchanged (ablation switch).
+    Returns a new module (the input module is not mutated).
     """
-    if not enabled:
-        return module
-
     out = module.copy()
     main = out.main
     main_param_names = {p.name_hint for p in main.params}

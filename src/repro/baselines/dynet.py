@@ -176,9 +176,9 @@ class DyNetModel(CompiledModel):
 def dynet_compiler_options(validate: bool = False) -> CompilerOptions:
     """The compiler configuration modelling DyNet's execution strategy:
     per-operator nodes, vendor-library-style unfused kernels, no static
-    optimizations.  Function specialization stays on purely for correctness
-    of the shared-argument classification (DyNet's lookup parameters play the
-    same role)."""
+    optimizations.  Function specialization still runs, as it always does:
+    the shared-argument classification is only correct after it (DyNet's
+    lookup parameters play the same role)."""
     opts = CompilerOptions.all_off()
     return replace(opts, validate=validate)
 

@@ -190,7 +190,8 @@ class PythonCodegen:
         sources: List[str] = []
         for name in self.function_order:
             func = self.module.functions[name]
-            if self.options.hoisting:
+            # hoisting to the static depth 0 is part of inline depth (§A.1)
+            if self.options.inline_depth:
                 self._hoistable[name] = hoistable_bindings(name, func, self.module)
             else:
                 self._hoistable[name] = set()
@@ -290,8 +291,9 @@ class _FunctionEmitter:
 
     def _reserve_depth_capture(self) -> Optional[Tuple[int, int]]:
         """Hold a line, ahead of a conditional, for the entry-depth capture
-        its ghost alignment may turn out to need."""
-        if not self.cg.options.ghost_ops:
+        its ghost alignment may turn out to need (ghost ops are part of
+        program phases)."""
+        if not self.cg.options.program_phases:
             return None
         self.lines.append(None)
         return len(self.lines) - 1, self.tail_jumps
@@ -410,7 +412,7 @@ class _FunctionEmitter:
 
             kind = self._classify(value)
             if kind == "op":
-                hoisted = options.hoisting and id(value) in hoistable
+                hoisted = id(value) in hoistable
                 if run and (run_hoisted != hoisted or not options.grain_size_coarsening):
                     flush(cur)
                 run.append((var, value))
@@ -481,12 +483,11 @@ class _FunctionEmitter:
             members.append((node.var, node.value))
             node = node.body
 
-        opts = self.cg.options
         d0 = self.fresh("cc_d0")
         self.emit(f"{d0} = __depth[0]")
         self.unknown_delta = True
 
-        use_fibers = self.cg.tdc and opts.concurrent_fibers
+        use_fibers = self.cg.tdc and self.cg.options.inline_depth
         if use_fibers:
             handle_names: List[str] = []
             depth_names: List[str] = []
@@ -585,7 +586,7 @@ class _FunctionEmitter:
                 reader = "item_int" if op.name == "item_int" else "item"
                 return f"__rt.{reader}({arg}, {index})"
             # tensor operator appearing as a plain expression: its own block
-            hoisted = self.cg.options.hoisting and id(call) in self.cg.hoistable_for(self.fname)
+            hoisted = id(call) in self.cg.hoistable_for(self.fname)
             names = self._emit_block([(None, call)], [], hoisted)
             return names[0]
         if isinstance(op, ConstructorRef):

@@ -133,7 +133,6 @@ class CompiledModel(EngineModel):
             scheduler=policy
             or opts.scheduler
             or ("inline_depth" if opts.inline_depth else "dynamic_depth"),
-            batch_memcpy=opts.batch_memcpy,
             validate=opts.validate,
         )
 
@@ -155,8 +154,8 @@ class CompiledModel(EngineModel):
         :class:`~repro.devices.group.DeviceGroup`: a
         :class:`~repro.runtime.device.DeviceSimulator` (adopted as the
         one-member group), a ready group, an integer member count or a list
-        of :class:`~repro.runtime.device.GPUSpec`/preset names
-        (heterogeneous groups); more than one member turns on multi-device
+        of :class:`~repro.runtime.device.GPUSpec`\\ s (heterogeneous
+        groups); more than one member turns on multi-device
         execution, and a group built as ``DeviceGroup(n,
         interconnect="nvlink")`` prices cross-device transfers over its
         interconnect (pcie otherwise).  ``placement`` selects the placement
@@ -171,7 +170,6 @@ class CompiledModel(EngineModel):
             device=device,
             gpu_spec=self.gpu_spec,
             schedule_table=self.schedule_table,
-            default_schedule_quality=self.options.default_schedule_quality,
             placement=placement,
         )
 
@@ -188,9 +186,9 @@ def compile_module(
     arrays; every remaining ``main`` parameter is treated as a per-instance
     input (and is therefore tainted / per-instance for the reuse analysis).
     """
-    options = (options or CompilerOptions()).effective()
+    options = options or CompilerOptions()
 
-    specialized = specialize_functions(module, options.specialization)
+    specialized = specialize_functions(module)
     main = specialized.main
     instance_params = [p.name_hint for p in main.params if p.name_hint not in params]
     if not instance_params:
@@ -205,11 +203,7 @@ def compile_module(
     program = codegen.generate()
 
     kernels = {
-        block.block_id: BlockKernel(
-            block,
-            enable_fusion=options.kernel_fusion,
-            enable_horizontal_fusion=options.horizontal_fusion,
-        )
+        block.block_id: BlockKernel(block, enable_fusion=options.kernel_fusion)
         for block in program.blocks
     }
 

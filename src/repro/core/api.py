@@ -51,14 +51,9 @@ def compile_model(
     if options.scheduler is not None:
         # fail fast on unknown policy names: resolving lazily inside engine
         # construction would surface the error far from the user's typo
-        from ..engine.registry import available_policies
+        from ..engine.registry import SCHEDULERS
 
-        if options.scheduler not in available_policies():
-            raise ValueError(
-                f"unknown scheduler policy {options.scheduler!r} in "
-                f"CompilerOptions.scheduler; registered policies: "
-                f"{', '.join(available_policies())}"
-            )
+        SCHEDULERS.lookup(options.scheduler)
     if not options.aot:
         return VMModel(
             module=module,

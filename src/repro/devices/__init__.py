@@ -14,7 +14,8 @@ group:
   pricing device-to-device transfers (``pcie`` / ``nvlink`` presets), so
   cross-device gathers are charged rather than free;
 * :mod:`repro.devices.placement` — :class:`PlacementPolicy` and its
-  string-keyed registry (``single``, ``round_robin``, ``data_parallel``):
+  string-keyed registry ``PLACEMENTS`` (``single``, ``round_robin``,
+  ``data_parallel``):
   *where* each scheduled batch executes, mirroring the scheduler-policy
   and flush-policy registries.
 
@@ -27,14 +28,11 @@ deployment over one group.
 from .group import DeviceGroup
 from .interconnect import INTERCONNECT_PRESETS, Interconnect
 from .placement import (
+    PLACEMENTS,
     DataParallelPlacement,
     PlacementPolicy,
     RoundRobinPlacement,
     SinglePlacement,
-    available_placements,
-    make_placement,
-    register_placement,
-    unregister_placement,
 )
 
 __all__ = [
@@ -45,8 +43,5 @@ __all__ = [
     "SinglePlacement",
     "RoundRobinPlacement",
     "DataParallelPlacement",
-    "available_placements",
-    "make_placement",
-    "register_placement",
-    "unregister_placement",
+    "PLACEMENTS",
 ]

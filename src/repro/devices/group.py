@@ -25,7 +25,7 @@ Semantics the group pins down:
   per device, as they would be on real hardware.
 
 Heterogeneous groups are supported: pass one spec per device
-(``DeviceGroup([GPUSpec.preset("a100"), GPUSpec.preset("laptop")])``).
+(``DeviceGroup([GPUSpec(), GPUSpec(mem_bandwidth_gbps=45.0)])``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 from ..runtime.device import DeviceSimulator, GPUSpec
 from .interconnect import Interconnect
 
-SpecLike = Union[GPUSpec, str]
-
 
 class DeviceGroup:
     """N simulated devices plus an interconnect, behind one device surface.
@@ -45,12 +43,12 @@ class DeviceGroup:
     ----------
     devices:
         The group's members: an integer count (devices built from ``spec``),
-        a sequence of :class:`GPUSpec`/preset names (one device per spec —
+        a sequence of :class:`GPUSpec`\\ s (one device per spec —
         heterogeneous groups), or a sequence of already constructed
         :class:`DeviceSimulator`\\ s to adopt.
     spec:
-        Spec for integer ``devices``: a :class:`GPUSpec`, a preset name, or
-        a sequence of either (length must match ``devices``).
+        Spec for integer ``devices``: a :class:`GPUSpec`, or a sequence of
+        them (length must match ``devices``).
     interconnect:
         Peer-transfer cost model: an :class:`Interconnect` or a preset name
         (``"pcie"``, ``"nvlink"``).
@@ -60,9 +58,9 @@ class DeviceGroup:
 
     def __init__(
         self,
-        devices: Union[int, Sequence[SpecLike], Sequence[DeviceSimulator]] = 1,
+        devices: Union[int, Sequence[GPUSpec], Sequence[DeviceSimulator]] = 1,
         *,
-        spec: Union[SpecLike, Sequence[SpecLike], None] = None,
+        spec: Union[GPUSpec, Sequence[GPUSpec], None] = None,
         interconnect: Union[Interconnect, str] = "pcie",
         schedule_table: Optional[Dict[str, float]] = None,
         default_schedule_quality: float = 0.9,
@@ -89,14 +87,13 @@ class DeviceGroup:
             if not all(isinstance(d, DeviceSimulator) for d in items):
                 raise TypeError(
                     "a device group takes either DeviceSimulators or "
-                    "specs/preset names, not a mixture"
+                    "GPUSpecs, not a mixture"
                 )
             # adopted simulators are NOT mutated (their owner may still
             # read their counters or adopt them elsewhere); the group
             # addresses members by position
             members = items
         else:
-            # DeviceSimulator resolves preset names itself
             members = [
                 DeviceSimulator(
                     spec=s,
@@ -111,13 +108,12 @@ class DeviceGroup:
     def coerce(
         cls,
         devices: Union[
-            None, int, Sequence[SpecLike], Sequence[DeviceSimulator], DeviceSimulator, "DeviceGroup"
+            None, int, Sequence[GPUSpec], Sequence[DeviceSimulator], DeviceSimulator, "DeviceGroup"
         ] = None,
         *,
-        spec: Union[SpecLike, Sequence[SpecLike], None] = None,
+        spec: Union[GPUSpec, Sequence[GPUSpec], None] = None,
         interconnect: Union[Interconnect, str, None] = None,
         schedule_table: Optional[Dict[str, float]] = None,
-        default_schedule_quality: float = 0.9,
     ) -> "DeviceGroup":
         """Normalize a ``device=`` argument into a group: an existing group
         is adopted as-is, a bare :class:`DeviceSimulator` becomes the
@@ -150,7 +146,6 @@ class DeviceGroup:
                 spec=spec,
                 interconnect="pcie" if interconnect is None else interconnect,
                 schedule_table=schedule_table,
-                default_schedule_quality=default_schedule_quality,
             )
         if schedule_table and any(
             member.schedule_table != dict(schedule_table) for member in devices.devices

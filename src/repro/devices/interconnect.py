@@ -18,8 +18,8 @@ what makes placement-policy comparisons honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -46,21 +46,15 @@ class Interconnect:
         return self.latency_us + float(nbytes) / (self.bandwidth_gbps * 1e3)
 
     @classmethod
-    def preset(cls, name: str, **overrides) -> "Interconnect":
-        """A named interconnect preset (``pcie``, ``nvlink``), optionally
-        with field overrides."""
+    def preset(cls, name: str) -> "Interconnect":
+        """A named interconnect preset (``pcie``, ``nvlink``)."""
         try:
-            base = INTERCONNECT_PRESETS[name]
+            return INTERCONNECT_PRESETS[name]
         except KeyError:
             raise ValueError(
                 f"unknown interconnect preset {name!r}; available presets: "
                 f"{', '.join(sorted(INTERCONNECT_PRESETS))}"
             ) from None
-        return replace(base, **overrides) if overrides else base
-
-    @classmethod
-    def available_presets(cls) -> Tuple[str, ...]:
-        return tuple(sorted(INTERCONNECT_PRESETS))
 
 
 INTERCONNECT_PRESETS: Dict[str, Interconnect] = {

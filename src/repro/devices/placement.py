@@ -6,8 +6,8 @@ device index within the runtime's :class:`~repro.devices.group.DeviceGroup`
 — possibly splitting batches into per-device shards.  Policies are
 string-keyed through a registry mirroring the scheduler-policy and
 flush-policy registries: runtimes resolve them by name via
-:func:`make_placement`, and third parties add their own with
-:func:`register_placement`.
+``PLACEMENTS.make``, and third parties add their own with the
+``@PLACEMENTS.register("name")`` decorator.
 
 Built-in policies:
 
@@ -36,7 +36,7 @@ computes.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -48,9 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernels.batched import BlockKernel
     from .group import DeviceGroup
 
-PlacementFactory = Callable[..., "PlacementPolicy"]
-
-_PLACEMENTS = Registry("placement policy")
+PLACEMENTS = Registry("placement policy")
 
 
 class PlacementPolicy:
@@ -97,48 +95,17 @@ class PlacementPolicy:
         return f"{type(self).__name__}()"
 
 
-# -- registry -----------------------------------------------------------------
-
-
-def register_placement(
-    name: str,
-    factory: Optional[PlacementFactory] = None,
-    *,
-    overwrite: bool = False,
-) -> Any:
-    """Register a placement policy under ``name`` (plain call or decorator).
-
-    Registering an existing name raises unless ``overwrite=True``.
-    """
-    return _PLACEMENTS.register(name, factory, overwrite=overwrite)
-
-
-def unregister_placement(name: str) -> None:
-    """Remove a placement policy from the registry (no-op for unknown names)."""
-    _PLACEMENTS.unregister(name)
-
-
-def available_placements() -> Tuple[str, ...]:
-    """Names of all registered placement policies, sorted."""
-    return _PLACEMENTS.available()
-
-
-def make_placement(name: str, **policy_args: Any) -> PlacementPolicy:
-    """Instantiate the placement policy registered under ``name``."""
-    return _PLACEMENTS.make(name, **policy_args)
-
-
 # -- built-in policies --------------------------------------------------------
 
 
-@register_placement("single")
+@PLACEMENTS.register("single")
 class SinglePlacement(PlacementPolicy):
     """Everything on device 0 (the degenerate, pre-sharding placement)."""
 
     name = "single"
 
 
-@register_placement("round_robin")
+@PLACEMENTS.register("round_robin")
 class RoundRobinPlacement(PlacementPolicy):
     """Request-level sharding: instance ``i`` executes on device ``i % N``.
 
@@ -177,7 +144,7 @@ class RoundRobinPlacement(PlacementPolicy):
         return placed
 
 
-@register_placement("data_parallel")
+@PLACEMENTS.register("data_parallel")
 class DataParallelPlacement(PlacementPolicy):
     """Split big batches into contiguous per-device shards; keep small ones,
     rotating them round-robin over a per-round home device.

@@ -6,9 +6,10 @@ interpreter, the DyNet baseline) and :mod:`repro.runtime`:
 * :class:`ExecutionEngine` — owns runtime construction, device wiring,
   instance-argument binding and the timed run the statistics fold reads
   (the runtime itself resolves the scheduler and placement names);
-* the scheduler-policy registry — string-keyed scheduling strategies
-  (``inline_depth``, ``dynamic_depth``, ``agenda``, ``nobatch``,
-  ``dynet``), extensible via :func:`register_scheduler`;
+* ``SCHEDULERS`` — the scheduler-policy registry: string-keyed scheduling
+  strategies (``inline_depth``, ``dynamic_depth``, ``agenda``,
+  ``nobatch``, ``dynet``); a third-party policy registers with the
+  ``@SCHEDULERS.register("name")`` decorator;
 * :class:`~repro.engine.engine.EngineModel` — the ``serve``/``run`` entry
   points every model front-end shares, written once over ``make_engine``;
   ``serve`` opens a persistent cross-request batching session, which (with
@@ -17,19 +18,11 @@ interpreter, the DyNet baseline) and :mod:`repro.runtime`:
 """
 
 from .engine import ExecutionEngine, InstanceArgBinder, ProgramBinding
-from .registry import (
-    available_policies,
-    make_scheduler,
-    register_scheduler,
-    unregister_scheduler,
-)
+from .registry import SCHEDULERS
 
 __all__ = [
     "ExecutionEngine",
     "InstanceArgBinder",
     "ProgramBinding",
-    "available_policies",
-    "make_scheduler",
-    "register_scheduler",
-    "unregister_scheduler",
+    "SCHEDULERS",
 ]

@@ -6,7 +6,7 @@ strategies that differ only in *where the schedule information comes from*
 agendas).  The registry makes that pluggable: every scheduling strategy is a
 named *policy* whose factory builds a scheduler object with a
 ``schedule(nodes) -> List[ScheduledBatch]`` method, resolved by name
-through :func:`make_scheduler` in one place: the runtime
+through ``SCHEDULERS.make`` in one place: the runtime
 (:class:`~repro.runtime.executor.AcrobatRuntime`) builds its scheduler from
 ``options.scheduler`` and ``options.scheduler_args``.
 
@@ -28,10 +28,10 @@ Built-in policies:
     accepts ``improvements=`` and ``kind=`` ("agenda" or "depth") policy
     arguments.
 
-Third-party policies register with :func:`register_scheduler`, either as a
+Third-party policies register with ``SCHEDULERS.register``, either as a
 plain call or as a decorator on a factory::
 
-    @register_scheduler("my_policy")
+    @SCHEDULERS.register("my_policy")
     def make_my_scheduler(kernels=None, options=None, **policy_args):
         return MyScheduler(...)
 
@@ -44,8 +44,6 @@ keywords they do not use.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
-
 from ..runtime.scheduler import (
     AgendaScheduler,
     DynamicDepthScheduler,
@@ -54,61 +52,17 @@ from ..runtime.scheduler import (
 )
 from ..utils import Registry
 
-SchedulerFactory = Callable[..., Any]
-
-_SCHEDULERS = Registry("scheduler policy")
-
-
-def register_scheduler(
-    name: str,
-    factory: Optional[SchedulerFactory] = None,
-    *,
-    overwrite: bool = False,
-) -> Any:
-    """Register a scheduler policy under ``name``.
-
-    Usable as a plain call (``register_scheduler("p", factory)``) or as a
-    decorator (``@register_scheduler("p")``).  Registering an existing name
-    raises unless ``overwrite=True``.
-    """
-    return _SCHEDULERS.register(name, factory, overwrite=overwrite)
-
-
-def unregister_scheduler(name: str) -> None:
-    """Remove a policy from the registry (no-op for unknown names)."""
-    _SCHEDULERS.unregister(name)
-
-
-def available_policies() -> Tuple[str, ...]:
-    """Names of all registered scheduler policies, sorted."""
-    return _SCHEDULERS.available()
-
-
-def make_scheduler(
-    name: str,
-    *,
-    kernels: Optional[Dict[int, Any]] = None,
-    options: Optional[Any] = None,
-    **policy_args: Any,
-) -> Any:
-    """Instantiate the scheduler policy registered under ``name``.
-
-    ``kernels`` and ``options`` describe the runtime the scheduler will serve
-    (policies that do not need them ignore them); extra keyword arguments are
-    forwarded to the policy factory.
-    """
-    return _SCHEDULERS.make(name, kernels=kernels, options=options, **policy_args)
-
+SCHEDULERS = Registry("scheduler policy")
 
 # -- built-in policies --------------------------------------------------------
 
-register_scheduler("inline_depth", lambda **_: InlineDepthScheduler())
-register_scheduler("dynamic_depth", lambda **_: DynamicDepthScheduler())
-register_scheduler("agenda", lambda **_: AgendaScheduler())
-register_scheduler("nobatch", lambda **_: NoBatchScheduler())
+SCHEDULERS.register("inline_depth", lambda **_: InlineDepthScheduler())
+SCHEDULERS.register("dynamic_depth", lambda **_: DynamicDepthScheduler())
+SCHEDULERS.register("agenda", lambda **_: AgendaScheduler())
+SCHEDULERS.register("nobatch", lambda **_: NoBatchScheduler())
 
 
-@register_scheduler("dynet")
+@SCHEDULERS.register("dynet")
 def _make_dynet_scheduler(kernels=None, options=None, **policy_args):
     # imported lazily: baselines.dynet sits above the engine layer
     from ..baselines.dynet import DyNetScheduler

@@ -49,13 +49,17 @@ class ExperimentScale:
     #: maps the paper's size names to the size names used for building models
     size_names: Tuple[str, ...] = ("small", "large")
     batch_sizes: Tuple[int, ...] = (8, 64)
+    #: Figure 5's batch-size sweep
+    figure5_batches: Tuple[int, ...] = (1, 2, 4, 8, 16)
     #: override of model sizes (e.g. "test") for the reduced scale
     size_override: Optional[str] = None
     seed: int = 0
 
 
-REDUCED = ExperimentScale(name="reduced", batch_sizes=(4, 16), size_override="test")
-PAPER = ExperimentScale(name="paper", batch_sizes=(8, 64))
+REDUCED = ExperimentScale(
+    name="reduced", batch_sizes=(4, 16), figure5_batches=(1, 2, 4, 8, 16), size_override="test"
+)
+PAPER = ExperimentScale(name="paper", batch_sizes=(8, 64), figure5_batches=(1, 2, 4, 8, 16, 32, 64, 128))
 
 
 def current_scale() -> ExperimentScale:

@@ -309,10 +309,6 @@ TABLE9 = PaperTable(
 )
 
 
-def _figure5_batches(scale: ExperimentScale) -> Tuple[int, ...]:
-    return (1, 2, 4, 8, 16) if scale.name == "reduced" else (1, 2, 4, 8, 16, 32, 64, 128)
-
-
 # Figure 5: speedup over eager (PyTorch-style) execution as the batch grows.
 # Expected shape: speedups grow with batch size (more batch parallelism for
 # ACROBAT, none for eager) and are smaller at the large model size, where
@@ -321,7 +317,7 @@ FIGURE5 = PaperTable(
     name="figure5",
     title="Figure 5: speedup over eager execution",
     headers=("model", "size", "batch", "eager_ms", "acrobat_ms", "speedup"),
-    rows=_grid(RECURSIVE, (eager, acrobat()), batches=_figure5_batches),
+    rows=_grid(RECURSIVE, (eager, acrobat()), batches=lambda scale: scale.figure5_batches),
     cells=speedup,
 )
 

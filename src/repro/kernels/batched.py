@@ -348,16 +348,9 @@ class _LaunchSource:
 class BlockKernel:
     """Executable batched form of one static block."""
 
-    def __init__(
-        self,
-        block: StaticBlock,
-        enable_fusion: bool = True,
-        enable_horizontal_fusion: bool = True,
-    ) -> None:
+    def __init__(self, block: StaticBlock, enable_fusion: bool = True) -> None:
         self.block = block
-        self.groups: List[KernelGroup] = fuse_block(
-            block, enable_standard=enable_fusion, enable_horizontal=enable_horizontal_fusion
-        )
+        self.groups: List[KernelGroup] = fuse_block(block, enable_fusion)
         self.group_names = [fused_kernel_name(block, g) for g in self.groups]
         #: (batch size, per input: shape, dtype and — varying inputs — the
         #: ``scattered`` flag) -> that launch's records (:meth:`_derive_records`)

@@ -96,21 +96,18 @@ def _would_create_cycle(block: StaticBlock, uf: _UnionFind, a: int, b: int) -> b
     return not _groups_are_acyclic(block, trial)
 
 
-def fuse_block(
-    block: StaticBlock,
-    enable_standard: bool = True,
-    enable_horizontal: bool = True,
-) -> List[KernelGroup]:
-    """Partition ``block``'s ops into fused kernel groups.
+def fuse_block(block: StaticBlock, enable_fusion: bool = True) -> List[KernelGroup]:
+    """Partition ``block``'s ops into fused kernel groups: standard
+    producer-consumer fusion, then horizontal fusion of same-op calls.
 
-    With both flags off every op becomes its own group (one kernel launch per
+    With fusion off every op becomes its own group (one kernel launch per
     operator, as in vendor-library based execution).
     """
     n = len(block.ops)
     uf = _UnionFind(n)
     consumers = block.consumers()
 
-    if enable_standard:
+    if enable_fusion:
         # Merge each elementwise/injective op into its (single-group) producer.
         for j, bop in enumerate(block.ops):
             opdef = get_op(bop.op_name)
@@ -133,7 +130,6 @@ def fuse_block(
                 ):
                     uf.union(extra, j)
 
-    if enable_horizontal:
         # Merge independent same-op calls that share an argument.
         by_signature: Dict[Tuple[str, Tuple], List[int]] = {}
         for j, bop in enumerate(block.ops):

@@ -32,8 +32,8 @@ still show everything charged to it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from ..kernels.batched import LaunchRecord
 
@@ -85,58 +85,6 @@ class GPUSpec:
             raise ValueError("GPUSpec.scattered_read_penalty must be >= 1.0")
         if not 0.0 < self.min_utilization <= 1.0:
             raise ValueError("GPUSpec.min_utilization must be in (0, 1]")
-
-    @classmethod
-    def preset(cls, name: str, **overrides) -> "GPUSpec":
-        """A named accelerator preset (``rtx3070``, ``a100``, ``laptop``),
-        optionally with field overrides."""
-        try:
-            base = GPU_PRESETS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown GPU preset {name!r}; available presets: "
-                f"{', '.join(sorted(GPU_PRESETS))}"
-            ) from None
-        # always a copy: specs are mutable dataclasses and the presets must
-        # stay pristine however callers tweak their instances
-        return replace(base, **overrides)
-
-    @classmethod
-    def available_presets(cls) -> Tuple[str, ...]:
-        return tuple(sorted(GPU_PRESETS))
-
-
-#: named accelerator presets.  ``rtx3070`` is the paper's evaluation card
-#: (and this simulator's historical default); ``a100`` is a datacenter-class
-#: part (HBM bandwidth, NVLink-era interconnect pairs well with it);
-#: ``laptop`` is a bandwidth-starved mobile part where device time dominates
-#: even at reduced scale — the sharding benchmark uses it so multi-device
-#: scaling is measured in the regime where sharding actually matters.
-GPU_PRESETS: Dict[str, GPUSpec] = {
-    "rtx3070": GPUSpec(name="simulated-rtx3070"),
-    "a100": GPUSpec(
-        name="simulated-a100",
-        launch_overhead_us=5.0,
-        api_overhead_us=4.0,
-        mem_bandwidth_gbps=1555.0,
-        peak_gflops=19500.0,
-        pcie_bandwidth_gbps=25.0,
-        memcpy_overhead_us=7.0,
-        saturation_flops=8.0e6,
-        min_utilization=0.02,
-    ),
-    "laptop": GPUSpec(
-        name="simulated-laptop",
-        launch_overhead_us=8.0,
-        api_overhead_us=6.0,
-        mem_bandwidth_gbps=45.0,
-        peak_gflops=1200.0,
-        pcie_bandwidth_gbps=6.0,
-        memcpy_overhead_us=10.0,
-        saturation_flops=5.0e5,
-        min_utilization=0.05,
-    ),
-}
 
 
 @dataclass
@@ -192,8 +140,6 @@ class DeviceSimulator:
         schedule_table: Optional[Dict[str, float]] = None,
         default_schedule_quality: float = 0.9,
     ) -> None:
-        if isinstance(spec, str):
-            spec = GPUSpec.preset(spec)
         self.spec = spec or GPUSpec()
         #: per-kernel schedule quality in (0, 1]; produced by the
         #: auto-scheduler (§C.1), higher is better.

@@ -160,8 +160,8 @@ class AcrobatRuntime:
         placement: Any = None,
     ) -> None:
         from ..devices.group import DeviceGroup
-        from ..devices.placement import make_placement
-        from ..engine.registry import make_scheduler
+        from ..devices.placement import PLACEMENTS
+        from ..engine.registry import SCHEDULERS
 
         self.kernels = kernels
         self.options = options or ExecutionOptions()
@@ -176,7 +176,7 @@ class AcrobatRuntime:
         #: the pending graph: ``(phase, depth, block_id) -> Column`` (see the
         #: module docstring)
         self._columns: Dict[Tuple[int, int, int], Column] = {}
-        self._scheduler = make_scheduler(
+        self._scheduler = SCHEDULERS.make(
             self.options.scheduler,
             kernels=kernels,
             options=self.options,
@@ -187,7 +187,7 @@ class AcrobatRuntime:
         if placement is None and self.device.num_devices > 1:
             placement = "round_robin"
         if isinstance(placement, str):
-            placement = make_placement(placement)
+            placement = PLACEMENTS.make(placement)
         elif placement is not None:
             # placement instances carry per-runtime rotation/EWMA state: a
             # second runtime sharing one would rotate the first's split

@@ -8,8 +8,8 @@ setting, where independent requests arrive continuously and must be batched
   :class:`SimulatedClock`) so deadline semantics and latency metrics are
   testable and benchmarkable without real waiting;
 * :mod:`repro.serve.policy` — :class:`FlushPolicy` and its string-keyed
-  registry (``manual``, ``size``, ``deadline``, ``adaptive``): *when* a
-  session's backlog executes as one batched round;
+  registry ``FLUSH_POLICIES`` (``manual``, ``size``, ``deadline``,
+  ``adaptive``): *when* a session's backlog executes as one batched round;
 * :mod:`repro.serve.request` — future-style :class:`RequestHandle` with
   per-request queueing/latency/launch-share statistics;
 * :mod:`repro.serve.session` — :class:`InferenceSession`, the persistent
@@ -33,7 +33,8 @@ setting, where independent requests arrive continuously and must be batched
   bursty) and :class:`~repro.serve.traffic.TrafficReport`, the
   per-endpoint outcome of a replay;
 * :mod:`repro.serve.topology` — the sharded serving front door: the loop
-  topology registry (``single``/``per_device``/``per_endpoint``) and
+  topology registry ``TOPOLOGIES`` (``single``/``per_device``/
+  ``per_endpoint``) and
   cross-loop work-stealing.
 
 Entry points: ``compile_model(...).serve(policy="adaptive")`` opens a
@@ -55,15 +56,12 @@ from .loop import (
     ServeLoop,
 )
 from .policy import (
+    FLUSH_POLICIES,
     AdaptivePolicy,
     DeadlinePolicy,
     FlushPolicy,
     ManualPolicy,
     SizePolicy,
-    available_flush_policies,
-    make_flush_policy,
-    register_flush_policy,
-    unregister_flush_policy,
 )
 from .request import (
     RequestCancelled,
@@ -74,13 +72,11 @@ from .request import (
 from .server import Endpoint, Server
 from .session import InferenceSession, RoundAborted
 from .topology import (
+    TOPOLOGIES,
     LoopTopology,
     PerDeviceTopology,
     PerEndpointTopology,
     SingleTopology,
-    available_topologies,
-    make_topology,
-    register_topology,
 )
 from .traffic import TrafficReport, bursty_arrivals, poisson_arrivals
 
@@ -99,10 +95,7 @@ __all__ = [
     "SizePolicy",
     "DeadlinePolicy",
     "AdaptivePolicy",
-    "available_flush_policies",
-    "make_flush_policy",
-    "register_flush_policy",
-    "unregister_flush_policy",
+    "FLUSH_POLICIES",
     "RequestHandle",
     "RequestStats",
     "RequestCancelled",
@@ -115,9 +108,7 @@ __all__ = [
     "SingleTopology",
     "PerDeviceTopology",
     "PerEndpointTopology",
-    "register_topology",
-    "make_topology",
-    "available_topologies",
+    "TOPOLOGIES",
     "TrafficReport",
     "poisson_arrivals",
     "bursty_arrivals",

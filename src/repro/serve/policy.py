@@ -6,8 +6,8 @@ pending request ages while the session waits.  A :class:`FlushPolicy`
 encodes one point on that tradeoff.  Policies are string-keyed through a
 registry mirroring the scheduler-policy registry
 (:mod:`repro.engine.registry`): sessions resolve them by name via
-:func:`make_flush_policy`, and third parties add their own with
-:func:`register_flush_policy`.
+``FLUSH_POLICIES.make``, and third parties add their own with the
+``@FLUSH_POLICIES.register("name")`` decorator.
 
 Built-in policies:
 
@@ -37,16 +37,19 @@ policy *names* (plus arguments) around, not instances.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..utils import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import InferenceSession
 
-PolicyFactory = Callable[..., "FlushPolicy"]
+FLUSH_POLICIES = Registry("flush policy")
 
-_POLICIES = Registry("flush policy")
+#: the adaptive policy's launches-per-round estimate before its first flush
+ADAPTIVE_LAUNCH_PRIOR = 64.0
+#: weight of the newest observation in the adaptive policy's EWMAs
+ADAPTIVE_SMOOTHING = 0.5
 
 
 class FlushPolicy:
@@ -85,52 +88,17 @@ class FlushPolicy:
         return f"{type(self).__name__}()"
 
 
-# -- registry -----------------------------------------------------------------
-
-
-def register_flush_policy(
-    name: str,
-    factory: Optional[PolicyFactory] = None,
-    *,
-    overwrite: bool = False,
-) -> Any:
-    """Register a flush policy under ``name`` (plain call or decorator).
-
-    Registering an existing name raises unless ``overwrite=True``.
-    """
-    return _POLICIES.register(name, factory, overwrite=overwrite)
-
-
-def unregister_flush_policy(name: str) -> None:
-    """Remove a flush policy from the registry (no-op for unknown names)."""
-    _POLICIES.unregister(name)
-
-
-def available_flush_policies() -> Tuple[str, ...]:
-    """Names of all registered flush policies, sorted."""
-    return _POLICIES.available()
-
-
-def make_flush_policy(name: str, **policy_args: Any) -> FlushPolicy:
-    """Instantiate the flush policy registered under ``name``.
-
-    Keyword arguments are forwarded to the policy factory (e.g.
-    ``make_flush_policy("deadline", ms=5.0)``).
-    """
-    return _POLICIES.make(name, **policy_args)
-
-
 # -- built-in policies --------------------------------------------------------
 
 
-@register_flush_policy("manual")
+@FLUSH_POLICIES.register("manual")
 class ManualPolicy(FlushPolicy):
     """Never auto-flush: the caller drives ``flush()`` explicitly."""
 
     name = "manual"
 
 
-@register_flush_policy("size")
+@FLUSH_POLICIES.register("size")
 class SizePolicy(FlushPolicy):
     """Flush once ``n`` requests are pending."""
 
@@ -148,7 +116,7 @@ class SizePolicy(FlushPolicy):
         return f"SizePolicy(n={self.n})"
 
 
-@register_flush_policy("deadline")
+@FLUSH_POLICIES.register("deadline")
 class DeadlinePolicy(FlushPolicy):
     """Flush when the oldest pending request has waited ``ms`` milliseconds.
 
@@ -180,7 +148,7 @@ class DeadlinePolicy(FlushPolicy):
         return f"DeadlinePolicy(ms={self.ms})"
 
 
-@register_flush_policy("adaptive")
+@FLUSH_POLICIES.register("adaptive")
 class AdaptivePolicy(FlushPolicy):
     """Flush when waiting stops paying for itself.
 
@@ -214,32 +182,22 @@ class AdaptivePolicy(FlushPolicy):
     (a caller-driven session's, say).
 
     The launches-per-round estimate is an EWMA over observed flushes
-    (seeded with ``launch_prior``); the inter-arrival gap is an EWMA over
-    arrival timestamps on the session's clock.
+    (seeded with :data:`ADAPTIVE_LAUNCH_PRIOR`); the inter-arrival gap is
+    an EWMA over arrival timestamps on the session's clock.  Both weigh
+    the newest observation by :data:`ADAPTIVE_SMOOTHING`.
     """
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        max_batch: int = 64,
-        max_wait_ms: float = 20.0,
-        launch_prior: float = 64.0,
-        smoothing: float = 0.5,
-    ) -> None:
+    def __init__(self, max_batch: int = 64, max_wait_ms: float = 20.0) -> None:
         if max_batch < 1:
             raise ValueError("adaptive policy needs max_batch >= 1")
         if max_wait_ms < 0:
             raise ValueError("adaptive policy needs max_wait_ms >= 0")
-        if not 0 < smoothing <= 1:
-            raise ValueError("adaptive policy needs 0 < smoothing <= 1")
-        if launch_prior < 0:
-            raise ValueError("adaptive policy needs launch_prior >= 0")
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
-        self.smoothing = float(smoothing)
         #: EWMA of kernel launches per flushed round
-        self.round_launches = float(launch_prior)
+        self.round_launches = ADAPTIVE_LAUNCH_PRIOR
         #: EWMA of the inter-arrival gap in seconds (None until two submits)
         self.gap_s: Optional[float] = None
         self._last_arrival: Optional[float] = None
@@ -251,7 +209,7 @@ class AdaptivePolicy(FlushPolicy):
             if self.gap_s is None:
                 self.gap_s = gap
             else:
-                self.gap_s = self.smoothing * gap + (1 - self.smoothing) * self.gap_s
+                self.gap_s = ADAPTIVE_SMOOTHING * gap + (1 - ADAPTIVE_SMOOTHING) * self.gap_s
         self._last_arrival = now
 
     def marginal_benefit_us(self, session: "InferenceSession") -> float:
@@ -299,7 +257,7 @@ class AdaptivePolicy(FlushPolicy):
     def note_flush(self, session: "InferenceSession", stats: Any) -> None:
         launches = float(stats.kernel_calls)
         self.round_launches = (
-            self.smoothing * launches + (1 - self.smoothing) * self.round_launches
+            ADAPTIVE_SMOOTHING * launches + (1 - ADAPTIVE_SMOOTHING) * self.round_launches
         )
 
     def __repr__(self) -> str:

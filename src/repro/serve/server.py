@@ -42,7 +42,7 @@ from .policy import FlushPolicy
 from .request import RequestHandle
 from .session import InferenceSession
 from .sim import TraceDriver
-from .topology import LoopTopology, make_topology
+from .topology import TOPOLOGIES, LoopTopology
 from .traffic import TrafficReport
 
 #: endpoint names Server.summary() uses for its own aggregate entries
@@ -213,8 +213,8 @@ class Server:
     <repro.devices.group.DeviceGroup.coerce>` takes: a
     :class:`~repro.runtime.device.DeviceSimulator` (the one-member group
     adopting it), a ready :class:`~repro.devices.group.DeviceGroup`, an
-    integer member count or a list of :class:`GPUSpec`/preset names
-    (heterogeneous groups).  With more than one member, endpoints shard
+    integer member count or a list of :class:`GPUSpec`\\ s (heterogeneous
+    groups).  With more than one member, endpoints shard
     their flush batches across the group under ``placement`` (a
     :mod:`repro.devices.placement` registry name or instance, default
     ``round_robin``), and cross-device operand traffic is priced by
@@ -271,7 +271,7 @@ class Server:
         if isinstance(topology, LoopTopology):
             self.topology = topology
         elif isinstance(topology, str):
-            self.topology = make_topology(topology, **(topology_args or {}))
+            self.topology = TOPOLOGIES.make(topology, **(topology_args or {}))
         else:
             raise TypeError(
                 "topology must be a registry name or a LoopTopology instance, "

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 from ..runtime.executor import RunStats
 from ..runtime.tensor import materialize_value
 from .clock import Clock, WallClock
-from .policy import FlushPolicy, ManualPolicy, make_flush_policy
+from .policy import FLUSH_POLICIES, FlushPolicy, ManualPolicy
 from .request import RequestCancelled, RequestHandle, RequestStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,7 +99,7 @@ class InferenceSession:
         if policy is None:
             policy = ManualPolicy()
         elif isinstance(policy, str):
-            policy = make_flush_policy(policy, **(policy_args or {}))
+            policy = FLUSH_POLICIES.make(policy, **(policy_args or {}))
         elif isinstance(policy, FlushPolicy):
             if policy_args:
                 raise ValueError(

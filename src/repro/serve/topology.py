@@ -5,9 +5,9 @@ A single :class:`~repro.serve.loop.ServeLoop` is a scaling ceiling: every
 flush's host share — DFG building, scheduling, placement, launch API calls
 — serializes with intake on one event loop, so once the host is the
 bottleneck, adding devices buys nothing.  This module shards the front
-door.  A **loop topology** (registry, mirroring the scheduler/flush/
-placement registries) decides how many loops a server runs and which
-slice of the device group each owns:
+door.  A **loop topology** (``TOPOLOGIES``, a registry mirroring the
+scheduler/flush/placement registries) decides how many loops a server
+runs and which slice of the device group each owns:
 
 * ``single`` — the historical one-loop server (default; bit-compatible);
 * ``per_device`` — one loop per device-group member (or per
@@ -37,7 +37,7 @@ bit-for-bit.  The ``single`` topology is the driver's k=1 case.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ..utils import Registry
 from .loop import ServeLoop
@@ -47,37 +47,11 @@ __all__ = [
     "SingleTopology",
     "PerDeviceTopology",
     "PerEndpointTopology",
-    "register_topology",
-    "make_topology",
-    "available_topologies",
+    "TOPOLOGIES",
 ]
 
 
-# -- topology registry ---------------------------------------------------------
-
-_TOPOLOGIES = Registry("loop topology", listing="available")
-
-
-def register_topology(name: str):
-    """Register a topology class under ``name`` (decorator), mirroring the
-    scheduler/flush-policy/placement registries."""
-
-    def deco(cls):
-        _TOPOLOGIES.register(name, cls)
-        cls.name = name
-        return cls
-
-    return deco
-
-
-def make_topology(name: str, **kwargs: Any) -> "LoopTopology":
-    """Instantiate the loop topology registered under ``name``."""
-    return _TOPOLOGIES.make(name, **kwargs)
-
-
-def available_topologies() -> Tuple[str, ...]:
-    """Names of all registered loop topologies, sorted."""
-    return _TOPOLOGIES.available()
+TOPOLOGIES = Registry("loop topology", listing="available")
 
 
 class LoopTopology:
@@ -127,10 +101,12 @@ class LoopTopology:
         return f"{type(self).__name__}(loops={len(self.loops)})"
 
 
-@register_topology("single")
+@TOPOLOGIES.register("single")
 class SingleTopology(LoopTopology):
     """The historical one-loop front door (default): the server's own
     loop serves every endpoint over the whole device (group)."""
+
+    name = "single"
 
     def __init__(self, steal_min: Optional[int] = None) -> None:
         super().__init__(steal_min=steal_min)
@@ -160,13 +136,15 @@ def _fresh_complement(server: Any, width: int) -> Any:
     )
 
 
-@register_topology("per_device")
+@TOPOLOGIES.register("per_device")
 class PerDeviceTopology(LoopTopology):
     """One loop per device-group member (or per ``members_per_loop``-sized
     slice): every endpoint is replicated into every loop over its slice,
     so N host lanes feed N device lanes in parallel — the sharded front
     door.  ``members_per_loop > 1`` keeps placement-sharded rounds inside
     each loop's sub-group (placement composes unchanged underneath)."""
+
+    name = "per_device"
 
     def __init__(
         self, members_per_loop: int = 1, steal_min: Optional[int] = 2
@@ -227,13 +205,15 @@ def _loops_over_complements(server: Any, complements: List[Any]) -> List[ServeLo
     return loops
 
 
-@register_topology("per_endpoint")
+@TOPOLOGIES.register("per_endpoint")
 class PerEndpointTopology(LoopTopology):
     """One loop per endpoint, each over its own fresh device complement
     (``devices_per_loop`` wide, default: mirror the server's group).  The
     hard isolation topology: endpoints never contend for a loop or a
     simulator, at the cost of static device partitioning.  Loops share no
     endpoints, so work-stealing is structurally off."""
+
+    name = "per_endpoint"
 
     def __init__(
         self,

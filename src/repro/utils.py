@@ -94,7 +94,10 @@ def flatten_arrays(value: Any) -> list:
 
 class Registry:
     """String-keyed factory table: the one implementation behind the
-    scheduler, flush-policy, placement and loop-topology registries.
+    scheduler, flush-policy, placement and loop-topology registries
+    (``SCHEDULERS``, ``FLUSH_POLICIES``, ``PLACEMENTS``, ``TOPOLOGIES``).
+    Callers use :meth:`make` and :meth:`available`; built-ins and third
+    parties add entries with :meth:`register`, usually as a decorator.
 
     ``kind`` names what is registered in error messages (``"scheduler
     policy"``); ``listing`` is the phrase introducing the registered names
@@ -138,13 +141,17 @@ class Registry:
         """Registered names, sorted."""
         return tuple(sorted(self._factories))
 
-    def make(self, name: str, **kwargs: Any) -> Any:
-        """Call the factory registered under ``name`` with ``kwargs``."""
+    def lookup(self, name: str) -> Callable[..., Any]:
+        """The factory registered under ``name``; an unknown name raises a
+        ``ValueError`` listing the registered ones."""
         try:
-            factory = self._factories[name]
+            return self._factories[name]
         except KeyError:
             raise ValueError(
                 f"unknown {self.kind} {name!r}; {self.listing}: "
                 f"{', '.join(self.available())}"
             ) from None
-        return factory(**kwargs)
+
+    def make(self, name: str, **kwargs: Any) -> Any:
+        """Call the factory registered under ``name`` with ``kwargs``."""
+        return self.lookup(name)(**kwargs)

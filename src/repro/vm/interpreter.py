@@ -187,7 +187,7 @@ class Interpreter:
                 attrs=attrs,
                 name=f"vm_{name}",
             )
-            kernel = BlockKernel(block, enable_fusion=False, enable_horizontal_fusion=False)
+            kernel = BlockKernel(block, enable_fusion=False)
             self.runtime.kernels[block.block_id] = kernel
             self._op_blocks[key] = block.block_id
         result = self.runtime.invoke(self._op_blocks[key], 0, 0, args)

@@ -31,7 +31,6 @@ from repro.ir import (
 )
 from repro.ir.visitor import collect
 from repro.models import berxit, birnn, drnn, mvrnn, nestedrnn, stackrnn, treelstm
-from repro.utils import values_allclose
 from tests.conftest import build_listing1_rnn
 
 
@@ -136,21 +135,6 @@ class TestTaint:
         )
         taint = analyze_taint(mod, ["xs"])
         assert taint.is_tainted(b) and taint.is_invariant(w)
-
-    def test_birnn_without_duplication_is_correct(self):
-        # one @rnn called with forward and with backward weights: without the
-        # per-binding copies its weights are not shared, not the first row's
-        mod, params, size = birnn.build_for("test")
-        batch = birnn.make_batch(mod, size, 3, 0)
-        compiled = compile_model(mod, params, CompilerOptions(specialization=False))
-        rnn_inputs = [
-            inp.shared for k in compiled.kernels.values() if k.block.name.startswith("rnn")
-            for inp in k.block.inputs
-        ]
-        assert rnn_inputs and not any(rnn_inputs)
-        outputs, _ = compiled.run(batch)
-        for out, ref in zip(outputs, reference_run(mod, params, batch)):
-            assert values_allclose(out, ref)
 
 
 class TestStructure:
@@ -278,10 +262,6 @@ class TestDuplication:
         mod, _, _ = treelstm.build_for("test")
         spec = specialize_functions(mod)
         assert set(spec.functions) == set(mod.functions)
-
-    def test_disabled_returns_module_unchanged(self):
-        mod, _, _ = birnn.build_for("test")
-        assert specialize_functions(mod, enabled=False) is mod
 
     def test_specialized_copy_calls_itself(self):
         mod, _, _ = birnn.build_for("test")

@@ -298,6 +298,18 @@ class TestExperimentsSmoke:
         assert len(rows) == 1 and rows[0][0] == "treelstm"
         assert rows[0][-1] > 0
 
+    def test_figure5_rows_follow_the_scale_sweep(self):
+        """Figure 5's batch sweep is a field of the scale: the short sweep
+        unless a scale names the paper's, whatever the scale is called."""
+        from repro.experiments.harness import PAPER, REDUCED
+        from repro.experiments.tables import TABLES
+
+        rows = TABLES["figure5"].rows(_tiny_scale(), models=("treelstm",))
+        assert [(r.model, r.size, r.batch) for r in rows] == [("treelstm", "test", b) for b in (1, 2, 4, 8, 16)]
+        for scale, top in ((REDUCED, 16), (PAPER, 128)):
+            rows = TABLES["figure5"].rows(scale, models=("treelstm",))
+            assert max(r.batch for r in rows) == top
+
     def test_figure6_levels_columns(self):
         from repro.experiments.tables import TABLES
 

@@ -24,14 +24,6 @@ def rnn_compiled():
 
 
 class TestCompilerOptions:
-    def test_effective_resolves_dependencies(self):
-        opts = CompilerOptions(inline_depth=False).effective()
-        assert not opts.concurrent_fibers and not opts.hoisting
-
-    def test_effective_fusion_dependency(self):
-        opts = CompilerOptions(kernel_fusion=False).effective()
-        assert not opts.horizontal_fusion
-
     def test_ablation_levels_are_cumulative(self):
         levels = CompilerOptions.ablation_levels()
         assert len(levels) == 6
@@ -195,10 +187,8 @@ class TestCompiledModelDriver:
             CompilerOptions(kernel_fusion=False),
             CompilerOptions(grain_size_coarsening=False),
             CompilerOptions(inline_depth=False),
-            CompilerOptions(program_phases=False, ghost_ops=False),
+            CompilerOptions(program_phases=False),
             CompilerOptions(gather_fusion=False),
-            CompilerOptions(hoisting=False),
-            CompilerOptions(specialization=False),
         ],
     )
     def test_every_option_combination_is_numerically_correct(self, options):

@@ -1,4 +1,4 @@
-"""Tests for the multi-device subsystem: GPU presets, interconnects, device
+"""Tests for the multi-device subsystem: GPU specs, interconnects, device
 groups, placement policies, cross-device transfer pricing, and
 reference-identity of every placement across models, scheduler policies and
 device counts."""
@@ -13,12 +13,9 @@ from repro.devices import (
     DeviceGroup,
     Interconnect,
     PlacementPolicy,
+    PLACEMENTS,
     RoundRobinPlacement,
     SinglePlacement,
-    available_placements,
-    make_placement,
-    register_placement,
-    unregister_placement,
 )
 from repro.kernels.batched import LaunchRecord
 from repro.models import MODEL_MODULES
@@ -37,6 +34,10 @@ ALL_PLACEMENTS = ("single", "round_robin", "data_parallel")
 SHARDING_PLACEMENTS = ("round_robin", "data_parallel")
 
 SCHEDULERS = ("inline_depth", "dynamic_depth", "agenda", "nobatch", "dynet")
+
+#: two distinct accelerators for heterogeneous groups
+BIG = GPUSpec(name="big", mem_bandwidth_gbps=1555.0, peak_gflops=19500.0)
+SMALL = GPUSpec(name="small", mem_bandwidth_gbps=45.0, peak_gflops=1200.0)
 
 
 def build(model_name, batch=BATCH, seed=11, scheduler=None):
@@ -65,34 +66,11 @@ def birnn():
 
 
 # ---------------------------------------------------------------------------
-# GPUSpec presets and validation
+# GPUSpec validation
 # ---------------------------------------------------------------------------
 
 
-class TestGPUSpecPresets:
-    def test_named_presets_exist(self):
-        for name in ("rtx3070", "a100", "laptop"):
-            spec = GPUSpec.preset(name)
-            assert isinstance(spec, GPUSpec)
-            assert name in GPUSpec.available_presets()
-
-    def test_preset_returns_a_copy(self):
-        a = GPUSpec.preset("laptop")
-        a.mem_bandwidth_gbps = 1.0
-        assert GPUSpec.preset("laptop").mem_bandwidth_gbps != 1.0
-
-    def test_preset_overrides(self):
-        spec = GPUSpec.preset("a100", launch_overhead_us=9.0)
-        assert spec.launch_overhead_us == 9.0
-        assert spec.name == "simulated-a100"
-
-    def test_unknown_preset_lists_available(self):
-        with pytest.raises(ValueError, match="rtx3070"):
-            GPUSpec.preset("tpu9000")
-
-    def test_default_spec_matches_rtx3070(self):
-        assert GPUSpec.preset("rtx3070").mem_bandwidth_gbps == GPUSpec().mem_bandwidth_gbps
-
+class TestGPUSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -109,10 +87,6 @@ class TestGPUSpecPresets:
         with pytest.raises(ValueError):
             GPUSpec(**kwargs)
 
-    def test_simulator_accepts_preset_name(self):
-        sim = DeviceSimulator(spec="laptop")
-        assert sim.spec.name == "simulated-laptop"
-
 
 # ---------------------------------------------------------------------------
 # Interconnect
@@ -124,7 +98,6 @@ class TestInterconnect:
         pcie = Interconnect.preset("pcie")
         nvlink = Interconnect.preset("nvlink")
         assert nvlink.bandwidth_gbps > pcie.bandwidth_gbps
-        assert set(Interconnect.available_presets()) >= {"pcie", "nvlink"}
 
     def test_transfer_time(self):
         link = Interconnect(name="x", bandwidth_gbps=1.0, latency_us=3.0)
@@ -149,25 +122,25 @@ class TestInterconnect:
 
 class TestDeviceGroup:
     def test_basic_construction(self):
-        group = DeviceGroup(3, spec="laptop")
+        group = DeviceGroup(3, spec=SMALL)
         assert len(group) == 3
         assert group.num_devices == 3
         # members are addressed by position
         assert [group.device_for(i) for i in range(3)] == list(group)
         assert group.device_for(2) is group[2]
-        assert group.spec.name == "simulated-laptop"
+        assert group.spec is SMALL
 
     def test_heterogeneous_specs(self):
-        group = DeviceGroup(["a100", GPUSpec.preset("laptop")])
-        assert group[0].spec.name == "simulated-a100"
-        assert group[1].spec.name == "simulated-laptop"
+        group = DeviceGroup([BIG, SMALL])
+        assert group[0].spec is BIG
+        assert group[1].spec is SMALL
         assert "heterogeneous" in repr(group)
 
     def test_spec_list_with_count(self):
-        group = DeviceGroup(2, spec=["a100", "laptop"])
-        assert group[1].spec.name == "simulated-laptop"
+        group = DeviceGroup(2, spec=[BIG, SMALL])
+        assert group[1].spec is SMALL
         with pytest.raises(ValueError, match="one spec per device"):
-            DeviceGroup(3, spec=["a100", "laptop"])
+            DeviceGroup(3, spec=[BIG, SMALL])
 
     def test_adopts_existing_simulators_without_mutating(self):
         sims = [DeviceSimulator(), DeviceSimulator()]
@@ -184,7 +157,7 @@ class TestDeviceGroup:
 
     def test_mixed_simulators_and_specs_rejected(self):
         with pytest.raises(TypeError, match="not a mixture"):
-            DeviceGroup([DeviceSimulator(), "a100"])
+            DeviceGroup([DeviceSimulator(), BIG])
 
     def test_needs_at_least_one_device(self):
         with pytest.raises(ValueError):
@@ -316,34 +289,34 @@ def _batch(instance_ids, block_id=0, args=lambda row: (), device=0):
 
 class TestPlacementRegistry:
     def test_builtins_listed(self):
-        names = available_placements()
+        names = PLACEMENTS.available()
         for name in ALL_PLACEMENTS:
             assert name in names
 
     def test_make_placement(self):
-        assert isinstance(make_placement("single"), SinglePlacement)
-        assert isinstance(make_placement("round_robin"), RoundRobinPlacement)
-        policy = make_placement("data_parallel", min_shard=4)
+        assert isinstance(PLACEMENTS.make("single"), SinglePlacement)
+        assert isinstance(PLACEMENTS.make("round_robin"), RoundRobinPlacement)
+        policy = PLACEMENTS.make("data_parallel", min_shard=4)
         assert isinstance(policy, DataParallelPlacement)
         assert policy.min_shard == 4
 
     def test_unknown_placement_lists_available(self):
         with pytest.raises(ValueError, match="round_robin"):
-            make_placement("astrology")
+            PLACEMENTS.make("astrology")
 
     def test_register_and_unregister(self):
         class Custom(PlacementPolicy):
             name = "custom_test_placement"
 
-        register_placement("custom_test_placement", lambda **_: Custom())
+        PLACEMENTS.register("custom_test_placement", lambda **_: Custom())
         try:
-            assert "custom_test_placement" in available_placements()
-            assert isinstance(make_placement("custom_test_placement"), Custom)
+            assert "custom_test_placement" in PLACEMENTS.available()
+            assert isinstance(PLACEMENTS.make("custom_test_placement"), Custom)
             with pytest.raises(ValueError, match="already registered"):
-                register_placement("custom_test_placement", lambda **_: Custom())
+                PLACEMENTS.register("custom_test_placement", lambda **_: Custom())
         finally:
-            unregister_placement("custom_test_placement")
-        assert "custom_test_placement" not in available_placements()
+            PLACEMENTS.unregister("custom_test_placement")
+        assert "custom_test_placement" not in PLACEMENTS.available()
 
     @pytest.mark.parametrize("name", ["single", "round_robin"])
     def test_stateless_policies_ignore_history(self, name):
@@ -358,7 +331,7 @@ class TestPlacementRegistry:
                 for b in policy.place_round(batches, group, {})
             ]
 
-        policy = make_placement(name)
+        policy = PLACEMENTS.make(name)
         fresh = place()
         for _ in range(3):
             policy.place_round([_batch([2, 3, 4])], group, {})
@@ -843,7 +816,7 @@ class TestEngineWiring:
         bare simulator is adopted as its only member and keeps showing
         everything charged to it."""
         compiled, instances, _ = treelstm
-        for device in (None, DeviceSimulator(), DeviceGroup(2), 2, ["a100", "laptop"]):
+        for device in (None, DeviceSimulator(), DeviceGroup(2), 2, [BIG, SMALL]):
             assert type(compiled.make_engine(device).device) is DeviceGroup
         sim = DeviceSimulator()
         engine = compiled.make_engine(sim)
@@ -911,7 +884,7 @@ class TestEngineWiring:
 
     def test_group_passthrough(self, treelstm):
         compiled, _, _ = treelstm
-        group = DeviceGroup(2, spec="laptop", interconnect="nvlink")
+        group = DeviceGroup(2, spec=SMALL, interconnect="nvlink")
         engine = compiled.make_engine(device=group)
         assert engine.device is group
 

@@ -4,12 +4,7 @@ equivalence across backends, and cross-request batching sessions."""
 import pytest
 
 from repro import CompilerOptions, compile_model, reference_run
-from repro.engine import (
-    available_policies,
-    make_scheduler,
-    register_scheduler,
-    unregister_scheduler,
-)
+from repro.engine import SCHEDULERS
 from repro.serve import InferenceSession
 from repro.models import MODEL_MODULES
 from repro.runtime.scheduler import (
@@ -36,49 +31,49 @@ def treelstm_setup():
 
 class TestRegistry:
     def test_builtin_policy_lookup(self):
-        assert isinstance(make_scheduler("inline_depth"), InlineDepthScheduler)
-        assert isinstance(make_scheduler("dynamic_depth"), DynamicDepthScheduler)
-        assert isinstance(make_scheduler("agenda"), AgendaScheduler)
-        assert isinstance(make_scheduler("nobatch"), NoBatchScheduler)
+        assert isinstance(SCHEDULERS.make("inline_depth"), InlineDepthScheduler)
+        assert isinstance(SCHEDULERS.make("dynamic_depth"), DynamicDepthScheduler)
+        assert isinstance(SCHEDULERS.make("agenda"), AgendaScheduler)
+        assert isinstance(SCHEDULERS.make("nobatch"), NoBatchScheduler)
 
     def test_builtins_are_listed(self):
-        names = available_policies()
+        names = SCHEDULERS.available()
         for name in ALL_POLICIES + ("dynet",):
             assert name in names
 
     def test_unknown_name_error_lists_policies(self):
         with pytest.raises(ValueError, match="inline_depth"):
-            make_scheduler("does_not_exist")
+            SCHEDULERS.make("does_not_exist")
 
     def test_registration_and_unregistration(self):
         class CustomScheduler(InlineDepthScheduler):
             pass
 
-        register_scheduler("custom_test_policy", lambda **_: CustomScheduler())
+        SCHEDULERS.register("custom_test_policy", lambda **_: CustomScheduler())
         try:
-            assert "custom_test_policy" in available_policies()
-            assert isinstance(make_scheduler("custom_test_policy"), CustomScheduler)
+            assert "custom_test_policy" in SCHEDULERS.available()
+            assert isinstance(SCHEDULERS.make("custom_test_policy"), CustomScheduler)
         finally:
-            unregister_scheduler("custom_test_policy")
-        assert "custom_test_policy" not in available_policies()
+            SCHEDULERS.unregister("custom_test_policy")
+        assert "custom_test_policy" not in SCHEDULERS.available()
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_scheduler("inline_depth", lambda **_: InlineDepthScheduler())
+            SCHEDULERS.register("inline_depth", lambda **_: InlineDepthScheduler())
 
     def test_decorator_registration(self):
-        @register_scheduler("custom_decorated_policy")
+        @SCHEDULERS.register("custom_decorated_policy")
         def factory(**_):
             return NoBatchScheduler()
 
         try:
-            assert isinstance(make_scheduler("custom_decorated_policy"), NoBatchScheduler)
+            assert isinstance(SCHEDULERS.make("custom_decorated_policy"), NoBatchScheduler)
         finally:
-            unregister_scheduler("custom_decorated_policy")
+            SCHEDULERS.unregister("custom_decorated_policy")
 
     def test_dynet_policy_validates_kind(self):
         with pytest.raises(ValueError, match="agenda"):
-            make_scheduler("dynet", kind="bogus")
+            SCHEDULERS.make("dynet", kind="bogus")
 
 
 class TestPolicyEquivalence:
@@ -95,7 +90,7 @@ class TestPolicyEquivalence:
 
     def test_custom_registered_policy_runs_through_engine(self, treelstm_setup):
         mod, params, instances, reference = treelstm_setup
-        register_scheduler("custom_equiv_policy", lambda **_: DynamicDepthScheduler())
+        SCHEDULERS.register("custom_equiv_policy", lambda **_: DynamicDepthScheduler())
         try:
             model = compile_model(
                 mod, params, CompilerOptions(scheduler="custom_equiv_policy")
@@ -103,7 +98,7 @@ class TestPolicyEquivalence:
             outs, _ = model.run(instances)
             assert all(values_allclose(r, o) for r, o in zip(reference, outs))
         finally:
-            unregister_scheduler("custom_equiv_policy")
+            SCHEDULERS.unregister("custom_equiv_policy")
 
     def test_nobatch_launches_one_batch_per_node(self, treelstm_setup):
         mod, params, instances, _ = treelstm_setup

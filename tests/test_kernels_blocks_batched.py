@@ -94,7 +94,7 @@ class TestFusion:
         assert len(groups) < 6  # strictly fewer kernels than operators
 
     def test_fusion_disabled_gives_one_group_per_op(self):
-        groups = fuse_block(rnn_cell_block(), enable_standard=False, enable_horizontal=False)
+        groups = fuse_block(rnn_cell_block(), enable_fusion=False)
         assert len(groups) == 6
         assert all(g.size == 1 for g in groups)
 
@@ -130,7 +130,7 @@ class TestFusion:
 
     def test_fused_kernel_name(self):
         block = rnn_cell_block()
-        groups = fuse_block(block, enable_standard=False, enable_horizontal=False)
+        groups = fuse_block(block, enable_fusion=False)
         assert fused_kernel_name(block, groups[0]) == "dense"
 
 
@@ -156,13 +156,13 @@ class TestBatchedExecution:
     def test_fusion_does_not_change_numerics(self):
         xs, hs, w, u, b = self._args(4)
         fused = BlockKernel(rnn_cell_block(), enable_fusion=True)
-        unfused = BlockKernel(rnn_cell_block(), enable_fusion=False, enable_horizontal_fusion=False)
+        unfused = BlockKernel(rnn_cell_block(), enable_fusion=False)
         out_f, _ = fused.execute_batched([xs, hs, w, u, b], 4)
         out_u, _ = unfused.execute_batched([xs, hs, w, u, b], 4)
         np.testing.assert_allclose(out_f[0][2], out_u[0][2], atol=1e-6)
 
     def test_launch_records_count_matches_groups(self):
-        kernel = BlockKernel(rnn_cell_block(), enable_fusion=False, enable_horizontal_fusion=False)
+        kernel = BlockKernel(rnn_cell_block(), enable_fusion=False)
         xs, hs, w, u, b = self._args(3)
         _, launches = kernel.execute_batched([xs, hs, w, u, b], 3)
         assert len(launches) == kernel.num_launches == 6
@@ -647,7 +647,7 @@ class TestBlockProgramProperty:
     )
     def test_random_blocks_match_the_oracle(self, block, fusion, batch_size, delivery, seed):
         rng = np.random.default_rng(seed)
-        kernel = BlockKernel(block, enable_fusion=fusion, enable_horizontal_fusion=fusion)
+        kernel = BlockKernel(block, enable_fusion=fusion)
         per_instance = [
             _random_like(rng, (2, 3), np.float32)
             if inp.shared
@@ -670,7 +670,7 @@ class TestBlockProgramProperty:
         unbuffered launch (and never alias a buffer), and the second launch
         of a class is a record-cache hit equal to a fresh derivation."""
         rng = np.random.default_rng(seed)
-        kernel = BlockKernel(block, enable_fusion=fusion, enable_horizontal_fusion=fusion)
+        kernel = BlockKernel(block, enable_fusion=fusion)
         per_instance = [
             _random_like(rng, (2, 3), np.float32)
             if inp.shared

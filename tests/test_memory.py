@@ -343,7 +343,7 @@ class TestPolicyEquivalenceUnderArenas:
 class TestSchedulerArgsOption:
     def test_runtime_fallback_forwards_scheduler_args(self):
         """Parameterized policies work without an engine: ExecutionOptions
-        carries the policy arguments to make_scheduler."""
+        carries the policy arguments to SCHEDULERS.make."""
         kernels = {0: BlockKernel(single_op_block(0, "relu", 1))}
         rt = AcrobatRuntime(
             kernels,

@@ -7,6 +7,7 @@ import pytest
 
 from repro import CompilerOptions, compile_model, reference_run
 from repro.serve import (
+    FLUSH_POLICIES,
     AdaptivePolicy,
     DeadlinePolicy,
     FlushPolicy,
@@ -15,12 +16,8 @@ from repro.serve import (
     Server,
     SimulatedClock,
     SizePolicy,
-    available_flush_policies,
     bursty_arrivals,
-    make_flush_policy,
     poisson_arrivals,
-    register_flush_policy,
-    unregister_flush_policy,
 )
 from repro.models import MODEL_MODULES
 from repro.utils import flatten_arrays, values_allclose
@@ -85,59 +82,52 @@ class TestClock:
 
 class TestPolicyRegistry:
     def test_builtins_listed(self):
-        names = available_flush_policies()
+        names = FLUSH_POLICIES.available()
         for name in BUILTIN_POLICIES:
             assert name in names
 
     def test_lookup_builds_policies(self):
-        assert isinstance(make_flush_policy("manual"), ManualPolicy)
-        assert isinstance(make_flush_policy("size", n=4), SizePolicy)
-        assert isinstance(make_flush_policy("deadline", ms=3.0), DeadlinePolicy)
-        assert isinstance(make_flush_policy("adaptive"), AdaptivePolicy)
+        assert isinstance(FLUSH_POLICIES.make("manual"), ManualPolicy)
+        assert isinstance(FLUSH_POLICIES.make("size", n=4), SizePolicy)
+        assert isinstance(FLUSH_POLICIES.make("deadline", ms=3.0), DeadlinePolicy)
+        assert isinstance(FLUSH_POLICIES.make("adaptive"), AdaptivePolicy)
 
     def test_unknown_name_lists_policies(self):
         with pytest.raises(ValueError, match="deadline"):
-            make_flush_policy("does_not_exist")
+            FLUSH_POLICIES.make("does_not_exist")
 
     def test_register_and_unregister(self):
         class CustomPolicy(SizePolicy):
             name = "custom_flush_test"
 
-        register_flush_policy("custom_flush_test", lambda **kw: CustomPolicy(**kw))
+        FLUSH_POLICIES.register("custom_flush_test", lambda **kw: CustomPolicy(**kw))
         try:
-            assert "custom_flush_test" in available_flush_policies()
-            assert isinstance(make_flush_policy("custom_flush_test", n=2), CustomPolicy)
+            assert "custom_flush_test" in FLUSH_POLICIES.available()
+            assert isinstance(FLUSH_POLICIES.make("custom_flush_test", n=2), CustomPolicy)
             with pytest.raises(ValueError, match="already registered"):
-                register_flush_policy("custom_flush_test", lambda **kw: CustomPolicy(**kw))
+                FLUSH_POLICIES.register("custom_flush_test", lambda **kw: CustomPolicy(**kw))
         finally:
-            unregister_flush_policy("custom_flush_test")
-        assert "custom_flush_test" not in available_flush_policies()
+            FLUSH_POLICIES.unregister("custom_flush_test")
+        assert "custom_flush_test" not in FLUSH_POLICIES.available()
 
     def test_invalid_policy_args(self):
         with pytest.raises(ValueError):
-            make_flush_policy("size", n=0)
+            FLUSH_POLICIES.make("size", n=0)
         with pytest.raises(ValueError):
-            make_flush_policy("deadline", ms=-1.0)
+            FLUSH_POLICIES.make("deadline", ms=-1.0)
         with pytest.raises(ValueError, match="max_wait_ms"):
-            make_flush_policy("adaptive", max_wait_ms=-1.0)
-        for smoothing in (0.0, 2.0):
-            with pytest.raises(ValueError, match="smoothing"):
-                make_flush_policy("adaptive", smoothing=smoothing)
-        with pytest.raises(ValueError, match="launch_prior"):
-            make_flush_policy("adaptive", launch_prior=-1.0)
+            FLUSH_POLICIES.make("adaptive", max_wait_ms=-1.0)
 
     @pytest.mark.parametrize(
         "name,value,attr",
         [
             ("max_wait_ms", 0.0, "max_wait_ms"),
-            ("smoothing", 1.0, "smoothing"),
-            ("launch_prior", 0.0, "round_launches"),
         ],
     )
     def test_adaptive_boundary_args_accepted(self, name, value, attr):
         """The closed ends of the adaptive policy's argument ranges are
         legal values, not errors."""
-        policy = make_flush_policy("adaptive", **{name: value})
+        policy = FLUSH_POLICIES.make("adaptive", **{name: value})
         assert getattr(policy, attr) == value
 
 
@@ -303,20 +293,6 @@ class TestAdaptivePolicy:
             session.submit(inst)
         session.flush()
         assert policy.round_launches != prior
-        assert policy.marginal_benefit_us(session) > 0
-
-    def test_full_smoothing_tracks_the_last_flush(self, treelstm_setup):
-        """smoothing=1 (the largest legal value) makes the launch estimate
-        the last flush's launch count: it never goes negative, so the
-        flush benefit stays positive."""
-        mod, params, instances, _ = treelstm_setup
-        model = compile_model(mod, params, CompilerOptions())
-        session = model.serve("adaptive", clock=SimulatedClock(), smoothing=1.0)
-        policy = session.policy
-        for inst in instances:
-            session.submit(inst)
-        session.flush()
-        assert policy.round_launches == session.last_stats.kernel_calls > 0
         assert policy.marginal_benefit_us(session) > 0
 
 
@@ -691,7 +667,7 @@ class TestSchedulerValidation:
 
     def test_unknown_scheduler_fails_for_vm_path(self, treelstm_setup):
         mod, params, _, _ = treelstm_setup
-        with pytest.raises(ValueError, match="registered policies"):
+        with pytest.raises(ValueError, match="available policies"):
             compile_model(
                 mod, params, CompilerOptions(aot=False, scheduler="not_a_policy")
             )
@@ -732,8 +708,8 @@ class TestServeFacade:
         import repro
 
         assert repro.Server is Server
-        assert isinstance(repro.make_flush_policy("size", n=2), SizePolicy)
-        assert "deadline" in repro.available_flush_policies()
+        assert isinstance(repro.FLUSH_POLICIES.make("size", n=2), SizePolicy)
+        assert "deadline" in repro.FLUSH_POLICIES.available()
 
     def test_custom_policy_subclass(self, treelstm_setup):
         """Third-party policies plug in through FlushPolicy."""

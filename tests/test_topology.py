@@ -6,7 +6,7 @@ import pytest
 
 from tests.conftest import build_listing1_rnn, rnn_instances
 from repro import CompilerOptions, compile_model, reference_run
-from repro.serve import Server, SimulatedClock, available_topologies, make_topology
+from repro.serve import TOPOLOGIES, Server, SimulatedClock
 from repro.utils import values_allclose
 
 HOST_MODEL = (2.0, 0.75)
@@ -38,12 +38,14 @@ def _serve(model, instances, topology="single", gap=0.001, meta=None, **kw):
 
 class TestRegistry:
     def test_builtin_topologies_registered(self):
-        names = available_topologies()
+        names = TOPOLOGIES.available()
         assert {"single", "per_device", "per_endpoint"} <= set(names)
+        for name in ("single", "per_device", "per_endpoint"):
+            assert TOPOLOGIES.make(name).name == name
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError, match="unknown loop topology"):
-            make_topology("no-such-topology")
+            TOPOLOGIES.make("no-such-topology")
 
     def test_per_device_requires_even_slices(self, rnn_setup):
         model, instances, _ = rnn_setup
