@@ -7,7 +7,7 @@ Package map:
 * :mod:`repro.analysis` -- static analyses (taint/parameter-reuse, hoisting,
   phases, duplication, structure).
 * :mod:`repro.kernels` -- operator registry, static blocks, fusion, batched
-  kernels, auto-scheduling.
+  kernels.
 * :mod:`repro.runtime` -- lazy DFGs, schedulers, batched executor, fibers,
   GPU simulator, and the round trace every run statistic is folded from.
 * :mod:`repro.memory` -- arena-backed batched tensor storage and the

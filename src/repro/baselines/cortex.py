@@ -83,7 +83,7 @@ class CortexModel:
 
     # -- public API ---------------------------------------------------------------
     def run(self, raw_instances: Sequence[Any]) -> Tuple[List[np.ndarray], RunStats]:
-        device = DeviceSimulator(spec=self.gpu_spec, default_schedule_quality=0.97)
+        device = DeviceSimulator(spec=self.gpu_spec, schedule_quality=0.97)
         start = time.perf_counter()
         if self.model_name == "treelstm":
             outputs = self._run_treelstm(raw_instances, device)

@@ -19,7 +19,7 @@ runtime construction, fibers, and statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -104,8 +104,6 @@ class CompiledModel(EngineModel):
     kernels: Dict[int, BlockKernel]
     instance_param_names: List[str]
     gpu_spec: Optional[GPUSpec] = None
-    #: per-kernel schedule qualities from the auto-scheduler (kernel name -> quality)
-    schedule_table: Dict[str, float] = field(default_factory=dict)
 
     # -- introspection -----------------------------------------------------------
     @property
@@ -169,7 +167,6 @@ class CompiledModel(EngineModel):
             options=self._exec_options(scheduler),
             device=device,
             gpu_spec=self.gpu_spec,
-            schedule_table=self.schedule_table,
             placement=placement,
         )
 

@@ -30,7 +30,7 @@ Heterogeneous groups are supported: pass one spec per device
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Sequence, Union
 
 from ..runtime.device import DeviceSimulator, GPUSpec
 from .interconnect import Interconnect
@@ -52,8 +52,6 @@ class DeviceGroup:
     interconnect:
         Peer-transfer cost model: an :class:`Interconnect` or a preset name
         (``"pcie"``, ``"nvlink"``).
-    schedule_table / default_schedule_quality:
-        Shared auto-scheduler results, applied to every member.
     """
 
     def __init__(
@@ -62,8 +60,6 @@ class DeviceGroup:
         *,
         spec: Union[GPUSpec, Sequence[GPUSpec], None] = None,
         interconnect: Union[Interconnect, str] = "pcie",
-        schedule_table: Optional[Dict[str, float]] = None,
-        default_schedule_quality: float = 0.9,
     ) -> None:
         if isinstance(interconnect, str):
             interconnect = Interconnect.preset(interconnect)
@@ -94,14 +90,7 @@ class DeviceGroup:
             # addresses members by position
             members = items
         else:
-            members = [
-                DeviceSimulator(
-                    spec=s,
-                    schedule_table=schedule_table,
-                    default_schedule_quality=default_schedule_quality,
-                )
-                for s in items
-            ]
+            members = [DeviceSimulator(spec=s) for s in items]
         self.devices: List[DeviceSimulator] = members
 
     @classmethod
@@ -113,7 +102,6 @@ class DeviceGroup:
         *,
         spec: Union[GPUSpec, Sequence[GPUSpec], None] = None,
         interconnect: Union[Interconnect, str, None] = None,
-        schedule_table: Optional[Dict[str, float]] = None,
     ) -> "DeviceGroup":
         """Normalize a ``device=`` argument into a group: an existing group
         is adopted as-is, a bare :class:`DeviceSimulator` becomes the
@@ -125,11 +113,7 @@ class DeviceGroup:
         ``interconnect=None`` means "the pcie default" when building a new
         group; an *explicit* interconnect combined with an already built
         group is rejected rather than silently ignored (the group keeps its
-        own interconnect).  Likewise a non-empty ``schedule_table`` (a tuned
-        model's per-kernel qualities) is rejected when an adopted simulator
-        or group was not built with the same table: adoption never mutates
-        it, so accepting it would silently simulate every kernel at
-        ``default_schedule_quality`` instead of its tuned quality."""
+        own interconnect)."""
         if isinstance(devices, DeviceSimulator):
             devices = cls([devices], interconnect="pcie" if interconnect is None else interconnect)
         elif isinstance(devices, cls):
@@ -145,20 +129,6 @@ class DeviceGroup:
                 1 if devices is None else devices,
                 spec=spec,
                 interconnect="pcie" if interconnect is None else interconnect,
-                schedule_table=schedule_table,
-            )
-        if schedule_table and any(
-            member.schedule_table != dict(schedule_table) for member in devices.devices
-        ):
-            raise ValueError(
-                "a tuned schedule_table cannot be combined with an already "
-                "built DeviceSimulator or DeviceGroup that was not "
-                "constructed with it (adoption never mutates it, so its "
-                "kernels would silently run at default_schedule_quality); "
-                "build it with DeviceSimulator(schedule_table="
-                "model.schedule_table) or DeviceGroup(n, schedule_table="
-                "model.schedule_table), or pass device as an int / spec "
-                "list instead"
             )
         return devices
 
@@ -247,10 +217,6 @@ class DeviceGroup:
         primary).  A wrong member guess is safe: the next use on another
         member charges a correctly-priced upload there."""
         self.device_for(device).note_resident(array)
-
-    def set_schedule_quality(self, kernel_name: str, quality: float) -> None:
-        for d in self.devices:
-            d.set_schedule_quality(kernel_name, quality)
 
     def __repr__(self) -> str:
         names = {d.spec.name for d in self.devices}

@@ -98,14 +98,13 @@ class ExecutionEngine:
         *,
         device: Any = None,
         gpu_spec: Optional[GPUSpec] = None,
-        schedule_table: Optional[Dict[str, float]] = None,
         placement: Any = None,
     ) -> None:
         self.program = program
         self.kernels = kernels
         self.options = options
         #: the device group this engine charges (see DeviceGroup.coerce)
-        self.device = DeviceGroup.coerce(device, spec=gpu_spec, schedule_table=schedule_table)
+        self.device = DeviceGroup.coerce(device, spec=gpu_spec)
         self.runtime = AcrobatRuntime(kernels, options, self.device, placement=placement)
         # deep model recursion (trees, long sequences) needs a high recursion
         # limit; raised once here rather than on every call

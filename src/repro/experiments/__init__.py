@@ -1,7 +1,7 @@
 """Experiment drivers that regenerate every table and figure of the paper's
 evaluation (§7) and the serving benchmarks.
 
-The eight paper tables (``table4``–``table9``, ``figure5``, ``figure6``) are
+The seven paper tables (``table4``–``table8``, ``figure5``, ``figure6``) are
 specs in :mod:`repro.experiments.tables` over one measured-row primitive
 (:func:`repro.experiments.harness.measure_row`); the deterministic serving
 experiments share one runner (:mod:`repro.experiments.runner`).  Every
@@ -9,7 +9,8 @@ experiment has a ``main()`` that prints its table and saves it under
 ``benchmarks/results/``; ``python -m repro.experiments table5`` runs one.
 
 Set ``REPRO_SCALE=paper`` to use the paper's model sizes and batch sizes
-(slower); the default ``reduced`` scale regenerates everything in minutes.
+(slower); the default ``reduced`` scale builds the ``test`` size and
+regenerates everything in minutes.
 """
 
 from . import (

@@ -69,7 +69,7 @@ SIZE_NAME = "small"
 
 #: bursty open-loop traffic at saturation: bursts of BURST near-simultaneous
 #: requests, average rate just above the single-device service rate
-ARRIVAL_RATE = {"reduced": 200.0, "paper": 200.0}
+ARRIVAL_RATE = 200.0
 NUM_REQUESTS = {"reduced": 48, "paper": 96}
 BURST = 6
 
@@ -84,13 +84,12 @@ HOST_MODEL = (2.0, 0.75)
 def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[List]]:
     """The intake-mode table (one row per model x policy x mode)."""
     scale = scale or current_scale()
-    n = NUM_REQUESTS.get(scale.name, 48)
-    rate = ARRIVAL_RATE.get(scale.name, 200.0)
+    n = NUM_REQUESTS[scale.name]
 
     rows: List[List] = []
     for model_name in MODELS:
         compiled, requests, reference = prepare(model_name, SIZE_NAME, n, scale.seed, scale.seed + 4)
-        trace = tag(bursty_arrivals(rate, n, burst=BURST, seed=scale.seed + 5), requests)
+        trace = tag(bursty_arrivals(ARRIVAL_RATE, n, burst=BURST, seed=scale.seed + 5), requests)
 
         for label, policy, policy_args in POLICIES:
             for mode in ("caller", "continuous"):

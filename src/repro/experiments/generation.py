@@ -135,8 +135,8 @@ def run(
 ) -> Tuple[Tuple[str, ...], List[List]]:
     """The generation table (one row per decoder cell x serving mode)."""
     scale = scale or current_scale()
-    n = NUM_SEQUENCES.get(scale.name, 8)
-    max_new = MAX_NEW_TOKENS.get(scale.name, 8)
+    n = NUM_SEQUENCES[scale.name]
+    max_new = MAX_NEW_TOKENS[scale.name]
 
     rows: List[List] = []
     for model_name in models:

@@ -7,9 +7,9 @@ the paper's tables.
 
 Two scales are supported:
 
-* ``reduced`` (default) — small hidden sizes and batch sizes so that the
-  whole table/figure suite regenerates in minutes on a laptop CPU.  This is
-  what the pytest benchmarks use.
+* ``reduced`` (default) — one model size, ``test``, and small batch sizes
+  so that the whole table/figure suite regenerates in minutes on a laptop
+  CPU.  This is what the pytest benchmarks use.
 * ``paper``   — the paper's hidden sizes (§7.1) and batch sizes {8, 64}.
   Slower, intended for manual runs of ``python -m repro.experiments``.
 
@@ -46,18 +46,16 @@ class ExperimentScale:
     """Workload scale used by the experiment drivers."""
 
     name: str
-    #: maps the paper's size names to the size names used for building models
+    #: the model sizes every row is built at, and labelled by
     size_names: Tuple[str, ...] = ("small", "large")
     batch_sizes: Tuple[int, ...] = (8, 64)
     #: Figure 5's batch-size sweep
     figure5_batches: Tuple[int, ...] = (1, 2, 4, 8, 16)
-    #: override of model sizes (e.g. "test") for the reduced scale
-    size_override: Optional[str] = None
     seed: int = 0
 
 
 REDUCED = ExperimentScale(
-    name="reduced", batch_sizes=(4, 16), figure5_batches=(1, 2, 4, 8, 16), size_override="test"
+    name="reduced", size_names=("test",), batch_sizes=(4, 16), figure5_batches=(1, 2, 4, 8, 16)
 )
 PAPER = ExperimentScale(name="paper", batch_sizes=(8, 64), figure5_batches=(1, 2, 4, 8, 16, 32, 64, 128))
 
@@ -65,10 +63,6 @@ PAPER = ExperimentScale(name="paper", batch_sizes=(8, 64), figure5_batches=(1, 2
 def current_scale() -> ExperimentScale:
     """Scale selected via the ``REPRO_SCALE`` environment variable."""
     return PAPER if os.environ.get("REPRO_SCALE", "reduced") == "paper" else REDUCED
-
-
-def resolve_size_name(scale: ExperimentScale, size_name: str) -> str:
-    return scale.size_override or size_name
 
 
 @lru_cache(maxsize=64)

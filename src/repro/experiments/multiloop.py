@@ -103,7 +103,7 @@ def run(
 ) -> Tuple[Tuple[str, ...], List[List]]:
     """The topology table (one row per loop topology, same trace)."""
     scale = scale or current_scale()
-    n = NUM_REQUESTS.get(scale.name, 160)
+    n = NUM_REQUESTS[scale.name]
     if quick:
         n = min(n, 160)
 

@@ -33,7 +33,6 @@ from .harness import (
     current_scale,
     format_table,
     publish,
-    resolve_size_name,
 )
 from .runner import Row, prepare, replay_row, tag, yes
 
@@ -76,10 +75,10 @@ HOST_MODEL = (0.5, 0.05)
 def run(scale: Optional[ExperimentScale] = None) -> Tuple[Tuple[str, ...], List[List]]:
     """The policy-matrix traffic table (one row per model x policy)."""
     scale = scale or current_scale()
-    n = NUM_REQUESTS.get(scale.name, 32)
-    rate = ARRIVAL_RATE.get(scale.name, 2500.0)
+    n = NUM_REQUESTS[scale.name]
+    rate = ARRIVAL_RATE[scale.name]
 
-    size_name = resolve_size_name(scale, scale.size_names[0])
+    size_name = scale.size_names[0]
     rows: List[List] = []
     for model_name in MODELS:
         compiled, requests, reference = prepare(model_name, size_name, n, scale.seed, scale.seed + 1)

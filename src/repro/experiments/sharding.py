@@ -88,7 +88,7 @@ INTERCONNECT = "nvlink"
 #: open-loop arrival rate (requests/second on the simulated clock), set
 #: well above the single-device service rate so the sweep measures serving
 #: capacity (open-loop saturation), and the per-scale trace length
-ARRIVAL_RATE = {"reduced": 1600.0, "paper": 1600.0}
+ARRIVAL_RATE = 1600.0
 NUM_REQUESTS = {"reduced": 48, "paper": 96}
 FLUSH_SIZE = 16
 #: deterministic host-cost model (ms/round, ms/request) standing in for the
@@ -130,12 +130,11 @@ def run(
     count (1 in the default sweep).
     """
     scale = scale or current_scale()
-    n = NUM_REQUESTS.get(scale.name, 48)
-    rate = ARRIVAL_RATE.get(scale.name, 1600.0)
+    n = NUM_REQUESTS[scale.name]
     device_counts = tuple(sorted(set(device_counts)))
 
     compiled, requests, reference = prepare(MODEL, SIZE_NAME, n, scale.seed, scale.seed + 3)
-    trace = tag(poisson_arrivals(rate, n, seed=scale.seed), requests)
+    trace = tag(poisson_arrivals(ARRIVAL_RATE, n, seed=scale.seed), requests)
     rows: List[List] = []
     for placement in PLACEMENTS:
         base_throughput: Optional[float] = None

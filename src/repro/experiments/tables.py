@@ -1,4 +1,4 @@
-"""The paper's evaluation (§7: Tables 4–9, Figures 5–6) as table specs.
+"""The paper's evaluation (§7: Tables 4–8, Figures 5–6) as table specs.
 
 Each :class:`PaperTable` names its rows (one workload each) and its columns
 (one backend each); :func:`~repro.experiments.harness.measure_row` measures
@@ -21,14 +21,11 @@ import numpy as np
 
 from ..baselines import DyNetImprovements
 from ..compiler.options import CompilerOptions
-from ..core.api import compile_model
-from ..kernels.autoscheduler import auto_schedule
 from ..runtime.executor import RunStats
 from .harness import (
     Cell,
     Column,
     ExperimentScale,
-    Workload,
     acrobat,
     cortex,
     current_scale,
@@ -37,7 +34,6 @@ from .harness import (
     format_table,
     measure_row,
     publish,
-    resolve_size_name,
     vm,
 )
 
@@ -113,7 +109,7 @@ def _grid(
 
     def rows(scale: ExperimentScale, models: Sequence[str] = models) -> List[Row]:
         return [
-            Row((model, size, batch), model, resolve_size_name(scale, size), batch, columns)
+            Row((model, size, batch), model, size, batch, columns)
             for model in models
             for size in scale.size_names
             for batch in batches(scale)
@@ -202,7 +198,7 @@ def _table6_rows(scale: ExperimentScale) -> List[Row]:
     batch = scale.batch_sizes[-1]
     configs = (("treelstm", scale.size_names[0]), ("birnn", scale.size_names[-1]))
     return [
-        Row((model,), model, resolve_size_name(scale, size), batch, (dynet(), acrobat()))
+        Row((model,), model, size, batch, (dynet(), acrobat()))
         for model, size in configs
     ]
 
@@ -259,56 +255,6 @@ TABLE8 = PaperTable(
 )
 
 
-TABLE9_BUDGETS = (100, 250, 500, 750, 1000)
-
-
-def _auto_scheduled(total_trials: int, use_pgo: bool) -> Column:
-    """ACROBAT after auto-scheduling with ``total_trials`` split uniformly
-    across kernels, or by profiled invocation counts (PGO)."""
-
-    def build(w: Workload):
-        compiled = compile_model(w.mod, w.params, CompilerOptions())
-        auto_schedule(
-            compiled,
-            total_trials=total_trials,
-            use_pgo=use_pgo,
-            sample_instances=w.instances if use_pgo else None,
-            seed=w.seed,
-        )
-        return {"acrobat": lambda: compiled.run(w.instances)[1]}
-
-    return build
-
-
-def _table9_rows(scale: ExperimentScale, budgets: Sequence[int] = TABLE9_BUDGETS) -> List[Row]:
-    size, batch = resolve_size_name(scale, "small"), scale.batch_sizes[0]
-    return [
-        Row((budget,), "nestedrnn", size, batch, (_auto_scheduled(budget, False), _auto_scheduled(budget, True)))
-        for budget in budgets
-    ]
-
-
-def _table9_cells(cells: Sequence[Cell]) -> List[float]:
-    # auto-scheduling only writes the device simulator's schedule table, so
-    # the simulated device time is the part of the latency PGO can move, and
-    # it is deterministic
-    return speedup(cells) + [cell.stats.device_total_ms for cell in cells]
-
-
-# Table 9: NestedRNN (small) under a swept auto-scheduling trial budget,
-# split uniformly (static estimate) or by profiled invocation counts (PGO).
-# The inner RNN's kernels run an order of magnitude more often than the
-# outer GRU's, so PGO reaches a good schedule for the kernels that matter
-# with a much smaller budget; the gap closes as the budget grows.
-TABLE9 = PaperTable(
-    name="table9",
-    title="Table 9: auto-scheduling with/without PGO (NestedRNN)",
-    headers=("trials", "latency_no_pgo_ms", "latency_pgo_ms", "pgo_benefit", "device_no_pgo_ms", "device_pgo_ms"),
-    rows=_table9_rows,
-    cells=_table9_cells,
-)
-
-
 # Figure 5: speedup over eager (PyTorch-style) execution as the batch grows.
 # Expected shape: speedups grow with batch size (more batch parallelism for
 # ACROBAT, none for eager) and are smaller at the large model size, where
@@ -356,5 +302,5 @@ FIGURE6 = PaperTable(
 
 
 TABLES: Dict[str, PaperTable] = {
-    table.name: table for table in (TABLE4, TABLE5, TABLE6, TABLE7, TABLE8, TABLE9, FIGURE5, FIGURE6)
+    table.name: table for table in (TABLE4, TABLE5, TABLE6, TABLE7, TABLE8, FIGURE5, FIGURE6)
 }

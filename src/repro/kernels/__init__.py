@@ -1,5 +1,5 @@
-"""Tensor-kernel layer: operator registry, static blocks, fusion, batched
-kernel generation and auto-scheduling."""
+"""Tensor-kernel layer: operator registry, static blocks, fusion and batched
+kernel generation."""
 
 from .batched import BatchedOperand, BatchedOutput, BlockKernel, LaunchRecord
 from .block import (

@@ -19,7 +19,7 @@ hinges on:
 Host-side time (DFG construction, scheduling) is *not* simulated — it is
 measured as real Python wall-clock into the host buckets of the runtime's
 :class:`~repro.runtime.trace.RoundTrace`, which also records every charged
-kernel launch (per-kernel launch counts are a fold over it).
+kernel launch.
 
 A :class:`DeviceSimulator` charges one accelerator and nothing more.  The
 runtime, memory planner and serving layer never hold one directly: they
@@ -137,14 +137,12 @@ class DeviceSimulator:
     def __init__(
         self,
         spec: Optional[GPUSpec] = None,
-        schedule_table: Optional[Dict[str, float]] = None,
-        default_schedule_quality: float = 0.9,
+        schedule_quality: float = 0.9,
     ) -> None:
         self.spec = spec or GPUSpec()
-        #: per-kernel schedule quality in (0, 1]; produced by the
-        #: auto-scheduler (§C.1), higher is better.
-        self.schedule_table: Dict[str, float] = dict(schedule_table or {})
-        self.default_schedule_quality = default_schedule_quality
+        #: the fraction of the roofline every kernel reaches, in (0, 1]:
+        #: 0.9 for generated kernels, higher for hand-tuned ones (Cortex).
+        self.schedule_quality = schedule_quality
         self.counters = DeviceCounters()
         #: host-array residency: ``id(array) -> weakref.ref(array)``.  A hit
         #: is *the same live object* (CPython recycles ids, so a dead or
@@ -159,12 +157,8 @@ class DeviceSimulator:
         self._host_sweep_at = _HOST_SWEEP_MIN
 
     # -- configuration --------------------------------------------------------
-    def set_schedule_quality(self, kernel_name: str, quality: float) -> None:
-        """Record the auto-scheduler's result for one kernel."""
-        self.schedule_table[kernel_name] = float(quality)
-
     def reset(self) -> None:
-        """Clear accumulated counters (keeps the schedule table and residency)."""
+        """Clear accumulated counters (keeps residency)."""
         self.counters = DeviceCounters()
 
     def reset_residency(self) -> None:
@@ -173,9 +167,6 @@ class DeviceSimulator:
         self._host_sweep_at = _HOST_SWEEP_MIN
 
     # -- cost model -----------------------------------------------------------
-    def _quality(self, kernel_name: str) -> float:
-        return self.schedule_table.get(kernel_name, self.default_schedule_quality)
-
     def kernel_time_us(self, record: LaunchRecord, gather_fused: bool) -> float:
         """Simulated execution time of one batched kernel launch."""
         spec = self.spec
@@ -187,9 +178,7 @@ class DeviceSimulator:
             spec.min_utilization, min(1.0, record.flops / spec.saturation_flops)
         )
         compute_us = record.flops / (spec.peak_gflops * 1e3 * utilization)
-        return spec.launch_overhead_us + max(mem_us, compute_us) / self._quality(
-            record.kernel_name
-        )
+        return spec.launch_overhead_us + max(mem_us, compute_us) / self.schedule_quality
 
     # -- charging -------------------------------------------------------------
     def launch(self, record: LaunchRecord, gather_fused: bool = True) -> float:

@@ -75,14 +75,6 @@ class RoundTrace:
                     out["rows"] += record[5]
         return out
 
-    def kernel_launches(self) -> Dict[str, int]:
-        """Launches per kernel name, in first-launch order."""
-        out: Dict[str, int] = {}
-        for record in self.records:
-            if record[0] == "launch":
-                out[record[2]] = out.get(record[2], 0) + 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoundTrace):
             return NotImplemented

@@ -116,8 +116,8 @@ class SingleTopology(LoopTopology):
 
 
 def _fresh_complement(server: Any, width: int) -> Any:
-    """A fresh device group mirroring the server's members: same specs,
-    schedule table and interconnect, its *own* simulators — so loops
+    """A fresh device group mirroring the server's members: same specs and
+    interconnect, its *own* simulators — so loops
     running in their own threads never race a shared simulator's
     counters."""
     from ..devices.group import DeviceGroup
@@ -126,14 +126,7 @@ def _fresh_complement(server: Any, width: int) -> Any:
     specs = [m.spec for m in group.devices]
     if len(specs) != width:
         specs = [specs[0]] * width
-    primary = group.devices[0]
-    return DeviceGroup(
-        width,
-        spec=specs,
-        interconnect=group.interconnect,
-        schedule_table=primary.schedule_table or None,
-        default_schedule_quality=primary.default_schedule_quality,
-    )
+    return DeviceGroup(width, spec=specs, interconnect=group.interconnect)
 
 
 @TOPOLOGIES.register("per_device")

@@ -1,5 +1,5 @@
-"""Tests for the DyNet / eager / Cortex baselines, the auto-scheduler, the
-data generators, utilities, and smoke tests of the experiment drivers."""
+"""Tests for the DyNet / eager / Cortex baselines, the data generators,
+utilities, and smoke tests of the experiment drivers."""
 
 import numpy as np
 import pytest
@@ -17,16 +17,9 @@ from repro.data import (
     random_sequences,
     random_treebank,
 )
-from repro.kernels.autoscheduler import (
-    allocate_trials,
-    auto_schedule,
-    static_frequency_estimate,
-    tune_kernel,
-)
 from repro.models import birnn, mvrnn, treelstm
 from repro.models import MODEL_MODULES
 from repro.utils import flatten_arrays, values_allclose
-from tests.conftest import build_listing1_rnn, rnn_instances
 
 BATCH = 3
 
@@ -125,47 +118,18 @@ class TestEagerAndCortex:
         outs, stats = CortexModel("mvrnn", params).run(instances)
         assert stats.device["num_memcpy"] >= BATCH  # one copy per leaf at least
 
+    def test_cortex_kernel_time_pin(self):
+        """Cortex's kernels are hand-tuned: its simulator runs them at
+        schedule quality 0.97, not the generated kernels' 0.9."""
+        mod, params, size = treelstm.build_for("test", seed=0)
+        trees = random_treebank(4, size.embed, seed=0)
+        _, stats = CortexModel("treelstm", params).run(trees)
+        assert stats.kernel_calls == 11
+        assert stats.device["kernel_time_us"] == pytest.approx(56.360824742268036, rel=1e-12)
+
     def test_cortex_rejects_unsupported_models(self):
         with pytest.raises(ValueError):
             CortexModel("berxit", {})
-
-
-class TestAutoScheduler:
-    def test_tune_kernel_improves_with_budget(self):
-        low = tune_kernel("dense_add_sigmoid", 5)
-        high = tune_kernel("dense_add_sigmoid", 500)
-        assert 0 < low <= high <= 1.0
-
-    def test_zero_trials_gives_base_quality(self):
-        assert tune_kernel("whatever", 0) == pytest.approx(0.45)
-
-    def test_tuning_is_deterministic_per_seed(self):
-        assert tune_kernel("k", 50, seed=1) == tune_kernel("k", 50, seed=1)
-
-    def test_allocate_trials_proportional_and_exact(self):
-        alloc = allocate_trials(["a", "b"], 100, {"a": 3.0, "b": 1.0})
-        assert sum(alloc.values()) == 100
-        assert alloc["a"] > alloc["b"]
-
-    def test_static_estimate_is_uniform(self):
-        est = static_frequency_estimate(["a", "b", "c"])
-        assert set(est.values()) == {1.0}
-
-    def test_auto_schedule_installs_table(self):
-        mod, params = build_listing1_rnn()
-        instances = rnn_instances(mod, 8, (3, 4))
-        compiled = compile_model(mod, params, CompilerOptions())
-        result = auto_schedule(compiled, 200, use_pgo=True, sample_instances=instances)
-        assert result.used_pgo and sum(result.trials.values()) == 200
-        assert compiled.schedule_table
-        # tuned schedules must not slow the model down vs the default quality
-        assert all(0 < q <= 1.0 for q in result.schedule_table.values())
-
-    def test_pgo_requires_sample_instances(self):
-        mod, params = build_listing1_rnn()
-        compiled = compile_model(mod, params, CompilerOptions())
-        with pytest.raises(ValueError):
-            auto_schedule(compiled, 10, use_pgo=True)
 
 
 class TestDataGenerators:
@@ -217,7 +181,7 @@ def _tiny_scale():
     """One size at the test model sizes, batch 2."""
     from repro.experiments.harness import ExperimentScale
 
-    return ExperimentScale(name="tiny", size_names=("small",), batch_sizes=(2,), size_override="test")
+    return ExperimentScale(name="tiny", size_names=("test",), batch_sizes=(2,))
 
 
 class TestMeasureRow:
@@ -339,6 +303,27 @@ class TestExperimentsSmoke:
             for activity in counted:
                 assert by_activity[activity][column] == direct[activity], (model, activity)
 
+    def test_reduced_grid_rows_are_labelled_by_the_size_they_run(self):
+        """Every grid row prints the size its model is built at, and no two
+        rows measure the same (model, size, batch)."""
+        from repro.experiments.harness import REDUCED
+        from repro.experiments.tables import TABLES
+
+        for name in ("table4", "table5", "table7", "table8", "figure5", "figure6"):
+            rows = TABLES[name].rows(REDUCED)
+            assert all(row.key[1] == row.size for row in rows), name
+            assert len({(row.model, row.size, row.batch) for row in rows}) == len(rows), name
+
+    @pytest.mark.parametrize("experiment", ["continuous", "generation", "multiloop", "serving", "sharding"])
+    def test_a_scale_of_another_name_raises(self, experiment):
+        """A serving experiment sizes its trace by the scale's name, and
+        raises for a name it has no size for instead of guessing one."""
+        from repro.experiments import ALL_EXPERIMENTS
+        from repro.experiments.harness import ExperimentScale
+
+        with pytest.raises(KeyError, match="custom"):
+            ALL_EXPERIMENTS[experiment].run(ExperimentScale(name="custom"))
+
     def test_format_table_renders(self):
         from repro.experiments.harness import format_table
 
@@ -355,7 +340,7 @@ class TestExperimentsCLI:
         listed = capsys.readouterr().out.split()
         assert listed == sorted(ALL_EXPERIMENTS)
         assert "sharding" in listed
-        assert {"table4", "table9", "figure5", "figure6"} <= set(listed)
+        assert {"table4", "table8", "figure5", "figure6"} <= set(listed)
 
     def test_unknown_experiment_errors(self, capsys):
         from repro.experiments.__main__ import main

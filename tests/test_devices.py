@@ -236,16 +236,21 @@ class TestDeviceGroup:
         assert summary["active_devices"] == 2
         assert summary["balance"] == pytest.approx(1.0)
 
-    def test_reset_and_schedule_quality_fan_out(self):
+    def test_reset_fans_out(self):
         group = DeviceGroup(2)
-        group.set_schedule_quality("k", 0.5)
-        assert group[1].schedule_table["k"] == 0.5
         record = LaunchRecord(
             kernel_name="k", batch_size=1, flops=1.0, bytes_read=1.0, bytes_written=1.0
         )
         group[1].launch(record)
         group.reset()
         assert all(d.counters.num_kernel_launches == 0 for d in group)
+
+    def test_members_run_at_one_schedule_quality(self):
+        """A built group's members all run at the generated-kernel quality;
+        an adopted simulator keeps the quality it was built with."""
+        assert [d.schedule_quality for d in DeviceGroup(2, spec=[BIG, SMALL])] == [0.9, 0.9]
+        tuned = DeviceSimulator(schedule_quality=0.97)
+        assert DeviceGroup([tuned])[0].schedule_quality == 0.97
 
     def test_per_device_residency(self):
         group = DeviceGroup(2)
@@ -899,26 +904,18 @@ class TestEngineWiring:
         with pytest.raises(TypeError, match="interconnect"):
             compiled.make_engine(device=group, interconnect="nvlink")
 
-    def test_tuned_schedule_table_with_ready_group_rejected(self, treelstm):
-        # a tuned model's schedule table must not silently vanish into an
-        # adopted group or bare simulator built without it — the kernels
-        # would simulate at default_schedule_quality; one built WITH the
-        # same table (and an untuned model with any device) still adopts
+    def test_adopted_simulator_charges_at_its_own_quality(self, treelstm):
+        """The engine adopts a simulator as-is: one built at a higher
+        schedule quality charges less kernel time for the same run, and
+        the same launches."""
         compiled, instances, _ = treelstm
-        assert not compiled.schedule_table  # untuned: adoption is fine
-        assert compiled.make_engine(device=DeviceGroup(2)) is not None
-        compiled.schedule_table.update({"fused_node_block_0": 0.97})
-        try:
-            with pytest.raises(ValueError, match="schedule_table"):
-                compiled.make_engine(device=DeviceGroup(2))
-            with pytest.raises(ValueError, match="schedule_table"):
-                compiled.run(instances, device=DeviceSimulator())
-            tuned = DeviceGroup(2, schedule_table=compiled.schedule_table)
-            assert compiled.make_engine(device=tuned).device is tuned
-            sim = DeviceSimulator(schedule_table=compiled.schedule_table)
-            assert compiled.make_engine(device=sim).device[0] is sim
-        finally:
-            compiled.schedule_table.clear()
+        base = DeviceSimulator()
+        tuned = DeviceSimulator(schedule_quality=0.97)
+        _, slow = compiled.run(instances, device=base)
+        _, fast = compiled.run(instances, device=tuned)
+        assert tuned.schedule_quality == 0.97
+        assert fast.device["num_kernel_launches"] == slow.device["num_kernel_launches"]
+        assert fast.device["kernel_time_us"] < slow.device["kernel_time_us"]
 
     def test_session_repeats_with_placement(self, treelstm):
         """Structurally identical sharded flushes stay reference-identical

@@ -128,6 +128,24 @@ class TestTraceTopologies:
         )
 
 
+class TestFreshComplement:
+    def test_mirrors_specs_and_interconnect_with_its_own_simulators(self):
+        """A per-endpoint loop's complement copies the server's member
+        specs and interconnect, and owns fresh simulators."""
+        from repro.runtime.device import GPUSpec
+        from repro.serve.topology import _fresh_complement
+
+        big = GPUSpec(name="big", mem_bandwidth_gbps=1555.0, peak_gflops=19500.0)
+        small = GPUSpec(name="small", mem_bandwidth_gbps=45.0, peak_gflops=1200.0)
+        srv = Server(clock=SimulatedClock(), device=[big, small], interconnect="nvlink")
+        group = _fresh_complement(srv, 2)
+        assert [d.spec for d in group] == [big, small]
+        assert group.interconnect is srv.device.interconnect
+        assert not {id(d) for d in group} & {id(d) for d in srv.device}
+        # another width repeats the first member's spec
+        assert [d.spec for d in _fresh_complement(srv, 3)] == [big] * 3
+
+
 class TestWorkStealing:
     def test_stolen_run_matches_unstolen_bitwise(self, rnn_setup):
         """Pin every arrival to loop0: siblings steal.  Results must be
